@@ -60,7 +60,6 @@ type jsonKernelSchedule struct {
 	TaskK    int    `json:"task_k"`
 	RowTile  int    `json:"row_tile"`
 	ColPanel int    `json:"col_panel"`
-	Unroll   int    `json:"unroll"`
 	Tuned    bool   `json:"tuned,omitempty"`
 }
 
@@ -103,7 +102,7 @@ func kernelSchedules(model *dnnfusion.Model) []jsonKernelSchedule {
 		out = append(out, jsonKernelSchedule{
 			Kernel: k.Name,
 			TaskM:  k.TaskM, TaskN: k.TaskN, TaskK: k.TaskK,
-			RowTile: k.Schedule.RowTile, ColPanel: k.Schedule.ColPanel, Unroll: k.Schedule.Unroll,
+			RowTile: k.Schedule.RowTile, ColPanel: k.Schedule.ColPanel,
 		})
 	}
 	return out

@@ -86,7 +86,7 @@ func main() {
 		fmt.Printf("  %s: %s (%d ops, %d FLOPs, layout %s)\n",
 			k.Name, k.Block, k.OpCount, k.FLOPs, k.Layout)
 		if *source {
-			fmt.Println(k.SourceCPU)
+			fmt.Println(k.Source(dnnfusion.BackendCPU))
 		}
 	}
 

@@ -48,7 +48,25 @@ import (
 	"dnnfusion/serve"
 
 	"dnnfusion/internal/models"
+	"dnnfusion/internal/profile"
 )
+
+// loadProfile opens the -profile database. A file of another format version
+// is a stale cache, not a broken one: it is reported and an empty database
+// takes its place, so the server still starts (models compile analytically,
+// or re-tune under -tune-budget). A missing, unreadable or corrupt file
+// stays an error.
+func loadProfile(path string) (*dnnfusion.ProfileDB, error) {
+	db, err := dnnfusion.LoadProfileDB(path)
+	if errors.Is(err, profile.ErrVersion) {
+		log.Printf("ignoring stale profile database: %v", err)
+		return dnnfusion.NewProfileDB(), nil
+	}
+	if err == nil {
+		log.Printf("loaded profile database %s: %d tuned plans", path, db.PlanLen())
+	}
+	return db, err
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -77,11 +95,10 @@ func main() {
 	}
 	compileOpts := []dnnfusion.Option{dnnfusion.WithThreads(*threads)}
 	if *profilePath != "" {
-		db, err := dnnfusion.LoadProfileDB(*profilePath)
+		db, err := loadProfile(*profilePath)
 		if err != nil {
 			log.Fatalf("loading profile database %s: %v", *profilePath, err)
 		}
-		log.Printf("loaded profile database %s: %d tuned plans", *profilePath, db.PlanLen())
 		compileOpts = append(compileOpts, dnnfusion.WithProfileDB(db))
 	}
 	if *tuneBudget > 0 {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -37,6 +38,7 @@ import (
 	"dnnfusion"
 
 	"dnnfusion/internal/models"
+	"dnnfusion/internal/profile"
 	"dnnfusion/internal/tuner"
 )
 
@@ -75,11 +77,8 @@ func main() {
 		defer tuner.ResetClock()
 	}
 
-	db := dnnfusion.NewProfileDB()
-	if loaded, err := dnnfusion.LoadProfileDB(*dbPath); err == nil {
-		db = loaded
-		fmt.Fprintf(os.Stderr, "loaded %s: %d tuned plans\n", *dbPath, db.PlanLen())
-	} else if !os.IsNotExist(err) {
+	db, err := openDB(*dbPath)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dnnf-tune: loading %s: %v\n", *dbPath, err)
 		os.Exit(1)
 	}
@@ -143,6 +142,24 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// openDB loads the -db database to extend. A file that does not exist yet,
+// or one of another format version (a stale cache), starts a fresh
+// database that the final save writes over it; an unreadable or corrupt
+// file is an error.
+func openDB(path string) (*dnnfusion.ProfileDB, error) {
+	db, err := dnnfusion.LoadProfileDB(path)
+	switch {
+	case err == nil:
+		fmt.Fprintf(os.Stderr, "loaded %s: %d tuned plans\n", path, db.PlanLen())
+		return db, nil
+	case errors.Is(err, profile.ErrVersion):
+		fmt.Fprintf(os.Stderr, "dnnf-tune: %v: starting fresh\n", err)
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, err
+	}
+	return dnnfusion.NewProfileDB(), nil
 }
 
 // report prints one greppable line per tuned (model, batch) pair.

@@ -84,7 +84,7 @@ func main() {
 		}
 	}
 	fmt.Println("\ngenerated CPU kernel for the largest block:")
-	fmt.Println(model.Kernels[biggest].SourceCPU)
+	fmt.Println(model.Kernels[biggest].Source(dnnfusion.BackendCPU))
 
 	// 7. Simulate one inference on the phone.
 	for _, dev := range []*dnnfusion.Device{dnnfusion.SnapdragonCPU(), dnnfusion.SnapdragonGPU()} {

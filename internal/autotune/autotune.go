@@ -7,10 +7,9 @@
 // candidates, and scores the (plan, schedule) pairs with short measured
 // runs of the real compiled kernels. The analytical simulator is the
 // prior that ranks candidates so a bounded measurement budget is spent
-// on the most promising ones; winners persist in profile.DB format v4
-// keyed by (graph fingerprint, device, batch size), so repeat
-// compilations rebuild the winning plan deterministically with zero
-// measurement.
+// on the most promising ones; winners persist in profile.DB keyed by
+// (graph fingerprint, device, batch size), so repeat compilations rebuild
+// the winning plan deterministically with zero measurement.
 package autotune
 
 import (
@@ -181,49 +180,93 @@ func Build(e *ecg.ECG, cfg Config, spec Spec) (*fusion.Plan, []*codegen.Kernel, 
 	if err != nil {
 		return nil, nil, err
 	}
-	applyAnalytical(kernels, cfg.Device)
+	AssignSchedules(kernels, cfg.Device, nil)
 	return plan, kernels, nil
 }
 
-// applyAnalytical assigns the analytical best schedule to every
-// schedulable kernel (what core's selectSchedules would pick, minus the
-// profile cache) and returns how many kernels are schedulable.
-func applyAnalytical(kernels []*codegen.Kernel, dev *device.Device) int {
-	n := 0
-	for _, k := range kernels {
-		if k.Block.Chain != nil {
-			if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-				k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
-				res := tuner.SelectChain(
-					tuner.Task{M: pm, N: pn, K: pk, Device: dev},
-					tuner.Task{M: cm, N: cn, K: ck, Device: dev})
-				k.Schedule, k.ProducerSchedule = res.Consumer, res.Producer
-				n++
-				continue
-			}
-		}
-		if m, nn, kk, ok := k.ScheduleTask(); ok {
-			k.TaskM, k.TaskN, k.TaskK = m, nn, kk
-			res := tuner.Select(tuner.Task{M: m, N: nn, K: kk, Device: dev}, tuner.GAOptions{})
-			k.Schedule = res.Schedule
-			n++
-		}
-	}
-	return n
+// kernelTask is one schedulable kernel's tuning task: the canonical key it
+// is cached and persisted under, and the GEMM-shape task the tuner ranks —
+// two of them, sharing a row tile, for a chain-fused kernel.
+type kernelTask struct {
+	key        string
+	chain      bool
+	prod, cons tuner.Task
 }
 
-// taskKey canonicalizes a schedulable kernel's tuning task for the
-// persisted plan (and for the warm-start cross-check).
-func taskKey(k *codegen.Kernel, dev *device.Device) (string, bool) {
-	if k.Block.Chain != nil {
-		if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-			return profile.ChainScheduleKey(dev.Name, pm, pn, pk, cm, cn, ck), true
-		}
+// taskOf derives a kernel's tuning task; ok is false for kernels with
+// nothing to schedule.
+func taskOf(k *codegen.Kernel, dev *device.Device) (kernelTask, bool) {
+	if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
+		return kernelTask{
+			key:   profile.ChainScheduleKey(dev.Name, pm, pn, pk, cm, cn, ck),
+			chain: true,
+			prod:  tuner.Task{M: pm, N: pn, K: pk, Device: dev},
+			cons:  tuner.Task{M: cm, N: cn, K: ck, Device: dev},
+		}, true
 	}
 	if m, n, kk, ok := k.ScheduleTask(); ok {
-		return profile.ScheduleKey(dev.Name, m, n, kk), true
+		return kernelTask{
+			key:  profile.ScheduleKey(dev.Name, m, n, kk),
+			cons: tuner.Task{M: m, N: n, K: kk, Device: dev},
+		}, true
 	}
-	return "", false
+	return kernelTask{}, false
+}
+
+// shortlist returns the task's k analytically best schedules, best first.
+func (t kernelTask) shortlist(k int) []profile.KernelSchedule {
+	var out []profile.KernelSchedule
+	if t.chain {
+		for _, r := range tuner.SelectChainTopK(t.prod, t.cons, k) {
+			out = append(out, profile.KernelSchedule{Schedule: r.Consumer, Producer: r.Producer})
+		}
+		return out
+	}
+	for _, s := range tuner.SelectTopK(t.cons, k) {
+		out = append(out, profile.KernelSchedule{Schedule: s})
+	}
+	return out
+}
+
+// AssignSchedules makes the kernel schedule a compile artifact: every
+// schedulable kernel gets its tuning task recorded and its tile schedule
+// assigned — the one db caches for the task when there is one, else the
+// tuner's analytical best (§4.3–4.4 pair fusion with tuned per-kernel
+// schedules), which is then cached so repeat compilations skip the
+// selection: the schedule half of Figure 9b's caching effect. db may be
+// nil. Selection is deterministic per (shape, device), so the same model
+// always compiles to the same schedules; they are applied to the kernels'
+// Source trees at session bind time (codegen.BindParallel). It returns how
+// many kernels were schedulable and how many needed a fresh selection.
+func AssignSchedules(kernels []*codegen.Kernel, dev *device.Device, db *profile.DB) (lookups, misses int) {
+	for _, k := range kernels {
+		t, ok := taskOf(k, dev)
+		if !ok {
+			continue
+		}
+		lookups++
+		k.TaskM, k.TaskN, k.TaskK = t.cons.M, t.cons.N, t.cons.K
+		var ks profile.KernelSchedule
+		hit := false
+		if db != nil {
+			ks, hit = db.LookupSchedule(t.key)
+		}
+		if !hit {
+			misses++
+			ks = t.shortlist(1)[0]
+			if db != nil {
+				db.InsertSchedule(t.key, ks)
+			}
+		}
+		k.Schedule, k.ProducerSchedule = ks.Schedule, ks.Producer
+	}
+	return lookups, misses
+}
+
+// scheduleOf reads a kernel's current schedule as the record type the
+// shortlists, the cache, and tuned plans share.
+func scheduleOf(k *codegen.Kernel) profile.KernelSchedule {
+	return profile.KernelSchedule{Schedule: k.Schedule, Producer: k.ProducerSchedule}
 }
 
 // snapshot captures the schedulable kernels' current schedules as the
@@ -235,16 +278,9 @@ func snapshot(spec Spec, kernels []*codegen.Kernel, dev *device.Device) profile.
 		Seeds:     int(spec.Seeds),
 	}
 	for _, k := range kernels {
-		key, ok := taskKey(k, dev)
-		if !ok {
-			continue
+		if t, ok := taskOf(k, dev); ok {
+			tp.Kernels = append(tp.Kernels, profile.TunedKernel{Task: t.key, KernelSchedule: scheduleOf(k)})
 		}
-		tk := profile.TunedKernel{Task: key, Schedule: k.Schedule}
-		if k.Block.Chain != nil {
-			ps := k.ProducerSchedule
-			tk.Producer = &ps
-		}
-		tp.Kernels = append(tp.Kernels, tk)
 	}
 	return tp
 }
@@ -318,7 +354,7 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("autotune: candidate %+v: %w", spec, err)
 		}
-		applyAnalytical(kernels, cfg.Device)
+		AssignSchedules(kernels, cfg.Device, nil)
 		cands = append(cands, &cand{spec: spec, plan: plan, kernels: kernels, prior: prior(e, plan, cfg)})
 	}
 	// Prior order, baseline pinned first: it is the no-measurement
@@ -369,50 +405,19 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 		}
 	refine:
 		for _, k := range order {
-			if k.Block.Chain != nil {
-				pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks()
-				if !ok {
-					continue
-				}
-				for _, alt := range tuner.SelectChainTopK(
-					tuner.Task{M: pm, N: pn, K: pk, Device: cfg.Device},
-					tuner.Task{M: cm, N: cn, K: ck, Device: cfg.Device}, cfg.TopK) {
-					if alt.Consumer == k.Schedule && alt.Producer == k.ProducerSchedule {
-						continue
-					}
-					if remaining <= 0 {
-						break refine
-					}
-					prevC, prevP := k.Schedule, k.ProducerSchedule
-					k.Schedule, k.ProducerSchedule = alt.Consumer, alt.Producer
-					ns, err := measure(e, best.plan, best.kernels, cfg, feeds)
-					if err != nil {
-						return nil, fmt.Errorf("autotune: refining chain kernel %s: %w", k.Name, err)
-					}
-					runs++
-					remaining--
-					if ns < bestNs {
-						bestNs = ns
-						scheduleDiffers = true
-					} else {
-						k.Schedule, k.ProducerSchedule = prevC, prevP
-					}
-				}
-				continue
-			}
-			m, n, kk, ok := k.ScheduleTask()
+			t, ok := taskOf(k, cfg.Device)
 			if !ok {
 				continue
 			}
-			for _, alt := range tuner.SelectTopK(tuner.Task{M: m, N: n, K: kk, Device: cfg.Device}, cfg.TopK) {
-				if alt == k.Schedule {
+			for _, alt := range t.shortlist(cfg.TopK) {
+				prev := scheduleOf(k)
+				if alt == prev {
 					continue
 				}
 				if remaining <= 0 {
 					break refine
 				}
-				prev := k.Schedule
-				k.Schedule = alt
+				k.Schedule, k.ProducerSchedule = alt.Schedule, alt.Producer
 				ns, err := measure(e, best.plan, best.kernels, cfg, feeds)
 				if err != nil {
 					return nil, fmt.Errorf("autotune: refining kernel %s: %w", k.Name, err)
@@ -423,7 +428,7 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 					bestNs = ns
 					scheduleDiffers = true
 				} else {
-					k.Schedule = prev
+					k.Schedule, k.ProducerSchedule = prev.Schedule, prev.Producer
 				}
 			}
 		}
@@ -460,7 +465,7 @@ func Rebuild(e *ecg.ECG, cfg Config, tp profile.TunedPlan) (*fusion.Plan, []*cod
 	}
 	j := 0
 	for _, k := range kernels {
-		key, ok := taskKey(k, cfg.Device)
+		t, ok := taskOf(k, cfg.Device)
 		if !ok {
 			continue
 		}
@@ -468,21 +473,14 @@ func Rebuild(e *ecg.ECG, cfg Config, tp profile.TunedPlan) (*fusion.Plan, []*cod
 			return nil, nil, fmt.Errorf("autotune: tuned plan has %d kernels, rebuilt plan has more", len(tp.Kernels))
 		}
 		tk := tp.Kernels[j]
-		if tk.Task != key {
-			return nil, nil, fmt.Errorf("autotune: tuned kernel %d is %q, rebuilt plan has %q", j, tk.Task, key)
+		if tk.Task != t.key {
+			return nil, nil, fmt.Errorf("autotune: tuned kernel %d is %q, rebuilt plan has %q", j, tk.Task, t.key)
 		}
-		k.Schedule = tk.Schedule
-		if k.Block.Chain != nil {
-			if tk.Producer == nil {
-				return nil, nil, fmt.Errorf("autotune: tuned kernel %d (%q) misses the producer schedule", j, tk.Task)
-			}
-			k.ProducerSchedule = *tk.Producer
-			if _, _, _, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-				k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
-			}
-		} else if m, n, kk, ok := k.ScheduleTask(); ok {
-			k.TaskM, k.TaskN, k.TaskK = m, n, kk
+		if t.chain && tk.Producer.Zero() {
+			return nil, nil, fmt.Errorf("autotune: tuned kernel %d (%q) misses the producer schedule", j, tk.Task)
 		}
+		k.Schedule, k.ProducerSchedule = tk.Schedule, tk.Producer
+		k.TaskM, k.TaskN, k.TaskK = t.cons.M, t.cons.N, t.cons.K
 		j++
 	}
 	if j != len(tp.Kernels) {

@@ -232,13 +232,13 @@ func TestEmittedSource(t *testing.T) {
 	if fused == nil {
 		t.Fatal("no fused kernel")
 	}
-	cpu := fused.SourceCPU
+	cpu := fused.Source(CPU)
 	for _, want := range []string{"void dnnf_kernel_", "for (int", "restrict", "// codegen rules:"} {
 		if !strings.Contains(cpu, want) {
 			t.Errorf("CPU source missing %q:\n%s", want, cpu)
 		}
 	}
-	gpu := fused.SourceGPU
+	gpu := fused.Source(GPU)
 	for _, want := range []string{"__kernel void", "__global", "get_global_id"} {
 		if !strings.Contains(gpu, want) {
 			t.Errorf("GPU source missing %q:\n%s", want, gpu)

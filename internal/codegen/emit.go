@@ -8,13 +8,13 @@ import (
 	"dnnfusion/internal/graph"
 )
 
-// emit renders the kernel as C-like source for the mobile CPU backend or
-// OpenCL-like source for the mobile GPU backend. The emitted text is the
-// artifact the kernel cache shares across models; in the paper's system it
-// is compiled by the device toolchain, here it documents exactly what the
-// pull-model executor computes (loop nests, index folding, shared-subtree
-// temporaries).
-func emit(k *Kernel, b Backend) string {
+// Source renders the kernel as C-like source for the mobile CPU backend or
+// OpenCL-like source for the mobile GPU backend. In the paper's system the
+// text is compiled by the device toolchain; here it documents exactly what
+// the pull-model executor computes (loop nests, index folding,
+// shared-subtree temporaries), so it is rendered only when asked for, not
+// at compile time.
+func (k *Kernel) Source(b Backend) string {
 	var sb strings.Builder
 	name := k.Name
 	if b == GPU {

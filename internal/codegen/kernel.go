@@ -38,10 +38,6 @@ type Kernel struct {
 	// DominantOp is the operator that chose the layout.
 	DominantOp string
 
-	// SourceCPU / SourceGPU hold the emitted kernel source.
-	SourceCPU string
-	SourceGPU string
-
 	// Schedule is the tuner-selected tile schedule of a heavy kernel,
 	// attached by the compiler after code generation (core.Compile) and
 	// applied to the kernel's Source trees at bind time. A zero schedule
@@ -69,29 +65,23 @@ type Kernel struct {
 	Disruption int
 }
 
-// artifact is the reusable generated code for a block structure. The cache
-// stores artifacts, not kernels: the emitted implementation is shared
-// across every structurally identical fusion site in this or future models,
-// while each Kernel keeps its own per-site wiring (values, tensors).
-type artifact struct {
-	Name      string
-	SourceCPU string
-	SourceGPU string
-}
-
 // Cache deduplicates generated kernel code structurally within and across
-// models.
+// models. It stores implementation names, not kernels: one generated
+// implementation is shared by every structurally identical fusion site in
+// this or future models, while each Kernel keeps its own per-site wiring
+// (values, tensors).
 type Cache struct {
-	artifacts map[string]*artifact
-	Hits      int
-	Misses    int
+	// names maps a block's structural key to its implementation name.
+	names  map[string]string
+	Hits   int
+	Misses int
 }
 
 // NewCache returns an empty kernel cache.
-func NewCache() *Cache { return &Cache{artifacts: map[string]*artifact{}} }
+func NewCache() *Cache { return &Cache{names: map[string]string{}} }
 
 // Size returns the number of distinct generated kernel implementations.
-func (c *Cache) Size() int { return len(c.artifacts) }
+func (c *Cache) Size() int { return len(c.names) }
 
 // Compile builds the kernel for a fusion block, reusing the generated
 // implementation from the cache when a structurally identical block was
@@ -126,16 +116,12 @@ func Compile(e *ecg.ECG, b *fusion.Block, cache *Cache) (*Kernel, bool, error) {
 	}
 	k.chooseLayout(e)
 	if cache != nil {
-		if a, ok := cache.artifacts[key]; ok {
+		if name, ok := cache.names[key]; ok {
 			cache.Hits++
-			k.Name, k.SourceCPU, k.SourceGPU = a.Name, a.SourceCPU, a.SourceGPU
+			k.Name = name
 			return k, true, nil
 		}
-	}
-	k.SourceCPU = emit(k, CPU)
-	k.SourceGPU = emit(k, GPU)
-	if cache != nil {
-		cache.artifacts[key] = &artifact{Name: k.Name, SourceCPU: k.SourceCPU, SourceGPU: k.SourceGPU}
+		cache.names[key] = k.Name
 		cache.Misses++
 	}
 	return k, false, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dnnfusion/internal/device"
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
 	"dnnfusion/internal/profile"
@@ -71,7 +72,16 @@ func TestChainScheduleCachedInProfileDB(t *testing.T) {
 	if first.Stats.ChainFusions == 0 {
 		t.Fatal("no chain fused")
 	}
-	if db.ChainScheduleLen() == 0 {
+	cached := false
+	for _, k := range first.Kernels {
+		if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
+			key := profile.ChainScheduleKey(device.Snapdragon865CPU().Name, pm, pn, pk, cm, cn, ck)
+			if ks, hit := db.LookupSchedule(key); hit && ks.Producer == k.ProducerSchedule {
+				cached = true
+			}
+		}
+	}
+	if !cached {
 		t.Fatal("first compile cached no chain schedule")
 	}
 	second, err := Compile(buildMicro("micro-attention"), opts)

@@ -22,7 +22,6 @@ import (
 	"dnnfusion/internal/profile"
 	"dnnfusion/internal/rewrite"
 	"dnnfusion/internal/tensor"
-	"dnnfusion/internal/tuner"
 )
 
 // Options selects which parts of the pipeline run; the defaults (via
@@ -70,10 +69,10 @@ type Options struct {
 	// selection with the measured-feedback search (internal/autotune):
 	// candidate fusion plans × top-k schedules scored by short timed runs
 	// of the real kernels, at most MeasureBudget measurements. Winners
-	// persist in ProfileDB (format v4, keyed by graph fingerprint ×
-	// device × batch size) so repeat compilations warm-start with zero
-	// measurement. Zero keeps the analytical path — the default, so CI
-	// and cold-start latency are unchanged. Requires Fusion.
+	// persist in ProfileDB (keyed by graph fingerprint × device × batch
+	// size) so repeat compilations warm-start with zero measurement. Zero
+	// keeps the analytical path — the default, so CI and cold-start latency
+	// are unchanged. Requires Fusion.
 	MeasureBudget int
 	// BatchSize keys measured-tuning results per formed batch size;
 	// CompileBatch sets it to the variant's capacity. Zero means 1.
@@ -94,7 +93,7 @@ type CompileStats struct {
 	RewriteMs float64
 	FusionMs  float64
 	CodegenMs float64
-	// TuneMs covers schedule selection (GA search + profile-DB lookups);
+	// TuneMs covers schedule selection (ranking + profile-DB lookups);
 	// PlanMs covers executor construction: block scheduling and the arena
 	// memory plan.
 	TuneMs float64
@@ -107,7 +106,7 @@ type CompileStats struct {
 	RewriteStats    rewrite.Stats
 	KernelCacheHits int
 	// ScheduleLookups is the number of heavy kernels whose tile schedule
-	// was selected; ScheduleMisses is how many required a fresh GA search
+	// was selected; ScheduleMisses is how many required a fresh selection
 	// (the rest hit the profile database's schedule cache).
 	ScheduleLookups int
 	ScheduleMisses  int
@@ -217,7 +216,7 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 			c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
 		}
 		start = time.Now()
-		c.selectSchedules()
+		c.Stats.ScheduleLookups, c.Stats.ScheduleMisses = autotune.AssignSchedules(c.Kernels, opts.scheduleDevice(), opts.ProfileDB)
 		c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
 	}
 	start := time.Now()
@@ -337,63 +336,6 @@ func (o Options) scheduleDevice() *device.Device {
 		return o.Device
 	}
 	return device.Snapdragon865CPU()
-}
-
-// selectSchedules makes the kernel schedule a compile artifact: every
-// heavy kernel's tile schedule is selected by the genetic tuner against
-// the device profile (§4.3–4.4 pair fusion with tuned per-kernel
-// schedules), with chosen schedules cached in the profile database so
-// repeat compilations skip the search — the schedule half of Figure 9b's
-// caching effect. Selection is deterministic per (shape, device), so the
-// same model always compiles to the same schedules. The schedule is
-// applied to the kernels' Source trees at session bind time
-// (codegen.BindParallel).
-func (c *Compiled) selectSchedules() {
-	dev := c.Opts.scheduleDevice()
-	for _, k := range c.Kernels {
-		if k.Block.Chain != nil {
-			if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-				k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
-				c.Stats.ScheduleLookups++
-				key := profile.ChainScheduleKey(dev.Name, pm, pn, pk, cm, cn, ck)
-				if c.Opts.ProfileDB != nil {
-					if cs, hit := c.Opts.ProfileDB.LookupChainSchedule(key); hit {
-						k.Schedule, k.ProducerSchedule = cs.Consumer, cs.Producer
-						continue
-					}
-				}
-				c.Stats.ScheduleMisses++
-				res := tuner.SelectChain(
-					tuner.Task{M: pm, N: pn, K: pk, Device: dev},
-					tuner.Task{M: cm, N: cn, K: ck, Device: dev})
-				k.Schedule, k.ProducerSchedule = res.Consumer, res.Producer
-				if c.Opts.ProfileDB != nil {
-					c.Opts.ProfileDB.InsertChainSchedule(key,
-						profile.ChainSchedule{Producer: res.Producer, Consumer: res.Consumer})
-				}
-				continue
-			}
-		}
-		m, n, kk, ok := k.ScheduleTask()
-		if !ok {
-			continue
-		}
-		k.TaskM, k.TaskN, k.TaskK = m, n, kk
-		c.Stats.ScheduleLookups++
-		key := profile.ScheduleKey(dev.Name, m, n, kk)
-		if c.Opts.ProfileDB != nil {
-			if s, hit := c.Opts.ProfileDB.LookupSchedule(key); hit {
-				k.Schedule = s
-				continue
-			}
-		}
-		c.Stats.ScheduleMisses++
-		res := tuner.Select(tuner.Task{M: m, N: n, K: kk, Device: dev}, tuner.GAOptions{})
-		k.Schedule = res.Schedule
-		if c.Opts.ProfileDB != nil {
-			c.Opts.ProfileDB.InsertSchedule(key, res.Schedule)
-		}
-	}
 }
 
 // latencyFunc resolves yellow fusion decisions: profile-database lookup

@@ -23,11 +23,11 @@ import (
 // engineScheduleGrid spans the heights and panels the blocked kernels
 // implement, plus values that normalize (height 3, panel wider than N).
 var engineScheduleGrid = []ops.Schedule{
-	{RowTile: 1, ColPanel: 8, Unroll: 1},
-	{RowTile: 2, ColPanel: 16, Unroll: 2},
-	{RowTile: 3, ColPanel: 33, Unroll: 4},
-	{RowTile: 4, ColPanel: 64, Unroll: 4},
-	{RowTile: 8, ColPanel: 512, Unroll: 8},
+	{RowTile: 1, ColPanel: 8},
+	{RowTile: 2, ColPanel: 16},
+	{RowTile: 3, ColPanel: 33},
+	{RowTile: 4, ColPanel: 64},
+	{RowTile: 8, ColPanel: 512},
 }
 
 // compileWithSchedule compiles g's plan and forces sched onto every
@@ -65,26 +65,48 @@ func assertBitEqual(t *testing.T, label string, got, want []*tensor.Tensor) {
 	}
 }
 
-// TestScheduleGridInterpreterParity runs the fused MLP under every grid
-// schedule at 1 and 8 worker lanes, against the scalar interpreter,
-// bit-for-bit.
+// buildGemmMLP is buildMLP with both layers as Gemm operators carrying
+// their full epilogue: alpha ≠ 1, beta ∉ {0, 1}, an [N] and an [M,1]
+// addend, and a transposed B on the second layer.
+func buildGemmMLP(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New("gemm-mlp")
+	x := g.AddInput("x", tensor.Of(16, 64))
+	w1 := g.AddWeight("w1", tensor.New(64, 96).Rand(1))
+	c1 := g.AddWeight("c1", tensor.New(96).Rand(2))
+	h := g.Apply1(ops.NewGemm(0.75, -1.25, false, false), x, w1, c1)
+	h = g.Apply1(ops.NewRelu(), h)
+	w2 := g.AddWeight("w2", tensor.New(32, 96).Rand(3))
+	c2 := g.AddWeight("c2", tensor.New(16, 1).Rand(4))
+	g.MarkOutput(g.Apply1(ops.NewGemm(1.5, 0.5, false, true), h, w2, c2))
+	if err := g.Validate(); err != nil {
+		t.Fatalf("gemm mlp invalid: %v", err)
+	}
+	return g
+}
+
+// TestScheduleGridInterpreterParity runs the fused MLP — as MatMul+Add and
+// as Gemm layers — under every grid schedule at 1 and 8 worker lanes,
+// against the scalar interpreter, bit-for-bit.
 func TestScheduleGridInterpreterParity(t *testing.T) {
 	for _, sched := range engineScheduleGrid {
 		for _, threads := range []int{1, 8} {
-			g, _ := buildMLP(t)
-			x := tensor.Of(16, 64)
-			in := tensor.NewOf(x).Rand(uint64(41 + sched.RowTile))
-			feeds := map[*graph.Value]*tensor.Tensor{g.Inputs[0]: in}
-			want, err := graph.InterpretOutputs(g, feeds)
-			if err != nil {
-				t.Fatal(err)
+			mlp, _ := buildMLP(t)
+			for _, g := range []*graph.Graph{mlp, buildGemmMLP(t)} {
+				x := tensor.Of(16, 64)
+				in := tensor.NewOf(x).Rand(uint64(41 + sched.RowTile))
+				feeds := map[*graph.Value]*tensor.Tensor{g.Inputs[0]: in}
+				want, err := graph.InterpretOutputs(g, feeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := compileWithSchedule(t, g, sched, threads)
+				got, err := ex.NewSession().Run(context.Background(), feeds)
+				if err != nil {
+					t.Fatalf("%s rt=%d threads=%d: %v", g.Name, sched.RowTile, threads, err)
+				}
+				assertBitEqual(t, g.Name+" schedule grid", got, want)
 			}
-			ex := compileWithSchedule(t, g, sched, threads)
-			got, err := ex.NewSession().Run(context.Background(), feeds)
-			if err != nil {
-				t.Fatalf("rt=%d threads=%d: %v", sched.RowTile, threads, err)
-			}
-			assertBitEqual(t, "schedule grid", got, want)
 		}
 	}
 }
@@ -137,7 +159,7 @@ func TestScheduleGridBatchParity(t *testing.T) {
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	for _, threads := range []int{1, 8} {
 		g, _ := buildMLP(t)
-		ex := compileWithSchedule(t, g, ops.Schedule{RowTile: 8, ColPanel: 512, Unroll: 8}, threads)
+		ex := compileWithSchedule(t, g, ops.Schedule{RowTile: 8, ColPanel: 512}, threads)
 		in := tensor.NewOf(tensor.Of(16, 64)).Rand(5)
 		feeds := map[*graph.Value]*tensor.Tensor{g.Inputs[0]: in}
 		s := ex.NewSession()

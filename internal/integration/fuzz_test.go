@@ -144,11 +144,13 @@ func describeGraph(g *graph.Graph) string {
 	return b.String()
 }
 
-// cfgRun is one compiled configuration's result: its outputs and how many
-// chain blocks it compiled onto the online-softmax path.
+// cfgRun is one compiled configuration's result: its outputs, how many
+// chain blocks it compiled onto the online-softmax path, and how many
+// chains it fused in all.
 type cfgRun struct {
 	outs    []*tensor.Tensor
 	onlineN int
+	chainN  int
 }
 
 // onlineChains counts the plan's online chain blocks.
@@ -178,7 +180,7 @@ func runCfg(g *graph.Graph, feeds map[*graph.Value]*tensor.Tensor, chainOn bool,
 	if err != nil {
 		return cfgRun{}, fmt.Sprintf("run: %v", err)
 	}
-	return cfgRun{outs: got, onlineN: onlineChains(c)}, ""
+	return cfgRun{outs: got, onlineN: onlineChains(c), chainN: c.Stats.ChainFusions}, ""
 }
 
 // diffULP compares two output sets element-wise and reports the first pair
@@ -313,6 +315,30 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
+// gemmChainGraph is the Gemm counterpart of chainGraph's two chain shapes:
+// output 0 is Gemm → Relu → Gemm (the exact chain), output 1 is Gemm →
+// Softmax → Gemm (the online chain). Every Gemm carries an epilogue —
+// alpha ≠ 1, beta ∉ {0, 1} and a C of each broadcast form ([N], [M,1],
+// single element) or alpha alone — and a transposed producer operand, so
+// the chain kernel and its streamed producer both finish their
+// accumulators through the epilogue.
+func gemmChainGraph() *graph.Graph {
+	g := graph.New("gemm-chains")
+	x := g.AddInput("x", tensor.Of(rows, cols))
+	weightID := 0
+	weight := func(dims ...int) *graph.Value {
+		weightID++
+		return g.AddWeight(fmt.Sprintf("w%d", weightID), tensor.NewOf(tensor.Of(dims...)).Rand(uint64(900+weightID)))
+	}
+	h := g.Apply1(ops.NewGemm(0.75, -1.25, false, true), x, weight(cols, cols), weight(cols))
+	h = g.Apply1(ops.NewRelu(), h)
+	g.MarkOutput(g.Apply1(ops.NewGemm(1.5, 0.5, false, false), h, weight(cols, cols), weight(rows, 1)))
+	s := g.Apply1(ops.NewGemm(0.5, 0, false, false), x, weight(cols, cols))
+	s = g.Apply1(ops.NewSoftmax(-1), s)
+	g.MarkOutput(g.Apply1(ops.NewGemm(-2, 3, false, false), s, weight(cols, cols), weight(1)))
+	return g
+}
+
 // TestForcedScheduleGridParity sweeps kernel schedules across a grid —
 // including deliberately mismatched producer/consumer chain schedules —
 // and requires every point to match the tuner-scheduled compilation
@@ -320,20 +346,41 @@ func FuzzDifferential(f *testing.F) {
 // independent of tile choice. The one exception is the online-softmax
 // chain, whose rescale cadence follows the producer's key panel, so two
 // schedules may each sit a few ULPs from the two-pass oracle and hence up
-// to twice the documented bound from each other.
+// to twice the documented bound from each other. The Gemm chain graph rides
+// the same grid and is additionally held to the scalar interpreter: the
+// rewriter has nothing to reassociate in it, so its exact chain must match
+// bit-for-bit and its online chain within the single-chain bound.
 func TestForcedScheduleGridParity(t *testing.T) {
 	grid := []ops.Schedule{
-		{RowTile: 1, ColPanel: 8, Unroll: 1},
-		{RowTile: 2, ColPanel: 16, Unroll: 4},
-		{RowTile: 4, ColPanel: 32, Unroll: 4},
-		{RowTile: 8, ColPanel: 4096, Unroll: 8},
+		{RowTile: 1, ColPanel: 8},
+		{RowTile: 2, ColPanel: 16},
+		{RowTile: 4, ColPanel: 32},
+		{RowTile: 8, ColPanel: 4096},
 	}
-	for seed := uint64(1); seed <= 6; seed++ {
-		g := chainGraph(seed, 12)
+	for seed := uint64(0); seed <= 6; seed++ {
+		g := gemmChainGraph() // seed 0
+		if seed > 0 {
+			g = chainGraph(seed, 12)
+		}
 		feeds := feedsFor(g, seed)
 		ref, msg := runCfg(g, feeds, true, 1)
 		if msg != "" {
 			t.Fatalf("seed %d baseline: %s", seed, msg)
+		}
+		if seed == 0 {
+			if ref.chainN != 2 || ref.onlineN != 1 {
+				t.Fatalf("Gemm chain graph fused %d chains (%d online), want 2 (1 online)", ref.chainN, ref.onlineN)
+			}
+			want, err := graph.InterpretOutputs(g, feeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := diffULP(ref.outs[:1], want[:1], 0); msg != "" {
+				t.Fatalf("Gemm exact chain vs interpreter: %s", msg)
+			}
+			if msg := diffULP(ref.outs[1:], want[1:], onlineULPBound(1)); msg != "" {
+				t.Fatalf("Gemm online chain vs interpreter: %s", msg)
+			}
 		}
 		for _, cons := range grid {
 			for _, prod := range grid {

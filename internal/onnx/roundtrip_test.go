@@ -10,6 +10,8 @@ import (
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
 	"dnnfusion/internal/onnx"
+	"dnnfusion/internal/ops"
+	"dnnfusion/internal/tensor"
 )
 
 // randFeeds builds deterministic pseudo-random feeds for a graph's inputs.
@@ -44,12 +46,37 @@ func assertBitExact(t *testing.T, ctx string, want, got map[string]*dnnfusion.Te
 	}
 }
 
+// gemmMLP is a two-layer Gemm model whose layers carry the full ONNX
+// epilogue (alpha ≠ 1, beta ∉ {0, 1}, an [N] and an [M,1] addend, a
+// transposed weight). Nothing in it reassociates under rewriting and its
+// Gemm → Relu → Gemm chain streams exactly, so the compiled model must
+// match the interpreter bit-for-bit.
+func gemmMLP() *graph.Graph {
+	g := graph.New("gemm-mlp")
+	x := g.AddInput("x", tensor.Of(8, 32))
+	w1 := g.AddWeight("w1", tensor.New(48, 32).Rand(11))
+	c1 := g.AddWeight("c1", tensor.New(48).Rand(12))
+	h := g.Apply1(ops.NewRelu(), g.Apply1(ops.NewGemm(0.75, -1.25, false, true), x, w1, c1))
+	w2 := g.AddWeight("w2", tensor.New(48, 16).Rand(13))
+	c2 := g.AddWeight("c2", tensor.New(8, 1).Rand(14))
+	g.MarkOutputAs("y", g.Apply1(ops.NewGemm(1.5, 0.5, false, false), h, w2, c2))
+	return g
+}
+
 // TestRoundTripMicroBitExact exports each executable micro model to ONNX
 // bytes, imports the bytes back, and requires bit-identical outputs from
 // both the reference interpreter and the compiled engine at 1 and 8
-// threads.
+// threads. The Gemm model is also held to the interpreter itself.
 func TestRoundTripMicroBitExact(t *testing.T) {
+	type row struct {
+		Name  string
+		Build func() *graph.Graph
+	}
+	rows := []row{{"gemm-mlp", gemmMLP}}
 	for _, mm := range models.MicroModels() {
+		rows = append(rows, row(mm))
+	}
+	for _, mm := range rows {
 		mm := mm
 		t.Run(mm.Name, func(t *testing.T) {
 			orig := mm.Build()
@@ -92,6 +119,12 @@ func TestRoundTripMicroBitExact(t *testing.T) {
 					t.Fatalf("%s: run imported: %v", ctx, err)
 				}
 				assertBitExact(t, ctx, want, got)
+				if mm.Name == "gemm-mlp" {
+					if gm.Stats.ChainFusions != 1 {
+						t.Errorf("%s: imported Gemm model fused %d chains, want 1", ctx, gm.Stats.ChainFusions)
+					}
+					assertBitExact(t, ctx+" vs interpreter", gotI, got)
+				}
 			}
 		})
 	}

@@ -130,23 +130,10 @@ func HasStagedOperand(s Source) bool {
 		// The producer streams incrementally per row group (not re-staged
 		// whole per call), so it does not count as staged by itself; B
 		// staging and staged operands deeper in either tree do.
-		if v.bStage != nil {
-			return true
-		}
-		if v.c != nil && HasStagedOperand(v.c) {
-			return true
-		}
-		return HasStagedOperand(v.prod)
+		return v.bStage != nil || HasStagedOperand(v.epi.addend()) || HasStagedOperand(v.prod)
 	case *matmulBlockSource:
-		return v.aStage != nil || v.bStage != nil || HasStagedOperand(v.a) || HasStagedOperand(v.b)
-	case *gemmBlockSource:
-		if v.aStage != nil || v.bStage != nil {
-			return true
-		}
-		if v.c != nil && HasStagedOperand(v.c) {
-			return true
-		}
-		return HasStagedOperand(v.a) || HasStagedOperand(v.b)
+		return v.aStage != nil || v.bStage != nil || HasStagedOperand(v.epi.addend()) ||
+			HasStagedOperand(v.a) || HasStagedOperand(v.b)
 	case *convBlockSource:
 		return v.xStage != nil || v.wStage != nil || v.biasStage != nil ||
 			HasStagedOperand(v.x) || HasStagedOperand(v.w)

@@ -34,8 +34,8 @@ import (
 // columns, so the produced bits are independent of how the engine splits
 // the output range across lanes.
 type chainSource struct {
-	// scalar is the original pull-model source (matmulSource/gemmSource):
-	// the semantic reference for Shape/Load and the parity oracle.
+	// scalar is the original pull-model matmulSource: the semantic
+	// reference for Shape/Load and the parity oracle.
 	scalar Source
 	shape  tensor.Shape
 
@@ -57,21 +57,16 @@ type chainSource struct {
 	// aMatElems is m*k, one batch matrix's footprint in prod's flat space.
 	aMatElems int
 
-	// Optional Gemm epilogue: out = alpha*acc + beta*C.
-	epilogue    bool
-	alpha, beta float64
-	c           Source
-	cShape      tensor.Shape
-	cBuf        []int
-	idx2        []int
+	// epi is the consumer's Gemm epilogue (shared with scalar); nil for a
+	// MatMul consumer.
+	epi *epilogue
 
-	// Schedules: cons tiles the consumer (rowTile rows × jb output
-	// columns); prodSched's column panel becomes the online path's key
-	// panel kp (the rescale cadence over the contraction axis).
-	sched, prodSched Schedule
-	rowTile          int
-	jb               int
-	kp               int
+	// Normalized schedules: the consumer's tiles are rowTile rows × jb
+	// output columns; the producer's column panel becomes the online path's
+	// key panel kp (the rescale cadence over the contraction axis).
+	rowTile int
+	jb      int
+	kp      int
 
 	aBuf   []float32 // rowTile*k staged producer rows
 	outBuf []float32 // rowTile*n scratch for partially-requested groups
@@ -86,10 +81,9 @@ func (s *chainSource) Load(idx []int) float32 { return s.scalar.Load(idx) }
 // setSchedules installs the consumer and producer tile schedules,
 // normalizing both against the chain's shape and sizing scratch.
 func (s *chainSource) setSchedules(cons, prod Schedule) {
-	s.sched, s.prodSched = cons, prod
-	s.rowTile = normalizeRowTile(cons.RowTile)
-	s.jb = normalizeColPanel(cons.ColPanel, s.n)
-	s.kp = normalizeColPanel(prod.ColPanel, s.k)
+	cons = cons.Normalize(s.m, s.n)
+	s.rowTile, s.jb = cons.RowTile, cons.ColPanel
+	s.kp = prod.Normalize(s.m, s.k).ColPanel
 	if need := s.rowTile * s.k; len(s.aBuf) < need {
 		s.aBuf = make([]float32, need)
 	}
@@ -180,23 +174,7 @@ func (s *chainSource) groupExact(out []float32, bBase, i0, g int) {
 		}
 		mulTileAcc(g, s.aBuf, 0, s.k, 1, s.k, s.bData, bBase, s.bRS, j0, s.acc, w)
 		for r := 0; r < g; r++ {
-			row := out[r*s.n+j0 : r*s.n+j0+w]
-			c := s.acc[r*w : r*w+w]
-			if !s.epilogue {
-				for t := 0; t < w; t++ {
-					row[t] = float32(c[t])
-				}
-				continue
-			}
-			for t := 0; t < w; t++ {
-				acc := c[t] * s.alpha
-				if s.c != nil {
-					s.idx2[0], s.idx2[1] = i0+r, j0+t
-					b := tensor.BroadcastIndex(s.idx2, s.cShape, s.cBuf)
-					acc += s.beta * float64(s.c.Load(b))
-				}
-				row[t] = float32(acc)
-			}
+			s.epi.store(out[r*s.n+j0:], s.acc[r*w:r*w+w], i0+r, j0)
 		}
 	}
 }
@@ -256,22 +234,10 @@ func (s *chainSource) groupOnline(out []float32, bBase, i0, g int) {
 	for r := 0; r < g; r++ {
 		inv := 1 / s.lRun[r]
 		a := acc[r*n : r*n+n]
-		row := out[r*n : r*n+n]
-		if !s.epilogue {
-			for t := 0; t < n; t++ {
-				row[t] = float32(a[t] * inv)
-			}
-			continue
+		for t := range a {
+			a[t] *= inv
 		}
-		for t := 0; t < n; t++ {
-			v := a[t] * inv * s.alpha
-			if s.c != nil {
-				s.idx2[0], s.idx2[1] = i0+r, t
-				b := tensor.BroadcastIndex(s.idx2, s.cShape, s.cBuf)
-				v += s.beta * float64(s.c.Load(b))
-			}
-			row[t] = float32(v)
-		}
+		s.epi.store(out[r*n:], a, i0+r, 0)
 	}
 }
 
@@ -281,7 +247,7 @@ func (s *chainSource) groupOnline(out []float32, bBase, i0, g int) {
 // condition for streaming it as a chain producer.
 func contractionRooted(s Source) bool {
 	switch v := s.(type) {
-	case *matmulBlockSource, *gemmBlockSource, *chainSource:
+	case *matmulBlockSource, *chainSource:
 		return true
 	case *softmaxBlockSource:
 		return contractionRooted(v.blk)
@@ -313,9 +279,10 @@ func chainProducer(a Source) (prod BlockSource, online, ok bool) {
 	return nil, false, false
 }
 
-// chainMatMul upgrades a matmul whose A operand is a fused contraction
-// chain to the streaming chainSource. nil when the shape is not chainable
-// (transposed operands, broadcast A batch, unstageable B).
+// chainMatMul upgrades a contraction (MatMul, or Gemm with its epilogue)
+// whose A operand is a fused contraction chain to the streaming
+// chainSource. nil when the shape is not chainable (transposed operands,
+// broadcast A batch, unstageable B).
 func chainMatMul(s *matmulSource) *chainSource {
 	if s.transA || s.transB {
 		return nil
@@ -350,49 +317,8 @@ func chainMatMul(s *matmulSource) *chainSource {
 		bBatchStride: batchStrides(s.bShape, outBatch),
 		batchBuf:     make([]int, outBatch.Rank()),
 		aMatElems:    s.m * s.k,
+		epi:          s.epi,
 	}
-	c.setSchedules(DefaultSchedule(s.k), DefaultSchedule(s.k))
-	return c
-}
-
-// chainGemm mirrors chainMatMul for the rank-2 Gemm, carrying the
-// alpha/beta/C epilogue through the chain.
-func chainGemm(s *gemmSource, shapes []tensor.Shape) *chainSource {
-	if s.op.transA || s.op.transB {
-		return nil
-	}
-	prod, online, ok := chainProducer(s.a)
-	if !ok {
-		return nil
-	}
-	bData, bStage, ok := flatOrStage(s.b, shapes[1].NumElements())
-	if !ok {
-		return nil
-	}
-	m := s.shape[0]
-	c := &chainSource{
-		scalar:    s,
-		shape:     s.shape,
-		m:         m,
-		n:         s.n,
-		k:         s.k,
-		prod:      prod,
-		online:    online,
-		bData:     bData,
-		bStage:    bStage,
-		bRS:       shapes[1][1],
-		outBatch:  tensor.Shape{},
-		aMatElems: m * s.k,
-		epilogue:  s.op.alpha != 1 || s.c != nil,
-		alpha:     float64(s.op.alpha),
-		beta:      float64(s.op.beta),
-		cShape:    s.cShape,
-	}
-	if s.c != nil {
-		c.c = s.c
-		c.cBuf = make([]int, s.cShape.Rank())
-	}
-	c.idx2 = make([]int, 2)
 	c.setSchedules(DefaultSchedule(s.k), DefaultSchedule(s.k))
 	return c
 }

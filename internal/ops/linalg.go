@@ -100,23 +100,29 @@ func (m *matmul) Virtualize(ins []Source, outNo int) (Source, error) {
 		return nil, err
 	}
 	out := append(batch.Clone(), mm, nn)
-	src := &matmulSource{
+	return blockedMatMul(newMatmulSource(ins[0], ins[1], out, mm, kk, nn, m.transA, m.transB)), nil
+}
+
+// newMatmulSource is the scalar contraction over a and b that MatMul and
+// Gemm both virtualize to; Gemm attaches its epilogue afterwards.
+func newMatmulSource(a, b Source, out tensor.Shape, m, k, n int, transA, transB bool) *matmulSource {
+	aShape, bShape := a.Shape(), b.Shape()
+	return &matmulSource{
 		shape:  out,
-		a:      ins[0],
-		b:      ins[1],
-		aShape: a,
-		bShape: b,
-		ar:     a.Rank(),
-		br:     b.Rank(),
-		k:      kk,
-		m:      mm,
-		n:      nn,
-		transA: m.transA,
-		transB: m.transB,
-		aBuf:   make([]int, a.Rank()),
-		bBuf:   make([]int, b.Rank()),
+		a:      a,
+		b:      b,
+		aShape: aShape,
+		bShape: bShape,
+		ar:     aShape.Rank(),
+		br:     bShape.Rank(),
+		k:      k,
+		m:      m,
+		n:      n,
+		transA: transA,
+		transB: transB,
+		aBuf:   make([]int, aShape.Rank()),
+		bBuf:   make([]int, bShape.Rank()),
 	}
-	return blockedMatMul(src), nil
 }
 
 // blockedMatMul upgrades a matmul source to the tiled flat-loop form when
@@ -188,6 +194,57 @@ type matmulSource struct {
 	transA, transB bool
 	aBuf           []int
 	bBuf           []int
+	// epi is Gemm's alpha/beta/C tail; nil for MatMul.
+	epi *epilogue
+}
+
+// epilogue is the Gemm tail of a contraction, alpha·acc + beta·C. It is
+// applied to the float64 accumulator before the single rounding to float32
+// — on the scalar, tiled, and chain paths alike — so Gemm stays bit-exact
+// against the scalar oracle. (Rewriting Gemm to MatMul+Add instead would
+// round between the product and the addend.)
+type epilogue struct {
+	alpha, beta float64
+	// c is the addend, broadcast against the [M, N] result; nil when the
+	// Gemm has none. It is loaded through the scalar path, once per output
+	// element (not per K step).
+	c      Source
+	cShape tensor.Shape
+	cBuf   []int
+	idx2   []int
+}
+
+// addend returns the C source of a possibly absent epilogue.
+func (e *epilogue) addend() Source {
+	if e == nil {
+		return nil
+	}
+	return e.c
+}
+
+// apply finishes the accumulator of output element (i, j).
+func (e *epilogue) apply(acc float64, i, j int) float64 {
+	acc *= e.alpha
+	if e.c != nil {
+		e.idx2[0], e.idx2[1] = i, j
+		acc += e.beta * float64(e.c.Load(tensor.BroadcastIndex(e.idx2, e.cShape, e.cBuf)))
+	}
+	return acc
+}
+
+// store rounds acc — the accumulators of output row i from column j0 on —
+// into dst, finishing each through the epilogue when there is one.
+func (e *epilogue) store(dst []float32, acc []float64, i, j0 int) {
+	dst = dst[:len(acc)]
+	if e == nil {
+		for t, v := range acc {
+			dst[t] = float32(v)
+		}
+		return
+	}
+	for t, v := range acc {
+		dst[t] = float32(e.apply(v, i, j0+t))
+	}
 }
 
 func (s *matmulSource) Shape() tensor.Shape { return s.shape }
@@ -223,6 +280,9 @@ func (s *matmulSource) Load(idx []int) float32 {
 		s.bBuf[br-2], s.bBuf[br-1] = bi, bj
 		acc += float64(s.a.Load(s.aBuf)) * float64(s.b.Load(s.bBuf))
 	}
+	if s.epi != nil {
+		acc = s.epi.apply(acc, idx[or-2], idx[or-1])
+	}
 	return float32(acc)
 }
 
@@ -243,11 +303,9 @@ type matmulBlockSource struct {
 	outBatch                   tensor.Shape
 	aBatchStride, bBatchStride []int
 	batchBuf                   []int
-	// sched is the kernel's tile schedule; rowTile and jb are its
-	// normalized register-tile height and column-panel width, and acc holds
-	// rowTile accumulator rows of n entries (the single-row path uses the
-	// first n).
-	sched   Schedule
+	// rowTile and jb are the kernel's normalized tile schedule: register-
+	// tile height and column-panel width. acc holds rowTile accumulator
+	// rows of n entries (the single-row path uses the first n).
 	rowTile int
 	jb      int
 	acc     []float64
@@ -256,9 +314,8 @@ type matmulBlockSource struct {
 // setSchedule installs a tile schedule, normalizing it against this
 // matmul's shape and sizing the accumulator scratch for the row tile.
 func (s *matmulBlockSource) setSchedule(sched Schedule) {
-	s.sched = sched
-	s.rowTile = normalizeRowTile(sched.RowTile)
-	s.jb = normalizeColPanel(sched.ColPanel, s.n)
+	sched = sched.Normalize(s.m, s.n)
+	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
 	if need := s.rowTile * s.n; len(s.acc) < need {
 		s.acc = make([]float64, need)
 	}
@@ -347,11 +404,7 @@ func (s *matmulBlockSource) mulTile(dst []float32, aBase, bBase, i, jLo, w, rt i
 	acc := s.acc
 	mulTileAcc(rt, s.aData, aBase+i*ai, ai, ak, s.k, s.bData, bBase, s.bRS, jLo, acc, w)
 	for r := 0; r < rt; r++ {
-		row := dst[r*s.n : r*s.n+w]
-		c := acc[r*w : r*w+w]
-		for t := 0; t < w; t++ {
-			row[t] = float32(c[t])
-		}
+		s.epi.store(dst[r*s.n:], acc[r*w:r*w+w], i+r, jLo)
 	}
 }
 
@@ -363,34 +416,32 @@ func (s *matmulBlockSource) mulRow(dst []float32, aBase, bBase, i, jLo, w int) {
 		ai, ak = 1, s.aRS
 	}
 	aOff := aBase + i*ai
+	acc := s.acc[:w]
 	if s.transB {
 		// b is (j, k): each output element is a contiguous dot product.
 		for t := 0; t < w; t++ {
 			bOff := bBase + (jLo+t)*s.bRS
-			var acc float64
+			var a float64
 			for k := 0; k < s.k; k++ {
-				acc += float64(s.aData[aOff+k*ak]) * float64(s.bData[bOff+k])
+				a += float64(s.aData[aOff+k*ak]) * float64(s.bData[bOff+k])
 			}
-			dst[t] = float32(acc)
+			acc[t] = a
 		}
-		return
-	}
-	// b is (k, j): accumulate the whole row tile streaming b's rows, K
-	// outer — each acc[t] still sums in ascending-k order.
-	acc := s.acc[:w]
-	for t := range acc {
-		acc[t] = 0
-	}
-	for k := 0; k < s.k; k++ {
-		av := float64(s.aData[aOff+k*ak])
-		bRow := s.bData[bBase+k*s.bRS+jLo:]
-		for t := 0; t < w; t++ {
-			acc[t] += av * float64(bRow[t])
+	} else {
+		// b is (k, j): accumulate the whole row tile streaming b's rows, K
+		// outer — each acc[t] still sums in ascending-k order.
+		for t := range acc {
+			acc[t] = 0
+		}
+		for k := 0; k < s.k; k++ {
+			av := float64(s.aData[aOff+k*ak])
+			bRow := s.bData[bBase+k*s.bRS+jLo:]
+			for t := 0; t < w; t++ {
+				acc[t] += av * float64(bRow[t])
+			}
 		}
 	}
-	for t := 0; t < w; t++ {
-		dst[t] = float32(acc[t])
-	}
+	s.epi.store(dst, acc, i, jLo)
 }
 
 // NewGemm returns the ONNX Gemm operator: alpha*op(A)*op(B) + beta*C where C
@@ -471,235 +522,16 @@ func (g *gemm) Virtualize(ins []Source, outNo int) (Source, error) {
 		return nil, err
 	}
 	m, k, n, _ := g.dims(shapes)
-	src := &gemmSource{
-		op:    g,
-		shape: tensor.Of(m, n),
-		a:     ins[0],
-		b:     ins[1],
-		k:     k,
-		n:     n,
-		buf2:  make([]int, 2),
-	}
-	if len(ins) == 3 {
-		src.c = ins[2]
-		src.cShape = shapes[2]
-		src.cBuf = make([]int, shapes[2].Rank())
-	}
-	return blockedGemm(src, shapes), nil
-}
-
-// blockedGemm mirrors blockedMatMul for the rank-2 Gemm: flat tiled loops
-// when A and B are flat-backed or stageable. The C addend is loaded per
-// element through the scalar path (one Load per output element, not per K
-// step).
-func blockedGemm(s *gemmSource, shapes []tensor.Shape) Source {
-	if c := chainGemm(s, shapes); c != nil {
-		return c
-	}
-	aData, aStage, ok := flatOrStage(s.a, shapes[0].NumElements())
-	if !ok {
-		return s
-	}
-	bData, bStage, ok := flatOrStage(s.b, shapes[1].NumElements())
-	if !ok {
-		return s
-	}
-	blk := &gemmBlockSource{
-		gemmSource: *s,
-		aData:      aData,
-		bData:      bData,
-		aStage:     aStage,
-		bStage:     bStage,
-		aRS:        shapes[0][1],
-		bRS:        shapes[1][1],
-		m:          s.shape[0],
-		idx2:       make([]int, 2),
-	}
-	// The pre-schedule Gemm streamed single rows with no panel loop; that
-	// stays the default, and tuned kernels raise it via ApplySchedule.
-	blk.setSchedule(Schedule{RowTile: 1, ColPanel: s.n, Unroll: 4})
-	return blk
-}
-
-type gemmSource struct {
-	op    *gemm
-	shape tensor.Shape
-	a, b  Source
-	c     Source
-	// cShape is hoisted at Virtualize time so Load never re-queries it.
-	cShape tensor.Shape
-	k, n   int
-	buf2   []int
-	cBuf   []int
-}
-
-func (s *gemmSource) Shape() tensor.Shape { return s.shape }
-
-func (s *gemmSource) Load(idx []int) float32 {
-	i, j := idx[0], idx[1]
-	var acc float64
-	for k := 0; k < s.k; k++ {
-		ai, aj := i, k
-		if s.op.transA {
-			ai, aj = k, i
-		}
-		s.buf2[0], s.buf2[1] = ai, aj
-		av := float64(s.a.Load(s.buf2))
-		bi, bj := k, j
-		if s.op.transB {
-			bi, bj = j, k
-		}
-		s.buf2[0], s.buf2[1] = bi, bj
-		acc += av * float64(s.b.Load(s.buf2))
-	}
-	acc *= float64(s.op.alpha)
-	if s.c != nil {
-		b := tensor.BroadcastIndex(idx, s.cShape, s.cBuf)
-		acc += float64(s.op.beta) * float64(s.c.Load(b))
-	}
-	return float32(acc)
-}
-
-// gemmBlockSource is the flat tiled Gemm; accumulation order matches the
-// scalar path bit-for-bit.
-type gemmBlockSource struct {
-	gemmSource
-	aData, bData   []float32
-	aStage, bStage BlockSource
-	aRS, bRS       int
-	m              int
-	idx2           []int
-	// Schedule state mirrors matmulBlockSource: rowTile accumulator rows
-	// of n entries, column panels of jb output columns.
-	sched   Schedule
-	rowTile int
-	jb      int
-	acc     []float64
-}
-
-// setSchedule installs a tile schedule, normalizing it against this Gemm's
-// shape and sizing the accumulator scratch for the row tile.
-func (s *gemmBlockSource) setSchedule(sched Schedule) {
-	s.sched = sched
-	s.rowTile = normalizeRowTile(sched.RowTile)
-	s.jb = normalizeColPanel(sched.ColPanel, s.n)
-	if need := s.rowTile * s.n; len(s.acc) < need {
-		s.acc = make([]float64, need)
-	}
-}
-
-func (s *gemmBlockSource) LoadBlock(dst []float32, off, n int) {
-	// Staged operands are re-streamed on every call: inputs change
-	// between runs, and a call never outlives one kernel execution.
-	if s.aStage != nil {
-		s.aStage.LoadBlock(s.aData, 0, len(s.aData))
-	}
-	if s.bStage != nil {
-		s.bStage.LoadBlock(s.bData, 0, len(s.bData))
-	}
-	for n > 0 {
-		i := off / s.n
-		jLo := off % s.n
-		// Row-aligned with a full row tile ahead: the schedule's blocked
-		// path, exactly as in matmulBlockSource.LoadBlock.
-		rt := s.rowTile
-		if rt > 1 && !s.op.transB && jLo == 0 && i+rt <= s.m && n >= rt*s.n {
-			rows := n / s.n
-			if avail := s.m - i; rows > avail {
-				rows = avail
-			}
-			rows -= rows % rt
-			jb := s.jb
-			for j0 := 0; j0 < s.n; j0 += jb {
-				w := s.n - j0
-				if w > jb {
-					w = jb
-				}
-				for r := 0; r < rows; r += rt {
-					s.mulTile(dst[r*s.n+j0:], i+r, j0, w, rt)
-				}
-			}
-			adv := rows * s.n
-			dst = dst[adv:]
-			off += adv
-			n -= adv
-			continue
-		}
-		run := s.n - jLo
-		if run > n {
-			run = n
-		}
-		s.mulRow(dst[:run], i, jLo, run)
-		dst = dst[run:]
-		off += run
-		n -= run
-	}
-}
-
-// mulTile computes the rt×w tile with corner (i, jLo) via mulTileAcc, then
-// applies the Gemm epilogue (alpha scale, beta·C addend) per element — the
-// same order as mulRow, so results stay bit-identical.
-func (s *gemmBlockSource) mulTile(dst []float32, i, jLo, w, rt int) {
-	ai, ak := s.aRS, 1
-	if s.op.transA {
-		ai, ak = 1, s.aRS
-	}
-	acc := s.acc
-	mulTileAcc(rt, s.aData, i*ai, ai, ak, s.k, s.bData, 0, s.bRS, jLo, acc, w)
-	alpha := float64(s.op.alpha)
-	for r := 0; r < rt; r++ {
-		row := dst[r*s.n : r*s.n+w]
-		c := acc[r*w : r*w+w]
-		for t := 0; t < w; t++ {
-			a := c[t] * alpha
-			if s.c != nil {
-				s.idx2[0], s.idx2[1] = i+r, jLo+t
-				b := tensor.BroadcastIndex(s.idx2, s.cShape, s.cBuf)
-				a += float64(s.op.beta) * float64(s.c.Load(b))
-			}
-			row[t] = float32(a)
+	src := newMatmulSource(ins[0], ins[1], tensor.Of(m, n), m, k, n, g.transA, g.transB)
+	if g.alpha != 1 || len(ins) == 3 {
+		src.epi = &epilogue{alpha: float64(g.alpha), beta: float64(g.beta), idx2: make([]int, 2)}
+		if len(ins) == 3 {
+			src.epi.c = ins[2]
+			src.epi.cShape = shapes[2]
+			src.epi.cBuf = make([]int, shapes[2].Rank())
 		}
 	}
-}
-
-func (s *gemmBlockSource) mulRow(dst []float32, i, jLo, w int) {
-	ai, ak := s.aRS, 1
-	if s.op.transA {
-		ai, ak = 1, s.aRS
-	}
-	aOff := i * ai
-	alpha := float64(s.op.alpha)
-	acc := s.acc[:w]
-	if s.op.transB {
-		for t := 0; t < w; t++ {
-			bOff := (jLo + t) * s.bRS
-			var a float64
-			for k := 0; k < s.k; k++ {
-				a += float64(s.aData[aOff+k*ak]) * float64(s.bData[bOff+k])
-			}
-			acc[t] = a
-		}
-	} else {
-		for t := range acc {
-			acc[t] = 0
-		}
-		for k := 0; k < s.k; k++ {
-			av := float64(s.aData[aOff+k*ak])
-			bRow := s.bData[k*s.bRS+jLo:]
-			for t := 0; t < w; t++ {
-				acc[t] += av * float64(bRow[t])
-			}
-		}
-	}
-	for t := 0; t < w; t++ {
-		a := acc[t] * alpha
-		if s.c != nil {
-			s.idx2[0], s.idx2[1] = i, jLo+t
-			b := tensor.BroadcastIndex(s.idx2, s.cShape, s.cBuf)
-			a += float64(s.op.beta) * float64(s.c.Load(b))
-		}
-		dst[t] = float32(a)
-	}
+	return blockedMatMul(src), nil
 }
 
 // NewEinsum supports the two-operand einsum forms used by transformer

@@ -10,81 +10,71 @@ import (
 // artifact the tuner selects per kernel shape and device (§4.3–4.4 pair
 // fusion with tuned per-kernel schedules). It parameterizes the blocked
 // fast paths that used to hard-code their blocking: the register row tile
-// and L1 column panel of MatMul/Gemm, and the lane-splitting granularity
-// of Conv/Pool. The contraction (K) axis is never tiled: every output
-// element accumulates over the full K range in ascending order, so any
-// schedule stays bit-for-bit equal to the scalar oracle.
+// and L1 column panel of the MatMul/Gemm contraction, and the
+// lane-splitting granularity of Conv/Pool. The contraction (K) axis is
+// never tiled: every output element accumulates over the full K range in
+// ascending order, so any schedule stays bit-for-bit equal to the scalar
+// oracle.
 type Schedule struct {
 	// RowTile is the register-tile height: how many output rows one tile
-	// accumulates together, streaming each B row once per tile. The
-	// blocked paths implement heights 1, 2, 4, and 8 as specialized
-	// loops; other values round down to the nearest supported height.
+	// accumulates together, streaming each B row once per tile.
 	RowTile int `json:"row_tile"`
 	// ColPanel is the column-panel width in output columns: the slice of
-	// B kept hot across all row tiles of a pass. Clamped to [8, N].
+	// B kept hot across all row tiles of a pass.
 	ColPanel int `json:"col_panel"`
-	// Unroll is the inner-loop unroll factor selected by the tuner. The
-	// in-process CPU path leaves unrolling to the Go compiler; the factor
-	// is recorded for the emitted kernel source and for bench
-	// explainability.
-	Unroll int `json:"unroll"`
 }
 
 // Zero reports an unset schedule (no tuner ran for the kernel).
-func (s Schedule) Zero() bool { return s.RowTile == 0 && s.ColPanel == 0 && s.Unroll == 0 }
+func (s Schedule) Zero() bool { return s == Schedule{} }
 
 // String renders the schedule compactly for profiles and bench output:
-// "rt4/cp128/u4", or "default" for the zero schedule (the operators'
+// "rt4/cp128", or "default" for the zero schedule (the operators'
 // built-in blocking).
 func (s Schedule) String() string {
 	if s.Zero() {
 		return "default"
 	}
-	return fmt.Sprintf("rt%d/cp%d/u%d", s.RowTile, s.ColPanel, s.Unroll)
+	return fmt.Sprintf("rt%d/cp%d", s.RowTile, s.ColPanel)
 }
 
 // DefaultSchedule is the schedule the blocked paths assume when no tuner
 // ran: the pre-schedule hard-coded blocking (4-row tiles, ~16KiB column
-// panels of a K-row B panel, unroll 4), kept as the fallback so
+// panels of a K-row B panel), kept as the fallback so
 // Virtualize-without-compile callers see unchanged behavior.
 func DefaultSchedule(k int) Schedule {
 	if k < 1 {
 		k = 1
 	}
-	return Schedule{RowTile: 4, ColPanel: 4096 / k, Unroll: 4}
+	return Schedule{RowTile: 4, ColPanel: 4096 / k}
 }
 
-// normalizeRowTile rounds a requested row-tile height down to the nearest
-// height the specialized loops implement (1, 2, 4, or 8 — the set
-// mulTileAcc has register-resident accumulation loops for).
-func normalizeRowTile(rt int) int {
-	switch {
-	case rt >= 8:
-		return 8
-	case rt >= 4:
-		return 4
-	case rt >= 2:
-		return 2
-	default:
-		return 1
+// Normalize is the one meaning of a schedule against an M×N output, shared
+// by the kernels that execute it and the tuner that ranks it. The row tile
+// rounds down to the tallest height mulTileAcc has a register-resident loop
+// for (8, 4, 2, or 1) that also fits M — a tile taller than the whole
+// output never engages. The column panel clamps to [8, N]: below 8 columns
+// the panel loop's bookkeeping outweighs the locality, and a panel cannot
+// be wider than the output.
+func (s Schedule) Normalize(m, n int) Schedule {
+	rt := 1
+	for _, h := range [...]int{8, 4, 2} {
+		if s.RowTile >= h && m >= h {
+			rt = h
+			break
+		}
 	}
-}
-
-// normalizeColPanel clamps a requested column-panel width to [8, n]: below
-// 8 columns the panel loop's bookkeeping outweighs the locality, and a
-// panel cannot be wider than the output.
-func normalizeColPanel(cp, n int) int {
+	cp := s.ColPanel
 	if cp < 8 {
 		cp = 8
 	}
 	if cp > n {
 		cp = n
 	}
-	return cp
+	return Schedule{RowTile: rt, ColPanel: cp}
 }
 
 // ApplySchedule walks a composed Source tree and configures every heavy
-// blocked source (MatMul, Gemm, Conv, Pool) with the kernel's selected
+// blocked source (MatMul/Gemm, Conv, Pool) with the kernel's selected
 // schedule, resizing accumulator scratch as needed. It is called at bind
 // time — once per session per lane — so the steady-state hot path still
 // allocates nothing. A zero schedule leaves the defaults in place.
@@ -115,20 +105,12 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 		if v.bStage != nil {
 			applySchedule(v.bStage, sched, chainProd)
 		}
-		if v.c != nil {
-			applySchedule(v.c, sched, chainProd)
-		}
+		applySchedule(v.epi.addend(), sched, chainProd)
 	case *matmulBlockSource:
 		v.setSchedule(sched)
 		applySchedule(v.a, sched, chainProd)
 		applySchedule(v.b, sched, chainProd)
-	case *gemmBlockSource:
-		v.setSchedule(sched)
-		applySchedule(v.a, sched, chainProd)
-		applySchedule(v.b, sched, chainProd)
-		if v.c != nil {
-			applySchedule(v.c, sched, chainProd)
-		}
+		applySchedule(v.epi.addend(), sched, chainProd)
 	case *convBlockSource:
 		v.sched = sched
 		applySchedule(v.x, sched, chainProd)
@@ -198,12 +180,10 @@ func TileSpan(s Source) int {
 		return v.rowTile * v.n
 	case *matmulBlockSource:
 		return v.rowTile * v.n
-	case *gemmBlockSource:
-		return v.rowTile * v.n
 	case *convBlockSource:
-		return normalizeRowTile(v.sched.RowTile) * v.shape[v.shape.Rank()-1]
+		return laneSpan(v.sched, v.shape)
 	case *poolBlockSource:
-		return normalizeRowTile(v.sched.RowTile) * v.shape[v.shape.Rank()-1]
+		return laneSpan(v.sched, v.shape)
 	case *reorganizeBlockSource:
 		// Reorganize preserves flat order: the producer's alignment is the
 		// view's alignment.
@@ -218,6 +198,14 @@ func TileSpan(s Source) int {
 		}
 	}
 	return 0
+}
+
+// laneSpan is the alignment of a Conv/Pool output under sched: the blocked
+// paths have no tile loop, so the schedule only sizes lane splits in whole
+// groups of innermost-axis rows.
+func laneSpan(sched Schedule, out tensor.Shape) int {
+	r := out.Rank() - 1
+	return sched.Normalize(out[:r].NumElements(), out[r]).RowTile * out[r]
 }
 
 // ScheduleTaskDims lowers a heavy operator to the GEMM-shape tuning task

@@ -15,12 +15,12 @@ import (
 
 // scheduleGrid is the test matrix of schedules.
 var scheduleGrid = []Schedule{
-	{RowTile: 1, ColPanel: 8, Unroll: 1},
-	{RowTile: 2, ColPanel: 16, Unroll: 2},
-	{RowTile: 3, ColPanel: 33, Unroll: 4}, // normalizes to height 2
-	{RowTile: 4, ColPanel: 64, Unroll: 4},
-	{RowTile: 8, ColPanel: 512, Unroll: 8},
-	{RowTile: 16, ColPanel: 4, Unroll: 4}, // height rounds to 8, panel to 8
+	{RowTile: 1, ColPanel: 8},
+	{RowTile: 2, ColPanel: 16},
+	{RowTile: 3, ColPanel: 33}, // normalizes to height 2
+	{RowTile: 4, ColPanel: 64},
+	{RowTile: 8, ColPanel: 512},
+	{RowTile: 16, ColPanel: 4}, // height rounds to 8, panel to 8
 }
 
 // assertScheduleGridParity applies every schedule in the grid to a fresh
@@ -61,6 +61,17 @@ func TestScheduleGridParityGemm(t *testing.T) {
 	a := randSource(70, 18, 7)
 	b := randSource(71, 7, 11)
 	c := randSource(72, 11)
+	// Every C broadcast form against the [18, 11] result, with alpha ≠ 1
+	// and beta ∉ {0, 1}; the grid's 8-wide panels are narrower than N = 11.
+	for _, cDims := range [][]int{{11}, {18, 1}, {1}, {}, {18, 11}} {
+		cc := randSource(75, cDims...)
+		assertScheduleGridParity(t, "Gemm C broadcast", func() Source {
+			return virtualize(t, NewGemm(0.75, -1.25, false, false), a, b, cc)
+		})
+		assertScheduleGridParity(t, "Gemm C broadcast transA+transB", func() Source {
+			return virtualize(t, NewGemm(0.75, -1.25, true, true), randSource(76, 7, 18), randSource(77, 11, 7), cc)
+		})
+	}
 	assertScheduleGridParity(t, "Gemm alpha/beta/C", func() Source {
 		return virtualize(t, NewGemm(1.5, 0.5, false, false), a, b, c)
 	})
@@ -75,6 +86,16 @@ func TestScheduleGridParityGemm(t *testing.T) {
 	})
 	assertScheduleGridParity(t, "Gemm staged", func() Source {
 		return virtualize(t, NewGemm(1, 1, false, false), virtualize(t, NewSigmoid(), a), b, c)
+	})
+	// Gemm → Relu → Gemm streams as an exact chain: the producer's rows and
+	// the consumer's accumulators both finish through their epilogues.
+	assertScheduleGridParity(t, "Gemm chain", func() Source {
+		h := virtualize(t, NewRelu(), virtualize(t, NewGemm(0.75, -1.25, false, false), a, b, c))
+		chain := virtualize(t, NewGemm(1.5, 0.5, false, false), h, randSource(78, 11, 5), randSource(79, 18, 1))
+		if _, ok := chain.(*chainSource); !ok {
+			t.Fatalf("Gemm over a Gemm-rooted A operand virtualized to %T, not a chain", chain)
+		}
+		return chain
 	})
 }
 
@@ -112,18 +133,20 @@ func TestScheduleGridParityConvPool(t *testing.T) {
 
 func TestScheduleNormalization(t *testing.T) {
 	for rt, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 7: 4, 8: 8, 9: 8, 64: 8} {
-		if got := normalizeRowTile(rt); got != want {
-			t.Errorf("normalizeRowTile(%d) = %d, want %d", rt, got, want)
+		if got := (Schedule{RowTile: rt}).Normalize(100, 100).RowTile; got != want {
+			t.Errorf("Normalize row tile %d = %d, want %d", rt, got, want)
 		}
 	}
-	if got := normalizeColPanel(4, 100); got != 8 {
-		t.Errorf("normalizeColPanel(4, 100) = %d, want 8", got)
+	// A tile taller than the output falls to the tallest height that fits.
+	for m, want := range map[int]int{1: 1, 3: 2, 5: 4, 8: 8} {
+		if got := (Schedule{RowTile: 8}).Normalize(m, 100).RowTile; got != want {
+			t.Errorf("Normalize row tile 8 against M=%d = %d, want %d", m, got, want)
+		}
 	}
-	if got := normalizeColPanel(512, 96); got != 96 {
-		t.Errorf("normalizeColPanel(512, 96) = %d, want 96", got)
-	}
-	if got := normalizeColPanel(64, 4); got != 4 {
-		t.Errorf("normalizeColPanel(64, 4) = %d, want 4", got)
+	for _, c := range []struct{ cp, n, want int }{{4, 100, 8}, {512, 96, 96}, {64, 4, 4}} {
+		if got := (Schedule{ColPanel: c.cp}).Normalize(100, c.n).ColPanel; got != c.want {
+			t.Errorf("Normalize panel %d against N=%d = %d, want %d", c.cp, c.n, got, c.want)
+		}
 	}
 }
 
@@ -133,20 +156,20 @@ func TestScheduleNormalization(t *testing.T) {
 // chains, reorganize views).
 func TestTileSpanAlignment(t *testing.T) {
 	mm := virtualize(t, NewMatMul(), randSource(100, 16, 12), randSource(101, 12, 20))
-	ApplySchedule(mm, Schedule{RowTile: 4, ColPanel: 16, Unroll: 4})
+	ApplySchedule(mm, Schedule{RowTile: 4, ColPanel: 16})
 	if got := TileSpan(mm); got != 4*20 {
 		t.Errorf("matmul TileSpan = %d, want %d", got, 4*20)
 	}
 	chain := virtualize(t, NewRelu(), virtualize(t, NewAdd(),
 		virtualize(t, NewMatMul(), randSource(102, 16, 12), randSource(103, 12, 20)),
 		randSource(104, 20)))
-	ApplySchedule(chain, Schedule{RowTile: 8, ColPanel: 16, Unroll: 4})
+	ApplySchedule(chain, Schedule{RowTile: 8, ColPanel: 16})
 	if got := TileSpan(chain); got != 8*20 {
 		t.Errorf("chain TileSpan = %d, want %d", got, 8*20)
 	}
 	soft := virtualize(t, NewSoftmax(-1),
 		virtualize(t, NewMatMul(), randSource(105, 16, 12), randSource(106, 12, 20)))
-	ApplySchedule(soft, Schedule{RowTile: 2, ColPanel: 16, Unroll: 4})
+	ApplySchedule(soft, Schedule{RowTile: 2, ColPanel: 16})
 	if got := TileSpan(soft); got != 2*20 {
 		t.Errorf("softmax TileSpan = %d, want %d", got, 2*20)
 	}

@@ -4,7 +4,11 @@
 // the fusion planner consult it; a hit avoids a measurement, which is what
 // collapses the "Profiling" bar of Figure 9b. The database persists as JSON
 // so it accumulates across models and compilations (the paper reports ~22K
-// entries after compiling all 15 models).
+// entries after compiling all 15 models). Alongside the latencies it caches
+// the compiler's other per-shape decisions: one table of selected kernel
+// schedules and one of measured-tuning winners. It is a local cache with no
+// external producer, so the file format is not migrated: Load reads the
+// current version only.
 package profile
 
 import (
@@ -25,13 +29,11 @@ import (
 type DB struct {
 	mu      sync.Mutex
 	entries map[string]float64
-	// schedules caches tuner-selected tile schedules per kernel shape and
-	// device (ScheduleKey), so repeat compilations skip the GA search —
-	// the schedule half of Figure 9b's caching effect.
-	schedules map[string]ops.Schedule
-	// chainSchedules caches jointly tuned chain-kernel schedule pairs
-	// (ChainScheduleKey).
-	chainSchedules map[string]ChainSchedule
+	// schedules caches selected tile schedules per tuning task — a kernel
+	// shape and device (ScheduleKey), or a chain's two shapes
+	// (ChainScheduleKey) — so repeat compilations skip the selection: the
+	// schedule half of Figure 9b's caching effect.
+	schedules map[string]KernelSchedule
 	// plans stores measured-tuning winners — a whole-graph fusion-plan
 	// spec plus per-kernel schedules — keyed by PlanKey (graph
 	// fingerprint × device × batch size), so repeat compilations with
@@ -54,10 +56,9 @@ type DB struct {
 // New returns an empty database.
 func New() *DB {
 	return &DB{
-		entries:        map[string]float64{},
-		schedules:      map[string]ops.Schedule{},
-		chainSchedules: map[string]ChainSchedule{},
-		plans:          map[string]TunedPlan{},
+		entries:   map[string]float64{},
+		schedules: map[string]KernelSchedule{},
+		plans:     map[string]TunedPlan{},
 	}
 }
 
@@ -107,8 +108,23 @@ func ScheduleKey(deviceName string, m, n, k int) string {
 	return fmt.Sprintf("sched|%s|m=%d,n=%d,k=%d", deviceName, m, n, k)
 }
 
-// LookupSchedule returns the cached tuned schedule for key.
-func (db *DB) LookupSchedule(key string) (ops.Schedule, bool) {
+// ChainScheduleKey canonicalizes one chain-kernel tuning task: device
+// identity plus both contractions' GEMM shapes.
+func ChainScheduleKey(deviceName string, pm, pn, pk, cm, cn, ck int) string {
+	return fmt.Sprintf("chain|%s|p=%dx%dx%d,c=%dx%dx%d", deviceName, pm, pn, pk, cm, cn, ck)
+}
+
+// KernelSchedule is the tile schedule of one kernel — the record the
+// schedule cache stores per task key and a tuned plan stores per kernel.
+// Producer is set only for a chain-fused kernel: it tiles the chain's
+// first contraction, and Schedule the second.
+type KernelSchedule struct {
+	Schedule ops.Schedule `json:"schedule"`
+	Producer ops.Schedule `json:"producer,omitzero"`
+}
+
+// LookupSchedule returns the cached schedule for a task key.
+func (db *DB) LookupSchedule(key string) (KernelSchedule, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s, ok := db.schedules[key]
@@ -120,8 +136,8 @@ func (db *DB) LookupSchedule(key string) (ops.Schedule, bool) {
 	return s, ok
 }
 
-// InsertSchedule stores a tuned schedule.
-func (db *DB) InsertSchedule(key string, s ops.Schedule) {
+// InsertSchedule stores the schedule selected for a task key.
+func (db *DB) InsertSchedule(key string, s KernelSchedule) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.schedules[key] = s
@@ -134,55 +150,14 @@ func (db *DB) ScheduleLen() int {
 	return len(db.schedules)
 }
 
-// ChainSchedule is a jointly tuned schedule pair for a fused contraction
-// chain: Producer tiles the first contraction, Consumer the second.
-type ChainSchedule struct {
-	Producer ops.Schedule `json:"producer"`
-	Consumer ops.Schedule `json:"consumer"`
-}
-
-// ChainScheduleKey canonicalizes one chain-kernel tuning task: device
-// identity plus both contractions' GEMM shapes.
-func ChainScheduleKey(deviceName string, pm, pn, pk, cm, cn, ck int) string {
-	return fmt.Sprintf("chain|%s|p=%dx%dx%d,c=%dx%dx%d", deviceName, pm, pn, pk, cm, cn, ck)
-}
-
-// LookupChainSchedule returns the cached chain schedule pair for key.
-func (db *DB) LookupChainSchedule(key string) (ChainSchedule, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, ok := db.chainSchedules[key]
-	if ok {
-		db.ScheduleHits++
-	} else {
-		db.ScheduleMisses++
-	}
-	return s, ok
-}
-
-// InsertChainSchedule stores a tuned chain schedule pair.
-func (db *DB) InsertChainSchedule(key string, s ChainSchedule) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.chainSchedules[key] = s
-}
-
-// ChainScheduleLen returns the number of cached chain schedule pairs.
-func (db *DB) ChainScheduleLen() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.chainSchedules)
-}
-
 // TunedKernel is one schedulable kernel's slot in a tuned plan. Task is
 // the kernel's canonical tuning-task string (recorded when the plan was
 // measured); on warm start it cross-checks that the deterministically
 // rebuilt plan produced the same kernel in the same position before the
 // stored schedule is applied.
 type TunedKernel struct {
-	Task     string        `json:"task"`
-	Schedule ops.Schedule  `json:"schedule"`
-	Producer *ops.Schedule `json:"producer,omitempty"`
+	Task string `json:"task"`
+	KernelSchedule
 }
 
 // TunedPlan is a measured-tuning winner: the fusion-plan variant that won
@@ -275,65 +250,58 @@ func KeyFor(nodes []*graph.Node) string {
 	return strings.Join(parts, ";")
 }
 
-// FormatVersion is the on-disk format this build writes (and the newest
-// it understands).
-const FormatVersion = 4
+// FormatVersion is the one on-disk format this build writes and reads.
+const FormatVersion = 5
 
-// ErrVersion reports a database written by a newer build than this one.
-// Callers match it with errors.Is; the concrete *VersionError carries the
-// offending path and version.
+// ErrVersion reports a database file of any other format version, older
+// or newer. Callers match it with errors.Is; the concrete *VersionError
+// carries the offending path and version.
 var ErrVersion = errors.New("profile: unsupported database version")
 
 // VersionError is the typed failure for a database file whose version is
-// newer than FormatVersion. Loading it partially could silently drop the
-// newer sections (and a subsequent Save would destroy them), so Load
-// refuses instead.
+// not FormatVersion. The database is a local cache with no external
+// producer, so a stale file is rebuilt rather than migrated; Load refuses
+// it whole instead of loading the sections it happens to recognize (a
+// subsequent Save would destroy the rest).
 type VersionError struct {
 	Path    string
 	Version int
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("profile: %s: version %d is newer than supported version %d", e.Path, e.Version, FormatVersion)
+	return fmt.Sprintf("profile: %s: version %d is not the supported version %d", e.Path, e.Version, FormatVersion)
 }
 
 func (e *VersionError) Unwrap() error { return ErrVersion }
 
-// fileFormat is the on-disk representation. Version 2 added the tuned
-// schedule cache, version 3 the chain-schedule cache, version 4 the
-// measured-tuning plan table; older files load with the missing sections
-// empty. Versions newer than FormatVersion fail with a *VersionError.
+// fileFormat is the on-disk representation.
 type fileFormat struct {
-	Version        int                      `json:"version"`
-	Entries        map[string]float64       `json:"entries"`
-	Schedules      map[string]ops.Schedule  `json:"schedules,omitempty"`
-	ChainSchedules map[string]ChainSchedule `json:"chain_schedules,omitempty"`
-	Plans          map[string]TunedPlan     `json:"plans,omitempty"`
+	Version   int                       `json:"version"`
+	Entries   map[string]float64        `json:"entries"`
+	Schedules map[string]KernelSchedule `json:"schedules,omitempty"`
+	Plans     map[string]TunedPlan      `json:"plans,omitempty"`
 }
 
-// Save writes the database as JSON, atomically: the bytes land in a
-// temporary file in the destination directory and replace the target with
-// os.Rename, so a concurrent reader (a serving process sharing the file
-// with dnnf-tune) sees either the old complete database or the new one,
-// never torn JSON. The marshalled form is canonical — map keys sort — so
-// saving an unchanged database is byte-stable.
+// Save writes the database as JSON, atomically and durably: the bytes land
+// in a temporary file in the destination directory, are synced, and
+// replace the target with os.Rename, so a concurrent reader (a serving
+// process sharing the file with dnnf-tune) sees either the old complete
+// database or the new one, never torn JSON, and a crash after the rename
+// cannot leave a zero-length file behind. The marshalled form is canonical
+// — map keys sort — so saving an unchanged database is byte-stable.
 func (db *DB) Save(path string) error {
 	db.mu.Lock()
 	ff := fileFormat{
-		Version:        FormatVersion,
-		Entries:        make(map[string]float64, len(db.entries)),
-		Schedules:      make(map[string]ops.Schedule, len(db.schedules)),
-		ChainSchedules: make(map[string]ChainSchedule, len(db.chainSchedules)),
-		Plans:          make(map[string]TunedPlan, len(db.plans)),
+		Version:   FormatVersion,
+		Entries:   make(map[string]float64, len(db.entries)),
+		Schedules: make(map[string]KernelSchedule, len(db.schedules)),
+		Plans:     make(map[string]TunedPlan, len(db.plans)),
 	}
 	for k, v := range db.entries {
 		ff.Entries[k] = v
 	}
 	for k, v := range db.schedules {
 		ff.Schedules[k] = v
-	}
-	for k, v := range db.chainSchedules {
-		ff.ChainSchedules[k] = v
 	}
 	for k, v := range db.plans {
 		ff.Plans[k] = v
@@ -354,6 +322,11 @@ func (db *DB) Save(path string) error {
 		os.Remove(tmpName)
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
 		return err
@@ -369,8 +342,8 @@ func (db *DB) Save(path string) error {
 	return nil
 }
 
-// Load reads a database written by Save (any version up to FormatVersion;
-// newer versions fail with a *VersionError).
+// Load reads a database written by Save. A file of any version other than
+// FormatVersion fails with a *VersionError.
 func Load(path string) (*DB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -380,7 +353,7 @@ func Load(path string) (*DB, error) {
 	if err := json.Unmarshal(data, &ff); err != nil {
 		return nil, fmt.Errorf("profile: %s: %w", path, err)
 	}
-	if ff.Version > FormatVersion {
+	if ff.Version != FormatVersion {
 		return nil, &VersionError{Path: path, Version: ff.Version}
 	}
 	db := New()
@@ -389,9 +362,6 @@ func Load(path string) (*DB, error) {
 	}
 	for k, v := range ff.Schedules {
 		db.schedules[k] = v
-	}
-	for k, v := range ff.ChainSchedules {
-		db.chainSchedules[k] = v
 	}
 	for k, v := range ff.Plans {
 		db.plans[k] = v

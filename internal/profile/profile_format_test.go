@@ -10,10 +10,8 @@ import (
 	"dnnfusion/internal/ops"
 )
 
-// Format-migration coverage for the version-4 database: every older
-// fixture loads with its sections intact (and the missing ones empty), a
-// version from the future fails with the typed error, and saving a
-// loaded v4 file back is byte-stable.
+// On-disk format coverage: a file of any version but FormatVersion fails
+// with the typed error, and saving a loaded file back is byte-stable.
 
 func writeFixture(t *testing.T, name, body string) string {
 	t.Helper()
@@ -22,60 +20,6 @@ func writeFixture(t *testing.T, name, body string) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-func TestLoadV1IntoV4(t *testing.T) {
-	db, err := Load(writeFixture(t, "v1.json", `{"version":1,"entries":{"combo":2.5}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := db.Lookup("combo"); !ok || v != 2.5 {
-		t.Errorf("v1 entry lost: %v, %v", v, ok)
-	}
-	if db.ScheduleLen() != 0 || db.ChainScheduleLen() != 0 || db.PlanLen() != 0 {
-		t.Error("v1 file should load with the newer sections empty")
-	}
-}
-
-func TestLoadV2IntoV4(t *testing.T) {
-	db, err := Load(writeFixture(t, "v2.json",
-		`{"version":2,"entries":{"combo":1},"schedules":{"sched|dev|m=8,n=8,k=8":{"row_tile":4,"col_panel":8,"unroll":4}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := db.LookupSchedule("sched|dev|m=8,n=8,k=8"); !ok || s != (ops.Schedule{RowTile: 4, ColPanel: 8, Unroll: 4}) {
-		t.Errorf("v2 schedule lost: %+v, %v", s, ok)
-	}
-	if db.ChainScheduleLen() != 0 || db.PlanLen() != 0 {
-		t.Error("v2 file should load with chain schedules and plans empty")
-	}
-}
-
-func TestLoadV3IntoV4(t *testing.T) {
-	db, err := Load(writeFixture(t, "v3.json",
-		`{"version":3,"entries":{},"chain_schedules":{"chain|dev|p=8x8x8,c=8x8x8":{"producer":{"row_tile":2,"col_panel":8,"unroll":4},"consumer":{"row_tile":2,"col_panel":16,"unroll":4}}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, ok := db.LookupChainSchedule("chain|dev|p=8x8x8,c=8x8x8")
-	if !ok || cs.Consumer.ColPanel != 16 {
-		t.Errorf("v3 chain schedule lost: %+v, %v", cs, ok)
-	}
-	if db.PlanLen() != 0 {
-		t.Error("v3 file should load with plans empty")
-	}
-	// Re-saving a migrated file writes the current version.
-	path := filepath.Join(t.TempDir(), "up.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"version": 4`)) {
-		t.Errorf("migrated save is not version 4:\n%s", data)
-	}
 }
 
 func TestLoadUnknownFutureVersionFails(t *testing.T) {
@@ -96,19 +40,19 @@ func TestLoadUnknownFutureVersionFails(t *testing.T) {
 	}
 }
 
-func TestV4RoundTripByteStable(t *testing.T) {
+func TestRoundTripByteStable(t *testing.T) {
 	db := New()
 	db.Insert("combo", 1.25)
-	db.InsertSchedule(ScheduleKey("dev", 16, 96, 64), ops.Schedule{RowTile: 8, ColPanel: 96, Unroll: 4})
-	db.InsertChainSchedule(ChainScheduleKey("dev", 8, 8, 32, 8, 32, 8), ChainSchedule{
-		Producer: ops.Schedule{RowTile: 8, ColPanel: 8, Unroll: 4},
-		Consumer: ops.Schedule{RowTile: 8, ColPanel: 32, Unroll: 4},
-	})
-	prod := ops.Schedule{RowTile: 4, ColPanel: 32, Unroll: 4}
+	db.InsertSchedule(ScheduleKey("dev", 16, 96, 64), KernelSchedule{Schedule: ops.Schedule{RowTile: 8, ColPanel: 96}})
+	pair := KernelSchedule{
+		Schedule: ops.Schedule{RowTile: 8, ColPanel: 32},
+		Producer: ops.Schedule{RowTile: 8, ColPanel: 8},
+	}
+	db.InsertSchedule(ChainScheduleKey("dev", 8, 8, 32, 8, 32, 8), pair)
 	db.InsertPlan(PlanKey("dev", "00f1e2d3c4b5a697", 1), TunedPlan{
 		ChainMask:    1,
 		NoYellow:     true,
-		Kernels:      []TunedKernel{{Task: "sched|dev|m=16,n=96,k=64", Schedule: ops.Schedule{RowTile: 4, ColPanel: 96, Unroll: 4}, Producer: &prod}},
+		Kernels:      []TunedKernel{{Task: "chain|dev|p=8x8x32,c=8x32x8", KernelSchedule: pair}},
 		MeasuredNs:   12345,
 		MeasuredRuns: 7,
 	})
@@ -134,7 +78,7 @@ func TestV4RoundTripByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
-		t.Errorf("v4 round trip is not byte-stable:\n--- first\n%s\n--- second\n%s", b1, b2)
+		t.Errorf("round trip is not byte-stable:\n--- first\n%s\n--- second\n%s", b1, b2)
 	}
 }
 
@@ -142,7 +86,7 @@ func TestPlanRoundTrip(t *testing.T) {
 	db := New()
 	key := PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8)
 	tp := TunedPlan{ChainMask: 3, Seeds: 1, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
-		Kernels: []TunedKernel{{Task: "sched|d|m=1,n=2,k=3", Schedule: ops.Schedule{RowTile: 1, ColPanel: 8, Unroll: 2}}}}
+		Kernels: []TunedKernel{{Task: "sched|d|m=1,n=2,k=3", KernelSchedule: KernelSchedule{Schedule: ops.Schedule{RowTile: 1, ColPanel: 8}}}}}
 	db.InsertPlan(key, tp)
 	path := filepath.Join(t.TempDir(), "p.json")
 	if err := db.Save(path); err != nil {

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,7 +89,8 @@ func TestScheduleCacheRoundTrip(t *testing.T) {
 	db := New()
 	db.Insert("latency", 3.5)
 	key := ScheduleKey("Snapdragon 865 CPU", 128, 96, 64)
-	db.InsertSchedule(key, ops.Schedule{RowTile: 8, ColPanel: 96, Unroll: 4})
+	want := KernelSchedule{Schedule: ops.Schedule{RowTile: 8, ColPanel: 96}}
+	db.InsertSchedule(key, want)
 	if db.ScheduleLen() != 1 {
 		t.Fatalf("ScheduleLen = %d, want 1", db.ScheduleLen())
 	}
@@ -101,7 +103,7 @@ func TestScheduleCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ok := back.LookupSchedule(key)
-	if !ok || s != (ops.Schedule{RowTile: 8, ColPanel: 96, Unroll: 4}) {
+	if !ok || s != want {
 		t.Errorf("round trip lost schedule: %+v, %v", s, ok)
 	}
 	if back.ScheduleHits != 1 || back.ScheduleMisses != 0 {
@@ -116,25 +118,20 @@ func TestScheduleCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1File pins backward compatibility: databases written
-// before the schedule cache (version 1, no schedules field) still load.
-func TestLoadVersion1File(t *testing.T) {
+// TestLoadStaleVersionRebuilds pins the stale-file policy: the database is
+// a local cache, so a file of an older format version is refused with the
+// typed error rather than migrated, and a fresh database saved over it
+// loads again.
+func TestLoadStaleVersionRebuilds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
 	if err := os.WriteFile(path, []byte(`{"version":1,"entries":{"k":2.5}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Load(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("loading a version-1 file: error %v does not match ErrVersion", err)
 	}
-	if v, ok := db.Lookup("k"); !ok || v != 2.5 {
-		t.Errorf("v1 entry lost: %v, %v", v, ok)
-	}
-	if db.ScheduleLen() != 0 {
-		t.Errorf("v1 file should have no schedules, got %d", db.ScheduleLen())
-	}
-	// A loaded v1 database accepts new schedules and saves as v2.
-	db.InsertSchedule(ScheduleKey("dev", 1, 2, 3), ops.Schedule{RowTile: 2, ColPanel: 8, Unroll: 4})
+	db := New()
+	db.InsertSchedule(ScheduleKey("dev", 1, 2, 3), KernelSchedule{Schedule: ops.Schedule{RowTile: 2, ColPanel: 8}})
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -143,25 +140,25 @@ func TestLoadVersion1File(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.ScheduleLen() != 1 {
-		t.Errorf("upgraded file lost the schedule")
+		t.Errorf("rebuilt file lost the schedule")
 	}
 }
 
-// TestChainScheduleCacheRoundTrip: chain-schedule pairs survive Save/Load
-// (the version-3 format) alongside latency entries and single-kernel
-// schedules, and older files without the field still load.
+// TestChainScheduleCacheRoundTrip: chain-kernel schedule pairs live in the
+// same table as single-kernel schedules, under their own task keys, and
+// survive Save/Load alongside latency entries.
 func TestChainScheduleCacheRoundTrip(t *testing.T) {
 	db := New()
 	db.Insert("latency", 1.5)
-	db.InsertSchedule(ScheduleKey("dev", 8, 8, 8), ops.Schedule{RowTile: 2, ColPanel: 8, Unroll: 4})
+	db.InsertSchedule(ScheduleKey("dev", 8, 8, 8), KernelSchedule{Schedule: ops.Schedule{RowTile: 2, ColPanel: 8}})
 	key := ChainScheduleKey("Snapdragon 865 CPU", 8, 8, 32, 8, 32, 8)
-	pair := ChainSchedule{
-		Producer: ops.Schedule{RowTile: 8, ColPanel: 8, Unroll: 4},
-		Consumer: ops.Schedule{RowTile: 8, ColPanel: 32, Unroll: 4},
+	pair := KernelSchedule{
+		Schedule: ops.Schedule{RowTile: 8, ColPanel: 32},
+		Producer: ops.Schedule{RowTile: 8, ColPanel: 8},
 	}
-	db.InsertChainSchedule(key, pair)
-	if db.ChainScheduleLen() != 1 {
-		t.Fatalf("ChainScheduleLen = %d, want 1", db.ChainScheduleLen())
+	db.InsertSchedule(key, pair)
+	if db.ScheduleLen() != 2 {
+		t.Fatalf("ScheduleLen = %d, want 2", db.ScheduleLen())
 	}
 	path := filepath.Join(t.TempDir(), "profile.json")
 	if err := db.Save(path); err != nil {
@@ -171,26 +168,14 @@ func TestChainScheduleCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := back.LookupChainSchedule(key)
+	got, ok := back.LookupSchedule(key)
 	if !ok || got != pair {
 		t.Errorf("round trip lost chain schedule: %+v, %v", got, ok)
 	}
-	if _, ok := back.LookupChainSchedule(ChainScheduleKey("dev", 1, 1, 1, 1, 1, 1)); ok {
+	if _, ok := back.LookupSchedule(ChainScheduleKey("dev", 1, 1, 1, 1, 1, 1)); ok {
 		t.Error("missing chain key should miss")
 	}
-	if back.ScheduleLen() != 1 || back.Len() != 1 {
+	if back.ScheduleLen() != 2 || back.Len() != 1 {
 		t.Errorf("coexisting entries lost: %d schedules, %d latencies", back.ScheduleLen(), back.Len())
-	}
-	// A version-2 file (no chain_schedules field) still loads cleanly.
-	v2 := filepath.Join(t.TempDir(), "v2.json")
-	if err := os.WriteFile(v2, []byte(`{"version":2,"entries":{"k":1},"schedules":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := Load(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.ChainScheduleLen() != 0 {
-		t.Errorf("v2 file should have no chain schedules, got %d", old.ChainScheduleLen())
 	}
 }

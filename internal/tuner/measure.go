@@ -1,19 +1,16 @@
 package tuner
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
-
-	"dnnfusion/internal/ops"
 )
 
 // Measured feedback: the analytical fitness surfaces in this package rank
 // candidates without ever consulting the hardware. measure.go closes that
 // loop — it times short best-of-N windows of a real compiled candidate
-// (the dnnf-bench discipline, shrunk to tuning budgets) and exposes the
-// top-k analytical candidates worth spending those measurements on. The
-// clock is stubbable (faultinject-style: an atomic arm with a zero-cost
+// (the dnnf-bench discipline, shrunk to tuning budgets); SelectTopK and
+// SelectChainTopK name the analytical candidates worth spending those
+// measurements on. The clock is stubbable (faultinject-style: an atomic arm with a zero-cost
 // unarmed fast path) so CI can drive measured tuning deterministically.
 
 // epoch anchors the real clock; differences of nowNs are monotonic.
@@ -147,99 +144,4 @@ func Measure(run func() error, o MeasureOptions) (nsPerOp int64, err error) {
 		best = 1
 	}
 	return best, nil
-}
-
-// SelectTopK returns the k best distinct schedules for the task by the
-// analytical fitness, best first — the measured search's shortlist. The
-// schedule space is small enough (4 row tiles × 7 panels × 4 unrolls) to
-// rank exhaustively, which also makes the shortlist deterministic:
-// ties break toward smaller tiles, so the ordering is a pure function of
-// (task, device).
-func SelectTopK(t Task, k int) []ops.Schedule {
-	if k < 1 {
-		return nil
-	}
-	type scored struct {
-		s     ops.Schedule
-		score float64
-	}
-	seen := map[ops.Schedule]bool{}
-	var all []scored
-	for _, rt := range rowTileChoices {
-		for _, cp := range colPanelChoices {
-			for _, u := range unrollChoices {
-				s := normalizeSchedule(t, ops.Schedule{RowTile: rt, ColPanel: cp, Unroll: u})
-				if seen[s] {
-					continue
-				}
-				seen[s] = true
-				all = append(all, scored{s: s, score: ScheduleFitness(t, s)})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		if a.s.RowTile != b.s.RowTile {
-			return a.s.RowTile < b.s.RowTile
-		}
-		if a.s.ColPanel != b.s.ColPanel {
-			return a.s.ColPanel < b.s.ColPanel
-		}
-		return a.s.Unroll < b.s.Unroll
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]ops.Schedule, k)
-	for i := range out {
-		out[i] = all[i].s
-	}
-	return out
-}
-
-// SelectChainTopK returns the k best distinct schedule pairs for a fused
-// contraction chain, best first, ranked exhaustively like SelectChain
-// (shared row tile, independent column panels).
-func SelectChainTopK(prod, cons Task, k int) []ChainScheduleResult {
-	if k < 1 {
-		return nil
-	}
-	type pairKey struct{ p, c ops.Schedule }
-	seen := map[pairKey]bool{}
-	var all []ChainScheduleResult
-	for _, rt := range rowTileChoices {
-		for _, pcp := range colPanelChoices {
-			ps := normalizeSchedule(prod, ops.Schedule{RowTile: rt, ColPanel: pcp, Unroll: 4})
-			pScore := ScheduleFitness(prod, ps)
-			for _, ccp := range colPanelChoices {
-				cs := normalizeSchedule(cons, ops.Schedule{RowTile: rt, ColPanel: ccp, Unroll: 4})
-				key := pairKey{ps, cs}
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				all = append(all, ChainScheduleResult{Producer: ps, Consumer: cs, Score: pScore * ScheduleFitness(cons, cs)})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Producer.RowTile != b.Producer.RowTile {
-			return a.Producer.RowTile < b.Producer.RowTile
-		}
-		if a.Producer.ColPanel != b.Producer.ColPanel {
-			return a.Producer.ColPanel < b.Producer.ColPanel
-		}
-		return a.Consumer.ColPanel < b.Consumer.ColPanel
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
 }

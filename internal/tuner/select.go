@@ -1,22 +1,26 @@
 package tuner
 
 import (
-	"math"
+	"sort"
 
 	"dnnfusion/internal/ops"
 )
 
-// Schedule selection: the PatDNN-inherited GA, pointed at the real heavy
-// kernels instead of the abstract (TileM, TileN, TileK) surface. The
-// executable kernels never tile K — every output element accumulates the
-// full contraction in ascending order so results stay bit-exact with the
-// scalar oracle — so the searched genes are exactly the parameters the
-// blocked paths implement: register row-tile height, L1 column-panel
-// width, and inner unroll. The fitness surface prices the full-K working
-// set against the device's cache hierarchy (Device.CacheBytes), B-row
-// reuse against the tile height, and A re-streaming against the panel
-// count, so taller inputs (batch-stacked matmuls) select taller row tiles
-// and narrower panels than their batch-1 shapes.
+// Schedule selection for the real heavy kernels, as opposed to the
+// abstract (TileM, TileN, TileK) surface TuneGA searches for Figure 9b.
+// The executable kernels never tile K — every output element accumulates
+// the full contraction in ascending order so results stay bit-exact with
+// the scalar oracle — so a schedule is exactly the two parameters the
+// blocked paths implement: register row-tile height and L1 column-panel
+// width. That space is 4 × 7 = 28 points (4 × 7 × 7 for a chain's shared
+// row tile and two panels), so it is ranked exhaustively: selection is a
+// pure function of (task, device) with no seed to carry, which is the
+// determinism the profile-database cache and repeat compilations rely on.
+// The fitness surface prices the full-K working set against the device's
+// cache hierarchy (Device.CacheBytes), B-row reuse against the tile
+// height, and A re-streaming against the panel count, so taller inputs
+// (batch-stacked matmuls) select taller row tiles and narrower panels than
+// their batch-1 shapes.
 
 // rowTileChoices are the register-tile heights the blocked kernels
 // implement as specialized loops (ops.Schedule.RowTile).
@@ -25,40 +29,16 @@ var rowTileChoices = []int{1, 2, 4, 8}
 // colPanelChoices span thin L1 panels to full-width single passes.
 var colPanelChoices = []int{8, 16, 32, 64, 128, 256, 512}
 
-// ScheduleResult reports one schedule-selection run.
+// ScheduleResult is one ranked schedule.
 type ScheduleResult struct {
 	Schedule ops.Schedule
 	Score    float64
-	Trials   int
-}
-
-// normalizeSchedule clamps a candidate against the task shape the way the
-// kernels will (ops side): panels live in [8, N]. Normalizing before the
-// result is stored keeps cache keys and determinism checks canonical.
-func normalizeSchedule(t Task, s ops.Schedule) ops.Schedule {
-	if s.ColPanel < 8 {
-		s.ColPanel = 8
-	}
-	if s.ColPanel > t.N {
-		s.ColPanel = t.N
-	}
-	if s.RowTile > t.M {
-		// A tile taller than the whole output never engages; fall to the
-		// tallest height that fits.
-		for _, rt := range []int{8, 4, 2, 1} {
-			if rt <= t.M {
-				s.RowTile = rt
-				break
-			}
-		}
-	}
-	return s
 }
 
 // ScheduleFitness scores a tile schedule for a heavy kernel task in
 // (0, 1]. Deterministic, so selection results are reproducible.
 func ScheduleFitness(t Task, s ops.Schedule) float64 {
-	if s.RowTile < 1 || s.ColPanel < 1 || s.Unroll < 1 {
+	if s.RowTile < 1 || s.ColPanel < 1 {
 		return 0
 	}
 	// Working set of one pass with the full contraction resident: the
@@ -75,105 +55,112 @@ func ScheduleFitness(t Task, s ops.Schedule) float64 {
 	passScore := 1 / (1 + 0.08*float64(passes-1))
 	// Remainder loops hurt, exactly as in the abstract surface.
 	divScore := rem(t.M, s.RowTile) * rem(t.N, s.ColPanel)
-	// Unroll sweet spot at 4, as in Fitness.
-	unrollScore := 1 - 0.08*math.Abs(math.Log2(float64(s.Unroll))-2)
-	return cache * reuseScore * passScore * divScore * unrollScore
+	return cache * reuseScore * passScore * divScore
 }
 
-// taskSeed derives a deterministic GA seed from the task shape, so the
-// same kernel shape tunes to the same schedule in every compilation.
-func taskSeed(t Task) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, d := range []int{t.M, t.N, t.K} {
-		h ^= uint64(d)
-		h *= 1099511628211
+// rankSchedules returns every distinct schedule for the task, normalized
+// the way the kernels will (ops.Schedule.Normalize), best fitness first.
+// Ties break toward the smaller row tile, then the smaller panel, so the
+// order is canonical.
+func rankSchedules(t Task) []ScheduleResult {
+	seen := map[ops.Schedule]bool{}
+	var all []ScheduleResult
+	for _, rt := range rowTileChoices {
+		for _, cp := range colPanelChoices {
+			s := ops.Schedule{RowTile: rt, ColPanel: cp}.Normalize(t.M, t.N)
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			all = append(all, ScheduleResult{Schedule: s, Score: ScheduleFitness(t, s)})
+		}
 	}
-	return h
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+		if a.Schedule.RowTile != b.Schedule.RowTile {
+			return a.Schedule.RowTile < b.Schedule.RowTile
+		}
+		return a.Schedule.ColPanel < b.Schedule.ColPanel
+	})
+	return all
 }
 
-func (r *rng) randomSchedule() ops.Schedule {
-	return ops.Schedule{
-		RowTile:  rowTileChoices[r.intn(len(rowTileChoices))],
-		ColPanel: colPanelChoices[r.intn(len(colPanelChoices))],
-		Unroll:   unrollChoices[r.intn(len(unrollChoices))],
+// Select returns the best schedule for one heavy kernel task. The second
+// parameter is ignored: it is what remains of the genetic search this
+// selector replaced, kept only because the benchmark module compiles
+// against this signature.
+func Select(t Task, _ GAOptions) ScheduleResult { return rankSchedules(t)[0] }
+
+// SelectTopK returns the k best distinct schedules for the task, best
+// first — the measured search's shortlist.
+func SelectTopK(t Task, k int) []ops.Schedule {
+	all := rankSchedules(t)
+	out := make([]ops.Schedule, min(max(k, 0), len(all)))
+	for i := range out {
+		out[i] = all[i].Schedule
 	}
+	return out
 }
 
-// Select runs the genetic tuner over tile schedules for one heavy kernel
-// task and returns the best (normalized) schedule. With a zero
-// GAOptions.Seed the seed derives from the task shape, making selection a
-// pure function of (task, device, options) — the determinism the
-// profile-database cache and repeat compilations rely on.
-func Select(t Task, opts GAOptions) ScheduleResult {
-	if opts.Seed == 0 {
-		opts.Seed = taskSeed(t)
-	}
-	opts = opts.withDefaults()
-	best, score, trials, _ := gaDriver(opts, (*rng).randomSchedule,
-		func(s ops.Schedule) float64 { return ScheduleFitness(t, normalizeSchedule(t, s)) },
-		crossoverSchedule, mutateSchedule)
-	return ScheduleResult{Schedule: normalizeSchedule(t, best), Score: score, Trials: trials}
-}
-
-// ChainScheduleResult reports one joint chain-schedule selection.
+// ChainScheduleResult is one ranked schedule pair of a fused contraction
+// chain.
 type ChainScheduleResult struct {
 	// Producer tiles the chain's first contraction (its ColPanel doubles
 	// as the online softmax's key-panel width); Consumer tiles the second.
 	Producer ops.Schedule
 	Consumer ops.Schedule
 	Score    float64
-	Trials   int
 }
 
-// SelectChain jointly selects the two tile schedules of a fused
-// contraction chain. The row tile is shared — the chain kernel pulls
+// rankChainSchedules ranks the schedule pairs of a fused contraction chain
+// like rankSchedules. The row tile is shared — the chain kernel pulls
 // producer rows in exactly the consumer's row groups, so mismatched
 // heights would re-tile at the seam — while each contraction gets its own
-// column panel. The space is small enough (4 row tiles × 7 panels × 7
-// panels) to search exhaustively, which keeps selection trivially
-// deterministic.
-func SelectChain(prod, cons Task) ChainScheduleResult {
-	var best ChainScheduleResult
+// column panel; a pair scores the product of its two fitnesses.
+func rankChainSchedules(prod, cons Task) []ChainScheduleResult {
+	type pair struct{ p, c ops.Schedule }
+	seen := map[pair]bool{}
+	var all []ChainScheduleResult
 	for _, rt := range rowTileChoices {
 		for _, pcp := range colPanelChoices {
-			ps := normalizeSchedule(prod, ops.Schedule{RowTile: rt, ColPanel: pcp, Unroll: 4})
+			ps := ops.Schedule{RowTile: rt, ColPanel: pcp}.Normalize(prod.M, prod.N)
 			pScore := ScheduleFitness(prod, ps)
 			for _, ccp := range colPanelChoices {
-				cs := normalizeSchedule(cons, ops.Schedule{RowTile: rt, ColPanel: ccp, Unroll: 4})
-				score := pScore * ScheduleFitness(cons, cs)
-				best.Trials++
-				if score > best.Score {
-					best.Producer, best.Consumer, best.Score = ps, cs, score
+				cs := ops.Schedule{RowTile: rt, ColPanel: ccp}.Normalize(cons.M, cons.N)
+				if seen[pair{ps, cs}] {
+					continue
 				}
+				seen[pair{ps, cs}] = true
+				all = append(all, ChainScheduleResult{Producer: ps, Consumer: cs, Score: pScore * ScheduleFitness(cons, cs)})
 			}
 		}
 	}
-	return best
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+		if a.Producer.RowTile != b.Producer.RowTile {
+			return a.Producer.RowTile < b.Producer.RowTile
+		}
+		if a.Producer.ColPanel != b.Producer.ColPanel {
+			return a.Producer.ColPanel < b.Producer.ColPanel
+		}
+		return a.Consumer.ColPanel < b.Consumer.ColPanel
+	})
+	return all
 }
 
-func crossoverSchedule(r *rng, a, b ops.Schedule) ops.Schedule {
-	pick := func(x, y int) int {
-		if r.intn(2) == 0 {
-			return x
-		}
-		return y
-	}
-	return ops.Schedule{
-		RowTile:  pick(a.RowTile, b.RowTile),
-		ColPanel: pick(a.ColPanel, b.ColPanel),
-		Unroll:   pick(a.Unroll, b.Unroll),
-	}
-}
+// SelectChain jointly selects the two tile schedules of a fused
+// contraction chain.
+func SelectChain(prod, cons Task) ChainScheduleResult { return rankChainSchedules(prod, cons)[0] }
 
-func mutateSchedule(r *rng, s ops.Schedule, pct int) ops.Schedule {
-	maybe := func(cur int, choices []int) int {
-		if r.intn(100) < pct {
-			return choices[r.intn(len(choices))]
-		}
-		return cur
-	}
-	s.RowTile = maybe(s.RowTile, rowTileChoices)
-	s.ColPanel = maybe(s.ColPanel, colPanelChoices)
-	s.Unroll = maybe(s.Unroll, unrollChoices)
-	return s
+// SelectChainTopK returns the k best distinct schedule pairs for a fused
+// contraction chain, best first.
+func SelectChainTopK(prod, cons Task, k int) []ChainScheduleResult {
+	all := rankChainSchedules(prod, cons)
+	return all[:min(max(k, 0), len(all))]
 }

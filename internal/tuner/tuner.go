@@ -1,10 +1,13 @@
 // Package tuner implements the performance auto-tuners of the compilation
-// pipeline: the genetic-algorithm tuner DNNFusion inherits from PatDNN and
-// a random-search tuner standing in for AutoTVM. Both search tile/unroll/
-// vectorization parameters for a heavy kernel against a deterministic
-// analytic response surface derived from the device profile; the GA needs
-// far fewer trials to reach the same quality, which is the compilation-time
-// effect Figure 9b reports.
+// pipeline. Figure 9b's instruments are the genetic-algorithm tuner
+// DNNFusion inherits from PatDNN and a random-search tuner standing in for
+// AutoTVM: both search abstract tile/unroll/vectorization parameters
+// (Params) for a heavy kernel against a deterministic analytic response
+// surface derived from the device profile, and the GA needs far fewer
+// trials to reach the same quality — the compilation-time effect the figure
+// reports. The schedules the executable kernels actually run with are a far
+// smaller space, ranked exhaustively (select.go) and optionally refined by
+// timed runs (measure.go).
 package tuner
 
 import (
@@ -155,57 +158,50 @@ func (o GAOptions) withDefaults() GAOptions {
 	return o
 }
 
-// gaDriver is the genetic search loop shared by TuneGA (abstract tile
-// parameters) and Select (executable schedules): score and track the
-// best, sort fitness-descending, carry the elite, then fill the next
-// generation by tournament selection, crossover, and mutation.
-func gaDriver[G any](opts GAOptions, random func(*rng) G, fitness func(G) float64,
-	cross func(*rng, G, G) G, mut func(*rng, G, int) G) (best G, score float64, trials int, history []float64) {
+// TuneGA runs the PatDNN-style genetic-algorithm tuner. Unlike AutoTVM's
+// search it can start from an arbitrary number of chromosomes (§5.3) and
+// converges in Population×Generations trials: each generation scores the
+// population and tracks the best, sorts fitness-descending, carries the
+// elite, then fills the next generation by tournament selection,
+// crossover, and mutation.
+func TuneGA(t Task, opts GAOptions) Result {
+	opts = opts.withDefaults()
 	r := newRNG(opts.Seed)
-	pop := make([]G, opts.Population)
+	pop := make([]Params, opts.Population)
 	for i := range pop {
-		pop[i] = random(r)
+		pop[i] = r.randomParams()
 	}
 	type scored struct {
-		g G
+		p Params
 		f float64
 	}
+	var res Result
 	for gen := 0; gen < opts.Generations; gen++ {
 		scoredPop := make([]scored, len(pop))
-		for i, g := range pop {
-			f := fitness(g)
-			scoredPop[i] = scored{g, f}
-			trials++
-			if f > score {
-				score, best = f, g
+		for i, p := range pop {
+			f := Fitness(t, p)
+			scoredPop[i] = scored{p, f}
+			res.Trials++
+			if f > res.Score {
+				res.Score, res.Best = f, p
 			}
 		}
-		history = append(history, score)
+		res.History = append(res.History, res.Score)
 		// sort.Slice is unstable but deterministic for a given input, which
-		// is what reproducibility needs (and what TuneGA always used).
+		// is what reproducibility needs.
 		sort.Slice(scoredPop, func(i, j int) bool { return scoredPop[i].f > scoredPop[j].f })
-		next := make([]G, 0, len(pop))
+		next := make([]Params, 0, len(pop))
 		for i := 0; i < opts.Elite && i < len(scoredPop); i++ {
-			next = append(next, scoredPop[i].g)
+			next = append(next, scoredPop[i].p)
 		}
 		for len(next) < len(pop) {
-			a := scoredPop[tournament(r, len(scoredPop))].g
-			b := scoredPop[tournament(r, len(scoredPop))].g
-			next = append(next, mut(r, cross(r, a, b), opts.MutationPct))
+			a := scoredPop[tournament(r, len(scoredPop))].p
+			b := scoredPop[tournament(r, len(scoredPop))].p
+			next = append(next, mutate(r, crossover(r, a, b), opts.MutationPct))
 		}
 		pop = next
 	}
-	return best, score, trials, history
-}
-
-// TuneGA runs the PatDNN-style genetic-algorithm tuner. Unlike AutoTVM's
-// search it can start from an arbitrary number of chromosomes (§5.3) and
-// converges in Population×Generations trials.
-func TuneGA(t Task, opts GAOptions) Result {
-	opts = opts.withDefaults()
-	best, score, trials, history := gaDriver(opts, (*rng).randomParams,
-		func(p Params) float64 { return Fitness(t, p) }, crossover, mutate)
-	return Result{Best: best, Score: score, Trials: trials, History: history}
+	return res
 }
 
 func tournament(r *rng, n int) int {

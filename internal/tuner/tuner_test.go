@@ -4,8 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dnnfusion/internal/codegen"
 	"dnnfusion/internal/device"
+	"dnnfusion/internal/ecg"
+	"dnnfusion/internal/fusion"
+	"dnnfusion/internal/graph"
+	"dnnfusion/internal/models"
 	"dnnfusion/internal/ops"
+	"dnnfusion/internal/rewrite"
 )
 
 func task() Task {
@@ -108,6 +114,118 @@ func TestSelectDeterministic(t *testing.T) {
 	}
 }
 
+// bruteForce is the selector's oracle: the maximum of ScheduleFitness over
+// the raw choice grid, ties toward the smaller row tile then the smaller
+// panel, with no ranking machinery.
+func bruteForce(t Task) ops.Schedule {
+	var best ops.Schedule
+	bestScore := -1.0
+	for _, rt := range rowTileChoices {
+		for _, cp := range colPanelChoices {
+			s := ops.Schedule{RowTile: rt, ColPanel: cp}.Normalize(t.M, t.N)
+			f := ScheduleFitness(t, s)
+			if f > bestScore || f == bestScore && (s.RowTile < best.RowTile ||
+				s.RowTile == best.RowTile && s.ColPanel < best.ColPanel) {
+				best, bestScore = s, f
+			}
+		}
+	}
+	return best
+}
+
+// zooTasks plans every paper and micro model the way core.Compile does and
+// collects the distinct tuning tasks of their kernels.
+func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
+	t.Helper()
+	dev := device.Snapdragon865CPU()
+	var graphs []*graph.Graph
+	for _, spec := range models.All() {
+		graphs = append(graphs, spec.Build())
+	}
+	for _, m := range models.MicroModels() {
+		graphs = append(graphs, m.Build())
+	}
+	seenSingle := map[[3]int]bool{}
+	seenChain := map[[6]int]bool{}
+	for _, g := range graphs {
+		e := ecg.Build(g)
+		if _, err := rewrite.NewDefaultEngine().Run(e); err != nil {
+			t.Fatalf("%s: rewrite: %v", g.Name, err)
+		}
+		plan := fusion.GeneratePlan(e, fusion.Options{})
+		fusion.FuseChains(e, plan, fusion.Options{})
+		kernels, err := codegen.CompilePlan(e, plan, nil)
+		if err != nil {
+			t.Fatalf("%s: codegen: %v", g.Name, err)
+		}
+		for _, k := range kernels {
+			if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
+				if key := [6]int{pm, pn, pk, cm, cn, ck}; !seenChain[key] {
+					seenChain[key] = true
+					chains = append(chains, [2]Task{{M: pm, N: pn, K: pk, Device: dev}, {M: cm, N: cn, K: ck, Device: dev}})
+				}
+				continue
+			}
+			if m, n, kk, ok := k.ScheduleTask(); ok && !seenSingle[[3]int{m, n, kk}] {
+				seenSingle[[3]int{m, n, kk}] = true
+				single = append(single, Task{M: m, N: n, K: kk, Device: dev})
+			}
+		}
+	}
+	return single, chains
+}
+
+// TestSelectOptimalOverZoo pins the selector against brute force on every
+// distinct kernel task of the 15 paper models and the 5 micro models, and
+// the head-of-ranking identities between Select*/Select*TopK.
+func TestSelectOptimalOverZoo(t *testing.T) {
+	single, chains := zooTasks(t)
+	if len(single) < 200 || len(chains) == 0 {
+		t.Fatalf("zoo yielded %d tasks and %d chain tasks; the walk is broken", len(single), len(chains))
+	}
+	for _, task := range single {
+		got := Select(task, GAOptions{}).Schedule
+		if want := bruteForce(task); got != want {
+			t.Errorf("task %dx%dx%d: Select = %v (fitness %v), brute force = %v (fitness %v)",
+				task.M, task.N, task.K, got, ScheduleFitness(task, got), want, ScheduleFitness(task, want))
+		}
+		if top := SelectTopK(task, 1); len(top) != 1 || top[0] != got {
+			t.Errorf("task %dx%dx%d: SelectTopK(1) = %v, Select = %v", task.M, task.N, task.K, top, got)
+		}
+	}
+	for _, pc := range chains {
+		got := SelectChain(pc[0], pc[1])
+		if top := SelectChainTopK(pc[0], pc[1], 1); len(top) != 1 || top[0] != got {
+			t.Errorf("chain %v: SelectChainTopK(1) = %+v, SelectChain = %+v", pc, top, got)
+		}
+		// The row tile is shared, so the pair maximum is not the pair of
+		// per-task maxima; check against the pair grid directly.
+		for _, alt := range SelectChainTopK(pc[0], pc[1], 4*7*7) {
+			if alt.Score > got.Score {
+				t.Errorf("chain %v: %+v outranks the selected %+v", pc, alt, got)
+			}
+		}
+	}
+	// The three zoo shapes where the former seeded genetic search stopped
+	// short of the optimum (none belongs to a model that executes): the
+	// exhaustive head must score strictly higher than what it returned.
+	for _, c := range []struct {
+		m, n, k int
+		former  ops.Schedule
+	}{
+		{676, 256, 2304, ops.Schedule{RowTile: 4, ColPanel: 32}},  // YOLO-V4
+		{1024, 256, 4608, ops.Schedule{RowTile: 8, ColPanel: 32}}, // U-Net
+		{100, 1024, 512, ops.Schedule{RowTile: 4, ColPanel: 128}}, // MobileNetV1-SSD
+	} {
+		task := selTask(c.m, c.n, c.k)
+		got := Select(task, GAOptions{})
+		if former := ScheduleFitness(task, c.former); got.Score <= former {
+			t.Errorf("task %dx%dx%d: selected %v scores %v, not above the former pick %v at %v",
+				c.m, c.n, c.k, got.Schedule, got.Score, c.former, former)
+		}
+	}
+}
+
 func TestSelectNormalizedAgainstShape(t *testing.T) {
 	for _, tc := range []struct{ m, n, k int }{
 		{1, 16, 64}, {8, 10, 128}, {16, 96, 64}, {128, 96, 64}, {512, 8, 27}, {1000, 1000, 200},
@@ -127,9 +245,6 @@ func TestSelectNormalizedAgainstShape(t *testing.T) {
 		}
 		if res.Score <= 0 || res.Score > 1 {
 			t.Errorf("task %v: score %v outside (0, 1]", tc, res.Score)
-		}
-		if res.Trials == 0 {
-			t.Errorf("task %v: no trials recorded", tc)
 		}
 	}
 }
@@ -153,20 +268,13 @@ func TestScheduleFitnessBounds(t *testing.T) {
 	task := selTask(256, 256, 512)
 	for _, rt := range rowTileChoices {
 		for _, cp := range colPanelChoices {
-			for _, u := range unrollChoices {
-				s := ScheduleFitness(task, normalizeSchedule(task, opsSchedule(rt, cp, u)))
-				if s <= 0 || s > 1 {
-					t.Fatalf("fitness %v outside (0, 1] for rt=%d cp=%d u=%d", s, rt, cp, u)
-				}
+			s := ScheduleFitness(task, ops.Schedule{RowTile: rt, ColPanel: cp}.Normalize(task.M, task.N))
+			if s <= 0 || s > 1 {
+				t.Fatalf("fitness %v outside (0, 1] for rt=%d cp=%d", s, rt, cp)
 			}
 		}
 	}
-	if ScheduleFitness(task, opsSchedule(0, 0, 0)) != 0 {
+	if ScheduleFitness(task, ops.Schedule{}) != 0 {
 		t.Error("zero schedule must score 0")
 	}
-}
-
-// opsSchedule is sugar for building a schedule literal in tests.
-func opsSchedule(rt, cp, u int) ops.Schedule {
-	return ops.Schedule{RowTile: rt, ColPanel: cp, Unroll: u}
 }

@@ -109,3 +109,10 @@ type KernelCache = codegen.Cache
 
 // NewKernelCache creates an empty kernel cache.
 func NewKernelCache() *KernelCache { return codegen.NewCache() }
+
+// BackendCPU and BackendGPU select the text a compiled kernel's Source
+// method renders: C-like loop nests or OpenCL-like work-items.
+const (
+	BackendCPU = codegen.CPU
+	BackendGPU = codegen.GPU
+)
