@@ -6,1081 +6,106 @@
 //	dnnf-bench -e all
 //	dnnf-bench -e table5
 //	dnnf-bench -e fig7 -e fig9b
-//	dnnf-bench -json BENCH.json   # machine-readable per-model baseline
+//
+// Measured performance lives in benchmark/ (bash benchmark/run.sh).
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
-	"dnnfusion"
-	"dnnfusion/serve"
-
-	"dnnfusion/internal/baseline"
 	"dnnfusion/internal/bench"
-	"dnnfusion/internal/fusion"
-	"dnnfusion/internal/graph"
-	"dnnfusion/internal/models"
 	"dnnfusion/internal/profile"
 )
-
-// jsonModel is one model's headline numbers in the -json baseline: fusion
-// counts from Table 5 and DNNFusion's simulated Snapdragon 865 latencies
-// from Table 6. Successive PRs diff these files to track the perf
-// trajectory.
-type jsonModel struct {
-	Name         string  `json:"name"`
-	Operators    int     `json:"operators"`
-	FusedKernels int     `json:"fused_kernels"`
-	FusionRate   float64 `json:"fusion_rate"`
-	IRSMB        float64 `json:"irs_mb"`
-	IRSAfterMB   float64 `json:"irs_after_mb"`
-	CPUMs        float64 `json:"dnnf_cpu_ms"`
-	GPUMs        float64 `json:"dnnf_gpu_ms"`
-}
-
-// jsonKernelSchedule is the tuner-selected tile schedule of one heavy
-// kernel (schema v4): the GEMM-shape task it was tuned for and the chosen
-// blocking, so BENCH deltas are explainable schedule by schedule. In the
-// tuned_schedules section (schema v9) Tuned marks kernels whose
-// measured-tuned schedule differs from the analytical choice.
-type jsonKernelSchedule struct {
-	Kernel   string `json:"kernel"`
-	TaskM    int    `json:"task_m"`
-	TaskN    int    `json:"task_n"`
-	TaskK    int    `json:"task_k"`
-	RowTile  int    `json:"row_tile"`
-	ColPanel int    `json:"col_panel"`
-	Tuned    bool   `json:"tuned,omitempty"`
-}
-
-// jsonChain is one detected contraction chain of an exec model (schema
-// v6): its producer/consumer contractions, whether it takes the online
-// (streaming-rescale softmax) path, and whether the compiled plan actually
-// fused it into a streaming chain kernel. A detected-but-unfused chain is
-// the signal to look at when a model's peak bytes stop improving.
-type jsonChain struct {
-	Producer string `json:"producer"`
-	Consumer string `json:"consumer"`
-	Online   bool   `json:"online"`
-	Fused    bool   `json:"fused"`
-}
-
-// chainStatus lists the compiled model's detected chains with their fused
-// status, from the optimized graph's ECG and the final fusion plan.
-func chainStatus(model *dnnfusion.Model) []jsonChain {
-	var out []jsonChain
-	for _, c := range fusion.DetectChains(model.E) {
-		blk := model.Plan.BlockOf(c.Consumer)
-		out = append(out, jsonChain{
-			Producer: fmt.Sprint(c.Producer),
-			Consumer: fmt.Sprint(c.Consumer),
-			Online:   c.Online,
-			Fused:    blk != nil && blk.Chain != nil,
-		})
-	}
-	return out
-}
-
-// kernelSchedules collects the selected schedules of a compiled model's
-// heavy kernels, in execution-plan order.
-func kernelSchedules(model *dnnfusion.Model) []jsonKernelSchedule {
-	var out []jsonKernelSchedule
-	for _, k := range model.Kernels {
-		if k.Schedule.Zero() {
-			continue
-		}
-		out = append(out, jsonKernelSchedule{
-			Kernel: k.Name,
-			TaskM:  k.TaskM, TaskN: k.TaskN, TaskK: k.TaskK,
-			RowTile: k.Schedule.RowTile, ColPanel: k.Schedule.ColPanel,
-		})
-	}
-	return out
-}
-
-// jsonExec is one runnable micro-model's measured serving-path numbers: a
-// warmed Runner over the planned arena, timed and alloc-counted for real
-// (not simulated). allocs_per_op and bytes_per_op are the zero-allocation
-// headline; ns_per_op tracks single-threaded (blocked) hot-path latency
-// across PRs, and ns_per_op_t8 the same kernels split over an 8-lane
-// worker pool (WithThreads(8)). schedules records each heavy kernel's
-// tuner-selected tile schedule (schema v4); chains the model's detected
-// contraction chains and whether each fused (schema v6); profile each
-// kernel's measured share of execution time (schema v8), taken from
-// separate profiled runs after the timed windows so arming the telemetry
-// hooks cannot perturb the recorded ns_per_op.
-type jsonExec struct {
-	Name             string               `json:"name"`
-	Operators        int                  `json:"operators"`
-	FusedKernels     int                  `json:"fused_kernels"`
-	PlannedPeakBytes int64                `json:"planned_peak_bytes"`
-	NsPerOp          int64                `json:"ns_per_op"`
-	NsPerOpT8        int64                `json:"ns_per_op_t8"`
-	BytesPerOp       int64                `json:"bytes_per_op"`
-	AllocsPerOp      float64              `json:"allocs_per_op"`
-	Schedules        []jsonKernelSchedule `json:"schedules,omitempty"`
-	Chains           []jsonChain          `json:"chains,omitempty"`
-	Profile          []jsonKernelProfile  `json:"profile,omitempty"`
-	// Tuned-path numbers (schema v9): the same model compiled with
-	// measured tuning (WithMeasuredTuning) instead of the analytical
-	// model alone. tuned_ns_per_op tracks what measurement buys;
-	// tuned_measured_runs what it cost; tuned_differs whether the search
-	// picked a (plan, schedule) pair the analytical model would not have;
-	// tuned_schedules each kernel's winning schedule with per-kernel
-	// tuned-vs-analytical marks.
-	TunedNsPerOp      int64                `json:"tuned_ns_per_op,omitempty"`
-	TunedMeasuredRuns int                  `json:"tuned_measured_runs,omitempty"`
-	TunedDiffers      bool                 `json:"tuned_differs,omitempty"`
-	TunedSchedules    []jsonKernelSchedule `json:"tuned_schedules,omitempty"`
-}
-
-// jsonKernelProfile is one kernel's row in the per-model execution profile:
-// its tuner-selected schedule (compact form), mean profiled latency, and
-// share of the model's total profiled execution time.
-type jsonKernelProfile struct {
-	Kernel   string  `json:"kernel"`
-	Schedule string  `json:"schedule"`
-	Chain    bool    `json:"chain,omitempty"`
-	Runs     uint64  `json:"runs"`
-	MeanNs   float64 `json:"mean_ns"`
-	NsShare  float64 `json:"ns_share"`
-}
-
-// profileModel runs the model a fixed number of profiled iterations on a
-// fresh runner and returns the per-kernel profile. Profiling is armed only
-// here — after every timed window — so the telemetry hooks never tax the
-// recorded benchmark numbers.
-func profileModel(model *dnnfusion.Model) ([]jsonKernelProfile, error) {
-	inputs := map[string]*dnnfusion.Tensor{}
-	for _, name := range model.InputNames() {
-		shape, err := model.InputShape(name)
-		if err != nil {
-			return nil, err
-		}
-		inputs[name] = dnnfusion.Rand(shape...)
-	}
-	runner := model.NewRunner()
-	defer runner.Release()
-	ctx := context.Background()
-	dnnfusion.EnableProfiling()
-	defer dnnfusion.DisableProfiling()
-	for i := 0; i < 32; i++ {
-		if _, err := runner.Run(ctx, inputs); err != nil {
-			return nil, err
-		}
-	}
-	profile := model.Profile()
-	var total int64
-	for _, p := range profile {
-		total += p.TotalNs
-	}
-	out := make([]jsonKernelProfile, len(profile))
-	for i, p := range profile {
-		out[i] = jsonKernelProfile{
-			Kernel:   p.Kernel,
-			Schedule: p.Schedule,
-			Chain:    p.Chain,
-			Runs:     p.Runs,
-			MeanNs:   p.MeanNs,
-		}
-		if total > 0 {
-			out[i].NsShare = float64(p.TotalNs) / float64(total)
-		}
-	}
-	return out, nil
-}
-
-// timeRunner measures steady-state ns/op, bytes/op, and allocs/op of a
-// compiled model's warmed Runner, auto-scaling the iteration count until
-// the timed window is long enough to trust (blocked kernels made the micro
-// models fast enough that a fixed count would be noise).
-func timeRunner(g *dnnfusion.Graph, opts ...dnnfusion.Option) (nsPerOp, bytesPerOp int64, allocsPerOp float64, model *dnnfusion.Model, err error) {
-	model, err = dnnfusion.Compile(g, opts...)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	inputs := map[string]*dnnfusion.Tensor{}
-	for _, name := range model.InputNames() {
-		shape, err := model.InputShape(name)
-		if err != nil {
-			return 0, 0, 0, nil, err
-		}
-		inputs[name] = dnnfusion.Rand(shape...)
-	}
-	runner := model.NewRunner()
-	ctx := context.Background()
-	for i := 0; i < 2; i++ { // bind arena, start pool workers
-		if _, err := runner.Run(ctx, inputs); err != nil {
-			return 0, 0, 0, nil, err
-		}
-	}
-	iters := 50
-	for {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := runner.Run(ctx, inputs); err != nil {
-				return 0, 0, 0, nil, err
-			}
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if elapsed >= 100*time.Millisecond || iters >= 200_000 {
-			nsPerOp = elapsed.Nanoseconds() / int64(iters)
-			bytesPerOp = int64(after.TotalAlloc-before.TotalAlloc) / int64(iters)
-			allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(iters)
-			break
-		}
-		iters *= 4
-	}
-	// One window is at the mercy of machine drift (shared containers
-	// throttle); re-run the sized window a few times and keep the best, so
-	// the recorded trajectory number is the model's cost, not the noise's.
-	for round := 1; round < 4; round++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := runner.Run(ctx, inputs); err != nil {
-				return 0, 0, 0, nil, err
-			}
-		}
-		if ns := time.Since(start).Nanoseconds() / int64(iters); ns < nsPerOp {
-			nsPerOp = ns
-		}
-	}
-	return nsPerOp, bytesPerOp, allocsPerOp, model, nil
-}
-
-// tuneBudget is the measured runs the tuned-path scenario allows each
-// model's search — enough to measure every plan variant of the micro
-// models plus a few schedule refinements, small enough that the scenario
-// stays a minor fraction of the bench run.
-const tuneBudget = 16
-
-// measureExec records one micro model's measured serving-path numbers:
-// blocked single-threaded execution (the BENCH trajectory number) plus the
-// same kernels over an 8-lane worker pool.
-func measureExec(build func() *dnnfusion.Graph) (jsonExec, error) {
-	g := build()
-	ns1, bytes1, allocs1, model, err := timeRunner(g, dnnfusion.WithThreads(1))
-	if err != nil {
-		return jsonExec{}, err
-	}
-	ns8, _, _, _, err := timeRunner(build(), dnnfusion.WithThreads(8))
-	if err != nil {
-		return jsonExec{}, err
-	}
-	// Profile after (never during) the timed windows: arming telemetry adds
-	// clock reads per kernel, which must not leak into ns_per_op.
-	profile, err := profileModel(model)
-	if err != nil {
-		return jsonExec{}, err
-	}
-	// Tuned path (schema v9): the same model through the measured
-	// fusion-plan × schedule search, timed with the same discipline. The
-	// per-kernel marks diff the winning schedules against the analytical
-	// compilation above.
-	nsTuned, _, _, tuned, err := timeRunner(build(), dnnfusion.WithThreads(1), dnnfusion.WithMeasuredTuning(tuneBudget))
-	if err != nil {
-		return jsonExec{}, fmt.Errorf("tuned path: %w", err)
-	}
-	analytical := map[string]jsonKernelSchedule{}
-	for _, s := range kernelSchedules(model) {
-		analytical[s.Kernel] = s
-	}
-	tunedScheds := kernelSchedules(tuned)
-	for i := range tunedScheds {
-		a, ok := analytical[tunedScheds[i].Kernel]
-		a.Tuned = false
-		tunedScheds[i].Tuned = !ok || tunedScheds[i] != a
-	}
-	return jsonExec{
-		Name:             g.Name,
-		Operators:        len(g.Nodes),
-		FusedKernels:     model.FusedLayerCount(),
-		PlannedPeakBytes: model.PlannedPeakBytes(),
-		NsPerOp:          ns1,
-		NsPerOpT8:        ns8,
-		BytesPerOp:       bytes1,
-		AllocsPerOp:      allocs1,
-		Schedules:        kernelSchedules(model),
-		Chains:           chainStatus(model),
-		Profile:          profile,
-
-		TunedNsPerOp:      nsTuned,
-		TunedMeasuredRuns: tuned.Stats.MeasuredRuns,
-		TunedDiffers:      tuned.Stats.TunedDiffers,
-		TunedSchedules:    tunedScheds,
-	}, nil
-}
-
-// jsonImport is one micro model's importer numbers (schema v5): the size
-// of its self-generated ONNX fixture and the measured cost of loading it
-// back — import_ns is one dnnfusion.Import call over the fixture bytes
-// (parse + convert + validate), compile_ns one Compile of the imported
-// graph. Together they track the cold-start cost of serving a model from
-// disk rather than from an in-tree builder.
-type jsonImport struct {
-	Name      string `json:"name"`
-	OnnxBytes int    `json:"onnx_bytes"`
-	Operators int    `json:"operators"`
-	ImportNs  int64  `json:"import_ns"`
-	CompileNs int64  `json:"compile_ns"`
-}
-
-// measureImport exports one micro model to ONNX bytes and times the
-// import and compile halves of the load path (minima over repeated
-// windows, like the exec scenario).
-func measureImport(build func() *graph.Graph) (jsonImport, error) {
-	g := build()
-	data, err := dnnfusion.Export(g)
-	if err != nil {
-		return jsonImport{}, err
-	}
-	imported, err := dnnfusion.Import(data)
-	if err != nil {
-		return jsonImport{}, err
-	}
-	out := jsonImport{Name: g.Name, OnnxBytes: len(data), Operators: len(imported.Nodes)}
-
-	iters := 10
-	for {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := dnnfusion.Import(data); err != nil {
-				return jsonImport{}, err
-			}
-		}
-		if elapsed := time.Since(start); elapsed >= 50*time.Millisecond || iters >= 100_000 {
-			out.ImportNs = elapsed.Nanoseconds() / int64(iters)
-			break
-		}
-		iters *= 4
-	}
-	for round := 1; round < 4; round++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := dnnfusion.Import(data); err != nil {
-				return jsonImport{}, err
-			}
-		}
-		if ns := time.Since(start).Nanoseconds() / int64(iters); ns < out.ImportNs {
-			out.ImportNs = ns
-		}
-	}
-
-	for round := 0; round < 3; round++ {
-		g, err := dnnfusion.Import(data)
-		if err != nil {
-			return jsonImport{}, err
-		}
-		start := time.Now()
-		if _, err := dnnfusion.Compile(g, dnnfusion.WithThreads(1)); err != nil {
-			return jsonImport{}, err
-		}
-		if ns := time.Since(start).Nanoseconds(); round == 0 || ns < out.CompileNs {
-			out.CompileNs = ns
-		}
-	}
-	return out, nil
-}
-
-// jsonBatchPoint is one (model, batch size) measurement of the micro-batch
-// scenario: the same model served at batch 1/8/32 through the batching
-// stack. ns_per_request is the measured per-request execution cost of a
-// coalesced batch (BatchRunner.RunBatch wall time divided by batch size,
-// minimum over interleaved windows so machine drift cannot bias one batch
-// size); served_ns_per_request is the end-to-end per-request cost through
-// serve.Host.Run with <batch> concurrent saturating clients (queueing,
-// dispatch, and result delivery included), with served_mean_batch the
-// coalescing the batcher actually achieved during that window.
-type jsonBatchPoint struct {
-	Name               string  `json:"name"`
-	Batch              int     `json:"batch"`
-	NsPerRequest       int64   `json:"ns_per_request"`
-	ServedNsPerRequest int64   `json:"served_ns_per_request"`
-	ServedMeanBatch    float64 `json:"served_mean_batch"`
-	// Schedules are the batch-capacity variant's re-selected kernel
-	// schedules (schema v4): batch-stacked shapes tune differently than
-	// batch 1, and this is where that shows.
-	Schedules []jsonKernelSchedule `json:"schedules,omitempty"`
-}
-
-// jsonSoak is one micro model's overload soak (schema v7): a small-queue
-// host flooded by concurrent clients at 4x its queue capacity with mixed
-// short/long deadlines. It records what the overload-control machinery
-// delivers under that flood — admitted-work throughput, completed-request
-// latency percentiles, and the shed/expired split — so admission-control
-// changes show up as measured serving behavior, not only as pass/fail
-// tests. Informational: the regression gate stays on exec ns/op (overload
-// numbers on a drifting shared machine would gate on noise).
-type jsonSoak struct {
-	Name          string  `json:"name"`
-	Clients       int     `json:"clients"`
-	QueueCapacity int     `json:"queue_capacity"`
-	Offered       int64   `json:"offered"`
-	Completed     int64   `json:"completed"`
-	Shed          int64   `json:"shed"`
-	Expired       int64   `json:"expired"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50Us         int64   `json:"p50_us"`
-	P99Us         int64   `json:"p99_us"`
-	ShedRate      float64 `json:"shed_rate"`
-}
-
-// measureSoak floods one model's host at 4x queue capacity: half the
-// clients carry tight deadlines (they may expire queued), half carry
-// generous ones. Every request must land in exactly one bucket; the
-// serving stack guarantees that, and the scenario measures the shape of
-// the split plus the latency the admitted work actually saw.
-func measureSoak(build func() *dnnfusion.Graph) (jsonSoak, error) {
-	model, err := dnnfusion.Compile(build(), dnnfusion.WithThreads(1))
-	if err != nil {
-		return jsonSoak{}, err
-	}
-	const queueCap = 8
-	reg := serve.NewRegistry()
-	defer reg.Close()
-	h, err := reg.Register("soak", model, serve.Config{
-		MaxBatch:        4,
-		MaxDelay:        100 * time.Microsecond,
-		MaxDelayCeiling: time.Millisecond,
-		Queue:           queueCap,
-		Prewarm:         true,
-	})
-	if err != nil {
-		return jsonSoak{}, err
-	}
-	request := func(seed uint64) map[string]*dnnfusion.Tensor {
-		in := map[string]*dnnfusion.Tensor{}
-		for j, name := range model.InputNames() {
-			shape, _ := model.InputShape(name)
-			in[name] = dnnfusion.NewTensor(shape...).Rand(seed + uint64(j))
-		}
-		return in
-	}
-	res, err := h.Run(context.Background(), request(99))
-	if err != nil {
-		return jsonSoak{}, err
-	}
-	res.Release()
-
-	const clients, rounds = 4 * queueCap, 50
-	var completed, shed, expired int64
-	var mu sync.Mutex
-	var latencies []time.Duration
-	var wg sync.WaitGroup
-	var firstErr error
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			req := request(uint64(1000 * (c + 1)))
-			var myLat []time.Duration
-			var myDone, myShed, myExp int64
-			for i := 0; i < rounds; i++ {
-				ctx, cancel := context.Background(), context.CancelFunc(func() {})
-				if c%2 == 1 {
-					ctx, cancel = context.WithTimeout(ctx, 2*time.Millisecond)
-				} else {
-					ctx, cancel = context.WithTimeout(ctx, time.Second)
-				}
-				t0 := time.Now()
-				res, err := h.Run(ctx, req)
-				switch {
-				case err == nil:
-					myDone++
-					myLat = append(myLat, time.Since(t0))
-					res.Release()
-				case errors.Is(err, dnnfusion.ErrOverloaded):
-					myShed++
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-					myExp++
-				default:
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				cancel()
-			}
-			mu.Lock()
-			completed += myDone
-			shed += myShed
-			expired += myExp
-			latencies = append(latencies, myLat...)
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return jsonSoak{}, firstErr
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) int64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i].Microseconds()
-	}
-	offered := int64(clients * rounds)
-	return jsonSoak{
-		Name:          build().Name,
-		Clients:       clients,
-		QueueCapacity: queueCap,
-		Offered:       offered,
-		Completed:     completed,
-		Shed:          shed,
-		Expired:       expired,
-		ThroughputRPS: float64(completed) / elapsed.Seconds(),
-		P50Us:         pct(0.50),
-		P99Us:         pct(0.99),
-		ShedRate:      float64(shed) / float64(offered),
-	}, nil
-}
-
-// jsonSummary is the -json baseline file (schema dnnf-bench/v9: v8 plus
-// each exec model's measured-tuning numbers — tuned ns/op, the
-// measurement cost, and per-kernel tuned-vs-analytical schedule marks;
-// v8 added the per-kernel execution profile, v7 the overload soak
-// scenario — serving behavior at 4x queue capacity).
-// num_cpu and gomaxprocs make threaded numbers (ns_per_op_t8,
-// the micro-batch scenario) self-describing: a t8 column produced on a
-// 1-CPU container cannot show wall-clock parallel gains, and the file
-// says so itself.
-type jsonSummary struct {
-	Schema     string           `json:"schema"`
-	NumCPU     int              `json:"num_cpu"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Models     []jsonModel      `json:"models"`
-	Exec       []jsonExec       `json:"exec"`
-	MicroBatch []jsonBatchPoint `json:"micro_batch"`
-	Imports    []jsonImport     `json:"import"`
-	Soak       []jsonSoak       `json:"soak,omitempty"`
-}
-
-// batchSizes is the micro-batch scenario's sweep.
-var batchSizes = []int{1, 8, 32}
-
-// measureBatch runs the micro-batch scenario for one micro model: compile
-// batch-capacity variants at each sweep size, measure coalesced execution
-// in interleaved windows (every round touches every batch size, minima
-// reported, so slow machine drift hits all sizes equally), then measure
-// the served path under concurrent clients. Models that do not admit a
-// leading batch axis return no points — they serve through the per-request
-// fallback and have no batched cost to report.
-func measureBatch(build func() *graph.Graph) ([]jsonBatchPoint, error) {
-	g := build()
-	model, err := dnnfusion.Compile(g, dnnfusion.WithThreads(1))
-	if err != nil {
-		return nil, err
-	}
-	maxB := batchSizes[len(batchSizes)-1]
-	runners := make([]*dnnfusion.BatchRunner, len(batchSizes))
-	scheds := make([][]jsonKernelSchedule, len(batchSizes))
-	for i, b := range batchSizes {
-		bm, err := model.CompileBatch(b)
-		if errors.Is(err, dnnfusion.ErrNotBatchable) {
-			return nil, nil // fallback path by design: no batched numbers
-		}
-		if err != nil {
-			// A batchable model failing batch compilation is a regression,
-			// not a fallback — surface it instead of silently dropping the
-			// scenario.
-			return nil, err
-		}
-		runners[i] = bm.NewRunner()
-		scheds[i] = kernelSchedules(bm.Model())
-	}
-	reqs := make([]map[string]*dnnfusion.Tensor, maxB)
-	for i := range reqs {
-		in := map[string]*dnnfusion.Tensor{}
-		for j, name := range model.InputNames() {
-			shape, err := model.InputShape(name)
-			if err != nil {
-				return nil, err
-			}
-			in[name] = dnnfusion.NewTensor(shape...).Rand(uint64(17*i + j + 1))
-		}
-		reqs[i] = in
-	}
-	ctx := context.Background()
-	window := func(br *dnnfusion.BatchRunner, b int) (int64, error) {
-		iters := 0
-		start := time.Now()
-		for elapsed := time.Duration(0); elapsed < 60*time.Millisecond || iters < 2; elapsed = time.Since(start) {
-			if _, err := br.RunBatch(ctx, reqs[:b]); err != nil {
-				return 0, err
-			}
-			iters++
-		}
-		return time.Since(start).Nanoseconds() / int64(iters*b), nil
-	}
-	best := make([]int64, len(batchSizes))
-	for i, b := range batchSizes {
-		// Warm arenas and view rings outside the timed windows.
-		for w := 0; w < 2; w++ {
-			if _, err := runners[i].RunBatch(ctx, reqs[:b]); err != nil {
-				return nil, err
-			}
-		}
-		best[i] = 1 << 62
-	}
-	const rounds = 5
-	for r := 0; r < rounds; r++ {
-		for i, b := range batchSizes {
-			ns, err := window(runners[i], b)
-			if err != nil {
-				return nil, err
-			}
-			if ns < best[i] {
-				best[i] = ns
-			}
-		}
-	}
-	points := make([]jsonBatchPoint, len(batchSizes))
-	for i, b := range batchSizes {
-		served, meanBatch, err := measureServed(model, b, best[i])
-		if err != nil {
-			return nil, err
-		}
-		points[i] = jsonBatchPoint{
-			Name:               g.Name,
-			Batch:              b,
-			NsPerRequest:       best[i],
-			ServedNsPerRequest: served,
-			ServedMeanBatch:    meanBatch,
-			Schedules:          scheds[i],
-		}
-	}
-	return points, nil
-}
-
-// measureServed times the full serving path: <batch> concurrent clients
-// saturating one serve.Host configured with that batch capacity.
-func measureServed(model *dnnfusion.Model, batch int, execNs int64) (nsPerReq int64, meanBatch float64, err error) {
-	reg := serve.NewRegistry()
-	defer reg.Close()
-	// The coalescing window must scale with the model's batch latency, as
-	// a deployment would tune it: a window far below one batch's execution
-	// time fragments saturating traffic into partial batches, and the
-	// padded lanes would be billed to real requests.
-	delay := time.Duration(execNs*int64(batch)/4) * time.Nanosecond
-	if delay < 200*time.Microsecond {
-		delay = 200 * time.Microsecond
-	}
-	h, err := reg.Register("bench", model, serve.Config{
-		MaxBatch: batch,
-		MaxDelay: delay,
-		Prewarm:  true,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	ctx := context.Background()
-	request := func(seed uint64) map[string]*dnnfusion.Tensor {
-		in := map[string]*dnnfusion.Tensor{}
-		for j, name := range model.InputNames() {
-			shape, _ := model.InputShape(name)
-			in[name] = dnnfusion.NewTensor(shape...).Rand(seed + uint64(j))
-		}
-		return in
-	}
-	// Aim each client at ~150ms of execution so the window dwarfs startup.
-	perClient := int(150 * int64(time.Millisecond) / (execNs*int64(batch) + 1))
-	if perClient < 5 {
-		perClient = 5
-	}
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
-	// Warm every client path once before timing.
-	res, err := h.Run(ctx, request(99))
-	if err != nil {
-		return 0, 0, err
-	}
-	res.Release()
-	start := time.Now()
-	for c := 0; c < batch; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			req := request(uint64(1000 * (c + 1)))
-			for i := 0; i < perClient; i++ {
-				res, err := h.Run(ctx, req)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				res.Release()
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	info, err := h.Info()
-	if err != nil {
-		return 0, 0, err
-	}
-	return elapsed.Nanoseconds() / int64(batch*perClient), info.Stats.MeanBatch, nil
-}
-
-func buildJSONBaseline(c *bench.Context) (*jsonSummary, error) {
-	byModel := map[string]*jsonModel{}
-	var order []string
-	for _, r := range c.Table5() {
-		m := &jsonModel{
-			Name:         r.Model,
-			Operators:    r.Total,
-			FusedKernels: r.Fused[baseline.DNNF],
-			IRSMB:        r.IRSMB,
-			IRSAfterMB:   r.IRSAfterMB,
-		}
-		if m.FusedKernels > 0 {
-			m.FusionRate = float64(m.Operators) / float64(m.FusedKernels)
-		}
-		byModel[r.Model] = m
-		order = append(order, r.Model)
-	}
-	for _, r := range c.Table6() {
-		if m, ok := byModel[r.Model]; ok {
-			m.CPUMs = r.CPU[baseline.DNNF]
-			m.GPUMs = r.GPU[baseline.DNNF]
-		}
-	}
-	summary := &jsonSummary{
-		Schema:     "dnnf-bench/v9",
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	for _, name := range order {
-		summary.Models = append(summary.Models, *byModel[name])
-	}
-	// The exec models are shared with the allocation regression tests
-	// (internal/models/micro.go), so the gated number and the recorded
-	// number come from the same graphs.
-	for _, spec := range models.MicroModels() {
-		e, err := measureExec(spec.Build)
-		if err != nil {
-			return nil, fmt.Errorf("exec %s: %w", spec.Name, err)
-		}
-		summary.Exec = append(summary.Exec, e)
-	}
-	// The micro-batch scenario: the same models at batch 1/8/32 through
-	// the batching stack (unbatchable models contribute no points).
-	for _, spec := range models.MicroModels() {
-		pts, err := measureBatch(spec.Build)
-		if err != nil {
-			return nil, fmt.Errorf("micro-batch %s: %w", spec.Name, err)
-		}
-		summary.MicroBatch = append(summary.MicroBatch, pts...)
-	}
-	// The import scenario (schema v5): each micro model through its own
-	// exported ONNX fixture.
-	for _, spec := range models.MicroModels() {
-		imp, err := measureImport(spec.Build)
-		if err != nil {
-			return nil, fmt.Errorf("import %s: %w", spec.Name, err)
-		}
-		summary.Imports = append(summary.Imports, imp)
-	}
-	// The soak scenario (schema v7): each micro model flooded at 4x its
-	// queue capacity with mixed deadlines.
-	for _, spec := range models.MicroModels() {
-		s, err := measureSoak(spec.Build)
-		if err != nil {
-			return nil, fmt.Errorf("soak %s: %w", spec.Name, err)
-		}
-		summary.Soak = append(summary.Soak, s)
-	}
-	return summary, nil
-}
-
-func writeJSONBaseline(summary *jsonSummary, path string) error {
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// compareBaseline diffs the current measured-exec numbers against a prior
-// -json baseline and reports per-model deltas; ok is false when any model
-// regresses more than threshold percent in single-threaded measured
-// ns/op. Models present on only one side are reported but never gate.
-func compareBaseline(summary *jsonSummary, baselinePath string, threshold float64, w *os.File) (ok bool, err error) {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return false, err
-	}
-	var base jsonSummary
-	if err := json.Unmarshal(data, &base); err != nil {
-		return false, fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	baseExec := map[string]jsonExec{}
-	for _, e := range base.Exec {
-		baseExec[e.Name] = e
-	}
-	ok = true
-	gated := 0
-	fmt.Fprintf(w, "environment: num_cpu=%d gomaxprocs=%d", summary.NumCPU, summary.GoMaxProcs)
-	if base.NumCPU > 0 {
-		fmt.Fprintf(w, "; baseline num_cpu=%d gomaxprocs=%d\n", base.NumCPU, base.GoMaxProcs)
-	} else {
-		fmt.Fprintf(w, "; baseline (schema %s) predates cpu recording\n", base.Schema)
-	}
-	fmt.Fprintf(w, "measured exec vs %s (gate: >%.1f%% ns/op regression)\n", baselinePath, threshold)
-	fmt.Fprintf(w, "%-20s %14s %14s %9s %10s %14s\n", "model", "base ns/op", "now ns/op", "delta", "threshold", "now t8 ns/op")
-	for _, e := range summary.Exec {
-		b, have := baseExec[e.Name]
-		if !have || b.NsPerOp <= 0 {
-			fmt.Fprintf(w, "%-20s %14s %14d %9s %10s %14d  (no usable baseline, not gated)\n", e.Name, "-", e.NsPerOp, "-", "-", e.NsPerOpT8)
-			delete(baseExec, e.Name)
-			continue
-		}
-		gated++
-		delta := float64(e.NsPerOp-b.NsPerOp) / float64(b.NsPerOp) * 100
-		mark := ""
-		if delta > threshold {
-			mark = "  REGRESSION"
-			ok = false
-		}
-		fmt.Fprintf(w, "%-20s %14d %14d %+8.1f%% %9.1f%% %14d%s\n", e.Name, b.NsPerOp, e.NsPerOp, delta, threshold, e.NsPerOpT8, mark)
-		delete(baseExec, e.Name)
-	}
-	for name := range baseExec {
-		fmt.Fprintf(w, "%-20s  (missing from current run, not gated)\n", name)
-	}
-	if gated == 0 {
-		// A gate that compared nothing must not green-light: seed-era
-		// baselines (schema v1, no exec section) or a wholesale model
-		// rename would otherwise disable the check silently.
-		return false, fmt.Errorf("%s has no exec entries matching the current micro models; nothing was gated", baselinePath)
-	}
-	printTuned(summary, w)
-	printMicroBatch(summary, w)
-	printImports(summary, w)
-	printSoak(summary, w)
-	return ok, nil
-}
-
-// printTuned renders the tuned-path scenario: measured tuning versus the
-// analytical compilation of the same model (informational; the regression
-// gate stays on the analytical exec ns/op so tuning variance cannot gate).
-func printTuned(summary *jsonSummary, w *os.File) {
-	any := false
-	for _, e := range summary.Exec {
-		if e.TunedNsPerOp > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	fmt.Fprintf(w, "\ntuned-path scenario (measured fusion-plan x schedule search vs analytical)\n")
-	fmt.Fprintf(w, "%-20s %14s %14s %9s %9s %8s %14s\n",
-		"model", "analytical ns", "tuned ns", "delta", "searched", "differs", "tuned kernels")
-	for _, e := range summary.Exec {
-		if e.TunedNsPerOp <= 0 {
-			continue
-		}
-		delta := "-"
-		if e.NsPerOp > 0 {
-			delta = fmt.Sprintf("%+.1f%%", float64(e.TunedNsPerOp-e.NsPerOp)/float64(e.NsPerOp)*100)
-		}
-		tunedKernels := 0
-		for _, s := range e.TunedSchedules {
-			if s.Tuned {
-				tunedKernels++
-			}
-		}
-		fmt.Fprintf(w, "%-20s %14d %14d %9s %9d %8v %7d of %-4d\n",
-			e.Name, e.NsPerOp, e.TunedNsPerOp, delta, e.TunedMeasuredRuns, e.TunedDiffers, tunedKernels, len(e.TunedSchedules))
-	}
-}
-
-// printSoak renders the overload soak scenario (informational; the
-// regression gate stays on single-request exec ns/op).
-func printSoak(summary *jsonSummary, w *os.File) {
-	if len(summary.Soak) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nsoak scenario (flood at 4x queue capacity, mixed deadlines)\n")
-	fmt.Fprintf(w, "%-20s %8s %10s %6s %8s %10s %9s %9s %9s\n",
-		"model", "offered", "completed", "shed", "expired", "rps", "p50 us", "p99 us", "shed rate")
-	for _, s := range summary.Soak {
-		fmt.Fprintf(w, "%-20s %8d %10d %6d %8d %10.0f %9d %9d %8.1f%%\n",
-			s.Name, s.Offered, s.Completed, s.Shed, s.Expired, s.ThroughputRPS, s.P50Us, s.P99Us, s.ShedRate*100)
-	}
-}
-
-// printImports renders the import scenario (informational; the regression
-// gate stays on single-request exec ns/op).
-func printImports(summary *jsonSummary, w *os.File) {
-	if len(summary.Imports) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nimport scenario (zoo fixtures through the ONNX importer)\n")
-	fmt.Fprintf(w, "%-20s %6s %12s %14s %14s\n", "model", "ops", "onnx bytes", "import ns", "compile ns")
-	for _, p := range summary.Imports {
-		fmt.Fprintf(w, "%-20s %6d %12d %14d %14d\n", p.Name, p.Operators, p.OnnxBytes, p.ImportNs, p.CompileNs)
-	}
-}
-
-// printMicroBatch renders the micro-batch scenario with each point's
-// per-request cost relative to the same model's batch-1 point
-// (informational; the regression gate stays on single-request ns/op).
-func printMicroBatch(summary *jsonSummary, w *os.File) {
-	if len(summary.MicroBatch) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nmicro-batch scenario (per-request cost through the batcher)\n")
-	fmt.Fprintf(w, "%-20s %6s %14s %8s %14s %11s\n", "model", "batch", "exec ns/req", "vs b1", "served ns/req", "mean batch")
-	base1 := map[string]int64{}
-	for _, p := range summary.MicroBatch {
-		if p.Batch == 1 {
-			base1[p.Name] = p.NsPerRequest
-		}
-	}
-	for _, p := range summary.MicroBatch {
-		delta := "-"
-		if b1 := base1[p.Name]; b1 > 0 && p.Batch != 1 {
-			delta = fmt.Sprintf("%+.1f%%", float64(p.NsPerRequest-b1)/float64(b1)*100)
-		}
-		fmt.Fprintf(w, "%-20s %6d %14d %8s %14d %11.2f\n",
-			p.Name, p.Batch, p.NsPerRequest, delta, p.ServedNsPerRequest, p.ServedMeanBatch)
-	}
-}
 
 type list []string
 
 func (l *list) String() string     { return strings.Join(*l, ",") }
 func (l *list) Set(v string) error { *l = append(*l, v); return nil }
 
-func main() {
-	var experiments list
-	flag.Var(&experiments, "e", "experiment id (table1..table6, fig6..fig10, ablations, all); repeatable")
-	dbPath := flag.String("db", "", "profiling database path: loaded if present, saved on exit (accumulates across runs, §4.3)")
-	jsonPath := flag.String("json", "", "write a machine-readable per-model baseline (fusion counts, latency) to this path and exit")
-	comparePath := flag.String("compare", "", "diff current measured-exec numbers against a prior -json baseline; exits non-zero on an ns/op regression beyond -threshold (combine with -json to also record)")
-	threshold := flag.Float64("threshold", 10, "regression gate for -compare, in percent of baseline ns/op")
-	flag.Parse()
-	if *threshold <= 0 {
-		fmt.Fprintln(os.Stderr, "-threshold must be positive")
-		os.Exit(2)
+// experiments maps each -e id to its printer.
+var experiments = map[string]func(*bench.Context, io.Writer){
+	"all":       (*bench.Context).PrintAll,
+	"table1":    (*bench.Context).PrintTable1,
+	"table2":    func(_ *bench.Context, w io.Writer) { bench.PrintTable2(w) },
+	"table3":    func(_ *bench.Context, w io.Writer) { bench.PrintTable3(w) },
+	"table4":    func(_ *bench.Context, w io.Writer) { bench.PrintTable4(w) },
+	"table5":    (*bench.Context).PrintTable5,
+	"table6":    (*bench.Context).PrintTable6,
+	"fig6":      (*bench.Context).PrintFigure6,
+	"fig7":      (*bench.Context).PrintFigure7,
+	"fig8":      (*bench.Context).PrintFigure8,
+	"fig9a":     (*bench.Context).PrintFigure9a,
+	"fig9b":     (*bench.Context).PrintFigure9b,
+	"fig10":     (*bench.Context).PrintFigure10,
+	"ablations": (*bench.Context).PrintAblations,
+}
+
+// openDB loads the -db database to accumulate into. A file that does not
+// exist yet, or one of another format version (a stale cache), starts a
+// fresh database that the save on exit writes over it; an unreadable or
+// corrupt file is an error, so the save never clobbers it.
+func openDB(path string, stderr io.Writer) (*profile.DB, error) {
+	db, err := profile.Load(path)
+	switch {
+	case err == nil:
+		fmt.Fprintf(stderr, "loaded profiling database: %d entries\n", db.Len())
+		return db, nil
+	case errors.Is(err, profile.ErrVersion):
+		fmt.Fprintf(stderr, "dnnf-bench: %v: starting fresh\n", err)
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, err
 	}
-	if len(experiments) == 0 {
-		experiments = list{"all"}
+	return profile.New(), nil
+}
+
+// run is main without the process: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("dnnf-bench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	var ids list
+	fl.Var(&ids, "e", "experiment id (table1..table6, fig6..fig10, ablations, all); repeatable")
+	dbPath := fl.String("db", "", "profiling database path: loaded if present, saved on exit (accumulates across runs, §4.3)")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if len(ids) == 0 {
+		ids = list{"all"}
+	}
+	for i, e := range ids {
+		ids[i] = strings.ToLower(e)
+		if experiments[ids[i]] == nil {
+			fmt.Fprintf(stderr, "unknown experiment %q\n", e)
+			return 2
+		}
 	}
 
 	c := bench.NewContext()
 	if *dbPath != "" {
-		if db, err := profile.Load(*dbPath); err == nil {
-			c.ProfileDB = db
-			fmt.Fprintf(os.Stderr, "loaded profiling database: %d entries\n", db.Len())
-		}
-		defer func() {
-			if err := c.ProfileDB.Save(*dbPath); err != nil {
-				fmt.Fprintf(os.Stderr, "saving profiling database: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "saved profiling database: %d entries\n", c.ProfileDB.Len())
-		}()
-	}
-	// After -db so a baseline generated with a profiling database reflects
-	// the profiled fusion decisions, not a cold one.
-	if *jsonPath != "" || *comparePath != "" {
-		if *comparePath != "" {
-			// Fail before the (slow) measurement pass, not after it.
-			if _, err := os.Stat(*comparePath); err != nil {
-				fmt.Fprintf(os.Stderr, "comparing against %s: %v\n", *comparePath, err)
-				os.Exit(1)
-			}
-		}
-		summary, err := buildJSONBaseline(c)
+		db, err := openDB(*dbPath, stderr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "building baseline: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dnnf-bench: %v\n", err)
+			return 1
 		}
-		if *jsonPath != "" {
-			if err := writeJSONBaseline(summary, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote baseline %s\n", *jsonPath)
-		}
-		if *comparePath != "" {
-			ok, err := compareBaseline(summary, *comparePath, *threshold, os.Stdout)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "comparing against %s: %v\n", *comparePath, err)
-				os.Exit(1)
-			}
-			if !ok {
-				fmt.Fprintf(os.Stderr, "measured-exec regression exceeds %.1f%%\n", *threshold)
-				os.Exit(1)
-			}
-		}
-		return
+		c.ProfileDB = db
 	}
-	w := os.Stdout
-	for _, e := range experiments {
-		switch strings.ToLower(e) {
-		case "all":
-			c.PrintAll(w)
-		case "table1":
-			c.PrintTable1(w)
-		case "table2":
-			bench.PrintTable2(w)
-		case "table3":
-			bench.PrintTable3(w)
-		case "table4":
-			bench.PrintTable4(w)
-		case "table5":
-			c.PrintTable5(w)
-		case "table6":
-			c.PrintTable6(w)
-		case "fig6":
-			c.PrintFigure6(w)
-		case "fig7":
-			c.PrintFigure7(w)
-		case "fig8":
-			c.PrintFigure8(w)
-		case "fig9a":
-			c.PrintFigure9a(w)
-		case "fig9b":
-			c.PrintFigure9b(w)
-		case "fig10":
-			c.PrintFigure10(w)
-		case "ablations":
-			c.PrintAblations(w)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", e)
-			os.Exit(2)
-		}
-		fmt.Fprintln(w)
+	for _, e := range ids {
+		experiments[e](c, stdout)
+		fmt.Fprintln(stdout)
 	}
+	if *dbPath != "" {
+		if err := c.ProfileDB.Save(*dbPath); err != nil {
+			fmt.Fprintf(stderr, "saving profiling database: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "saved profiling database: %d entries\n", c.ProfileDB.Len())
+	}
+	return 0
 }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -25,9 +25,9 @@
 //	_ = outs["y"]
 //	report, err := model.Simulate(dnnfusion.SnapdragonCPU()) // device model
 //
-// Compile takes functional options — WithDevice, WithProfileDB,
-// WithKernelCache for deployment, WithoutRewrite / WithoutFusion /
-// WithoutBlockOpt / WithSeedPolicy for the paper's ablations. A Model is
+// Compile takes functional options — WithDevice and WithProfileDB for
+// deployment, WithoutRewrite / WithoutFusion / WithoutBlockOpt /
+// WithoutChainFusion for the paper's ablations. A Model is
 // safe for concurrent use; a Runner owns per-session state and belongs to
 // one goroutine at a time. Failures wrap the package's typed errors
 // (ErrUnknownInput, ErrShapeMismatch, ErrCompile, ...) for errors.Is/As
@@ -42,7 +42,6 @@ import (
 
 	"dnnfusion/internal/device"
 	"dnnfusion/internal/engine"
-	"dnnfusion/internal/fusion"
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
 	"dnnfusion/internal/ops"
@@ -71,8 +70,6 @@ type (
 	Device = device.Device
 	// ProfileDB is the profiling-result database of §4.3.
 	ProfileDB = profile.DB
-	// SeedPolicy selects the fusion planner's seed heuristic.
-	SeedPolicy = fusion.SeedPolicy
 )
 
 // NewGraph creates an empty computational graph.

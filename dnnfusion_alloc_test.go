@@ -2,8 +2,7 @@
 // warmed Runner must serve inference with zero steady-state heap
 // allocations, outputs must follow the documented double-buffer ownership
 // contract, and Release must drop the arena. BenchmarkRunnerAllocs reports
-// allocs/op so the number is visible in every -benchmem run (and feeds the
-// exec section of dnnf-bench -json).
+// allocs/op so the number is visible in every -benchmem run.
 package dnnfusion_test
 
 import (
@@ -15,9 +14,7 @@ import (
 	"dnnfusion/internal/models"
 )
 
-// The fused CNN under test is models.MicroCNN — the same graph whose
-// serving-path numbers dnnf-bench -json records in its exec section, so
-// the gated measurement and the recorded baseline cannot drift apart.
+// The fused CNN under test is models.MicroCNN, the micro zoo's CNN.
 func buildAllocCNN(tb testing.TB) *dnnfusion.Graph {
 	tb.Helper()
 	return models.MicroCNN()
@@ -203,8 +200,7 @@ func TestRunnerRelease(t *testing.T) {
 
 // BenchmarkRunnerAllocs is the perf-trajectory benchmark for the serving
 // hot path: run with -benchmem (ReportAllocs makes it unconditional) to see
-// ns/op, B/op, and allocs/op for a warmed Runner on the fused CNN. The
-// same measurement backs the exec section of dnnf-bench -json.
+// ns/op, B/op, and allocs/op for a warmed Runner on the fused CNN.
 func BenchmarkRunnerAllocs(b *testing.B) {
 	model, inputs := compileAllocCNN(b)
 	runner := model.NewRunner()

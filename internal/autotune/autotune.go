@@ -14,6 +14,7 @@ package autotune
 
 import (
 	"fmt"
+	"math"
 
 	"dnnfusion/internal/codegen"
 	"dnnfusion/internal/device"
@@ -36,15 +37,12 @@ type Spec struct {
 	ChainMask uint64
 	// NoYellow forces every yellow (FuseDepend) decision to break.
 	NoYellow bool
-	// Seeds is the planner's seed policy.
-	Seeds fusion.SeedPolicy
 }
 
 // Config parameterizes one search.
 type Config struct {
 	// Fusion is the base planner configuration (limits, latency resolver,
-	// default seed policy). Spec fields override Seeds/NoYellow per
-	// candidate.
+	// seed policy). A Spec overrides NoYellow per candidate.
 	Fusion fusion.Options
 	// ChainFusion gates the chain-mask axis; when false only mask 0 is
 	// enumerated, matching WithoutChainFusion.
@@ -110,14 +108,13 @@ type Result struct {
 // measurement budget, not the enumeration, is the expensive side.
 func EnumerateSpecs(e *ecg.ECG, cfg Config) []Spec {
 	cfg = cfg.withDefaults()
-	base := Spec{Seeds: cfg.Fusion.Seeds}
 	var full uint64
 	nchains := 0
 	if cfg.ChainFusion {
 		nchains = len(fusion.DetectChains(e))
 		full = chainMaskAll(nchains)
 	}
-	base.ChainMask = full
+	base := Spec{ChainMask: full}
 	specs := []Spec{base}
 	seen := map[Spec]bool{base: true}
 	add := func(s Spec) {
@@ -129,19 +126,19 @@ func EnumerateSpecs(e *ecg.ECG, cfg Config) []Spec {
 	if nchains > 0 {
 		if nchains <= 3 {
 			for mask := full; ; mask-- {
-				add(Spec{ChainMask: mask, Seeds: base.Seeds})
+				add(Spec{ChainMask: mask})
 				if mask == 0 {
 					break
 				}
 			}
 		} else {
 			for i := 0; i < nchains && i < 64; i++ {
-				add(Spec{ChainMask: full &^ (1 << uint(i)), Seeds: base.Seeds})
+				add(Spec{ChainMask: full &^ (1 << uint(i))})
 			}
-			add(Spec{ChainMask: 0, Seeds: base.Seeds})
+			add(Spec{ChainMask: 0})
 		}
 	}
-	add(Spec{ChainMask: full, NoYellow: true, Seeds: base.Seeds})
+	add(Spec{ChainMask: full, NoYellow: true})
 	return specs
 }
 
@@ -158,7 +155,6 @@ func chainMaskAll(n int) uint64 {
 // read-only to this path, so candidates coexist.
 func build(e *ecg.ECG, cfg Config, spec Spec) (*fusion.Plan, []*codegen.Kernel, error) {
 	fopts := cfg.Fusion
-	fopts.Seeds = spec.Seeds
 	fopts.NoYellow = spec.NoYellow
 	plan := fusion.GeneratePlan(e, fopts)
 	if cfg.ChainFusion && spec.ChainMask != 0 {
@@ -275,7 +271,6 @@ func snapshot(spec Spec, kernels []*codegen.Kernel, dev *device.Device) profile.
 	tp := profile.TunedPlan{
 		ChainMask: spec.ChainMask,
 		NoYellow:  spec.NoYellow,
-		Seeds:     int(spec.Seeds),
 	}
 	for _, k := range kernels {
 		if t, ok := taskOf(k, dev); ok {
@@ -320,11 +315,12 @@ func measure(e *ecg.ECG, plan *fusion.Plan, kernels []*codegen.Kernel, cfg Confi
 }
 
 // prior ranks a candidate with the analytical device simulator — the
-// model that used to be the only opinion, demoted to a pruning prior.
+// model that used to be the only opinion, demoted to a pruning prior. A
+// plan the simulator cannot price ranks last, not first.
 func prior(e *ecg.ECG, plan *fusion.Plan, cfg Config) float64 {
 	rep, err := engine.Simulate(e, plan, cfg.Device, engine.Options{Cache: cfg.Cache})
 	if err != nil {
-		return 0
+		return math.Inf(1)
 	}
 	return rep.LatencyMs
 }
@@ -458,7 +454,7 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 // fresh search.
 func Rebuild(e *ecg.ECG, cfg Config, tp profile.TunedPlan) (*fusion.Plan, []*codegen.Kernel, error) {
 	cfg = cfg.withDefaults()
-	spec := Spec{ChainMask: tp.ChainMask, NoYellow: tp.NoYellow, Seeds: fusion.SeedPolicy(tp.Seeds)}
+	spec := Spec{ChainMask: tp.ChainMask, NoYellow: tp.NoYellow}
 	plan, kernels, err := build(e, cfg, spec)
 	if err != nil {
 		return nil, nil, err

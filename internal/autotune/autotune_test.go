@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dnnfusion/internal/codegen"
@@ -205,6 +206,58 @@ func TestRebuildRejectsDrift(t *testing.T) {
 	short.Kernels = res.Tuned.Kernels[:len(res.Tuned.Kernels)-1]
 	if _, _, err := Rebuild(buildECG(t, models.MicroMLP()), cfg, short); err == nil {
 		t.Error("Rebuild accepted a truncated kernel list")
+	}
+}
+
+// TestRebuildUsesCompileSeedPolicy: the seed policy is not a search axis,
+// so replay plans under the compile's own cfg.Fusion — a database entry
+// tuned under one policy cannot override the caller's.
+func TestRebuildUsesCompileSeedPolicy(t *testing.T) {
+	tuner.SetClock(tuner.StepClock(1000))
+	defer tuner.ResetClock()
+	res, err := Search(buildECG(t, models.MicroHead()), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Fusion.Seeds = fusion.SeedNone
+	e := buildECG(t, models.MicroHead())
+	plan, _, err := Rebuild(e, cfg, res.Tuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := func(p *fusion.Plan) []int {
+		var out []int
+		for _, b := range p.Blocks {
+			out = append(out, b.Size())
+		}
+		return out
+	}
+	got, want, stored := sizes(plan), sizes(fusion.GeneratePlan(e, cfg.Fusion)), sizes(res.Plan)
+	if slices.Equal(want, stored) {
+		t.Fatal("SeedNone plans micro-head like the default policy; the test needs a model where they differ")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("rebuilt block sizes %v, the compile's seed policy plans %v (stored winner had %v)", got, want, stored)
+	}
+}
+
+// TestPriorRanksUnpriceablePlanLast: a plan the simulator rejects must
+// sort behind every priced candidate, not ahead of them.
+func TestPriorRanksUnpriceablePlanLast(t *testing.T) {
+	e := buildECG(t, models.MicroMLP())
+	cfg := testConfig().withDefaults()
+	plan, _, err := build(e, cfg, Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := prior(e, plan, cfg)
+	if good <= 0 || math.IsInf(good, 0) {
+		t.Fatalf("prior of a valid plan = %v, want a finite positive latency", good)
+	}
+	plan.Blocks = append(plan.Blocks, plan.Blocks[0]) // scheduleBlocks cannot order a repeated block
+	if bad := prior(e, plan, cfg); !(bad > good) {
+		t.Errorf("prior of an unpriceable plan = %v, want +Inf (behind %v)", bad, good)
 	}
 }
 

@@ -217,8 +217,8 @@ func (k *Kernel) Heavy() bool {
 // ScheduleTask derives the kernel's schedule-tuning task: the GEMM-shape
 // (M, N, K) of its FLOPs-dominant schedulable heavy operator. ok is false
 // for kernels with nothing to schedule (light kernels, or heavy kernels
-// whose only contraction is an Einsum/ConvTranspose that evaluates
-// scalar).
+// with no tile loop: Conv and Pool walk an odometer, Einsum and
+// ConvTranspose evaluate scalar).
 func (k *Kernel) ScheduleTask() (m, n, kk int, ok bool) {
 	var best int64 = -1
 	for _, nd := range k.Block.Nodes {

@@ -85,16 +85,35 @@ func buildGemmMLP(t *testing.T) *graph.Graph {
 	return g
 }
 
+// buildConvPool is a Conv and a MaxPool with odd channel counts and
+// 37-wide output rows, both graph outputs: large enough that 8 lanes split
+// each output into several chunks, and no chunk boundary falls on a whole
+// row. Conv and Pool carry no schedule, so their chunks sit on the plain
+// grain.
+func buildConvPool(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New("conv-pool")
+	x := g.AddInput("x", tensor.Of(1, 3, 37, 37))
+	w := g.AddWeight("w", tensor.New(5, 3, 3, 3).Rand(1))
+	c := g.Apply1(ops.NewConv(ops.ConvAttrs{Pads: []int{1, 1}}), x, w)
+	g.MarkOutput(c)
+	g.MarkOutput(g.Apply1(ops.NewMaxPool(ops.PoolAttrs{Kernel: []int{3, 3}, Strides: []int{1, 1}, Pads: []int{1, 1}}), c))
+	if err := g.Validate(); err != nil {
+		t.Fatalf("conv-pool invalid: %v", err)
+	}
+	return g
+}
+
 // TestScheduleGridInterpreterParity runs the fused MLP — as MatMul+Add and
-// as Gemm layers — under every grid schedule at 1 and 8 worker lanes,
-// against the scalar interpreter, bit-for-bit.
+// as Gemm layers — and an unscheduled Conv/MaxPool pair under every grid
+// schedule at 1 and 8 worker lanes, against the scalar interpreter,
+// bit-for-bit.
 func TestScheduleGridInterpreterParity(t *testing.T) {
 	for _, sched := range engineScheduleGrid {
 		for _, threads := range []int{1, 8} {
 			mlp, _ := buildMLP(t)
-			for _, g := range []*graph.Graph{mlp, buildGemmMLP(t)} {
-				x := tensor.Of(16, 64)
-				in := tensor.NewOf(x).Rand(uint64(41 + sched.RowTile))
+			for _, g := range []*graph.Graph{mlp, buildGemmMLP(t), buildConvPool(t)} {
+				in := tensor.NewOf(g.Inputs[0].Shape).Rand(uint64(41 + sched.RowTile))
 				feeds := map[*graph.Value]*tensor.Tensor{g.Inputs[0]: in}
 				want, err := graph.InterpretOutputs(g, feeds)
 				if err != nil {

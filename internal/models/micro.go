@@ -8,11 +8,9 @@ import (
 
 // Micro models: small graphs with real (deterministic) weight data, unlike
 // the shape-only Table 5 zoo, so they execute numerically in milliseconds.
-// They are the shared substrate of the allocation regression tests and the
-// exec section of dnnf-bench -json — one definition, so the number the test
-// gates and the number the baseline records come from the same model. They
-// are intentionally not part of the Build/Names zoo (which mirrors the
-// paper's 15 models).
+// They are the shared substrate of the allocation regression tests, the
+// parity suites, dnnf-tune and dnnf-serve. They are intentionally not part
+// of the Build/Names zoo (which mirrors the paper's 15 models).
 
 // microWeight is a deterministic dense weight; seeds are offset per call
 // site so differently placed weights differ.

@@ -171,6 +171,12 @@ func TestBlockParityConvPool(t *testing.T) {
 	assertBlockParity(t, "AveragePool", virtualize(t, NewAveragePool(PoolAttrs{Kernel: []int{2, 2}, Strides: []int{2, 2}}), x))
 	assertBlockParity(t, "GlobalAveragePool", virtualize(t, NewGlobalAveragePool(), x))
 	assertBlockParity(t, "MaxPool staged", virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{2, 2}, Strides: []int{1, 1}}), virtualize(t, NewSigmoid(), x)))
+
+	// Odd channels and a 7-wide output row: no chunking in the sweep lands
+	// on whole rows, which Conv/Pool never needed.
+	odd := randSource(44, 1, 3, 7, 7)
+	assertBlockParity(t, "Conv odd rows", virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}}), odd, randSource(45, 5, 3, 3, 3)))
+	assertBlockParity(t, "MaxPool odd rows", virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{1, 1}, Pads: []int{1, 1}}), odd))
 }
 
 func TestBlockParitySoftmax(t *testing.T) {

@@ -174,9 +174,6 @@ func blockedConv(s *convSource) Source {
 		xStrides:   s.xShape.Strides(),
 		wStrides:   s.wShape.Strides(),
 		idxBuf:     make([]int, s.shape.Rank()),
-		// The conv task's GEMM-shape contraction is C/g × kernel volume;
-		// tuned kernels override via ApplySchedule.
-		sched: DefaultSchedule(s.cPerGroup * s.kernel),
 	}
 	if s.bias != nil {
 		biasData, biasStage, ok := flatOrStage(s.bias, s.wShape[0])
@@ -255,12 +252,6 @@ type convBlockSource struct {
 	xStage, wStage, biasStage BlockSource
 	xStrides, wStrides        []int
 	idxBuf                    []int
-	// sched carries the kernel's tile schedule; conv keeps its odometer
-	// evaluation (every element's accumulation order is fixed by the
-	// scalar oracle) but exposes the schedule's row tile as its parallel
-	// chunk alignment (TileSpan), so worker lanes split on whole
-	// output-row groups.
-	sched Schedule
 }
 
 func (s *convBlockSource) LoadBlock(dst []float32, off, n int) {

@@ -160,7 +160,6 @@ func blockedPool(s *poolSource) Source {
 		xStage:     xStage,
 		xStrides:   s.xShape.Strides(),
 		idxBuf:     make([]int, s.shape.Rank()),
-		sched:      DefaultSchedule(s.total),
 	}
 }
 
@@ -225,10 +224,6 @@ type poolBlockSource struct {
 	xStage   BlockSource
 	xStrides []int
 	idxBuf   []int
-	// sched is the kernel's tile schedule; like conv, pooling keeps its
-	// odometer evaluation and uses the schedule only for parallel chunk
-	// alignment (TileSpan).
-	sched Schedule
 }
 
 func (s *poolBlockSource) LoadBlock(dst []float32, off, n int) {

@@ -73,9 +73,8 @@ func (s Schedule) Normalize(m, n int) Schedule {
 	return Schedule{RowTile: rt, ColPanel: cp}
 }
 
-// ApplySchedule walks a composed Source tree and configures every heavy
-// blocked source (MatMul/Gemm, Conv, Pool) with the kernel's selected
-// schedule, resizing accumulator scratch as needed. It is called at bind
+// ApplySchedule walks a composed Source tree and configures every tiled
+// contraction (MatMul/Gemm, chain) with the kernel's selected schedule, resizing accumulator scratch as needed. It is called at bind
 // time — once per session per lane — so the steady-state hot path still
 // allocates nothing. A zero schedule leaves the defaults in place.
 func ApplySchedule(s Source, sched Schedule) {
@@ -112,11 +111,9 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 		applySchedule(v.b, sched, chainProd)
 		applySchedule(v.epi.addend(), sched, chainProd)
 	case *convBlockSource:
-		v.sched = sched
 		applySchedule(v.x, sched, chainProd)
 		applySchedule(v.w, sched, chainProd)
 	case *poolBlockSource:
-		v.sched = sched
 		applySchedule(v.in, sched, chainProd)
 	case *pointwiseBlockSource:
 		for _, in := range v.ins {
@@ -180,10 +177,6 @@ func TileSpan(s Source) int {
 		return v.rowTile * v.n
 	case *matmulBlockSource:
 		return v.rowTile * v.n
-	case *convBlockSource:
-		return laneSpan(v.sched, v.shape)
-	case *poolBlockSource:
-		return laneSpan(v.sched, v.shape)
 	case *reorganizeBlockSource:
 		// Reorganize preserves flat order: the producer's alignment is the
 		// view's alignment.
@@ -200,21 +193,12 @@ func TileSpan(s Source) int {
 	return 0
 }
 
-// laneSpan is the alignment of a Conv/Pool output under sched: the blocked
-// paths have no tile loop, so the schedule only sizes lane splits in whole
-// groups of innermost-axis rows.
-func laneSpan(sched Schedule, out tensor.Shape) int {
-	r := out.Rank() - 1
-	return sched.Normalize(out[:r].NumElements(), out[r]).RowTile * out[r]
-}
-
 // ScheduleTaskDims lowers a heavy operator to the GEMM-shape tuning task
 // the schedule selector searches: M output rows × N output columns with a
 // K-long contraction. Batched matmuls report per-matrix dims (the row tile
-// works within one batch matrix); Conv lowers im2col-style (output
-// positions × output channels, contracting C/groups × kernel volume).
-// ok is false for operators whose blocked path has no tile parameters to
-// select (Einsum and ConvTranspose keep scalar evaluation).
+// works within one batch matrix). ok is false for operators whose blocked
+// path has no tile loop to parameterize (Conv and Pool evaluate by
+// odometer; Einsum and ConvTranspose keep scalar evaluation).
 func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 	switch v := op.(type) {
 	case *matmul:
@@ -235,20 +219,6 @@ func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 			return 0, 0, 0, false
 		}
 		return mm, nn, kk, true
-	case *conv:
-		out, a, err := v.outShape(in)
-		if err != nil {
-			return 0, 0, 0, false
-		}
-		spatial := 1
-		for i := 2; i < out.Rank(); i++ {
-			spatial *= out[i]
-		}
-		kernel := 1
-		for i := 2; i < in[1].Rank(); i++ {
-			kernel *= in[1][i]
-		}
-		return out[0] * spatial, out[1], (in[0][1] / a.Groups) * kernel, true
 	}
 	return 0, 0, 0, false
 }

@@ -119,16 +119,27 @@ func TestScheduleGridParityFusedConsumers(t *testing.T) {
 	})
 }
 
-func TestScheduleGridParityConvPool(t *testing.T) {
+// TestScheduleGridIgnoredByConvPool: Conv and Pool have no tile loop, so
+// ApplySchedule leaves them (and their lane alignment) untouched.
+func TestScheduleGridIgnoredByConvPool(t *testing.T) {
 	x := randSource(90, 2, 4, 9, 9)
 	w := randSource(91, 6, 4, 3, 3)
 	attrs := ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}
-	assertScheduleGridParity(t, "Conv", func() Source {
-		return virtualize(t, NewConv(attrs), x, w, randSource(92, 6))
-	})
-	assertScheduleGridParity(t, "MaxPool", func() Source {
-		return virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{2, 2}, Pads: []int{1, 1}}), x)
-	})
+	for name, mk := range map[string]func() Source{
+		"Conv": func() Source {
+			return virtualize(t, NewConv(attrs), x, w, randSource(92, 6))
+		},
+		"MaxPool": func() Source {
+			return virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{2, 2}, Pads: []int{1, 1}}), x)
+		},
+	} {
+		assertScheduleGridParity(t, name, mk)
+		src := mk()
+		ApplySchedule(src, Schedule{RowTile: 8, ColPanel: 64})
+		if got := TileSpan(src); got != 0 {
+			t.Errorf("%s TileSpan = %d after ApplySchedule, want 0 (no alignment preference)", name, got)
+		}
+	}
 }
 
 func TestScheduleNormalization(t *testing.T) {
@@ -185,12 +196,13 @@ func TestScheduleTaskDims(t *testing.T) {
 	if !ok || m != 17 || n != 9 || k != 12 {
 		t.Errorf("gemm task = %d,%d,%d,%v", m, n, k, ok)
 	}
-	// Conv [2,4,9,9] with 6 3x3 filters, stride 2, pad 1 → out [2,6,5,5]:
-	// im2col rows 2*25, columns 6, contraction 4*9.
-	m, n, k, ok = ScheduleTaskDims(NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}),
-		[]tensor.Shape{tensor.Of(2, 4, 9, 9), tensor.Of(6, 4, 3, 3)})
-	if !ok || m != 50 || n != 6 || k != 36 {
-		t.Errorf("conv task = %d,%d,%d,%v", m, n, k, ok)
+	if _, _, _, ok := ScheduleTaskDims(NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}),
+		[]tensor.Shape{tensor.Of(2, 4, 9, 9), tensor.Of(6, 4, 3, 3)}); ok {
+		t.Error("conv has no tile loop and should not report a schedulable task")
+	}
+	if _, _, _, ok := ScheduleTaskDims(NewMaxPool(PoolAttrs{Kernel: []int{3, 3}}),
+		[]tensor.Shape{tensor.Of(2, 4, 9, 9)}); ok {
+		t.Error("pool has no tile loop and should not report a schedulable task")
 	}
 	if _, _, _, ok := ScheduleTaskDims(NewEinsum("ab,bc->ac"), []tensor.Shape{tensor.Of(4, 5), tensor.Of(5, 6)}); ok {
 		t.Error("einsum should not report a schedulable task")

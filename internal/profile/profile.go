@@ -164,14 +164,13 @@ type TunedKernel struct {
 // the short measured runs plus the per-kernel schedules it won with.
 // ChainMask selects which detected contraction chains fuse (bit i = chain
 // i in consumer-topo order); NoYellow forces every yellow (FuseDepend)
-// decision to break instead of consulting the latency heuristic; Seeds is
-// the planner seed policy. Rebuilding the plan from these fields is
-// deterministic, so the whole compiled artifact is reproducible from the
-// database without re-measurement.
+// decision to break instead of consulting the latency heuristic.
+// Rebuilding the plan from these fields under the compile's own planner
+// options is deterministic, so the whole compiled artifact is reproducible
+// from the database without re-measurement.
 type TunedPlan struct {
 	ChainMask uint64        `json:"chain_mask"`
 	NoYellow  bool          `json:"no_yellow,omitempty"`
-	Seeds     int           `json:"seeds,omitempty"`
 	Kernels   []TunedKernel `json:"kernels,omitempty"`
 	// MeasuredNs is the winner's measured ns/inference; MeasuredRuns how
 	// many candidate measurements the search spent; Analytical whether the

@@ -85,7 +85,7 @@ func TestRoundTripByteStable(t *testing.T) {
 func TestPlanRoundTrip(t *testing.T) {
 	db := New()
 	key := PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8)
-	tp := TunedPlan{ChainMask: 3, Seeds: 1, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
+	tp := TunedPlan{ChainMask: 3, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
 		Kernels: []TunedKernel{{Task: "sched|d|m=1,n=2,k=3", KernelSchedule: KernelSchedule{Schedule: ops.Schedule{RowTile: 1, ColPanel: 8}}}}}
 	db.InsertPlan(key, tp)
 	path := filepath.Join(t.TempDir(), "p.json")
@@ -100,7 +100,7 @@ func TestPlanRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("plan lost in round trip")
 	}
-	if got.ChainMask != 3 || got.Seeds != 1 || got.MeasuredNs != 999 || !got.Analytical || len(got.Kernels) != 1 {
+	if got.ChainMask != 3 || got.MeasuredNs != 999 || !got.Analytical || len(got.Kernels) != 1 {
 		t.Errorf("plan mangled: %+v", got)
 	}
 	if got.Kernels[0] != tp.Kernels[0] {
@@ -111,6 +111,20 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 	if _, ok := back.LookupPlan(PlanKey("d", "0", 1)); ok {
 		t.Error("missing plan key should miss")
+	}
+
+	// A v5 file written when plans still carried the seed policy loads
+	// unchanged: the dropped key is ignored, no format bump.
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"version":5,"entries":{},"plans":{"k":{"chain_mask":3,"seeds":2,"measured_ns":7,"measured_runs":1}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldDB, err := Load(old)
+	if err != nil {
+		t.Fatalf("v5 file with a seeds key: %v", err)
+	}
+	if tp, ok := oldDB.LookupPlan("k"); !ok || tp.ChainMask != 3 || tp.MeasuredNs != 7 {
+		t.Errorf("plan from the old file mangled: %+v (found %v)", tp, ok)
 	}
 }
 

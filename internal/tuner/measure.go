@@ -7,8 +7,8 @@ import (
 
 // Measured feedback: the analytical fitness surfaces in this package rank
 // candidates without ever consulting the hardware. measure.go closes that
-// loop — it times short best-of-N windows of a real compiled candidate
-// (the dnnf-bench discipline, shrunk to tuning budgets); SelectTopK and
+// loop — it times short best-of-N windows of a real compiled candidate;
+// SelectTopK and
 // SelectChainTopK name the analytical candidates worth spending those
 // measurements on. The clock is stubbable (faultinject-style: an atomic arm with a zero-cost
 // unarmed fast path) so CI can drive measured tuning deterministically.

@@ -180,7 +180,9 @@ func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
 // the head-of-ranking identities between Select*/Select*TopK.
 func TestSelectOptimalOverZoo(t *testing.T) {
 	single, chains := zooTasks(t)
-	if len(single) < 200 || len(chains) == 0 {
+	// Conv/Pool kernels carry no task, so the zoo's distinct tasks are its
+	// MatMul/Gemm shapes.
+	if len(single) < 20 || len(chains) == 0 {
 		t.Fatalf("zoo yielded %d tasks and %d chain tasks; the walk is broken", len(single), len(chains))
 	}
 	for _, task := range single {

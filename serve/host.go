@@ -211,11 +211,7 @@ func (h *Host) init() error {
 // is semantically invisible; any failure records the reason and falls back
 // to per-request execution.
 func (h *Host) initBatching() {
-	switch {
-	case h.cfg.DisableBatching:
-		h.batchOff = "disabled by configuration"
-		return
-	case h.cfg.MaxBatch <= 1:
+	if h.cfg.MaxBatch <= 1 {
 		h.batchOff = "batch capacity 1"
 		return
 	}
@@ -224,11 +220,9 @@ func (h *Host) initBatching() {
 		h.batchOff = fmt.Sprintf("not batchable: %v", err)
 		return
 	}
-	if !h.cfg.DisableParityCheck {
-		if err := verifyBatchParity(h.model, bm); err != nil {
-			h.batchOff = fmt.Sprintf("parity check failed: %v", err)
-			return
-		}
+	if err := verifyBatchParity(h.model, bm); err != nil {
+		h.batchOff = fmt.Sprintf("parity check failed: %v", err)
+		return
 	}
 	h.batch = bm
 }

@@ -64,14 +64,6 @@ type Config struct {
 	// dnnfusion.ErrOverloaded instead of queueing unboundedly or
 	// blocking.
 	Queue int
-	// DisableBatching serves strictly per-request even when the model
-	// admits a batch axis.
-	DisableBatching bool
-	// DisableParityCheck skips the registration-time check that one
-	// batched run is bit-identical to sequential runs. Leave it on: it is
-	// the guard against models that pass the structural batch check but
-	// mix rows semantically (e.g. a Softmax over axis 0).
-	DisableParityCheck bool
 	// Prewarm binds the serving arenas when the model is built instead of
 	// on the first request.
 	Prewarm bool
