@@ -16,7 +16,7 @@ import (
 func TestLoadProfileStaleVersionServesEmpty(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(stale, []byte(`{"version":4,"entries":{"k":1},"plans":{"p":{"chain_mask":1}}}`), 0o644); err != nil {
+	if err := os.WriteFile(stale, []byte(`{"version":5,"entries":{"k":1},"plans":{"p":{"chain_mask":1}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dnnfusion.LoadProfileDB(stale); !errors.Is(err, profile.ErrVersion) {

@@ -1,20 +1,22 @@
 // Package autotune closes the measured-feedback loop over the compiler:
 // instead of trusting the ECG heuristics and the analytical cache model,
-// it enumerates candidate fusion plans (chain fusion on/off per detected
-// chain, plus the FuseBreak variant that overrides the yellow-decision
-// heuristic — the FusionSpace idea of enumerating fusion decisions as a
-// bit vector), pairs each plan with the tuner's top-k schedule
-// candidates, and scores the (plan, schedule) pairs with short measured
-// runs of the real compiled kernels. The analytical simulator is the
-// prior that ranks candidates so a bounded measurement budget is spent
-// on the most promising ones; winners persist in profile.DB keyed by
-// (graph fingerprint, device, batch size), so repeat compilations rebuild
-// the winning plan deterministically with zero measurement.
+// it enumerates candidate fusion plans — node partitions: the greedy
+// planner's, with chain fusion decided per detected chain, plus the
+// variant whose yellow (FuseDepend) decisions all break — pairs each plan
+// with the tuner's top-k schedule candidates, and scores the (plan,
+// schedule) pairs with short measured runs of the real compiled kernels.
+// The analytical simulator is the prior that ranks candidates so a bounded
+// measurement budget is spent on the most promising ones; winners persist
+// in profile.DB as (partition, per-block schedules) keyed by graph
+// fingerprint, device, batch size and planner configuration, so repeat
+// compilations replay the winning plan with zero measurement and no
+// planning.
 package autotune
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dnnfusion/internal/codegen"
 	"dnnfusion/internal/device"
@@ -27,25 +29,13 @@ import (
 	"dnnfusion/internal/tuner"
 )
 
-// Spec names one fusion-plan variant. Rebuilding a plan from a Spec is
-// deterministic (GeneratePlan and FuseChainsMask are pure functions of
-// the graph and options), which is what lets a persisted winner warm-
-// start a later compilation without re-search.
-type Spec struct {
-	// ChainMask selects which detected contraction chains fuse (bit i =
-	// chain i in DetectChains order).
-	ChainMask uint64
-	// NoYellow forces every yellow (FuseDepend) decision to break.
-	NoYellow bool
-}
-
 // Config parameterizes one search.
 type Config struct {
-	// Fusion is the base planner configuration (limits, latency resolver,
-	// seed policy). A Spec overrides NoYellow per candidate.
+	// Fusion is the planner configuration (limits, latency resolver,
+	// seed policy) the candidates are planned under.
 	Fusion fusion.Options
-	// ChainFusion gates the chain-mask axis; when false only mask 0 is
-	// enumerated, matching WithoutChainFusion.
+	// ChainFusion gates the chain axis; when false no candidate fuses a
+	// chain, matching WithoutChainFusion.
 	ChainFusion bool
 	// Device is the schedule-tuning device profile.
 	Device *device.Device
@@ -85,99 +75,81 @@ func (c Config) withDefaults() Config {
 // Result is a search's winner, ready to slot into the compilation
 // pipeline in place of the analytical plan and schedules.
 type Result struct {
-	Spec    Spec
 	Plan    *fusion.Plan
 	Kernels []*codegen.Kernel
-	// MeasuredNs is the winner's measured ns/inference; MeasuredRuns the
-	// measurements spent; Analytical whether the winner coincides with
-	// the analytical choice (baseline plan, analytical schedules).
-	MeasuredNs   int64
-	MeasuredRuns int
-	Analytical   bool
 	// Tuned is the persistable form of the winner (the exact payload
-	// Rebuild replays).
+	// Rebuild replays) with the search's accounting: measured ns per
+	// inference, measurements spent, and whether the winner coincides
+	// with the analytical choice (baseline plan, analytical schedules).
 	Tuned profile.TunedPlan
 }
 
-// EnumerateSpecs spells out the candidate fusion-plan space for a graph,
-// baseline (the analytical choice: every chain fused, heuristic yellow
-// decisions, configured seed policy) first. With k detected chains the
-// chain axis enumerates all 2^k masks for k ≤ 3, else the full mask,
-// each single-chain-off mask, and the all-off mask; the NoYellow variant
-// rides on the full mask. The list is deterministic and bounded — the
+// Candidates spells out the candidate fusion plans for a graph, each
+// partition once, baseline (the analytical choice: every chain fused,
+// heuristic yellow decisions, configured seed policy) first. Each is the
+// greedy plan with a subset of the detected chains fused one by one: with
+// k chains, every subset for k ≤ 3, else all of them, all but each one,
+// and none; last comes the variant whose yellow decisions all break, with
+// every chain fused. The list is deterministic and bounded — the
 // measurement budget, not the enumeration, is the expensive side.
-func EnumerateSpecs(e *ecg.ECG, cfg Config) []Spec {
-	cfg = cfg.withDefaults()
-	var full uint64
-	nchains := 0
+func Candidates(e *ecg.ECG, cfg Config) ([]*fusion.Plan, error) {
+	var chains []*fusion.Chain
 	if cfg.ChainFusion {
-		nchains = len(fusion.DetectChains(e))
-		full = chainMaskAll(nchains)
+		chains = fusion.DetectChains(e)
 	}
-	base := Spec{ChainMask: full}
-	specs := []Spec{base}
-	seen := map[Spec]bool{base: true}
-	add := func(s Spec) {
-		if !seen[s] {
-			seen[s] = true
-			specs = append(specs, s)
+	var plans []*fusion.Plan
+	var parts [][]int
+	var failed error
+	// add lists the plan that fuses the chains keep selects, in detection
+	// order, over a greedy partition — unless it is already listed.
+	add := func(greedy []int, keep func(chain int) bool) {
+		p, err := fusion.FromPartition(e, greedy)
+		if err != nil {
+			failed = err
+			return
+		}
+		for i, c := range chains {
+			if keep(i) {
+				p.FuseChain(c, cfg.Fusion)
+			}
+		}
+		part := p.Partition()
+		if !slices.ContainsFunc(parts, func(q []int) bool { return slices.Equal(q, part) }) {
+			plans, parts = append(plans, p), append(parts, part)
 		}
 	}
-	if nchains > 0 {
-		if nchains <= 3 {
-			for mask := full; ; mask-- {
-				add(Spec{ChainMask: mask})
-				if mask == 0 {
-					break
-				}
-			}
-		} else {
-			for i := 0; i < nchains && i < 64; i++ {
-				add(Spec{ChainMask: full &^ (1 << uint(i))})
-			}
-			add(Spec{ChainMask: 0})
+	every := func(int) bool { return true }
+	greedy := fusion.GeneratePlan(e, cfg.Fusion).Partition()
+	add(greedy, every)
+	if n := len(chains); n <= 3 {
+		for set := 1<<n - 2; set >= 0; set-- {
+			add(greedy, func(i int) bool { return set>>i&1 == 1 })
 		}
+	} else {
+		for out := range n {
+			add(greedy, func(i int) bool { return i != out })
+		}
+		add(greedy, func(int) bool { return false })
 	}
-	add(Spec{ChainMask: full, NoYellow: true})
-	return specs
+	// Under this resolver a fused set of n+1 operators always prices above
+	// its split ((n+1)² > n² + 1), so the planner breaks every yellow
+	// decision.
+	broken := cfg.Fusion
+	broken.Latency = func(nodes []*graph.Node) float64 { return float64(len(nodes) * len(nodes)) }
+	add(fusion.GeneratePlan(e, broken).Partition(), every)
+	return plans, failed
 }
 
-// chainMaskAll is the full mask for n detected chains.
-func chainMaskAll(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(n)) - 1
-}
-
-// build compiles one candidate: plan generation under the spec, chain
-// fusion restricted to the spec's mask, and codegen. The shared ECG is
-// read-only to this path, so candidates coexist.
-func build(e *ecg.ECG, cfg Config, spec Spec) (*fusion.Plan, []*codegen.Kernel, error) {
-	fopts := cfg.Fusion
-	fopts.NoYellow = spec.NoYellow
-	plan := fusion.GeneratePlan(e, fopts)
-	if cfg.ChainFusion && spec.ChainMask != 0 {
-		fusion.FuseChainsMask(e, plan, fopts, spec.ChainMask)
-	}
+// compile generates a candidate plan's kernels and gives them their
+// analytical schedules. The shared ECG is read-only to this path, so
+// candidates coexist.
+func compile(e *ecg.ECG, plan *fusion.Plan, cfg Config) ([]*codegen.Kernel, error) {
 	kernels, err := codegen.CompilePlan(e, plan, cfg.Cache)
 	if err != nil {
-		return nil, nil, err
-	}
-	return plan, kernels, nil
-}
-
-// Build compiles one candidate plan for a spec without measuring it —
-// the parity suites use it to execute every plan the enumerator can
-// emit against the reference interpreter.
-func Build(e *ecg.ECG, cfg Config, spec Spec) (*fusion.Plan, []*codegen.Kernel, error) {
-	cfg = cfg.withDefaults()
-	plan, kernels, err := build(e, cfg, spec)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	AssignSchedules(kernels, cfg.Device, nil)
-	return plan, kernels, nil
+	return kernels, nil
 }
 
 // kernelTask is one schedulable kernel's tuning task: the canonical key it
@@ -265,21 +237,6 @@ func scheduleOf(k *codegen.Kernel) profile.KernelSchedule {
 	return profile.KernelSchedule{Schedule: k.Schedule, Producer: k.ProducerSchedule}
 }
 
-// snapshot captures the schedulable kernels' current schedules as the
-// persistable tuned-plan payload.
-func snapshot(spec Spec, kernels []*codegen.Kernel, dev *device.Device) profile.TunedPlan {
-	tp := profile.TunedPlan{
-		ChainMask: spec.ChainMask,
-		NoYellow:  spec.NoYellow,
-	}
-	for _, k := range kernels {
-		if t, ok := taskOf(k, dev); ok {
-			tp.Kernels = append(tp.Kernels, profile.TunedKernel{Task: t.key, KernelSchedule: scheduleOf(k)})
-		}
-	}
-	return tp
-}
-
 // feedsFor builds deterministic random input data for the graph: the
 // measurement workload. The seed folds the caller's (fingerprint-
 // derived) seed with the input index so inputs differ but runs repeat.
@@ -336,22 +293,23 @@ func prior(e *ecg.ECG, plan *fusion.Plan, cfg Config) float64 {
 // exactly the analytical choice.
 func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	specs := EnumerateSpecs(e, cfg)
+	plans, err := Candidates(e, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("autotune: %w", err)
+	}
 
 	type cand struct {
-		spec    Spec
 		plan    *fusion.Plan
 		kernels []*codegen.Kernel
 		prior   float64
 	}
-	cands := make([]*cand, 0, len(specs))
-	for _, spec := range specs {
-		plan, kernels, err := build(e, cfg, spec)
+	cands := make([]*cand, 0, len(plans))
+	for i, plan := range plans {
+		kernels, err := compile(e, plan, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("autotune: candidate %+v: %w", spec, err)
+			return nil, fmt.Errorf("autotune: candidate %d: %w", i, err)
 		}
-		AssignSchedules(kernels, cfg.Device, nil)
-		cands = append(cands, &cand{spec: spec, plan: plan, kernels: kernels, prior: prior(e, plan, cfg)})
+		cands = append(cands, &cand{plan: plan, kernels: kernels, prior: prior(e, plan, cfg)})
 	}
 	// Prior order, baseline pinned first: it is the no-measurement
 	// choice, so it must always be in the measured set (the search can
@@ -380,7 +338,7 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 	for _, c := range ordered[:planBudget] {
 		ns, err := measure(e, c.plan, c.kernels, cfg, feeds)
 		if err != nil {
-			return nil, fmt.Errorf("autotune: measuring %+v: %w", c.spec, err)
+			return nil, fmt.Errorf("autotune: measuring a %d-kernel candidate: %w", len(c.kernels), err)
 		}
 		runs++
 		if best == nil || ns < bestNs {
@@ -430,57 +388,42 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 		}
 	}
 
-	res := &Result{
-		Spec:         best.spec,
-		Plan:         best.plan,
-		Kernels:      best.kernels,
+	tuned := profile.TunedPlan{
+		Partition:    best.plan.Partition(),
 		MeasuredNs:   bestNs,
 		MeasuredRuns: runs,
 		Analytical:   best == base && !scheduleDiffers,
 	}
-	res.Tuned = snapshot(best.spec, best.kernels, cfg.Device)
-	res.Tuned.MeasuredNs = bestNs
-	res.Tuned.MeasuredRuns = runs
-	res.Tuned.Analytical = res.Analytical
-	return res, nil
+	for _, k := range best.kernels { // kernel i is block i's
+		tuned.Schedules = append(tuned.Schedules, scheduleOf(k))
+	}
+	return &Result{Plan: best.plan, Kernels: best.kernels, Tuned: tuned}, nil
 }
 
 // Rebuild replays a persisted winner over a freshly built (and
-// rewritten) ECG with zero measurement: the plan is regenerated
-// deterministically from the spec, and the stored per-kernel schedules
-// are applied positionally after cross-checking each kernel's canonical
-// task string. A mismatch (the graph, the planner, or the device changed
-// since the plan was tuned) returns an error; the caller falls back to a
-// fresh search.
+// rewritten) ECG with zero measurement and no planning: the stored
+// partition names the blocks, codegen compiles them, and block i's stored
+// schedule goes to kernel i. A record that does not fit the graph (see
+// fusion.FromPartition) or does not hold one schedule per block returns
+// an error; the caller falls back to a fresh search.
 func Rebuild(e *ecg.ECG, cfg Config, tp profile.TunedPlan) (*fusion.Plan, []*codegen.Kernel, error) {
 	cfg = cfg.withDefaults()
-	spec := Spec{ChainMask: tp.ChainMask, NoYellow: tp.NoYellow}
-	plan, kernels, err := build(e, cfg, spec)
+	plan, err := fusion.FromPartition(e, tp.Partition)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := 0
-	for _, k := range kernels {
-		t, ok := taskOf(k, cfg.Device)
-		if !ok {
-			continue
-		}
-		if j >= len(tp.Kernels) {
-			return nil, nil, fmt.Errorf("autotune: tuned plan has %d kernels, rebuilt plan has more", len(tp.Kernels))
-		}
-		tk := tp.Kernels[j]
-		if tk.Task != t.key {
-			return nil, nil, fmt.Errorf("autotune: tuned kernel %d is %q, rebuilt plan has %q", j, tk.Task, t.key)
-		}
-		if t.chain && tk.Producer.Zero() {
-			return nil, nil, fmt.Errorf("autotune: tuned kernel %d (%q) misses the producer schedule", j, tk.Task)
-		}
-		k.Schedule, k.ProducerSchedule = tk.Schedule, tk.Producer
-		k.TaskM, k.TaskN, k.TaskK = t.cons.M, t.cons.N, t.cons.K
-		j++
+	if len(tp.Schedules) != len(plan.Blocks) {
+		return nil, nil, fmt.Errorf("autotune: tuned plan has %d schedules for %d blocks", len(tp.Schedules), len(plan.Blocks))
 	}
-	if j != len(tp.Kernels) {
-		return nil, nil, fmt.Errorf("autotune: tuned plan has %d kernels, rebuilt plan has %d", len(tp.Kernels), j)
+	kernels, err := codegen.CompilePlan(e, plan, cfg.Cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, k := range kernels {
+		if t, ok := taskOf(k, cfg.Device); ok {
+			k.TaskM, k.TaskN, k.TaskK = t.cons.M, t.cons.N, t.cons.K
+		}
+		k.Schedule, k.ProducerSchedule = tp.Schedules[i].Schedule, tp.Schedules[i].Producer
 	}
 	return plan, kernels, nil
 }

@@ -1,7 +1,9 @@
 package autotune
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,20 +13,19 @@ import (
 	"dnnfusion/internal/fusion"
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
-	"dnnfusion/internal/profile"
+	"dnnfusion/internal/ops"
 	"dnnfusion/internal/rewrite"
 	"dnnfusion/internal/tensor"
 	"dnnfusion/internal/tuner"
 )
 
-func microGraphs() []struct {
+type namedGraph struct {
 	name  string
 	build func() *graph.Graph
-} {
-	return []struct {
-		name  string
-		build func() *graph.Graph
-	}{
+}
+
+func microGraphs() []namedGraph {
+	return []namedGraph{
 		{"micro-mlp", models.MicroMLP},
 		{"micro-attention", models.MicroAttention},
 		{"micro-cnn", models.MicroCNN},
@@ -70,50 +71,201 @@ func runCandidate(t *testing.T, e *ecg.ECG, plan *fusion.Plan, kernels []*codege
 	return cloned
 }
 
-// TestEnumerateSpecs pins the shape of the candidate space: the
-// analytical baseline leads, the chain axis enumerates every mask for
-// small chain counts, the NoYellow variant is present, and there are no
-// duplicates.
-func TestEnumerateSpecs(t *testing.T) {
+// zooGraphs is the 15 paper models followed by the micro models.
+func zooGraphs() []namedGraph {
+	var out []namedGraph
+	for _, m := range models.All() {
+		out = append(out, namedGraph{m.Name, m.Build})
+	}
+	return append(out, microGraphs()...)
+}
+
+func mustCandidates(t *testing.T, e *ecg.ECG, cfg Config) []*fusion.Plan {
+	t.Helper()
+	plans, err := Candidates(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plans
+}
+
+// TestCandidates pins the shape of the candidate space: the analytical
+// baseline leads, every subset of a small chain count is listed, and a
+// graph whose variants all name the greedy plan has exactly one candidate
+// (TestPartitionRoundTrip checks that no zoo graph lists a partition
+// twice).
+func TestCandidates(t *testing.T) {
 	e := buildECG(t, models.MicroMLP())
-	nchains := len(fusion.DetectChains(e))
-	if nchains == 0 {
-		t.Fatal("micro-mlp detects no chain; the enumeration test needs one")
+	if n := len(fusion.DetectChains(e)); n != 1 {
+		t.Fatalf("micro-mlp detects %d chains; the subset assertion assumes 1", n)
 	}
-	if nchains > 3 {
-		t.Fatalf("micro-mlp detects %d chains; the exhaustive-mask assertion assumes <= 3", nchains)
+	plans := mustCandidates(t, e, testConfig())
+	baseline := fusion.GeneratePlan(e, fusion.Options{})
+	fusion.FuseChains(e, baseline, fusion.Options{})
+	if !slices.Equal(plans[0].Partition(), baseline.Partition()) {
+		t.Errorf("first candidate %v is not the analytical baseline %v", plans[0].Partition(), baseline.Partition())
 	}
-	specs := EnumerateSpecs(e, testConfig())
-	full := chainMaskAll(nchains)
-	if specs[0] != (Spec{ChainMask: full}) {
-		t.Errorf("first spec %+v is not the analytical baseline (mask %b)", specs[0], full)
-	}
-	want := (1 << uint(nchains)) + 1 // all masks + the NoYellow variant
-	if len(specs) != want {
-		t.Errorf("enumerated %d specs for %d chains, want %d: %+v", len(specs), nchains, want, specs)
-	}
-	seen := map[Spec]bool{}
-	hasNoYellow := false
-	for _, s := range specs {
-		if seen[s] {
-			t.Errorf("duplicate spec %+v", s)
-		}
-		seen[s] = true
-		if s.NoYellow {
-			hasNoYellow = true
-		}
-	}
-	if !hasNoYellow {
-		t.Error("no NoYellow (forced FuseBreak) variant enumerated")
+	// Chain fused and chain split; micro-mlp has no yellow fusion, so the
+	// forced-FuseBreak variant names the baseline again and is not listed.
+	if len(plans) != 2 || plans[0].ChainFusions != 1 || plans[1].ChainFusions != 0 {
+		t.Errorf("micro-mlp candidates = %d, want the chain-fused and the chain-split plan", len(plans))
 	}
 
-	// Without chain fusion the chain axis collapses to mask 0.
+	if head := mustCandidates(t, buildECG(t, models.MicroHead()), testConfig()); len(head) != 1 {
+		t.Errorf("micro-head has %d candidates, want 1 (no chain, no yellow fusion)", len(head))
+	}
+
+	// Without chain fusion no candidate holds a chain block.
 	cfg := testConfig()
 	cfg.ChainFusion = false
-	for _, s := range EnumerateSpecs(e, cfg) {
-		if s.ChainMask != 0 {
-			t.Errorf("chain-fusion-off spec %+v has a nonzero mask", s)
+	for _, p := range mustCandidates(t, e, cfg) {
+		if p.ChainFusions != 0 {
+			t.Errorf("chain-fusion-off candidate has %d chain blocks", p.ChainFusions)
 		}
+	}
+}
+
+// TestSearchSingleCandidateStaysAnalytical: micro-head has one candidate
+// plan, so with no schedule refinement the search has nothing to prefer
+// over the analytical choice — even under a clock that makes every later
+// measurement faster, which used to crown a duplicate of the baseline.
+func TestSearchSingleCandidateStaysAnalytical(t *testing.T) {
+	var now, readings int64
+	tuner.SetClock(func() int64 {
+		readings++
+		now += 1 << 40 / readings
+		return now
+	})
+	defer tuner.ResetClock()
+	cfg := testConfig()
+	cfg.TopK = 1
+	res, err := Search(buildECG(t, models.MicroHead()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Tuned.Analytical {
+		t.Errorf("the only candidate won yet the result is not Analytical (%d runs)", res.Tuned.MeasuredRuns)
+	}
+	if res.Tuned.MeasuredRuns != 1 {
+		t.Errorf("measured %d runs of one candidate plan", res.Tuned.MeasuredRuns)
+	}
+}
+
+// TestCandidatesLeaveOneOutPast64Chains: chains are named by themselves,
+// not by a bit in a machine word, so on a graph with 66 chains every
+// leave-one-out candidate un-fuses exactly one chain, the last ones too.
+func TestCandidatesLeaveOneOutPast64Chains(t *testing.T) {
+	const pairs = 66
+	g := graph.New("many-chains")
+	for i := 0; i < pairs; i++ {
+		x := g.AddInput(fmt.Sprintf("x%d", i), tensor.Of(4, 8))
+		h := g.Apply1(ops.NewMatMul(), x, g.AddWeightShape(fmt.Sprintf("a%d", i), tensor.Of(8, 8)))
+		h = g.Apply1(ops.NewRelu(), h)
+		g.MarkOutput(g.Apply1(ops.NewMatMul(), h, g.AddWeightShape(fmt.Sprintf("b%d", i), tensor.Of(8, 4))))
+	}
+	e := ecg.Build(g)
+	if n := len(fusion.DetectChains(e)); n != pairs {
+		t.Fatalf("detected %d chains, want %d", n, pairs)
+	}
+	var leftOut [][]int
+	for _, p := range mustCandidates(t, e, testConfig()) {
+		if p.ChainFusions == pairs-1 {
+			leftOut = append(leftOut, p.Partition())
+		}
+	}
+	if len(leftOut) != pairs {
+		t.Fatalf("%d candidates fuse all chains but one, want %d", len(leftOut), pairs)
+	}
+	for i, p := range leftOut {
+		for _, q := range leftOut[:i] {
+			if slices.Equal(p, q) {
+				t.Fatalf("leave-one-out candidate %d repeats an earlier one", i)
+			}
+		}
+	}
+}
+
+// planFacts is what must survive naming a plan by its partition.
+type planFacts struct {
+	members [][]int // node IDs per block, sorted
+	chains  []string
+	maps    []ops.MappingType
+	keys    []string
+	peak    int64
+}
+
+func factsOf(t *testing.T, e *ecg.ECG, p *fusion.Plan) planFacts {
+	t.Helper()
+	kernels, err := codegen.CompilePlan(e, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := engine.NewExecutorThreads(e, p, kernels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := planFacts{peak: x.PlannedPeakBytes()}
+	for i, b := range p.Blocks {
+		var ids []int
+		for _, n := range b.Nodes {
+			ids = append(ids, n.ID)
+		}
+		slices.Sort(ids)
+		chain := ""
+		if b.Chain != nil {
+			chain = fmt.Sprintf("%d>%d online=%t", b.Chain.Producer.ID, b.Chain.Consumer.ID, b.Chain.Online)
+		}
+		f.members = append(f.members, ids)
+		f.chains = append(f.chains, chain)
+		f.maps = append(f.maps, b.Mapping)
+		f.keys = append(f.keys, kernels[i].Key)
+	}
+	return f
+}
+
+// TestPartitionRoundTrip is the identity's contract: for every candidate
+// of every zoo graph, the partition alone rebuilds the plan — same block
+// membership, chain tags, block mappings, kernel keys and planned arena
+// peak — is a fixed point of the round trip, and names no other candidate.
+func TestPartitionRoundTrip(t *testing.T) {
+	for _, m := range zooGraphs() {
+		t.Run(m.name, func(t *testing.T) {
+			e := buildECG(t, m.build())
+			// The planner's own plan object lists a block's nodes in
+			// admission order, a rebuilt one in topological order; only the
+			// arena layout can tell (by <0.01% on the two R-CNN graphs), so
+			// for it the peak is left out.
+			greedy := fusion.GeneratePlan(e, fusion.Options{})
+			fusion.FuseChains(e, greedy, fusion.Options{})
+			rebuilt, err := fusion.FromPartition(e, greedy.Partition())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := factsOf(t, e, rebuilt), factsOf(t, e, greedy)
+			got.peak, want.peak = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("the analytical plan rebuilt from its partition differs from the planner's")
+			}
+			plans := mustCandidates(t, e, testConfig())
+			for i, p := range plans {
+				part := p.Partition()
+				for _, q := range plans[:i] {
+					if slices.Equal(part, q.Partition()) {
+						t.Errorf("candidate %d names a partition already listed", i)
+					}
+				}
+				back, err := fusion.FromPartition(e, part)
+				if err != nil {
+					t.Fatalf("candidate %d: %v", i, err)
+				}
+				if !slices.Equal(back.Partition(), part) {
+					t.Fatalf("candidate %d: partition is not a fixed point of the round trip", i)
+				}
+				if got, want := factsOf(t, e, back), factsOf(t, e, p); !reflect.DeepEqual(got, want) {
+					t.Errorf("candidate %d: the rebuilt plan differs from the plan its partition names", i)
+				}
+			}
+		})
 	}
 }
 
@@ -131,24 +283,18 @@ func TestSearchDeterministicUnderStepClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Analytical {
-		t.Errorf("frozen clock should keep the analytical choice; winner %+v", first.Spec)
+	if !first.Tuned.Analytical {
+		t.Errorf("frozen clock should keep the analytical choice; winner %v", first.Tuned.Partition)
 	}
-	if first.MeasuredRuns < 1 || first.MeasuredRuns > cfg.Budget {
-		t.Errorf("MeasuredRuns = %d, want within [1, %d]", first.MeasuredRuns, cfg.Budget)
+	if first.Tuned.MeasuredRuns < 1 || first.Tuned.MeasuredRuns > cfg.Budget {
+		t.Errorf("MeasuredRuns = %d, want within [1, %d]", first.Tuned.MeasuredRuns, cfg.Budget)
 	}
 	second, err := Search(buildECG(t, models.MicroMLP()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Spec != second.Spec || len(first.Tuned.Kernels) != len(second.Tuned.Kernels) {
+	if !slices.Equal(first.Tuned.Partition, second.Tuned.Partition) || !slices.Equal(first.Tuned.Schedules, second.Tuned.Schedules) {
 		t.Fatalf("search not deterministic: %+v vs %+v", first.Tuned, second.Tuned)
-	}
-	for i := range first.Tuned.Kernels {
-		a, b := first.Tuned.Kernels[i], second.Tuned.Kernels[i]
-		if a.Task != b.Task || a.Schedule != b.Schedule {
-			t.Errorf("kernel %d differs across searches: %+v vs %+v", i, a, b)
-		}
 	}
 }
 
@@ -180,77 +326,12 @@ func TestRebuildReplaysWinner(t *testing.T) {
 	}
 }
 
-// TestRebuildRejectsDrift: a tampered payload (task-string drift,
-// truncated kernel list) must fail instead of silently applying
-// schedules to the wrong kernels.
-func TestRebuildRejectsDrift(t *testing.T) {
-	tuner.SetClock(tuner.StepClock(1000))
-	defer tuner.ResetClock()
-	cfg := testConfig()
-	res, err := Search(buildECG(t, models.MicroMLP()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuned.Kernels) == 0 {
-		t.Fatal("winner has no schedulable kernels to tamper with")
-	}
-
-	drifted := res.Tuned
-	drifted.Kernels = append([]profile.TunedKernel(nil), res.Tuned.Kernels...)
-	drifted.Kernels[0].Task = "sched|bogus|m=0,n=0,k=0"
-	if _, _, err := Rebuild(buildECG(t, models.MicroMLP()), cfg, drifted); err == nil {
-		t.Error("Rebuild accepted a drifted task string")
-	}
-
-	short := res.Tuned
-	short.Kernels = res.Tuned.Kernels[:len(res.Tuned.Kernels)-1]
-	if _, _, err := Rebuild(buildECG(t, models.MicroMLP()), cfg, short); err == nil {
-		t.Error("Rebuild accepted a truncated kernel list")
-	}
-}
-
-// TestRebuildUsesCompileSeedPolicy: the seed policy is not a search axis,
-// so replay plans under the compile's own cfg.Fusion — a database entry
-// tuned under one policy cannot override the caller's.
-func TestRebuildUsesCompileSeedPolicy(t *testing.T) {
-	tuner.SetClock(tuner.StepClock(1000))
-	defer tuner.ResetClock()
-	res, err := Search(buildECG(t, models.MicroHead()), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.Fusion.Seeds = fusion.SeedNone
-	e := buildECG(t, models.MicroHead())
-	plan, _, err := Rebuild(e, cfg, res.Tuned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := func(p *fusion.Plan) []int {
-		var out []int
-		for _, b := range p.Blocks {
-			out = append(out, b.Size())
-		}
-		return out
-	}
-	got, want, stored := sizes(plan), sizes(fusion.GeneratePlan(e, cfg.Fusion)), sizes(res.Plan)
-	if slices.Equal(want, stored) {
-		t.Fatal("SeedNone plans micro-head like the default policy; the test needs a model where they differ")
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("rebuilt block sizes %v, the compile's seed policy plans %v (stored winner had %v)", got, want, stored)
-	}
-}
-
 // TestPriorRanksUnpriceablePlanLast: a plan the simulator rejects must
 // sort behind every priced candidate, not ahead of them.
 func TestPriorRanksUnpriceablePlanLast(t *testing.T) {
 	e := buildECG(t, models.MicroMLP())
 	cfg := testConfig().withDefaults()
-	plan, _, err := build(e, cfg, Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustCandidates(t, e, cfg)[0]
 	good := prior(e, plan, cfg)
 	if good <= 0 || math.IsInf(good, 0) {
 		t.Fatalf("prior of a valid plan = %v, want a finite positive latency", good)
@@ -282,8 +363,8 @@ func ulp(a, b float32) uint32 {
 }
 
 // TestEveryCandidatePlanParity is the enumerator's numeric contract:
-// every plan variant the enumerator can emit — every chain mask and the
-// forced-FuseBreak variant, across the whole micro zoo — executes
+// every candidate plan the enumerator can emit — every chain subset and
+// the forced-FuseBreak variant, across the whole micro zoo — executes
 // bit-exact against the reference interpreter, except plans containing
 // an online-softmax chain, which stay within a fixed ULP bound (the
 // online two-pass recomputation reorders the reduction).
@@ -292,16 +373,16 @@ func TestEveryCandidatePlanParity(t *testing.T) {
 	for _, m := range microGraphs() {
 		t.Run(m.name, func(t *testing.T) {
 			e := buildECG(t, m.build())
-			cfg := testConfig()
+			cfg := testConfig().withDefaults()
 			feeds := feedsFor(e.G, 12345)
 			want, err := graph.InterpretOutputs(e.G, feeds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, spec := range EnumerateSpecs(e, cfg) {
-				plan, kernels, err := Build(e, cfg, spec)
+			for ci, plan := range mustCandidates(t, e, cfg) {
+				kernels, err := compile(e, plan, cfg)
 				if err != nil {
-					t.Fatalf("spec %+v: %v", spec, err)
+					t.Fatalf("candidate %d: %v", ci, err)
 				}
 				online := false
 				for _, b := range plan.Blocks {
@@ -311,17 +392,17 @@ func TestEveryCandidatePlanParity(t *testing.T) {
 				}
 				got := runCandidate(t, e, plan, kernels, feeds)
 				if len(got) != len(want) {
-					t.Fatalf("spec %+v produced %d outputs, want %d", spec, len(got), len(want))
+					t.Fatalf("candidate %d produced %d outputs, want %d", ci, len(got), len(want))
 				}
 				for oi := range want {
 					wd, gd := want[oi].Data(), got[oi].Data()
 					for i := range wd {
 						if online {
 							if u := ulp(wd[i], gd[i]); u > onlineULPMax {
-								t.Fatalf("spec %+v output %d[%d]: %g vs %g (%d ULP > %d)", spec, oi, i, gd[i], wd[i], u, onlineULPMax)
+								t.Fatalf("candidate %d output %d[%d]: %g vs %g (%d ULP > %d)", ci, oi, i, gd[i], wd[i], u, onlineULPMax)
 							}
 						} else if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
-							t.Fatalf("spec %+v output %d[%d]: %g != %g (want bit-exact)", spec, oi, i, gd[i], wd[i])
+							t.Fatalf("candidate %d output %d[%d]: %g != %g (want bit-exact)", ci, oi, i, gd[i], wd[i])
 						}
 					}
 				}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -102,17 +103,7 @@ func isFoldableMovement(b *fusion.Block, n *graph.Node) bool {
 	}); !ok {
 		return false
 	}
-	for _, out := range n.Outputs {
-		if out.Kind == graph.Output {
-			return false
-		}
-		for _, c := range out.Consumers {
-			if !b.Contains(c) {
-				return false
-			}
-		}
-	}
-	return true
+	return !slices.ContainsFunc(n.Outputs, b.Escapes)
 }
 
 func nodeFLOPs(n *graph.Node) int64 {

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
@@ -70,9 +71,9 @@ type Options struct {
 	// candidate fusion plans × top-k schedules scored by short timed runs
 	// of the real kernels, at most MeasureBudget measurements. Winners
 	// persist in ProfileDB (keyed by graph fingerprint × device × batch
-	// size) so repeat compilations warm-start with zero measurement. Zero
-	// keeps the analytical path — the default, so CI and cold-start latency
-	// are unchanged. Requires Fusion.
+	// size × planner configuration) so repeat compilations warm-start with
+	// zero measurement. Zero keeps the analytical path — the default, so CI
+	// and cold-start latency are unchanged. Requires Fusion.
 	MeasureBudget int
 	// BatchSize keys measured-tuning results per formed batch size;
 	// CompileBatch sets it to the variant's capacity. Zero means 1.
@@ -170,41 +171,35 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 	if opts.Device != nil {
 		fopts.Latency = c.latencyFunc()
 	}
-	if opts.Fusion && opts.MeasureBudget > 0 {
-		// Measured-feedback path: plan enumeration, codegen, and schedule
-		// selection happen jointly inside the search (or the warm-start
-		// rebuild), so the whole stage is attributed to TuneMs.
-		cacheHitsBefore := 0
-		if opts.Cache != nil {
-			cacheHitsBefore = opts.Cache.Hits
-		}
-		start := time.Now()
+	cacheHitsBefore := 0
+	if opts.Cache != nil {
+		cacheHitsBefore = opts.Cache.Hits
+	}
+	measured := opts.Fusion && opts.MeasureBudget > 0
+	start := time.Now()
+	switch {
+	case !opts.Fusion:
+		c.Plan = fusion.SingletonPlan(e)
+	case measured:
 		if err := c.compileMeasured(fopts); err != nil {
 			return nil, err
 		}
-		c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
-		if opts.Cache != nil {
-			c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
+	default:
+		c.Plan = fusion.GeneratePlan(e, fopts)
+		if opts.ChainFusion {
+			fusion.FuseChains(e, c.Plan, fopts)
 		}
-		c.Plan.MarkRemovable(e)
+	}
+	planMs := float64(time.Since(start).Microseconds()) / 1000
+	c.Stats.ChainFusions = c.Plan.ChainFusions
+	c.Plan.MarkRemovable(e)
+	if measured {
+		// The search (or the replay of a stored winner) produced the plan,
+		// its kernels and their schedules jointly, so the whole stage is
+		// attributed to TuneMs.
+		c.Stats.TuneMs = planMs
 	} else {
-		start := time.Now()
-		if opts.Fusion {
-			c.Plan = fusion.GeneratePlan(e, fopts)
-			if opts.ChainFusion {
-				fusion.FuseChains(e, c.Plan, fopts)
-				c.Stats.ChainFusions = c.Plan.ChainFusions
-			}
-		} else {
-			c.Plan = fusion.SingletonPlan(e)
-		}
-		c.Stats.FusionMs = float64(time.Since(start).Microseconds()) / 1000
-		c.Plan.MarkRemovable(e)
-
-		cacheHitsBefore := 0
-		if opts.Cache != nil {
-			cacheHitsBefore = opts.Cache.Hits
-		}
+		c.Stats.FusionMs = planMs
 		start = time.Now()
 		kernels, err := codegen.CompilePlan(e, c.Plan, opts.Cache)
 		if err != nil {
@@ -212,14 +207,14 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 		}
 		c.Stats.CodegenMs = float64(time.Since(start).Microseconds()) / 1000
 		c.Kernels = kernels
-		if opts.Cache != nil {
-			c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
-		}
 		start = time.Now()
 		c.Stats.ScheduleLookups, c.Stats.ScheduleMisses = autotune.AssignSchedules(c.Kernels, opts.scheduleDevice(), opts.ProfileDB)
 		c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
 	}
-	start := time.Now()
+	if opts.Cache != nil {
+		c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
+	}
+	start = time.Now()
 	var err error
 	if opts.Pool != nil {
 		c.exec, err = engine.NewExecutorPool(e, c.Plan, c.Kernels, opts.Pool)
@@ -234,17 +229,17 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 }
 
 // compileMeasured is the MeasureBudget > 0 plan/schedule stage: look the
-// tuned plan up in the profile database by (fingerprint, device, batch)
-// and rebuild it with zero measurement, or run the measured search and
-// persist the winner. A stale database entry (the rebuilt plan no longer
-// matches the stored kernels — planner or graph drift) falls through to
-// a fresh search that overwrites it.
+// tuned plan up in the profile database by (fingerprint, device, batch,
+// planner configuration) and replay it with zero measurement, or run the
+// measured search and persist the winner. An entry that does not replay
+// (a damaged file, a record for another graph) falls through to a fresh
+// search that overwrites it.
 func (c *Compiled) compileMeasured(fopts fusion.Options) error {
 	opts := c.Opts
 	dev := opts.scheduleDevice()
 	fp := graph.Fingerprint(c.G)
 	c.Fingerprint = fp
-	key := profile.PlanKey(dev.Name, fp, opts.BatchSize)
+	key := profile.PlanKey(dev.Name, fp, opts.BatchSize, fmt.Sprintf("chain=%t,%s", opts.ChainFusion, fopts.Key()))
 	seed, _ := strconv.ParseUint(fp, 16, 64)
 	acfg := autotune.Config{
 		Fusion:      fopts,
@@ -256,32 +251,37 @@ func (c *Compiled) compileMeasured(fopts fusion.Options) error {
 		Pool:        opts.Pool,
 		Seed:        seed,
 	}
+	var tp profile.TunedPlan
+	hit := false
 	if opts.ProfileDB != nil {
-		if tp, ok := opts.ProfileDB.LookupPlan(key); ok {
-			plan, kernels, err := autotune.Rebuild(c.E, acfg, tp)
-			if err == nil {
-				c.Plan, c.Kernels = plan, kernels
-				c.Stats.TunedPlanHits++
-				c.Stats.ScheduleLookups += len(tp.Kernels)
-				c.Stats.ChainFusions = plan.ChainFusions
-				c.Stats.TunedDiffers = !tp.Analytical
-				return nil
-			}
+		if tp, hit = opts.ProfileDB.LookupPlan(key); hit {
+			var err error
+			c.Plan, c.Kernels, err = autotune.Rebuild(c.E, acfg, tp)
+			hit = err == nil
 		}
 	}
-	c.Stats.TunedPlanMisses++
-	res, err := autotune.Search(c.E, acfg)
-	if err != nil {
-		return err
+	if hit {
+		c.Stats.TunedPlanHits++
+	} else {
+		c.Stats.TunedPlanMisses++
+		res, err := autotune.Search(c.E, acfg)
+		if err != nil {
+			return err
+		}
+		c.Plan, c.Kernels, tp = res.Plan, res.Kernels, res.Tuned
+		c.Stats.MeasuredRuns = tp.MeasuredRuns
+		if opts.ProfileDB != nil {
+			opts.ProfileDB.InsertPlan(key, tp)
+		}
 	}
-	c.Plan, c.Kernels = res.Plan, res.Kernels
-	c.Stats.MeasuredRuns = res.MeasuredRuns
-	c.Stats.TunedDiffers = !res.Analytical
-	c.Stats.ScheduleLookups += len(res.Tuned.Kernels)
-	c.Stats.ScheduleMisses += len(res.Tuned.Kernels)
-	c.Stats.ChainFusions = res.Plan.ChainFusions
-	if opts.ProfileDB != nil {
-		opts.ProfileDB.InsertPlan(key, res.Tuned)
+	c.Stats.TunedDiffers = !tp.Analytical
+	for _, k := range c.Kernels {
+		if !k.Schedule.Zero() {
+			c.Stats.ScheduleLookups++
+		}
+	}
+	if !hit {
+		c.Stats.ScheduleMisses = c.Stats.ScheduleLookups
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"slices"
 	"sort"
 
 	"dnnfusion/internal/ecg"
@@ -151,111 +152,64 @@ func chainMiddle(p *graph.Node, v *graph.Value) (*graph.Value, bool) {
 	return nil, false
 }
 
-// FuseChains is the chain-fusion post-pass over a generated plan: for each
-// detected chain whose members span multiple blocks, the blocks are merged
-// into one chain block (respecting the block-size, input-count, and
-// convexity constraints), so codegen compiles them as a single streaming
-// kernel and the planner drops the intermediate from the arena. Returns
-// the chains actually fused, consumer-topo-ordered.
+// FuseChains is the chain-fusion post-pass over a generated plan: every
+// detected chain whose members span multiple blocks is fused (FuseChain),
+// so codegen compiles it as a single streaming kernel and the planner
+// drops the intermediate from the arena. Returns the chains actually
+// fused, consumer-topo-ordered.
 func FuseChains(e *ecg.ECG, p *Plan, opts Options) []*Chain {
-	return FuseChainsMask(e, p, opts, ^uint64(0))
-}
-
-// FuseChainsMask is FuseChains restricted to a subset of the detected
-// chains: bit i of mask selects chain i in DetectChains order (consumer-
-// topo order, which is deterministic, so a mask names the same chains in
-// every compilation of the same graph). The measured-tuning plan
-// enumerator uses it to spell out chain-fusion on/off per chain; a full
-// mask is exactly FuseChains. Chains past bit 63 follow bit 63.
-func FuseChainsMask(e *ecg.ECG, p *Plan, opts Options, mask uint64) []*Chain {
-	opts = opts.withDefaults()
-	order := e.G.TopoSort()
-	pos := make(map[*graph.Node]int, len(order))
-	for i, n := range order {
-		pos[n] = i
-	}
 	var fused []*Chain
-	for i, c := range DetectChains(e) {
-		bit := i
-		if bit > 63 {
-			bit = 63
-		}
-		if mask&(1<<uint(bit)) == 0 {
-			continue
-		}
-		if p.fuseChain(c, opts, pos) {
+	for _, c := range DetectChains(e) {
+		if p.FuseChain(c, opts) {
 			fused = append(fused, c)
-			p.ChainFusions++
 		}
-	}
-	if len(fused) > 0 {
-		sortBlocksTopo(p, order)
 	}
 	return fused
 }
 
-// fuseChain merges the blocks containing the chain's members into the
-// consumer's block. A block already carrying a chain is never merged again
-// (one streaming chain per kernel).
-func (p *Plan) fuseChain(c *Chain, opts Options, pos map[*graph.Node]int) bool {
-	members := c.Nodes()
-	blockSet := map[*Block]bool{}
-	for _, n := range members {
+// FuseChain merges the blocks holding chain c's members into one chain
+// block, if the merge respects the block-size, input-count and convexity
+// constraints; it reports whether it did. A block already carrying a chain
+// is never merged again (one streaming chain per kernel).
+func (p *Plan) FuseChain(c *Chain, opts Options) bool {
+	var blocks []*Block
+	for _, n := range c.Nodes() {
 		b := p.blockOf[n]
 		if b == nil || b.Chain != nil {
 			return false
 		}
-		blockSet[b] = true
-	}
-	if len(blockSet) < 2 {
-		// Already one block (can't happen with today's Table 3, but stay
-		// safe): just tag it so codegen emits the chain rule.
-		for b := range blockSet {
-			if b.Chain == nil {
-				b.Chain = c
-				return true
-			}
-		}
-		return false
-	}
-	union := map[*graph.Node]bool{}
-	total := 0
-	for b := range blockSet {
-		total += b.Size()
-		for _, n := range b.Nodes {
-			union[n] = true
+		if !slices.Contains(blocks, b) {
+			blocks = append(blocks, b)
 		}
 	}
-	if total > opts.MaxBlockOps {
-		return false
+	in := func(n *graph.Node) bool { return slices.Contains(blocks, p.blockOf[n]) }
+	parts := make([][]*graph.Node, len(blocks))
+	for i, b := range blocks {
+		parts[i] = b.Nodes
 	}
-	seen := map[*graph.Value]bool{}
-	inputs := 0
-	for b := range blockSet {
-		for _, n := range b.Nodes {
-			for _, in := range n.Inputs {
-				if in.Producer != nil && union[in.Producer] {
-					continue
-				}
-				if !seen[in] {
-					seen[in] = true
-					inputs++
-				}
-			}
-		}
-	}
-	if inputs > opts.MaxBlockInputs {
-		return false
-	}
-	if p.mergeWouldCycle(union) {
+	if !withinLimits(opts.withDefaults(), in, parts...) || p.cyclic(in, parts...) {
 		return false
 	}
 	target := p.blockOf[c.Consumer]
-	merged := make([]*graph.Node, 0, total)
-	for n := range union {
-		merged = append(merged, n)
+	merged := slices.Concat(parts...)
+	sort.Slice(merged, func(i, j int) bool { return p.pos[merged[i]] < p.pos[merged[j]] })
+	// Blocks are ordered by earliest member, so the merged block takes the
+	// place of the first block it absorbs.
+	kept := p.Blocks[:0]
+	placed := false
+	for _, b := range p.Blocks {
+		switch {
+		case !slices.Contains(blocks, b):
+			kept = append(kept, b)
+		case !placed:
+			kept = append(kept, target)
+			placed = true
+		}
 	}
-	sort.Slice(merged, func(i, j int) bool { return pos[merged[i]] < pos[merged[j]] })
+	p.Blocks = kept
+	for i, b := range p.Blocks {
+		b.ID = i
+	}
 	target.Nodes = merged
 	target.Mapping = ops.ManyToMany
 	target.Chain = c
@@ -263,56 +217,6 @@ func (p *Plan) fuseChain(c *Chain, opts Options, pos map[*graph.Node]int) bool {
 		target.nodeSet[n] = true
 		p.blockOf[n] = target
 	}
-	kept := p.Blocks[:0]
-	for _, b := range p.Blocks {
-		if b == target || !blockSet[b] {
-			kept = append(kept, b)
-		}
-	}
-	p.Blocks = kept
+	p.ChainFusions++
 	return true
-}
-
-// mergeWouldCycle reports whether merging the union set into one block
-// would create a block-level dependency cycle: a path union → exterior →
-// union, with committed blocks expanded atomically (as in
-// wouldCreateCycle).
-func (p *Plan) mergeWouldCycle(union map[*graph.Node]bool) bool {
-	var stack []*graph.Node
-	visited := map[*graph.Node]bool{}
-	push := func(n *graph.Node) {
-		if visited[n] || union[n] {
-			return
-		}
-		visited[n] = true
-		stack = append(stack, n)
-		if other := p.blockOf[n]; other != nil {
-			for _, sib := range other.Nodes {
-				if !visited[sib] && !union[sib] {
-					visited[sib] = true
-					stack = append(stack, sib)
-				}
-			}
-		}
-	}
-	for n := range union {
-		for _, out := range n.Outputs {
-			for _, c := range out.Consumers {
-				push(c)
-			}
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, out := range n.Outputs {
-			for _, c := range out.Consumers {
-				if union[c] {
-					return true
-				}
-				push(c)
-			}
-		}
-	}
-	return false
 }

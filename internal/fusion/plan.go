@@ -43,11 +43,14 @@ type Options struct {
 	Latency LatencyFunc
 	// Seeds selects the seed policy.
 	Seeds SeedPolicy
-	// NoYellow forces every yellow (FuseDepend) decision to break instead
-	// of consulting Latency — the "FuseBreak variant" axis of the
-	// measured-tuning plan space (internal/autotune), where the static
-	// heuristic's opinion is just one candidate among the measured ones.
-	NoYellow bool
+}
+
+// Key digests what decides which plans the planner can emit — the seed
+// policy, the block limits (defaults resolved) and whether yellow
+// decisions are priced — for cache keys over planning results.
+func (o Options) Key() string {
+	o = o.withDefaults()
+	return fmt.Sprintf("seeds=%d,ops=%d,in=%d,priced=%t", o.Seeds, o.MaxBlockOps, o.MaxBlockInputs, o.Latency != nil)
 }
 
 func (o Options) withDefaults() Options {
@@ -84,17 +87,20 @@ func (b *Block) Size() int { return len(b.Nodes) }
 
 // Inputs returns the distinct exterior input values of the block
 // (runtime inputs, weights, and other blocks' outputs).
-func (b *Block) Inputs() []*graph.Value {
+func (b *Block) Inputs() []*graph.Value { return exteriorInputs(b.Contains, b.Nodes) }
+
+// exteriorInputs lists, in first-read order, the distinct values the node
+// set in (listed by parts) reads from outside itself.
+func exteriorInputs(in func(*graph.Node) bool, parts ...[]*graph.Node) []*graph.Value {
 	var out []*graph.Value
 	seen := map[*graph.Value]bool{}
-	for _, n := range b.Nodes {
-		for _, in := range n.Inputs {
-			if in.Producer != nil && b.nodeSet[in.Producer] {
-				continue
-			}
-			if !seen[in] {
-				seen[in] = true
-				out = append(out, in)
+	for _, nodes := range parts {
+		for _, n := range nodes {
+			for _, v := range n.Inputs {
+				if (v.Producer == nil || !in(v.Producer)) && !seen[v] {
+					seen[v] = true
+					out = append(out, v)
+				}
 			}
 		}
 	}
@@ -107,23 +113,26 @@ func (b *Block) Outputs() []*graph.Value {
 	var out []*graph.Value
 	for _, n := range b.Nodes {
 		for _, v := range n.Outputs {
-			if v.Kind == graph.Output {
-				out = append(out, v)
-				continue
-			}
-			external := false
-			for _, c := range v.Consumers {
-				if !b.nodeSet[c] {
-					external = true
-					break
-				}
-			}
-			if external {
+			if b.Escapes(v) {
 				out = append(out, v)
 			}
 		}
 	}
 	return out
+}
+
+// Escapes reports whether v, produced inside the block, is read outside
+// it: by a consumer in another block or as a graph output.
+func (b *Block) Escapes(v *graph.Value) bool {
+	if v.Kind == graph.Output {
+		return true
+	}
+	for _, c := range v.Consumers {
+		if !b.nodeSet[c] {
+			return true
+		}
+	}
+	return false
 }
 
 func (b *Block) String() string {
@@ -135,10 +144,19 @@ func (b *Block) String() string {
 }
 
 // Plan is a complete fusion plan: a partition of the graph's nodes into
-// blocks, plus planning statistics.
+// blocks, plus planning statistics. The partition is the plan's whole
+// identity — Partition names it, FromPartition rebuilds it — so two plans
+// over one graph are the same plan exactly when their partitions are
+// equal.
 type Plan struct {
+	// Blocks is ordered by each block's earliest node in topological
+	// order, and Block.ID is the index here.
 	Blocks  []*Block
 	blockOf map[*graph.Node]*Block
+	// order is G.TopoSort() and pos each node's index in it, computed once
+	// per plan: block ordering, chain fusion and Partition all read them.
+	order []*graph.Node
+	pos   map[*graph.Node]int
 
 	// ProfileQueries counts yellow decisions resolved via Latency.
 	ProfileQueries int
@@ -151,12 +169,34 @@ type Plan struct {
 	BrokenByConstraint int
 	BrokenByCycle      int
 	BrokenByProfile    int
-	// ChainFusions counts contraction chains merged by FuseChains.
+	// ChainFusions counts the plan's chain blocks.
 	ChainFusions int
+}
+
+func newPlan(e *ecg.ECG) *Plan {
+	order := e.G.TopoSort()
+	pos := make(map[*graph.Node]int, len(order))
+	for i, n := range order {
+		pos[n] = i
+	}
+	return &Plan{blockOf: make(map[*graph.Node]*Block, len(order)), order: order, pos: pos}
 }
 
 // BlockOf returns the block containing n.
 func (p *Plan) BlockOf(n *graph.Node) *Block { return p.blockOf[n] }
+
+// Partition names the plan: the block index of every node in
+// G.TopoSort() order — the order graph.Fingerprint hashes, so a
+// (fingerprint, partition) pair means the same thing in every compilation
+// of a structurally identical graph. Indices appear in first-use order
+// (0, then 1, …) because blocks are ordered by their earliest node.
+func (p *Plan) Partition() []int {
+	part := make([]int, len(p.order))
+	for i, n := range p.order {
+		part[i] = p.blockOf[n].ID
+	}
+	return part
+}
 
 // FusedLayerCount is the number of kernels after fusion (Table 5's "layer
 // count after opt").
@@ -181,17 +221,7 @@ func (p *Plan) MarkRemovable(e *ecg.ECG) int {
 	for _, b := range p.Blocks {
 		for _, n := range b.Nodes {
 			for _, v := range n.Outputs {
-				if v.Kind == graph.Output {
-					continue
-				}
-				removable := true
-				for _, c := range v.Consumers {
-					if !b.nodeSet[c] {
-						removable = false
-						break
-					}
-				}
-				if info, ok := e.Value[v]; ok && removable {
+				if info, ok := e.Value[v]; ok && !b.Escapes(v) {
 					info.IRRemovable = true
 					removed++
 				}
@@ -207,7 +237,6 @@ type planner struct {
 	opts    Options
 	plan    *Plan
 	unfused map[*graph.Node]bool
-	nextID  int
 }
 
 // GeneratePlan runs the fusion plan exploration algorithm (Listing 1) over
@@ -216,10 +245,10 @@ func GeneratePlan(e *ecg.ECG, opts Options) *Plan {
 	p := &planner{
 		e:       e,
 		opts:    opts.withDefaults(),
-		plan:    &Plan{blockOf: make(map[*graph.Node]*Block)},
+		plan:    newPlan(e),
 		unfused: make(map[*graph.Node]bool, len(e.G.Nodes)),
 	}
-	order := e.G.TopoSort()
+	order := p.plan.order
 	for _, n := range order {
 		p.unfused[n] = true
 	}
@@ -233,11 +262,11 @@ func GeneratePlan(e *ecg.ECG, opts Options) *Plan {
 		block := p.newBlock(seed)
 		// Step 2: propagate along successors.
 		for _, succ := range successors(seed) {
-			p.fuseSuccessor(block, succ)
+			p.grow(block, succ, true)
 		}
 		// Step 3: propagate along predecessors.
 		for _, pred := range predecessors(seed) {
-			p.fusePredecessor(block, pred)
+			p.grow(block, pred, false)
 		}
 	}
 
@@ -247,10 +276,8 @@ func GeneratePlan(e *ecg.ECG, opts Options) *Plan {
 			p.newBlock(n)
 		}
 	}
-	// Blocks were created seed-first; order them topologically for
-	// consumers (the engine re-sorts anyway, but deterministic output
-	// helps tests and printing).
-	sortBlocksTopo(p.plan, order)
+	// Blocks were created seed-first; order them topologically.
+	p.plan.sortBlocksTopo()
 	return p.plan
 }
 
@@ -293,13 +320,11 @@ func (p *planner) generateSeed(order []*graph.Node) *graph.Node {
 
 func (p *planner) newBlock(seed *graph.Node) *Block {
 	b := &Block{
-		ID:      p.nextID,
 		Seed:    seed,
 		Nodes:   []*graph.Node{seed},
 		Mapping: p.e.Mapping(seed),
 		nodeSet: map[*graph.Node]bool{seed: true},
 	}
-	p.nextID++
 	p.plan.Blocks = append(p.plan.Blocks, b)
 	p.plan.blockOf[seed] = b
 	delete(p.unfused, seed)
@@ -319,101 +344,60 @@ func (p *planner) admit(b *Block, n *graph.Node, newMapping ops.MappingType, d D
 	}
 }
 
-// fuseSuccessor implements Listing 1 lines 7-24.
-func (p *planner) fuseSuccessor(b *Block, succ *graph.Node) {
-	if !p.unfused[succ] || b.Contains(succ) {
+// grow implements Listing 1 lines 7-24 along successors (forward) and
+// their mirror along predecessors (lines 27-28), where the combination
+// order is reversed.
+func (p *planner) grow(b *Block, n *graph.Node, forward bool) {
+	if !p.unfused[n] || b.Contains(n) {
 		return
 	}
 	// Step 2.1: mapping type analysis against the block's evolved type.
-	newMapping, d := Combine(b.Mapping, p.e.Mapping(succ))
+	first, second, next := b.Mapping, p.e.Mapping(n), successors
+	if !forward {
+		first, second, next = second, first, predecessors
+	}
+	newMapping, d := Combine(first, second)
 	if d == FuseBreak {
 		p.plan.BrokenByTable++
 		return
 	}
+	in := func(m *graph.Node) bool { return m == n || b.nodeSet[m] }
+	candidate := []*graph.Node{n}
 	// Step 2.2: constraint analysis (register pressure / block size).
-	if !p.checkConstraints(b, succ) {
+	if !withinLimits(p.opts, in, candidate, b.Nodes) {
 		p.plan.BrokenByConstraint++
 		return
 	}
-	if p.wouldCreateCycle(b, succ) {
+	if p.plan.cyclic(in, candidate, b.Nodes) {
 		p.plan.BrokenByCycle++
 		return
 	}
 	// Step 2.3: profile-based selection for yellow decisions.
-	if d == FuseDepend && !p.profitable(b, succ) {
+	if d == FuseDepend && !p.profitable(b, n) {
 		p.plan.BrokenByProfile++
 		return
 	}
-	p.admit(b, succ, newMapping, d)
-	// Step 2.4: recurse to the successor's successors.
-	for _, next := range successors(succ) {
-		p.fuseSuccessor(b, next)
+	p.admit(b, n, newMapping, d)
+	// Step 2.4: recurse to the node's own successors (predecessors).
+	for _, m := range next(n) {
+		p.grow(b, m, forward)
 	}
 }
 
-// fusePredecessor mirrors fuseSuccessor along the predecessor direction
-// (Listing 1 lines 27-28); the combination order is reversed.
-func (p *planner) fusePredecessor(b *Block, pred *graph.Node) {
-	if !p.unfused[pred] || b.Contains(pred) {
-		return
+// withinLimits is Listing 1 step 2.2 for a would-be block — the node set
+// in, listed by parts: reject it when it would exceed the block-size or
+// the distinct-exterior-input (register pressure) threshold.
+func withinLimits(opts Options, in func(*graph.Node) bool, parts ...[]*graph.Node) bool {
+	size := 0
+	for _, nodes := range parts {
+		size += len(nodes)
 	}
-	newMapping, d := Combine(p.e.Mapping(pred), b.Mapping)
-	if d == FuseBreak {
-		p.plan.BrokenByTable++
-		return
-	}
-	if !p.checkConstraints(b, pred) {
-		p.plan.BrokenByConstraint++
-		return
-	}
-	if p.wouldCreateCycle(b, pred) {
-		p.plan.BrokenByCycle++
-		return
-	}
-	if d == FuseDepend && !p.profitable(b, pred) {
-		p.plan.BrokenByProfile++
-		return
-	}
-	p.admit(b, pred, newMapping, d)
-	for _, prev := range predecessors(pred) {
-		p.fusePredecessor(b, prev)
-	}
-}
-
-// checkConstraints is Listing 1 step 2.2: reject fusions that would exceed
-// the block-size or register-pressure thresholds.
-func (p *planner) checkConstraints(b *Block, candidate *graph.Node) bool {
-	if b.Size()+1 > p.opts.MaxBlockOps {
-		return false
-	}
-	// Count distinct exterior inputs with the candidate admitted.
-	seen := map[*graph.Value]bool{}
-	inputs := 0
-	member := func(n *graph.Node) bool { return b.nodeSet[n] || n == candidate }
-	count := func(n *graph.Node) {
-		for _, in := range n.Inputs {
-			if in.Producer != nil && member(in.Producer) {
-				continue
-			}
-			if !seen[in] {
-				seen[in] = true
-				inputs++
-			}
-		}
-	}
-	for _, n := range b.Nodes {
-		count(n)
-	}
-	count(candidate)
-	return inputs <= p.opts.MaxBlockInputs
+	return size <= opts.MaxBlockOps && len(exteriorInputs(in, parts...)) <= opts.MaxBlockInputs
 }
 
 // profitable is Listing 1 step 2.3: fuse only if the fused kernel is
 // predicted no slower than running the block and the candidate separately.
 func (p *planner) profitable(b *Block, candidate *graph.Node) bool {
-	if p.opts.NoYellow {
-		return false
-	}
 	if p.opts.Latency == nil {
 		return true
 	}
@@ -424,38 +408,40 @@ func (p *planner) profitable(b *Block, candidate *graph.Node) bool {
 	return tFused <= tSplit
 }
 
-// wouldCreateCycle reports whether admitting candidate would create a
-// dependency cycle at kernel granularity: a path block → … → block that
-// leaves the set. Exterior traversal must treat already-committed blocks as
-// atomic supernodes — entering any member of a committed block reaches the
-// whole block, because it executes as one kernel. (Without the expansion,
-// two blocks can be individually convex at the node level yet cyclic at the
-// block level; found by the randomized integration tests.)
-func (p *planner) wouldCreateCycle(b *Block, candidate *graph.Node) bool {
-	inSet := func(n *graph.Node) bool { return b.nodeSet[n] || n == candidate }
+// cyclic reports whether executing the node set in (listed by parts) as
+// one kernel would create a dependency cycle at kernel granularity: a path
+// set → … → set that leaves the set. Exterior traversal must treat
+// already-committed blocks as atomic supernodes — entering any member of a
+// committed block reaches the whole block, because it executes as one
+// kernel. (Without the expansion, two blocks can be individually convex at
+// the node level yet cyclic at the block level; found by the randomized
+// integration tests.)
+func (p *Plan) cyclic(in func(*graph.Node) bool, parts ...[]*graph.Node) bool {
 	var stack []*graph.Node
 	visited := map[*graph.Node]bool{}
 	push := func(n *graph.Node) {
-		if visited[n] || inSet(n) {
+		if visited[n] || in(n) {
 			return
 		}
 		visited[n] = true
 		stack = append(stack, n)
 		// Atomic-block expansion: reaching one member of a committed
 		// block reaches all of it.
-		if other := p.plan.blockOf[n]; other != nil {
+		if other := p.blockOf[n]; other != nil {
 			for _, sib := range other.Nodes {
-				if !visited[sib] && !inSet(sib) {
+				if !visited[sib] && !in(sib) {
 					visited[sib] = true
 					stack = append(stack, sib)
 				}
 			}
 		}
 	}
-	for _, n := range append([]*graph.Node{candidate}, b.Nodes...) {
-		for _, out := range n.Outputs {
-			for _, c := range out.Consumers {
-				push(c)
+	for _, nodes := range parts {
+		for _, n := range nodes {
+			for _, out := range n.Outputs {
+				for _, c := range out.Consumers {
+					push(c)
+				}
 			}
 		}
 	}
@@ -464,7 +450,7 @@ func (p *planner) wouldCreateCycle(b *Block, candidate *graph.Node) bool {
 		stack = stack[:len(stack)-1]
 		for _, out := range n.Outputs {
 			for _, c := range out.Consumers {
-				if inSet(c) {
+				if in(c) {
 					return true
 				}
 				push(c)
@@ -502,25 +488,21 @@ func predecessors(n *graph.Node) []*graph.Node {
 
 // sortBlocksTopo orders blocks by the topological position of their
 // earliest node, which is a valid block-level schedule because blocks are
-// convex (cycle checks guarantee it).
-func sortBlocksTopo(p *Plan, order []*graph.Node) {
-	pos := make(map[*graph.Node]int, len(order))
-	for i, n := range order {
-		pos[n] = i
-	}
+// convex (cycle checks guarantee it), and numbers them in that order.
+func (p *Plan) sortBlocksTopo() {
 	sort.SliceStable(p.Blocks, func(i, j int) bool {
-		return minPos(p.Blocks[i], pos) < minPos(p.Blocks[j], pos)
+		return p.minPos(p.Blocks[i]) < p.minPos(p.Blocks[j])
 	})
 	for i, b := range p.Blocks {
 		b.ID = i
 	}
 }
 
-func minPos(b *Block, pos map[*graph.Node]int) int {
-	m := int(^uint(0) >> 1)
+func (p *Plan) minPos(b *Block) int {
+	m := len(p.order)
 	for _, n := range b.Nodes {
-		if pos[n] < m {
-			m = pos[n]
+		if p.pos[n] < m {
+			m = p.pos[n]
 		}
 	}
 	return m

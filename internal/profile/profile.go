@@ -8,7 +8,9 @@
 // the compiler's other per-shape decisions: one table of selected kernel
 // schedules and one of measured-tuning winners. It is a local cache with no
 // external producer, so the file format is not migrated: Load reads the
-// current version only.
+// current version only. A tuned plan is stored as a node partition and
+// replayed without re-planning, so replay does not notice a planner
+// change: one that should invalidate stored plans is a FormatVersion bump.
 package profile
 
 import (
@@ -34,10 +36,11 @@ type DB struct {
 	// (ChainScheduleKey) — so repeat compilations skip the selection: the
 	// schedule half of Figure 9b's caching effect.
 	schedules map[string]KernelSchedule
-	// plans stores measured-tuning winners — a whole-graph fusion-plan
-	// spec plus per-kernel schedules — keyed by PlanKey (graph
-	// fingerprint × device × batch size), so repeat compilations with
-	// measured tuning enabled warm-start with zero measurement.
+	// plans stores measured-tuning winners — a whole-graph fusion plan as
+	// its node partition plus per-block schedules — keyed by PlanKey
+	// (graph fingerprint × device × batch size × planner configuration),
+	// so repeat compilations with measured tuning enabled warm-start with
+	// zero measurement.
 	plans map[string]TunedPlan
 
 	// Hits/Misses count latency lookups; Measurements counts inserts that
@@ -115,7 +118,7 @@ func ChainScheduleKey(deviceName string, pm, pn, pk, cm, cn, ck int) string {
 }
 
 // KernelSchedule is the tile schedule of one kernel — the record the
-// schedule cache stores per task key and a tuned plan stores per kernel.
+// schedule cache stores per task key and a tuned plan stores per block.
 // Producer is set only for a chain-fused kernel: it tiles the chain's
 // first contraction, and Schedule the second.
 type KernelSchedule struct {
@@ -150,28 +153,17 @@ func (db *DB) ScheduleLen() int {
 	return len(db.schedules)
 }
 
-// TunedKernel is one schedulable kernel's slot in a tuned plan. Task is
-// the kernel's canonical tuning-task string (recorded when the plan was
-// measured); on warm start it cross-checks that the deterministically
-// rebuilt plan produced the same kernel in the same position before the
-// stored schedule is applied.
-type TunedKernel struct {
-	Task string `json:"task"`
-	KernelSchedule
-}
-
-// TunedPlan is a measured-tuning winner: the fusion-plan variant that won
-// the short measured runs plus the per-kernel schedules it won with.
-// ChainMask selects which detected contraction chains fuse (bit i = chain
-// i in consumer-topo order); NoYellow forces every yellow (FuseDepend)
-// decision to break instead of consulting the latency heuristic.
-// Rebuilding the plan from these fields under the compile's own planner
-// options is deterministic, so the whole compiled artifact is reproducible
-// from the database without re-measurement.
+// TunedPlan is a measured-tuning winner: the fusion plan that won the
+// short measured runs, named by its node partition (the block index of
+// every node in topological order — fusion.Plan.Partition), and the tile
+// schedule each block won with: Schedules[i] belongs to block i, and is
+// zero for a block with nothing to schedule. The record holds the blocks
+// and their schedules together and names no planner input, so replaying it
+// (fusion.FromPartition) involves no planning and cannot drift from what
+// was measured.
 type TunedPlan struct {
-	ChainMask uint64        `json:"chain_mask"`
-	NoYellow  bool          `json:"no_yellow,omitempty"`
-	Kernels   []TunedKernel `json:"kernels,omitempty"`
+	Partition []int            `json:"partition"`
+	Schedules []KernelSchedule `json:"schedules"`
 	// MeasuredNs is the winner's measured ns/inference; MeasuredRuns how
 	// many candidate measurements the search spent; Analytical whether the
 	// winner coincides with the analytical choice (plan and schedules).
@@ -181,14 +173,16 @@ type TunedPlan struct {
 }
 
 // PlanKey canonicalizes one measured-tuning task: graph fingerprint
-// (graph.Fingerprint of the post-rewrite graph), device identity, and the
-// batch size the graph was compiled for — the three axes a tuned plan is
-// conditioned on.
-func PlanKey(deviceName, fingerprint string, batch int) string {
+// (graph.Fingerprint of the post-rewrite graph), device identity, the
+// batch size the graph was compiled for, and a digest of the planner
+// configuration the search ran under (chain fusion, seed policy, block
+// limits). A stored plan is replayed without re-planning, so it is only
+// ever found under the configuration whose search produced it.
+func PlanKey(deviceName, fingerprint string, batch int, planner string) string {
 	if batch < 1 {
 		batch = 1
 	}
-	return fmt.Sprintf("plan|%s|fp=%s|b=%d", deviceName, fingerprint, batch)
+	return fmt.Sprintf("plan|%s|fp=%s|b=%d|%s", deviceName, fingerprint, batch, planner)
 }
 
 // LookupPlan returns the stored tuned plan for key.
@@ -250,7 +244,7 @@ func KeyFor(nodes []*graph.Node) string {
 }
 
 // FormatVersion is the one on-disk format this build writes and reads.
-const FormatVersion = 5
+const FormatVersion = 6
 
 // ErrVersion reports a database file of any other format version, older
 // or newer. Callers match it with errors.Is; the concrete *VersionError

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dnnfusion/internal/ops"
@@ -49,10 +50,9 @@ func TestRoundTripByteStable(t *testing.T) {
 		Producer: ops.Schedule{RowTile: 8, ColPanel: 8},
 	}
 	db.InsertSchedule(ChainScheduleKey("dev", 8, 8, 32, 8, 32, 8), pair)
-	db.InsertPlan(PlanKey("dev", "00f1e2d3c4b5a697", 1), TunedPlan{
-		ChainMask:    1,
-		NoYellow:     true,
-		Kernels:      []TunedKernel{{Task: "chain|dev|p=8x8x32,c=8x32x8", KernelSchedule: pair}},
+	db.InsertPlan(PlanKey("dev", "00f1e2d3c4b5a697", 1, "chain=true,seeds=0,ops=40,in=24,priced=false"), TunedPlan{
+		Partition:    []int{0, 1, 1, 2, 1},
+		Schedules:    []KernelSchedule{{}, pair, {}},
 		MeasuredNs:   12345,
 		MeasuredRuns: 7,
 	})
@@ -84,9 +84,9 @@ func TestRoundTripByteStable(t *testing.T) {
 
 func TestPlanRoundTrip(t *testing.T) {
 	db := New()
-	key := PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8)
-	tp := TunedPlan{ChainMask: 3, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
-		Kernels: []TunedKernel{{Task: "sched|d|m=1,n=2,k=3", KernelSchedule: KernelSchedule{Schedule: ops.Schedule{RowTile: 1, ColPanel: 8}}}}}
+	key := PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8, "chain=true")
+	tp := TunedPlan{Partition: []int{0, 0, 1}, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
+		Schedules: []KernelSchedule{{Schedule: ops.Schedule{RowTile: 1, ColPanel: 8}}, {}}}
 	db.InsertPlan(key, tp)
 	path := filepath.Join(t.TempDir(), "p.json")
 	if err := db.Save(path); err != nil {
@@ -100,31 +100,27 @@ func TestPlanRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("plan lost in round trip")
 	}
-	if got.ChainMask != 3 || got.MeasuredNs != 999 || !got.Analytical || len(got.Kernels) != 1 {
-		t.Errorf("plan mangled: %+v", got)
-	}
-	if got.Kernels[0] != tp.Kernels[0] {
-		t.Errorf("kernel slot mangled: %+v", got.Kernels[0])
+	if !reflect.DeepEqual(got, tp) {
+		t.Errorf("plan mangled: %+v, stored %+v", got, tp)
 	}
 	if back.PlanHits != 1 || back.PlanMisses != 0 {
 		t.Errorf("plan counters = %d/%d, want 1/0", back.PlanHits, back.PlanMisses)
 	}
-	if _, ok := back.LookupPlan(PlanKey("d", "0", 1)); ok {
+	if _, ok := back.LookupPlan(PlanKey("d", "0", 1, "")); ok {
 		t.Error("missing plan key should miss")
 	}
+	if _, ok := back.LookupPlan(PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8, "chain=false")); ok {
+		t.Error("a plan tuned under one planner configuration was found under another")
+	}
 
-	// A v5 file written when plans still carried the seed policy loads
-	// unchanged: the dropped key is ignored, no format bump.
+	// A v5 file named plans by planner inputs (a chain mask); it is refused
+	// whole, not reinterpreted.
 	old := filepath.Join(t.TempDir(), "old.json")
-	if err := os.WriteFile(old, []byte(`{"version":5,"entries":{},"plans":{"k":{"chain_mask":3,"seeds":2,"measured_ns":7,"measured_runs":1}}}`), 0o644); err != nil {
+	if err := os.WriteFile(old, []byte(`{"version":5,"entries":{},"plans":{"k":{"chain_mask":3,"measured_ns":7,"measured_runs":1}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	oldDB, err := Load(old)
-	if err != nil {
-		t.Fatalf("v5 file with a seeds key: %v", err)
-	}
-	if tp, ok := oldDB.LookupPlan("k"); !ok || tp.ChainMask != 3 || tp.MeasuredNs != 7 {
-		t.Errorf("plan from the old file mangled: %+v (found %v)", tp, ok)
+	if _, err := Load(old); !errors.Is(err, ErrVersion) {
+		t.Errorf("loading a v5 file: error %v does not match ErrVersion", err)
 	}
 }
 

@@ -42,17 +42,19 @@ func WithoutChainFusion() Option { return func(o *core.Options) { o.ChainFusion 
 
 // WithMeasuredTuning enables measured-feedback autotuning: instead of
 // trusting the analytical cache model and the ECG heuristics, Compile
-// enumerates candidate fusion plans (chain fusion on/off per detected
-// chain, plus the forced-FuseBreak variant), pairs them with the tuner's
+// enumerates candidate fusion plans (node partitions, each listed once:
+// the greedy plan with chain fusion decided per detected chain, plus the
+// plan whose yellow decisions all break), pairs them with the tuner's
 // top-k schedule shortlists, and scores the (plan, schedule) pairs with
 // short timed runs of the real compiled kernels — at most budget
 // measurements, with the analytical model as the pruning prior. Winners
-// persist in the configured ProfileDB (format v4, keyed by graph
-// fingerprint × device × batch size), so repeat compilations — including
-// batch-capacity variants, which tune per formed batch size — warm-start
-// with zero measurement. Pair it with WithProfileDB to persist across
-// processes (cmd/dnnf-tune pre-tunes offline; dnnf-serve -profile loads
-// the result).
+// persist in the configured ProfileDB (format v6) as a partition plus one
+// schedule per block, keyed by graph fingerprint × device × batch size ×
+// planner configuration, so repeat compilations under the same
+// configuration — including batch-capacity variants, which tune per
+// formed batch size — replay them with zero measurement and no planning.
+// Pair it with WithProfileDB to persist across processes (cmd/dnnf-tune
+// pre-tunes offline; dnnf-serve -profile loads the result).
 //
 // Budgets of 8–32 cover the micro models; budget ≤ 0 disables measured
 // tuning (the default analytical path, so CI and cold-start compile
