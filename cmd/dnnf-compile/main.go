@@ -78,6 +78,18 @@ func main() {
 		m.Plan.BrokenByTable, m.Plan.BrokenByConstraint,
 		m.Plan.BrokenByCycle, m.Plan.BrokenByProfile)
 
+	scalar := 0
+	for _, k := range m.Kernels {
+		paths, err := k.ScalarPaths()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if len(paths) > 0 {
+			scalar++
+		}
+	}
+	fmt.Printf("scalar-fallback kernels: %d\n", scalar)
+
 	ks := m.Kernels
 	sort.Slice(ks, func(i, j int) bool { return ks[i].OpCount > ks[j].OpCount })
 	fmt.Printf("\nlargest %d kernels:\n", *top)

@@ -1,0 +1,246 @@
+package dnnfusion_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"dnnfusion"
+
+	"dnnfusion/internal/autotune"
+	"dnnfusion/internal/codegen"
+	"dnnfusion/internal/device"
+	"dnnfusion/internal/ecg"
+	"dnnfusion/internal/engine"
+	"dnnfusion/internal/fusion"
+	"dnnfusion/internal/graph"
+	"dnnfusion/internal/models"
+	"dnnfusion/internal/ops"
+	"dnnfusion/internal/rewrite"
+	"dnnfusion/internal/tensor"
+)
+
+// encoderBlock is a test-local copy of the repository benchmark's `encoder`
+// workload graph (benchmark/workloads.go buildEncoder): one BERT-style
+// block — seq 16, hidden 64, 4 heads, FFN 256 — as an exporter leaves it,
+// with decomposed LayerNorm ×3, the head-split reshape+transpose ribbon, a
+// softmax attention chain and erf-GELU. 67 operators; input "tokens",
+// output "pooled". Weights are deterministic functions of their creation
+// order.
+func encoderBlock() *graph.Graph {
+	const seq, hidden, heads, ffn = 16, 64, 4, 256
+	const dh = hidden / heads
+	g := graph.New("encoder")
+	nw := 0
+	weight := func(lo, hi float32, dims ...int) *graph.Value {
+		nw++
+		t := tensor.New(dims...).Rand(uint64(1000 + nw))
+		for i, v := range t.Data() {
+			// Rand is uniform in [0, 1): place it in [lo, hi).
+			t.Data()[i] = lo + (hi-lo)*float32(math.Abs(float64(v))-math.Floor(math.Abs(float64(v))))
+		}
+		return g.AddWeight(fmt.Sprintf("w%d", nw), t)
+	}
+	dense := func(fanIn int, dims ...int) *graph.Value {
+		a := float32(math.Sqrt(3 / float64(fanIn)))
+		return weight(-a, a, dims...)
+	}
+	linear := func(x *graph.Value, out int) *graph.Value {
+		in := x.Shape[x.Shape.Rank()-1]
+		v := g.Apply1(ops.NewMatMul(), x, dense(in, in, out))
+		return g.Apply1(ops.NewAdd(), v, weight(-0.1, 0.1, out))
+	}
+	layerNorm := func(x *graph.Value) *graph.Value {
+		axis := x.Shape.Rank() - 1
+		h := x.Shape[axis]
+		mean := g.Apply1(ops.NewReduce(ops.ReduceMean, true, axis), x)
+		centered := g.Apply1(ops.NewSub(), x, mean)
+		sq := g.Apply1(ops.NewPowConst(2), centered)
+		variance := g.Apply1(ops.NewReduce(ops.ReduceMean, true, axis), sq)
+		std := g.Apply1(ops.NewSqrt(), g.Apply1(ops.NewAddConst(1e-5), variance))
+		norm := g.Apply1(ops.NewDiv(), centered, std)
+		scaled := g.Apply1(ops.NewMul(), norm, weight(0.8, 1.2, h))
+		return g.Apply1(ops.NewAdd(), scaled, weight(-0.1, 0.1, h))
+	}
+	geluErf := func(x *graph.Value) *graph.Value {
+		v := g.Apply1(ops.NewMulConst(0.7071068), x)
+		v = g.Apply1(ops.NewErf(), v)
+		v = g.Apply1(ops.NewAddConst(1), v)
+		v = g.Apply1(ops.NewMul(), x, v)
+		return g.Apply1(ops.NewMulConst(0.5), v)
+	}
+	split := func(t *graph.Value) *graph.Value {
+		t = g.Apply1(ops.NewReshape(seq, heads, dh), t)
+		return g.Apply1(ops.NewTranspose(1, 0, 2), t)
+	}
+
+	x := layerNorm(g.AddInput("tokens", tensor.Of(seq, hidden)))
+	q, k, val := split(linear(x, hidden)), split(linear(x, hidden)), split(linear(x, hidden))
+	scores := g.Apply1(ops.NewMatMul(), q, g.Apply1(ops.NewTranspose(0, 2, 1), k))
+	scores = g.Apply1(ops.NewMulConst(1/float32(math.Sqrt(dh))), scores)
+	scores = g.Apply1(ops.NewAdd(), scores, weight(-0.5, 0, 1, seq, seq))
+	ctx := g.Apply1(ops.NewMatMul(), g.Apply1(ops.NewSoftmax(-1), scores), val)
+	ctx = g.Apply1(ops.NewTranspose(1, 0, 2), ctx)
+	ctx = g.Apply1(ops.NewReshape(seq, hidden), ctx)
+	x = layerNorm(g.Apply1(ops.NewAdd(), linear(ctx, hidden), x))
+
+	h := linear(geluErf(linear(x, ffn)), hidden)
+	x = layerNorm(g.Apply1(ops.NewAdd(), h, x))
+
+	x = g.Apply1(ops.NewIdentity(), g.Apply1(ops.NewCast(), x))
+	x = g.Apply1(ops.NewTranspose(1, 0), g.Apply1(ops.NewTranspose(1, 0), x))
+
+	g.MarkOutputAs("pooled", g.Apply1(ops.NewTanh(), linear(x, hidden)))
+	return g
+}
+
+// TestNoScalarFallback pins the invariant that no compiled kernel runs the
+// scalar oracle: for the micro zoo and the encoder block, under every
+// fusion plan the autotuner can propose, at 1 and 4 lanes, every bound
+// kernel tree is blocked end to end (ops.ScalarPaths is empty), the
+// outputs match the interpreter — bit for bit, except plans holding an
+// online-softmax chain, which stay inside the documented tolerance — and a
+// warmed Runner.Run on the encoder allocates nothing. At the parent commit
+// 8 of the encoder's 14 kernels took the per-element arm of
+// ops.MaterializeRange (425 ms an inference against 0.84 ms unfused).
+func TestNoScalarFallback(t *testing.T) {
+	type namedGraph struct {
+		name  string
+		build func() *graph.Graph
+	}
+	if n := len(encoderBlock().Nodes); n != 67 {
+		t.Fatalf("encoder block has %d operators, the benchmark's has 67", n)
+	}
+	graphs := []namedGraph{{"encoder", encoderBlock}}
+	for _, m := range models.MicroModels() {
+		graphs = append(graphs, namedGraph{m.Name, m.Build})
+	}
+	dev := device.Snapdragon865CPU()
+	for _, ng := range graphs {
+		t.Run(ng.name, func(t *testing.T) {
+			e := ecg.Build(ng.build().Clone())
+			if _, err := rewrite.NewDefaultEngine().Run(e); err != nil {
+				t.Fatal(err)
+			}
+			feeds := map[*graph.Value]*tensor.Tensor{}
+			for i, in := range e.G.Inputs {
+				feeds[in] = tensor.NewOf(in.Shape).Rand(uint64(77 + i))
+			}
+			want, err := graph.InterpretOutputs(e.G, feeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans, err := autotune.Candidates(e, autotune.Config{ChainFusion: true, Device: dev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, plan := range plans {
+				kernels, err := codegen.CompilePlan(e, plan, nil)
+				if err != nil {
+					t.Fatalf("plan %d: %v", pi, err)
+				}
+				autotune.AssignSchedules(kernels, dev, nil)
+				online := slices.ContainsFunc(plan.Blocks, func(b *fusion.Block) bool { return b.Chain != nil && b.Chain.Online })
+				for _, threads := range []int{1, 4} {
+					x, err := engine.NewExecutorThreads(e, plan, kernels, threads)
+					if err != nil {
+						t.Fatalf("plan %d: %v", pi, err)
+					}
+					sess := x.NewSession()
+					got, err := sess.Run(context.Background(), feeds)
+					if err != nil {
+						t.Fatalf("plan %d threads %d: %v", pi, threads, err)
+					}
+					if paths := sess.ScalarPaths(); len(paths) != 0 {
+						t.Errorf("plan %d threads %d: bound kernels reach the scalar oracle: %v", pi, threads, paths)
+					}
+					for _, p := range x.Profile() {
+						if p.Scalar {
+							t.Errorf("plan %d threads %d: kernel %s profiles as scalar-fallback", pi, threads, p.Kernel)
+						}
+					}
+					for oi := range want {
+						assertMatchesInterpreter(t, fmt.Sprintf("plan %d threads %d output %d", pi, threads, oi),
+							got[oi].Data(), want[oi].Data(), online)
+					}
+				}
+			}
+		})
+	}
+
+	for _, threads := range []int{1, 4} {
+		model, err := dnnfusion.Compile(encoderBlock(), dnnfusion.WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner := model.NewRunner()
+		inputs := map[string]*dnnfusion.Tensor{"tokens": dnnfusion.Rand(16, 64)}
+		ctx := context.Background()
+		for i := 0; i < 2; i++ { // bind, then the pool's lazy worker start
+			if _, err := runner.Run(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := runner.Run(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("warmed encoder Runner.Run at %d threads allocates %.0f times per inference, want 0", threads, allocs)
+		}
+	}
+}
+
+// assertMatchesInterpreter compares a compiled output with the
+// interpreter's: bit-exact, or — for a plan with an online-softmax chain,
+// whose streaming rescale reassociates the row sum — within the README's
+// numeric-tolerance contract for one online chain (16 ULP at the chain,
+// 3e-5 relative once later layers have mixed it).
+func assertMatchesInterpreter(t *testing.T, what string, got, want []float32, online bool) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) == math.Float32bits(want[i]) {
+			continue
+		}
+		if diff := math.Abs(float64(got[i]) - float64(want[i])); online && diff <= 3e-5*math.Max(1, math.Abs(float64(want[i]))) {
+			continue
+		}
+		t.Fatalf("%s[%d] = %g, interpreter says %g (online chain: %t)", what, i, got[i], want[i], online)
+	}
+}
+
+// BenchmarkEncoderBlock times the encoder block fused, without chain
+// fusion and unfused (the repository benchmark's fusion.* ablations), for
+// measuring while working on the kernels.
+func BenchmarkEncoderBlock(b *testing.B) {
+	for _, cfg := range []struct {
+		name string
+		opts []dnnfusion.Option
+	}{
+		{"fused", nil},
+		{"nochain", []dnnfusion.Option{dnnfusion.WithoutChainFusion()}},
+		{"unfused", []dnnfusion.Option{dnnfusion.WithoutFusion()}},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			m, err := dnnfusion.Compile(encoderBlock(), append(cfg.opts, dnnfusion.WithThreads(1))...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := m.NewRunner()
+			in := map[string]*dnnfusion.Tensor{"tokens": dnnfusion.Rand(16, 64)}
+			ctx := context.Background()
+			if _, err := r.Run(ctx, in); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(ctx, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

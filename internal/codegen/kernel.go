@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"dnnfusion/internal/ecg"
 	"dnnfusion/internal/fusion"
@@ -218,7 +219,7 @@ func (k *Kernel) Heavy() bool {
 // (M, N, K) of its FLOPs-dominant schedulable heavy operator. ok is false
 // for kernels with nothing to schedule (light kernels, or heavy kernels
 // with no tile loop: Conv and Pool walk an odometer, Einsum and
-// ConvTranspose evaluate scalar).
+// ConvTranspose pull from staged operands).
 func (k *Kernel) ScheduleTask() (m, n, kk int, ok bool) {
 	var best int64 = -1
 	for _, nd := range k.Block.Nodes {
@@ -304,8 +305,8 @@ type Parallelizer interface {
 // Parallel chunk sizing: a chunk should carry enough arithmetic to
 // amortize a dispatch (parGrainFLOPs), never fall under parMinGrain output
 // elements, and a single output should never shatter into more than
-// 4×lanes chunks — heavy operators with staged operands re-stage per
-// chunk, so chunk count is kept bounded.
+// 4×lanes chunks (outputs over staged operands: one chunk per lane, see
+// BindParallel).
 const (
 	parGrainFLOPs = 32768
 	parMinGrain   = 256
@@ -324,11 +325,15 @@ type BoundKernel struct {
 	k    *Kernel
 	par  Parallelizer
 	outs []boundOutput
+	// stages are every lane's staged operands (ops.Staged): filled on first
+	// use within an execution, invalidated at the start of the next.
+	stages []*ops.Staged
 }
 
 type boundOutput struct {
 	// srcs[lane] is lane's independently composed Source tree; idxs[lane]
-	// its unravel scratch for the scalar fallback.
+	// its unravel scratch for sources without a blocked path (none that
+	// Virtualize composes; see ops.ScalarPaths).
 	srcs  []ops.Source
 	idxs  [][]int
 	dst   *tensor.Tensor
@@ -389,45 +394,21 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 	}
 
 	for lane := 0; lane < lanes; lane++ {
-		srcOf := map[*graph.Value]ops.Source{}
-		var build func(v *graph.Value) (ops.Source, error)
-		build = func(v *graph.Value) (ops.Source, error) {
-			if s, ok := srcOf[v]; ok {
-				return s, nil
-			}
-			if v.Producer == nil || !k.Block.Contains(v.Producer) {
-				t, err := resolve(v)
-				if err != nil {
-					return nil, fmt.Errorf("codegen: %s: %w", k.Name, err)
-				}
-				if !t.Shape().Equal(v.Shape) {
-					return nil, fmt.Errorf("codegen: %s: input %v fed with shape %v", k.Name, v, t.Shape())
-				}
-				s := ops.AsSource(t)
-				srcOf[v] = s
-				return s, nil
-			}
-			n := v.Producer
-			ins := make([]ops.Source, len(n.Inputs))
-			for i, in := range n.Inputs {
-				s, err := build(in)
-				if err != nil {
-					return nil, err
-				}
-				ins[i] = s
-			}
-			s, err := n.Op.Virtualize(ins, v.ProducerOut)
-			if err != nil {
-				return nil, fmt.Errorf("codegen: %s: %v: %w", k.Name, n, err)
-			}
-			srcOf[v] = s
-			return s, nil
-		}
-		for i, o := range k.Outputs {
-			s, err := build(o)
+		srcs, err := k.compose(func(v *graph.Value) (ops.Source, error) {
+			t, err := resolve(v)
 			if err != nil {
 				return nil, err
 			}
+			if !t.Shape().Equal(v.Shape) {
+				return nil, fmt.Errorf("input %v fed with shape %v", v, t.Shape())
+			}
+			return ops.AsSource(t), nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, o := range k.Outputs {
+			s := srcs[i]
 			// Bind time is where the compile-time schedule artifact meets
 			// the Source tree: every lane's independently composed heavy
 			// sources adopt the kernel's tuned blocking (and size their
@@ -440,6 +421,7 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 					ops.ApplySchedule(s, k.Schedule)
 				}
 			}
+			stages := ops.StagedSources(s)
 			bo := &bk.outs[i]
 			if lane == 0 {
 				elems := o.Shape.NumElements()
@@ -450,10 +432,10 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 				if floor := elems / (4 * lanes); grain < floor {
 					grain = floor
 				}
-				if ops.HasStagedOperand(s) {
-					// Staged operands re-stream per LoadBlock call, so
-					// cap this output at one chunk per lane: staging then
-					// happens once per lane per run, concurrently.
+				if len(stages) > 0 {
+					// Every lane that touches this output stages the whole
+					// operand once per run, so cap the output at one chunk
+					// per lane: more chunks would not divide that work.
 					if floor := (elems + lanes - 1) / lanes; grain < floor {
 						grain = floor
 					}
@@ -475,9 +457,94 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 			}
 			bo.srcs[lane] = s
 			bo.idxs[lane] = make([]int, o.Shape.Rank())
+			// Outputs of one lane share subtrees, so a stage can be reached
+			// from several of them: keep each once.
+			for _, st := range stages {
+				if !slices.Contains(bk.stages, st) {
+					bk.stages = append(bk.stages, st)
+				}
+			}
 		}
 	}
 	return bk, nil
+}
+
+// compose builds the kernel's Source tree: one source per block output,
+// composed by Virtualize over the sources leaf supplies for the block's
+// exterior inputs. A value consumed twice inside the block is one shared
+// source.
+func (k *Kernel) compose(leaf func(v *graph.Value) (ops.Source, error)) ([]ops.Source, error) {
+	srcOf := map[*graph.Value]ops.Source{}
+	var build func(v *graph.Value) (ops.Source, error)
+	build = func(v *graph.Value) (ops.Source, error) {
+		if s, ok := srcOf[v]; ok {
+			return s, nil
+		}
+		if v.Producer == nil || !k.Block.Contains(v.Producer) {
+			s, err := leaf(v)
+			if err != nil {
+				return nil, fmt.Errorf("codegen: %s: %w", k.Name, err)
+			}
+			srcOf[v] = s
+			return s, nil
+		}
+		n := v.Producer
+		ins := make([]ops.Source, len(n.Inputs))
+		for i, in := range n.Inputs {
+			s, err := build(in)
+			if err != nil {
+				return nil, err
+			}
+			ins[i] = s
+		}
+		s, err := n.Op.Virtualize(ins, v.ProducerOut)
+		if err != nil {
+			return nil, fmt.Errorf("codegen: %s: %v: %w", k.Name, n, err)
+		}
+		srcOf[v] = s
+		return s, nil
+	}
+	srcs := make([]ops.Source, len(k.Outputs))
+	for i, o := range k.Outputs {
+		s, err := build(o)
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = s
+	}
+	return srcs, nil
+}
+
+// ScalarPaths composes the kernel over data-less placeholder inputs and
+// returns ops.ScalarPaths over its outputs: the places where executing the
+// kernel would pull a lazy operand element by element through the scalar
+// oracle (an operand too large to stage). Empty for a kernel that is
+// blocked end to end. It needs shapes only, so it works for models with
+// shape-only weights.
+func (k *Kernel) ScalarPaths() ([]string, error) {
+	srcs, err := k.compose(func(v *graph.Value) (ops.Source, error) {
+		return ops.Placeholder(v.Shape), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, s := range srcs {
+		paths = append(paths, ops.ScalarPaths(s)...)
+	}
+	return paths, nil
+}
+
+// ScalarPaths returns ops.ScalarPaths over every lane's bound tree of every
+// output; see Kernel.ScalarPaths for the shape-only form.
+func (b *BoundKernel) ScalarPaths() []string {
+	var paths []string
+	for i := range b.outs {
+		for _, s := range b.outs[i].srcs {
+			paths = append(paths, ops.ScalarPaths(s)...)
+		}
+	}
+	return paths
 }
 
 // ExecuteInto evaluates the fused block, writing every block output into
@@ -486,6 +553,9 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 // allocated. Outputs large enough to amortize a dispatch are split across
 // the parallelizer's lanes; everything else runs inline on lane 0.
 func (b *BoundKernel) ExecuteInto() {
+	for _, st := range b.stages {
+		st.Invalidate()
+	}
 	for i := range b.outs {
 		o := &b.outs[i]
 		if b.par != nil && o.elems >= 2*o.grain {

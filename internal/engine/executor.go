@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +39,10 @@ type Executor struct {
 	// session of the executor, indexed like kernels (schedule order).
 	// Counts advance only while telemetry is armed (obs.Armed).
 	kstats []*KernelStat
+	// scalar[i] marks a kernel with a scalar-fallback path (see
+	// codegen.Kernel.ScalarPaths); computed on the first Profile call.
+	scalarOnce sync.Once
+	scalar     []bool
 }
 
 // KernelStat is one scheduled kernel's cumulative execution accounting,
@@ -76,9 +81,14 @@ type KernelProfile struct {
 	Schedule ops.Schedule
 	Producer ops.Schedule // chain-fused kernels' producer schedule (zero otherwise)
 	Chain    bool
-	Lanes    int
-	Runs     uint64
-	TotalNs  int64
+	// Scalar marks a kernel that is not blocked end to end: somewhere in
+	// its tree an operand too large to stage is pulled element by element
+	// through the scalar oracle (codegen.Kernel.ScalarPaths is non-empty),
+	// so its run time can be orders of magnitude above its unfused cost.
+	Scalar  bool
+	Lanes   int
+	Runs    uint64
+	TotalNs int64
 }
 
 // NewExecutor schedules the plan's blocks, pairs them with their compiled
@@ -199,6 +209,15 @@ func (x *Executor) KernelStats() []*KernelStat { return x.kstats }
 // per scheduled kernel with its name, tuner-selected schedule(s), lane
 // count, and cumulative profiled run accounting across every session.
 func (x *Executor) Profile() []KernelProfile {
+	x.scalarOnce.Do(func() {
+		x.scalar = make([]bool, len(x.kernels))
+		for i, k := range x.kernels {
+			// A kernel that cannot be composed fails at bind, loudly; it
+			// has no scalar path to report.
+			paths, _ := k.ScalarPaths()
+			x.scalar[i] = len(paths) > 0
+		}
+	})
 	lanes := x.Threads()
 	out := make([]KernelProfile, len(x.kernels))
 	for i, k := range x.kernels {
@@ -207,6 +226,7 @@ func (x *Executor) Profile() []KernelProfile {
 			Schedule: k.Schedule,
 			Producer: k.ProducerSchedule,
 			Chain:    k.Block != nil && k.Block.Chain != nil,
+			Scalar:   x.scalar[i],
 			Lanes:    lanes,
 			Runs:     x.kstats[i].Runs(),
 			TotalNs:  x.kstats[i].TotalNs(),
@@ -341,6 +361,18 @@ func (s *Session) Release() {
 	s.parity = 0
 	s.spans = nil
 	s.profiled = false
+}
+
+// ScalarPaths lists every scalar-fallback path in the session's bound
+// kernels, across all lanes (codegen.BoundKernel.ScalarPaths); nil while
+// the session is unbound. Empty is the invariant: compiled kernels are
+// blocked end to end.
+func (s *Session) ScalarPaths() []string {
+	var paths []string
+	for _, bk := range s.programs {
+		paths = append(paths, bk.ScalarPaths()...)
+	}
+	return paths
 }
 
 // Spans returns the session's last profiled run as per-kernel spans (in

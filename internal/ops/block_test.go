@@ -72,6 +72,16 @@ func virtualize(t *testing.T, op Operator, ins ...Source) Source {
 	return src
 }
 
+// virtualizeOut is virtualize for output outNo of a multi-output operator.
+func virtualizeOut(t *testing.T, op Operator, outNo int, ins ...Source) Source {
+	t.Helper()
+	src, err := op.Virtualize(ins, outNo)
+	if err != nil {
+		t.Fatalf("%s: Virtualize: %v", op.Type(), err)
+	}
+	return src
+}
+
 func randSource(seed uint64, dims ...int) Source {
 	return AsSource(tensor.New(dims...).Rand(seed))
 }
@@ -94,11 +104,58 @@ func TestBlockParityPointwise(t *testing.T) {
 	chain := virtualize(t, NewSigmoid(), virtualize(t, NewMul(), virtualize(t, NewRelu(), virtualize(t, NewAdd(), x, bias)), y))
 	assertBlockParity(t, "fused elementwise chain", chain)
 
-	// Middle-axis broadcast cannot stream flat: must stay scalar.
-	mid := virtualize(t, NewAdd(), x, randSource(6, 4, 1, 8))
-	if _, ok := AsBlock(mid); ok {
-		t.Fatalf("middle-axis broadcast upgraded to BlockSource; its flat orders diverge")
+	// Non-suffix broadcasts stream through a stride-0 view of the operand.
+	assertBlockParity(t, "middle-axis broadcast [4 1 8]", virtualize(t, NewAdd(), x, randSource(6, 4, 1, 8)))
+	assertBlockParity(t, "middle-axis broadcast [6 1]", virtualize(t, NewMul(), x, randSource(7, 6, 1)))
+	assertBlockParity(t, "leading+trailing broadcast [1 6 1]", virtualize(t, NewSub(), randSource(8, 1, 6, 1), x))
+	assertBlockParity(t, "lazy middle-axis operand",
+		virtualize(t, NewAdd(), x, virtualize(t, NewSigmoid(), randSource(9, 4, 1, 8))))
+	assertBlockParity(t, "both operands broadcast",
+		virtualize(t, NewAdd(), randSource(12, 4, 1, 8), randSource(13, 1, 6, 1)))
+	// A lazily produced scalar operand (a full reduction) is staged.
+	assertBlockParity(t, "x - mean(all)",
+		virtualize(t, NewSub(), x, virtualize(t, NewReduce(ReduceMean, true), virtualize(t, NewRelu(), x))))
+}
+
+// TestBlockParityRowStatistics covers the decomposed-LayerNorm shapes: a
+// keepdims statistic broadcast back against the rows it was reduced from.
+func TestBlockParityRowStatistics(t *testing.T) {
+	for _, dims := range [][]int{{16, 64}, {5, 48}, {3, 4, 7}} {
+		x := randSource(70, dims...)
+		last := len(dims) - 1
+		mean := func(s Source) Source { return virtualize(t, NewReduce(ReduceMean, true, last), s) }
+		c := virtualize(t, NewSub(), x, mean(x))
+		assertBlockParity(t, "Sub(x, ReduceMean(x))", c)
+		std := virtualize(t, NewSqrt(), virtualize(t, NewAddConst(1e-5), mean(virtualize(t, NewPowConst(2), c))))
+		assertBlockParity(t, "Div(c, Sqrt(AddConst(ReduceMean(Pow(c)))))", virtualize(t, NewDiv(), c, std))
 	}
+	// The statistic of a middle axis broadcasts through stride 0 in the
+	// middle: rows repeat, the producer must not be re-pulled per repeat.
+	x := randSource(71, 3, 5, 8)
+	mid := virtualize(t, NewReduce(ReduceMax, true, 1), virtualize(t, NewRelu(), x))
+	assertBlockParity(t, "x - max(axis 1)", virtualize(t, NewSub(), x, mid))
+}
+
+func TestBlockParityReduce(t *testing.T) {
+	flat := randSource(72, 3, 4, 5)
+	fused := virtualize(t, NewMulConst(1.5), virtualize(t, NewAdd(), flat, randSource(73, 5)))
+	for kind := ReduceSum; kind <= ReduceMin; kind++ {
+		for _, keep := range []bool{true, false} {
+			for name, axes := range map[string][]int{
+				"trailing": {2}, "trailing pair": {1, 2}, "middle": {1},
+				"leading": {0}, "leading pair": {0, 1}, "all": nil, "scattered": {0, 2},
+			} {
+				op := NewReduce(kind, keep, axes...)
+				assertBlockParity(t, kind.String()+" "+name+" flat", virtualize(t, op, flat))
+				assertBlockParity(t, kind.String()+" "+name+" fused", virtualize(t, op, fused))
+			}
+		}
+	}
+	// Runs longer than the staging buffer fold in stripes; columns wider
+	// than the accumulator panel fold in panels.
+	long := virtualize(t, NewRelu(), randSource(74, 3, 700))
+	assertBlockParity(t, "ReduceSum long rows", virtualize(t, NewReduce(ReduceSum, false, 1), long))
+	assertBlockParity(t, "ReduceMean wide columns", virtualize(t, NewReduce(ReduceMean, true, 0), long))
 }
 
 func TestBlockParityMovement(t *testing.T) {
@@ -111,9 +168,118 @@ func TestBlockParityMovement(t *testing.T) {
 	// Reorganize over a fused producer streams through it.
 	chain := virtualize(t, NewReshape(60), virtualize(t, NewRelu(), x))
 	assertBlockParity(t, "Reshape over fused chain", chain)
-	// Transpose is genuinely gather-like: stays scalar.
-	if _, ok := AsBlock(virtualize(t, NewTranspose(2, 0, 1), x)); ok {
-		t.Fatalf("Transpose upgraded to BlockSource; its access pattern is not flat")
+	assertBlockParity(t, "Split #1", virtualizeOut(t, NewSplit(1, 1, 3), 1, x))
+	assertBlockParity(t, "Expand", virtualize(t, NewExpand(2, 3, 4, 5), randSource(12, 3, 1, 5)))
+
+	// Index-only movement composes into one strided view, over flat memory
+	// or a fused producer.
+	tr := virtualize(t, NewTranspose(2, 0, 1), x)
+	assertBlockParity(t, "Transpose", tr)
+	assertBlockParity(t, "Transpose∘Transpose", virtualize(t, NewTranspose(1, 2, 0), tr))
+	assertBlockParity(t, "Transpose∘Transpose (cancelling)", virtualize(t, NewTranspose(1, 2, 0), tr))
+	assertBlockParity(t, "Slice∘Transpose", virtualize(t, NewSlice([]int{0, 2}, []int{1, 1}, []int{4, 3}), tr))
+	assertBlockParity(t, "Reshape over Transpose", virtualize(t, NewReshape(10, 6), tr))
+	assertBlockParity(t, "Squeeze∘Unsqueeze∘Transpose",
+		virtualize(t, NewSqueeze(1), virtualize(t, NewUnsqueeze(1), tr)))
+	lazy := virtualize(t, NewRelu(), virtualize(t, NewAdd(), x, randSource(13, 5)))
+	assertBlockParity(t, "Transpose over fused producer", virtualize(t, NewTranspose(2, 0, 1), lazy))
+	assertBlockParity(t, "head split over fused producer",
+		virtualize(t, NewTranspose(1, 0, 2), virtualize(t, NewReshape(12, 1, 5), lazy)))
+	assertBlockParity(t, "Slice over fused producer", virtualize(t, NewSlice([]int{2}, []int{1}, []int{4}), lazy))
+	assertBlockParity(t, "Expand over fused producer",
+		virtualize(t, NewExpand(3, 4, 5), virtualize(t, NewRelu(), randSource(14, 3, 1, 5))))
+	assertBlockParity(t, "Reshape over Transpose over fused producer",
+		virtualize(t, NewReshape(5, 12), virtualize(t, NewTranspose(2, 0, 1), lazy)))
+	// A view of a tiled contraction reads a staged copy: the contraction
+	// computes whole row groups, never one sliver per view run.
+	mm := virtualize(t, NewMatMul(), randSource(15, 3, 8, 6), randSource(16, 6, 4))
+	assertBlockParity(t, "head merge over MatMul", virtualize(t, NewReshape(8, 12), virtualize(t, NewTranspose(1, 0, 2), mm)))
+}
+
+// TestBlockParityPullModel covers the operators without a strided or row
+// form: over a lazy producer they pull from a staged copy of it.
+func TestBlockParityPullModel(t *testing.T) {
+	x := randSource(80, 2, 4, 6, 6)
+	lazy := virtualize(t, NewRelu(), virtualize(t, NewAddConst(-0.25), x))
+	idx := AsSource(tensor.FromSlice([]float32{2, 0, -1, 1, 1}, 5))
+	assertBlockParity(t, "Gather flat", virtualize(t, NewGather(1), x, idx))
+	assertBlockParity(t, "Gather lazy data", virtualize(t, NewGather(1), lazy, idx))
+	assertBlockParity(t, "Gather lazy index", virtualize(t, NewGather(2), x, virtualize(t, NewRelu(), idx)))
+	assertBlockParity(t, "CumSum lazy", virtualize(t, NewCumSum(2), lazy))
+	assertBlockParity(t, "Concat lazy", virtualize(t, NewConcat(1), lazy, x, lazy))
+	assertBlockParity(t, "Resize lazy", virtualize(t, NewUpsample(2), lazy))
+	assertBlockParity(t, "DepthToSpace lazy", virtualize(t, NewDepthToSpace(2), lazy))
+	assertBlockParity(t, "SpaceToDepth lazy", virtualize(t, NewSpaceToDepth(2), lazy))
+	assertBlockParity(t, "Softmax axis 1 lazy", virtualize(t, NewSoftmax(1), lazy))
+	assertBlockParity(t, "InstanceNorm lazy",
+		virtualize(t, NewInstanceNormalization(1e-5), lazy, randSource(81, 4), randSource(82, 4)))
+	assertBlockParity(t, "BatchNorm lazy", virtualize(t, NewBatchNormalization(1e-5), lazy,
+		randSource(83, 4), randSource(84, 4), randSource(85, 4), virtualize(t, NewAbs(), randSource(86, 4))))
+	assertBlockParity(t, "Einsum lazy",
+		virtualize(t, NewEinsum("bhqd,bhkd->bhqk"), lazy, virtualize(t, NewSigmoid(), x)))
+	assertBlockParity(t, "ConvTranspose lazy",
+		virtualize(t, NewConvTranspose(ConvAttrs{Strides: []int{2, 2}}), lazy, randSource(87, 4, 3, 2, 2)))
+	// Consumers above a pull-model operator stay blocked.
+	assertBlockParity(t, "Relu over Gather over lazy",
+		virtualize(t, NewRelu(), virtualize(t, NewGather(1), lazy, idx)))
+}
+
+// TestStagedInvalidate pins the staging contract: a stage is filled once
+// and serves every later LoadBlock until invalidated, after which it
+// reflects the inputs' new contents.
+func TestStagedInvalidate(t *testing.T) {
+	in := tensor.New(3, 4).Rand(90)
+	tr := virtualize(t, NewTranspose(1, 0), virtualize(t, NewRelu(), AsSource(in)))
+	stages := StagedSources(tr)
+	if len(stages) != 1 {
+		t.Fatalf("Transpose over a lazy producer has %d stages, want 1", len(stages))
+	}
+	blk, _ := AsBlock(tr)
+	got := make([]float32, 12)
+	blk.LoadBlock(got, 0, 12)
+	for i := range in.Data() {
+		in.Data()[i] = float32(i + 1)
+	}
+	blk.LoadBlock(got, 0, 12)
+	if got[1] == 5 {
+		t.Fatalf("stage refilled without Invalidate")
+	}
+	for _, st := range stages {
+		st.Invalidate()
+	}
+	assertBlockParity(t, "after invalidate", tr)
+	blk.LoadBlock(got, 0, 12)
+	if got[1] != 5 { // tr[0][1] = in[1][0]
+		t.Fatalf("after Invalidate element 1 = %v, want 5", got[1])
+	}
+}
+
+// TestScalarPaths: the static check is empty for everything Virtualize
+// composes over stageable operands and names the operator when an operand
+// is past the staging cap.
+func TestScalarPaths(t *testing.T) {
+	x := randSource(91, 2, 4, 6, 6)
+	lazy := virtualize(t, NewRelu(), x)
+	idx := AsSource(tensor.FromSlice([]float32{1, 0}, 2))
+	for name, src := range map[string]Source{
+		"gather over lazy":    virtualize(t, NewGather(1), lazy, idx),
+		"transpose over lazy": virtualize(t, NewTranspose(3, 2, 1, 0), lazy),
+		"layernorm":           virtualize(t, NewSub(), lazy, virtualize(t, NewReduce(ReduceMean, true, 3), lazy)),
+		"cumsum over gather":  virtualize(t, NewCumSum(0), virtualize(t, NewGather(1), lazy, idx)),
+		"placeholder leaves":  virtualize(t, NewSoftmax(1), virtualize(t, NewRelu(), Placeholder(tensor.Of(2, 3, 4)))),
+	} {
+		if paths := ScalarPaths(src); len(paths) != 0 {
+			t.Errorf("%s: ScalarPaths = %v, want none", name, paths)
+		}
+	}
+	big := virtualize(t, NewRelu(), Placeholder(tensor.Of(stageElemCap+1, 2)))
+	paths := ScalarPaths(virtualize(t, NewRelu(), virtualize(t, NewTranspose(1, 0), big)))
+	if len(paths) == 0 {
+		t.Fatalf("Transpose over an unstageable lazy operand reported no scalar path")
+	}
+	t.Log(paths)
+	if paths := ScalarPaths(virtualize(t, NewCumSum(0), big)); len(paths) != 1 {
+		t.Errorf("CumSum over an unstageable operand: ScalarPaths = %v, want one entry", paths)
 	}
 }
 
@@ -141,6 +307,43 @@ func TestBlockParityMatMul(t *testing.T) {
 	assertBlockParity(t, "MatMul staged B", virtualize(t, NewMatMul(), a, bChain))
 	assertBlockParity(t, "MatMul staged batch",
 		virtualize(t, NewMatMul(), virtualize(t, NewRelu(), randSource(29, 2, 4, 5)), bChain))
+}
+
+// TestBlockParityMatMulViews: transposed and head-split operands are the
+// same tile loops with different strides, over flat memory and over staged
+// producers; a chain's producer and B operand take them too.
+func TestBlockParityMatMulViews(t *testing.T) {
+	q := randSource(110, 16, 4, 8) // [seq, heads, dh]
+	k := randSource(111, 16, 4, 8)
+	v := randSource(112, 16, 4, 8)
+	split := func(s Source) Source { return virtualize(t, NewTranspose(1, 0, 2), s) }
+	kT := virtualize(t, NewTranspose(0, 2, 1), split(k))
+	scores := virtualize(t, NewMatMul(), split(q), kT)
+	if mm, ok := scores.(*matmulBlockSource); !ok || mm.aOp.stage != nil || mm.bOp.stage != nil {
+		t.Fatalf("Q·Kᵀ over views of flat memory is %T (staged operands: want none)", scores)
+	}
+	assertBlockParity(t, "Q·Kᵀ head-split views", scores)
+	assertBlockParity(t, "transB over head-split views", virtualize(t, NewMatMulT(false, true), split(q), split(k)))
+	assertBlockParity(t, "transA over transposed view",
+		virtualize(t, NewMatMulT(true, false), virtualize(t, NewTranspose(0, 2, 1), split(q)), kT))
+	lazyQ := split(virtualize(t, NewRelu(), q))
+	assertBlockParity(t, "Q·Kᵀ over staged head-split", virtualize(t, NewMatMul(), lazyQ, kT))
+	assertBlockParity(t, "sliced operand", virtualize(t, NewMatMul(),
+		virtualize(t, NewSlice([]int{1}, []int{2}, []int{14}), split(q)), kT))
+	assertBlockParity(t, "broadcast batch view",
+		virtualize(t, NewMatMul(), split(q), virtualize(t, NewTranspose(1, 0), randSource(113, 5, 8))))
+
+	chain := virtualize(t, NewMatMul(), virtualize(t, NewRelu(), scores), split(v))
+	if _, ok := chain.(*chainSource); !ok {
+		t.Fatalf("MatMul over a contraction-rooted A is %T, not a chain", chain)
+	}
+	assertBlockParity(t, "chain with view operands", chain)
+	vT := virtualize(t, NewTranspose(0, 2, 1), randSource(114, 4, 8, 16)) // [4,16,8] with strided columns
+	chainT := virtualize(t, NewMatMul(), virtualize(t, NewRelu(), scores), vT)
+	if c, ok := chainT.(*chainSource); !ok || c.b.stage == nil {
+		t.Fatalf("chain over a column-strided B is %T (want a chain with B staged dense)", chainT)
+	}
+	assertBlockParity(t, "chain with transposed-view B", chainT)
 }
 
 func TestBlockParityGemm(t *testing.T) {
@@ -184,18 +387,20 @@ func TestBlockParitySoftmax(t *testing.T) {
 	assertBlockParity(t, "Softmax innermost", virtualize(t, NewSoftmax(-1), x))
 	assertBlockParity(t, "LogSoftmax innermost", virtualize(t, NewLogSoftmax(2), x))
 	assertBlockParity(t, "Softmax over fused chain", virtualize(t, NewSoftmax(-1), virtualize(t, NewRelu(), x)))
-	// Non-innermost softmax has no flat row order: stays scalar.
-	if _, ok := AsBlock(virtualize(t, NewSoftmax(1), x)); ok {
-		t.Fatalf("non-innermost Softmax upgraded to BlockSource")
-	}
+	assertBlockParity(t, "Softmax axis 1", virtualize(t, NewSoftmax(1), x))
+	assertBlockParity(t, "LogSoftmax axis 0 over fused chain", virtualize(t, NewLogSoftmax(0), virtualize(t, NewRelu(), x)))
 }
 
-// TestMaterializeRangeScalarFallback pins the parallel executor's scalar
-// fallback: a gather-like source evaluated by MaterializeRange over
-// disjoint ranges must agree with the oracle.
+// TestMaterializeRangeScalarFallback pins MaterializeRange's per-element
+// arm — reached only by a Source with no LoadBlock, which nothing
+// Virtualize composes is any more, hence the wrapper that hides it — over
+// disjoint ranges against the oracle.
 func TestMaterializeRangeScalarFallback(t *testing.T) {
 	x := randSource(60, 4, 5, 6)
-	tr := virtualize(t, NewTranspose(2, 1, 0), x)
+	tr := Source(struct{ Source }{virtualize(t, NewTranspose(2, 1, 0), x)})
+	if _, ok := AsBlock(tr); ok {
+		t.Fatal("wrapper did not hide LoadBlock")
+	}
 	want := loadAll(tr)
 	dst := tensor.NewOf(tr.Shape())
 	idx := make([]int, tr.Shape().Rank())

@@ -47,18 +47,16 @@ type chainSource struct {
 	prod   BlockSource
 	online bool
 
-	// B operand: flat backing or per-call staging, as in matmulBlockSource.
-	bData        []float32
-	bStage       BlockSource
-	bRS          int
-	outBatch     tensor.Shape
-	bBatchStride []int
-	batchBuf     []int
+	// b is the B operand, resolved as in matmulBlockSource but always with
+	// dense rows (column stride 1): the tile and rescale loops stream them.
+	b        matOperand
+	outBatch tensor.Shape
+	batchBuf []int
 	// aMatElems is m*k, one batch matrix's footprint in prod's flat space.
 	aMatElems int
 
-	// epi is the consumer's Gemm epilogue (shared with scalar); nil for a
-	// MatMul consumer.
+	// epi is the consumer's Gemm epilogue with a lazy addend staged (see
+	// epilogue.blocked); nil for a MatMul consumer.
 	epi *epilogue
 
 	// Normalized schedules: the consumer's tiles are rowTile rows × jb
@@ -101,27 +99,13 @@ func (s *chainSource) setSchedules(cons, prod Schedule) {
 
 func (s *chainSource) LoadBlock(dst []float32, off, n int) {
 	mn := s.m * s.n
-	stagedBatch := -1 // staging never survives a call: inputs change between runs
-	bBase := 0
+	bData := s.b.mem()
 	for n > 0 {
 		batch := off / mn
 		rem := off % mn
 		i := rem / s.n
 		j := rem % s.n
-		if batch != stagedBatch {
-			bBase = 0
-			if len(s.batchBuf) > 0 {
-				s.outBatch.Unravel(batch, s.batchBuf)
-				for d, v := range s.batchBuf {
-					bBase += v * s.bBatchStride[d]
-				}
-			}
-			if s.bStage != nil {
-				s.bStage.LoadBlock(s.bData, bBase, len(s.bData))
-				bBase = 0
-			}
-			stagedBatch = batch
-		}
+		bBase := s.b.offset(s.outBatch.Unravel(batch, s.batchBuf))
 		// Whole row groups only: the group anchored below i is computed
 		// across all n columns regardless of the requested sub-range, so
 		// results never depend on lane splits or block boundaries.
@@ -134,13 +118,13 @@ func (s *chainSource) LoadBlock(dst []float32, off, n int) {
 		span := g * s.n
 		lo := (i-i0)*s.n + j
 		if lo == 0 && n >= span {
-			s.computeGroup(dst[:span], batch, bBase, i0, g)
+			s.computeGroup(dst[:span], bData, batch, bBase, i0, g)
 			dst = dst[span:]
 			off += span
 			n -= span
 			continue
 		}
-		s.computeGroup(s.outBuf[:span], batch, bBase, i0, g)
+		s.computeGroup(s.outBuf[:span], bData, batch, bBase, i0, g)
 		run := span - lo
 		if run > n {
 			run = n
@@ -154,25 +138,25 @@ func (s *chainSource) LoadBlock(dst []float32, off, n int) {
 
 // computeGroup fills out (g rows × n columns, contiguous) with output rows
 // [i0, i0+g) of one batch matrix, pulling the producer rows first.
-func (s *chainSource) computeGroup(out []float32, batch, bBase, i0, g int) {
+func (s *chainSource) computeGroup(out, bData []float32, batch, bBase, i0, g int) {
 	s.prod.LoadBlock(s.aBuf[:g*s.k], batch*s.aMatElems+i0*s.k, g*s.k)
 	if s.online {
-		s.groupOnline(out, bBase, i0, g)
+		s.groupOnline(out, bData, bBase, i0, g)
 	} else {
-		s.groupExact(out, bBase, i0, g)
+		s.groupExact(out, bData, bBase, i0, g)
 	}
 }
 
 // groupExact contracts the staged producer rows against B with the same
 // ascending-k float64 accumulation as mulTileAcc — bit-identical to the
 // unfused pipeline (the staged rows are the producer's exact outputs).
-func (s *chainSource) groupExact(out []float32, bBase, i0, g int) {
+func (s *chainSource) groupExact(out, bData []float32, bBase, i0, g int) {
 	for j0 := 0; j0 < s.n; j0 += s.jb {
 		w := s.n - j0
 		if w > s.jb {
 			w = s.jb
 		}
-		mulTileAcc(g, s.aBuf, 0, s.k, 1, s.k, s.bData, bBase, s.bRS, j0, s.acc, w)
+		mulTileAcc(g, s.aBuf, 0, s.k, 1, s.k, bData, bBase, s.b.rs, j0, s.acc, w)
 		for r := 0; r < g; r++ {
 			s.epi.store(out[r*s.n+j0:], s.acc[r*w:r*w+w], i0+r, j0)
 		}
@@ -183,7 +167,8 @@ func (s *chainSource) groupExact(out []float32, bBase, i0, g int) {
 // of kp raw scores, the running max and exp-sum are updated and the
 // accumulators rescaled by exp(m_old−m_new), so softmax(scores)·B is
 // computed in one pass without materializing the probabilities.
-func (s *chainSource) groupOnline(out []float32, bBase, i0, g int) {
+func (s *chainSource) groupOnline(out, bData []float32, bBase, i0, g int) {
+	bRS := s.b.rs
 	n, k := s.n, s.k
 	acc := s.acc[:g*n]
 	for t := range acc {
@@ -223,7 +208,7 @@ func (s *chainSource) groupOnline(out []float32, bBase, i0, g int) {
 			for kk, v := range row {
 				p := math.Exp(float64(v) - m)
 				l += p
-				bRow := s.bData[bBase+(k0+kk)*s.bRS : bBase+(k0+kk)*s.bRS+n]
+				bRow := bData[bBase+(k0+kk)*bRS : bBase+(k0+kk)*bRS+n]
 				for t, bv := range bRow {
 					a[t] += p * float64(bv)
 				}
@@ -243,7 +228,7 @@ func (s *chainSource) groupOnline(out []float32, bBase, i0, g int) {
 
 // contractionRooted reports whether a blocked source tree is rooted in a
 // heavy contraction (MatMul/Gemm or an already-fused chain), possibly
-// through fused pointwise, softmax, or reorganize stages — the legality
+// through fused pointwise, softmax, or order-preserving view stages — the legality
 // condition for streaming it as a chain producer.
 func contractionRooted(s Source) bool {
 	switch v := s.(type) {
@@ -251,8 +236,8 @@ func contractionRooted(s Source) bool {
 		return true
 	case *softmaxBlockSource:
 		return contractionRooted(v.blk)
-	case *reorganizeBlockSource:
-		return contractionRooted(v.ins[0])
+	case *viewBlockSource:
+		return v.identity && contractionRooted(v.blk)
 	case *pointwiseBlockSource:
 		for i := range v.blkIns {
 			in := &v.blkIns[i]
@@ -298,26 +283,30 @@ func chainMatMul(s *matmulSource) *chainSource {
 	if s.ar-2 != outBatch.Rank() || !tensor.Shape(s.aShape[:s.ar-2]).Equal(outBatch) {
 		return nil
 	}
-	bData, bStage, ok := flatOrStage(s.b, s.k*s.n)
+	b, ok := resolveOperand(s.b, false, outBatch)
+	if ok && b.cs != 1 {
+		// A column-strided B (a transposed view) is staged dense.
+		blk, isBlk := AsBlock(s.b)
+		if ok = isBlk && s.bShape.NumElements() <= stageElemCap; ok {
+			b, ok = resolveOperand(newStaged(blk), false, outBatch)
+		}
+	}
 	if !ok {
 		return nil
 	}
 	c := &chainSource{
-		scalar:       s,
-		shape:        out,
-		m:            s.m,
-		n:            s.n,
-		k:            s.k,
-		prod:         prod,
-		online:       online,
-		bData:        bData,
-		bStage:       bStage,
-		bRS:          s.bShape[s.br-1],
-		outBatch:     outBatch,
-		bBatchStride: batchStrides(s.bShape, outBatch),
-		batchBuf:     make([]int, outBatch.Rank()),
-		aMatElems:    s.m * s.k,
-		epi:          s.epi,
+		scalar:    s,
+		shape:     out,
+		m:         s.m,
+		n:         s.n,
+		k:         s.k,
+		prod:      prod,
+		online:    online,
+		b:         b,
+		outBatch:  outBatch,
+		batchBuf:  make([]int, outBatch.Rank()),
+		aMatElems: s.m * s.k,
+		epi:       s.epi.blocked(),
 	}
 	c.setSchedules(DefaultSchedule(s.k), DefaultSchedule(s.k))
 	return c

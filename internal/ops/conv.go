@@ -127,43 +127,49 @@ func (c *conv) Virtualize(ins []Source, outNo int) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &convSource{
-		shape:     out,
-		x:         ins[0],
-		w:         ins[1],
-		a:         a,
-		xShape:    shapes[0],
-		wShape:    shapes[1],
-		spatial:   shapes[0].Rank() - 2,
-		cPerGroup: shapes[0][1] / a.Groups,
-		mPerGroup: shapes[1][0] / a.Groups,
-		xBuf:      make([]int, shapes[0].Rank()),
-		wBuf:      make([]int, shapes[1].Rank()),
-		bBuf:      make([]int, 1),
+	mk := func(ins []Source) Source {
+		src := &convSource{
+			shape:     out,
+			x:         ins[0],
+			w:         ins[1],
+			a:         a,
+			xShape:    shapes[0],
+			wShape:    shapes[1],
+			spatial:   shapes[0].Rank() - 2,
+			cPerGroup: shapes[0][1] / a.Groups,
+			mPerGroup: shapes[1][0] / a.Groups,
+			xBuf:      make([]int, shapes[0].Rank()),
+			wBuf:      make([]int, shapes[1].Rank()),
+			bBuf:      make([]int, 1),
+		}
+		src.kernel = 1
+		for i := 0; i < src.spatial; i++ {
+			src.kernel *= shapes[1][2+i]
+		}
+		if len(ins) == 3 {
+			src.bias = ins[2]
+		}
+		return src
 	}
-	src.kernel = 1
-	for i := 0; i < src.spatial; i++ {
-		src.kernel *= shapes[1][2+i]
+	if blk, ok := blockedConv(mk(ins).(*convSource)); ok {
+		return blk, nil
 	}
-	if len(ins) == 3 {
-		src.bias = ins[2]
-	}
-	return blockedConv(src), nil
+	return pulled(ins, mk), nil
 }
 
-// blockedConv upgrades a conv source to flat inner loops when its operands
-// expose flat data or can be staged into per-session scratch: the
-// multiply-accumulate runs over raw slices with precomputed strides
+// blockedConv upgrades a conv source to flat inner loops over operands that
+// are flat or staged (ok is false when one is lazy and too large to stage):
+// the multiply-accumulate runs over raw slices with precomputed strides
 // instead of virtual Loads through index buffers. Accumulation order
 // matches the scalar path, so results are bit-for-bit equal.
-func blockedConv(s *convSource) Source {
-	xData, xStage, ok := flatOrStage(s.x, s.xShape.NumElements())
+func blockedConv(s *convSource) (Source, bool) {
+	xData, xStage, ok := denseOrStage(s.x)
 	if !ok {
-		return s
+		return nil, false
 	}
-	wData, wStage, ok := flatOrStage(s.w, s.wShape.NumElements())
+	wData, wStage, ok := denseOrStage(s.w)
 	if !ok {
-		return s
+		return nil, false
 	}
 	blk := &convBlockSource{
 		convSource: *s,
@@ -176,14 +182,14 @@ func blockedConv(s *convSource) Source {
 		idxBuf:     make([]int, s.shape.Rank()),
 	}
 	if s.bias != nil {
-		biasData, biasStage, ok := flatOrStage(s.bias, s.wShape[0])
+		biasData, biasStage, ok := denseOrStage(s.bias)
 		if !ok {
-			return s
+			return nil, false
 		}
 		blk.biasData = biasData
 		blk.biasStage = biasStage
 	}
-	return blk
+	return blk, true
 }
 
 type convSource struct {
@@ -249,35 +255,28 @@ func (s *convSource) Load(idx []int) float32 {
 type convBlockSource struct {
 	convSource
 	xData, wData, biasData    []float32
-	xStage, wStage, biasStage BlockSource
+	xStage, wStage, biasStage *Staged
 	xStrides, wStrides        []int
 	idxBuf                    []int
 }
 
 func (s *convBlockSource) LoadBlock(dst []float32, off, n int) {
-	// Staged operands (fused producers) are re-streamed on every call:
-	// inputs change between runs, and a call never outlives one kernel
-	// execution.
-	if s.xStage != nil {
-		s.xStage.LoadBlock(s.xData, 0, len(s.xData))
-	}
-	if s.wStage != nil {
-		s.wStage.LoadBlock(s.wData, 0, len(s.wData))
-	}
-	if s.biasStage != nil {
-		s.biasStage.LoadBlock(s.biasData, 0, len(s.biasData))
+	xData, wData := dense(s.xData, s.xStage), dense(s.wData, s.wStage)
+	var biasData []float32
+	if s.bias != nil {
+		biasData = dense(s.biasData, s.biasStage)
 	}
 	idx := s.idxBuf
 	s.shape.Unravel(off, idx)
 	for t := 0; t < n; t++ {
-		dst[t] = s.eval(idx)
+		dst[t] = s.eval(idx, xData, wData, biasData)
 		incIndex(s.shape, idx)
 	}
 }
 
 // eval is convSource.Load with every operand access lowered to flat
 // slices; the ci-outer / kernel-position-inner loop order is identical.
-func (s *convBlockSource) eval(idx []int) float32 {
+func (s *convBlockSource) eval(idx []int, xData, wData, biasData []float32) float32 {
 	n, m := idx[0], idx[1]
 	group := m / s.mPerGroup
 	xN := n * s.xStrides[0]
@@ -304,11 +303,11 @@ func (s *convBlockSource) eval(idx []int) float32 {
 			if !ok {
 				continue
 			}
-			acc += float64(s.xData[xOff]) * float64(s.wData[wOff])
+			acc += float64(xData[xOff]) * float64(wData[wOff])
 		}
 	}
-	if s.biasData != nil {
-		acc += float64(s.biasData[m])
+	if biasData != nil {
+		acc += float64(biasData[m])
 	}
 	return float32(acc)
 }
@@ -385,28 +384,30 @@ func (c *convT) Virtualize(ins []Source, outNo int) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &convTSource{
-		shape:     out,
-		x:         ins[0],
-		w:         ins[1],
-		a:         a,
-		xShape:    shapes[0],
-		wShape:    shapes[1],
-		spatial:   shapes[0].Rank() - 2,
-		mPerGroup: shapes[1][1],
-		cPerGroup: shapes[0][1] / a.Groups,
-		xBuf:      make([]int, shapes[0].Rank()),
-		wBuf:      make([]int, shapes[1].Rank()),
-		bBuf:      make([]int, 1),
-	}
-	src.kernel = 1
-	for i := 0; i < src.spatial; i++ {
-		src.kernel *= shapes[1][2+i]
-	}
-	if len(ins) == 3 {
-		src.bias = ins[2]
-	}
-	return src, nil
+	return pulled(ins, func(ins []Source) Source {
+		src := &convTSource{
+			shape:     out,
+			x:         ins[0],
+			w:         ins[1],
+			a:         a,
+			xShape:    shapes[0],
+			wShape:    shapes[1],
+			spatial:   shapes[0].Rank() - 2,
+			mPerGroup: shapes[1][1],
+			cPerGroup: shapes[0][1] / a.Groups,
+			xBuf:      make([]int, shapes[0].Rank()),
+			wBuf:      make([]int, shapes[1].Rank()),
+			bBuf:      make([]int, 1),
+		}
+		src.kernel = 1
+		for i := 0; i < src.spatial; i++ {
+			src.kernel *= shapes[1][2+i]
+		}
+		if len(ins) == 3 {
+			src.bias = ins[2]
+		}
+		return src
+	}), nil
 }
 
 type convTSource struct {

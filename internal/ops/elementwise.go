@@ -87,40 +87,54 @@ func (p *pointwise) Virtualize(ins []Source, outNo int) (Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
-	src := &pointwiseSource{
-		shape:    out,
-		ins:      ins,
-		inShapes: shapes,
-		fn:       p.fn,
-		args:     make([]float32, len(ins)),
-		bufs:     make([][]int, len(ins)),
+	mk := func(ins []Source) Source {
+		src := &pointwiseSource{
+			shape:    out,
+			ins:      ins,
+			inShapes: shapes,
+			fn:       p.fn,
+			args:     make([]float32, len(ins)),
+			bufs:     make([][]int, len(ins)),
+		}
+		for i := range ins {
+			src.bufs[i] = make([]int, shapes[i].Rank())
+		}
+		return src
 	}
-	for i := range ins {
-		src.bufs[i] = make([]int, ins[i].Shape().Rank())
+	if blk, ok := blockedPointwise(p, mk(ins).(*pointwiseSource)); ok {
+		return blk, nil
 	}
-	return blockedPointwise(p, src), nil
+	return pulled(ins, mk), nil
 }
 
-// blockedPointwise upgrades a pointwise source to its blocked form when
-// every input can stream flat memory: same-shape inputs stream directly,
-// single-element inputs load once per block, and suffix broadcasts (a [C]
-// bias against [N,C]) stream periodically. Any other broadcast pattern
-// (middle-axis expansion) keeps the scalar source.
-func blockedPointwise(p *pointwise, s *pointwiseSource) Source {
+// blockedPointwise upgrades a pointwise source to its blocked form:
+// same-shape inputs stream directly, single-element inputs load once per
+// block, suffix broadcasts (a [C] bias against [N,C]) stream periodically,
+// and every other broadcast (a keepdims row statistic [N,1] against [N,C],
+// a middle-axis expansion) streams through a stride-0 view of the input, so
+// a lazily produced statistic is loaded once per covered row. ok is false
+// only when an input has no blocked path (it is too large to stage).
+func blockedPointwise(p *pointwise, s *pointwiseSource) (Source, bool) {
 	ins := make([]pwBlockInput, len(s.ins))
 	for i, in := range s.ins {
 		inShape := s.inShapes[i]
 		if inShape.NumElements() == 1 {
+			// Loaded once per stripe: a lazily produced scalar (a full
+			// reduction) is staged so that load is a memory read.
+			if blk, isBlk := AsBlock(in); isBlk && !randomAccess(in) {
+				in = newStaged(blk)
+			}
 			ins[i] = pwBlockInput{kind: pwScalar, src: in, idx: make([]int, inShape.Rank())}
 			continue
 		}
-		blk, ok := AsBlock(in)
-		if !ok {
-			return s
-		}
 		period, ok := suffixPeriod(inShape, s.shape)
 		if !ok {
-			return s
+			backing, l := layoutOf(in)
+			in, period = newView(backing, l.expand(s.shape)), s.shape.NumElements()
+		}
+		blk, ok := AsBlock(in)
+		if !ok {
+			return nil, false
 		}
 		if period == s.shape.NumElements() {
 			// Streaming input: alias flat backing directly (tensors,
@@ -135,7 +149,7 @@ func blockedPointwise(p *pointwise, s *pointwiseSource) Source {
 		}
 		ins[i] = pwBlockInput{kind: pwPeriod, blk: blk, period: period, buf: make([]float32, blockLen)}
 	}
-	return &pointwiseBlockSource{pointwiseSource: *s, fn1: p.fn1, fn2: p.fn2, blkIns: ins}
+	return &pointwiseBlockSource{pointwiseSource: *s, fn1: p.fn1, fn2: p.fn2, blkIns: ins}, true
 }
 
 type pwInKind uint8
@@ -159,6 +173,18 @@ type pwBlockInput struct {
 	// cur is the current stripe: an alias of data for pwFlat, the staged
 	// buf otherwise. Set per stripe by LoadBlock.
 	cur []float32
+}
+
+// source returns the source the blocked path reads this input from; orig is
+// the operator's own input (what pwFlat aliases).
+func (in *pwBlockInput) source(orig Source) Source {
+	switch in.kind {
+	case pwFlat:
+		return orig
+	case pwScalar:
+		return in.src
+	}
+	return in.blk
 }
 
 // pointwiseBlockSource evaluates a fused elementwise chain over flat

@@ -125,39 +125,32 @@ func newMatmulSource(a, b Source, out tensor.Shape, m, k, n int, transA, transB 
 	}
 }
 
-// blockedMatMul upgrades a matmul source to the tiled flat-loop form when
-// both operands expose flat row-major data (materialized tensors or
-// Reorganize views over them) — the common case at fusion-block
-// boundaries, where operands are weights or planned arena slots — or can
-// be staged into per-session scratch (fused blocked producers). Operands
-// behind genuinely scalar sources keep the pull-model form.
+// blockedMatMul upgrades the scalar contraction to its blocked form: the
+// streaming chain when A is itself rooted in a contraction, otherwise tiled
+// loops over operand strides. Only an operand that is lazy and too large to
+// stage leaves the contraction on the pull model.
 func blockedMatMul(s *matmulSource) Source {
 	// A fused contraction chain (A rooted in another MatMul/Gemm inside the
 	// same block) streams row groups instead of staging the whole A matrix.
 	if c := chainMatMul(s); c != nil {
 		return c
 	}
-	aData, aStage, ok := flatOrStage(s.a, s.m*s.k)
-	if !ok {
-		return s
-	}
-	bData, bStage, ok := flatOrStage(s.b, s.k*s.n)
-	if !ok {
-		return s
-	}
 	out := s.shape
 	outBatch := out[:out.Rank()-2]
+	aOp, ok := resolveOperand(s.a, s.transA, outBatch)
+	if !ok {
+		return pulledMatMul(s)
+	}
+	bOp, ok := resolveOperand(s.b, s.transB, outBatch)
+	if !ok {
+		return pulledMatMul(s)
+	}
 	blk := &matmulBlockSource{
 		matmulSource: *s,
-		aData:        aData,
-		bData:        bData,
-		aStage:       aStage,
-		bStage:       bStage,
-		aRS:          s.aShape[s.ar-1],
-		bRS:          s.bShape[s.br-1],
+		aOp:          aOp,
+		bOp:          bOp,
+		bepi:         s.epi.blocked(),
 		outBatch:     outBatch,
-		aBatchStride: batchStrides(s.aShape, outBatch),
-		bBatchStride: batchStrides(s.bShape, outBatch),
 		batchBuf:     make([]int, outBatch.Rank()),
 	}
 	// Tuned kernels override this at bind time via ApplySchedule; the
@@ -166,20 +159,83 @@ func blockedMatMul(s *matmulSource) Source {
 	return blk
 }
 
-// batchStrides maps each output batch dimension to the element stride of
-// the corresponding operand dimension (0 when the operand broadcasts it or
-// lacks it).
-func batchStrides(opShape tensor.Shape, outBatch tensor.Shape) []int {
-	strides := opShape.Strides()
-	batchRank := opShape.Rank() - 2
-	out := make([]int, outBatch.Rank())
-	for d := range out {
-		od := d - (outBatch.Rank() - batchRank)
-		if od >= 0 && opShape[od] > 1 {
-			out[d] = strides[od]
+// pulledMatMul is the contraction over operands that cannot be read by
+// stride: the pull model over whatever could be staged.
+func pulledMatMul(s *matmulSource) Source {
+	return pulled([]Source{s.a, s.b, s.epi.addend()}, func(ins []Source) Source {
+		c := *s
+		c.a, c.b = ins[0], ins[1]
+		c.aBuf, c.bBuf = make([]int, s.ar), make([]int, s.br)
+		if s.epi != nil {
+			c.epi = s.epi.over(ins[2])
+		}
+		return &c
+	})
+}
+
+// matOperand is a contraction operand resolved to strided flat memory:
+// element (batch…, r, c) of the logical operand — A as (i, k), B as (k, j),
+// transpose flags and any view already folded in — lives at
+// base + Σ batch_d·batch[d] + r·rs + c·cs of the backing slice. A
+// head-split Q, a transposed K and a plain weight matrix are the same
+// operand with different strides.
+type matOperand struct {
+	// src is the source the memory belongs to, for tree walks: the operand
+	// itself when it is flat, else its stage.
+	src    Source
+	data   []float32
+	stage  *Staged
+	base   int
+	rs, cs int
+	batch  []int
+}
+
+// mem returns the operand's backing memory, staging it first when lazy.
+func (o *matOperand) mem() []float32 { return dense(o.data, o.stage) }
+
+// resolveOperand reads s as a contraction operand: through its own strides
+// when it is flat memory or a view over flat or staged memory, else through
+// a dense stage of the whole operand. ok is false when s is lazy and too
+// large to stage.
+func resolveOperand(s Source, trans bool, outBatch tensor.Shape) (matOperand, bool) {
+	l := contiguousLayout(s.Shape())
+	op := matOperand{src: s}
+	if v, isView := s.(*viewBlockSource); isView && (v.flat || v.stage != nil) {
+		l = v.layout
+		op.data, op.stage = v.data, v.stage
+	} else {
+		var ok bool
+		if op.data, op.stage, ok = denseOrStage(s); !ok {
+			return matOperand{}, false
 		}
 	}
-	return out
+	if op.stage != nil {
+		op.src = op.stage
+	}
+	r := len(l.shape)
+	op.base, op.rs, op.cs = l.base, l.strides[r-2], l.strides[r-1]
+	if trans {
+		op.rs, op.cs = op.cs, op.rs
+	}
+	// Right-align the operand's batch dimensions against the output's: a
+	// missing or size-1 dimension broadcasts (stride 0).
+	op.batch = make([]int, outBatch.Rank())
+	for d := range op.batch {
+		if od := d - (outBatch.Rank() - (r - 2)); od >= 0 && l.shape[od] > 1 {
+			op.batch[d] = l.strides[od]
+		}
+	}
+	return op, true
+}
+
+// offset returns the operand offset of the batch matrix at the (unravelled)
+// output batch index.
+func (o *matOperand) offset(batchIdx []int) int {
+	off := o.base
+	for d, v := range batchIdx {
+		off += v * o.batch[d]
+	}
+	return off
 }
 
 type matmulSource struct {
@@ -206,8 +262,8 @@ type matmulSource struct {
 type epilogue struct {
 	alpha, beta float64
 	// c is the addend, broadcast against the [M, N] result; nil when the
-	// Gemm has none. It is loaded through the scalar path, once per output
-	// element (not per K step).
+	// Gemm has none. It is loaded with a scalar Load once per output element
+	// (not per K step); the blocked paths stage a lazy one first (blocked).
 	c      Source
 	cShape tensor.Shape
 	cBuf   []int
@@ -220,6 +276,27 @@ func (e *epilogue) addend() Source {
 		return nil
 	}
 	return e.c
+}
+
+// over returns a copy of the epilogue reading its addend from c, with its
+// own index scratch.
+func (e *epilogue) over(c Source) *epilogue {
+	out := *e
+	out.c, out.cBuf, out.idx2 = c, make([]int, len(e.cBuf)), make([]int, 2)
+	return &out
+}
+
+// blocked returns the epilogue the tiled and chain paths apply: the same
+// tail with a lazily produced addend staged, so the per-element C load is a
+// memory read. The scalar oracle keeps the original.
+func (e *epilogue) blocked() *epilogue {
+	if e == nil || e.c == nil || randomAccess(e.c) {
+		return e
+	}
+	if blk, ok := AsBlock(e.c); ok && e.cShape.NumElements() <= stageElemCap {
+		return e.over(newStaged(blk))
+	}
+	return e
 }
 
 // apply finishes the accumulator of output element (i, j).
@@ -293,16 +370,11 @@ func (s *matmulSource) Load(idx []int) float32 {
 // are bit-for-bit equal.
 type matmulBlockSource struct {
 	matmulSource
-	// aData/bData are the operands' flat backing, or (when aStage/bStage
-	// is set) per-session scratch the staged operand matrix is streamed
-	// into once per batch per LoadBlock call.
-	aData, bData   []float32
-	aStage, bStage BlockSource
-	// aRS/bRS are the physical row strides (last-dimension sizes).
-	aRS, bRS                   int
-	outBatch                   tensor.Shape
-	aBatchStride, bBatchStride []int
-	batchBuf                   []int
+	aOp, bOp matOperand
+	// bepi is epi with a lazy addend staged (see epilogue.blocked).
+	bepi     *epilogue
+	outBatch tensor.Shape
+	batchBuf []int
 	// rowTile and jb are the kernel's normalized tile schedule: register-
 	// tile height and column-panel width. acc holds rowTile accumulator
 	// rows of n entries (the single-row path uses the first n).
@@ -322,8 +394,8 @@ func (s *matmulBlockSource) setSchedule(sched Schedule) {
 }
 
 func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
+	aData, bData := s.aOp.mem(), s.bOp.mem()
 	mn := s.m * s.n
-	stagedBatch := -1 // staging never survives a LoadBlock call: inputs change between runs
 	for n > 0 {
 		batch := off / mn
 		rem := off % mn
@@ -334,26 +406,7 @@ func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
 			run = n
 		}
 		s.outBatch.Unravel(batch, s.batchBuf)
-		aBase, bBase := 0, 0
-		for d, v := range s.batchBuf {
-			aBase += v * s.aBatchStride[d]
-			bBase += v * s.bBatchStride[d]
-		}
-		if batch != stagedBatch {
-			if s.aStage != nil {
-				s.aStage.LoadBlock(s.aData, aBase, len(s.aData))
-			}
-			if s.bStage != nil {
-				s.bStage.LoadBlock(s.bData, bBase, len(s.bData))
-			}
-			stagedBatch = batch
-		}
-		if s.aStage != nil {
-			aBase = 0
-		}
-		if s.bStage != nil {
-			bBase = 0
-		}
+		aBase, bBase := s.aOp.offset(s.batchBuf), s.bOp.offset(s.batchBuf)
 		// At a row boundary with at least one full row tile of this batch
 		// matrix ahead, take the blocked path: rowTile-high tiles stream
 		// each B row once per tile (dividing B loads and float64 widenings
@@ -362,9 +415,10 @@ func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
 		// (batch-stacked) matmuls do not thrash B between tiles. Tile
 		// height and panel width come from the kernel's schedule
 		// (setSchedule); per-element accumulation order is unchanged
-		// (ascending k) — bit-identical to mulRow.
+		// (ascending k) — bit-identical to mulRow. The tile streams B rows,
+		// so it needs them dense (column stride 1).
 		rt := s.rowTile
-		if rt > 1 && !s.transB && jLo == 0 && i+rt <= s.m && n >= rt*s.n {
+		if rt > 1 && s.bOp.cs == 1 && jLo == 0 && i+rt <= s.m && n >= rt*s.n {
 			rows := n / s.n
 			if avail := s.m - i; rows > avail {
 				rows = avail
@@ -377,7 +431,7 @@ func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
 					w = jb
 				}
 				for r := 0; r < rows; r += rt {
-					s.mulTile(dst[r*s.n+j0:], aBase, bBase, i+r, j0, w, rt)
+					s.mulTile(dst[r*s.n+j0:], aData, bData, aBase, bBase, i+r, j0, w, rt)
 				}
 			}
 			adv := rows * s.n
@@ -386,7 +440,7 @@ func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
 			n -= adv
 			continue
 		}
-		s.mulRow(dst[:run], aBase, bBase, i, jLo, run)
+		s.mulRow(dst[:run], aData, bData, aBase, bBase, i, jLo, run)
 		dst = dst[run:]
 		off += run
 		n -= run
@@ -396,52 +450,55 @@ func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
 // mulTile computes the rt×w output tile with corner (i, jLo) of one batch
 // matrix via mulTileAcc. dst addresses element (i, jLo) and is written with
 // row stride s.n. Each accumulator still sums in ascending-k order.
-func (s *matmulBlockSource) mulTile(dst []float32, aBase, bBase, i, jLo, w, rt int) {
-	ai, ak := s.aRS, 1
-	if s.transA {
-		ai, ak = 1, s.aRS
-	}
+func (s *matmulBlockSource) mulTile(dst, aData, bData []float32, aBase, bBase, i, jLo, w, rt int) {
 	acc := s.acc
-	mulTileAcc(rt, s.aData, aBase+i*ai, ai, ak, s.k, s.bData, bBase, s.bRS, jLo, acc, w)
+	mulTileAcc(rt, aData, aBase+i*s.aOp.rs, s.aOp.rs, s.aOp.cs, s.k, bData, bBase, s.bOp.rs, jLo, acc, w)
 	for r := 0; r < rt; r++ {
-		s.epi.store(dst[r*s.n:], acc[r*w:r*w+w], i+r, jLo)
+		s.bepi.store(dst[r*s.n:], acc[r*w:r*w+w], i+r, jLo)
 	}
 }
 
 // mulRow fills dst with output elements (i, jLo..jLo+w) of one batch
 // matrix.
-func (s *matmulBlockSource) mulRow(dst []float32, aBase, bBase, i, jLo, w int) {
-	ai, ak := s.aRS, 1
-	if s.transA {
-		ai, ak = 1, s.aRS
-	}
-	aOff := aBase + i*ai
+func (s *matmulBlockSource) mulRow(dst, aData, bData []float32, aBase, bBase, i, jLo, w int) {
+	ak := s.aOp.cs
+	aOff := aBase + i*s.aOp.rs
 	acc := s.acc[:w]
-	if s.transB {
-		// b is (j, k): each output element is a contiguous dot product.
+	if bk, bj := s.bOp.rs, s.bOp.cs; bj != 1 {
+		// B's columns are strided (a transposed operand): each output
+		// element is its own dot product down a B column.
 		for t := 0; t < w; t++ {
-			bOff := bBase + (jLo+t)*s.bRS
+			bOff := bBase + (jLo+t)*bj
 			var a float64
-			for k := 0; k < s.k; k++ {
-				a += float64(s.aData[aOff+k*ak]) * float64(s.bData[bOff+k])
+			if ak == 1 && bk == 1 {
+				aRow, bCol := aData[aOff:aOff+s.k], bData[bOff:bOff+s.k]
+				for k, av := range aRow {
+					a += float64(av) * float64(bCol[k])
+				}
+			} else {
+				for k := 0; k < s.k; k++ {
+					a += float64(aData[aOff+k*ak]) * float64(bData[bOff+k*bk])
+				}
 			}
 			acc[t] = a
 		}
 	} else {
-		// b is (k, j): accumulate the whole row tile streaming b's rows, K
-		// outer — each acc[t] still sums in ascending-k order.
+		// B's rows are dense: accumulate the whole row tile streaming them,
+		// K outer — each acc[t] still sums in ascending-k order.
 		for t := range acc {
 			acc[t] = 0
 		}
 		for k := 0; k < s.k; k++ {
-			av := float64(s.aData[aOff+k*ak])
-			bRow := s.bData[bBase+k*s.bRS+jLo:]
-			for t := 0; t < w; t++ {
-				acc[t] += av * float64(bRow[t])
+			av := float64(aData[aOff+k*ak])
+			base := bBase + k*bk + jLo
+			bRow := bData[base : base+w]
+			acc := acc[:len(bRow)]
+			for t, bv := range bRow {
+				acc[t] += av * float64(bv)
 			}
 		}
 	}
-	s.epi.store(dst, acc, i, jLo)
+	s.bepi.store(dst, acc, i, jLo)
 }
 
 // NewGemm returns the ONNX Gemm operator: alpha*op(A)*op(B) + beta*C where C
@@ -646,12 +703,14 @@ func (e *einsum) Virtualize(ins []Source, outNo int) (Source, error) {
 	for _, l := range p.contract {
 		total *= p.dims[l]
 	}
-	return &einsumSource{
-		plan:          p,
-		ins:           [2]Source{ins[0], ins[1]},
-		bufs:          [2][]int{make([]int, shapes[0].Rank()), make([]int, shapes[1].Rank())},
-		contractTotal: total,
-	}, nil
+	return pulled(ins, func(ins []Source) Source {
+		return &einsumSource{
+			plan:          p,
+			ins:           [2]Source{ins[0], ins[1]},
+			bufs:          [2][]int{make([]int, shapes[0].Rank()), make([]int, shapes[1].Rank())},
+			contractTotal: total,
+		}
+	}), nil
 }
 
 type einsumSource struct {

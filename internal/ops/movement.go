@@ -13,6 +13,13 @@ import (
 // copying One-to-Many operators (Expand, Resize, Upsample). FLOPs are zero;
 // the cost of these operators is entirely memory traffic, which is why the
 // intra-block optimization (Figure 5) folds them into index changes.
+//
+// An operator states its index transform one of two ways. Those whose
+// transform is affine per dimension (Reshape, Flatten, Squeeze, Unsqueeze,
+// Transpose, Slice, Split, Expand) give view, a rewrite of the input's
+// strided layout, and virtualize to a view (view.go) that composes with any
+// view beneath it. The rest (DepthToSpace, SpaceToDepth, Concat, Resize)
+// give mapIndex and virtualize to a pull-model source over staged operands.
 type movement struct {
 	name       string
 	arity      int // -1 for variadic (Concat)
@@ -21,15 +28,14 @@ type movement struct {
 	attrKey    string
 	props      Properties
 	infer      func(in []tensor.Shape) ([]tensor.Shape, error)
+	// view rewrites the layout of input 0 into the layout of output outNo
+	// (whose inferred shape is out). ok is false when the output order is not
+	// a strided view of the input's memory (a Reshape across a transposed
+	// dimension); the output then views the input source itself, densely.
+	view func(l layout, outNo int, out tensor.Shape) (vl layout, ok bool)
 	// mapIndex maps an index of output outNo to (input number, input index).
 	// dst is scratch of the selected input's rank.
 	mapIndex func(in []tensor.Shape, outNo int, outIdx []int, dst []int) (int, []int)
-	// bindMapIndex, when set, specializes mapIndex for fixed input shapes.
-	// Virtualize calls it once so shape-dependent work (output-shape
-	// inference, slice-range resolution) happens at bind time and Load is
-	// allocation-free — a precondition for the zero-allocation execution
-	// path.
-	bindMapIndex func(in []tensor.Shape, outNo int) (func(outIdx, dst []int) (int, []int), error)
 	// attrs holds structured attributes for rewrite-rule inspection.
 	attrs map[string]any
 }
@@ -81,7 +87,22 @@ type IndexMapper interface {
 }
 
 func (m *movement) MapIndex(in []tensor.Shape, outNo int, outIdx []int, dst []int) (int, []int) {
-	return m.mapIndex(in, outNo, outIdx, dst)
+	if m.mapIndex != nil {
+		return m.mapIndex(in, outNo, outIdx, dst)
+	}
+	outs, err := m.infer(in)
+	if err != nil {
+		panic(fmt.Sprintf("%s: MapIndex over invalid input shapes: %v", m.name, err))
+	}
+	l, ok := m.view(contiguousLayout(in[0]), outNo, outs[outNo])
+	if !ok {
+		l = contiguousLayout(outs[outNo])
+	}
+	off := l.base
+	for d, i := range outIdx {
+		off += i * l.strides[d]
+	}
+	return 0, in[0].Unravel(off, dst[:in[0].Rank()])
 }
 
 func (m *movement) Virtualize(ins []Source, outNo int) (Source, error) {
@@ -103,105 +124,27 @@ func (m *movement) Virtualize(ins []Source, outNo int) (Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.name, err)
 	}
-	src := &movementSource{
-		op:    m,
-		shape: outs[outNo],
-		outNo: outNo,
-		ins:   ins,
-		inSh:  shapes,
-		buf:   make([]int, maxRank),
-	}
-	if m.bindMapIndex != nil {
-		fn, err := m.bindMapIndex(shapes, outNo)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.name, err)
+	if m.view != nil {
+		backing, l := layoutOf(ins[0])
+		if vl, ok := m.view(l, outNo, outs[outNo]); ok {
+			return newView(backing, vl), nil
 		}
-		src.mapFn = fn
+		return newView(ins[0], contiguousLayout(outs[outNo])), nil
 	}
-	return m.blocked(src), nil
-}
-
-// blocked upgrades a movement source to a blocked one when its index map
-// is affine enough to stream contiguous runs: Reorganize ops are flat
-// identities, and Slice shifts whole innermost rows. Shuffle and
-// One-to-Many movement (Transpose, Expand, Resize, ...) stay scalar —
-// their access patterns are genuinely gather-like.
-func (m *movement) blocked(src *movementSource) Source {
-	blk, ok := AsBlock(src.ins[0])
-	if !ok {
-		return src
-	}
-	switch {
-	case m.mapping == Reorganize:
-		// Output flat offset == input flat offset: delegate wholesale.
-		return &reorganizeBlockSource{movementSource: *src, blk: blk}
-	case m.name == "Slice" && src.shape.Rank() >= 1:
-		starts, err := sliceStarts(m, src.inSh[0])
-		if err != nil {
-			return src
+	return pulled(ins, func(ins []Source) Source {
+		return &movementSource{
+			op:    m,
+			shape: outs[outNo],
+			outNo: outNo,
+			ins:   ins,
+			inSh:  shapes,
+			buf:   make([]int, maxRank),
 		}
-		return &sliceBlockSource{
-			movementSource: *src,
-			blk:            blk,
-			starts:         starts,
-			idxBuf:         make([]int, src.shape.Rank()),
-		}
-	}
-	return src
+	}), nil
 }
 
-// sliceStarts resolves a Slice operator's per-axis start offsets.
-func sliceStarts(m *movement, in tensor.Shape) ([]int, error) {
-	resolve, ok := m.attrs["resolve"].(func(tensor.Shape) ([]int, []int, error))
-	if !ok {
-		return nil, fmt.Errorf("Slice: no resolver")
-	}
-	starts, _, err := resolve(in)
-	return starts, err
-}
-
-// reorganizeBlockSource streams a Reshape/Flatten/Squeeze/Unsqueeze:
-// the flat data is untouched, so blocks pass straight through.
-type reorganizeBlockSource struct {
-	movementSource
-	blk BlockSource
-}
-
-func (s *reorganizeBlockSource) LoadBlock(dst []float32, off, n int) {
-	s.blk.LoadBlock(dst, off, n)
-}
-
-// sliceBlockSource streams a Slice row by row: within an innermost output
-// row the input offsets are contiguous, so each covered row segment is one
-// block load at a shifted base offset.
-type sliceBlockSource struct {
-	movementSource
-	blk    BlockSource
-	starts []int
-	idxBuf []int
-}
-
-func (s *sliceBlockSource) LoadBlock(dst []float32, off, n int) {
-	out := s.shape
-	in := s.inSh[0]
-	rowLen := out[out.Rank()-1]
-	for n > 0 {
-		j := off % rowLen
-		run := rowLen - j
-		if run > n {
-			run = n
-		}
-		out.Unravel(off, s.idxBuf)
-		for i := range s.idxBuf {
-			s.idxBuf[i] += s.starts[i]
-		}
-		s.blk.LoadBlock(dst[:run], in.Ravel(s.idxBuf), run)
-		dst = dst[run:]
-		off += run
-		n -= run
-	}
-}
-
+// movementSource is the scalar form of the movement operators without a
+// strided-view form: each Load maps the output index to one input element.
 type movementSource struct {
 	op    *movement
 	shape tensor.Shape
@@ -209,31 +152,17 @@ type movementSource struct {
 	ins   []Source
 	inSh  []tensor.Shape
 	buf   []int
-	// mapFn is the shape-specialized index transform (see bindMapIndex);
-	// nil falls back to the operator's generic mapIndex.
-	mapFn func(outIdx, dst []int) (int, []int)
 }
 
 func (s *movementSource) Shape() tensor.Shape { return s.shape }
 
 func (s *movementSource) Load(idx []int) float32 {
-	if s.mapFn != nil {
-		sel, inIdx := s.mapFn(idx, s.buf)
-		return s.ins[sel].Load(inIdx)
-	}
 	sel, inIdx := s.op.mapIndex(s.inSh, s.outNo, idx, s.buf)
 	return s.ins[sel].Load(inIdx)
 }
 
-// flatRemap is the shared index transform of all Reorganize operators:
-// row-major flatten of the output index, unravelled into the input shape.
-func flatRemap(in []tensor.Shape, out tensor.Shape) func([]tensor.Shape, int, []int, []int) (int, []int) {
-	return func(inShapes []tensor.Shape, _ int, outIdx []int, dst []int) (int, []int) {
-		return 0, inShapes[0].Unravel(out.Ravel(outIdx), dst[:inShapes[0].Rank()])
-	}
-}
-
-// reorganize builds a Reorganize-class operator given its shape function.
+// reorganize builds a Reorganize-class operator given its shape function:
+// the flat order is unchanged, so the output is the input's layout re-split.
 func reorganize(name, attrKey string, infer func(tensor.Shape) (tensor.Shape, error)) Operator {
 	m := &movement{
 		name:       name,
@@ -250,22 +179,7 @@ func reorganize(name, attrKey string, infer func(tensor.Shape) (tensor.Shape, er
 		}
 		return []tensor.Shape{out}, nil
 	}
-	m.mapIndex = func(inShapes []tensor.Shape, _ int, outIdx []int, dst []int) (int, []int) {
-		out, _ := infer(inShapes[0])
-		return 0, inShapes[0].Unravel(out.Ravel(outIdx), dst[:inShapes[0].Rank()])
-	}
-	// Shape inference per Load allocates; resolve the output shape once per
-	// Source so fused Loads stay allocation-free.
-	m.bindMapIndex = func(inShapes []tensor.Shape, _ int) (func([]int, []int) (int, []int), error) {
-		out, err := infer(inShapes[0])
-		if err != nil {
-			return nil, err
-		}
-		in := inShapes[0]
-		return func(outIdx, dst []int) (int, []int) {
-			return 0, in.Unravel(out.Ravel(outIdx), dst[:in.Rank()])
-		}, nil
-	}
+	m.view = func(l layout, _ int, out tensor.Shape) (layout, bool) { return l.reshape(out) }
 	return m
 }
 
@@ -411,13 +325,7 @@ func NewTranspose(perm ...int) Operator {
 		}
 		return []tensor.Shape{out}, nil
 	}
-	m.mapIndex = func(in []tensor.Shape, _ int, outIdx []int, dst []int) (int, []int) {
-		d := dst[:len(p)]
-		for i, ax := range p {
-			d[ax] = outIdx[i]
-		}
-		return 0, d
-	}
+	m.view = func(l layout, _ int, _ tensor.Shape) (layout, bool) { return l.transpose(p), true }
 	return m
 }
 
@@ -528,13 +436,7 @@ func NewSlice(axes, starts, ends []int) Operator {
 		mapping:    OneToOne,
 		attrKey:    fmt.Sprintf("axes=%v,starts=%v,ends=%v", ax, st, en),
 		props:      Properties{Linear: true},
-		// The blocked fast path re-resolves start offsets at bind time.
-		attrs: map[string]any{
-			"axes": ax, "starts": st, "ends": en,
-			"resolve": func(s tensor.Shape) ([]int, []int, error) {
-				return resolve(s)
-			},
-		},
+		attrs:      map[string]any{"axes": ax, "starts": st, "ends": en},
 	}
 	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
 		_, sizes, err := resolve(in[0])
@@ -543,27 +445,9 @@ func NewSlice(axes, starts, ends []int) Operator {
 		}
 		return []tensor.Shape{sizes}, nil
 	}
-	m.mapIndex = func(in []tensor.Shape, _ int, o []int, dst []int) (int, []int) {
-		starts, _, _ := resolve(in[0])
-		d := dst[:len(o)]
-		for i := range o {
-			d[i] = o[i] + starts[i]
-		}
-		return 0, d
-	}
-	// Range resolution per Load allocates; do it once per Source.
-	m.bindMapIndex = func(in []tensor.Shape, _ int) (func([]int, []int) (int, []int), error) {
-		starts, _, err := resolve(in[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(o, dst []int) (int, []int) {
-			d := dst[:len(o)]
-			for i := range o {
-				d[i] = o[i] + starts[i]
-			}
-			return 0, d
-		}, nil
+	m.view = func(l layout, _ int, out tensor.Shape) (layout, bool) {
+		starts, _, _ := resolve(l.shape) // infer already accepted this shape
+		return l.slice(starts, out), true
 	}
 	return m
 }
@@ -599,16 +483,13 @@ func NewSplit(axis int, sizes ...int) Operator {
 		}
 		return outs, nil
 	}
-	m.mapIndex = func(in []tensor.Shape, outNo int, o []int, dst []int) (int, []int) {
-		na, _ := tensor.NormalizeAxis(axis, in[0].Rank())
-		off := 0
+	m.view = func(l layout, outNo int, out tensor.Shape) (layout, bool) {
+		na, _ := tensor.NormalizeAxis(axis, len(l.shape))
+		starts := make([]int, len(l.shape))
 		for i := 0; i < outNo; i++ {
-			off += sz[i]
+			starts[na] += sz[i]
 		}
-		d := dst[:len(o)]
-		copy(d, o)
-		d[na] += off
-		return 0, d
+		return l.slice(starts, out), true
 	}
 	return m
 }
@@ -685,9 +566,7 @@ func NewExpand(target ...int) Operator {
 		}
 		return []tensor.Shape{out}, nil
 	}
-	m.mapIndex = func(in []tensor.Shape, _ int, o []int, dst []int) (int, []int) {
-		return 0, tensor.BroadcastIndex(o, in[0], dst[:in[0].Rank()])
-	}
+	m.view = func(l layout, _ int, out tensor.Shape) (layout, bool) { return l.expand(out), true }
 	return m
 }
 
@@ -785,16 +664,18 @@ func (g *gather) Virtualize(ins []Source, outNo int) (Source, error) {
 		return nil, err
 	}
 	ax, _ := tensor.NormalizeAxis(g.axis, shapes[0].Rank())
-	return &gatherSource{
-		shape:   outs[0],
-		data:    ins[0],
-		index:   ins[1],
-		axis:    ax,
-		axisDim: shapes[0][ax],
-		dBuf:    make([]int, shapes[0].Rank()),
-		iBuf:    make([]int, shapes[1].Rank()),
-		idxLen:  shapes[1].Rank(),
-	}, nil
+	return pulled(ins, func(ins []Source) Source {
+		return &gatherSource{
+			shape:   outs[0],
+			data:    ins[0],
+			index:   ins[1],
+			axis:    ax,
+			axisDim: shapes[0][ax],
+			dBuf:    make([]int, shapes[0].Rank()),
+			iBuf:    make([]int, shapes[1].Rank()),
+			idxLen:  shapes[1].Rank(),
+		}
+	}), nil
 }
 
 type gatherSource struct {

@@ -61,10 +61,12 @@ func (b *batchnorm) Virtualize(ins []Source, outNo int) (Source, error) {
 	if len(ins) != 5 {
 		return nil, errInputs("BatchNormalization", "5", len(ins))
 	}
-	return &batchnormSource{
-		x: ins[0], scale: ins[1], bias: ins[2], mean: ins[3], variance: ins[4],
-		eps: b.eps, cBuf: make([]int, 1),
-	}, nil
+	return pulled(ins, func(ins []Source) Source {
+		return &batchnormSource{
+			x: ins[0], scale: ins[1], bias: ins[2], mean: ins[3], variance: ins[4],
+			eps: b.eps, cBuf: make([]int, 1),
+		}
+	}), nil
 }
 
 type batchnormSource struct {
@@ -126,11 +128,13 @@ func (n *instancenorm) Virtualize(ins []Source, outNo int) (Source, error) {
 	if len(ins) != 3 {
 		return nil, errInputs("InstanceNormalization", "3", len(ins))
 	}
-	return &instancenormSource{
-		x: ins[0], scale: ins[1], bias: ins[2], eps: n.eps,
-		buf:  make([]int, ins[0].Shape().Rank()),
-		cBuf: make([]int, 1),
-	}, nil
+	return pulled(ins, func(ins []Source) Source {
+		return &instancenormSource{
+			x: ins[0], scale: ins[1], bias: ins[2], eps: n.eps,
+			buf:  make([]int, ins[0].Shape().Rank()),
+			cBuf: make([]int, 1),
+		}
+	}), nil
 }
 
 type instancenormSource struct {

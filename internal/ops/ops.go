@@ -159,12 +159,12 @@ func Materialize(src Source) *tensor.Tensor {
 }
 
 // MaterializeRange evaluates elements [lo, hi) of src's row-major order
-// into dst.Data()[lo:hi]. It takes the blocked fast path when src exposes
-// one (no per-element Unravel or virtual dispatch), falling back to the
-// scalar tree-walk otherwise. idx is caller-owned scratch of at least src's
-// rank, used only on the scalar fallback. This is the executor's inner
-// loop: the parallel executor covers an output by calling it on disjoint
-// ranges from different workers, each with its own Source tree and idx.
+// into dst.Data()[lo:hi] through src's LoadBlock. Every source Virtualize
+// composes has one (see BlockSource); the per-element tree-walk at the end
+// serves a foreign Source implementation only, with idx as caller-owned
+// scratch of at least src's rank. This is the executor's inner loop: the
+// parallel executor covers an output by calling it on disjoint ranges from
+// different workers, each with its own Source tree and idx.
 func MaterializeRange(src Source, dst *tensor.Tensor, idx []int, lo, hi int) {
 	if hi <= lo {
 		return

@@ -127,40 +127,38 @@ func (p *pool) Virtualize(ins []Source, outNo int) (Source, error) {
 		return nil, err
 	}
 	kernel, strides, pads, _ := p.resolved(x)
-	src := &poolSource{
-		shape:   out,
-		in:      ins[0],
-		avg:     p.avg,
-		kernel:  kernel,
-		strides: strides,
-		pads:    pads,
-		xShape:  x,
-		spatial: x.Rank() - 2,
-		buf:     make([]int, x.Rank()),
+	mk := func(ins []Source) Source {
+		src := &poolSource{
+			shape:   out,
+			in:      ins[0],
+			avg:     p.avg,
+			kernel:  kernel,
+			strides: strides,
+			pads:    pads,
+			xShape:  x,
+			spatial: x.Rank() - 2,
+			buf:     make([]int, x.Rank()),
+			total:   1,
+		}
+		for _, k := range kernel {
+			src.total *= k
+		}
+		return src
 	}
-	src.total = 1
-	for _, k := range kernel {
-		src.total *= k
-	}
-	return blockedPool(src), nil
-}
-
-// blockedPool upgrades a pooling source to flat window loops when the
-// input exposes flat data or can be staged into per-session scratch; the
-// window iteration order matches the scalar path, so results are
-// bit-for-bit equal.
-func blockedPool(s *poolSource) Source {
-	xData, xStage, ok := flatOrStage(s.in, s.xShape.NumElements())
+	// Flat window loops over an input that is flat or staged; the window
+	// iteration order matches the scalar path, so results are bit-for-bit
+	// equal. Only an input too large to stage keeps the pull model.
+	xData, xStage, ok := denseOrStage(ins[0])
 	if !ok {
-		return s
+		return pulled(ins, mk), nil
 	}
 	return &poolBlockSource{
-		poolSource: *s,
+		poolSource: *mk(ins).(*poolSource),
 		xData:      xData,
 		xStage:     xStage,
-		xStrides:   s.xShape.Strides(),
-		idxBuf:     make([]int, s.shape.Rank()),
-	}
+		xStrides:   x.Strides(),
+		idxBuf:     make([]int, out.Rank()),
+	}, nil
 }
 
 type poolSource struct {
@@ -221,25 +219,22 @@ func (s *poolSource) Load(idx []int) float32 {
 type poolBlockSource struct {
 	poolSource
 	xData    []float32
-	xStage   BlockSource
+	xStage   *Staged
 	xStrides []int
 	idxBuf   []int
 }
 
 func (s *poolBlockSource) LoadBlock(dst []float32, off, n int) {
-	if s.xStage != nil {
-		// Re-streamed every call: inputs change between runs.
-		s.xStage.LoadBlock(s.xData, 0, len(s.xData))
-	}
+	xData := dense(s.xData, s.xStage)
 	idx := s.idxBuf
 	s.shape.Unravel(off, idx)
 	for t := 0; t < n; t++ {
-		dst[t] = s.eval(idx)
+		dst[t] = s.eval(idx, xData)
 		incIndex(s.shape, idx)
 	}
 }
 
-func (s *poolBlockSource) eval(idx []int) float32 {
+func (s *poolBlockSource) eval(idx []int, xData []float32) float32 {
 	base := idx[0]*s.xStrides[0] + idx[1]*s.xStrides[1]
 	acc := math.Inf(-1)
 	sum, count := 0.0, 0
@@ -260,7 +255,7 @@ func (s *poolBlockSource) eval(idx []int) float32 {
 		if !ok {
 			continue
 		}
-		v := float64(s.xData[xOff])
+		v := float64(xData[xOff])
 		sum += v
 		count++
 		acc = math.Max(acc, v)

@@ -66,10 +66,12 @@ func ReduceInfo(op Operator) (kind ReduceKind, keepDims bool, axes []int, ok boo
 	return r.kind, r.keepDims, append([]int(nil), r.axes...), true
 }
 
-func (r *reduce) resolveAxes(rank int) (map[int]bool, error) {
-	red := make(map[int]bool)
+// resolveAxes marks the reduced dimensions of a rank-r input (all of them
+// when no axes were given).
+func (r *reduce) resolveAxes(rank int) ([]bool, error) {
+	red := make([]bool, rank)
 	if len(r.axes) == 0 {
-		for i := 0; i < rank; i++ {
+		for i := range red {
 			red[i] = true
 		}
 		return red, nil
@@ -127,26 +129,41 @@ func (r *reduce) Virtualize(ins []Source, outNo int) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	redAxes := make([]int, 0, len(red))
-	for i := 0; i < inShape.Rank(); i++ {
+	var redAxes []int
+	count := 1
+	for i, d := range inShape {
 		if red[i] {
 			redAxes = append(redAxes, i)
+			count *= d
 		}
 	}
-	count := 1
-	for _, a := range redAxes {
-		count *= inShape[a]
+	mk := func(ins []Source) Source {
+		return &reduceSource{
+			op:      r,
+			shape:   outs[0],
+			in:      ins[0],
+			inShape: inShape,
+			red:     red,
+			redAxes: redAxes,
+			count:   count,
+			buf:     make([]int, inShape.Rank()),
+		}
 	}
-	return &reduceSource{
-		op:      r,
-		shape:   outs[0],
-		in:      ins[0],
-		inShape: inShape,
-		red:     red,
-		redAxes: redAxes,
-		count:   count,
-		buf:     make([]int, inShape.Rank()),
-	}, nil
+	// One contiguous group of reduced axes over a blocked input reduces
+	// staged runs; scattered axes keep the pull model over a staged input.
+	blk, isBlk := AsBlock(ins[0])
+	if grouped := len(redAxes) == 0 || redAxes[len(redAxes)-1]-redAxes[0] == len(redAxes)-1; !isBlk || !grouped {
+		return pulled(ins, mk), nil
+	}
+	inner := 1
+	if len(redAxes) > 0 {
+		inner = inShape[redAxes[len(redAxes)-1]+1:].NumElements()
+	}
+	src := &reduceBlockSource{reduceSource: *mk(ins).(*reduceSource), blk: blk, inner: inner, buf32: make([]float32, blockLen)}
+	if inner > 1 {
+		src.acc = make([]float64, blockLen)
+	}
+	return src, nil
 }
 
 type reduceSource struct {
@@ -154,7 +171,7 @@ type reduceSource struct {
 	shape   tensor.Shape
 	in      Source
 	inShape tensor.Shape
-	red     map[int]bool
+	red     []bool
 	redAxes []int
 	// count is the reduced-element count, hoisted from Load.
 	count int
@@ -163,11 +180,80 @@ type reduceSource struct {
 
 func (s *reduceSource) Shape() tensor.Shape { return s.shape }
 
+// identity is the accumulator a reduction of this kind starts from.
+func (k ReduceKind) identity() float64 {
+	switch k {
+	case ReduceProd:
+		return 1
+	case ReduceMax:
+		return math.Inf(-1)
+	case ReduceMin:
+		return math.Inf(1)
+	}
+	return 0
+}
+
+// fold accumulates vals into acc in order, in float64.
+func (k ReduceKind) fold(acc float64, vals []float32) float64 {
+	switch k {
+	case ReduceSum, ReduceMean:
+		for _, v := range vals {
+			acc += float64(v)
+		}
+	case ReduceProd:
+		for _, v := range vals {
+			acc *= float64(v)
+		}
+	case ReduceMax:
+		for _, v := range vals {
+			acc = math.Max(acc, float64(v))
+		}
+	case ReduceMin:
+		for _, v := range vals {
+			acc = math.Min(acc, float64(v))
+		}
+	}
+	return acc
+}
+
+// foldColumns accumulates row element-wise into the column accumulators.
+func (k ReduceKind) foldColumns(acc []float64, row []float32) {
+	acc = acc[:len(row)]
+	switch k {
+	case ReduceSum, ReduceMean:
+		for t, v := range row {
+			acc[t] += float64(v)
+		}
+	case ReduceProd:
+		for t, v := range row {
+			acc[t] *= float64(v)
+		}
+	case ReduceMax:
+		for t, v := range row {
+			acc[t] = math.Max(acc[t], float64(v))
+		}
+	case ReduceMin:
+		for t, v := range row {
+			acc[t] = math.Min(acc[t], float64(v))
+		}
+	}
+}
+
+// finish turns the accumulator over count elements into the result.
+func (k ReduceKind) finish(acc float64, count int) float32 {
+	if k == ReduceMean {
+		acc /= float64(count)
+	}
+	return float32(acc)
+}
+
 func (s *reduceSource) Load(outIdx []int) float32 {
-	// Scatter the kept output indices into the input index buffer.
+	// Scatter the kept output indices into the input index buffer; the
+	// reduced axes start at zero and advance as an odometer, last axis
+	// fastest — the row-major order of the reduced sub-tensor.
 	j := 0
-	for i := 0; i < s.inShape.Rank(); i++ {
-		if s.red[i] {
+	for i, red := range s.red {
+		if red {
 			s.buf[i] = 0
 			if s.op.keepDims {
 				j++
@@ -177,40 +263,89 @@ func (s *reduceSource) Load(outIdx []int) float32 {
 			j++
 		}
 	}
-	count := s.count
-	var acc float64
-	switch s.op.kind {
-	case ReduceProd:
-		acc = 1
-	case ReduceMax:
-		acc = math.Inf(-1)
-	case ReduceMin:
-		acc = math.Inf(1)
-	}
-	for n := 0; n < count; n++ {
-		// Decode n into the reduced axes of the input index.
-		rem := n
+	kind := s.op.kind
+	acc := kind.identity()
+	var one [1]float32
+	for n := 0; n < s.count; n++ {
+		one[0] = s.in.Load(s.buf)
+		acc = kind.fold(acc, one[:])
 		for i := len(s.redAxes) - 1; i >= 0; i-- {
 			a := s.redAxes[i]
-			s.buf[a] = rem % s.inShape[a]
-			rem /= s.inShape[a]
-		}
-		v := float64(s.in.Load(s.buf))
-		switch s.op.kind {
-		case ReduceSum, ReduceMean:
-			acc += v
-		case ReduceProd:
-			acc *= v
-		case ReduceMax:
-			acc = math.Max(acc, v)
-		case ReduceMin:
-			acc = math.Min(acc, v)
+			s.buf[a]++
+			if s.buf[a] < s.inShape[a] {
+				break
+			}
+			s.buf[a] = 0
 		}
 	}
-	if s.op.kind == ReduceMean {
-		acc /= float64(count)
+	return kind.finish(acc, s.count)
+}
+
+// reduceBlockSource reduces one contiguous group of axes of a blocked
+// input: the input is [outer, count, inner] in flat terms and output
+// element (o, j) folds input elements (o, 0..count, j) in ascending order
+// in float64 — the order and width of reduceSource.Load, so the result is
+// bit-identical. Trailing axes (inner == 1) stage each output's contiguous
+// run of count elements, several outputs per producer load; a middle or
+// leading group accumulates the count input rows of the covered columns
+// into float64 column accumulators. Either way the producer is pulled once
+// per covered input element, in dense runs.
+type reduceBlockSource struct {
+	reduceSource
+	blk   BlockSource
+	inner int
+	buf32 []float32
+	acc   []float64
+}
+
+func (s *reduceBlockSource) LoadBlock(dst []float32, off, n int) {
+	kind, count := s.op.kind, s.count
+	if s.inner == 1 {
+		for n > 0 {
+			g := min(len(s.buf32)/count, n)
+			if g == 0 {
+				// A run longer than the staging buffer folds in stripes.
+				acc := kind.identity()
+				for r := 0; r < count; r += len(s.buf32) {
+					stripe := s.buf32[:min(len(s.buf32), count-r)]
+					s.blk.LoadBlock(stripe, off*count+r, len(stripe))
+					acc = kind.fold(acc, stripe)
+				}
+				dst[0] = kind.finish(acc, count)
+				g = 1
+			} else {
+				rows := s.buf32[:g*count]
+				s.blk.LoadBlock(rows, off*count, len(rows))
+				for t := 0; t < g; t++ {
+					dst[t] = kind.finish(kind.fold(kind.identity(), rows[t*count:(t+1)*count]), count)
+				}
+			}
+			dst = dst[g:]
+			off += g
+			n -= g
+		}
+		return
 	}
-	return float32(acc)
+	inner := s.inner
+	for n > 0 {
+		j := off % inner
+		w := min(inner-j, n, len(s.acc))
+		acc, row := s.acc[:w], s.buf32[:w]
+		for t := range acc {
+			acc[t] = kind.identity()
+		}
+		base := off / inner * count * inner
+		for r := 0; r < count; r++ {
+			s.blk.LoadBlock(row, base+r*inner+j, w)
+			kind.foldColumns(acc, row)
+		}
+		for t, a := range acc {
+			dst[t] = kind.finish(a, count)
+		}
+		dst = dst[w:]
+		off += w
+		n -= w
+	}
 }
 
 // NewCumSum computes the inclusive cumulative sum along axis (Many-to-Many).
@@ -242,7 +377,9 @@ func (c *cumsum) Virtualize(ins []Source, outNo int) (Source, error) {
 	if !ok {
 		return nil, fmt.Errorf("CumSum: axis %d out of range for %v", c.axis, ins[0].Shape())
 	}
-	return &cumsumSource{in: ins[0], axis: ax, buf: make([]int, ins[0].Shape().Rank())}, nil
+	return pulled(ins, func(ins []Source) Source {
+		return &cumsumSource{in: ins[0], axis: ax, buf: make([]int, ins[0].Shape().Rank())}
+	}), nil
 }
 
 type cumsumSource struct {
@@ -309,23 +446,25 @@ func (s *softmax) Virtualize(ins []Source, outNo int) (Source, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s: axis %d out of range for %v", s.Type(), s.axis, inShape)
 	}
-	src := &softmaxSource{
-		in: ins[0], shape: inShape, axis: ax, axisDim: inShape[ax],
-		log: s.log, buf: make([]int, inShape.Rank()),
+	mk := func(ins []Source) Source {
+		return &softmaxSource{
+			in: ins[0], shape: inShape, axis: ax, axisDim: inShape[ax],
+			log: s.log, buf: make([]int, inShape.Rank()),
+		}
 	}
 	// Row-wise fast path: softmax over the innermost axis of a blocked
 	// input computes each contiguous row's max and sum once instead of
-	// twice per element.
-	if ax == inShape.Rank()-1 && inShape.Rank() >= 1 {
+	// twice per element. Any other axis pulls from a staged input.
+	if ax == inShape.Rank()-1 {
 		if blk, ok := AsBlock(ins[0]); ok {
 			return &softmaxBlockSource{
-				softmaxSource: *src,
+				softmaxSource: *mk(ins).(*softmaxSource),
 				blk:           blk,
 				rowBuf:        make([]float32, inShape[ax]),
 			}, nil
 		}
 	}
-	return src, nil
+	return pulled(ins, mk), nil
 }
 
 type softmaxSource struct {

@@ -73,10 +73,12 @@ func (s Schedule) Normalize(m, n int) Schedule {
 	return Schedule{RowTile: rt, ColPanel: cp}
 }
 
-// ApplySchedule walks a composed Source tree and configures every tiled
-// contraction (MatMul/Gemm, chain) with the kernel's selected schedule, resizing accumulator scratch as needed. It is called at bind
-// time — once per session per lane — so the steady-state hot path still
-// allocates nothing. A zero schedule leaves the defaults in place.
+// ApplySchedule walks a composed Source tree (through children, so beneath
+// every source type) and configures every tiled contraction (MatMul/Gemm,
+// chain) with the kernel's selected schedule, resizing accumulator scratch
+// as needed. It is called at bind time — once per session per lane — so
+// the steady-state hot path still allocates nothing. A zero schedule
+// leaves the defaults in place.
 func ApplySchedule(s Source, sched Schedule) {
 	applySchedule(s, sched, sched)
 }
@@ -94,31 +96,27 @@ func ApplyChainSchedule(s Source, cons, prod Schedule) {
 }
 
 func applySchedule(s Source, sched, chainProd Schedule) {
-	if sched.Zero() {
+	if s == nil || sched.Zero() {
 		return
+	}
+	// Operands first (a consumer aligns its staging to the tile span its
+	// producer ends up with), through the one children walker, so a
+	// contraction beneath any source type receives its schedule.
+	kids := children(s)
+	if _, isChain := s.(*chainSource); isChain {
+		// kids[0] is the chain's producer tree: it runs the producer schedule.
+		applySchedule(kids[0], chainProd, chainProd)
+		kids = kids[1:]
+	}
+	for _, c := range kids {
+		applySchedule(c, sched, chainProd)
 	}
 	switch v := s.(type) {
 	case *chainSource:
 		v.setSchedules(sched, chainProd)
-		applySchedule(v.prod, chainProd, chainProd)
-		if v.bStage != nil {
-			applySchedule(v.bStage, sched, chainProd)
-		}
-		applySchedule(v.epi.addend(), sched, chainProd)
 	case *matmulBlockSource:
 		v.setSchedule(sched)
-		applySchedule(v.a, sched, chainProd)
-		applySchedule(v.b, sched, chainProd)
-		applySchedule(v.epi.addend(), sched, chainProd)
-	case *convBlockSource:
-		applySchedule(v.x, sched, chainProd)
-		applySchedule(v.w, sched, chainProd)
-	case *poolBlockSource:
-		applySchedule(v.in, sched, chainProd)
 	case *pointwiseBlockSource:
-		for _, in := range v.ins {
-			applySchedule(in, sched, chainProd)
-		}
 		// A heavy producer under this chain is pulled through staging
 		// stripes: align the stripe with the producer's row tile so the
 		// staging loads keep it on the tiled path (a fixed 512-element
@@ -142,12 +140,7 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 				}
 			}
 		}
-	case *reorganizeBlockSource:
-		applySchedule(v.ins[0], sched, chainProd)
-	case *sliceBlockSource:
-		applySchedule(v.ins[0], sched, chainProd)
 	case *softmaxBlockSource:
-		applySchedule(v.in, sched, chainProd)
 		// Same alignment for row-wise softmax: stage whole producer row
 		// tiles (the tile span is a multiple of the row length when the
 		// producer is a matmul over the same innermost axis).
@@ -177,10 +170,12 @@ func TileSpan(s Source) int {
 		return v.rowTile * v.n
 	case *matmulBlockSource:
 		return v.rowTile * v.n
-	case *reorganizeBlockSource:
-		// Reorganize preserves flat order: the producer's alignment is the
+	case *viewBlockSource:
+		// A reshape preserves flat order: the producer's alignment is the
 		// view's alignment.
-		return TileSpan(v.ins[0])
+		if v.identity {
+			return TileSpan(v.blk)
+		}
 	case *pointwiseBlockSource:
 		// The chain preserves flat order; its alignment is the heavy
 		// producer's (recorded when the schedule was applied).
@@ -198,7 +193,7 @@ func TileSpan(s Source) int {
 // K-long contraction. Batched matmuls report per-matrix dims (the row tile
 // works within one batch matrix). ok is false for operators whose blocked
 // path has no tile loop to parameterize (Conv and Pool evaluate by
-// odometer; Einsum and ConvTranspose keep scalar evaluation).
+// odometer; Einsum and ConvTranspose pull from staged operands).
 func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 	switch v := op.(type) {
 	case *matmul:

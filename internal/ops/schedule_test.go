@@ -211,3 +211,48 @@ func TestScheduleTaskDims(t *testing.T) {
 		t.Error("light operators should not report a schedulable task")
 	}
 }
+
+// TestScheduleReachesEveryMatMul: ApplySchedule, StagedSources and
+// ScalarPaths share one children walker, so a schedule applied at the root
+// reaches a contraction beneath any source type. (ApplySchedule used to be
+// one of three parallel type switches with no arm for movement or
+// reduction sources: a matmul under a Transpose or Reduce kept the default
+// tile and was chunked as if it staged nothing.)
+func TestScheduleReachesEveryMatMul(t *testing.T) {
+	sched := Schedule{RowTile: 8, ColPanel: 16}
+	mk := func() Source {
+		return virtualize(t, NewAdd(),
+			virtualize(t, NewMatMul(), randSource(120, 16, 12), randSource(121, 12, 20)), randSource(122, 20))
+	}
+	rowStat := func(s Source) Source { return virtualize(t, NewReduce(ReduceMean, true, 1), s) }
+	for name, wrap := range map[string]func(Source) Source{
+		"Transpose": func(s Source) Source { return virtualize(t, NewTranspose(1, 0), s) },
+		"head split": func(s Source) Source {
+			return virtualize(t, NewTranspose(1, 0, 2), virtualize(t, NewReshape(16, 4, 5), s))
+		},
+		"Reduce":        rowStat,
+		"Reduce middle": func(s Source) Source { return virtualize(t, NewReduce(ReduceSum, false, 0), s) },
+		"Softmax":       func(s Source) Source { return virtualize(t, NewSoftmax(-1), s) },
+		"Softmax axis0": func(s Source) Source { return virtualize(t, NewSoftmax(0), s) },
+		"row broadcast": func(s Source) Source { return virtualize(t, NewSub(), randSource(123, 16, 20), rowStat(s)) },
+		"Gather": func(s Source) Source {
+			return virtualize(t, NewGather(0), s, AsSource(tensor.FromSlice([]float32{3, 1}, 2)))
+		},
+	} {
+		src := wrap(mk())
+		ApplySchedule(src, sched)
+		found := 0
+		walk(src, func(n Source) {
+			if mm, ok := n.(*matmulBlockSource); ok {
+				found++
+				if mm.rowTile != 8 || mm.jb != 16 {
+					t.Errorf("%s: matmul beneath runs rt%d/cp%d, want the applied rt8/cp16", name, mm.rowTile, mm.jb)
+				}
+			}
+		})
+		if found != 1 {
+			t.Errorf("%s: walk found %d matmuls, want 1", name, found)
+		}
+		assertBlockParity(t, name+" (scheduled)", src)
+	}
+}

@@ -28,12 +28,17 @@ func ProfilingEnabled() bool { return obs.Armed() }
 // accumulated across every Runner of the model while profiling was armed.
 type KernelProfile struct {
 	// Kernel is the fused kernel's name; Schedule its tuner-selected tile
-	// schedule rendered compactly ("rt4/cp128/u4", with "+prod:..." for a
+	// schedule rendered compactly ("rt4/cp128", with "+prod:..." for a
 	// chain-fused kernel's producer schedule, or "default").
 	Kernel   string `json:"kernel"`
 	Schedule string `json:"schedule"`
 	// Chain marks a chain-fused (streaming contraction) kernel.
 	Chain bool `json:"chain,omitempty"`
+	// Scalar marks a kernel with a scalar-fallback path: an operand too
+	// large to stage is pulled element by element through the scalar
+	// oracle, so the kernel may run far above its unfused cost. False for
+	// every kernel that is blocked end to end — the normal case.
+	Scalar bool `json:"scalar,omitempty"`
 	// Lanes is the worker-lane count the kernel executes over.
 	Lanes int `json:"lanes"`
 	// Runs counts profiled executions; TotalNs their summed wall time;
@@ -62,6 +67,7 @@ func kernelProfiles(eng []engine.KernelProfile) []KernelProfile {
 			Kernel:   p.Kernel,
 			Schedule: sched,
 			Chain:    p.Chain,
+			Scalar:   p.Scalar,
 			Lanes:    p.Lanes,
 			Runs:     p.Runs,
 			TotalNs:  p.TotalNs,
