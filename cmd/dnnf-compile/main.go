@@ -95,8 +95,8 @@ func main() {
 	fmt.Printf("\nlargest %d kernels:\n", *top)
 	for i := 0; i < *top && i < len(ks); i++ {
 		k := ks[i]
-		fmt.Printf("  %s: %s (%d ops, %d FLOPs, layout %s)\n",
-			k.Name, k.Block, k.OpCount, k.FLOPs, k.Layout)
+		fmt.Printf("  %s: %s (%d ops, %d FLOPs, layout %s, schedule %s)\n",
+			k.Name, k.Block, k.OpCount, k.FLOPs, k.Layout, k.Schedule)
 		if *source {
 			fmt.Println(k.Source(dnnfusion.BackendCPU))
 		}

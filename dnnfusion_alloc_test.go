@@ -85,6 +85,40 @@ func TestRunnerZeroAllocSteadyStateThreaded(t *testing.T) {
 	}
 }
 
+// TestRunnerZeroAllocSteadyStateConv extends the gate to Conv on the
+// contraction micro-kernel: the im2col panel and the tile accumulators are
+// sized at bind time, per lane, so a warmed depthwise-separable stage (a
+// packed K = 9 panel, a 1×1 reading its staged input in place, BN + ReLU6
+// tails staging whole row tiles) allocates nothing at 1 and 4 lanes.
+func TestRunnerZeroAllocSteadyStateConv(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		model, err := dnnfusion.Compile(dwSeparableStage(), dnnfusion.WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range model.Profile() {
+			if p.Schedule == "default" {
+				t.Errorf("conv kernel %s reports the default schedule, want its selected rtN/cpM", p.Kernel)
+			}
+		}
+		runner := model.NewRunner()
+		inputs := map[string]*dnnfusion.Tensor{"x": dnnfusion.Rand(2, 16, 16, 16)}
+		ctx := context.Background()
+		for i := 0; i < 2; i++ { // bind, then the pool's lazy worker start
+			if _, err := runner.Run(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := runner.Run(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("warmed conv Runner.Run at %d threads allocates %.0f times per inference, want 0", threads, allocs)
+		}
+	}
+}
+
 // TestSessionRunZeroAllocSteadyState proves the same property one layer
 // down, through the Compiled session API the Runner wraps.
 func TestSessionRunZeroAllocSteadyState(t *testing.T) {

@@ -96,8 +96,35 @@ func encoderBlock() *graph.Graph {
 	return g
 }
 
+// dwSeparableStage is a test-local copy of one stage of the repository
+// benchmark's `cnn` workload (benchmark/workloads.go buildCNN) as the
+// importer leaves it: depthwise 3×3 stride 2 → BatchNorm (a per-channel Mul
+// and Add) → ReLU6 → 1×1 conv → BatchNorm → ReLU6, over a batch of 2. The
+// depthwise conv packs a K = 9 panel per channel; the 1×1 reads its input —
+// the fused, staged ReLU6 — in place. Input "x", output "y".
+func dwSeparableStage() *graph.Graph {
+	g := graph.New("dw-separable")
+	nw := 0
+	weight := func(dims ...int) *graph.Value {
+		nw++
+		return g.AddWeight(fmt.Sprintf("w%d", nw), tensor.New(dims...).Rand(uint64(2000+nw)))
+	}
+	bnRelu6 := func(x *graph.Value) *graph.Value {
+		c := x.Shape[1]
+		v := g.Apply1(ops.NewMul(), x, weight(c, 1, 1))
+		v = g.Apply1(ops.NewAdd(), v, weight(c, 1, 1))
+		return g.Apply1(ops.NewClip(0, 6), v)
+	}
+	x := g.AddInput("x", tensor.Of(2, 16, 16, 16))
+	v := g.Apply1(ops.NewConv(ops.ConvAttrs{Strides: []int{2}, Pads: []int{1}, Groups: 16}), x, weight(16, 1, 3, 3))
+	v = g.Apply1(ops.NewConv(ops.ConvAttrs{}), bnRelu6(v), weight(32, 16, 1, 1))
+	g.MarkOutputAs("y", bnRelu6(v))
+	return g
+}
+
 // TestNoScalarFallback pins the invariant that no compiled kernel runs the
-// scalar oracle: for the micro zoo and the encoder block, under every
+// scalar oracle: for the micro zoo, the encoder block and a depthwise-
+// separable conv stage, under every
 // fusion plan the autotuner can propose, at 1 and 4 lanes, every bound
 // kernel tree is blocked end to end (ops.ScalarPaths is empty), the
 // outputs match the interpreter — bit for bit, except plans holding an
@@ -113,7 +140,7 @@ func TestNoScalarFallback(t *testing.T) {
 	if n := len(encoderBlock().Nodes); n != 67 {
 		t.Fatalf("encoder block has %d operators, the benchmark's has 67", n)
 	}
-	graphs := []namedGraph{{"encoder", encoderBlock}}
+	graphs := []namedGraph{{"encoder", encoderBlock}, {"dw-separable", dwSeparableStage}}
 	for _, m := range models.MicroModels() {
 		graphs = append(graphs, namedGraph{m.Name, m.Build})
 	}

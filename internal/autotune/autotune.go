@@ -207,6 +207,9 @@ func (t kernelTask) shortlist(k int) []profile.KernelSchedule {
 // Source trees at session bind time (codegen.BindParallel). It returns how
 // many kernels were schedulable and how many needed a fresh selection.
 func AssignSchedules(kernels []*codegen.Kernel, dev *device.Device, db *profile.DB) (lookups, misses int) {
+	// selected holds this call's fresh selections, so kernels with one task
+	// (a CNN's repeated conv shapes) share one selection without a db too.
+	selected := map[string]profile.KernelSchedule{}
 	for _, k := range kernels {
 		t, ok := taskOf(k, dev)
 		if !ok {
@@ -214,14 +217,14 @@ func AssignSchedules(kernels []*codegen.Kernel, dev *device.Device, db *profile.
 		}
 		lookups++
 		k.TaskM, k.TaskN, k.TaskK = t.cons.M, t.cons.N, t.cons.K
-		var ks profile.KernelSchedule
-		hit := false
-		if db != nil {
+		ks, hit := selected[t.key]
+		if !hit && db != nil {
 			ks, hit = db.LookupSchedule(t.key)
 		}
 		if !hit {
 			misses++
 			ks = t.shortlist(1)[0]
+			selected[t.key] = ks
 			if db != nil {
 				db.InsertSchedule(t.key, ks)
 			}

@@ -14,6 +14,7 @@ import (
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
 	"dnnfusion/internal/ops"
+	"dnnfusion/internal/profile"
 	"dnnfusion/internal/rewrite"
 	"dnnfusion/internal/tensor"
 	"dnnfusion/internal/tuner"
@@ -322,6 +323,58 @@ func TestRebuildReplaysWinner(t *testing.T) {
 		if kernels[i].Schedule != res.Kernels[i].Schedule || kernels[i].ProducerSchedule != res.Kernels[i].ProducerSchedule {
 			t.Errorf("kernel %d schedule differs after rebuild: %+v/%+v vs %+v/%+v", i,
 				kernels[i].Schedule, kernels[i].ProducerSchedule, res.Kernels[i].Schedule, res.Kernels[i].ProducerSchedule)
+		}
+	}
+}
+
+// TestRebuildReplaysPreConvSchedulePlan: a tuned plan stored while Conv
+// kernels were unschedulable carries the zero schedule for every conv
+// block. It still replays — a stored zero schedule means the conv's default
+// tile — with the task recorded, bit-exact against the interpreter.
+func TestRebuildReplaysPreConvSchedulePlan(t *testing.T) {
+	e := buildECG(t, models.MicroCNN())
+	cfg := testConfig().withDefaults()
+	plan := mustCandidates(t, e, cfg)[0]
+	kernels, err := compile(e, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := profile.TunedPlan{Partition: plan.Partition()}
+	convs := 0
+	for _, k := range kernels {
+		ks := scheduleOf(k)
+		if k.DominantOp == "Conv" {
+			convs++
+			if ks.Schedule.Zero() {
+				t.Fatalf("conv kernel %s compiled without a schedule", k.Name)
+			}
+			ks = profile.KernelSchedule{}
+		}
+		tp.Schedules = append(tp.Schedules, ks)
+	}
+	if convs == 0 {
+		t.Fatal("micro-cnn compiled to no conv kernel")
+	}
+	re := buildECG(t, models.MicroCNN())
+	rplan, rkernels, err := Rebuild(re, cfg, tp)
+	if err != nil {
+		t.Fatalf("pre-conv-schedule plan does not replay: %v", err)
+	}
+	for _, k := range rkernels {
+		if k.DominantOp == "Conv" && (!k.Schedule.Zero() || k.TaskK == 0) {
+			t.Errorf("replayed conv kernel %s: schedule %v task K %d, want the stored zero schedule and a recorded task", k.Name, k.Schedule, k.TaskK)
+		}
+	}
+	want, err := graph.InterpretOutputs(e.G, feedsFor(e.G, 4242))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runCandidate(t, re, rplan, rkernels, feedsFor(re.G, 4242))
+	for oi := range want {
+		for i, w := range want[oi].Data() {
+			if g := got[oi].Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("replayed output %d[%d] = %g, interpreter says %g", oi, i, g, w)
+			}
 		}
 	}
 }

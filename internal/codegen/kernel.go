@@ -218,8 +218,8 @@ func (k *Kernel) Heavy() bool {
 // ScheduleTask derives the kernel's schedule-tuning task: the GEMM-shape
 // (M, N, K) of its FLOPs-dominant schedulable heavy operator. ok is false
 // for kernels with nothing to schedule (light kernels, or heavy kernels
-// with no tile loop: Conv and Pool walk an odometer, Einsum and
-// ConvTranspose pull from staged operands).
+// with no tile loop: Pool walks an odometer, Einsum and ConvTranspose pull
+// from staged operands).
 func (k *Kernel) ScheduleTask() (m, n, kk int, ok bool) {
 	var best int64 = -1
 	for _, nd := range k.Block.Nodes {
@@ -412,14 +412,15 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 			// Bind time is where the compile-time schedule artifact meets
 			// the Source tree: every lane's independently composed heavy
 			// sources adopt the kernel's tuned blocking (and size their
-			// accumulator scratch) here, so the steady-state hot path
-			// still allocates nothing.
-			if !k.Schedule.Zero() {
-				if k.Block.Chain != nil && !k.ProducerSchedule.Zero() {
-					ops.ApplyChainSchedule(s, k.Schedule, k.ProducerSchedule)
-				} else {
-					ops.ApplySchedule(s, k.Schedule)
-				}
+			// panel and accumulator scratch) here, so the steady-state hot
+			// path still allocates nothing. A kernel no tuner scheduled
+			// goes through the same walk: its contractions keep their
+			// default tiles and the consumers above them still stage whole
+			// tiles.
+			if k.Block.Chain != nil {
+				ops.ApplyChainSchedule(s, k.Schedule, k.ProducerSchedule)
+			} else {
+				ops.ApplySchedule(s, k.Schedule)
 			}
 			stages := ops.StagedSources(s)
 			bo := &bk.outs[i]

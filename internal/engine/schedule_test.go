@@ -87,9 +87,10 @@ func buildGemmMLP(t *testing.T) *graph.Graph {
 
 // buildConvPool is a Conv and a MaxPool with odd channel counts and
 // 37-wide output rows, both graph outputs: large enough that 8 lanes split
-// each output into several chunks, and no chunk boundary falls on a whole
-// row. Conv and Pool carry no schedule, so their chunks sit on the plain
-// grain.
+// each output into several chunks. The Conv kernel takes the forced
+// schedule (its chunks align to row tiles of 37·37 positions); Pool carries
+// none, so its chunks sit on the plain grain and no boundary falls on a
+// whole row.
 func buildConvPool(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := graph.New("conv-pool")
@@ -105,8 +106,8 @@ func buildConvPool(t *testing.T) *graph.Graph {
 }
 
 // TestScheduleGridInterpreterParity runs the fused MLP — as MatMul+Add and
-// as Gemm layers — and an unscheduled Conv/MaxPool pair under every grid
-// schedule at 1 and 8 worker lanes, against the scalar interpreter,
+// as Gemm layers — and a Conv/MaxPool pair (the pool unscheduled) under
+// every grid schedule at 1 and 8 worker lanes, against the scalar interpreter,
 // bit-for-bit.
 func TestScheduleGridInterpreterParity(t *testing.T) {
 	for _, sched := range engineScheduleGrid {

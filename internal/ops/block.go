@@ -27,6 +27,12 @@ import (
 // for a fixed schedule, and independent of the requested block ranges.
 // Every softmax-free chain remains bit-exact.
 //
+// Bit-identical includes non-finite values, so where a path may substitute
+// an arithmetic identity for a skipped step the oracle states the rule:
+// Conv padding is a zero operand, never a skipped tap — a padded tap
+// contributes 0·w (NaN for a non-finite w) in convSource.Load and in the
+// zero-filled panels of convBlockSource alike.
+//
 // Like Load, LoadBlock may use internal scratch, so a BlockSource belongs
 // to one goroutine at a time; parallel executors compose one Source tree
 // per worker.

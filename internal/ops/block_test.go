@@ -369,6 +369,34 @@ func TestBlockParityConvPool(t *testing.T) {
 	// Staged x: a fused producer feeds the convolution.
 	assertBlockParity(t, "Conv staged x",
 		virtualize(t, NewConv(attrs), virtualize(t, NewRelu(), x), w, bias))
+	// Every panel shape of the implicit GEMM. The parity sweep's chunkings
+	// start mid-row and cross (image, group) boundaries on all of them
+	// (batch 2, and 7 divides no row length here).
+	assertBlockParity(t, "Conv depthwise",
+		virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}, Groups: 4}), x, randSource(46, 4, 1, 3, 3), randSource(47, 4)))
+	inPlace := virtualize(t, NewConv(ConvAttrs{}), x, randSource(48, 6, 4, 1, 1), bias)
+	if c := inPlace.(*convBlockSource); !c.inPlace || c.panel != nil {
+		t.Errorf("1x1 stride-1 pad-0 conv packs a panel (inPlace=%v, %d floats), want B read in place", c.inPlace, len(c.panel))
+	}
+	assertBlockParity(t, "Conv 1x1 in place", inPlace)
+	assertBlockParity(t, "Conv 1x1 in place grouped",
+		virtualize(t, NewConv(ConvAttrs{Groups: 2}), x, randSource(49, 6, 2, 1, 1)))
+	strided := virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}}), x, randSource(50, 6, 4, 1, 1))
+	if c := strided.(*convBlockSource); c.inPlace {
+		t.Error("1x1 stride-2 conv reads B in place, want a packed (gathered) panel")
+	}
+	assertBlockParity(t, "Conv 1x1 stride 2", strided)
+	assertBlockParity(t, "Conv 1x1 padded", virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}}), x, randSource(51, 6, 4, 1, 1)))
+	assertBlockParity(t, "Conv pad >= kernel",
+		virtualize(t, NewConv(ConvAttrs{Pads: []int{4, 3}}), x, w, bias))
+	assertBlockParity(t, "Conv stride > kernel",
+		virtualize(t, NewConv(ConvAttrs{Strides: []int{3, 4}}), x, randSource(52, 6, 4, 2, 2)))
+	assertBlockParity(t, "Conv dilated+strided",
+		virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 3}, Pads: []int{2, 1}, Dilations: []int{2, 3}}), x, w))
+	assertBlockParity(t, "Conv 3-D",
+		virtualize(t, NewConv(ConvAttrs{Strides: []int{1, 2, 1}, Pads: []int{1, 0, 1}, Groups: 2}),
+			randSource(53, 2, 4, 3, 5, 4), randSource(54, 6, 2, 2, 3, 3), bias))
+	assertBlockParity(t, "Conv 1-D", virtualize(t, NewConv(ConvAttrs{Strides: []int{2}, Pads: []int{2}}), randSource(55, 2, 4, 11), randSource(56, 6, 4, 5)))
 
 	assertBlockParity(t, "MaxPool", virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{2, 2}, Pads: []int{1, 1}}), x))
 	assertBlockParity(t, "AveragePool", virtualize(t, NewAveragePool(PoolAttrs{Kernel: []int{2, 2}, Strides: []int{2, 2}}), x))
@@ -376,10 +404,29 @@ func TestBlockParityConvPool(t *testing.T) {
 	assertBlockParity(t, "MaxPool staged", virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{2, 2}, Strides: []int{1, 1}}), virtualize(t, NewSigmoid(), x)))
 
 	// Odd channels and a 7-wide output row: no chunking in the sweep lands
-	// on whole rows, which Conv/Pool never needed.
+	// on whole rows, so Conv runs single rows and Pool never needed them.
 	odd := randSource(44, 1, 3, 7, 7)
 	assertBlockParity(t, "Conv odd rows", virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}}), odd, randSource(45, 5, 3, 3, 3)))
 	assertBlockParity(t, "MaxPool odd rows", virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{1, 1}, Pads: []int{1, 1}}), odd))
+}
+
+// TestConvPaddingMultipliesByZero pins the one padding rule of every Conv
+// path: a tap over the padding contributes 0·w, it is not skipped (ONNX
+// pads with zeros), so an Inf weight turns exactly the outputs whose window
+// puts it over a border pixel into NaN — in the oracle, the packed panel's
+// tiles and its single rows alike.
+func TestConvPaddingMultipliesByZero(t *testing.T) {
+	w := tensor.New(4, 1, 3, 3).Rand(57)
+	w.Set(float32(math.Inf(1)), 2, 0, 0, 1) // channel 2, top-centre tap
+	src := virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}}), randSource(58, 1, 1, 5, 5), AsSource(w))
+	assertBlockParity(t, "Conv Inf weight over padding", src)
+	idx := make([]int, 4)
+	for off, v := range loadAll(src) {
+		src.Shape().Unravel(off, idx)
+		if want := idx[1] == 2 && idx[2] == 0; math.IsNaN(float64(v)) != want {
+			t.Errorf("output %v = %v: NaN exactly on channel 2's top row, where the Inf tap reads padding", idx, v)
+		}
+	}
 }
 
 func TestBlockParitySoftmax(t *testing.T) {

@@ -99,16 +99,13 @@ func (c *conv) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 func (c *conv) FLOPs(in []tensor.Shape) int64 {
-	out, a, err := c.outShape(in)
+	out, _, err := c.outShape(in)
 	if err != nil {
 		return 0
 	}
-	w := in[1]
-	kernel := int64(1)
-	for i := 2; i < w.Rank(); i++ {
-		kernel *= int64(w[i])
-	}
-	f := 2 * int64(out.NumElements()) * int64(in[0][1]/a.Groups) * kernel
+	// One multiply-add per output element per weight of its filter (w is
+	// [M, C/g, K..]), plus the bias add.
+	f := 2 * int64(out.NumElements()) * int64(in[1][1:].NumElements())
 	if len(in) == 3 {
 		f += int64(out.NumElements())
 	}
@@ -157,11 +154,11 @@ func (c *conv) Virtualize(ins []Source, outNo int) (Source, error) {
 	return pulled(ins, mk), nil
 }
 
-// blockedConv upgrades a conv source to flat inner loops over operands that
-// are flat or staged (ok is false when one is lazy and too large to stage):
-// the multiply-accumulate runs over raw slices with precomputed strides
-// instead of virtual Loads through index buffers. Accumulation order
-// matches the scalar path, so results are bit-for-bit equal.
+// blockedConv upgrades a conv source to the contraction ladder over operands
+// that are flat or staged (ok is false when one is lazy and too large to
+// stage): per (image, group) the output is the GEMM W[M/g × K] · B[K × P]
+// with K = C/g·Πkernel and P = ΠS_out, whose row-major order is the flat
+// output order.
 func blockedConv(s *convSource) (Source, bool) {
 	xData, xStage, ok := denseOrStage(s.x)
 	if !ok {
@@ -171,15 +168,41 @@ func blockedConv(s *convSource) (Source, bool) {
 	if !ok {
 		return nil, false
 	}
+	d := s.spatial
 	blk := &convBlockSource{
 		convSource: *s,
 		xData:      xData,
 		wData:      wData,
 		xStage:     xStage,
 		wStage:     wStage,
+		k:          s.cPerGroup * s.kernel,
+		p:          tensor.Shape(s.shape[2:]).NumElements(),
+		inPlace:    true,
 		xStrides:   s.xShape.Strides(),
-		wStrides:   s.wShape.Strides(),
-		idxBuf:     make([]int, s.shape.Rank()),
+		taps:       make([]convTap, s.kernel*d),
+		oIdx:       make([]int, d),
+	}
+	for i := 0; i < d; i++ {
+		if s.wShape[2+i] != 1 || s.a.Strides[i] != 1 || s.a.Pads[i] != 0 {
+			blk.inPlace = false
+		}
+	}
+	for kp := 0; kp < s.kernel; kp++ {
+		rem := kp
+		for i := d - 1; i >= 0; i-- {
+			off := rem%s.wShape[2+i]*s.a.Dilations[i] - s.a.Pads[i]
+			rem /= s.wShape[2+i]
+			// The output coordinates o with 0 <= o·stride + off < the input
+			// dim: everything outside reads padding.
+			st, lo, hi := s.a.Strides[i], 0, 0
+			if off < 0 {
+				lo = (st - 1 - off) / st
+			}
+			if room := s.xShape[2+i] - off; room > 0 {
+				hi = (room + st - 1) / st
+			}
+			blk.taps[kp*d+i] = convTap{off: off, lo: lo, hi: hi}
+		}
 	}
 	if s.bias != nil {
 		biasData, biasStage, ok := denseOrStage(s.bias)
@@ -189,6 +212,8 @@ func blockedConv(s *convSource) (Source, bool) {
 		blk.biasData = biasData
 		blk.biasStage = biasStage
 	}
+	// Tuned kernels override this at bind time via ApplySchedule.
+	blk.setSchedule(DefaultSchedule(blk.k))
 	return blk, true
 }
 
@@ -209,6 +234,9 @@ type convSource struct {
 
 func (s *convSource) Shape() tensor.Shape { return s.shape }
 
+// Load is the scalar oracle. A tap that falls into the padding multiplies
+// its weight by zero rather than being skipped (ONNX pads with zeros), so a
+// non-finite weight over a border pixel yields NaN on every path.
 func (s *convSource) Load(idx []int) float32 {
 	xShape, wShape := s.xShape, s.wShape
 	spatial := s.spatial
@@ -224,22 +252,22 @@ func (s *convSource) Load(idx []int) float32 {
 		s.wBuf[1] = ci
 		for kp := 0; kp < kernel; kp++ {
 			rem := kp
-			ok := true
+			padded := false
 			for i := spatial - 1; i >= 0; i-- {
 				k := rem % wShape[2+i]
 				rem /= wShape[2+i]
 				pos := idx[2+i]*s.a.Strides[i] - s.a.Pads[i] + k*s.a.Dilations[i]
 				if pos < 0 || pos >= xShape[2+i] {
-					ok = false
-					break
+					padded = true
 				}
 				s.xBuf[2+i] = pos
 				s.wBuf[2+i] = k
 			}
-			if !ok {
-				continue
+			var xv float64
+			if !padded {
+				xv = float64(s.x.Load(s.xBuf))
 			}
-			acc += float64(s.x.Load(s.xBuf)) * float64(s.w.Load(s.wBuf))
+			acc += xv * float64(s.w.Load(s.wBuf))
 		}
 	}
 	if s.bias != nil {
@@ -249,15 +277,61 @@ func (s *convSource) Load(idx []int) float32 {
 	return float32(acc)
 }
 
-// convBlockSource walks the requested output range with a row-major
-// odometer and computes every element with flat multiply-accumulate loops
-// over the operand slices.
+// convBlockSource is Conv on the contraction ladder: LoadBlock decomposes a
+// range as matmulBlockSource does — row tiles over ColPanel-wide column
+// panels for the whole rows it covers, single partial rows otherwise — and
+// runs mulTileAcc with A = the flat weight (row stride K) and B = a
+// K × ColPanel panel packed once per column panel from the input (implicit
+// im2col: the matrix never exists outside that panel). Padding is zero fill, and acc += 0·w
+// leaves a float64 accumulator bit-identical, so every element sums in the
+// oracle's ci-outer / tap-inner order and rounds once after the bias.
 type convBlockSource struct {
 	convSource
 	xData, wData, biasData    []float32
 	xStage, wStage, biasStage *Staged
-	xStrides, wStrides        []int
-	idxBuf                    []int
+	// k and p are the per-(image, group) GEMM's contraction length and
+	// column count.
+	k, p int
+	// inPlace marks a 1×1 / stride-1 / pad-0 conv: B is the input itself
+	// (row stride p), nothing is packed.
+	inPlace  bool
+	xStrides []int
+	// taps[kp*spatial+i] places kernel tap kp along spatial dim i.
+	taps []convTap
+	oIdx []int
+	// rowTile and jb are the normalized tile schedule; panel is k × jb,
+	// acc holds rowTile accumulator rows of jb entries.
+	rowTile int
+	jb      int
+	panel   []float32
+	acc     []float64
+}
+
+// convTap is one kernel tap along one spatial dim: output coordinate o
+// reads input position o·stride + off (off = tap·dilation − pad), which lies
+// inside the input exactly for lo <= o < hi.
+type convTap struct{ off, lo, hi int }
+
+// maxPanelElems bounds the packed panel, which unlike a MatMul's B panel is
+// Source-owned scratch (per session, per lane): past 256 KiB it has left L2
+// and a long-K conv (C3D: K = 13824) would pin megabytes per kernel.
+const maxPanelElems = 1 << 16
+
+// setSchedule installs a tile schedule, normalizing it against the
+// per-group GEMM shape and sizing the panel and accumulator scratch. A
+// packed panel narrows to maxPanelElems (never under Normalize's 8 columns).
+func (s *convBlockSource) setSchedule(sched Schedule) {
+	sched = sched.Normalize(s.mPerGroup, s.p)
+	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
+	if !s.inPlace {
+		s.jb = min(s.jb, max(8, maxPanelElems/s.k))
+	}
+	if need := s.rowTile * s.jb; len(s.acc) < need {
+		s.acc = make([]float64, need)
+	}
+	if need := s.k * s.jb; !s.inPlace && len(s.panel) < need {
+		s.panel = make([]float32, need)
+	}
 }
 
 func (s *convBlockSource) LoadBlock(dst []float32, off, n int) {
@@ -266,50 +340,106 @@ func (s *convBlockSource) LoadBlock(dst []float32, off, n int) {
 	if s.bias != nil {
 		biasData = dense(s.biasData, s.biasStage)
 	}
-	idx := s.idxBuf
-	s.shape.Unravel(off, idx)
-	for t := 0; t < n; t++ {
-		dst[t] = s.eval(idx, xData, wData, biasData)
-		incIndex(s.shape, idx)
+	mp := s.shape[1] * s.p
+	for n > 0 {
+		rem := off % mp
+		m, jLo := rem/s.p, rem%s.p
+		group := m / s.mPerGroup
+		xBase := off/mp*s.xStrides[0] + group*s.cPerGroup*s.xStrides[1]
+		// One output row's remaining columns, or — at a row boundary — every
+		// whole row of this group the range covers, so a panel is packed
+		// once for all of them.
+		rows, cols := 1, min(s.p-jLo, n)
+		if jLo == 0 && n >= s.p {
+			rows = min(n/s.p, (group+1)*s.mPerGroup-m)
+		}
+		for j0 := jLo; j0 < jLo+cols; j0 += s.jb {
+			w := min(s.jb, jLo+cols-j0)
+			bData, bBase, bRS, bLo := xData, xBase, s.p, j0
+			if !s.inPlace {
+				s.pack(xData, xBase, j0, w)
+				bData, bBase, bRS, bLo = s.panel, 0, w, 0
+			}
+			// Rows left over by the row tile (a power of two) run the next
+			// smaller tiles over the same panel.
+			for r, rt := 0, s.rowTile; r < rows; r += rt {
+				for rt > rows-r {
+					rt >>= 1
+				}
+				mulTileAcc(rt, wData, (m+r)*s.k, s.k, 1, s.k, bData, bBase, bRS, bLo, s.acc, w)
+				for t := 0; t < rt; t++ {
+					// An accumulator is never −0 (it starts at +0 and a sum
+					// of products cannot produce it), so an absent bias can
+					// be a +0 addend.
+					var b float64
+					if biasData != nil {
+						b = float64(biasData[m+r+t])
+					}
+					out := dst[(r+t)*s.p+j0-jLo:][:w]
+					for c, v := range s.acc[t*w:][:w] {
+						out[c] = float32(v + b)
+					}
+				}
+			}
+		}
+		adv := rows * cols
+		dst = dst[adv:]
+		off += adv
+		n -= adv
 	}
 }
 
-// eval is convSource.Load with every operand access lowered to flat
-// slices; the ci-outer / kernel-position-inner loop order is identical.
-func (s *convBlockSource) eval(idx []int, xData, wData, biasData []float32) float32 {
-	n, m := idx[0], idx[1]
-	group := m / s.mPerGroup
-	xN := n * s.xStrides[0]
-	wM := m * s.wStrides[0]
-	var acc float64
-	for ci := 0; ci < s.cPerGroup; ci++ {
-		xBase := xN + (group*s.cPerGroup+ci)*s.xStrides[1]
-		wBase := wM + ci*s.wStrides[1]
+// pack fills the k × w panel (row stride w) with the im2col columns of
+// output positions [j0, j0+w) of the image and group whose first channel
+// starts at xBase. It walks the columns in innermost-output-row segments:
+// within one, a tap reads a strided run of one input row, so a segment is a
+// zero fill (padding), a copy (stride 1) or a strided gather.
+func (s *convBlockSource) pack(xData []float32, xBase, j0, w int) {
+	d := s.spatial
+	last := d - 1
+	outSp, xStr := s.shape[2:], s.xStrides[2:]
+	o := outSp.Unravel(j0, s.oIdx)
+	st, cStride := s.a.Strides[last], s.xStrides[1]
+	for t0 := 0; t0 < w; {
+		seg := min(outSp[last]-o[last], w-t0)
 		for kp := 0; kp < s.kernel; kp++ {
-			rem := kp
-			ok := true
-			xOff, wOff := xBase, wBase
-			for i := s.spatial - 1; i >= 0; i-- {
-				k := rem % s.wShape[2+i]
-				rem /= s.wShape[2+i]
-				pos := idx[2+i]*s.a.Strides[i] - s.a.Pads[i] + k*s.a.Dilations[i]
-				if pos < 0 || pos >= s.xShape[2+i] {
-					ok = false
+			tap := s.taps[kp*d:][:d]
+			// Outer spatial dims pick the input row; lo..hi are the segment
+			// columns whose innermost position lands inside it.
+			in := tap[last]
+			lo := min(max(in.lo-o[last], 0), seg)
+			hi := min(max(in.hi-o[last], lo), seg)
+			base := xBase + (o[last]+lo)*st + in.off
+			for i, oi := range o[:last] {
+				if oi < tap[i].lo || oi >= tap[i].hi {
+					lo, hi = 0, 0
 					break
 				}
-				xOff += pos * s.xStrides[2+i]
-				wOff += k * s.wStrides[2+i]
+				base += (oi*s.a.Strides[i] + tap[i].off) * xStr[i]
 			}
-			if !ok {
-				continue
+			for ci := 0; ci < s.cPerGroup; ci++ {
+				row := s.panel[(ci*s.kernel+kp)*w+t0:][:seg]
+				clear(row[:lo])
+				clear(row[hi:])
+				switch {
+				case lo == hi:
+				case st == 1:
+					copy(row[lo:hi], xData[base:])
+				default:
+					for t, b := lo, base; t < hi; t, b = t+1, b+st {
+						row[t] = xData[b]
+					}
+				}
+				base += cStride
 			}
-			acc += float64(xData[xOff]) * float64(wData[wOff])
+		}
+		t0 += seg
+		o[last] += seg
+		for i := last; i > 0 && o[i] == outSp[i]; i-- {
+			o[i] = 0
+			o[i-1]++
 		}
 	}
-	if biasData != nil {
-		acc += float64(biasData[m])
-	}
-	return float32(acc)
 }
 
 // NewConvTranspose returns the transposed (fractionally-strided) convolution
@@ -359,17 +489,17 @@ func (c *convT) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 func (c *convT) FLOPs(in []tensor.Shape) int64 {
-	_, a, _, err := c.outShape(in)
+	out, _, _, err := c.outShape(in)
 	if err != nil {
 		return 0
 	}
-	w := in[1]
-	kernel := int64(1)
-	for i := 2; i < w.Rank(); i++ {
-		kernel *= int64(w[i])
+	// Every input element contributes to each kernel position of its
+	// group's M/g outputs (w is [C, M/g, K..]); the bias counts as Conv's.
+	f := 2 * int64(in[0].NumElements()) * int64(in[1][1:].NumElements())
+	if len(in) == 3 {
+		f += int64(out.NumElements())
 	}
-	// Every input element contributes to kernel positions for M/g outputs.
-	return 2 * int64(in[0].NumElements()) * int64(w[1]) * kernel / int64(a.Groups) * int64(a.Groups)
+	return f
 }
 
 func (c *convT) Virtualize(ins []Source, outNo int) (Source, error) {

@@ -347,6 +347,20 @@ func TestFLOPsConventions(t *testing.T) {
 	if f := conv.FLOPs(in); f != int64(2*out*3*9) {
 		t.Errorf("Conv FLOPs = %d, want %d", f, 2*out*3*9)
 	}
+	// The bias is one add per output element, for Conv and ConvTranspose
+	// alike; ConvTranspose counts 2 per input element × M/g × kernel.
+	if f := conv.FLOPs(append(in, tensor.Of(16))); f != int64(2*out*3*9+out) {
+		t.Errorf("Conv+bias FLOPs = %d, want %d", f, 2*out*3*9+out)
+	}
+	convT := NewConvTranspose(ConvAttrs{Strides: []int{2, 2}, Groups: 2})
+	inT := []tensor.Shape{tensor.Of(1, 4, 5, 5), tensor.Of(4, 3, 2, 2)} // M = 6, out 10×10
+	macs := 4 * 5 * 5 * 3 * 2 * 2
+	if f := convT.FLOPs(inT); f != int64(2*macs) {
+		t.Errorf("ConvTranspose FLOPs = %d, want %d", f, 2*macs)
+	}
+	if f := convT.FLOPs(append(inT, tensor.Of(6))); f != int64(2*macs+6*10*10) {
+		t.Errorf("ConvTranspose+bias FLOPs = %d, want %d", f, 2*macs+6*10*10)
+	}
 	// Elementwise unary = 1 FLOP per element.
 	if f := NewExp().FLOPs([]tensor.Shape{tensor.Of(4, 5)}); f != 20 {
 		t.Errorf("Exp FLOPs = %d, want 20", f)

@@ -10,11 +10,11 @@ import (
 // artifact the tuner selects per kernel shape and device (§4.3–4.4 pair
 // fusion with tuned per-kernel schedules). It parameterizes the blocked
 // fast paths that used to hard-code their blocking: the register row tile
-// and L1 column panel of the MatMul/Gemm contraction, and the
-// lane-splitting granularity of Conv/Pool. The contraction (K) axis is
-// never tiled: every output element accumulates over the full K range in
-// ascending order, so any schedule stays bit-for-bit equal to the scalar
-// oracle.
+// and L1 column panel of the one contraction micro-kernel (mulTileAcc),
+// which MatMul, Gemm, the fused chain and Conv (as its per-group implicit
+// GEMM) all run. The contraction (K) axis is never tiled: every output
+// element accumulates over the full K range in ascending order, so any
+// schedule stays bit-for-bit equal to the scalar oracle.
 type Schedule struct {
 	// RowTile is the register-tile height: how many output rows one tile
 	// accumulates together, streaming each B row once per tile.
@@ -75,10 +75,12 @@ func (s Schedule) Normalize(m, n int) Schedule {
 
 // ApplySchedule walks a composed Source tree (through children, so beneath
 // every source type) and configures every tiled contraction (MatMul/Gemm,
-// chain) with the kernel's selected schedule, resizing accumulator scratch
-// as needed. It is called at bind time — once per session per lane — so
-// the steady-state hot path still allocates nothing. A zero schedule
-// leaves the defaults in place.
+// chain, Conv) with the kernel's selected schedule, resizing panel and
+// accumulator scratch as needed, then aligns the staging stripes of the
+// consumers above them to whole row tiles. It is called at bind time — once
+// per session per lane — so the steady-state hot path still allocates
+// nothing. A zero schedule leaves the contractions' default blocking in
+// place; the consumers are aligned to it all the same.
 func ApplySchedule(s Source, sched Schedule) {
 	applySchedule(s, sched, sched)
 }
@@ -96,7 +98,7 @@ func ApplyChainSchedule(s Source, cons, prod Schedule) {
 }
 
 func applySchedule(s Source, sched, chainProd Schedule) {
-	if s == nil || sched.Zero() {
+	if s == nil {
 		return
 	}
 	// Operands first (a consumer aligns its staging to the tile span its
@@ -111,11 +113,17 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 	for _, c := range kids {
 		applySchedule(c, sched, chainProd)
 	}
+	if !sched.Zero() {
+		switch v := s.(type) {
+		case *chainSource:
+			v.setSchedules(sched, chainProd)
+		case *matmulBlockSource:
+			v.setSchedule(sched)
+		case *convBlockSource:
+			v.setSchedule(sched)
+		}
+	}
 	switch v := s.(type) {
-	case *chainSource:
-		v.setSchedules(sched, chainProd)
-	case *matmulBlockSource:
-		v.setSchedule(sched)
 	case *pointwiseBlockSource:
 		// A heavy producer under this chain is pulled through staging
 		// stripes: align the stripe with the producer's row tile so the
@@ -170,6 +178,8 @@ func TileSpan(s Source) int {
 		return v.rowTile * v.n
 	case *matmulBlockSource:
 		return v.rowTile * v.n
+	case *convBlockSource:
+		return v.rowTile * v.p
 	case *viewBlockSource:
 		// A reshape preserves flat order: the producer's alignment is the
 		// view's alignment.
@@ -191,9 +201,11 @@ func TileSpan(s Source) int {
 // ScheduleTaskDims lowers a heavy operator to the GEMM-shape tuning task
 // the schedule selector searches: M output rows × N output columns with a
 // K-long contraction. Batched matmuls report per-matrix dims (the row tile
-// works within one batch matrix). ok is false for operators whose blocked
-// path has no tile loop to parameterize (Conv and Pool evaluate by
-// odometer; Einsum and ConvTranspose pull from staged operands).
+// works within one batch matrix); Conv reports its per-(image, group) GEMM:
+// M/groups output channels × ΠS_out positions, contracting C/groups × the
+// kernel volume. ok is false for operators whose blocked path has no tile
+// loop to parameterize (Pool walks an odometer; Einsum and ConvTranspose
+// pull from staged operands).
 func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 	switch v := op.(type) {
 	case *matmul:
@@ -214,6 +226,12 @@ func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 			return 0, 0, 0, false
 		}
 		return mm, nn, kk, true
+	case *conv:
+		out, a, err := v.outShape(in)
+		if err != nil {
+			return 0, 0, 0, false
+		}
+		return out[1] / a.Groups, out[2:].NumElements(), in[1][1:].NumElements(), true
 	}
 	return 0, 0, 0, false
 }

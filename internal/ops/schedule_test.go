@@ -117,28 +117,70 @@ func TestScheduleGridParityFusedConsumers(t *testing.T) {
 		mm := virtualize(t, NewMatMul(), randSource(84, 25, 12), w)
 		return virtualize(t, NewReshape(25*20), mm)
 	})
+	// The MobileNet tail: an imported BatchNorm (per-channel Mul + Add) and
+	// ReLU6 stage whole row tiles of the conv beneath.
+	assertScheduleGridParity(t, "BN+Clip over Conv", func() Source {
+		c := virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}),
+			randSource(85, 2, 4, 9, 9), randSource(86, 10, 4, 3, 3))
+		bn := virtualize(t, NewAdd(), virtualize(t, NewMul(), c, randSource(87, 10, 1, 1)), randSource(88, 10, 1, 1))
+		return virtualize(t, NewClip(0, 6), bn)
+	})
 }
 
-// TestScheduleGridIgnoredByConvPool: Conv and Pool have no tile loop, so
-// ApplySchedule leaves them (and their lane alignment) untouched.
-func TestScheduleGridIgnoredByConvPool(t *testing.T) {
+// TestScheduleGridParityConv: Conv runs the same tile loop as MatMul, so it
+// is held to the whole space the selector ranks (4 row tiles × 7 panels)
+// on top of the normalizing grid, across every panel-packing shape.
+func TestScheduleGridParityConv(t *testing.T) {
+	grid := append([]Schedule(nil), scheduleGrid...)
+	for _, rt := range []int{1, 2, 4, 8} {
+		for _, cp := range []int{8, 16, 32, 64, 128, 256, 512} {
+			grid = append(grid, Schedule{RowTile: rt, ColPanel: cp})
+		}
+	}
 	x := randSource(90, 2, 4, 9, 9)
-	w := randSource(91, 6, 4, 3, 3)
-	attrs := ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}
 	for name, mk := range map[string]func() Source{
-		"Conv": func() Source {
-			return virtualize(t, NewConv(attrs), x, w, randSource(92, 6))
+		"strided padded bias": func() Source {
+			return virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}), x, randSource(91, 6, 4, 3, 3), randSource(92, 6))
 		},
-		"MaxPool": func() Source {
-			return virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{2, 2}, Pads: []int{1, 1}}), x)
+		"grouped 9 rows": func() Source {
+			return virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 2}), x, randSource(93, 18, 2, 3, 3))
+		},
+		"depthwise": func() Source {
+			return virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 4}), x, randSource(94, 4, 1, 3, 3))
+		},
+		"1x1 in place": func() Source {
+			return virtualize(t, NewConv(ConvAttrs{}), x, randSource(95, 10, 4, 1, 1), randSource(96, 10))
+		},
+		"staged x": func() Source {
+			return virtualize(t, NewConv(ConvAttrs{Dilations: []int{2, 2}}), virtualize(t, NewRelu(), x), randSource(97, 8, 4, 3, 3))
+		},
+		// K = 200 × 400 positions: the widest panels pass maxPanelElems.
+		"long K": func() Source {
+			return virtualize(t, NewConv(ConvAttrs{}), randSource(98, 1, 8, 24, 24), randSource(99, 4, 8, 5, 5))
 		},
 	} {
-		assertScheduleGridParity(t, name, mk)
-		src := mk()
-		ApplySchedule(src, Schedule{RowTile: 8, ColPanel: 64})
-		if got := TileSpan(src); got != 0 {
-			t.Errorf("%s TileSpan = %d after ApplySchedule, want 0 (no alignment preference)", name, got)
+		for _, sched := range grid {
+			src := mk()
+			ApplySchedule(src, sched)
+			if c := src.(*convBlockSource); len(c.panel) > maxPanelElems {
+				t.Errorf("%s %v: panel of %d floats, want at most %d", name, sched, len(c.panel), maxPanelElems)
+			}
+			assertBlockParity(t, name+" "+sched.String(), src)
 		}
+	}
+}
+
+// TestScheduleGridIgnoredByPool: Pool has no tile loop, so ApplySchedule
+// leaves it (and its lane alignment) untouched.
+func TestScheduleGridIgnoredByPool(t *testing.T) {
+	mk := func() Source {
+		return virtualize(t, NewMaxPool(PoolAttrs{Kernel: []int{3, 3}, Strides: []int{2, 2}, Pads: []int{1, 1}}), randSource(90, 2, 4, 9, 9))
+	}
+	assertScheduleGridParity(t, "MaxPool", mk)
+	src := mk()
+	ApplySchedule(src, Schedule{RowTile: 8, ColPanel: 64})
+	if got := TileSpan(src); got != 0 {
+		t.Errorf("MaxPool TileSpan = %d after ApplySchedule, want 0 (no alignment preference)", got)
 	}
 }
 
@@ -184,6 +226,26 @@ func TestTileSpanAlignment(t *testing.T) {
 	if got := TileSpan(soft); got != 2*20 {
 		t.Errorf("softmax TileSpan = %d, want %d", got, 2*20)
 	}
+	// Conv: the row tile works within one group's M/g = 6 output channels,
+	// each a row of P = 5·5 positions; a fused tail inherits the span and
+	// stages whole tiles.
+	mkConv := func() Source {
+		return virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}, Groups: 2}),
+			randSource(107, 2, 4, 9, 9), randSource(108, 12, 2, 3, 3))
+	}
+	cv := mkConv()
+	ApplySchedule(cv, Schedule{RowTile: 8, ColPanel: 16})
+	if got := TileSpan(cv); got != 4*25 {
+		t.Errorf("conv TileSpan = %d, want %d (row tile 8 normalizes to 4 of 6 rows)", got, 4*25)
+	}
+	// Alignment does not wait for a tuner: under the zero schedule the conv
+	// keeps its default tile and the tail above still stages whole tiles of
+	// it instead of 512-element slivers.
+	tail := virtualize(t, NewRelu(), mkConv()).(*pointwiseBlockSource)
+	ApplySchedule(tail, Schedule{})
+	if span := TileSpan(tail); span != 4*25 || tail.stripe%span != 0 {
+		t.Errorf("unscheduled conv tail: TileSpan = %d, stripe = %d, want span %d and a stripe of whole tiles", span, tail.stripe, 4*25)
+	}
 }
 
 // TestScheduleTaskDims pins the GEMM-shape lowering the tuner searches.
@@ -196,9 +258,19 @@ func TestScheduleTaskDims(t *testing.T) {
 	if !ok || m != 17 || n != 9 || k != 12 {
 		t.Errorf("gemm task = %d,%d,%d,%v", m, n, k, ok)
 	}
-	if _, _, _, ok := ScheduleTaskDims(NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}),
-		[]tensor.Shape{tensor.Of(2, 4, 9, 9), tensor.Of(6, 4, 3, 3)}); ok {
-		t.Error("conv has no tile loop and should not report a schedulable task")
+	// Conv is its per-(image, group) GEMM: M/g channels × ΠS_out positions,
+	// contracting C/g × the kernel volume; the batch does not enter.
+	m, n, k, ok = ScheduleTaskDims(NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}, Groups: 2}),
+		[]tensor.Shape{tensor.Of(2, 4, 9, 9), tensor.Of(6, 2, 3, 3), tensor.Of(6)})
+	if !ok || m != 3 || n != 25 || k != 18 {
+		t.Errorf("conv task = %d,%d,%d,%v, want 3,25,18", m, n, k, ok)
+	}
+	m, n, k, ok = ScheduleTaskDims(NewConv(ConvAttrs{Groups: 4}), []tensor.Shape{tensor.Of(1, 4, 6, 5, 5), tensor.Of(4, 1, 3, 3, 3)})
+	if !ok || m != 1 || n != 4*3*3 || k != 27 {
+		t.Errorf("depthwise 3-D conv task = %d,%d,%d,%v, want 1,36,27", m, n, k, ok)
+	}
+	if _, _, _, ok := ScheduleTaskDims(NewConvTranspose(ConvAttrs{}), []tensor.Shape{tensor.Of(1, 4, 5, 5), tensor.Of(4, 3, 2, 2)}); ok {
+		t.Error("ConvTranspose pulls from staged operands and should not report a schedulable task")
 	}
 	if _, _, _, ok := ScheduleTaskDims(NewMaxPool(PoolAttrs{Kernel: []int{3, 3}}),
 		[]tensor.Shape{tensor.Of(2, 4, 9, 9)}); ok {

@@ -1,6 +1,8 @@
 package tuner
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"dnnfusion/internal/ops"
@@ -63,27 +65,20 @@ func ScheduleFitness(t Task, s ops.Schedule) float64 {
 // Ties break toward the smaller row tile, then the smaller panel, so the
 // order is canonical.
 func rankSchedules(t Task) []ScheduleResult {
-	seen := map[ops.Schedule]bool{}
-	var all []ScheduleResult
+	all := make([]ScheduleResult, 0, len(rowTileChoices)*len(colPanelChoices))
 	for _, rt := range rowTileChoices {
 		for _, cp := range colPanelChoices {
 			s := ops.Schedule{RowTile: rt, ColPanel: cp}.Normalize(t.M, t.N)
-			if seen[s] {
+			if slices.ContainsFunc(all, func(r ScheduleResult) bool { return r.Schedule == s }) {
 				continue
 			}
-			seen[s] = true
 			all = append(all, ScheduleResult{Schedule: s, Score: ScheduleFitness(t, s)})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Schedule.RowTile != b.Schedule.RowTile {
-			return a.Schedule.RowTile < b.Schedule.RowTile
-		}
-		return a.Schedule.ColPanel < b.Schedule.ColPanel
+	slices.SortFunc(all, func(a, b ScheduleResult) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score),
+			cmp.Compare(a.Schedule.RowTile, b.Schedule.RowTile),
+			cmp.Compare(a.Schedule.ColPanel, b.Schedule.ColPanel))
 	})
 	return all
 }

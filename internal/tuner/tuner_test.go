@@ -180,8 +180,8 @@ func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
 // the head-of-ranking identities between Select*/Select*TopK.
 func TestSelectOptimalOverZoo(t *testing.T) {
 	single, chains := zooTasks(t)
-	// Conv/Pool kernels carry no task, so the zoo's distinct tasks are its
-	// MatMul/Gemm shapes.
+	// The zoo's distinct tasks are its MatMul/Gemm shapes and its convs'
+	// per-group GEMM shapes (Pool kernels carry no task).
 	if len(single) < 20 || len(chains) == 0 {
 		t.Fatalf("zoo yielded %d tasks and %d chain tasks; the walk is broken", len(single), len(chains))
 	}
