@@ -15,11 +15,27 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"regexp"
 	"sort"
+	"strings"
 
 	"dnnfusion"
 	"dnnfusion/internal/device"
 )
+
+// shapeRE matches the shape a scalar path prints after each source kind.
+var shapeRE = regexp.MustCompile(`\[[^\]]*\]`)
+
+// scalarPathKind reduces one ops.ScalarPaths entry ("conv[1 32 56 56] pulls
+// pointwise[1 32 58 58] element by element") to its `consumer <- operand`
+// kind, the unit the report groups by.
+func scalarPathKind(path string) string {
+	f := strings.Fields(shapeRE.ReplaceAllString(path, ""))
+	if len(f) >= 3 && f[1] == "pulls" {
+		return f[0] + " <- " + f[2]
+	}
+	return strings.Join(f, " ")
+}
 
 func main() {
 	model := flag.String("model", "GPT-2", "model name (see dnnfusion.ModelNames)")
@@ -79,6 +95,7 @@ func main() {
 		m.Plan.BrokenByCycle, m.Plan.BrokenByProfile)
 
 	scalar := 0
+	byKind := map[string]int{}
 	for _, k := range m.Kernels {
 		paths, err := k.ScalarPaths()
 		if err != nil {
@@ -87,8 +104,24 @@ func main() {
 		if len(paths) > 0 {
 			scalar++
 		}
+		for _, p := range paths {
+			byKind[scalarPathKind(p)]++
+		}
 	}
 	fmt.Printf("scalar-fallback kernels: %d\n", scalar)
+	kinds := make([]string, 0, len(byKind))
+	for kind := range byKind {
+		kinds = append(kinds, kind)
+	}
+	sort.Slice(kinds, func(i, j int) bool {
+		if byKind[kinds[i]] != byKind[kinds[j]] {
+			return byKind[kinds[i]] > byKind[kinds[j]]
+		}
+		return kinds[i] < kinds[j]
+	})
+	for _, kind := range kinds {
+		fmt.Printf("  %s ×%d\n", kind, byKind[kind])
+	}
 
 	ks := m.Kernels
 	sort.Slice(ks, func(i, j int) bool { return ks[i].OpCount > ks[j].OpCount })

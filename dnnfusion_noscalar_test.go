@@ -122,9 +122,23 @@ func dwSeparableStage() *graph.Graph {
 	return g
 }
 
+// lazyAPastCap is a MatMul whose A operand is a fused pointwise producer of
+// 8 × 131080 elements — past the 1M-element staging cap, 8.4M MACs: the shape
+// of the zoo's GELU → MatMul kernels (BERT-base: 384 × 3072) that ran the
+// scalar oracle while a lazy A was staged whole. Input "x", output "y".
+func lazyAPastCap() *graph.Graph {
+	g := graph.New("lazy-a-past-cap")
+	x := g.AddInput("x", tensor.Of(8, 131080))
+	v := g.Apply1(ops.NewRelu(), g.Apply1(ops.NewAddConst(-0.25), x))
+	w := g.AddWeight("w", tensor.New(131080, 8).Rand(3001))
+	g.MarkOutputAs("y", g.Apply1(ops.NewMatMul(), v, w))
+	return g
+}
+
 // TestNoScalarFallback pins the invariant that no compiled kernel runs the
-// scalar oracle: for the micro zoo, the encoder block and a depthwise-
-// separable conv stage, under every
+// scalar oracle: for the micro zoo, the encoder block, a depthwise-
+// separable conv stage and a MatMul over a lazy A past the staging cap,
+// under every
 // fusion plan the autotuner can propose, at 1 and 4 lanes, every bound
 // kernel tree is blocked end to end (ops.ScalarPaths is empty), the
 // outputs match the interpreter — bit for bit, except plans holding an
@@ -140,7 +154,7 @@ func TestNoScalarFallback(t *testing.T) {
 	if n := len(encoderBlock().Nodes); n != 67 {
 		t.Fatalf("encoder block has %d operators, the benchmark's has 67", n)
 	}
-	graphs := []namedGraph{{"encoder", encoderBlock}, {"dw-separable", dwSeparableStage}}
+	graphs := []namedGraph{{"encoder", encoderBlock}, {"dw-separable", dwSeparableStage}, {"lazy-a-past-cap", lazyAPastCap}}
 	for _, m := range models.MicroModels() {
 		graphs = append(graphs, namedGraph{m.Name, m.Build})
 	}

@@ -434,9 +434,10 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 					grain = floor
 				}
 				if len(stages) > 0 {
-					// Every lane that touches this output stages the whole
-					// operand once per run, so cap the output at one chunk
-					// per lane: more chunks would not divide that work.
+					// Every lane that touches this output fills its stages
+					// once per run — a whole operand each, or the row windows
+					// of its own chunk — so cap the output at one chunk per
+					// lane: more chunks would not divide that work.
 					if floor := (elems + lanes - 1) / lanes; grain < floor {
 						grain = floor
 					}

@@ -411,6 +411,3 @@ func (c *Compiled) Simulate(dev *device.Device) (*engine.Report, error) {
 
 // FusedLayerCount is the number of kernels after compilation.
 func (c *Compiled) FusedLayerCount() int { return c.Plan.FusedLayerCount() }
-
-// Stats recomputed on the optimized graph (Table 5's "after opt" columns).
-func (c *Compiled) OptimizedStats() ecg.Stats { return c.E.ComputeStats() }

@@ -15,9 +15,9 @@ import (
 // shape-preserving middle stages (pointwise activations/bias adds and/or a
 // row softmax). Table 3 marks Combine(ManyToMany, ManyToMany) as FuseBreak
 // for pairwise loop fusion; chain fusion is the deliberate exception,
-// executed by the streaming chain kernel (ops chainSource) that pulls
-// producer row tiles into the consumer so the intermediate never
-// materializes.
+// executed by the consumer contraction pulling its A operand — the
+// producer's tree — in row-tile windows (ops contraction), so the
+// intermediate never materializes.
 type Chain struct {
 	// Producer is the first contraction, Consumer the second; Middle lists
 	// the stages between them ordered producer → consumer.

@@ -301,12 +301,3 @@ func (g *Graph) IntermediateBytes() int64 {
 	}
 	return total
 }
-
-// InputShapes returns the declared shapes of the graph inputs.
-func (g *Graph) InputShapes() []tensor.Shape {
-	out := make([]tensor.Shape, len(g.Inputs))
-	for i, v := range g.Inputs {
-		out[i] = v.Shape
-	}
-	return out
-}

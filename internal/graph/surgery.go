@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 
-	"dnnfusion/internal/ops"
 	"dnnfusion/internal/tensor"
 )
 
@@ -141,19 +140,6 @@ func (g *Graph) Clone() *Graph {
 		out.Outputs = append(out.Outputs, valueMap[o])
 	}
 	return out
-}
-
-// InsertAfter builds a node applying op to inputs, gives it a fresh name
-// with the given hint, and returns its outputs. It is Apply with a
-// rewrite-friendly name.
-func (g *Graph) InsertAfter(hint string, op ops.Operator, inputs ...*Value) ([]*Value, error) {
-	outs, err := g.Apply(op, inputs...)
-	if err != nil {
-		return nil, err
-	}
-	n := outs[0].Producer
-	n.Name = fmt.Sprintf("%s_%s", hint, n.Name)
-	return outs, nil
 }
 
 func removeNode(s []*Node, n *Node) []*Node {

@@ -138,10 +138,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the histogram's upper bounds (without the implicit +Inf).
-// The returned slice is shared and must not be mutated.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // snapshotCumulative reads the per-bucket counts once and returns them as
 // cumulative values plus their total. Deriving the total from the same
 // reads (instead of h.count) makes an exported histogram internally

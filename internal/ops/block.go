@@ -10,7 +10,8 @@ import (
 // source Virtualize composes implements it, end to end: elementwise
 // operators stream stripes, index-only movement is a strided view
 // (view.go), row reductions and softmax stage contiguous runs, contractions
-// run tiles over operand strides, and the few operators with a genuinely
+// run tiles over operand strides, row windows and packed panels
+// (contraction.go), and the few operators with a genuinely
 // gather-like access pattern stage their lazy operands once per kernel
 // execution and then pull from memory (pullSource). The work of a LoadBlock
 // call is proportional to the requested range (plus, at most once per
@@ -20,18 +21,18 @@ import (
 // Load, the scalar tree-walk, is the semantic oracle and the interpreter;
 // it is not a production fallback. LoadBlock must produce bit-identical
 // values to calling Load on every covered index: the block path is only a
-// faster evaluation order. The one documented exception is chainSource's
-// online-softmax path (softmax(scores)·V fused flash-attention style): its
-// streaming-rescale recurrence reassociates the exp/sum, so it matches the
-// oracle within a few ULPs rather than bit-for-bit — still deterministic
+// faster evaluation order. The one documented exception is the contraction's
+// online-softmax recurrence (softmax(scores)·V fused flash-attention style,
+// chain.go): its streaming rescale reassociates the exp/sum, so it matches
+// the oracle within a few ULPs rather than bit-for-bit — still deterministic
 // for a fixed schedule, and independent of the requested block ranges.
-// Every softmax-free chain remains bit-exact.
+// Every softmax-free contraction, chained or not, remains bit-exact.
 //
 // Bit-identical includes non-finite values, so where a path may substitute
 // an arithmetic identity for a skipped step the oracle states the rule:
 // Conv padding is a zero operand, never a skipped tap — a padded tap
 // contributes 0·w (NaN for a non-finite w) in convSource.Load and in the
-// zero-filled panels of convBlockSource alike.
+// zero-filled im2col panels of the blocked contraction alike.
 //
 // Like Load, LoadBlock may use internal scratch, so a BlockSource belongs
 // to one goroutine at a time; parallel executors compose one Source tree

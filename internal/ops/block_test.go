@@ -62,6 +62,22 @@ func assertBlockParity(t *testing.T, name string, src Source) {
 	}
 }
 
+// scratch reports the Source-owned scratch a tree binds: how many stages
+// (whole-operand stages and row windows) holding how many floats, and the
+// floats of the contractions' packed B panels.
+func scratch(src Source) (stages, stageFloats, panelFloats int) {
+	for _, st := range StagedSources(src) {
+		stages++
+		stageFloats += len(st.buf)
+	}
+	walk(src, func(n Source) {
+		if c, ok := n.(*contraction); ok {
+			panelFloats += len(c.panel)
+		}
+	})
+	return stages, stageFloats, panelFloats
+}
+
 // virtualize composes a source via the operator, failing the test on error.
 func virtualize(t *testing.T, op Operator, ins ...Source) Source {
 	t.Helper()
@@ -191,7 +207,7 @@ func TestBlockParityMovement(t *testing.T) {
 	assertBlockParity(t, "Reshape over Transpose over fused producer",
 		virtualize(t, NewReshape(5, 12), virtualize(t, NewTranspose(2, 0, 1), lazy)))
 	// A view of a tiled contraction reads a staged copy: the contraction
-	// computes whole row groups, never one sliver per view run.
+	// runs whole tiles once, never one sliver per view run.
 	mm := virtualize(t, NewMatMul(), randSource(15, 3, 8, 6), randSource(16, 6, 4))
 	assertBlockParity(t, "head merge over MatMul", virtualize(t, NewReshape(8, 12), virtualize(t, NewTranspose(1, 0, 2), mm)))
 }
@@ -295,16 +311,22 @@ func TestBlockParityMatMul(t *testing.T) {
 	assertBlockParity(t, "MatMul batch broadcast",
 		virtualize(t, NewMatMul(), randSource(26, 2, 1, 4, 5), randSource(27, 3, 5, 6)))
 
-	// Staged operand: a fused elementwise producer feeds A, so A has no
-	// flat backing and must be staged into per-session scratch.
+	// Lazy operands: a fused elementwise producer feeds A, so A has no flat
+	// backing and arrives in row windows of per-session scratch — one row
+	// group of the 7 × 5 operand, never the whole of it; a lazy B is staged
+	// whole.
 	aChain := virtualize(t, NewRelu(), virtualize(t, NewAdd(), a, randSource(28, 7, 5)))
-	staged := virtualize(t, NewMatMul(), aChain, b)
-	if _, ok := staged.(*matmulBlockSource); !ok {
-		t.Fatalf("MatMul over fused producer is %T, want staged matmulBlockSource", staged)
+	lazyA := virtualize(t, NewMatMul(), aChain, b)
+	if stages, floats, _ := scratch(lazyA); stages != 1 || floats != 4*5 {
+		t.Errorf("MatMul over a fused producer holds %d stages of %d floats, want one 4-row window of A (20)", stages, floats)
 	}
-	assertBlockParity(t, "MatMul staged A", staged)
+	assertBlockParity(t, "MatMul lazy A", lazyA)
 	bChain := virtualize(t, NewSigmoid(), b)
-	assertBlockParity(t, "MatMul staged B", virtualize(t, NewMatMul(), a, bChain))
+	lazyB := virtualize(t, NewMatMul(), a, bChain)
+	if stages, floats, _ := scratch(lazyB); stages != 1 || floats != 5*6 {
+		t.Errorf("MatMul over a lazy B holds %d stages of %d floats, want B staged whole (30)", stages, floats)
+	}
+	assertBlockParity(t, "MatMul staged B", lazyB)
 	assertBlockParity(t, "MatMul staged batch",
 		virtualize(t, NewMatMul(), virtualize(t, NewRelu(), randSource(29, 2, 4, 5)), bChain))
 }
@@ -319,8 +341,8 @@ func TestBlockParityMatMulViews(t *testing.T) {
 	split := func(s Source) Source { return virtualize(t, NewTranspose(1, 0, 2), s) }
 	kT := virtualize(t, NewTranspose(0, 2, 1), split(k))
 	scores := virtualize(t, NewMatMul(), split(q), kT)
-	if mm, ok := scores.(*matmulBlockSource); !ok || mm.aOp.stage != nil || mm.bOp.stage != nil {
-		t.Fatalf("Q·Kᵀ over views of flat memory is %T (staged operands: want none)", scores)
+	if stages, _, _ := scratch(scores); stages != 0 {
+		t.Errorf("Q·Kᵀ over views of flat memory stages %d operands, want both read in place", stages)
 	}
 	assertBlockParity(t, "Q·Kᵀ head-split views", scores)
 	assertBlockParity(t, "transB over head-split views", virtualize(t, NewMatMulT(false, true), split(q), split(k)))
@@ -333,15 +355,18 @@ func TestBlockParityMatMulViews(t *testing.T) {
 	assertBlockParity(t, "broadcast batch view",
 		virtualize(t, NewMatMul(), split(q), virtualize(t, NewTranspose(1, 0), randSource(113, 5, 8))))
 
+	// A chain: the [4, 16, 16] intermediate exists only as a 4-row window.
+	// The one panel in the tree is Q·Kᵀ's gather of the column-strided Kᵀ.
+	_, _, scoresPanel := scratch(scores)
 	chain := virtualize(t, NewMatMul(), virtualize(t, NewRelu(), scores), split(v))
-	if _, ok := chain.(*chainSource); !ok {
-		t.Fatalf("MatMul over a contraction-rooted A is %T, not a chain", chain)
+	if stages, floats, panel := scratch(chain); stages != 1 || floats != 4*16 || panel != scoresPanel {
+		t.Errorf("MatMul over a contraction-rooted A: %d stages of %d floats, %d panel floats; want one 4 × 16 window and B in place", stages, floats, panel-scoresPanel)
 	}
 	assertBlockParity(t, "chain with view operands", chain)
 	vT := virtualize(t, NewTranspose(0, 2, 1), randSource(114, 4, 8, 16)) // [4,16,8] with strided columns
 	chainT := virtualize(t, NewMatMul(), virtualize(t, NewRelu(), scores), vT)
-	if c, ok := chainT.(*chainSource); !ok || c.b.stage == nil {
-		t.Fatalf("chain over a column-strided B is %T (want a chain with B staged dense)", chainT)
+	if stages, _, panel := scratch(chainT); stages != 1 || panel != scoresPanel+16*8 {
+		t.Errorf("chain over a column-strided B: %d stages, %d panel floats; want the A window alone and B gathered into a 16 × 8 panel", stages, panel-scoresPanel)
 	}
 	assertBlockParity(t, "chain with transposed-view B", chainT)
 }
@@ -375,14 +400,14 @@ func TestBlockParityConvPool(t *testing.T) {
 	assertBlockParity(t, "Conv depthwise",
 		virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}, Groups: 4}), x, randSource(46, 4, 1, 3, 3), randSource(47, 4)))
 	inPlace := virtualize(t, NewConv(ConvAttrs{}), x, randSource(48, 6, 4, 1, 1), bias)
-	if c := inPlace.(*convBlockSource); !c.inPlace || c.panel != nil {
-		t.Errorf("1x1 stride-1 pad-0 conv packs a panel (inPlace=%v, %d floats), want B read in place", c.inPlace, len(c.panel))
+	if _, _, panel := scratch(inPlace); panel != 0 {
+		t.Errorf("1x1 stride-1 pad-0 conv packs a panel of %d floats, want B read in place", panel)
 	}
 	assertBlockParity(t, "Conv 1x1 in place", inPlace)
 	assertBlockParity(t, "Conv 1x1 in place grouped",
 		virtualize(t, NewConv(ConvAttrs{Groups: 2}), x, randSource(49, 6, 2, 1, 1)))
 	strided := virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}}), x, randSource(50, 6, 4, 1, 1))
-	if c := strided.(*convBlockSource); c.inPlace {
+	if _, _, panel := scratch(strided); panel == 0 {
 		t.Error("1x1 stride-2 conv reads B in place, want a packed (gathered) panel")
 	}
 	assertBlockParity(t, "Conv 1x1 stride 2", strided)
@@ -470,10 +495,10 @@ func TestMaterializeRangeScalarFallback(t *testing.T) {
 	}
 }
 
-// TestBlockParityMatMulRowTile targets the multi-row tile (mulRows4):
+// TestBlockParityMatMulRowTile targets the multi-row tiles of mulTileAcc:
 // matrices tall enough for several 4-row tiles plus a remainder row, under
 // whole-range and misaligned chunked evaluation, across transA, batching,
-// and staged operands. Batched serving leans on this being bit-exact — a
+// and lazy operands. Batched serving leans on this being bit-exact — a
 // batch-capacity matmul is just a taller matmul.
 func TestBlockParityMatMulRowTile(t *testing.T) {
 	b := randSource(41, 12, 9)
@@ -487,6 +512,6 @@ func TestBlockParityMatMulRowTile(t *testing.T) {
 		virtualize(t, NewMatMulT(true, false), randSource(44, 12, 17), b))
 	assertBlockParity(t, "MatMul tall batched",
 		virtualize(t, NewMatMul(), randSource(45, 3, 10, 12), b))
-	assertBlockParity(t, "MatMul tall staged A",
+	assertBlockParity(t, "MatMul tall lazy A",
 		virtualize(t, NewMatMul(), virtualize(t, NewRelu(), randSource(46, 17, 12)), b))
 }

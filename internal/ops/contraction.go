@@ -1,0 +1,310 @@
+package ops
+
+import (
+	"dnnfusion/internal/tensor"
+)
+
+// contraction is the one blocked contraction source: MatMul, Gemm, a fused
+// contraction chain and Conv all compose it. Its output is a sequence of
+// independent row-major GEMMs — one per index of batch: MatMul's broadcast
+// batch dimensions, Conv's (image, group) pairs — each m × n, contracting
+// k, and LoadBlock is the only walk from an output range to tiles and the
+// only caller of mulTileAcc.
+//
+// Each operand reaches the tile loop in one of two ways, decided by what it
+// is:
+//
+//   - A: strided memory read in place (flat, a view over flat or staged
+//     memory), else — a lazy producer — pulled rowTile rows at a time into
+//     an rt × k window (a.pull). The window has no element cap, is
+//     remembered by its anchor so consecutive requests inside one row group
+//     pull once, and is invalidated with the kernel's stages. A fused
+//     contraction chain is nothing more than this: the intermediate never
+//     exists outside the window.
+//   - B: memory with dense rows read in place (a weight matrix, a 1×1
+//     Conv's input), else a k × jb panel packed once per column panel —
+//     Conv's implicit im2col, or a strided gather of a column-strided B. A
+//     lazy B is staged whole first, because every row tile re-reads it.
+//
+// Every accumulator sums in ascending-k float64 order and is rounded once,
+// after the epilogue, so LoadBlock is bit-for-bit equal to the oracle's
+// Load — except under online (chain.go), the documented ULP-bounded
+// softmax recurrence that consumes the same row-group delivery.
+type contraction struct {
+	// Source is the scalar oracle (matmulSource, convSource): Shape and Load.
+	Source
+	m, n, k  int
+	batch    tensor.Shape
+	batchBuf []int
+
+	a, b operand
+	// The one epilogue, alpha·acc + beta·c, applied to the float64
+	// accumulator before its rounding: Gemm's tail, or Conv's bias (alpha =
+	// beta = 1, c constant along a row). epi is false for a plain
+	// contraction; c.src is nil when there is no addend.
+	c           operand
+	alpha, beta float64
+	epi         bool
+
+	// im2col packs Conv's B panels; nil when B is an operand's own memory.
+	// packed is true whenever B reaches the tile loop through panel.
+	im2col *im2col
+	packed bool
+
+	// online replaces the tile loop with the streaming-softmax recurrence
+	// (groupOnline); kp is its key-panel width, outBuf one output row for
+	// partially requested rows.
+	online     bool
+	kp         int
+	outBuf     []float32
+	mRun, lRun []float64
+
+	// rowTile and jb are the normalized tile schedule; acc holds rowTile
+	// accumulator rows of jb entries (n under online), panel is k × jb.
+	rowTile int
+	jb      int
+	acc     []float64
+	panel   []float32
+}
+
+// operand is a contraction operand: element (batch…, r, c) of the logical
+// matrix — A as (i, k), B as (k, j), the addend as (i, j), transpose flags,
+// views and broadcasts already folded in — lives at base + Σ batch_d·batch[d]
+// + r·rs + c·cs of mem(). A head-split Q, a transposed K, a plain weight
+// matrix and a Conv bias are the same operand with different strides. A
+// pulled A has no memory of its own: its strides address the producer's
+// flat space, which the window serves a row group at a time.
+type operand struct {
+	// src is the source tree walks continue through: the operand itself when
+	// it is flat, else its stage or window.
+	src    Source
+	data   []float32
+	stage  *Staged
+	pull   *Staged
+	base   int
+	rs, cs int
+	batch  []int
+}
+
+// mem returns the operand's backing memory, staging it first when lazy.
+func (o *operand) mem() []float32 { return dense(o.data, o.stage) }
+
+// offset returns the offset of the matrix at the (unravelled) batch index.
+func (o *operand) offset(batchIdx []int) int {
+	off := o.base
+	for d, st := range o.batch {
+		off += batchIdx[d] * st
+	}
+	return off
+}
+
+// denseOperand resolves s as dense row-major memory: its own when flat, a
+// row window when it is lazy and pull is set, else a whole stage. ok is
+// false when s would have to be staged and is past stageElemCap.
+func denseOperand(s Source, pull bool) (operand, bool) {
+	_, isFlat := FlatData(s)
+	_, isStaged := s.(*Staged)
+	if blk, isBlk := AsBlock(s); pull && isBlk && !isFlat && !isStaged {
+		w := newRowStage(blk)
+		return operand{src: w, pull: w}, true
+	}
+	data, stage, ok := denseOrStage(s)
+	return operand{src: stagedOr(stage, s), data: data, stage: stage}, ok
+}
+
+// stridedOperand resolves s to memory and the layout its elements are read
+// through: a view over flat or staged memory is read in place through its
+// own strides, anything else is dense (denseOperand).
+func stridedOperand(s Source, pull bool) (operand, layout, bool) {
+	if v, isView := s.(*viewBlockSource); isView && (v.flat || v.stage != nil) {
+		return operand{src: stagedOr(v.stage, s), data: v.data, stage: v.stage}, v.layout, true
+	}
+	op, ok := denseOperand(s, pull)
+	return op, contiguousLayout(s.Shape()), ok
+}
+
+// matOperand reads s as the A or B operand of a batched matrix product. A
+// lazy operand read transposed cannot arrive in row groups: like a
+// transposing view it is staged whole.
+func matOperand(s Source, trans bool, batch tensor.Shape, pull bool) (operand, bool) {
+	op, l, ok := stridedOperand(s, pull && !trans)
+	if !ok {
+		return operand{}, false
+	}
+	r := len(l.shape)
+	op.base, op.rs, op.cs = l.base, l.strides[r-2], l.strides[r-1]
+	if trans {
+		op.rs, op.cs = op.cs, op.rs
+	}
+	// Right-align the operand's batch dimensions against the output's: a
+	// missing or size-1 dimension broadcasts (stride 0).
+	op.batch = make([]int, batch.Rank())
+	for d := range op.batch {
+		if od := d - (batch.Rank() - (r - 2)); od >= 0 && l.shape[od] > 1 {
+			op.batch[d] = l.strides[od]
+		}
+	}
+	return op, true
+}
+
+// newContraction finishes a contraction whose dims, operands and epilogue
+// are set: scratch for the default schedule (tuned kernels override it at
+// bind time via ApplySchedule).
+func newContraction(c *contraction) *contraction {
+	c.batchBuf = make([]int, c.batch.Rank())
+	c.packed = c.im2col != nil || c.b.cs != 1
+	c.setSchedule(DefaultSchedule(c.k), DefaultSchedule(c.k))
+	return c
+}
+
+// maxPanelElems bounds the packed panel, which unlike a B read in place is
+// Source-owned scratch (per session, per lane): past 256 KiB it has left L2
+// and a long-K conv (C3D: K = 13824) would pin megabytes per kernel.
+const maxPanelElems = 1 << 16
+
+// setSchedule installs a tile schedule, normalizing it against the GEMM
+// shape and sizing every scratch buffer: a packed panel narrows to
+// maxPanelElems (never under Normalize's 8 columns), the A window holds one
+// row group. prod is the schedule of the contraction beneath a fused chain;
+// its column panel is the online recurrence's key-panel width.
+func (s *contraction) setSchedule(sched, prod Schedule) {
+	sched = sched.Normalize(s.m, s.n)
+	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
+	if s.packed {
+		s.jb = min(s.jb, max(8, maxPanelElems/s.k))
+		s.panel = grow(s.panel, s.k*s.jb)
+	}
+	accCols := s.jb
+	if s.online {
+		s.kp = prod.Normalize(s.m, s.k).ColPanel
+		accCols = s.n
+		s.outBuf = grow(s.outBuf, s.n)
+		s.mRun, s.lRun = grow(s.mRun, s.rowTile), grow(s.lRun, s.rowTile)
+	}
+	s.acc = grow(s.acc, s.rowTile*accCols)
+	if w := s.a.pull; w != nil {
+		w.buf = grow(w.buf, s.rowTile*s.k)
+		w.Invalidate()
+	}
+}
+
+// grow returns buf, reallocated when it holds fewer than n elements.
+func grow[T any](buf []T, n int) []T {
+	if len(buf) < n {
+		return make([]T, n)
+	}
+	return buf
+}
+
+func (s *contraction) LoadBlock(dst []float32, off, n int) {
+	aData, bData, cData := s.a.mem(), s.b.mem(), s.c.mem()
+	mn := s.m * s.n
+	for n > 0 {
+		rem := off % mn
+		i, jLo := rem/s.n, rem%s.n
+		idx := s.batch.Unravel(off/mn, s.batchBuf)
+		// One output row's remaining columns, or — at a row boundary — every
+		// whole row of this GEMM the range covers, so a column panel is
+		// prepared once for all of them.
+		rows, cols := 1, min(s.n-jLo, n)
+		if jLo == 0 && n >= s.n {
+			rows = min(n/s.n, s.m-i)
+		}
+		a, a0 := aData, s.a.offset(idx)+i*s.a.rs
+		if w := s.a.pull; w != nil {
+			// A lazy A arrives one row group at a time, anchored at a
+			// multiple of the row tile: the pass ends with the group, and a
+			// later request for the same group finds it in the window.
+			i0 := i - i%s.rowTile
+			rows = min(rows, i0+s.rowTile-i)
+			a = w.at(a0-(i-i0)*s.k, min(s.rowTile, s.m-i0)*s.k)
+			a0 = (i - i0) * s.k
+		}
+		bBase, cBase := s.b.offset(idx), s.c.offset(idx)+i*s.c.rs
+		if s.online {
+			out := dst[:rows*cols]
+			if cols < s.n {
+				out = s.outBuf[:s.n]
+			}
+			s.groupOnline(out, a[a0:], bData, bBase, cData, cBase, rows)
+			if cols < s.n {
+				copy(dst[:cols], out[jLo:])
+			}
+		} else {
+			s.tiles(dst, a, a0, bData, bBase, cData, cBase, rows, jLo, cols)
+		}
+		adv := rows * cols
+		dst = dst[adv:]
+		off += adv
+		n -= adv
+	}
+}
+
+// tiles fills dst (row stride cols) with columns [jLo, jLo+cols) of the rows
+// output rows whose A rows start at a[a0]: column panel by column panel, and
+// within one in rowTile-high tiles with the leftover rows on the next
+// smaller tiles (heights are powers of two) over the same panel.
+func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int, cData []float32, cBase, rows, jLo, cols int) {
+	for j0 := jLo; j0 < jLo+cols; j0 += s.jb {
+		w := min(s.jb, jLo+cols-j0)
+		b, b0, bRS, bLo := bData, bBase, s.b.rs, j0
+		if s.packed {
+			s.pack(bData, bBase, j0, w)
+			b, b0, bRS, bLo = s.panel, 0, w, 0
+		}
+		for r, rt := 0, s.rowTile; r < rows; r += rt {
+			for rt > rows-r {
+				rt >>= 1
+			}
+			mulTileAcc(rt, a, a0+r*s.a.rs, s.a.rs, s.a.cs, s.k, b, b0, bRS, bLo, s.acc, w)
+			for t := 0; t < rt; t++ {
+				s.finish(dst[(r+t)*cols+j0-jLo:], s.acc[t*w:][:w], cData, cBase+(r+t)*s.c.rs+j0*s.c.cs)
+			}
+		}
+	}
+}
+
+// pack fills the k × w panel (row stride w) with columns [j0, j0+w) of the
+// B matrix at bBase: Conv's im2col columns, or a gather of a column-strided
+// B (a transposed operand), one column — contiguous when its rows are — at a
+// time.
+func (s *contraction) pack(bData []float32, bBase, j0, w int) {
+	if s.im2col != nil {
+		s.im2col.pack(s.panel, bData, bBase, j0, w)
+		return
+	}
+	for t := 0; t < w; t++ {
+		col := bBase + (j0+t)*s.b.cs
+		for k := 0; k < s.k; k++ {
+			s.panel[k*w+t] = bData[col+k*s.b.rs]
+		}
+	}
+}
+
+// finish rounds acc — the accumulators of one output row segment — into
+// dst through the epilogue; cOff addresses the addend of its first element.
+// The arithmetic is the oracle's (epilogue.apply: each product rounded, then
+// the sum — the conversions keep a compiler from fusing them differently on
+// the two paths), and an addend constant along the row is read once.
+func (s *contraction) finish(dst []float32, acc []float64, cData []float32, cOff int) {
+	dst = dst[:len(acc)]
+	switch {
+	case !s.epi:
+		for t, v := range acc {
+			dst[t] = float32(v)
+		}
+	case s.c.src == nil:
+		for t, v := range acc {
+			dst[t] = float32(v * s.alpha)
+		}
+	case s.c.cs == 0:
+		c := float64(s.beta * float64(cData[cOff]))
+		for t, v := range acc {
+			dst[t] = float32(float64(v*s.alpha) + c)
+		}
+	default:
+		for t, v := range acc {
+			dst[t] = float32(float64(v*s.alpha) + float64(s.beta*float64(cData[cOff+t*s.c.cs])))
+		}
+	}
+}

@@ -154,67 +154,43 @@ func (c *conv) Virtualize(ins []Source, outNo int) (Source, error) {
 	return pulled(ins, mk), nil
 }
 
-// blockedConv upgrades a conv source to the contraction ladder over operands
-// that are flat or staged (ok is false when one is lazy and too large to
-// stage): per (image, group) the output is the GEMM W[M/g × K] · B[K × P]
-// with K = C/g·Πkernel and P = ΠS_out, whose row-major order is the flat
-// output order.
+// blockedConv upgrades a conv source to the blocked contraction
+// (contraction.go): per (image, group) the output is the GEMM
+// W[M/g × K] · B[K × P] with K = C/g·Πkernel and P = ΠS_out, whose row-major
+// order is the flat output order. A is the weight, its rows dense; B is a
+// K × ColPanel panel packed from the input (implicit im2col: the matrix
+// never exists outside that panel) or — for a 1×1 / stride-1 / pad-0 conv —
+// the input itself, row stride P; the bias is an addend constant along each
+// row. ok is false when the input or bias is lazy and too large to stage
+// (a lazy weight arrives in row windows like any A).
 func blockedConv(s *convSource) (Source, bool) {
-	xData, xStage, ok := denseOrStage(s.x)
-	if !ok {
-		return nil, false
-	}
-	wData, wStage, ok := denseOrStage(s.w)
-	if !ok {
-		return nil, false
-	}
 	d := s.spatial
-	blk := &convBlockSource{
-		convSource: *s,
-		xData:      xData,
-		wData:      wData,
-		xStage:     xStage,
-		wStage:     wStage,
-		k:          s.cPerGroup * s.kernel,
-		p:          tensor.Shape(s.shape[2:]).NumElements(),
-		inPlace:    true,
-		xStrides:   s.xShape.Strides(),
-		taps:       make([]convTap, s.kernel*d),
-		oIdx:       make([]int, d),
+	k, p := s.cPerGroup*s.kernel, tensor.Shape(s.shape[2:]).NumElements()
+	xStrides := s.xShape.Strides()
+	c := &contraction{Source: s, m: s.mPerGroup, n: p, k: k, batch: tensor.Of(s.shape[0], s.a.Groups)}
+	var ok bool
+	if c.a, ok = denseOperand(s.w, true); !ok {
+		return nil, false
+	}
+	c.a.rs, c.a.cs, c.a.batch = k, 1, []int{0, s.mPerGroup * k}
+	if c.b, ok = denseOperand(s.x, false); !ok {
+		return nil, false
+	}
+	c.b.rs, c.b.cs, c.b.batch = p, 1, []int{xStrides[0], s.cPerGroup * xStrides[1]}
+	if s.bias != nil {
+		if c.c, ok = denseOperand(s.bias, false); !ok {
+			return nil, false
+		}
+		c.epi, c.alpha, c.beta = true, 1, 1
+		c.c.rs, c.c.batch = 1, []int{0, s.mPerGroup}
 	}
 	for i := 0; i < d; i++ {
 		if s.wShape[2+i] != 1 || s.a.Strides[i] != 1 || s.a.Pads[i] != 0 {
-			blk.inPlace = false
+			c.im2col = newIm2col(s, xStrides)
+			break
 		}
 	}
-	for kp := 0; kp < s.kernel; kp++ {
-		rem := kp
-		for i := d - 1; i >= 0; i-- {
-			off := rem%s.wShape[2+i]*s.a.Dilations[i] - s.a.Pads[i]
-			rem /= s.wShape[2+i]
-			// The output coordinates o with 0 <= o·stride + off < the input
-			// dim: everything outside reads padding.
-			st, lo, hi := s.a.Strides[i], 0, 0
-			if off < 0 {
-				lo = (st - 1 - off) / st
-			}
-			if room := s.xShape[2+i] - off; room > 0 {
-				hi = (room + st - 1) / st
-			}
-			blk.taps[kp*d+i] = convTap{off: off, lo: lo, hi: hi}
-		}
-	}
-	if s.bias != nil {
-		biasData, biasStage, ok := denseOrStage(s.bias)
-		if !ok {
-			return nil, false
-		}
-		blk.biasData = biasData
-		blk.biasStage = biasStage
-	}
-	// Tuned kernels override this at bind time via ApplySchedule.
-	blk.setSchedule(DefaultSchedule(blk.k))
-	return blk, true
+	return newContraction(c), true
 }
 
 type convSource struct {
@@ -277,34 +253,41 @@ func (s *convSource) Load(idx []int) float32 {
 	return float32(acc)
 }
 
-// convBlockSource is Conv on the contraction ladder: LoadBlock decomposes a
-// range as matmulBlockSource does — row tiles over ColPanel-wide column
-// panels for the whole rows it covers, single partial rows otherwise — and
-// runs mulTileAcc with A = the flat weight (row stride K) and B = a
-// K × ColPanel panel packed once per column panel from the input (implicit
-// im2col: the matrix never exists outside that panel). Padding is zero fill, and acc += 0·w
-// leaves a float64 accumulator bit-identical, so every element sums in the
-// oracle's ci-outer / tap-inner order and rounds once after the bias.
-type convBlockSource struct {
-	convSource
-	xData, wData, biasData    []float32
-	xStage, wStage, biasStage *Staged
-	// k and p are the per-(image, group) GEMM's contraction length and
-	// column count.
-	k, p int
-	// inPlace marks a 1×1 / stride-1 / pad-0 conv: B is the input itself
-	// (row stride p), nothing is packed.
-	inPlace  bool
+// im2col packs Conv's B panels: the conv's geometry plus, per kernel tap and
+// spatial dim, the output range that reads inside the input. Padding is
+// zero fill, and acc += 0·w leaves a float64 accumulator bit-identical, so
+// every element sums in the oracle's ci-outer / tap-inner order.
+type im2col struct {
+	*convSource
 	xStrides []int
 	// taps[kp*spatial+i] places kernel tap kp along spatial dim i.
 	taps []convTap
 	oIdx []int
-	// rowTile and jb are the normalized tile schedule; panel is k × jb,
-	// acc holds rowTile accumulator rows of jb entries.
-	rowTile int
-	jb      int
-	panel   []float32
-	acc     []float64
+}
+
+// newIm2col precomputes, for every kernel tap and spatial dim, the output
+// coordinates that read inside the input.
+func newIm2col(s *convSource, xStrides []int) *im2col {
+	d := s.spatial
+	p := &im2col{convSource: s, xStrides: xStrides, taps: make([]convTap, s.kernel*d), oIdx: make([]int, d)}
+	for kp := 0; kp < s.kernel; kp++ {
+		rem := kp
+		for i := d - 1; i >= 0; i-- {
+			off := rem%s.wShape[2+i]*s.a.Dilations[i] - s.a.Pads[i]
+			rem /= s.wShape[2+i]
+			// The output coordinates o with 0 <= o·stride + off < the input
+			// dim: everything outside reads padding.
+			st, lo, hi := s.a.Strides[i], 0, 0
+			if off < 0 {
+				lo = (st - 1 - off) / st
+			}
+			if room := s.xShape[2+i] - off; room > 0 {
+				hi = (room + st - 1) / st
+			}
+			p.taps[kp*d+i] = convTap{off: off, lo: lo, hi: hi}
+		}
+	}
+	return p
 }
 
 // convTap is one kernel tap along one spatial dim: output coordinate o
@@ -312,89 +295,12 @@ type convBlockSource struct {
 // inside the input exactly for lo <= o < hi.
 type convTap struct{ off, lo, hi int }
 
-// maxPanelElems bounds the packed panel, which unlike a MatMul's B panel is
-// Source-owned scratch (per session, per lane): past 256 KiB it has left L2
-// and a long-K conv (C3D: K = 13824) would pin megabytes per kernel.
-const maxPanelElems = 1 << 16
-
-// setSchedule installs a tile schedule, normalizing it against the
-// per-group GEMM shape and sizing the panel and accumulator scratch. A
-// packed panel narrows to maxPanelElems (never under Normalize's 8 columns).
-func (s *convBlockSource) setSchedule(sched Schedule) {
-	sched = sched.Normalize(s.mPerGroup, s.p)
-	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
-	if !s.inPlace {
-		s.jb = min(s.jb, max(8, maxPanelElems/s.k))
-	}
-	if need := s.rowTile * s.jb; len(s.acc) < need {
-		s.acc = make([]float64, need)
-	}
-	if need := s.k * s.jb; !s.inPlace && len(s.panel) < need {
-		s.panel = make([]float32, need)
-	}
-}
-
-func (s *convBlockSource) LoadBlock(dst []float32, off, n int) {
-	xData, wData := dense(s.xData, s.xStage), dense(s.wData, s.wStage)
-	var biasData []float32
-	if s.bias != nil {
-		biasData = dense(s.biasData, s.biasStage)
-	}
-	mp := s.shape[1] * s.p
-	for n > 0 {
-		rem := off % mp
-		m, jLo := rem/s.p, rem%s.p
-		group := m / s.mPerGroup
-		xBase := off/mp*s.xStrides[0] + group*s.cPerGroup*s.xStrides[1]
-		// One output row's remaining columns, or — at a row boundary — every
-		// whole row of this group the range covers, so a panel is packed
-		// once for all of them.
-		rows, cols := 1, min(s.p-jLo, n)
-		if jLo == 0 && n >= s.p {
-			rows = min(n/s.p, (group+1)*s.mPerGroup-m)
-		}
-		for j0 := jLo; j0 < jLo+cols; j0 += s.jb {
-			w := min(s.jb, jLo+cols-j0)
-			bData, bBase, bRS, bLo := xData, xBase, s.p, j0
-			if !s.inPlace {
-				s.pack(xData, xBase, j0, w)
-				bData, bBase, bRS, bLo = s.panel, 0, w, 0
-			}
-			// Rows left over by the row tile (a power of two) run the next
-			// smaller tiles over the same panel.
-			for r, rt := 0, s.rowTile; r < rows; r += rt {
-				for rt > rows-r {
-					rt >>= 1
-				}
-				mulTileAcc(rt, wData, (m+r)*s.k, s.k, 1, s.k, bData, bBase, bRS, bLo, s.acc, w)
-				for t := 0; t < rt; t++ {
-					// An accumulator is never −0 (it starts at +0 and a sum
-					// of products cannot produce it), so an absent bias can
-					// be a +0 addend.
-					var b float64
-					if biasData != nil {
-						b = float64(biasData[m+r+t])
-					}
-					out := dst[(r+t)*s.p+j0-jLo:][:w]
-					for c, v := range s.acc[t*w:][:w] {
-						out[c] = float32(v + b)
-					}
-				}
-			}
-		}
-		adv := rows * cols
-		dst = dst[adv:]
-		off += adv
-		n -= adv
-	}
-}
-
 // pack fills the k × w panel (row stride w) with the im2col columns of
 // output positions [j0, j0+w) of the image and group whose first channel
 // starts at xBase. It walks the columns in innermost-output-row segments:
 // within one, a tap reads a strided run of one input row, so a segment is a
 // zero fill (padding), a copy (stride 1) or a strided gather.
-func (s *convBlockSource) pack(xData []float32, xBase, j0, w int) {
+func (s *im2col) pack(panel, xData []float32, xBase, j0, w int) {
 	d := s.spatial
 	last := d - 1
 	outSp, xStr := s.shape[2:], s.xStrides[2:]
@@ -418,7 +324,7 @@ func (s *convBlockSource) pack(xData []float32, xBase, j0, w int) {
 				base += (oi*s.a.Strides[i] + tap[i].off) * xStr[i]
 			}
 			for ci := 0; ci < s.cPerGroup; ci++ {
-				row := s.panel[(ci*s.kernel+kp)*w+t0:][:seg]
+				row := panel[(ci*s.kernel+kp)*w+t0:][:seg]
 				clear(row[:lo])
 				clear(row[hi:])
 				switch {

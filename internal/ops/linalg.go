@@ -125,38 +125,39 @@ func newMatmulSource(a, b Source, out tensor.Shape, m, k, n int, transA, transB 
 	}
 }
 
-// blockedMatMul upgrades the scalar contraction to its blocked form: the
-// streaming chain when A is itself rooted in a contraction, otherwise tiled
-// loops over operand strides. Only an operand that is lazy and too large to
-// stage leaves the contraction on the pull model.
+// blockedMatMul upgrades the scalar contraction to the blocked contraction
+// over its operands (contraction.go): A in place or in row windows, B in
+// place or packed, a Gemm's addend as strided memory. Only an operand that
+// has to be staged whole and is too large for it leaves the contraction on
+// the pull model.
 func blockedMatMul(s *matmulSource) Source {
-	// A fused contraction chain (A rooted in another MatMul/Gemm inside the
-	// same block) streams row groups instead of staging the whole A matrix.
-	if c := chainMatMul(s); c != nil {
-		return c
-	}
 	out := s.shape
-	outBatch := out[:out.Rank()-2]
-	aOp, ok := resolveOperand(s.a, s.transA, outBatch)
-	if !ok {
+	batch := out[:out.Rank()-2]
+	c := &contraction{Source: s, m: s.m, n: s.n, k: s.k, batch: batch}
+	var ok bool
+	if c.b, ok = matOperand(s.b, s.transB, batch, false); !ok {
 		return pulledMatMul(s)
 	}
-	bOp, ok := resolveOperand(s.b, s.transB, outBatch)
-	if !ok {
+	a, transA := s.a, s.transA
+	if scores := onlineScores(s, c.b); scores != nil {
+		c.online, a, transA = true, scores, false
+	}
+	if c.a, ok = matOperand(a, transA, batch, true); !ok {
 		return pulledMatMul(s)
 	}
-	blk := &matmulBlockSource{
-		matmulSource: *s,
-		aOp:          aOp,
-		bOp:          bOp,
-		bepi:         s.epi.blocked(),
-		outBatch:     outBatch,
-		batchBuf:     make([]int, outBatch.Rank()),
+	if e := s.epi; e != nil {
+		c.epi, c.alpha, c.beta = true, e.alpha, e.beta
+		if e.c != nil {
+			op, l, ok := stridedOperand(e.c, false)
+			if !ok {
+				return pulledMatMul(s)
+			}
+			l = l.expand(tensor.Of(s.m, s.n))
+			op.base, op.rs, op.cs = l.base, l.strides[0], l.strides[1]
+			c.c = op
+		}
 	}
-	// Tuned kernels override this at bind time via ApplySchedule; the
-	// default reproduces the pre-schedule blocking.
-	blk.setSchedule(DefaultSchedule(s.k))
-	return blk
+	return newContraction(c)
 }
 
 // pulledMatMul is the contraction over operands that cannot be read by
@@ -171,71 +172,6 @@ func pulledMatMul(s *matmulSource) Source {
 		}
 		return &c
 	})
-}
-
-// matOperand is a contraction operand resolved to strided flat memory:
-// element (batch…, r, c) of the logical operand — A as (i, k), B as (k, j),
-// transpose flags and any view already folded in — lives at
-// base + Σ batch_d·batch[d] + r·rs + c·cs of the backing slice. A
-// head-split Q, a transposed K and a plain weight matrix are the same
-// operand with different strides.
-type matOperand struct {
-	// src is the source the memory belongs to, for tree walks: the operand
-	// itself when it is flat, else its stage.
-	src    Source
-	data   []float32
-	stage  *Staged
-	base   int
-	rs, cs int
-	batch  []int
-}
-
-// mem returns the operand's backing memory, staging it first when lazy.
-func (o *matOperand) mem() []float32 { return dense(o.data, o.stage) }
-
-// resolveOperand reads s as a contraction operand: through its own strides
-// when it is flat memory or a view over flat or staged memory, else through
-// a dense stage of the whole operand. ok is false when s is lazy and too
-// large to stage.
-func resolveOperand(s Source, trans bool, outBatch tensor.Shape) (matOperand, bool) {
-	l := contiguousLayout(s.Shape())
-	op := matOperand{src: s}
-	if v, isView := s.(*viewBlockSource); isView && (v.flat || v.stage != nil) {
-		l = v.layout
-		op.data, op.stage = v.data, v.stage
-	} else {
-		var ok bool
-		if op.data, op.stage, ok = denseOrStage(s); !ok {
-			return matOperand{}, false
-		}
-	}
-	if op.stage != nil {
-		op.src = op.stage
-	}
-	r := len(l.shape)
-	op.base, op.rs, op.cs = l.base, l.strides[r-2], l.strides[r-1]
-	if trans {
-		op.rs, op.cs = op.cs, op.rs
-	}
-	// Right-align the operand's batch dimensions against the output's: a
-	// missing or size-1 dimension broadcasts (stride 0).
-	op.batch = make([]int, outBatch.Rank())
-	for d := range op.batch {
-		if od := d - (outBatch.Rank() - (r - 2)); od >= 0 && l.shape[od] > 1 {
-			op.batch[d] = l.strides[od]
-		}
-	}
-	return op, true
-}
-
-// offset returns the operand offset of the batch matrix at the (unravelled)
-// output batch index.
-func (o *matOperand) offset(batchIdx []int) int {
-	off := o.base
-	for d, v := range batchIdx {
-		off += v * o.batch[d]
-	}
-	return off
 }
 
 type matmulSource struct {
@@ -254,16 +190,17 @@ type matmulSource struct {
 	epi *epilogue
 }
 
-// epilogue is the Gemm tail of a contraction, alpha·acc + beta·C. It is
-// applied to the float64 accumulator before the single rounding to float32
-// — on the scalar, tiled, and chain paths alike — so Gemm stays bit-exact
-// against the scalar oracle. (Rewriting Gemm to MatMul+Add instead would
-// round between the product and the addend.)
+// epilogue is the Gemm tail of the scalar contraction, alpha·acc + beta·C,
+// applied to the float64 accumulator before the single rounding to float32;
+// the blocked contraction applies the same arithmetic over a strided addend
+// (contraction.finish), so Gemm stays bit-exact against this oracle.
+// (Rewriting Gemm to MatMul+Add instead would round between the product and
+// the addend.)
 type epilogue struct {
 	alpha, beta float64
 	// c is the addend, broadcast against the [M, N] result; nil when the
 	// Gemm has none. It is loaded with a scalar Load once per output element
-	// (not per K step); the blocked paths stage a lazy one first (blocked).
+	// (not per K step).
 	c      Source
 	cShape tensor.Shape
 	cBuf   []int
@@ -286,42 +223,16 @@ func (e *epilogue) over(c Source) *epilogue {
 	return &out
 }
 
-// blocked returns the epilogue the tiled and chain paths apply: the same
-// tail with a lazily produced addend staged, so the per-element C load is a
-// memory read. The scalar oracle keeps the original.
-func (e *epilogue) blocked() *epilogue {
-	if e == nil || e.c == nil || randomAccess(e.c) {
-		return e
-	}
-	if blk, ok := AsBlock(e.c); ok && e.cShape.NumElements() <= stageElemCap {
-		return e.over(newStaged(blk))
-	}
-	return e
-}
-
-// apply finishes the accumulator of output element (i, j).
+// apply finishes the accumulator of output element (i, j). Each product is
+// rounded before the sum (the conversions forbid fusing them), so the
+// blocked path's row loops (contraction.finish) reproduce it exactly.
 func (e *epilogue) apply(acc float64, i, j int) float64 {
-	acc *= e.alpha
+	acc = float64(acc * e.alpha)
 	if e.c != nil {
 		e.idx2[0], e.idx2[1] = i, j
-		acc += e.beta * float64(e.c.Load(tensor.BroadcastIndex(e.idx2, e.cShape, e.cBuf)))
+		acc += float64(e.beta * float64(e.c.Load(tensor.BroadcastIndex(e.idx2, e.cShape, e.cBuf))))
 	}
 	return acc
-}
-
-// store rounds acc — the accumulators of output row i from column j0 on —
-// into dst, finishing each through the epilogue when there is one.
-func (e *epilogue) store(dst []float32, acc []float64, i, j0 int) {
-	dst = dst[:len(acc)]
-	if e == nil {
-		for t, v := range acc {
-			dst[t] = float32(v)
-		}
-		return
-	}
-	for t, v := range acc {
-		dst[t] = float32(e.apply(v, i, j0+t))
-	}
 }
 
 func (s *matmulSource) Shape() tensor.Shape { return s.shape }
@@ -361,144 +272,6 @@ func (s *matmulSource) Load(idx []int) float32 {
 		acc = s.epi.apply(acc, idx[or-2], idx[or-1])
 	}
 	return float32(acc)
-}
-
-// matmulBlockSource computes output rows with flat loops over operand
-// memory: one base-offset computation per row, then pure data streaming —
-// no virtual Loads, no index buffers, no per-element shape math.
-// Accumulation order over K is identical to the scalar path, so results
-// are bit-for-bit equal.
-type matmulBlockSource struct {
-	matmulSource
-	aOp, bOp matOperand
-	// bepi is epi with a lazy addend staged (see epilogue.blocked).
-	bepi     *epilogue
-	outBatch tensor.Shape
-	batchBuf []int
-	// rowTile and jb are the kernel's normalized tile schedule: register-
-	// tile height and column-panel width. acc holds rowTile accumulator
-	// rows of n entries (the single-row path uses the first n).
-	rowTile int
-	jb      int
-	acc     []float64
-}
-
-// setSchedule installs a tile schedule, normalizing it against this
-// matmul's shape and sizing the accumulator scratch for the row tile.
-func (s *matmulBlockSource) setSchedule(sched Schedule) {
-	sched = sched.Normalize(s.m, s.n)
-	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
-	if need := s.rowTile * s.n; len(s.acc) < need {
-		s.acc = make([]float64, need)
-	}
-}
-
-func (s *matmulBlockSource) LoadBlock(dst []float32, off, n int) {
-	aData, bData := s.aOp.mem(), s.bOp.mem()
-	mn := s.m * s.n
-	for n > 0 {
-		batch := off / mn
-		rem := off % mn
-		i := rem / s.n
-		jLo := rem % s.n
-		run := s.n - jLo
-		if run > n {
-			run = n
-		}
-		s.outBatch.Unravel(batch, s.batchBuf)
-		aBase, bBase := s.aOp.offset(s.batchBuf), s.bOp.offset(s.batchBuf)
-		// At a row boundary with at least one full row tile of this batch
-		// matrix ahead, take the blocked path: rowTile-high tiles stream
-		// each B row once per tile (dividing B loads and float64 widenings
-		// by the tile height), and a column-panel loop keeps the active B
-		// panel cache-resident across every row tile, so tall
-		// (batch-stacked) matmuls do not thrash B between tiles. Tile
-		// height and panel width come from the kernel's schedule
-		// (setSchedule); per-element accumulation order is unchanged
-		// (ascending k) — bit-identical to mulRow. The tile streams B rows,
-		// so it needs them dense (column stride 1).
-		rt := s.rowTile
-		if rt > 1 && s.bOp.cs == 1 && jLo == 0 && i+rt <= s.m && n >= rt*s.n {
-			rows := n / s.n
-			if avail := s.m - i; rows > avail {
-				rows = avail
-			}
-			rows -= rows % rt
-			jb := s.jb
-			for j0 := 0; j0 < s.n; j0 += jb {
-				w := s.n - j0
-				if w > jb {
-					w = jb
-				}
-				for r := 0; r < rows; r += rt {
-					s.mulTile(dst[r*s.n+j0:], aData, bData, aBase, bBase, i+r, j0, w, rt)
-				}
-			}
-			adv := rows * s.n
-			dst = dst[adv:]
-			off += adv
-			n -= adv
-			continue
-		}
-		s.mulRow(dst[:run], aData, bData, aBase, bBase, i, jLo, run)
-		dst = dst[run:]
-		off += run
-		n -= run
-	}
-}
-
-// mulTile computes the rt×w output tile with corner (i, jLo) of one batch
-// matrix via mulTileAcc. dst addresses element (i, jLo) and is written with
-// row stride s.n. Each accumulator still sums in ascending-k order.
-func (s *matmulBlockSource) mulTile(dst, aData, bData []float32, aBase, bBase, i, jLo, w, rt int) {
-	acc := s.acc
-	mulTileAcc(rt, aData, aBase+i*s.aOp.rs, s.aOp.rs, s.aOp.cs, s.k, bData, bBase, s.bOp.rs, jLo, acc, w)
-	for r := 0; r < rt; r++ {
-		s.bepi.store(dst[r*s.n:], acc[r*w:r*w+w], i+r, jLo)
-	}
-}
-
-// mulRow fills dst with output elements (i, jLo..jLo+w) of one batch
-// matrix.
-func (s *matmulBlockSource) mulRow(dst, aData, bData []float32, aBase, bBase, i, jLo, w int) {
-	ak := s.aOp.cs
-	aOff := aBase + i*s.aOp.rs
-	acc := s.acc[:w]
-	if bk, bj := s.bOp.rs, s.bOp.cs; bj != 1 {
-		// B's columns are strided (a transposed operand): each output
-		// element is its own dot product down a B column.
-		for t := 0; t < w; t++ {
-			bOff := bBase + (jLo+t)*bj
-			var a float64
-			if ak == 1 && bk == 1 {
-				aRow, bCol := aData[aOff:aOff+s.k], bData[bOff:bOff+s.k]
-				for k, av := range aRow {
-					a += float64(av) * float64(bCol[k])
-				}
-			} else {
-				for k := 0; k < s.k; k++ {
-					a += float64(aData[aOff+k*ak]) * float64(bData[bOff+k*bk])
-				}
-			}
-			acc[t] = a
-		}
-	} else {
-		// B's rows are dense: accumulate the whole row tile streaming them,
-		// K outer — each acc[t] still sums in ascending-k order.
-		for t := range acc {
-			acc[t] = 0
-		}
-		for k := 0; k < s.k; k++ {
-			av := float64(aData[aOff+k*ak])
-			base := bBase + k*bk + jLo
-			bRow := bData[base : base+w]
-			acc := acc[:len(bRow)]
-			for t, bv := range bRow {
-				acc[t] += av * float64(bv)
-			}
-		}
-	}
-	s.bepi.store(dst, acc, i, jLo)
 }
 
 // NewGemm returns the ONNX Gemm operator: alpha*op(A)*op(B) + beta*C where C

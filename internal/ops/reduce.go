@@ -49,9 +49,6 @@ func (r *reduce) Properties() Properties {
 }
 func (r *reduce) Mapping(in []tensor.Shape) MappingType { return ManyToMany }
 
-// Axes returns the reduction axes (for rewrite-rule inspection).
-func (r *reduce) Axes() []int { return r.axes }
-
 // Kind returns the reduction kind.
 func (r *reduce) Kind() ReduceKind { return r.kind }
 

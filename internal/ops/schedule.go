@@ -74,22 +74,23 @@ func (s Schedule) Normalize(m, n int) Schedule {
 }
 
 // ApplySchedule walks a composed Source tree (through children, so beneath
-// every source type) and configures every tiled contraction (MatMul/Gemm,
-// chain, Conv) with the kernel's selected schedule, resizing panel and
-// accumulator scratch as needed, then aligns the staging stripes of the
-// consumers above them to whole row tiles. It is called at bind time — once
-// per session per lane — so the steady-state hot path still allocates
-// nothing. A zero schedule leaves the contractions' default blocking in
-// place; the consumers are aligned to it all the same.
+// every source type) and configures every contraction (MatMul/Gemm, chain,
+// Conv: one source type) with the kernel's selected schedule, resizing
+// window, panel and accumulator scratch as needed, then aligns the staging
+// stripes of the consumers above them to whole row tiles. It is called at
+// bind time — once per session per lane — so the steady-state hot path still
+// allocates nothing. A zero schedule leaves the contractions' default
+// blocking in place; the consumers are aligned to it all the same.
 func ApplySchedule(s Source, sched Schedule) {
 	applySchedule(s, sched, sched)
 }
 
 // ApplyChainSchedule configures a chain-fused kernel's source tree with two
 // schedules: cons tiles the chain's consumer contraction (and everything
-// outside the chain), prod tiles the chain's producer — its column panel
-// doubles as the online softmax's key-panel (rescale) width. Non-chain
-// sources see cons, exactly as ApplySchedule.
+// outside the chain), prod tiles the tree its A operand is pulled from — the
+// chain's producer; its column panel doubles as the online softmax's
+// key-panel (rescale) width. Everything else sees cons, exactly as
+// ApplySchedule.
 func ApplyChainSchedule(s Source, cons, prod Schedule) {
 	if prod.Zero() {
 		prod = cons
@@ -105,23 +106,18 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 	// producer ends up with), through the one children walker, so a
 	// contraction beneath any source type receives its schedule.
 	kids := children(s)
-	if _, isChain := s.(*chainSource); isChain {
-		// kids[0] is the chain's producer tree: it runs the producer schedule.
+	c, isContraction := s.(*contraction)
+	if isContraction && c.a.pull != nil {
+		// kids[0] is the tree A is pulled from — in a chain-fused kernel the
+		// chain's producer: it runs the producer schedule.
 		applySchedule(kids[0], chainProd, chainProd)
 		kids = kids[1:]
 	}
-	for _, c := range kids {
-		applySchedule(c, sched, chainProd)
+	for _, kid := range kids {
+		applySchedule(kid, sched, chainProd)
 	}
-	if !sched.Zero() {
-		switch v := s.(type) {
-		case *chainSource:
-			v.setSchedules(sched, chainProd)
-		case *matmulBlockSource:
-			v.setSchedule(sched)
-		case *convBlockSource:
-			v.setSchedule(sched)
-		}
+	if isContraction && !sched.Zero() {
+		c.setSchedule(sched, chainProd)
 	}
 	switch v := s.(type) {
 	case *pointwiseBlockSource:
@@ -174,12 +170,8 @@ const maxStripeElems = 1 << 16
 // evaluation mid-tile. Zero means the source has no alignment preference.
 func TileSpan(s Source) int {
 	switch v := s.(type) {
-	case *chainSource:
+	case *contraction:
 		return v.rowTile * v.n
-	case *matmulBlockSource:
-		return v.rowTile * v.n
-	case *convBlockSource:
-		return v.rowTile * v.p
 	case *viewBlockSource:
 		// A reshape preserves flat order: the producer's alignment is the
 		// view's alignment.
@@ -249,6 +241,18 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 		acc[t] = 0
 	}
 	switch rt {
+	case 1:
+		// Single rows are real traffic (a classifier over one sample, a
+		// depthwise conv's M/g = 1): one accumulator row, no row loop.
+		for k := 0; k < kk; k++ {
+			av := float64(aData[a0+k*ak])
+			base := bBase + k*bRS + jLo
+			bRow := bData[base : base+w]
+			acc := acc[:len(bRow)]
+			for t, bv := range bRow {
+				acc[t] += av * float64(bv)
+			}
+		}
 	case 2:
 		a1 := a0 + ai
 		c0, c1 := acc[:w:w], acc[w:2*w:2*w]

@@ -88,12 +88,13 @@ func TestScheduleGridParityGemm(t *testing.T) {
 		return virtualize(t, NewGemm(1, 1, false, false), virtualize(t, NewSigmoid(), a), b, c)
 	})
 	// Gemm → Relu → Gemm streams as an exact chain: the producer's rows and
-	// the consumer's accumulators both finish through their epilogues.
+	// the consumer's accumulators both finish through their epilogues, and
+	// the [18, 11] intermediate exists only as a row window.
 	assertScheduleGridParity(t, "Gemm chain", func() Source {
 		h := virtualize(t, NewRelu(), virtualize(t, NewGemm(0.75, -1.25, false, false), a, b, c))
 		chain := virtualize(t, NewGemm(1.5, 0.5, false, false), h, randSource(78, 11, 5), randSource(79, 18, 1))
-		if _, ok := chain.(*chainSource); !ok {
-			t.Fatalf("Gemm over a Gemm-rooted A operand virtualized to %T, not a chain", chain)
+		if stages, floats, _ := scratch(chain); stages != 1 || floats != 4*11 {
+			t.Fatalf("Gemm over a Gemm-rooted A operand holds %d stages of %d floats, want one 4 × 11 window", stages, floats)
 		}
 		return chain
 	})
@@ -162,8 +163,8 @@ func TestScheduleGridParityConv(t *testing.T) {
 		for _, sched := range grid {
 			src := mk()
 			ApplySchedule(src, sched)
-			if c := src.(*convBlockSource); len(c.panel) > maxPanelElems {
-				t.Errorf("%s %v: panel of %d floats, want at most %d", name, sched, len(c.panel), maxPanelElems)
+			if _, _, panel := scratch(src); panel > maxPanelElems {
+				t.Errorf("%s %v: panel of %d floats, want at most %d", name, sched, panel, maxPanelElems)
 			}
 			assertBlockParity(t, name+" "+sched.String(), src)
 		}
@@ -315,7 +316,7 @@ func TestScheduleReachesEveryMatMul(t *testing.T) {
 		ApplySchedule(src, sched)
 		found := 0
 		walk(src, func(n Source) {
-			if mm, ok := n.(*matmulBlockSource); ok {
+			if mm, ok := n.(*contraction); ok {
 				found++
 				if mm.rowTile != 8 || mm.jb != 16 {
 					t.Errorf("%s: matmul beneath runs rt%d/cp%d, want the applied rt8/cp16", name, mm.rowTile, mm.jb)

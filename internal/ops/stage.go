@@ -7,13 +7,16 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// stageElemCap bounds one staging buffer: the Source-owned scratch a
-// consumer that needs random access allocates to hold a lazily produced
-// operand. Scratch is per session and per worker lane, so it is capped
-// rather than planned; an operand past the cap cannot be staged, the
-// consumer then pulls it element by element through the scalar oracle, and
-// the kernel is reported (ScalarPaths, KernelProfile.Scalar) instead of
-// silently running orders of magnitude slow.
+// stageElemCap bounds one whole-operand staging buffer: the Source-owned
+// scratch a consumer that needs random access allocates to hold a lazily
+// produced operand — a contraction's B, Conv's and Pool's input, a
+// transposing view's backing, a gather-like operator's operands. (A
+// contraction's lazy A is not among them: it arrives in row windows.)
+// Scratch is per session and per worker lane, so it is capped rather than
+// planned; an operand past the cap cannot be staged, the consumer then pulls
+// it element by element through the scalar oracle, and the kernel is
+// reported (ScalarPaths, KernelProfile.Scalar) instead of silently running
+// orders of magnitude slow.
 const stageElemCap = 1 << 20
 
 // Staged materializes a lazily produced operand into Source-owned flat
@@ -24,10 +27,18 @@ const stageElemCap = 1 << 20
 // is filled on first use and stays valid until Invalidate — the bound
 // kernel invalidates its stages at the start of every execution, because
 // the inputs beneath them change between runs.
+//
+// A row window (newRowStage) is the same thing over a moving range: its
+// buffer holds the run of the operand it was last asked for, so a
+// contraction pulls each row group of a lazy A once however many requests
+// the group is consumed in. Only the contraction that owns a window reads
+// it, through at.
 type Staged struct {
 	in    BlockSource
 	shape tensor.Shape
 	buf   []float32
+	// lo is the operand offset buf starts at: 0 for a whole-operand stage.
+	lo    int
 	valid bool
 }
 
@@ -36,16 +47,24 @@ func newStaged(in BlockSource) *Staged {
 	return &Staged{in: in, shape: shape, buf: make([]float32, shape.NumElements())}
 }
 
+// newRowStage returns a row window over in; its owner sizes the buffer
+// (contraction.setSchedule).
+func newRowStage(in BlockSource) *Staged { return &Staged{in: in, shape: in.Shape()} }
+
 // Invalidate marks the staged copy stale; the next read refills it.
 func (s *Staged) Invalidate() { s.valid = false }
 
-func (s *Staged) fill() []float32 {
-	if !s.valid {
-		s.in.LoadBlock(s.buf, 0, len(s.buf))
-		s.valid = true
+// at returns operand elements [off, off+n), n <= len(buf): out of the buffer
+// when that is the range it was last filled with, else pulled now.
+func (s *Staged) at(off, n int) []float32 {
+	if !s.valid || s.lo != off {
+		s.in.LoadBlock(s.buf[:n], off, n)
+		s.lo, s.valid = off, true
 	}
-	return s.buf
+	return s.buf[:n]
 }
+
+func (s *Staged) fill() []float32 { return s.at(0, len(s.buf)) }
 
 func (s *Staged) Shape() tensor.Shape { return s.shape }
 
@@ -183,12 +202,8 @@ func (s *pullSource) LoadBlock(dst []float32, off, n int) {
 // schedule.go.
 func children(s Source) []Source {
 	switch v := s.(type) {
-	case *chainSource:
-		return []Source{v.prod, v.b.src, v.epi.addend()}
-	case *matmulBlockSource:
-		return []Source{v.aOp.src, v.bOp.src, v.bepi.addend()}
-	case *convBlockSource:
-		return []Source{stagedOr(v.xStage, v.x), stagedOr(v.wStage, v.w), stagedOr(v.biasStage, v.bias)}
+	case *contraction:
+		return []Source{v.a.src, v.b.src, v.c.src}
 	case *poolBlockSource:
 		return []Source{stagedOr(v.xStage, v.in)}
 	case *pointwiseBlockSource:
@@ -244,11 +259,12 @@ func walk(s Source, visit func(Source)) {
 	rec(s)
 }
 
-// StagedSources returns every stage in the tree, for the bound kernel to
-// invalidate per execution. A stage is filled once per lane per execution
-// with the whole operand, so the parallel executor also widens chunks for
-// an output that has any to at most one per worker lane: more chunks would
-// only spread the same staging work over more dispatches.
+// StagedSources returns every stage in the tree — whole-operand stages and
+// row windows — for the bound kernel to invalidate per execution. A whole
+// stage is filled once per lane per execution, so the parallel executor
+// also widens chunks for an output that has any stage to at most one per
+// worker lane: more chunks would only spread the same staging work over
+// more dispatches.
 func StagedSources(s Source) []*Staged {
 	var out []*Staged
 	walk(s, func(n Source) {
@@ -279,10 +295,6 @@ func ScalarPaths(s Source) []string {
 					pulls = append(pulls, in.src)
 				}
 			}
-		case *matmulBlockSource:
-			pulls = []Source{v.bepi.addend()}
-		case *chainSource:
-			pulls = []Source{v.epi.addend()}
 		default:
 			if _, isBlk := AsBlock(n); isBlk {
 				return
@@ -300,7 +312,10 @@ func ScalarPaths(s Source) []string {
 	return out
 }
 
+// sourceName is a source's kind — its type without the Source/BlockSource
+// suffix: pointwise, conv, view — followed by its shape.
 func sourceName(s Source) string {
 	name := strings.TrimPrefix(fmt.Sprintf("%T", s), "*ops.")
-	return fmt.Sprintf("%s%v", strings.TrimSuffix(name, "Source"), s.Shape())
+	name = strings.TrimSuffix(strings.TrimSuffix(name, "Source"), "Block")
+	return fmt.Sprintf("%s%v", name, s.Shape())
 }

@@ -158,10 +158,11 @@ func (s *viewSource) Load(idx []int) float32 {
 //   - lazy backing read in dense runs (slices, broadcasts, reshapes): the
 //     runs are pulled from the producer's LoadBlock on demand, so work stays
 //     proportional to the requested range;
-//   - lazy backing read against its order (Transpose), or a tiled
-//     contraction that only computes whole row groups: the producer is
-//     staged whole, once per kernel execution, into Source-owned scratch
-//     and then read like flat memory.
+//   - lazy backing read against its order (Transpose), or a MatMul/Gemm
+//     tree under a non-identity view, whose single-run requests would take
+//     the contraction off its tiles: the producer is staged whole, once per
+//     kernel execution, into Source-owned scratch and then read like flat
+//     memory.
 //
 // Only a lazy backing too large to stage (stageElemCap) leaves the view
 // scalar.
@@ -199,7 +200,7 @@ type viewBlockSource struct {
 	blk   BlockSource
 	// identity marks a streamed view that preserves the backing's flat
 	// order exactly (a Reshape over a lazy producer): tile alignment and
-	// chain legality see through it.
+	// contractionRooted see through it.
 	identity bool
 }
 

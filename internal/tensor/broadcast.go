@@ -72,14 +72,3 @@ func BroadcastIndex(outIdx []int, in Shape, dst []int) []int {
 	}
 	return dst
 }
-
-// BroadcastOffset maps a flat offset in the output shape to a flat offset in
-// the input shape under broadcasting. Slower than precomputing strides but
-// convenient for reference implementations.
-func BroadcastOffset(out Shape, off int, in Shape) int {
-	outIdx := make([]int, len(out))
-	out.Unravel(off, outIdx)
-	inIdx := make([]int, len(in))
-	BroadcastIndex(outIdx, in, inIdx)
-	return in.Ravel(inIdx)
-}
