@@ -15,13 +15,14 @@ import (
 
 // The dynamic batcher: one dispatcher goroutine per host pulls queued
 // calls, forms a batch — up to MaxBatch requests, the first waiting at most
-// MaxDelay for peers — and executes it as a single coalesced inference on
-// the batch-compiled model variant, scattering each request's output
-// segment into its own pooled Result. Models without a batch variant (or
-// batches of one) execute per-request on the base Runner. One dispatcher
-// owns both runners, so a host pins at most two serving arenas regardless
-// of client concurrency; request-level parallelism comes from coalescing,
-// and intra-kernel parallelism from the worker pool both models share.
+// MaxDelay for peers that are on their way — and executes it as a single
+// coalesced inference on the batch-compiled model variant, scattering each
+// request's output segment into its own pooled Result. Models without a
+// batch variant (or batches of one) execute per-request on the base Runner.
+// One dispatcher owns both runners, so a host pins at most two serving
+// arenas regardless of client concurrency; request-level parallelism comes
+// from coalescing, and intra-kernel parallelism from the worker pool both
+// models share.
 
 // dispatch is the host's dispatcher loop. It owns the only Runner and
 // BatchRunner of the host and exits when the host closes.
@@ -52,8 +53,7 @@ func (h *Host) dispatch() {
 	for {
 		select {
 		case c := <-h.calls:
-			c.deq = time.Now()
-			batch = h.fill(append(batch[:0], c), timer)
+			batch = h.fill(append(batch[:0], h.dequeued(c)), timer)
 			// The queue depth left over after forming this batch is the
 			// overload signal the adaptive delay controller feeds on.
 			h.adapt(len(h.calls))
@@ -125,10 +125,21 @@ func (h *Host) curDelay() time.Duration {
 	return time.Duration(h.st.curDelayNs.Load())
 }
 
+// dequeued stamps a call the dispatcher just pulled off the queue and takes
+// it out of the inbound count.
+func (h *Host) dequeued(c *call) *call {
+	c.deq = time.Now()
+	h.inbound.Add(-1)
+	return c
+}
+
 // fill grows a just-started batch: it drains whatever is already queued
-// and, when capacity and configuration allow, waits up to MaxDelay for
-// more. Closing the host cuts the wait short (the collected batch still
-// executes; drainClosed handles the rest).
+// and, when capacity and configuration allow, waits for more — but only
+// while some request is inbound (no one else on the way: the wait would buy
+// nothing), and only for what is left of the coalescing delay counted from
+// when the batch's first member was queued (the time it spent queued behind
+// a running batch was its wait for peers). Closing the host cuts the wait
+// short (the collected batch still executes; drainClosed handles the rest).
 func (h *Host) fill(batch []*call, timer *time.Timer) []*call {
 	max := h.cfg.MaxBatch
 	if h.batch == nil {
@@ -139,24 +150,25 @@ func (h *Host) fill(batch []*call, timer *time.Timer) []*call {
 	for len(batch) < max {
 		select {
 		case c := <-h.calls:
-			c.deq = time.Now()
-			batch = append(batch, c)
+			batch = append(batch, h.dequeued(c))
 			continue
 		default:
 		}
 		break
 	}
-	delay := h.curDelay()
-	if h.batch == nil || len(batch) >= max || delay <= 0 {
+	if h.batch == nil || len(batch) >= max || h.inbound.Load() == 0 {
 		return batch
 	}
-	timer.Reset(delay)
+	left := h.curDelay() - time.Since(batch[0].enq)
+	if left <= 0 {
+		return batch
+	}
+	timer.Reset(left)
 collect:
-	for len(batch) < max {
+	for len(batch) < max && h.inbound.Load() > 0 {
 		select {
 		case c := <-h.calls:
-			c.deq = time.Now()
-			batch = append(batch, c)
+			batch = append(batch, h.dequeued(c))
 		case <-timer.C:
 			return batch
 		case <-h.closed:
@@ -303,7 +315,7 @@ func (h *Host) drainClosed() {
 	for {
 		select {
 		case c := <-h.calls:
-			c.err = ErrClosed
+			h.dequeued(c).err = ErrClosed
 			c.done <- struct{}{}
 		default:
 			if h.pending.Load() == 0 {
@@ -340,6 +352,10 @@ type stats struct {
 	queueWait *obs.Histogram
 	execute   *obs.Histogram
 	batchSize *obs.Histogram
+	// decode and encode are the :predict codec's two halves: handler entry
+	// to input tensors ready, and building the response body.
+	decode *obs.Histogram
+	encode *obs.Histogram
 
 	// Adaptive-batching control state, written by the dispatcher (adapt),
 	// read lock-free by fill and the observability surfaces: the

@@ -62,10 +62,10 @@ func TestHostRunMatchesRunnerBitExact(t *testing.T) {
 	}
 }
 
-// TestHostCoalescesConcurrentRequests drives many concurrent clients into
-// one host with a generous batching window and requires that actual
-// coalescing happened (a batch of more than one request formed) while every
-// client still got its own correct answer.
+// TestHostCoalescesConcurrentRequests builds a batch deterministically — one
+// execution is held while every other client queues behind it, then released
+// — and requires that the queued clients ran as one coalesced batch while
+// each still got its own answer, bit-identical to a sequential run.
 func TestHostCoalescesConcurrentRequests(t *testing.T) {
 	m := compileMicro(t, models.MicroMLP)
 	r := NewRegistry()
@@ -84,33 +84,38 @@ func TestHostCoalescesConcurrentRequests(t *testing.T) {
 	const clients = 8
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			req := microRequest(t, m, uint64(c))
-			ref := m.NewRunner()
-			want, err := ref.Run(context.Background(), req)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			res, err := h.Run(context.Background(), req)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			defer res.Release()
-			for name, w := range want {
-				for k, wv := range w.Data() {
-					if res.Output(name).Data()[k] != wv {
-						errs[c] = errors.New("coalesced result differs from direct run")
-						return
-					}
+	client := func(c int) {
+		defer wg.Done()
+		req := microRequest(t, m, uint64(c))
+		want, err := m.NewRunner().Run(context.Background(), req)
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		res, err := h.Run(context.Background(), req)
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		defer res.Release()
+		for name, w := range want {
+			for k, wv := range w.Data() {
+				if res.Output(name).Data()[k] != wv {
+					errs[c] = errors.New("coalesced result differs from direct run")
+					return
 				}
 			}
-		}(c)
+		}
 	}
+	entered, release := blockExecute(t)
+	wg.Add(clients)
+	go client(0)
+	<-entered // client 0 is executing, alone, and held
+	for c := 1; c < clients; c++ {
+		go client(c)
+	}
+	waitQueueDepth(t, h, clients-1)
+	close(release)
 	wg.Wait()
 	for c, err := range errs {
 		if err != nil {
@@ -121,12 +126,110 @@ func TestHostCoalescesConcurrentRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Stats.MaxBatch < 2 {
-		t.Fatalf("no coalescing observed: max batch %d, mean %.2f over %d batches",
-			info.Stats.MaxBatch, info.Stats.MeanBatch, info.Stats.Batches)
+	// The warm-up, the held client, and everyone who queued behind it.
+	if info.Stats.Batches != 3 || info.Stats.MaxBatch != clients-1 {
+		t.Fatalf("queued clients did not run as one batch: %d batches, max batch %d, mean %.2f",
+			info.Stats.Batches, info.Stats.MaxBatch, info.Stats.MeanBatch)
 	}
 	if info.Stats.Requests != clients+1 {
 		t.Fatalf("stats counted %d requests, want %d", info.Stats.Requests, clients+1)
+	}
+}
+
+// TestFillDeadlineFromFirstEnqueue pins what the coalescing delay is counted
+// from: a call that sat queued behind a running batch for longer than
+// MaxDelay has done its waiting, so with a peer still inbound it is
+// dispatched at once instead of waiting a further MaxDelay.
+func TestFillDeadlineFromFirstEnqueue(t *testing.T) {
+	const maxDelay = 100 * time.Millisecond
+	m := compileMicro(t, models.MicroMLP)
+	r := NewRegistry()
+	defer r.Close()
+	h, err := r.Register("mlp", m, Config{MaxBatch: 4, MaxDelay: maxDelay, Prewarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := microRequest(t, m, 1)
+	res, err := h.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+
+	entered, release := blockExecute(t)
+	first := make(chan error, 1)
+	go func() {
+		res, err := h.Run(context.Background(), req)
+		if err == nil {
+			res.Release()
+		}
+		first <- err
+	}()
+	<-entered
+	type outcome struct {
+		tl  Timeline
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		res, err := h.Run(context.Background(), req)
+		if err != nil {
+			second <- outcome{err: err}
+			return
+		}
+		defer res.Release()
+		second <- outcome{tl: res.Timeline()}
+	}()
+	waitQueueDepth(t, h, 1)
+	// A third request is on its way: its handler has resolved the host and
+	// is still reading its body.
+	h.inbound.Add(1)
+	defer h.inbound.Add(-1)
+	time.Sleep(maxDelay + maxDelay/4) // hold the execution past the second call's whole delay
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	got := <-second
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if wait := time.Duration(got.tl.QueueWaitNs); wait < maxDelay {
+		t.Fatalf("second call queued for %v, want it held past MaxDelay %v", wait, maxDelay)
+	}
+	if form := time.Duration(got.tl.BatchFormNs); form > maxDelay/2 {
+		t.Fatalf("second call spent %v forming a batch after queueing %v: its delay was counted from the dequeue, not from its enqueue",
+			form, time.Duration(got.tl.QueueWaitNs))
+	}
+	if got.tl.BatchSize != 1 {
+		t.Fatalf("batch size %d, want 1 (the inbound peer never arrived)", got.tl.BatchSize)
+	}
+}
+
+// TestFillDeadlineNotArmedForLoneRequest: with no other request inbound the
+// coalescing wait buys nothing and is skipped, whatever MaxDelay says.
+func TestFillDeadlineNotArmedForLoneRequest(t *testing.T) {
+	const maxDelay = 200 * time.Millisecond
+	m := compileMicro(t, models.MicroMLP)
+	r := NewRegistry()
+	defer r.Close()
+	h, err := r.Register("mlp", m, Config{MaxBatch: 4, MaxDelay: maxDelay, Prewarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		res, err := h.Run(context.Background(), microRequest(t, m, uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := res.Timeline()
+		res.Release()
+		if form := time.Duration(tl.BatchFormNs); form > maxDelay/2 {
+			t.Fatalf("lone request %d waited %v for peers that were not on their way", i, form)
+		}
+	}
+	if n := h.inbound.Load(); n != 0 {
+		t.Fatalf("inbound count %d after every request was answered, want 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +52,11 @@ type Host struct {
 	// strand in a queue no goroutine reads anymore.
 	closing atomic.Bool
 	pending atomic.Int64
+	// inbound counts requests on their way to the queue or in it: from
+	// handlePredict resolving the host (before the body is read) or Run's
+	// entry until the dispatcher dequeues the call — or the request fails
+	// first. A forming batch waits for peers only while it is positive.
+	inbound atomic.Int64
 
 	// limiter is the registry-wide in-flight ceiling this host admits
 	// through (nil for bare hosts, always set by Registry.add).
@@ -60,7 +66,12 @@ type Host struct {
 	obs *obs.Registry
 
 	resPool sync.Pool
-	st      stats
+	// inPool recycles the input tensor sets :predict bodies decode into.
+	inPool sync.Pool
+	// outNames is the model's output names, sorted: the order a response
+	// lists them in.
+	outNames []string
+	st       stats
 
 	// started marks the dispatcher goroutine running (set at the end of
 	// init, read lock-free by Loaded).
@@ -114,7 +125,11 @@ type Result struct {
 type Timeline struct {
 	// BatchSize is how many requests were coalesced into this call's
 	// execution (1 when served per-request).
-	BatchSize   int
+	BatchSize int
+	// DecodeNs is the time before admission a :predict request spent
+	// becoming tensors, from the first byte of its handler: reading and
+	// decoding the body. 0 for a direct Run, which starts at admission.
+	DecodeNs    int64
 	AdmissionNs int64
 	QueueWaitNs int64
 	BatchFormNs int64
@@ -196,8 +211,11 @@ func (h *Host) init() error {
 			}
 			h.outSpecs = append(h.outSpecs, TensorSpec{Name: name, Shape: shape})
 		}
+		h.outNames = m.OutputNames()
+		sort.Strings(h.outNames)
 		h.initBatching()
 		h.resPool.New = func() any { return h.newResult() }
+		h.inPool.New = func() any { return h.newPredictInputs() }
 		h.calls = make(chan *call, h.cfg.Queue)
 		h.st.curDelayNs.Store(int64(h.cfg.MaxDelay))
 		h.registerModelMetrics()
@@ -285,28 +303,45 @@ func (h *Host) newResult() *Result {
 	return &Result{outs: outs}
 }
 
-// validate checks a request against the model's input specs with the same
-// error taxonomy as Runner.Run, before the request ever enters the queue —
-// a malformed request never poisons a batch.
+// validate checks a direct caller's request against the model's input specs
+// with the same error taxonomy as Runner.Run, before the request ever enters
+// the queue — a malformed request never poisons a batch. (A :predict body is
+// refused by its decoder, with these same errors, and arrives valid by
+// construction.)
 func (h *Host) validate(inputs map[string]*dnnfusion.Tensor) error {
 	for name, t := range inputs {
 		spec := h.inSpec(name)
 		if spec == nil {
-			return fmt.Errorf("%w: %q (model inputs: %v)", dnnfusion.ErrUnknownInput, name, h.model.InputNames())
+			return h.errUnknownInput(name)
 		}
 		if t == nil {
 			return fmt.Errorf("%w: %q fed a nil tensor", dnnfusion.ErrMissingInput, name)
 		}
 		if !t.Shape().Equal(spec.Shape) {
-			return &dnnfusion.ShapeError{Input: name, Want: append(dnnfusion.Shape(nil), spec.Shape...), Got: t.Shape()}
+			return errShape(spec, t.Shape())
 		}
 	}
 	for _, spec := range h.inSpecs {
 		if _, ok := inputs[spec.Name]; !ok {
-			return fmt.Errorf("%w: %q", dnnfusion.ErrMissingInput, spec.Name)
+			return errMissingInput(spec.Name)
 		}
 	}
 	return nil
+}
+
+// The refusals validate and the :predict decoder share.
+
+func (h *Host) errUnknownInput(name string) error {
+	return fmt.Errorf("%w: %q (model inputs: %v)", dnnfusion.ErrUnknownInput, name, h.model.InputNames())
+}
+
+func errMissingInput(name string) error {
+	return fmt.Errorf("%w: %q", dnnfusion.ErrMissingInput, name)
+}
+
+// errShape copies got: the decoder passes its scratch shape.
+func errShape(spec *TensorSpec, got dnnfusion.Shape) error {
+	return &dnnfusion.ShapeError{Input: spec.Name, Want: dnnfusion.Shape(spec.Shape).Clone(), Got: got.Clone()}
 }
 
 func (h *Host) inSpec(name string) *TensorSpec {
@@ -319,8 +354,9 @@ func (h *Host) inSpec(name string) *TensorSpec {
 }
 
 // Run executes one request through the host's dynamic batcher: the call
-// coalesces with whatever else is in flight (up to MaxBatch peers, waiting
-// at most the current coalescing delay) and returns its own outputs as a
+// coalesces with whatever else is queued or inbound (up to MaxBatch peers,
+// waiting at most the current coalescing delay, and not at all when no one
+// else is on the way) and returns its own outputs as a
 // pooled Result — Release it when done. Input data is copied before Run
 // returns, so the caller may reuse fed tensors immediately.
 //
@@ -343,12 +379,28 @@ func (h *Host) Run(ctx context.Context, inputs map[string]*dnnfusion.Tensor) (*R
 		h.st.errors.Inc()
 		return nil, err
 	}
-	start := time.Now()
 	if err := h.validate(inputs); err != nil {
 		h.st.requests.Inc()
 		h.st.errors.Inc()
 		return nil, err
 	}
+	h.inbound.Add(1)
+	start := time.Now()
+	return h.run(ctx, inputs, start, start)
+}
+
+// run is Run on a built host from admission (start) on, for a caller that
+// has validated the request and counted it inbound; begin is when the
+// request first reached that caller (the Timeline's decode stage runs from it
+// to start). The inbound count passes to the dispatcher with the call; a
+// request that fails before it is queued gives it back here.
+func (h *Host) run(ctx context.Context, inputs map[string]*dnnfusion.Tensor, begin, start time.Time) (*Result, error) {
+	queued := false
+	defer func() {
+		if !queued {
+			h.inbound.Add(-1)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival: the client's deadline has already passed (or it
 		// canceled), so admitting the request could only waste capacity
@@ -386,6 +438,7 @@ func (h *Host) Run(ctx context.Context, inputs map[string]*dnnfusion.Tensor) (*R
 	c.deq, c.execStart, c.execNs, c.batchSize = time.Time{}, time.Time{}, 0, 0
 	select {
 	case h.calls <- c:
+		queued = true
 	default:
 		// Admission control: the queue is at capacity. Fail fast instead
 		// of blocking — under overload a blocked caller is latency the
@@ -429,6 +482,7 @@ func (h *Host) Run(ctx context.Context, inputs map[string]*dnnfusion.Tensor) (*R
 	h.st.queueWait.Observe(wait.Seconds())
 	res.tl = Timeline{
 		BatchSize:   bsz,
+		DecodeNs:    start.Sub(begin).Nanoseconds(),
 		AdmissionNs: enq.Sub(start).Nanoseconds(),
 		QueueWaitNs: wait.Nanoseconds(),
 		BatchFormNs: execStart.Sub(deq).Nanoseconds(),

@@ -38,6 +38,8 @@ const (
 	helpCompileStage  = "Compile-pipeline stage wall time per model (stage: rewrite|fusion|codegen|tune|plan)."
 	helpKernelSecs    = "Per-kernel execution latency (variant: base|batch); advances on profiled runs."
 	helpHTTPRequests  = "HTTP responses by route and status code."
+	helpDecodeSecs    = "Time from the first byte of a :predict handler to its input tensors being ready (body read and decode), per model."
+	helpEncodeSecs    = "Time to build a :predict response body from the output tensors, per model."
 )
 
 // init wires the host's counters and histograms onto the repository
@@ -54,6 +56,8 @@ func (s *stats) init(o *obs.Registry, model string) {
 	s.queueWait = o.Histogram("dnnf_serve_queue_wait_seconds", helpQueueWaitSecs, obs.LatencyBuckets, "model", model)
 	s.execute = o.Histogram("dnnf_serve_execute_seconds", helpExecuteSecs, obs.LatencyBuckets, "model", model)
 	s.batchSize = o.Histogram("dnnf_serve_batch_size", helpBatchSize, obs.BatchBuckets, "model", model)
+	s.decode = o.Histogram("dnnf_decode_seconds", helpDecodeSecs, obs.LatencyBuckets, "model", model)
+	s.encode = o.Histogram("dnnf_encode_seconds", helpEncodeSecs, obs.LatencyBuckets, "model", model)
 }
 
 // registerModelMetrics publishes the built model's observability surface:

@@ -255,6 +255,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		{"dnnf_serve_queue_wait_seconds", "histogram"},
 		{"dnnf_serve_execute_seconds", "histogram"},
 		{"dnnf_serve_batch_size", "histogram"},
+		{"dnnf_decode_seconds", "histogram"},
+		{"dnnf_encode_seconds", "histogram"},
 		{"dnnf_kernel_execute_seconds", "histogram"},
 		{"dnnf_serve_in_flight", "gauge"},
 		{"dnnf_serve_queue_depth", "gauge"},
@@ -284,6 +286,12 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	latCount := fams["dnnf_serve_request_seconds"].series[`dnnf_serve_request_seconds_count{model="micro-mlp"}`]
 	if latCount != predicts {
 		t.Errorf("request_seconds_count{micro-mlp} = %v, want %d", latCount, predicts)
+	}
+	// Every served :predict was decoded once and encoded once.
+	for _, name := range []string{"dnnf_decode_seconds", "dnnf_encode_seconds"} {
+		if n := fams[name].series[name+`_count{model="micro-mlp"}`]; n != predicts {
+			t.Errorf("%s_count{micro-mlp} = %v, want %d", name, n, predicts)
+		}
 	}
 	// The registry arms profiling, so the served runs must have advanced at
 	// least one per-kernel histogram for the model.
@@ -453,7 +461,7 @@ func TestServerPredictTrace(t *testing.T) {
 		t.Errorf("trace batch_size = %v, want >= 1", bs)
 	}
 	stages := tr["stages"].([]any)
-	want := []string{"admission", "queue_wait", "batch_formation", "execute", "respond"}
+	want := []string{"decode", "admission", "queue_wait", "batch_formation", "execute", "respond"}
 	if len(stages) != len(want) {
 		t.Fatalf("trace has %d stages, want %d", len(stages), len(want))
 	}
@@ -475,9 +483,13 @@ func TestServerPredictTrace(t *testing.T) {
 
 	// Execute time must be a real measurement: positive and below the whole
 	// request's wall time is implied by the stage sum bounded heuristically.
-	exec := stages[3].(map[string]any)["ns"].(float64)
+	exec := stages[4].(map[string]any)["ns"].(float64)
 	if exec <= 0 {
 		t.Errorf("trace execute ns = %v, want > 0", exec)
+	}
+	// So must decode: the handler read and scanned a body before admission.
+	if decode := stages[0].(map[string]any)["ns"].(float64); decode <= 0 {
+		t.Errorf("trace decode ns = %v, want > 0", decode)
 	}
 
 	// Without trace=1 there is no trace block.

@@ -721,4 +721,11 @@ func TestHostOverloadSoakRace(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Every request that was counted inbound was counted out again — by the
+	// dispatcher when it dequeued it (abandoned calls included), or by Run
+	// when it was refused first. A leaked count would tax every later batch
+	// with a wait for a peer that does not exist.
+	if n := h.inbound.Load(); n != 0 {
+		t.Fatalf("inbound count %d after the flood drained, want 0", n)
+	}
 }

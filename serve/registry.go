@@ -47,8 +47,14 @@ type Config struct {
 	// disables coalescing (every request executes individually).
 	MaxBatch int
 	// MaxDelay bounds how long the first request of a forming batch waits
-	// for peers before the batch executes anyway. 0 means DefaultMaxDelay;
-	// negative disables waiting (a batch is whatever is already queued).
+	// for peers before the batch executes anyway, counted from when it was
+	// queued. 0 means DefaultMaxDelay; negative disables waiting (a batch
+	// is whatever is already queued). The wait is skipped when no request
+	// is inbound — no :predict handler between resolving the model and
+	// queueing, no Run call short of the queue — so a lone client never
+	// pays it. When it is paid, a sub-millisecond value is rounded up to
+	// ~1.1 ms by the runtime on an otherwise idle process (the netpoller's
+	// epoll_wait timeout is whole milliseconds).
 	MaxDelay time.Duration
 	// MaxDelayCeiling enables adaptive batching. When > 0, the coalescing
 	// wait becomes a control signal instead of a constant: the dispatcher

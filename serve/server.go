@@ -12,12 +12,13 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"dnnfusion"
 )
 
 // Server is the HTTP front-end over a model repository. It implements
-// http.Handler with four JSON endpoints:
+// http.Handler with six endpoints, JSON but for the last two:
 //
 //	GET  /healthz                     — liveness plus registered-model count
 //	GET  /v1/models                   — list models (name, loaded, stats)
@@ -30,7 +31,7 @@ import (
 // X-Request-ID when one was sent, a freshly generated ID otherwise. Predict
 // responses echo it in the body as request_id — error bodies too, so a shed
 // 429 or 503 is attributable in client logs — and ?trace=1 on :predict adds
-// a per-stage timing block (admission, queue wait, batch formation,
+// a per-stage timing block (decode, admission, queue wait, batch formation,
 // execute, respond) from the host's request Timeline.
 //
 // A predict request body maps input names to tensors:
@@ -336,23 +337,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request, name string)
 	writeJSON(w, http.StatusOK, info)
 }
 
-// wireTensor is the JSON form of a tensor: row-major data plus shape.
-type wireTensor struct {
-	Shape []int     `json:"shape,omitempty"`
-	Data  []float32 `json:"data,omitempty"`
-}
-
-type predictRequest struct {
-	Inputs map[string]wireTensor `json:"inputs"`
-}
-
-type predictResponse struct {
-	Model     string                `json:"model"`
-	RequestID string                `json:"request_id"`
-	Outputs   map[string]wireTensor `json:"outputs"`
-	Trace     *predictTrace         `json:"trace,omitempty"`
-}
-
 // predictTrace is the ?trace=1 timing block: the request's passage through
 // the serving pipeline, stage by stage, in nanoseconds.
 type predictTrace struct {
@@ -366,8 +350,10 @@ type traceStage struct {
 }
 
 // traceOf renders a host Timeline as the wire trace. respond is the
-// remainder of the total after the measured stages — result scatter and
-// hand-back — clamped at zero against clock skew between stamps.
+// remainder of the admission-to-result total after the measured stages —
+// result scatter and hand-back — clamped at zero against clock skew between
+// stamps. Encoding the response is not in it: that time cannot ride in the
+// body it produces (dnnf_encode_seconds on /metrics has it).
 func traceOf(tl Timeline) *predictTrace {
 	respond := tl.TotalNs - tl.AdmissionNs - tl.QueueWaitNs - tl.BatchFormNs - tl.ExecuteNs
 	if respond < 0 {
@@ -376,6 +362,7 @@ func traceOf(tl Timeline) *predictTrace {
 	return &predictTrace{
 		BatchSize: tl.BatchSize,
 		Stages: []traceStage{
+			{Stage: "decode", Ns: tl.DecodeNs},
 			{Stage: "admission", Ns: tl.AdmissionNs},
 			{Stage: "queue_wait", Ns: tl.QueueWaitNs},
 			{Stage: "batch_formation", Ns: tl.BatchFormNs},
@@ -386,6 +373,7 @@ func traceOf(tl Timeline) *predictTrace {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name, id string) {
+	begin := time.Now()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("predict is POST-only"))
 		return
@@ -403,69 +391,81 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name, id 
 		writeBuildError(w, statusFor(err), name, err)
 		return
 	}
-	if limit := s.bodyLimit(); limit > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-	}
-	var req predictRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+	// On its way from here: a batch forming on the host may wait for this
+	// request while its body is read. run takes the count over.
+	h.inbound.Add(1)
+	in, status, err := s.readPredict(w, r, h)
+	if err != nil {
+		h.inbound.Add(-1)
+		writeError(w, status, err)
 		return
 	}
-	inputs := make(map[string]*dnnfusion.Tensor, len(req.Inputs))
-	for inName, wt := range req.Inputs {
-		t, err := h.decodeTensor(inName, wt)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		inputs[inName] = t
+	decoded := time.Now()
+	h.st.decode.Observe(decoded.Sub(begin).Seconds())
+	res, err := h.run(r.Context(), in.tensors, begin, decoded)
+	if err != nil {
+		// in is dropped, not recycled: when run gave up on ctx.Done() the
+		// dispatcher still owns the call and will read these tensors.
+		writeError(w, statusFor(err), err)
+		return
 	}
-	res, err := h.Run(r.Context(), inputs)
+	h.inPool.Put(in)
+	defer res.Release()
+	var trace *predictTrace
+	if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
+		trace = traceOf(res.tl)
+	}
+	// The whole body is built before the header goes out, so a response
+	// that cannot be encoded is still an error response.
+	encodeStart := time.Now()
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	*buf, err = appendPredictResponse((*buf)[:0], name, id, h.outNames, res, trace)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	defer res.Release()
-	resp := predictResponse{Model: name, RequestID: id, Outputs: make(map[string]wireTensor, len(res.Outputs()))}
-	for outName, t := range res.Outputs() {
-		resp.Outputs[outName] = wireTensor{Shape: t.Shape(), Data: t.Data()}
-	}
-	if r.URL.Query().Get("trace") == "1" {
-		resp.Trace = traceOf(res.Timeline())
-	}
-	writeJSON(w, http.StatusOK, resp)
+	h.st.encode.Observe(time.Since(encodeStart).Seconds())
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf) // a failed write is a client that left; there is no one to tell
 }
 
-// decodeTensor builds one input tensor from its wire form: the declared
-// input shape fills in an omitted shape, omitted data means zeros, and a
-// data/shape element-count mismatch is a 400-class error.
-func (h *Host) decodeTensor(name string, wt wireTensor) (*dnnfusion.Tensor, error) {
-	shape := wt.Shape
-	if shape == nil {
-		if spec := h.inSpec(name); spec != nil {
-			shape = spec.Shape
-		} else {
-			return nil, fmt.Errorf("%w: %q", dnnfusion.ErrUnknownInput, name)
+// maxBodyReserve bounds what a Content-Length header alone makes readPredict
+// allocate; a longer body grows its buffer as the bytes arrive, and the grown
+// buffer goes back to the pool for the next request of that size.
+const maxBodyReserve = 1 << 20
+
+// readPredict reads the request body once into a pooled buffer, behind the
+// body cap, and decodes it into a pooled input set of the host. A failure
+// comes back with its status code.
+func (s *Server) readPredict(w http.ResponseWriter, r *http.Request, h *Host) (*predictInputs, int, error) {
+	if limit := s.bodyLimit(); limit > 0 {
+		if r.ContentLength > limit {
+			// What the reader below would say limit+1 bytes later, closing
+			// the connection as it does.
+			w.Header().Set("Connection", "close")
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	t := dnnfusion.NewTensor(shape...)
-	if wt.Data == nil {
-		return t, nil
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	var err error
+	if *buf, err = readBody(r.Body, *buf, max(0, min(r.ContentLength, maxBodyReserve))); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err)
 	}
-	if len(wt.Data) != t.NumElements() {
-		return nil, fmt.Errorf("%w: input %q has %d data elements for shape %v (%d elements)",
-			dnnfusion.ErrShapeMismatch, name, len(wt.Data), shape, t.NumElements())
+	in := h.inPool.Get().(*predictInputs)
+	if err := h.decodePredict(*buf, in); err != nil {
+		h.inPool.Put(in)
+		return nil, http.StatusBadRequest, err
 	}
-	copy(t.Data(), wt.Data)
-	return t, nil
+	return in, http.StatusOK, nil
 }
 
 // bodyLimit resolves the effective :predict body cap.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -235,6 +236,19 @@ func TestServerBodyLimit413(t *testing.T) {
 	}
 	if !strings.Contains(body["error"].(string), "256") {
 		t.Fatalf("413 body does not name the limit: %v", body)
+	}
+
+	// The same body without a Content-Length (chunked) is refused by the
+	// reader instead of the header check, with the same answer.
+	resp2, err := http.Post(ts.URL+"/v1/models/micro-mlp:predict", "application/json", struct{ io.Reader }{strings.NewReader(big)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var chunked map[string]any
+	json.NewDecoder(resp2.Body).Decode(&chunked)
+	if resp2.StatusCode != http.StatusRequestEntityTooLarge || chunked["error"] != body["error"] {
+		t.Fatalf("chunked oversized body = %d (%v), want 413 (%v)", resp2.StatusCode, chunked, body)
 	}
 }
 
