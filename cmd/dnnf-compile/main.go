@@ -130,10 +130,20 @@ func main() {
 		k := ks[i]
 		fmt.Printf("  %s: %s (%d ops, %d FLOPs, layout %s, schedule %s)\n",
 			k.Name, k.Block, k.OpCount, k.FLOPs, k.Layout, k.Schedule)
+		scratch, programs, err := k.Scratch()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("    scratch %.1f KiB", float64(scratch)/1024)
+		for _, p := range programs {
+			fmt.Printf("; %s", p)
+		}
+		fmt.Println()
 		if *source {
 			fmt.Println(k.Source(dnnfusion.BackendCPU))
 		}
 	}
+	fmt.Printf("session scratch: %.1f KiB per lane, outside the planned arena\n", float64(m.ScratchBytes())/1024)
 
 	cpuRep, err := m.Simulate(dev)
 	if err != nil {

@@ -119,6 +119,37 @@ func TestRunnerZeroAllocSteadyStateConv(t *testing.T) {
 	}
 }
 
+// TestRunnerZeroAllocSteadyStateProgram extends the gate to the loops of a
+// pointwise program that go through a func value — fn1, fn2 and the arity-3
+// Where's fn(args), whose argument scratch is sized with the registers at
+// bind time — at 1 and 2 lanes.
+func TestRunnerZeroAllocSteadyStateProgram(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		model, err := dnnfusion.Compile(genericProgram(), dnnfusion.WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model.FusedLayerCount() != 1 {
+			t.Fatalf("generic program compiled to %d kernels, want one fused program", model.FusedLayerCount())
+		}
+		runner := model.NewRunner()
+		inputs := map[string]*dnnfusion.Tensor{"x": dnnfusion.Rand(64, 2048)}
+		ctx := context.Background()
+		for i := 0; i < 2; i++ { // bind, then the pool's lazy worker start
+			if _, err := runner.Run(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := runner.Run(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("warmed generic-program Runner.Run at %d threads allocates %.0f times per inference, want 0", threads, allocs)
+		}
+	}
+}
+
 // TestSessionRunZeroAllocSteadyState proves the same property one layer
 // down, through the Compiled session API the Runner wraps.
 func TestSessionRunZeroAllocSteadyState(t *testing.T) {

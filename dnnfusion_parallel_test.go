@@ -12,7 +12,10 @@ import (
 
 	"dnnfusion"
 
+	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
+	"dnnfusion/internal/ops"
+	"dnnfusion/internal/tensor"
 )
 
 // ulpDiff is the distance in float32 representations; 0 means
@@ -106,6 +109,39 @@ func TestBlockedParallelParity(t *testing.T) {
 				runMicroParity(t, spec.Build, threads, 0)
 			})
 		}
+	}
+}
+
+// genericProgram is one pointwise block made of what no typed stripe loop
+// covers and every way a program shares work: the arity-3 Where through
+// fn(args), Greater through fn2, Sigmoid through fn1, a suffix bias, a scalar
+// operand, x read by three operators and the diamond Where(c, t, Neg(t)) over
+// a shared t — 64×2048 elements, enough to split across lanes. Input "x",
+// output "y".
+func genericProgram() *graph.Graph {
+	g := graph.New("generic-program")
+	x := g.AddInput("x", tensor.Of(64, 2048))
+	bias := g.AddWeight("bias", tensor.New(2048).Rand(4001))
+	half := g.AddWeight("half", tensor.Scalar(0.5))
+	t := g.Apply1(ops.NewSigmoid(), g.Apply1(ops.NewAdd(), x, bias))
+	c := g.Apply1(ops.NewGreater(), t, half)
+	v := g.Apply1(ops.NewWhere(), c, t, g.Apply1(ops.NewNeg(), t))
+	g.MarkOutputAs("y", g.Apply1(ops.NewMul(), v, x))
+	return g
+}
+
+// TestParallelProgramTwoLanes runs the kernels that evaluate a pointwise
+// program — the typed chain, the generic one, and the Mul, Add, Clip tails of
+// a depthwise-separable conv stage delivered a tile span at a time — over two
+// lanes, each with its own operand buffers and registers, bit for bit against
+// the interpreter. Under -race it is the gate for that scratch being per lane.
+func TestParallelProgramTwoLanes(t *testing.T) {
+	for name, build := range map[string]func() *dnnfusion.Graph{
+		"typed chain":     models.MicroElementwise,
+		"generic program": genericProgram,
+		"conv tails":      dwSeparableStage,
+	} {
+		t.Run(name, func(t *testing.T) { runMicroParity(t, build, 2, 0) })
 	}
 }
 

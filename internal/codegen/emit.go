@@ -10,10 +10,14 @@ import (
 
 // Source renders the kernel as C-like source for the mobile CPU backend or
 // OpenCL-like source for the mobile GPU backend. In the paper's system the
-// text is compiled by the device toolchain; here it documents exactly what
-// the pull-model executor computes (loop nests, index folding,
-// shared-subtree temporaries), so it is rendered only when asked for, not
-// at compile time.
+// text is compiled by the device toolchain; here it documents what the
+// pull-model executor computes (loop nests, index folding, shared-subtree
+// temporaries), so it is rendered only when asked for, not at compile time.
+// The temporaries are exact for pointwise values: a shared value whose
+// references are all pointwise operators of its own shape is one instruction
+// of one ops program, evaluated once per element. A shared value read through
+// a reduction, a contraction or a view is still evaluated once per reference
+// by the executor, whatever the rendered text hoists.
 func (k *Kernel) Source(b Backend) string {
 	var sb strings.Builder
 	name := k.Name
@@ -116,7 +120,8 @@ func (p *printer) emitOutput(sb *strings.Builder, b Backend, oi int, out *graph.
 		}
 	}
 
-	// Hoist shared subtrees reachable from this root as temporaries.
+	// Hoist shared subtrees reachable from this root as temporaries (what the
+	// executor does for pointwise references; see Source).
 	shared := map[*graph.Node]bool{}
 	for _, n := range p.k.DFT.Shared {
 		shared[n] = true

@@ -417,11 +417,7 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 			// goes through the same walk: its contractions keep their
 			// default tiles and the consumers above them still stage whole
 			// tiles.
-			if k.Block.Chain != nil {
-				ops.ApplyChainSchedule(s, k.Schedule, k.ProducerSchedule)
-			} else {
-				ops.ApplySchedule(s, k.Schedule)
-			}
+			k.applySchedule(s)
 			stages := ops.StagedSources(s)
 			bo := &bk.outs[i]
 			if lane == 0 {
@@ -471,6 +467,16 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 	return bk, nil
 }
 
+// applySchedule configures one output's Source tree with the kernel's tile
+// schedule(s).
+func (k *Kernel) applySchedule(s ops.Source) {
+	if k.Block.Chain != nil {
+		ops.ApplyChainSchedule(s, k.Schedule, k.ProducerSchedule)
+	} else {
+		ops.ApplySchedule(s, k.Schedule)
+	}
+}
+
 // compose builds the kernel's Source tree: one source per block output,
 // composed by Virtualize over the sources leaf supplies for the block's
 // exterior inputs. A value consumed twice inside the block is one shared
@@ -517,6 +523,9 @@ func (k *Kernel) compose(leaf func(v *graph.Value) (ops.Source, error)) ([]ops.S
 	return srcs, nil
 }
 
+// placeholder is the compose leaf of static inspection: shapes, no data.
+func placeholder(v *graph.Value) (ops.Source, error) { return ops.Placeholder(v.Shape), nil }
+
 // ScalarPaths composes the kernel over data-less placeholder inputs and
 // returns ops.ScalarPaths over its outputs: the places where executing the
 // kernel would pull a lazy operand element by element through the scalar
@@ -524,9 +533,7 @@ func (k *Kernel) compose(leaf func(v *graph.Value) (ops.Source, error)) ([]ops.S
 // blocked end to end. It needs shapes only, so it works for models with
 // shape-only weights.
 func (k *Kernel) ScalarPaths() ([]string, error) {
-	srcs, err := k.compose(func(v *graph.Value) (ops.Source, error) {
-		return ops.Placeholder(v.Shape), nil
-	})
+	srcs, err := k.compose(placeholder)
 	if err != nil {
 		return nil, err
 	}
@@ -535,6 +542,22 @@ func (k *Kernel) ScalarPaths() ([]string, error) {
 		paths = append(paths, ops.ScalarPaths(s)...)
 	}
 	return paths, nil
+}
+
+// Scratch composes the kernel over placeholder inputs as one lane of a
+// session binds it — scheduled — and reports the Source-owned scratch that
+// lane holds outside the planned arena, in bytes (ops.ScratchBytes), with a
+// one-line summary of every pointwise program in the tree. Like ScalarPaths
+// it needs shapes only.
+func (k *Kernel) Scratch() (bytes int64, programs []string, err error) {
+	srcs, err := k.compose(placeholder)
+	if err != nil {
+		return 0, nil, err
+	}
+	for _, s := range srcs {
+		k.applySchedule(s)
+	}
+	return ops.ScratchBytes(srcs...), ops.Programs(srcs...), nil
 }
 
 // ScalarPaths returns ops.ScalarPaths over every lane's bound tree of every

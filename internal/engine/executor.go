@@ -40,9 +40,11 @@ type Executor struct {
 	// Counts advance only while telemetry is armed (obs.Armed).
 	kstats []*KernelStat
 	// scalar[i] marks a kernel with a scalar-fallback path (see
-	// codegen.Kernel.ScalarPaths); computed on the first Profile call.
+	// codegen.Kernel.ScalarPaths) and scratch[i] is its one-lane scratch
+	// (codegen.Kernel.Scratch); computed on the first Profile call.
 	scalarOnce sync.Once
 	scalar     []bool
+	scratch    []int64
 }
 
 // KernelStat is one scheduled kernel's cumulative execution accounting,
@@ -85,10 +87,13 @@ type KernelProfile struct {
 	// its tree an operand too large to stage is pulled element by element
 	// through the scalar oracle (codegen.Kernel.ScalarPaths is non-empty),
 	// so its run time can be orders of magnitude above its unfused cost.
-	Scalar  bool
-	Lanes   int
-	Runs    uint64
-	TotalNs int64
+	Scalar bool
+	// ScratchBytes is the Source-owned scratch one lane of one session holds
+	// for the kernel, outside the planned arena (codegen.Kernel.Scratch).
+	ScratchBytes int64
+	Lanes        int
+	Runs         uint64
+	TotalNs      int64
 }
 
 // NewExecutor schedules the plan's blocks, pairs them with their compiled
@@ -211,25 +216,28 @@ func (x *Executor) KernelStats() []*KernelStat { return x.kstats }
 func (x *Executor) Profile() []KernelProfile {
 	x.scalarOnce.Do(func() {
 		x.scalar = make([]bool, len(x.kernels))
+		x.scratch = make([]int64, len(x.kernels))
 		for i, k := range x.kernels {
 			// A kernel that cannot be composed fails at bind, loudly; it
-			// has no scalar path to report.
+			// has no scalar path or scratch to report.
 			paths, _ := k.ScalarPaths()
 			x.scalar[i] = len(paths) > 0
+			x.scratch[i], _, _ = k.Scratch()
 		}
 	})
 	lanes := x.Threads()
 	out := make([]KernelProfile, len(x.kernels))
 	for i, k := range x.kernels {
 		out[i] = KernelProfile{
-			Kernel:   k.Name,
-			Schedule: k.Schedule,
-			Producer: k.ProducerSchedule,
-			Chain:    k.Block != nil && k.Block.Chain != nil,
-			Scalar:   x.scalar[i],
-			Lanes:    lanes,
-			Runs:     x.kstats[i].Runs(),
-			TotalNs:  x.kstats[i].TotalNs(),
+			Kernel:       k.Name,
+			Schedule:     k.Schedule,
+			Producer:     k.ProducerSchedule,
+			Chain:        k.Block != nil && k.Block.Chain != nil,
+			Scalar:       x.scalar[i],
+			Lanes:        lanes,
+			ScratchBytes: x.scratch[i],
+			Runs:         x.kstats[i].Runs(),
+			TotalNs:      x.kstats[i].TotalNs(),
 		}
 	}
 	return out

@@ -7,8 +7,10 @@ import (
 // BlockSource is how compiled kernels evaluate: LoadBlock fills dst with
 // the n elements starting at flat row-major offset off of the logical
 // tensor, without per-element index unravelling or virtual dispatch. Every
-// source Virtualize composes implements it, end to end: elementwise
-// operators stream stripes, index-only movement is a strided view
+// source Virtualize composes implements it, end to end: a subtree of
+// elementwise operators is one program — a list of operands delivered by
+// flat offset and a list of typed loops over blockLen-element registers
+// (program.go) — index-only movement is a strided view
 // (view.go), row reductions and softmax stage contiguous runs, contractions
 // run tiles over operand strides, row windows and packed panels
 // (contraction.go), and the few operators with a genuinely
@@ -48,9 +50,9 @@ func AsBlock(s Source) (BlockSource, bool) {
 	return b, ok
 }
 
-// blockLen is the elementwise streaming granularity: per-input staging
-// buffers are this long, so a chain of fused elementwise operators
-// processes blockLen-element stripes that stay in L1.
+// blockLen is the elementwise evaluation granularity: a pointwise program's
+// registers are this long, so however many operators it fuses, their
+// intermediates are blockLen-element stripes that stay in L1.
 const blockLen = 512
 
 // loadPeriodic fills dst with elements [off, off+len(dst)) of the infinite

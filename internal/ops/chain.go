@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math"
+	"slices"
 
 	"dnnfusion/internal/tensor"
 )
@@ -113,13 +114,8 @@ func contractionRooted(s Source) bool {
 		return contractionRooted(v.blk)
 	case *viewBlockSource:
 		return v.identity && contractionRooted(v.blk)
-	case *pointwiseBlockSource:
-		for i := range v.blkIns {
-			in := &v.blkIns[i]
-			if in.kind == pwStream && contractionRooted(in.blk) {
-				return true
-			}
-		}
+	case *pointwiseProgram:
+		return slices.ContainsFunc(v.streams(), contractionRooted)
 	}
 	return false
 }

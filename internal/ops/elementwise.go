@@ -17,19 +17,64 @@ type pointwise struct {
 	arity int
 	fn    func(args []float32) float32
 	// fn1/fn2 are the direct unary/binary forms of fn, set by
-	// newUnary/newBinary: the blocked inner loop calls them without
-	// staging an args slice per element, which is most of the remaining
-	// per-element cost of a fused elementwise chain.
-	fn1     func(float32) float32
-	fn2     func(a, b float32) float32
+	// newUnary/newBinary: the generic stripe loop of a pointwiseProgram
+	// calls them without staging an args slice per element.
+	fn1 func(float32) float32
+	fn2 func(a, b float32) float32
+	// kind selects the operator's typed stripe loop in a pointwiseProgram
+	// (program.go); kindGeneric operators run fn1/fn2/fn once per element.
+	kind pwKind
+	// The operator's constants, set by its constructor and read by the typed
+	// loops, Attr and the typed accessors (introspect.go) alike: lo/hi are
+	// Clip's bounds; c is LeakyRelu's alpha, AddConst's and MulConst's
+	// constant, Pow's exponent and BitShift's factor 2^k; shift is
+	// BitShift's k.
+	lo, hi  float32
+	c       float32
+	shift   int
 	props   Properties
 	attrKey string
 	// flopsPerElem is usually 1 (the paper's Table 4 convention).
 	flopsPerElem int64
-	// attrs holds structured attributes for introspection (Attr), mirroring
-	// the attrKey contents of parameterized operators (Clip, LeakyRelu,
-	// AddConst, ...). nil for attribute-free operators.
-	attrs map[string]any
+}
+
+// pwKind names the pointwise operators that have a typed stripe loop.
+type pwKind uint8
+
+const (
+	kindGeneric pwKind = iota
+	kindAdd
+	kindSub
+	kindMul
+	kindDiv
+	kindMin
+	kindMax
+	kindNeg
+	kindRelu
+	kindAbs
+	kindSquare
+	kindReciprocal
+	kindClip
+	kindLeakyRelu
+	kindAddConst
+	kindMulConst
+	kindIdentity
+)
+
+// attr returns the structured attribute Attr reports for key, read from the
+// typed constants.
+func (p *pointwise) attr(key string) any {
+	switch p.name + "." + key {
+	case "Clip.min":
+		return p.lo
+	case "Clip.max":
+		return p.hi
+	case "LeakyRelu.alpha", "AddConst.c", "MulConst.c", "Pow.p":
+		return p.c
+	case "BitShift.k":
+		return p.shift
+	}
+	return nil
 }
 
 func (p *pointwise) Type() string           { return p.name }
@@ -101,198 +146,10 @@ func (p *pointwise) Virtualize(ins []Source, outNo int) (Source, error) {
 		}
 		return src
 	}
-	if blk, ok := blockedPointwise(p, mk(ins).(*pointwiseSource)); ok {
-		return blk, nil
+	if prog, ok := newPointwiseProgram(p, mk(ins).(*pointwiseSource)); ok {
+		return prog, nil
 	}
 	return pulled(ins, mk), nil
-}
-
-// blockedPointwise upgrades a pointwise source to its blocked form:
-// same-shape inputs stream directly, single-element inputs load once per
-// block, suffix broadcasts (a [C] bias against [N,C]) stream periodically,
-// and every other broadcast (a keepdims row statistic [N,1] against [N,C],
-// a middle-axis expansion) streams through a stride-0 view of the input, so
-// a lazily produced statistic is loaded once per covered row. ok is false
-// only when an input has no blocked path (it is too large to stage).
-func blockedPointwise(p *pointwise, s *pointwiseSource) (Source, bool) {
-	ins := make([]pwBlockInput, len(s.ins))
-	for i, in := range s.ins {
-		inShape := s.inShapes[i]
-		if inShape.NumElements() == 1 {
-			// Loaded once per stripe: a lazily produced scalar (a full
-			// reduction) is staged so that load is a memory read.
-			if blk, isBlk := AsBlock(in); isBlk && !randomAccess(in) {
-				in = newStaged(blk)
-			}
-			ins[i] = pwBlockInput{kind: pwScalar, src: in, idx: make([]int, inShape.Rank())}
-			continue
-		}
-		period, ok := suffixPeriod(inShape, s.shape)
-		if !ok {
-			backing, l := layoutOf(in)
-			in, period = newView(backing, l.expand(s.shape)), s.shape.NumElements()
-		}
-		blk, ok := AsBlock(in)
-		if !ok {
-			return nil, false
-		}
-		if period == s.shape.NumElements() {
-			// Streaming input: alias flat backing directly (tensors,
-			// arena views, reshaped weights) so the inner loop reads the
-			// operand in place; only lazy producers stage into a buffer.
-			if data, isFlat := FlatData(in); isFlat {
-				ins[i] = pwBlockInput{kind: pwFlat, data: data}
-				continue
-			}
-			ins[i] = pwBlockInput{kind: pwStream, blk: blk, buf: make([]float32, blockLen)}
-			continue
-		}
-		ins[i] = pwBlockInput{kind: pwPeriod, blk: blk, period: period, buf: make([]float32, blockLen)}
-	}
-	return &pointwiseBlockSource{pointwiseSource: *s, fn1: p.fn1, fn2: p.fn2, blkIns: ins}, true
-}
-
-type pwInKind uint8
-
-const (
-	pwFlat   pwInKind = iota // flat-backed stream: read the backing in place
-	pwStream                 // blocked producer: stage a stripe, flat order matches
-	pwScalar                 // single-element input, loaded once per block
-	pwPeriod                 // suffix broadcast: input repeats every period
-)
-
-type pwBlockInput struct {
-	kind   pwInKind
-	blk    BlockSource
-	src    Source    // pwScalar only
-	idx    []int     // pwScalar only: all-zero index scratch
-	data   []float32 // pwFlat only: the operand's row-major backing
-	period int
-	val    float32
-	buf    []float32
-	// cur is the current stripe: an alias of data for pwFlat, the staged
-	// buf otherwise. Set per stripe by LoadBlock.
-	cur []float32
-}
-
-// source returns the source the blocked path reads this input from; orig is
-// the operator's own input (what pwFlat aliases).
-func (in *pwBlockInput) source(orig Source) Source {
-	switch in.kind {
-	case pwFlat:
-		return orig
-	case pwScalar:
-		return in.src
-	}
-	return in.blk
-}
-
-// pointwiseBlockSource evaluates a fused elementwise chain over flat
-// blockLen stripes: inputs are staged into per-input buffers (weights,
-// arena views, and blocked producers stream without any index math), then
-// the scalar function runs over the stripe — through the direct
-// unary/binary form when the operator has one, so the common chain spends
-// one call per element instead of staging an args slice. Load keeps the
-// scalar semantics for the reference path.
-type pointwiseBlockSource struct {
-	pointwiseSource
-	fn1    func(float32) float32
-	fn2    func(a, b float32) float32
-	blkIns []pwBlockInput
-	// stripe is the streaming granularity: blockLen by default, rounded up
-	// to a whole number of a heavy producer's row tiles by ApplySchedule so
-	// the chain's staging loads keep the producer on its tiled path. span
-	// is that producer tile span (0 when none), forwarded by TileSpan.
-	stripe int
-	span   int
-}
-
-func (s *pointwiseBlockSource) LoadBlock(dst []float32, off, n int) {
-	stripe := s.stripe
-	if stripe < 1 {
-		stripe = blockLen
-	}
-	for n > 0 {
-		c := n
-		if c > stripe {
-			c = stripe
-		}
-		for i := range s.blkIns {
-			in := &s.blkIns[i]
-			switch in.kind {
-			case pwFlat:
-				in.cur = in.data[off : off+c]
-			case pwStream:
-				in.blk.LoadBlock(in.buf[:c], off, c)
-				in.cur = in.buf[:c]
-			case pwScalar:
-				in.val = in.src.Load(in.idx)
-			case pwPeriod:
-				loadPeriodic(in.blk, in.buf[:c], off, in.period)
-				in.cur = in.buf[:c]
-			}
-		}
-		s.evalStripe(dst[:c], c)
-		dst = dst[c:]
-		off += c
-		n -= c
-	}
-}
-
-// evalStripe applies the operator to one staged stripe of c elements.
-func (s *pointwiseBlockSource) evalStripe(dst []float32, c int) {
-	switch {
-	case s.fn1 != nil:
-		in := &s.blkIns[0]
-		if in.kind == pwScalar {
-			v := s.fn1(in.val)
-			for j := 0; j < c; j++ {
-				dst[j] = v
-			}
-			return
-		}
-		buf := in.cur
-		for j := 0; j < c; j++ {
-			dst[j] = s.fn1(buf[j])
-		}
-	case s.fn2 != nil:
-		a, b := &s.blkIns[0], &s.blkIns[1]
-		switch {
-		case a.kind == pwScalar && b.kind == pwScalar:
-			v := s.fn2(a.val, b.val)
-			for j := 0; j < c; j++ {
-				dst[j] = v
-			}
-		case a.kind == pwScalar:
-			av, bb := a.val, b.cur
-			for j := 0; j < c; j++ {
-				dst[j] = s.fn2(av, bb[j])
-			}
-		case b.kind == pwScalar:
-			ab, bv := a.cur, b.val
-			for j := 0; j < c; j++ {
-				dst[j] = s.fn2(ab[j], bv)
-			}
-		default:
-			ab, bb := a.cur, b.cur
-			for j := 0; j < c; j++ {
-				dst[j] = s.fn2(ab[j], bb[j])
-			}
-		}
-	default:
-		args := s.args
-		for j := 0; j < c; j++ {
-			for i := range s.blkIns {
-				in := &s.blkIns[i]
-				if in.kind == pwScalar {
-					args[i] = in.val
-				} else {
-					args[i] = in.cur[j]
-				}
-			}
-			dst[j] = s.fn(args)
-		}
-	}
 }
 
 // ScalarFunc exposes the elementwise function for code generation.
@@ -331,60 +188,64 @@ func (s *pointwiseSource) Load(idx []int) float32 {
 
 // --- Unary operators -------------------------------------------------------
 
-func newUnary(name string, f func(float32) float32, props Properties) Operator {
+func newUnary(name string, kind pwKind, f func(float32) float32, props Properties) *pointwise {
 	return &pointwise{
 		name:         name,
 		arity:        1,
 		fn:           func(a []float32) float32 { return f(a[0]) },
 		fn1:          f,
+		kind:         kind,
 		props:        props,
 		flopsPerElem: 1,
 	}
 }
 
-func f64(f func(float64) float64) func(float32) float32 {
-	return func(x float32) float32 { return float32(f(float64(x))) }
+// newMath is a unary operator evaluated by a float64 math function.
+func newMath(name string, f func(float64) float64) Operator {
+	return newUnary(name, kindGeneric, func(x float32) float32 { return float32(f(float64(x))) }, Properties{})
 }
 
 var linear = Properties{Linear: true}
 
 // Unary elementwise operator constructors (One-to-One in Table 2).
 func NewRelu() Operator {
-	return newUnary("Relu", func(x float32) float32 { return maxf(x, 0) }, Properties{})
+	return newUnary("Relu", kindRelu, func(x float32) float32 { return maxf(x, 0) }, Properties{})
 }
 func NewAbs() Operator {
-	return newUnary("Abs", func(x float32) float32 { return absf(x) }, Properties{})
+	return newUnary("Abs", kindAbs, func(x float32) float32 { return absf(x) }, Properties{})
 }
-func NewNeg() Operator   { return newUnary("Neg", func(x float32) float32 { return -x }, linear) }
-func NewExp() Operator   { return newUnary("Exp", f64(math.Exp), Properties{}) }
-func NewLog() Operator   { return newUnary("Log", f64(math.Log), Properties{}) }
-func NewSqrt() Operator  { return newUnary("Sqrt", f64(math.Sqrt), Properties{}) }
-func NewErf() Operator   { return newUnary("Erf", f64(math.Erf), Properties{}) }
-func NewSin() Operator   { return newUnary("Sin", f64(math.Sin), Properties{}) }
-func NewCos() Operator   { return newUnary("Cos", f64(math.Cos), Properties{}) }
-func NewAsin() Operator  { return newUnary("Asin", f64(math.Asin), Properties{}) }
-func NewTanh() Operator  { return newUnary("Tanh", f64(math.Tanh), Properties{}) }
-func NewCeil() Operator  { return newUnary("Ceil", f64(math.Ceil), Properties{}) }
-func NewFloor() Operator { return newUnary("Floor", f64(math.Floor), Properties{}) }
-func NewRound() Operator { return newUnary("Round", f64(math.RoundToEven), Properties{}) }
+func NewNeg() Operator {
+	return newUnary("Neg", kindNeg, func(x float32) float32 { return -x }, linear)
+}
+func NewExp() Operator   { return newMath("Exp", math.Exp) }
+func NewLog() Operator   { return newMath("Log", math.Log) }
+func NewSqrt() Operator  { return newMath("Sqrt", math.Sqrt) }
+func NewErf() Operator   { return newMath("Erf", math.Erf) }
+func NewSin() Operator   { return newMath("Sin", math.Sin) }
+func NewCos() Operator   { return newMath("Cos", math.Cos) }
+func NewAsin() Operator  { return newMath("Asin", math.Asin) }
+func NewTanh() Operator  { return newMath("Tanh", math.Tanh) }
+func NewCeil() Operator  { return newMath("Ceil", math.Ceil) }
+func NewFloor() Operator { return newMath("Floor", math.Floor) }
+func NewRound() Operator { return newMath("Round", math.RoundToEven) }
 func NewSquare() Operator {
-	return newUnary("Square", func(x float32) float32 { return x * x }, Properties{})
+	return newUnary("Square", kindSquare, func(x float32) float32 { return x * x }, Properties{})
 }
 func NewReciprocal() Operator {
-	return newUnary("Reciprocal", func(x float32) float32 { return 1 / x }, Properties{})
+	return newUnary("Reciprocal", kindReciprocal, func(x float32) float32 { return 1 / x }, Properties{})
 }
 func NewSigmoid() Operator {
-	return newUnary("Sigmoid", func(x float32) float32 {
+	return newUnary("Sigmoid", kindGeneric, func(x float32) float32 {
 		return float32(1 / (1 + math.Exp(-float64(x))))
 	}, Properties{})
 }
 func NewSoftplus() Operator {
-	return newUnary("Softplus", func(x float32) float32 {
+	return newUnary("Softplus", kindGeneric, func(x float32) float32 {
 		return float32(math.Log1p(math.Exp(float64(x))))
 	}, Properties{})
 }
 func NewNot() Operator {
-	return newUnary("Not", func(x float32) float32 {
+	return newUnary("Not", kindGeneric, func(x float32) float32 {
 		if x == 0 {
 			return 1
 		}
@@ -394,7 +255,7 @@ func NewNot() Operator {
 
 // NewIdentity returns the no-op operator (used when rewrites eliminate work).
 func NewIdentity() Operator {
-	op := newUnary("Identity", func(x float32) float32 { return x }, linear).(*pointwise)
+	op := newUnary("Identity", kindIdentity, func(x float32) float32 { return x }, linear)
 	op.flopsPerElem = 0
 	return op
 }
@@ -402,31 +263,31 @@ func NewIdentity() Operator {
 // NewCast models ONNX Cast; with a single float32 dtype it is an identity
 // but is kept as a distinct One-to-One operator as in Table 2.
 func NewCast() Operator {
-	op := newUnary("Cast", func(x float32) float32 { return x }, linear).(*pointwise)
+	op := newUnary("Cast", kindIdentity, func(x float32) float32 { return x }, linear)
 	op.flopsPerElem = 0
 	return op
 }
 
 // NewLeakyRelu returns LeakyRelu with the given negative slope.
 func NewLeakyRelu(alpha float32) Operator {
-	op := newUnary("LeakyRelu", func(x float32) float32 {
+	op := newUnary("LeakyRelu", kindLeakyRelu, func(x float32) float32 {
 		if x < 0 {
 			return alpha * x
 		}
 		return x
-	}, Properties{}).(*pointwise)
+	}, Properties{})
 	op.attrKey = fmt.Sprintf("alpha=%g", alpha)
-	op.attrs = map[string]any{"alpha": alpha}
+	op.c = alpha
 	return op
 }
 
 // NewClip clamps elements into [min, max].
 func NewClip(min, max float32) Operator {
-	op := newUnary("Clip", func(x float32) float32 {
+	op := newUnary("Clip", kindClip, func(x float32) float32 {
 		return minf(maxf(x, min), max)
-	}, Properties{}).(*pointwise)
+	}, Properties{})
 	op.attrKey = fmt.Sprintf("min=%g,max=%g", min, max)
-	op.attrs = map[string]any{"min": min, "max": max}
+	op.lo, op.hi = min, max
 	return op
 }
 
@@ -442,50 +303,56 @@ func NewBitShift(k int) Operator {
 	for i := 0; i > k; i-- {
 		scale /= 2
 	}
-	op := newUnary("BitShift", func(x float32) float32 { return x * scale }, linear).(*pointwise)
+	op := newUnary("BitShift", kindMulConst, func(x float32) float32 { return x * scale }, linear)
 	op.attrKey = fmt.Sprintf("k=%d", k)
+	op.c, op.shift = scale, k
 	return op
 }
 
 // NewPowConst raises each element to a constant power (Pow with a scalar
 // exponent, the form transformer LayerNorm decompositions use).
 func NewPowConst(p float32) Operator {
-	op := newUnary("Pow", func(x float32) float32 {
+	kind := kindGeneric
+	if p == 2 {
+		kind = kindSquare
+	}
+	op := newUnary("Pow", kind, func(x float32) float32 {
 		if p == 2 {
 			return x * x
 		}
 		return float32(math.Pow(float64(x), float64(p)))
-	}, Properties{}).(*pointwise)
+	}, Properties{})
 	op.attrKey = fmt.Sprintf("p=%g", p)
-	op.attrs = map[string]any{"p": p}
+	op.c = p
 	return op
 }
 
 // NewAddConst adds a scalar constant elementwise (e.g. the "+1" produced by
 // the distributive rewrite A + A⊙B → A⊙(B+1)).
 func NewAddConst(c float32) Operator {
-	op := newUnary("AddConst", func(x float32) float32 { return x + c }, linear).(*pointwise)
+	op := newUnary("AddConst", kindAddConst, func(x float32) float32 { return x + c }, linear)
 	op.attrKey = fmt.Sprintf("c=%g", c)
-	op.attrs = map[string]any{"c": c}
+	op.c = c
 	return op
 }
 
 // NewMulConst multiplies by a scalar constant elementwise.
 func NewMulConst(c float32) Operator {
-	op := newUnary("MulConst", func(x float32) float32 { return x * c }, linear).(*pointwise)
+	op := newUnary("MulConst", kindMulConst, func(x float32) float32 { return x * c }, linear)
 	op.attrKey = fmt.Sprintf("c=%g", c)
-	op.attrs = map[string]any{"c": c}
+	op.c = c
 	return op
 }
 
 // --- Binary and ternary operators ------------------------------------------
 
-func newBinary(name string, f func(a, b float32) float32, props Properties) Operator {
+func newBinary(name string, kind pwKind, f func(a, b float32) float32, props Properties) Operator {
 	return &pointwise{
 		name:         name,
 		arity:        2,
 		fn:           func(a []float32) float32 { return f(a[0], a[1]) },
 		fn2:          f,
+		kind:         kind,
 		props:        props,
 		flopsPerElem: 1,
 	}
@@ -497,30 +364,30 @@ var (
 )
 
 func NewAdd() Operator {
-	return newBinary("Add", func(a, b float32) float32 { return a + b }, addProps)
+	return newBinary("Add", kindAdd, func(a, b float32) float32 { return a + b }, addProps)
 }
 func NewSub() Operator {
-	return newBinary("Sub", func(a, b float32) float32 { return a - b }, Properties{Linear: true})
+	return newBinary("Sub", kindSub, func(a, b float32) float32 { return a - b }, Properties{Linear: true})
 }
 func NewMul() Operator {
-	return newBinary("Mul", func(a, b float32) float32 { return a * b }, mulProps)
+	return newBinary("Mul", kindMul, func(a, b float32) float32 { return a * b }, mulProps)
 }
 func NewDiv() Operator {
-	return newBinary("Div", func(a, b float32) float32 { return a / b }, Properties{})
+	return newBinary("Div", kindDiv, func(a, b float32) float32 { return a / b }, Properties{})
 }
 func NewMin() Operator {
-	return newBinary("Min", minf, Properties{Associative: true, Commutative: true})
+	return newBinary("Min", kindMin, minf, Properties{Associative: true, Commutative: true})
 }
 func NewMax() Operator {
-	return newBinary("Max", maxf, Properties{Associative: true, Commutative: true})
+	return newBinary("Max", kindMax, maxf, Properties{Associative: true, Commutative: true})
 }
 func NewPow() Operator {
-	return newBinary("PowT", func(a, b float32) float32 {
+	return newBinary("PowT", kindGeneric, func(a, b float32) float32 {
 		return float32(math.Pow(float64(a), float64(b)))
 	}, Properties{})
 }
 func NewGreater() Operator {
-	return newBinary("Greater", func(a, b float32) float32 {
+	return newBinary("Greater", kindGeneric, func(a, b float32) float32 {
 		if a > b {
 			return 1
 		}
@@ -528,7 +395,7 @@ func NewGreater() Operator {
 	}, Properties{})
 }
 func NewEqual() Operator {
-	return newBinary("Equal", func(a, b float32) float32 {
+	return newBinary("Equal", kindGeneric, func(a, b float32) float32 {
 		if a == b {
 			return 1
 		}
@@ -539,7 +406,7 @@ func NewEqual() Operator {
 // NewPRelu is the parametric Relu: x when x>=0, slope*x otherwise, with the
 // slope tensor broadcast against x.
 func NewPRelu() Operator {
-	return newBinary("PRelu", func(x, s float32) float32 {
+	return newBinary("PRelu", kindGeneric, func(x, s float32) float32 {
 		if x < 0 {
 			return s * x
 		}

@@ -61,12 +61,6 @@ func InstanceNormEps(op Operator) (float32, bool) {
 	return n.eps, true
 }
 
-// attrFloat reads a float32 attribute stashed by a constructor.
-func attrFloat(op Operator, key string) (float32, bool) {
-	v, ok := Attr(op, key).(float32)
-	return v, ok
-}
-
 // attrInt reads an int attribute stashed by a constructor.
 func attrInt(op Operator, key string) (int, bool) {
 	v, ok := Attr(op, key).(int)
@@ -82,33 +76,33 @@ func attrInts(op Operator, key string) ([]int, bool) {
 // ScalarConst extracts the constant of AddConst, MulConst, or the
 // scalar-exponent Pow (NewPowConst). kind is the operator Type().
 func ScalarConst(op Operator) (kind string, c float32, ok bool) {
-	switch op.Type() {
-	case "AddConst", "MulConst":
-		c, ok = attrFloat(op, "c")
-	case "Pow":
-		c, ok = attrFloat(op, "p")
-	default:
+	p, isPW := op.(*pointwise)
+	if !isPW {
 		return "", 0, false
 	}
-	return op.Type(), c, ok
+	switch p.name {
+	case "AddConst", "MulConst", "Pow":
+		return p.name, p.c, true
+	}
+	return "", 0, false
 }
 
 // ClipRange extracts the [min, max] bounds of a Clip.
 func ClipRange(op Operator) (min, max float32, ok bool) {
-	if op.Type() != "Clip" {
+	p, isPW := op.(*pointwise)
+	if !isPW || p.name != "Clip" {
 		return 0, 0, false
 	}
-	min, ok1 := attrFloat(op, "min")
-	max, ok2 := attrFloat(op, "max")
-	return min, max, ok1 && ok2
+	return p.lo, p.hi, true
 }
 
 // LeakyReluAlpha extracts the negative slope of a LeakyRelu.
 func LeakyReluAlpha(op Operator) (float32, bool) {
-	if op.Type() != "LeakyRelu" {
+	p, isPW := op.(*pointwise)
+	if !isPW || p.name != "LeakyRelu" {
 		return 0, false
 	}
-	return attrFloat(op, "alpha")
+	return p.c, true
 }
 
 // ReshapeTarget extracts a Reshape's target shape (may contain -1).

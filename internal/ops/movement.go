@@ -47,7 +47,7 @@ func Attr(op Operator, key string) any {
 	case *movement:
 		return o.attrs[key]
 	case *pointwise:
-		return o.attrs[key]
+		return o.attr(key)
 	}
 	return nil
 }

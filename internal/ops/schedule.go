@@ -120,30 +120,8 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 		c.setSchedule(sched, chainProd)
 	}
 	switch v := s.(type) {
-	case *pointwiseBlockSource:
-		// A heavy producer under this chain is pulled through staging
-		// stripes: align the stripe with the producer's row tile so the
-		// staging loads keep it on the tiled path (a fixed 512-element
-		// stripe would chop a tall tile into tile-defeating slivers).
-		span := 0
-		for i := range v.blkIns {
-			in := &v.blkIns[i]
-			if in.kind == pwStream {
-				if sp := TileSpan(in.blk); sp > span {
-					span = sp
-				}
-			}
-		}
-		if span > 0 && span <= maxStripeElems {
-			v.span = span
-			v.stripe = (blockLen + span - 1) / span * span
-			for i := range v.blkIns {
-				in := &v.blkIns[i]
-				if in.buf != nil && len(in.buf) < v.stripe {
-					in.buf = make([]float32, v.stripe)
-				}
-			}
-		}
+	case *pointwiseProgram:
+		v.align()
 	case *softmaxBlockSource:
 		// Same alignment for row-wise softmax: stage whole producer row
 		// tiles (the tile span is a multiple of the row length when the
@@ -178,8 +156,8 @@ func TileSpan(s Source) int {
 		if v.identity {
 			return TileSpan(v.blk)
 		}
-	case *pointwiseBlockSource:
-		// The chain preserves flat order; its alignment is the heavy
+	case *pointwiseProgram:
+		// The program preserves flat order; its alignment is the heavy
 		// producer's (recorded when the schedule was applied).
 		return v.span
 	case *softmaxBlockSource:

@@ -242,7 +242,7 @@ func TestTileSpanAlignment(t *testing.T) {
 	// Alignment does not wait for a tuner: under the zero schedule the conv
 	// keeps its default tile and the tail above still stages whole tiles of
 	// it instead of 512-element slivers.
-	tail := virtualize(t, NewRelu(), mkConv()).(*pointwiseBlockSource)
+	tail := virtualize(t, NewRelu(), mkConv()).(*pointwiseProgram)
 	ApplySchedule(tail, Schedule{})
 	if span := TileSpan(tail); span != 4*25 || tail.stripe%span != 0 {
 		t.Errorf("unscheduled conv tail: TileSpan = %d, stripe = %d, want span %d and a stripe of whole tiles", span, tail.stripe, 4*25)

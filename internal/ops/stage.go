@@ -206,10 +206,10 @@ func children(s Source) []Source {
 		return []Source{v.a.src, v.b.src, v.c.src}
 	case *poolBlockSource:
 		return []Source{stagedOr(v.xStage, v.in)}
-	case *pointwiseBlockSource:
-		out := make([]Source, len(v.blkIns))
-		for i := range v.blkIns {
-			out[i] = v.blkIns[i].source(v.ins[i])
+	case *pointwiseProgram:
+		out := make([]Source, len(v.operands))
+		for i := range v.operands {
+			out[i] = v.operands[i].src
 		}
 		return out
 	case *softmaxBlockSource:
@@ -243,7 +243,11 @@ func stagedOr(stage *Staged, s Source) Source {
 
 // walk visits every distinct source of the tree once, parents first. nil
 // operands (an absent bias) are skipped.
-func walk(s Source, visit func(Source)) {
+func walk(s Source, visit func(Source)) { walkAll([]Source{s}, visit) }
+
+// walkAll is walk over several trees that may share subtrees (the outputs of
+// one kernel): a shared source is still visited once.
+func walkAll(roots []Source, visit func(Source)) {
 	seen := map[Source]bool{}
 	var rec func(Source)
 	rec = func(s Source) {
@@ -256,7 +260,50 @@ func walk(s Source, visit func(Source)) {
 			rec(c)
 		}
 	}
-	rec(s)
+	for _, s := range roots {
+		rec(s)
+	}
+}
+
+// ScratchBytes is the Source-owned float scratch of the trees under roots
+// (one kernel's outputs, one lane), in bytes: pointwise programs' operand
+// buffers and registers, contractions' accumulators, packed panels and
+// online-softmax rows, whole-operand stages and row windows, and the row
+// buffers of blocked softmax, reductions and broadcasting views. It is per
+// session and per worker lane, outside the planned arena; index tables and
+// per-element odometers are not counted.
+func ScratchBytes(roots ...Source) int64 {
+	var total int64
+	walkAll(roots, func(n Source) {
+		switch v := n.(type) {
+		case *pointwiseProgram:
+			total += v.scratchBytes()
+		case *contraction:
+			total += 4*int64(len(v.panel)+len(v.outBuf)) + 8*int64(len(v.acc)+len(v.mRun)+len(v.lRun))
+		case *Staged:
+			total += 4 * int64(len(v.buf))
+		case *softmaxBlockSource:
+			total += 4 * int64(len(v.rowBuf))
+		case *reduceBlockSource:
+			total += 4*int64(len(v.buf32)) + 8*int64(len(v.acc))
+		case *viewBlockSource:
+			total += 4 * int64(len(v.tmp))
+		}
+	})
+	return total
+}
+
+// Programs summarizes every pointwise program in the trees under roots, one
+// line each ("program: 6 ops, 3 operands, 2 registers"), for compiler
+// reports.
+func Programs(roots ...Source) []string {
+	var out []string
+	walkAll(roots, func(n Source) {
+		if p, ok := n.(*pointwiseProgram); ok {
+			out = append(out, p.String())
+		}
+	})
+	return out
 }
 
 // StagedSources returns every stage in the tree — whole-operand stages and
@@ -289,12 +336,8 @@ func ScalarPaths(s Source) []string {
 		switch v := n.(type) {
 		case *pullSource:
 			name, pulls = sourceName(v.fast), v.operands
-		case *pointwiseBlockSource:
-			for i := range v.blkIns {
-				if in := &v.blkIns[i]; in.kind == pwScalar {
-					pulls = append(pulls, in.src)
-				}
-			}
+		case *pointwiseProgram:
+			pulls = v.scalars()
 		default:
 			if _, isBlk := AsBlock(n); isBlk {
 				return
@@ -312,10 +355,10 @@ func ScalarPaths(s Source) []string {
 	return out
 }
 
-// sourceName is a source's kind — its type without the Source/BlockSource
-// suffix: pointwise, conv, view — followed by its shape.
+// sourceName is a source's kind — its type without the Source, BlockSource or
+// Program suffix: pointwise, conv, view — followed by its shape.
 func sourceName(s Source) string {
 	name := strings.TrimPrefix(fmt.Sprintf("%T", s), "*ops.")
-	name = strings.TrimSuffix(strings.TrimSuffix(name, "Source"), "Block")
+	name = strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "Source"), "Block"), "Program")
 	return fmt.Sprintf("%s%v", name, s.Shape())
 }

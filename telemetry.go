@@ -39,6 +39,11 @@ type KernelProfile struct {
 	// oracle, so the kernel may run far above its unfused cost. False for
 	// every kernel that is blocked end to end — the normal case.
 	Scalar bool `json:"scalar,omitempty"`
+	// ScratchBytes is the kernel's session scratch for one worker lane:
+	// operand buffers and stripe registers of its pointwise programs,
+	// contraction accumulators, panels and row windows, staged operands. A
+	// session holds Lanes times this per kernel, outside PlannedPeakBytes.
+	ScratchBytes int64 `json:"scratch_bytes"`
 	// Lanes is the worker-lane count the kernel executes over.
 	Lanes int `json:"lanes"`
 	// Runs counts profiled executions; TotalNs their summed wall time;
@@ -56,6 +61,17 @@ func (m *Model) Profile() []KernelProfile {
 	return kernelProfiles(m.Compiled.Profile())
 }
 
+// ScratchBytes is the session scratch the model's kernels hold for one
+// worker lane, summed over kernels (KernelProfile.ScratchBytes): the memory
+// a bound session pins per lane beyond PlannedPeakBytes.
+func (m *Model) ScratchBytes() int64 {
+	var total int64
+	for _, p := range m.Compiled.Profile() {
+		total += p.ScratchBytes
+	}
+	return total
+}
+
 func kernelProfiles(eng []engine.KernelProfile) []KernelProfile {
 	out := make([]KernelProfile, len(eng))
 	for i, p := range eng {
@@ -64,13 +80,14 @@ func kernelProfiles(eng []engine.KernelProfile) []KernelProfile {
 			sched += "+prod:" + p.Producer.String()
 		}
 		kp := KernelProfile{
-			Kernel:   p.Kernel,
-			Schedule: sched,
-			Chain:    p.Chain,
-			Scalar:   p.Scalar,
-			Lanes:    p.Lanes,
-			Runs:     p.Runs,
-			TotalNs:  p.TotalNs,
+			Kernel:       p.Kernel,
+			Schedule:     sched,
+			Chain:        p.Chain,
+			Scalar:       p.Scalar,
+			Lanes:        p.Lanes,
+			ScratchBytes: p.ScratchBytes,
+			Runs:         p.Runs,
+			TotalNs:      p.TotalNs,
 		}
 		if p.Runs > 0 {
 			kp.MeanNs = float64(p.TotalNs) / float64(p.Runs)
