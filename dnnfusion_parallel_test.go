@@ -112,12 +112,12 @@ func TestBlockedParallelParity(t *testing.T) {
 	}
 }
 
-// genericProgram is one pointwise block made of what no typed stripe loop
-// covers and every way a program shares work: the arity-3 Where through
-// fn(args), Greater through fn2, Sigmoid through fn1, a suffix bias, a scalar
-// operand, x read by three operators and the diamond Where(c, t, Neg(t)) over
-// a shared t — 64×2048 elements, enough to split across lanes. Input "x",
-// output "y".
+// genericProgram is one pointwise block made of what no other typed stripe
+// loop covers and every way a program shares work: the arity-3 Where through
+// fn(args), Greater through fn2, Softplus through fn1, the float32
+// transcendental loops (Sigmoid, Tanh, Erf), a suffix bias, a scalar operand,
+// x read by two operators and the diamond Where(c, t, Neg(t)) over a shared t
+// — 64×2048 elements, enough to split across lanes. Input "x", output "y".
 func genericProgram() *graph.Graph {
 	g := graph.New("generic-program")
 	x := g.AddInput("x", tensor.Of(64, 2048))
@@ -126,20 +126,38 @@ func genericProgram() *graph.Graph {
 	t := g.Apply1(ops.NewSigmoid(), g.Apply1(ops.NewAdd(), x, bias))
 	c := g.Apply1(ops.NewGreater(), t, half)
 	v := g.Apply1(ops.NewWhere(), c, t, g.Apply1(ops.NewNeg(), t))
-	g.MarkOutputAs("y", g.Apply1(ops.NewMul(), v, x))
+	m := g.Apply1(ops.NewErf(), g.Apply1(ops.NewTanh(), g.Apply1(ops.NewSoftplus(), v)))
+	g.MarkOutputAs("y", g.Apply1(ops.NewMul(), m, x))
+	return g
+}
+
+// geluMatMul is an FFN with an erf-GELU between its two MatMuls: the GELU
+// runs as the first contraction's tail or the second one's lazy A, 64 rows
+// to split across lanes. Input "x", output "y".
+func geluMatMul() *graph.Graph {
+	g := graph.New("gelu-matmul")
+	x := g.AddInput("x", tensor.Of(64, 32))
+	h := g.Apply1(ops.NewAdd(), g.Apply1(ops.NewMatMul(), x, g.AddWeight("w1", tensor.New(32, 128).Rand(4101))),
+		g.AddWeight("b1", tensor.New(128).Rand(4102)))
+	// GELU(h) = h · (1 + erf(h/√2)) / 2
+	e := g.Apply1(ops.NewAddConst(1), g.Apply1(ops.NewErf(), g.Apply1(ops.NewMulConst(1/math.Sqrt2), h)))
+	gelu := g.Apply1(ops.NewMulConst(0.5), g.Apply1(ops.NewMul(), h, e))
+	g.MarkOutputAs("y", g.Apply1(ops.NewMatMul(), gelu, g.AddWeight("w2", tensor.New(128, 32).Rand(4103))))
 	return g
 }
 
 // TestParallelProgramTwoLanes runs the kernels that evaluate a pointwise
-// program — the typed chain, the generic one, and the Mul, Add, Clip tails of
-// a depthwise-separable conv stage delivered a tile span at a time — over two
-// lanes, each with its own operand buffers and registers, bit for bit against
-// the interpreter. Under -race it is the gate for that scratch being per lane.
+// program — the typed chain, the generic one, the Mul, Add, Clip tails of a
+// depthwise-separable conv stage delivered a tile span at a time, and a GELU
+// between two MatMuls — over two lanes, each with its own operand buffers and
+// registers, bit for bit against the interpreter. Under -race it is the gate
+// for that scratch being per lane.
 func TestParallelProgramTwoLanes(t *testing.T) {
 	for name, build := range map[string]func() *dnnfusion.Graph{
 		"typed chain":     models.MicroElementwise,
 		"generic program": genericProgram,
 		"conv tails":      dwSeparableStage,
+		"gelu matmul":     geluMatMul,
 	} {
 		t.Run(name, func(t *testing.T) { runMicroParity(t, build, 2, 0) })
 	}

@@ -59,6 +59,10 @@ const (
 	kindAddConst
 	kindMulConst
 	kindIdentity
+	kindExp
+	kindSigmoid
+	kindTanh
+	kindErf
 )
 
 // attr returns the structured attribute Attr reports for key, read from the
@@ -217,14 +221,11 @@ func NewAbs() Operator {
 func NewNeg() Operator {
 	return newUnary("Neg", kindNeg, func(x float32) float32 { return -x }, linear)
 }
-func NewExp() Operator   { return newMath("Exp", math.Exp) }
 func NewLog() Operator   { return newMath("Log", math.Log) }
 func NewSqrt() Operator  { return newMath("Sqrt", math.Sqrt) }
-func NewErf() Operator   { return newMath("Erf", math.Erf) }
 func NewSin() Operator   { return newMath("Sin", math.Sin) }
 func NewCos() Operator   { return newMath("Cos", math.Cos) }
 func NewAsin() Operator  { return newMath("Asin", math.Asin) }
-func NewTanh() Operator  { return newMath("Tanh", math.Tanh) }
 func NewCeil() Operator  { return newMath("Ceil", math.Ceil) }
 func NewFloor() Operator { return newMath("Floor", math.Floor) }
 func NewRound() Operator { return newMath("Round", math.RoundToEven) }
@@ -234,11 +235,13 @@ func NewSquare() Operator {
 func NewReciprocal() Operator {
 	return newUnary("Reciprocal", kindReciprocal, func(x float32) float32 { return 1 / x }, Properties{})
 }
-func NewSigmoid() Operator {
-	return newUnary("Sigmoid", kindGeneric, func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	}, Properties{})
-}
+
+// The float32 transcendentals (transcendental.go): the closure and the typed
+// program loop call the same function.
+func NewExp() Operator     { return newUnary("Exp", kindExp, expf, Properties{}) }
+func NewSigmoid() Operator { return newUnary("Sigmoid", kindSigmoid, sigmoid32, Properties{}) }
+func NewTanh() Operator    { return newUnary("Tanh", kindTanh, tanh32, Properties{}) }
+func NewErf() Operator     { return newUnary("Erf", kindErf, erf32, Properties{}) }
 func NewSoftplus() Operator {
 	return newUnary("Softplus", kindGeneric, func(x float32) float32 {
 		return float32(math.Log1p(math.Exp(float64(x))))

@@ -437,6 +437,14 @@ func (p *pointwiseProgram) eval(dst []float32) {
 			}
 		case kindClip:
 			lo, hi := op.lo, op.hi
+			if math.Float32bits(lo) == 0 {
+				// ReLU6: maxf(x, +0) is relu(x), bit for bit, without its
+				// mispredicted branch.
+				for j := range d {
+					d[j] = minf(relu(a[j]), hi)
+				}
+				break
+			}
 			for j := range d {
 				d[j] = minf(maxf(a[j], lo), hi)
 			}
@@ -461,6 +469,22 @@ func (p *pointwiseProgram) eval(dst []float32) {
 			}
 		case kindIdentity:
 			copy(d, a)
+		case kindExp:
+			for j := range d {
+				d[j] = expf(a[j])
+			}
+		case kindSigmoid:
+			for j := range d {
+				d[j] = sigmoid32(a[j])
+			}
+		case kindTanh:
+			for j := range d {
+				d[j] = tanh32(a[j])
+			}
+		case kindErf:
+			for j := range d {
+				d[j] = erf32(a[j])
+			}
 		default:
 			switch {
 			case op.fn1 != nil:

@@ -2,10 +2,61 @@ package ops
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dnnfusion/internal/tensor"
 )
+
+// bitRanges are the float32 bit patterns a sweep covers, as [from, to, step)
+// triples over [0, 2³²): all of them, or under -short and the race detector
+// sampledRanges.
+func bitRanges(edges ...uint64) [][3]uint64 {
+	if !testing.Short() && !raceEnabled {
+		return [][3]uint64{{0, 1 << 32, 1}}
+	}
+	return sampledRanges(edges...)
+}
+
+// sampledRanges are every 251st pattern plus a dense window of 2¹⁶ patterns
+// on each side of every edge given.
+func sampledRanges(edges ...uint64) [][3]uint64 {
+	ranges := [][3]uint64{{0, 1 << 32, 251}}
+	for _, edge := range edges {
+		ranges = append(ranges, [3]uint64{max(edge, 1<<16) - 1<<16, min(edge+1<<16, 1<<32), 1})
+	}
+	return ranges
+}
+
+// parallelSweep calls body over the ranges cut into chunks, the chunks spread
+// over GOMAXPROCS goroutines; w in [0, GOMAXPROCS) names the calling
+// goroutine, so body can keep per-goroutine results without locking.
+func parallelSweep(ranges [][3]uint64, body func(w int, from, to, step uint64)) {
+	type chunk struct{ from, to, step uint64 }
+	var chunks []chunk
+	for _, r := range ranges {
+		size := r[2] << 22
+		for from := r[0]; from < r[1]; from += size {
+			chunks = append(chunks, chunk{from, min(from+size, r[1]), r[2]})
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(chunks)); i = next.Add(1) - 1 {
+				c := chunks[i]
+				body(w, c.from, c.to, c.step)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // TestBranchFreeRelu proves the one branch-free loop against the closure it
 // replaces: relu(x) and maxf(x, 0) agree on the bits of every float32 — all
@@ -14,45 +65,98 @@ import (
 // edge, ±Inf into the NaNs, the wrap) — and the typed loop applies exactly
 // that function.
 func TestBranchFreeRelu(t *testing.T) {
-	// sweep returns the first pattern in [from, to), step apart, on which the
-	// two disagree, or -1.
-	sweep := func(from, to, step uint64) int64 {
+	var bad atomic.Int64
+	bad.Store(-1)
+	parallelSweep(bitRanges(0, 0x00800000, 0x7f800000, 0x80000000, 0x80800000, 0xff800000, 1<<32), func(_ int, from, to, step uint64) {
 		for u := from; u < to; u += step {
-			x := math.Float32frombits(uint32(u))
-			if math.Float32bits(relu(x)) != math.Float32bits(maxf(x, 0)) {
-				return int64(u)
+			if x := math.Float32frombits(uint32(u)); math.Float32bits(relu(x)) != math.Float32bits(maxf(x, 0)) {
+				bad.CompareAndSwap(-1, int64(u))
+				return
 			}
 		}
-		return -1
-	}
-	ranges := [][3]uint64{{0, 1 << 32, 1}}
-	if testing.Short() || raceEnabled {
-		ranges = [][3]uint64{{0, 1 << 32, 251}}
-		for _, edge := range []uint64{0, 0x00800000, 0x7f800000, 0x80000000, 0x80800000, 0xff800000, 1 << 32} {
-			ranges = append(ranges, [3]uint64{max(edge, 1<<16) - 1<<16, min(edge+1<<16, 1<<32), 1})
-		}
-	}
-	for _, r := range ranges {
-		if u := sweep(r[0], r[1], r[2]); u >= 0 {
-			x := math.Float32frombits(uint32(u))
-			t.Fatalf("relu(%#08x) = %#08x, maxf(x, 0) = %#08x", u, math.Float32bits(relu(x)), math.Float32bits(maxf(x, 0)))
-		}
+	})
+	if u := bad.Load(); u >= 0 {
+		x := math.Float32frombits(uint32(u))
+		t.Fatalf("relu(%#08x) = %#08x, maxf(x, 0) = %#08x", u, math.Float32bits(relu(x)), math.Float32bits(maxf(x, 0)))
 	}
 
-	edges := []uint32{0, 1, 0x007fffff, 0x00800000, 0x3f800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fc00000, 0x7fffffff,
-		0x80000000, 0x80000001, 0x807fffff, 0x80800000, 0xbf800000, 0xff7fffff, 0xff800000, 0xff800001, 0xffc00000, 0xffffffff}
-	in := make([]float32, len(edges))
-	for i, u := range edges {
+	assertLoop(t, NewRelu().(*pointwise), []uint32{0, 1, 0x007fffff, 0x00800000, 0x3f800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fc00000, 0x7fffffff,
+		0x80000000, 0x80000001, 0x807fffff, 0x80800000, 0xbf800000, 0xff7fffff, 0xff800000, 0xff800001, 0xffc00000, 0xffffffff})
+}
+
+// assertLoop checks the typed program loop of op against its closure, bit for
+// bit, on the floats with the given bit patterns.
+func assertLoop(t *testing.T, op *pointwise, patterns []uint32) {
+	t.Helper()
+	in := make([]float32, len(patterns))
+	for i, u := range patterns {
 		in[i] = math.Float32frombits(u)
 	}
-	op := NewRelu().(*pointwise)
 	blk, _ := AsBlock(virtualize(t, op, AsSource(tensor.FromSlice(in, len(in)))))
 	got := make([]float32, len(in))
 	blk.LoadBlock(got, 0, len(in))
 	for i, x := range in {
 		if want := op.fn1(x); math.Float32bits(got[i]) != math.Float32bits(want) {
-			t.Errorf("Relu loop(%#08x) = %#08x, closure says %#08x", edges[i], math.Float32bits(got[i]), math.Float32bits(want))
+			t.Errorf("%s loop(%#08x) = %#08x, closure says %#08x", op.name, patterns[i], math.Float32bits(got[i]), math.Float32bits(want))
 		}
+	}
+}
+
+// TestBranchFreeClip proves the ReLU6 loop — a Clip whose lower bound is +0
+// runs minf(relu(x), hi) — against the closure, minf(maxf(x, 0), hi): the
+// typed loop over every float32, bit for bit, for hi 6, 1 and +Inf (a strided
+// sweep plus edge windows under -short and the race detector), and against the
+// closure itself on the edge patterns.
+func TestBranchFreeClip(t *testing.T) {
+	const n = 1 << 14
+	his := [3]float32{6, 1, float32(math.Inf(1))}
+	edges := []uint64{0, 0x00800000, 0x3f800000, 0x40c00000, 0x7f800000, 0x80000000, 0x80800000, 0xff800000, 1 << 32}
+	// Per goroutine, one program per hi over one input buffer, which the
+	// programs read in place.
+	type lane struct {
+		in, got []float32
+		blks    [len(his)]BlockSource
+	}
+	lanes := make([]lane, runtime.GOMAXPROCS(0))
+	for w := range lanes {
+		l := &lanes[w]
+		l.in, l.got = make([]float32, n), make([]float32, n)
+		for h, hi := range his {
+			l.blks[h], _ = AsBlock(virtualize(t, NewClip(0, hi), AsSource(tensor.FromSlice(l.in, n))))
+		}
+	}
+	var bad [len(his)]atomic.Int64
+	for h := range bad {
+		bad[h].Store(-1)
+	}
+	parallelSweep(bitRanges(edges...), func(w int, from, to, step uint64) {
+		l := &lanes[w]
+		for u := from; u < to; {
+			m := 0
+			for ; m < n && u < to; m, u = m+1, u+step {
+				l.in[m] = math.Float32frombits(uint32(u))
+			}
+			for h, hi := range his {
+				l.blks[h].LoadBlock(l.got[:m], 0, m)
+				for i, x := range l.in[:m] {
+					if math.Float32bits(l.got[i]) != math.Float32bits(minf(maxf(x, 0), hi)) {
+						bad[h].CompareAndSwap(-1, int64(math.Float32bits(x)))
+						break
+					}
+				}
+			}
+		}
+	})
+	var patterns []uint32
+	for _, e := range edges[:len(edges)-1] {
+		patterns = append(patterns, uint32(e), uint32(e)+1, uint32(e)-1)
+	}
+	for h, hi := range his {
+		if u := bad[h].Load(); u >= 0 {
+			x := math.Float32frombits(uint32(u))
+			t.Errorf("Clip(0, %v) loop(%#08x) differs from minf(maxf(x, 0), hi) = %#08x", hi, u, math.Float32bits(minf(maxf(x, 0), hi)))
+		}
+		assertLoop(t, NewClip(0, hi).(*pointwise), patterns)
 	}
 }
 
@@ -87,6 +191,7 @@ var pointwiseCatalog = map[int][]func() Operator{
 	1: {NewRelu, NewAbs, NewNeg, NewExp, NewLog, NewSqrt, NewErf, NewSin, NewCos, NewAsin, NewTanh, NewCeil, NewFloor,
 		NewRound, NewSquare, NewReciprocal, NewSigmoid, NewSoftplus, NewNot, NewIdentity, NewCast,
 		func() Operator { return NewLeakyRelu(0.1) }, func() Operator { return NewClip(-0.5, 0.75) },
+		func() Operator { return NewClip(0, 6) },
 		func() Operator { return NewBitShift(-2) }, func() Operator { return NewPowConst(2) },
 		func() Operator { return NewPowConst(1.5) }, func() Operator { return NewAddConst(0.25) },
 		func() Operator { return NewMulConst(-3) }},
@@ -145,6 +250,7 @@ func TestProgramDifferential(t *testing.T) {
 			return full, bcast
 		}},
 	}
+	seen := map[string]bool{}
 	for _, fam := range families {
 		for seed := uint64(1); seed <= 40; seed++ {
 			r := seed * 0x9E3779B97F4A7C15
@@ -190,6 +296,7 @@ func TestProgramDifferential(t *testing.T) {
 				op := mk()
 				full, cost = append(full, virtualize(t, op, args...)), append(cost, c)
 				desc = append(desc, op.Type())
+				seen[op.Type()] = true
 			}
 			src := full[len(full)-1]
 			prog, isProg := src.(*pointwiseProgram)
@@ -220,6 +327,12 @@ func TestProgramDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// The typed transcendental loops are among what the DAGs exercised.
+	for _, name := range []string{"Exp", "Sigmoid", "Tanh", "Erf"} {
+		if !seen[name] {
+			t.Errorf("no DAG contains %s", name)
 		}
 	}
 }

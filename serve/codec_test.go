@@ -549,11 +549,11 @@ func TestPredictAllocations(t *testing.T) {
 			}
 		}
 		serve()
-		// 38 measured: the recorder and the request are 17 of them; the
+		// 29 measured: the recorder and the request are 17 of them; the
 		// handler's own are the request ID, the status writer, the body
-		// cap, four header values and the HTTP counter's label lookup (8).
-		// Reading, decoding, running and encoding allocate nothing.
-		const limit = 44
+		// cap and four header values. Counting the request, reading,
+		// decoding, running and encoding allocate nothing.
+		const limit = 35
 		if allocs := testing.AllocsPerRun(200, serve); allocs > limit {
 			t.Errorf("a warmed :predict allocates %.0f objects, want at most %d", allocs, limit)
 		}

@@ -11,10 +11,12 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"dnnfusion"
+	"dnnfusion/internal/obs"
 )
 
 // Server is the HTTP front-end over a model repository. It implements
@@ -65,6 +67,17 @@ type Server struct {
 	// drain, so load balancers see the instance leaving before its
 	// in-flight work finishes.
 	draining atomic.Bool
+	// httpCounts holds the dnnf_http_requests_total series of each (route,
+	// code) seen, so counting a request is a map read rather than a label
+	// lookup under the metric registry's lock.
+	httpMu     sync.RWMutex
+	httpCounts map[httpKey]*obs.Counter
+}
+
+// httpKey names one dnnf_http_requests_total series.
+type httpKey struct {
+	route string
+	code  int
 }
 
 // DefaultMaxBodyBytes caps :predict bodies unless Server.MaxBodyBytes
@@ -199,8 +212,20 @@ func (w *statusWriter) Flush() {
 }
 
 func (s *Server) countHTTP(route string, code int) {
-	s.reg.obs.Counter("dnnf_http_requests_total", helpHTTPRequests,
-		"route", route, "code", strconv.Itoa(code)).Inc()
+	key := httpKey{route, code}
+	s.httpMu.RLock()
+	c := s.httpCounts[key]
+	s.httpMu.RUnlock()
+	if c == nil {
+		c = s.reg.obs.Counter("dnnf_http_requests_total", helpHTTPRequests, "route", route, "code", strconv.Itoa(code))
+		s.httpMu.Lock()
+		if s.httpCounts == nil {
+			s.httpCounts = map[httpKey]*obs.Counter{}
+		}
+		s.httpCounts[key] = c
+		s.httpMu.Unlock()
+	}
+	c.Inc()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -505,10 +530,18 @@ func statusFor(err error) int {
 	}
 }
 
+// writeJSON encodes v before the header goes out, so a body that cannot be
+// encoded (a NaN in a float field) is a 500 error response rather than a
+// status the client cannot act on over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n')) // a failed write is a client that left; there is no one to tell
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -445,4 +446,58 @@ func TestServerParallelPredictRace(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestHealthzAllocations pins what the per-route HTTP counter costs a
+// request: nothing once its (route, code) has been seen. Resolving the
+// labeled series per request took 9 allocations, and a GET /healthz 59.
+func TestHealthzAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := NewRegistry()
+	defer r.Close()
+	if _, err := r.Register("micro-mlp", compileMicro(t, models.MicroMLP), Config{Prewarm: true}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(r)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /healthz = %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve()
+	if allocs := testing.AllocsPerRun(100, func() { srv.countHTTP("healthz", http.StatusOK) }); allocs != 0 {
+		t.Errorf("counting a request allocates %.0f objects, want 0", allocs)
+	}
+	// 51 measured: the recorder and the request, the request ID, the
+	// status writer, the body's map and its encoding.
+	const limit = 51
+	if allocs := testing.AllocsPerRun(100, serve); allocs > limit {
+		t.Errorf("GET /healthz allocates %.0f objects, want at most %d", allocs, limit)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a body that cannot be encoded — a NaN — is a
+// counted 500 with an error body, not a 200 with an empty one.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	r := NewRegistry()
+	defer r.Close()
+	srv := NewServer(r)
+	rec := httptest.NewRecorder()
+	w := &statusWriter{ResponseWriter: rec}
+	writeJSON(w, http.StatusOK, map[string]float64{"ewma": math.NaN()})
+	srv.countHTTP("models", w.code())
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "NaN") {
+		t.Errorf("body %q (%v), want an error naming the NaN", rec.Body.Bytes(), err)
+	}
+	if n := r.obs.Counter("dnnf_http_requests_total", helpHTTPRequests, "route", "models", "code", "500").Value(); n != 1 {
+		t.Errorf("dnnf_http_requests_total{route=models,code=500} = %d, want 1", n)
+	}
 }
