@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"dnnfusion"
 )
@@ -24,12 +27,81 @@ import (
 //	struct{ Inputs map[string]struct{ Shape []int; Data []float32 } }
 //
 // with bit-identical values, and the encoder's bytes equal json.Encoder's
-// (FuzzPredictBody, TestParseFloat32MatchesStrconv and
-// TestPredictResponseBytesMatchEncodingJSON hold it to that).
+// (FuzzPredictBody, TestPredictBodyChunked, TestParseFloat32MatchesStrconv
+// and TestPredictResponseBytesMatchEncodingJSON hold it to that).
+//
+// A large tensor is parsed and formatted in chunks on up to GOMAXPROCS
+// goroutines (forChunks): a request's client waits for the response, so
+// the codec has the other cores to itself.
 
 // bufPool recycles the byte slices request bodies are read into and
 // responses are built in.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// The sizes a "data" array and an output's elements are cut into. A tensor
+// of one chunk is parsed or formatted on the calling goroutine alone. Tests
+// shrink decodeChunkBytes so that small bodies cross chunk boundaries.
+var decodeChunkBytes = 32 << 10
+
+const encodeChunkElems = 4 << 10
+
+// chunked is work cut into chunks that may run in any order, each on any
+// goroutine, each touching only its own part of the job.
+type chunked interface{ chunk(c int) }
+
+// forChunks runs job.chunk(c) for every c in [0, n) on the calling goroutine
+// and up to GOMAXPROCS-1 helpers, all pulling chunks from one cursor (a core
+// that is busy elsewhere, with the GC's mark worker say, then takes fewer),
+// and returns once every chunk has run.
+func forChunks(n int, job chunked) {
+	workers := 1
+	if n > 1 {
+		workers = min(runtime.GOMAXPROCS(0), n)
+	}
+	if workers == 1 {
+		for c := range n {
+			job.chunk(c)
+		}
+		return
+	}
+	f := forkPool.Get().(*fork)
+	f.job, f.n = job, n
+	f.next.Store(0)
+	f.wg.Add(workers - 1)
+	for range workers - 1 {
+		go f.help()
+	}
+	f.run()
+	f.wg.Wait()
+	f.job = nil
+	forkPool.Put(f)
+}
+
+// fork is one forChunks call's shared cursor.
+type fork struct {
+	job  chunked
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup
+	// help is a helper's body, made once per fork: a go statement on a
+	// stored func value allocates nothing, one on a method value does.
+	help func()
+}
+
+var forkPool = sync.Pool{New: func() any {
+	f := new(fork)
+	f.help = func() {
+		defer f.wg.Done()
+		f.run()
+	}
+	return f
+}}
+
+func (f *fork) run() {
+	for c := int(f.next.Add(1)) - 1; c < f.n; c = int(f.next.Add(1)) - 1 {
+		f.job.chunk(c)
+	}
+}
 
 // readBody reads body to its end into buf[:0], growing it as needed. sizeHint
 // (a Content-Length, already clamped by the caller) sizes the first read so
@@ -62,7 +134,8 @@ type predictInputs struct {
 	// with the last member that did (nil: nothing).
 	seen  []bool
 	errs  []error
-	shape []int // scratch for a wire "shape", as long as the highest declared rank
+	shape []int   // scratch for a wire "shape", as long as the highest declared rank
+	run   dataRun // scratch for a wire "data" array's chunks
 }
 
 func (h *Host) newPredictInputs() *predictInputs {
@@ -101,6 +174,7 @@ var (
 	keyShape  = []byte("shape")
 	keyData   = []byte("data")
 	litNull   = []byte("null")
+	comma     = []byte(",")
 )
 
 // decodePredict fills in from body. Bytes after the top-level value are
@@ -158,14 +232,23 @@ func (d *predictDecoder) unknownField(key []byte) error {
 // peek skips JSON whitespace and returns the byte under the cursor, 0 at the
 // end of the body (a NUL byte is valid nowhere outside a string either).
 func (d *predictDecoder) peek() byte {
-	for ; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; c {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return c
-		}
+	if d.i = skipSpace(d.b, d.i); d.i < len(d.b) {
+		return d.b[d.i]
 	}
 	return 0
+}
+
+// skipSpace returns the index of the first byte of b at or after i that is
+// not JSON whitespace, len(b) if there is none.
+func skipSpace(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return i
+		}
+	}
+	return i
 }
 
 // open starts a value that must be an object or array (bracket '{' or '[')
@@ -324,7 +407,8 @@ func (d *predictDecoder) tensor(name []byte) error {
 // array walks the elements of the array whose '[' was just consumed, calling
 // elem with each element's index, the cursor on its first byte and null set
 // when it is the literal null (already consumed); elem consumes anything
-// else. It returns the element count.
+// else. It returns the element count. It reads "shape"; a "data" array has a
+// run loop of its own (dataRun.chunk).
 func (d *predictDecoder) array(elem func(i int, null bool) error) (int, error) {
 	if d.peek() == ']' {
 		d.i++
@@ -389,29 +473,111 @@ func (d *predictDecoder) shape(hi int) (n, newHi int, err error) {
 
 // data reads a "data" member straight into the input's tensor. Elements the
 // tensor has no room for are checked and counted, not stored.
+//
+// The array's span ends at the first ']' after its '[': a valid data array
+// holds none before its own, and a serial scan ends the array there too.
+// The span is cut at commas into chunks of about decodeChunkBytes, each
+// chunk's first element index counted from the commas before it, and the
+// chunks are parsed by forChunks. Every chunk before the earliest failing
+// one parsed cleanly, so that chunk's first error is the one a serial scan
+// would stop at.
 func (d *predictDecoder) data(data []float32, hi int) (n, newHi int, err error) {
 	isArray, err := d.open('[')
 	if err != nil || !isArray {
 		return -1, 0, err
 	}
-	n, err = d.array(func(i int, null bool) error {
-		if null {
-			if i >= hi && i < len(data) {
-				data[i] = 0
+	end := len(d.b)
+	if j := bytes.IndexByte(d.b[d.i:], ']'); j >= 0 {
+		end = d.i + j
+	}
+	if d.peek() == ']' {
+		d.i++
+		return 0, hi, nil
+	}
+	r := &d.in.run
+	r.b, r.data, r.hi = d.b, data, hi
+	r.chunks = slices.Grow(r.chunks[:0], (end-d.i)/decodeChunkBytes+1)
+	for lo := d.i; ; {
+		cut := end
+		if end-lo > decodeChunkBytes {
+			if j := bytes.IndexByte(d.b[lo+decodeChunkBytes:end], ','); j >= 0 {
+				cut = lo + decodeChunkBytes + j
 			}
-			return nil
 		}
-		f, next, ok := parseFloat32(d.b, d.i)
-		if !ok {
-			return d.syntax("a number that fits float32")
+		r.chunks = append(r.chunks, dataChunk{lo: lo, end: cut, first: n, errAt: -1})
+		n += bytes.Count(d.b[lo:cut], comma) + 1
+		if cut == end {
+			break
 		}
-		d.i = next
-		if i < len(data) {
-			data[i] = f
+		lo = cut + 1
+	}
+	forChunks(len(r.chunks), r)
+	r.b, r.data = nil, nil
+	for _, ch := range r.chunks {
+		if ch.errAt >= 0 {
+			d.i = ch.errAt
+			return 0, 0, d.syntax(ch.want)
 		}
-		return nil
-	})
-	return n, max(hi, n), err
+	}
+	d.i = end
+	if end == len(d.b) {
+		return 0, 0, d.syntax("',' or ']' after an array element")
+	}
+	d.i++
+	return n, max(hi, n), nil
+}
+
+// dataRun is one "data" array being parsed in chunks into a tensor's data.
+type dataRun struct {
+	b      []byte
+	data   []float32
+	hi     int // the high-water mark: a null below it keeps what the slot holds
+	chunks []dataChunk
+}
+
+// dataChunk is the bytes [lo, end) of a data array: whole elements, numbered
+// from first, with the cut ',' (or the array's end) at end.
+type dataChunk struct {
+	lo, end, first int
+	// The chunk's first error: its byte (-1: none) and what was wanted there.
+	errAt int
+	want  string
+}
+
+// chunk is the data array's run loop: whitespace, then a number or null,
+// then whitespace, then ',' or the chunk's end, repeated.
+func (r *dataRun) chunk(c int) {
+	ch := &r.chunks[c]
+	b, data := r.b, r.data
+	for i, k := ch.lo, ch.first; ; k++ {
+		i = skipSpace(b, i)
+		if i < len(b) && b[i] == 'n' && bytes.HasPrefix(b[i:], litNull) {
+			i += len(litNull)
+			if k >= r.hi && k < len(data) {
+				data[k] = 0
+			}
+		} else {
+			f, next, ok := parseFloat32(b, i)
+			if !ok {
+				ch.errAt, ch.want = i, "a number that fits float32"
+				return
+			}
+			if k < len(data) {
+				data[k] = f
+			}
+			i = next
+		}
+		// Nothing an element is made of is a ',' or ']', so the loop meets
+		// the chunk's end exactly.
+		if i = skipSpace(b, i); i == ch.end {
+			return
+		}
+		if b[i] != ',' {
+			ch.errAt, ch.want = i, "',' or ']' after an array element"
+			return
+		}
+		i++
+	}
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -537,8 +703,14 @@ func (e *nonFiniteOutputError) Error() string {
 //
 // trailing newline included. outputs is the model's output names in sorted
 // order. A NaN or infinite output element, which encoding/json refuses, is a
-// *nonFiniteOutputError.
+// *nonFiniteOutputError naming the lowest such index.
+//
+// An output's elements are formatted in chunks of encodeChunkElems by
+// forChunks, each into its own part of a pooled scratch, and the parts are
+// appended in order.
 func appendPredictResponse(dst []byte, model, id string, outputs []string, res *Result, trace *predictTrace) ([]byte, error) {
+	run := floatRunPool.Get().(*floatRun)
+	defer floatRunPool.Put(run)
 	dst = append(dst, `{"model":`...)
 	dst = appendJSONString(dst, model)
 	dst = append(dst, `,"request_id":`...)
@@ -567,14 +739,24 @@ func appendPredictResponse(dst []byte, model, id string, outputs []string, res *
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `"data":[`...)
-			for i, f := range data {
-				if f-f != 0 { // NaN or ±Inf
-					return dst, &nonFiniteOutputError{model: model, output: name, index: i, value: f}
+			n := (len(data) + encodeChunkElems - 1) / encodeChunkElems
+			if cap(run.chunks) < n {
+				run.chunks = make([]floatChunk, n)
+			}
+			if need := len(data) * maxFloatText; cap(run.text) < need {
+				run.text = make([]byte, 0, need)
+			}
+			run.data, run.chunks = data, run.chunks[:n]
+			forChunks(n, run)
+			run.data = nil
+			for c, ch := range run.chunks {
+				if ch.bad >= 0 {
+					return dst, &nonFiniteOutputError{model: model, output: name, index: ch.bad, value: data[ch.bad]}
 				}
-				if i > 0 {
+				if c > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendFloat32(dst, f)
+				dst = append(dst, ch.buf...)
 			}
 			dst = append(dst, ']')
 		}
@@ -600,10 +782,57 @@ func appendPredictResponse(dst []byte, model, id string, outputs []string, res *
 	return append(dst, '}', '\n'), nil
 }
 
+// floatRun is one output's elements being formatted in chunks: a response's
+// scratch, pooled apart from bufPool so that the text of a large output is
+// not what the next request body is read into.
+type floatRun struct {
+	data []float32
+	// text holds maxFloatText bytes per element, and chunk c formats into
+	// the part that belongs to its elements: one allocation when a pool
+	// refills, not one per chunk per doubling.
+	text   []byte
+	chunks []floatChunk
+}
+
+// maxFloatText bounds the text of an element and its ',': '-' and the 21
+// digits of a float32 below 1e21. A longer text would only reallocate.
+const maxFloatText = 23
+
+// floatChunk is one chunk's elements formatted and ','-separated, and the
+// index of its first non-finite element (-1: none), where formatting stopped.
+type floatChunk struct {
+	buf []byte
+	bad int
+}
+
+var floatRunPool = sync.Pool{New: func() any { return new(floatRun) }}
+
+func (r *floatRun) chunk(c int) {
+	lo := c * encodeChunkElems
+	hi := min(lo+encodeChunkElems, len(r.data))
+	// Appended to in a local: neighbouring chunks' headers share cache
+	// lines, and other cores are writing theirs.
+	buf, bad := r.text[lo*maxFloatText:lo*maxFloatText:hi*maxFloatText], -1
+	for i, f := range r.data[lo:hi] {
+		if f-f != 0 { // NaN or ±Inf
+			bad = lo + i
+			break
+		}
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendFloat32(buf, f)
+	}
+	r.chunks[c] = floatChunk{buf: buf, bad: bad}
+}
+
 // appendFloat32 appends a finite f the way encoding/json formats a float32:
 // the shortest decimal that round-trips, %e outside [1e-6, 1e21) with a
 // two-digit exponent's leading zero dropped (e-09 → e-9).
 func appendFloat32(dst []byte, f float32) []byte {
+	if math.Float32bits(f) == 0 { // +0, what a ReLU makes of half its inputs
+		return append(dst, '0')
+	}
 	abs := f
 	if abs < 0 {
 		abs = -abs

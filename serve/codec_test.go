@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,31 +104,59 @@ func codecHost(tb testing.TB) *Host {
 	return h
 }
 
+// compileWide compiles y = relu(x) over x [64,1024]: a tensor whose body
+// and response span many codec chunks.
+func compileWide(tb testing.TB) *dnnfusion.Model {
+	tb.Helper()
+	g := dnnfusion.NewGraph("wide")
+	x := g.AddInput("x", dnnfusion.ShapeOf(64, 1024))
+	g.MarkOutputAs("y", g.Apply1(dnnfusion.Relu(), x))
+	m, err := dnnfusion.Compile(g, dnnfusion.WithThreads(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 // checkPredictBody holds the scanner to the oracle on one body: the same
 // accept/reject decision and, when both accept, the same bits in every
 // element. The pooled tensors are poisoned first, so an element the scanner
-// should have written and did not cannot pass as a zero.
-func checkPredictBody(t *testing.T, h *Host, body []byte) {
+// should have written and did not cannot pass as a zero. The scanner runs
+// twice, its data arrays cut into chunks of decodeChunkBytes and then of
+// cutBytes, and both runs must also fail with the same error text.
+func checkPredictBody(t *testing.T, h *Host, body []byte, cutBytes int) {
 	t.Helper()
 	want, wantErr := oracleDecode(h, body)
 	in := h.inPool.Get().(*predictInputs)
 	defer h.inPool.Put(in)
-	for _, tensor := range in.tensors {
-		tensor.Fill(float32(math.NaN()))
-	}
-	gotErr := h.decodePredict(body, in)
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("body %q:\n  encoding/json: %v\n  scanner:       %v", body, wantErr, gotErr)
-	}
-	if wantErr != nil {
-		return
-	}
-	for name, w := range want {
-		got := in.tensors[name].Data()
-		for k := range w {
-			if math.Float32bits(got[k]) != math.Float32bits(w[k]) {
-				t.Fatalf("body %q: input %q element %d = %v (%#x), encoding/json reads %v (%#x)",
-					body, name, k, got[k], math.Float32bits(got[k]), w[k], math.Float32bits(w[k]))
+	var firstErr error
+	for run, chunkBytes := range []int{decodeChunkBytes, cutBytes} {
+		for _, tensor := range in.tensors {
+			tensor.Fill(float32(math.NaN()))
+		}
+		realBytes := decodeChunkBytes
+		decodeChunkBytes = chunkBytes
+		gotErr := h.decodePredict(body, in)
+		decodeChunkBytes = realBytes
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("body %.400q, data in chunks of %d bytes:\n  encoding/json: %v\n  scanner:       %v", body, chunkBytes, wantErr, gotErr)
+		}
+		if run == 0 {
+			firstErr = gotErr
+		} else if fmt.Sprint(gotErr) != fmt.Sprint(firstErr) {
+			t.Fatalf("body %.400q: data in chunks of %d bytes fails with\n  %v\nin chunks of %d bytes with\n  %v",
+				body, decodeChunkBytes, firstErr, chunkBytes, gotErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		for name, w := range want {
+			got := in.tensors[name].Data()
+			for k := range w {
+				if math.Float32bits(got[k]) != math.Float32bits(w[k]) {
+					t.Fatalf("body %.400q, data in chunks of %d bytes: input %q element %d = %v (%#x), encoding/json reads %v (%#x)",
+						body, chunkBytes, name, k, got[k], math.Float32bits(got[k]), w[k], math.Float32bits(w[k]))
+				}
 			}
 		}
 	}
@@ -212,14 +241,119 @@ var predictBodySeeds = []string{
 }
 
 // FuzzPredictBody is the differential test of the request scanner: for any
-// body, the decision and the decoded bits json.Decoder would have produced.
+// body, the decision and the decoded bits json.Decoder would have produced,
+// with the data arrays in one chunk and cut into chunks of a few bytes.
 // Plain go test runs it over the seeds.
 func FuzzPredictBody(f *testing.F) {
 	for _, seed := range predictBodySeeds {
 		f.Add([]byte(seed))
 	}
 	h := codecHost(f)
-	f.Fuzz(func(t *testing.T, body []byte) { checkPredictBody(t, h, body) })
+	f.Fuzz(func(t *testing.T, body []byte) { checkPredictBody(t, h, body, 3) })
+}
+
+// TestPredictBodyChunked holds a 64x1024 input's data array, cut into many
+// chunks and parsed on 1, 2 and 4 cores, to the oracle, and its error text
+// to that of the same array parsed as one chunk (the serial scan).
+func TestPredictBodyChunked(t *testing.T) {
+	r := NewRegistry()
+	defer r.Close()
+	h, err := r.Register("wide", compileWide(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Model(); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(27))
+	base := make([]string, 64*1024)
+	for k := range base {
+		switch f := float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))); rng.Intn(8) {
+		case 0:
+			base[k] = "0"
+		case 1:
+			base[k] = strconv.Itoa(rng.Intn(2000) - 1000)
+		case 2:
+			base[k] = strconv.FormatFloat(float64(f), 'e', -1, 32)
+		default:
+			base[k] = strconv.FormatFloat(float64(f), 'f', -1, 32)
+		}
+	}
+	bodyOf := func(elems []string, sep string) []byte {
+		return []byte(`{"inputs":{"x":{"data":[` + strings.Join(elems, sep) + `]}}}`)
+	}
+	edit := func(k int, elem string) []string {
+		elems := slices.Clone(base)
+		elems[k] = elem
+		return elems
+	}
+
+	// Where the cuts fall: by chunk past the first, the index of its first
+	// element, from the chunks the decoder made of a valid body.
+	cutsOf := func(elems []string) (firsts []int) {
+		in := h.inPool.Get().(*predictInputs)
+		defer h.inPool.Put(in)
+		if err := h.decodePredict(bodyOf(elems, ","), in); err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range in.run.chunks[1:] {
+			firsts = append(firsts, ch.first)
+		}
+		return firsts
+	}
+	firsts := cutsOf(base)
+	if len(firsts) < 8 {
+		t.Fatalf("the base body is %d chunks, want many", len(firsts)+1)
+	}
+	// null on both sides of every cut comma. A null is shorter than most
+	// elements and moves the cuts after it, so the first cut without one is
+	// nulled until there is none.
+	nulls := slices.Clone(base)
+	for settled := false; !settled; {
+		settled = true
+		for _, k := range cutsOf(nulls) {
+			if nulls[k-1] != "null" || nulls[k] != "null" {
+				for j := k - 2; j <= k+1; j++ {
+					nulls[j] = "null"
+				}
+				settled = false
+				break
+			}
+		}
+	}
+	twoErrors := edit(firsts[6], "+1")
+	twoErrors[firsts[2]+5] = "true"
+
+	bodies := []struct {
+		name string
+		body []byte
+	}{
+		{"valid", bodyOf(base, ",")},
+		{"null at and beside every cut", bodyOf(nulls, ",")},
+		{"whitespace around every comma", []byte(`{"inputs":{"x":{"data":[ ` + strings.Join(base, " \n,\t ") + "\r\n]}}}")},
+		{"a bad literal", bodyOf(edit(firsts[3]+7, "1.e5"), ",")},
+		{"a truncated null", bodyOf(edit(firsts[2], "nul"), ",")},
+		{"a string element", bodyOf(edit(firsts[4]-1, `"1"`), ",")},
+		{"[1,]", []byte(`{"inputs":{"x":{"data":[` + strings.Join(base, ",") + `,]}}}`)},
+		{"[1 2]", bodyOf(edit(firsts[1]+1, "1 2"), ",")},
+		{"a nested [", bodyOf(edit(firsts[5], "[1"), ",")},
+		{"an early ] in the last chunk", bodyOf(edit(len(base)-3, "1]"), ",")},
+		{"errors in two chunks", bodyOf(twoErrors, ",")},
+		{"over-long", bodyOf(append(slices.Clone(base), "1"), ",")},
+		{"short", bodyOf(base[:len(base)-1], ",")},
+		{"unterminated", []byte(`{"inputs":{"x":{"data":[` + strings.Join(base, ","))},
+		{"a duplicated data member", []byte(`{"inputs":{"x":{"data":[` + strings.Join(base, ",") +
+			`],"data":[` + strings.Join(nulls, ",") + `]}}}`)},
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, b := range bodies {
+				t.Run(b.name, func(t *testing.T) { checkPredictBody(t, h, b.body, math.MaxInt) })
+			}
+		})
+	}
 }
 
 // TestParseFloat32MatchesStrconv is the differential proof the exact decimal
@@ -404,6 +538,25 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 		random[i] = f
 	}
 	negZero := float32(math.Copysign(0, -1))
+	// Many chunks of what formats differently: +0 (written directly), -0,
+	// subnormals, %e magnitudes on both sides, ordinary values.
+	mixed := make([]float32, 64*1024)
+	for i := range mixed {
+		switch rng.Intn(8) {
+		case 0:
+			mixed[i] = 0
+		case 1:
+			mixed[i] = negZero
+		case 2:
+			mixed[i] = math.Float32frombits(rng.Uint32()&(1<<23-1) | rng.Uint32()&(1<<31))
+		case 3:
+			mixed[i] = float32(rng.NormFloat64() * 1e-7)
+		case 4:
+			mixed[i] = float32(rng.NormFloat64() * 1e22)
+		default:
+			mixed[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+		}
+	}
 	trace := traceOf(Timeline{BatchSize: 3, DecodeNs: 1234567, AdmissionNs: 890, QueueWaitNs: 0, BatchFormNs: 1100000, ExecuteNs: 42, TotalNs: 2000000})
 	cases := []responseCase{
 		{name: "one output", model: "micro-mlp", id: "abc123",
@@ -416,6 +569,8 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 				math.SmallestNonzeroFloat32, 1.1754944e-38, 1e-9, 1e-10, 1e10, 16777216, 0.1}, 16)}},
 		{name: "random floats", model: "m", id: "id",
 			outputs: map[string]*dnnfusion.Tensor{"y": dnnfusion.FromSlice(random, 64, 64)}},
+		{name: "64x1024 mixed magnitudes, signed zeros and subnormals", model: "m", id: "id",
+			outputs: map[string]*dnnfusion.Tensor{"y": dnnfusion.FromSlice(mixed, 64, 1024), "z": dnnfusion.FromSlice(mixed[:4097], 4097)}},
 		{name: "names that need escaping", model: `<b>&"m"\` + "\n\u2028\xff é", id: "r-1",
 			outputs: map[string]*dnnfusion.Tensor{"<y>": dnnfusion.FromSlice([]float32{1}, 1), "y\t&": dnnfusion.FromSlice([]float32{2}, 1), "\x7f": dnnfusion.FromSlice([]float32{3}, 1)}},
 		{name: "a scalar's empty shape is omitted", model: "m", id: "id",
@@ -438,12 +593,22 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			sort.Strings(names)
-			got, err := appendPredictResponse([]byte("stale bytes of the pooled buffer")[:0], tc.model, tc.id, names, &Result{outs: tc.outputs}, tc.trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("encoder and json.Encoder differ:\n got %.400q\nwant %.400q", got, want.Bytes())
+			// Every output is formatted in chunks on 1, 2 and 4 cores.
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got, err := appendPredictResponse([]byte("stale bytes of the pooled buffer")[:0], tc.model, tc.id, names, &Result{outs: tc.outputs}, tc.trace)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					i := 0
+					for i < min(len(got), len(want.Bytes())) && got[i] == want.Bytes()[i] {
+						i++
+					}
+					t.Fatalf("GOMAXPROCS=%d: encoder and json.Encoder differ at byte %d:\n got %.400q\nwant %.400q",
+						procs, i, got[max(0, i-100):], want.Bytes()[max(0, i-100):])
+				}
 			}
 		})
 	}
@@ -453,25 +618,35 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 // 500 that says which element of which output — not the 200 with an empty
 // body json.Encoder's refusal used to leave behind a header already sent.
 func TestPredictNonFiniteOutputIs500(t *testing.T) {
-	g := dnnfusion.NewGraph("log")
-	x := g.AddInput("x", dnnfusion.ShapeOf(2, 2))
-	g.MarkOutputAs("y", g.Apply1(ops.NewLog(), x))
-	m, err := dnnfusion.Compile(g, dnnfusion.WithThreads(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := NewRegistry()
-	if _, err := r.Register("log", m, Config{}); err != nil {
-		t.Fatal(err)
+	// log over 2x2, and over 3x4096: three chunks of the response encoder.
+	for name, shape := range map[string][]int{"log": {2, 2}, "log-wide": {3, 4096}} {
+		g := dnnfusion.NewGraph(name)
+		x := g.AddInput("x", dnnfusion.ShapeOf(shape...))
+		g.MarkOutputAs("y", g.Apply1(ops.NewLog(), x))
+		m, err := dnnfusion.Compile(g, dnnfusion.WithThreads(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Register(name, m, Config{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ts := httptest.NewServer(NewServer(r))
 	t.Cleanup(func() { ts.Close(); r.Close() })
 	url := ts.URL + "/v1/models/log:predict"
 
-	for _, tc := range []struct{ data, element, value string }{
-		{"[1,1,-1,1]", "element 2", "NaN"}, // log of a negative
-		{"[1,0,1,1]", "element 1", "-Inf"}, // log of zero
-	} {
+	// A NaN in the wide output's last chunk and a -Inf in its second: the
+	// error names the lower index, whichever chunk finishes first.
+	wide := slices.Repeat([]string{"1"}, 3*4096)
+	wide[2*4096+5], wide[4096+9] = "-1", "0"
+	cases := []struct{ model, data, element, value string }{
+		{"log", "[1,1,-1,1]", "element 2", "NaN"}, // log of a negative
+		{"log", "[1,0,1,1]", "element 1", "-Inf"}, // log of zero
+		{"log-wide", "[" + strings.Join(wide, ",") + "]", "element 4105", "-Inf"},
+	}
+	for _, tc := range cases {
+		url := ts.URL + "/v1/models/" + tc.model + ":predict"
 		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(`{"inputs":{"x":{"data":`+tc.data+`}}}`))
 		if err != nil {
 			t.Fatal(err)
@@ -485,16 +660,16 @@ func TestPredictNonFiniteOutputIs500(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusInternalServerError || err != nil {
-			t.Fatalf("data %s: status %d, body %v (%v), want a 500 with a JSON error body", tc.data, resp.StatusCode, body, err)
+			t.Fatalf("data %.60s: status %d, body %v (%v), want a 500 with a JSON error body", tc.data, resp.StatusCode, body, err)
 		}
 		msg, _ := body["error"].(string)
 		for _, want := range []string{`output "y"`, tc.element, tc.value} {
 			if !strings.Contains(msg, want) {
-				t.Errorf("data %s: error %q does not name %s", tc.data, msg, want)
+				t.Errorf("data %.60s: error %q does not name %s", tc.data, msg, want)
 			}
 		}
 		if body["request_id"] != "nonfinite-1" {
-			t.Errorf("data %s: error body request_id = %v", tc.data, body["request_id"])
+			t.Errorf("data %.60s: error body request_id = %v", tc.data, body["request_id"])
 		}
 	}
 	// The same server still answers a finite request, whole.
@@ -503,8 +678,8 @@ func TestPredictNonFiniteOutputIs500(t *testing.T) {
 		t.Fatalf("finite request after the failures = %v", out)
 	}
 	_, fams := scrape(t, ts.URL)
-	if n := fams["dnnf_http_requests_total"].series[`dnnf_http_requests_total{code="500",route="predict"}`]; n != 2 {
-		t.Errorf(`dnnf_http_requests_total{code="500",route="predict"} = %v, want 2`, n)
+	if n := fams["dnnf_http_requests_total"].series[`dnnf_http_requests_total{code="500",route="predict"}`]; n != float64(len(cases)) {
+		t.Errorf(`dnnf_http_requests_total{code="500",route="predict"} = %v, want %d`, n, len(cases))
 	}
 }
 
@@ -560,13 +735,7 @@ func TestPredictAllocations(t *testing.T) {
 	})
 
 	t.Run("bytes do not scale with the tensors", func(t *testing.T) {
-		g := dnnfusion.NewGraph("wide")
-		x := g.AddInput("x", dnnfusion.ShapeOf(64, 1024))
-		g.MarkOutputAs("y", g.Apply1(dnnfusion.Relu(), x))
-		m, err := dnnfusion.Compile(g, dnnfusion.WithThreads(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := compileWide(t)
 		r := NewRegistry()
 		defer r.Close()
 		if _, err := r.Register("wide", m, Config{Prewarm: true}); err != nil {
@@ -590,19 +759,33 @@ func TestPredictAllocations(t *testing.T) {
 				t.Fatalf("status %d", w.status)
 			}
 		}
-		serve()
+		// Pools are per P: warm the forks and encoder scratch of every P a
+		// request or its codec helpers may run on.
+		for range 50 {
+			serve()
+		}
 		// The median of single requests: a request that wakes on another P
 		// after its batch ran finds that P's pool slot empty once, and that
 		// one refill is not what a request costs.
 		perRequest := make([]uint64, 21)
+		objects := make([]uint64, len(perRequest))
 		for i := range perRequest {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			serve()
 			runtime.ReadMemStats(&after)
 			perRequest[i] = after.TotalAlloc - before.TotalAlloc
+			objects[i] = after.Mallocs - before.Mallocs
 		}
 		sort.Slice(perRequest, func(i, j int) bool { return perRequest[i] < perRequest[j] })
+		slices.Sort(objects)
+		// 16 measured: the codec's helper goroutines start from pooled forks
+		// and allocate nothing, and per-request goroutines or closures must
+		// not creep in past 4 more.
+		if median := objects[len(objects)/2]; median > 16+4 {
+			t.Errorf("a warmed :predict of a %d KiB body allocates %d objects, want at most %d",
+				len(body)>>10, median, 16+4)
+		}
 		// The input tensor is 256 KiB and the body larger; the handler's own
 		// objects come to about 2 KiB.
 		if median := perRequest[len(perRequest)/2]; median > 8<<10 {
