@@ -3,60 +3,16 @@ package ops
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dnnfusion/internal/bitsweep"
 	"dnnfusion/internal/tensor"
 )
 
-// bitRanges are the float32 bit patterns a sweep covers, as [from, to, step)
-// triples over [0, 2³²): all of them, or under -short and the race detector
-// sampledRanges.
-func bitRanges(edges ...uint64) [][3]uint64 {
-	if !testing.Short() && !raceEnabled {
-		return [][3]uint64{{0, 1 << 32, 1}}
-	}
-	return sampledRanges(edges...)
-}
-
-// sampledRanges are every 251st pattern plus a dense window of 2¹⁶ patterns
-// on each side of every edge given.
-func sampledRanges(edges ...uint64) [][3]uint64 {
-	ranges := [][3]uint64{{0, 1 << 32, 251}}
-	for _, edge := range edges {
-		ranges = append(ranges, [3]uint64{max(edge, 1<<16) - 1<<16, min(edge+1<<16, 1<<32), 1})
-	}
-	return ranges
-}
-
-// parallelSweep calls body over the ranges cut into chunks, the chunks spread
-// over GOMAXPROCS goroutines; w in [0, GOMAXPROCS) names the calling
-// goroutine, so body can keep per-goroutine results without locking.
-func parallelSweep(ranges [][3]uint64, body func(w int, from, to, step uint64)) {
-	type chunk struct{ from, to, step uint64 }
-	var chunks []chunk
-	for _, r := range ranges {
-		size := r[2] << 22
-		for from := r[0]; from < r[1]; from += size {
-			chunks = append(chunks, chunk{from, min(from+size, r[1]), r[2]})
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(chunks)); i = next.Add(1) - 1 {
-				c := chunks[i]
-				body(w, c.from, c.to, c.step)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// fullSweep reports whether a bit sweep covers all 2³² patterns: not under
+// -short or the race detector, where it samples.
+func fullSweep() bool { return !testing.Short() && !raceEnabled }
 
 // TestBranchFreeRelu proves the one branch-free loop against the closure it
 // replaces: relu(x) and maxf(x, 0) agree on the bits of every float32 — all
@@ -67,7 +23,7 @@ func parallelSweep(ranges [][3]uint64, body func(w int, from, to, step uint64)) 
 func TestBranchFreeRelu(t *testing.T) {
 	var bad atomic.Int64
 	bad.Store(-1)
-	parallelSweep(bitRanges(0, 0x00800000, 0x7f800000, 0x80000000, 0x80800000, 0xff800000, 1<<32), func(_ int, from, to, step uint64) {
+	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), 0, 0x00800000, 0x7f800000, 0x80000000, 0x80800000, 0xff800000, 1<<32), func(_ int, from, to, step uint64) {
 		for u := from; u < to; u += step {
 			if x := math.Float32frombits(uint32(u)); math.Float32bits(relu(x)) != math.Float32bits(maxf(x, 0)) {
 				bad.CompareAndSwap(-1, int64(u))
@@ -129,7 +85,7 @@ func TestBranchFreeClip(t *testing.T) {
 	for h := range bad {
 		bad[h].Store(-1)
 	}
-	parallelSweep(bitRanges(edges...), func(w int, from, to, step uint64) {
+	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), edges...), func(w int, from, to, step uint64) {
 		l := &lanes[w]
 		for u := from; u < to; {
 			m := 0

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"dnnfusion/internal/bitsweep"
 )
 
 // transcendentals is the numeric contract of the float32 transcendentals, in
@@ -89,7 +91,7 @@ func (r *sweepResult) note(i int, u uint32, got, want float32) {
 // (TestTranscendentalOdd), so their error at −x is their error at x.
 func TestTranscendentalSweep(t *testing.T) {
 	res := make([]sweepResult, runtime.GOMAXPROCS(0))
-	parallelSweep(bitRanges(transcendentalEdges...), func(w int, from, to, step uint64) {
+	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), transcendentalEdges...), func(w int, from, to, step uint64) {
 		r := &res[w]
 		for u := from; u < to; u += step {
 			x := math.Float32frombits(uint32(u))
@@ -136,7 +138,7 @@ func TestTranscendentalSweep(t *testing.T) {
 func TestTranscendentalOdd(t *testing.T) {
 	var bad atomic.Int64
 	bad.Store(-1)
-	parallelSweep(sampledRanges(transcendentalEdges...), func(_ int, from, to, step uint64) {
+	bitsweep.Parallel(bitsweep.Sampled(transcendentalEdges...), func(_ int, from, to, step uint64) {
 		for u := from; u < to; u += step {
 			x := math.Float32frombits(uint32(u))
 			v := float64(x)

@@ -27,8 +27,9 @@ import (
 //	struct{ Inputs map[string]struct{ Shape []int; Data []float32 } }
 //
 // with bit-identical values, and the encoder's bytes equal json.Encoder's
-// (FuzzPredictBody, TestPredictBodyChunked, TestParseFloat32MatchesStrconv
-// and TestPredictResponseBytesMatchEncodingJSON hold it to that).
+// (FuzzPredictBody, TestPredictBodyChunked, TestParseFloat32MatchesStrconv,
+// TestAppendFloat32MatchesStrconv and
+// TestPredictResponseBytesMatchEncodingJSON hold it to that).
 //
 // A large tensor is parsed and formatted in chunks on up to GOMAXPROCS
 // goroutines (forChunks): a request's client waits for the response, so
@@ -824,31 +825,6 @@ func (r *floatRun) chunk(c int) {
 		buf = appendFloat32(buf, f)
 	}
 	r.chunks[c] = floatChunk{buf: buf, bad: bad}
-}
-
-// appendFloat32 appends a finite f the way encoding/json formats a float32:
-// the shortest decimal that round-trips, %e outside [1e-6, 1e21) with a
-// two-digit exponent's leading zero dropped (e-09 → e-9).
-func appendFloat32(dst []byte, f float32) []byte {
-	if math.Float32bits(f) == 0 { // +0, what a ReLU makes of half its inputs
-		return append(dst, '0')
-	}
-	abs := f
-	if abs < 0 {
-		abs = -abs
-	}
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, float64(f), format, -1, 32)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 // appendJSONString appends s as a JSON string. Printable ASCII that needs no

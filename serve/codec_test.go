@@ -557,6 +557,13 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 			mixed[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
 		}
 	}
+	// What the pointwise benchmark workload serves: relu(2·σ(v)·x) over x in
+	// (−1, 1), half of it +0.
+	pointwise := make([]float32, 64*1024)
+	for i := range pointwise {
+		x, v := float32(2*rng.Float64()-1), rng.NormFloat64()
+		pointwise[i] = max(2*float32(1/(1+math.Exp(-v)))*x, 0)
+	}
 	trace := traceOf(Timeline{BatchSize: 3, DecodeNs: 1234567, AdmissionNs: 890, QueueWaitNs: 0, BatchFormNs: 1100000, ExecuteNs: 42, TotalNs: 2000000})
 	cases := []responseCase{
 		{name: "one output", model: "micro-mlp", id: "abc123",
@@ -571,6 +578,8 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 			outputs: map[string]*dnnfusion.Tensor{"y": dnnfusion.FromSlice(random, 64, 64)}},
 		{name: "64x1024 mixed magnitudes, signed zeros and subnormals", model: "m", id: "id",
 			outputs: map[string]*dnnfusion.Tensor{"y": dnnfusion.FromSlice(mixed, 64, 1024), "z": dnnfusion.FromSlice(mixed[:4097], 4097)}},
+		{name: "64x1024 shaped like pointwise's output", model: "pointwise", id: "id",
+			outputs: map[string]*dnnfusion.Tensor{"y": dnnfusion.FromSlice(pointwise, 64, 1024)}},
 		{name: "names that need escaping", model: `<b>&"m"\` + "\n\u2028\xff é", id: "r-1",
 			outputs: map[string]*dnnfusion.Tensor{"<y>": dnnfusion.FromSlice([]float32{1}, 1), "y\t&": dnnfusion.FromSlice([]float32{2}, 1), "\x7f": dnnfusion.FromSlice([]float32{3}, 1)}},
 		{name: "a scalar's empty shape is omitted", model: "m", id: "id",
