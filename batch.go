@@ -76,10 +76,6 @@ func (m *Model) CompileBatch(batch int, opts ...Option) (*BatchModel, error) {
 	// model, breaking batching's "semantically invisible" contract.
 	cfg.GraphRewrite = false
 	cfg.Pool = m.Compiled.SharedPool()
-	// Measured tuning (if enabled on the base model) keys the variant's
-	// tuned plan by its own batch size, so the serving batcher executes
-	// the plan tuned for the batches it actually forms.
-	cfg.BatchSize = batch
 	baseThreads := cfg.Threads
 	for _, opt := range opts {
 		opt(&cfg)

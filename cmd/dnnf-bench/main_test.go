@@ -50,8 +50,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 }
 
 // TestDBLoadPolicy: -db starts fresh from a missing file or one of another
-// format version, and refuses — leaving the file untouched — anything else
-// it cannot read, instead of overwriting it on exit.
+// format version — a version-6 file with a measured-tuning "plans" section
+// included, which no later Save could carry — and refuses, leaving the file
+// untouched, anything else it cannot read, instead of overwriting it on exit.
 func TestDBLoadPolicy(t *testing.T) {
 	dir := t.TempDir()
 
@@ -62,9 +63,13 @@ func TestDBLoadPolicy(t *testing.T) {
 	if _, err := profile.Load(missing); err != nil {
 		t.Errorf("database saved to a new path does not load: %v", err)
 	}
+	if saved, err := os.ReadFile(missing); err != nil || !bytes.Contains(saved, []byte(`"version": 7`)) {
+		t.Errorf("database saved to a new path is not format 7: %v", err)
+	}
 
 	stale := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(stale, []byte(`{"version":4,"entries":{"k":1}}`), 0o644); err != nil {
+	v6 := `{"version":6,"entries":{"k":1},"plans":{"p":{"partition":[0,0],"schedules":[{}],"measured_ns":7,"measured_runs":1}}}`
+	if err := os.WriteFile(stale, []byte(v6), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := profile.Load(stale); !errors.Is(err, profile.ErrVersion) {
@@ -76,6 +81,9 @@ func TestDBLoadPolicy(t *testing.T) {
 	}
 	if db, err := profile.Load(stale); err != nil || db.Len() != 0 {
 		t.Errorf("stale file was not replaced by a fresh database: %v", err)
+	}
+	if saved, err := os.ReadFile(stale); err != nil || bytes.Contains(saved, []byte(`"plans"`)) {
+		t.Errorf("fresh database saved over the v6 file kept a plans section: %v", err)
 	}
 
 	corrupt := filepath.Join(dir, "corrupt.json")

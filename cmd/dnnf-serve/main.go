@@ -11,8 +11,6 @@
 //	dnnf-serve -zoo                     # also expose the Table 5 models
 //	dnnf-serve -queue 32 -max-inflight 256 -max-delay-ceiling 2ms
 //	dnnf-serve -drain-timeout 10s       # graceful-shutdown budget on SIGTERM
-//	dnnf-serve -profile tuned.json      # compile with dnnf-tune's tuned plans
-//	dnnf-serve -profile tuned.json -tune-budget 16  # measure models not yet tuned
 //
 // Endpoints (see serve.Server):
 //
@@ -48,25 +46,7 @@ import (
 	"dnnfusion/serve"
 
 	"dnnfusion/internal/models"
-	"dnnfusion/internal/profile"
 )
-
-// loadProfile opens the -profile database. A file of another format version
-// is a stale cache, not a broken one: it is reported and an empty database
-// takes its place, so the server still starts (models compile analytically,
-// or re-tune under -tune-budget). A missing, unreadable or corrupt file
-// stays an error.
-func loadProfile(path string) (*dnnfusion.ProfileDB, error) {
-	db, err := dnnfusion.LoadProfileDB(path)
-	if errors.Is(err, profile.ErrVersion) {
-		log.Printf("ignoring stale profile database: %v", err)
-		return dnnfusion.NewProfileDB(), nil
-	}
-	if err == nil {
-		log.Printf("loaded profile database %s: %d tuned plans", path, db.PlanLen())
-	}
-	return db, err
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -80,8 +60,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "server-wide concurrent-request ceiling (0 = unlimited); beyond it requests get 503")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget: stop admitting (503), drain in-flight requests this long, then force-close")
 	threads := flag.Int("threads", 0, "worker lanes per model (0 = GOMAXPROCS)")
-	profilePath := flag.String("profile", "", "profile database to compile with (pre-tune with dnnf-tune; tuned plans warm-start compilation with zero measurement)")
-	tuneBudget := flag.Int("tune-budget", 0, "measured-tuning budget per compilation (0 = analytical schedules; with -profile, models already tuned compile without measuring)")
 	prewarm := flag.Bool("prewarm", false, "compile and bind serving arenas at startup instead of on first request")
 	pprofOn := flag.Bool("pprof", false, "expose Go profiling under /debug/pprof/ (off by default; costs CPU and reveals internals)")
 	flag.Parse()
@@ -94,16 +72,6 @@ func main() {
 		Prewarm:         *prewarm,
 	}
 	compileOpts := []dnnfusion.Option{dnnfusion.WithThreads(*threads)}
-	if *profilePath != "" {
-		db, err := loadProfile(*profilePath)
-		if err != nil {
-			log.Fatalf("loading profile database %s: %v", *profilePath, err)
-		}
-		compileOpts = append(compileOpts, dnnfusion.WithProfileDB(db))
-	}
-	if *tuneBudget > 0 {
-		compileOpts = append(compileOpts, dnnfusion.WithMeasuredTuning(*tuneBudget))
-	}
 	reg := serve.NewRegistry()
 	reg.SetMaxInFlight(*maxInflight)
 	registered := 0

@@ -9,8 +9,8 @@ import (
 
 	"dnnfusion"
 
-	"dnnfusion/internal/autotune"
 	"dnnfusion/internal/codegen"
+	"dnnfusion/internal/core"
 	"dnnfusion/internal/device"
 	"dnnfusion/internal/ecg"
 	"dnnfusion/internal/engine"
@@ -138,14 +138,13 @@ func lazyAPastCap() *graph.Graph {
 // TestNoScalarFallback pins the invariant that no compiled kernel runs the
 // scalar oracle: for the micro zoo, the encoder block, a depthwise-
 // separable conv stage and a MatMul over a lazy A past the staging cap,
-// under every
-// fusion plan the autotuner can propose, at 1 and 4 lanes, every bound
-// kernel tree is blocked end to end (ops.ScalarPaths is empty), the
-// outputs match the interpreter — bit for bit, except plans holding an
-// online-softmax chain, which stay inside the documented tolerance — and a
-// warmed Runner.Run on the encoder allocates nothing. At the parent commit
-// 8 of the encoder's 14 kernels took the per-element arm of
-// ops.MaterializeRange (425 ms an inference against 0.84 ms unfused).
+// under every plan configuration planConfigurations lists, at 1 and 4
+// lanes, every bound kernel tree is blocked end to end (ops.ScalarPaths is
+// empty), the outputs match the interpreter — bit for bit, except plans
+// holding an online-softmax chain, which stay inside the documented
+// tolerance — and a warmed Runner.Run on the encoder allocates nothing. At
+// the parent commit 8 of the encoder's 14 kernels took the per-element arm
+// of ops.MaterializeRange (425 ms an inference against 0.84 ms unfused).
 func TestNoScalarFallback(t *testing.T) {
 	type namedGraph struct {
 		name  string
@@ -158,54 +157,38 @@ func TestNoScalarFallback(t *testing.T) {
 	for _, m := range models.MicroModels() {
 		graphs = append(graphs, namedGraph{m.Name, m.Build})
 	}
-	dev := device.Snapdragon865CPU()
 	for _, ng := range graphs {
 		t.Run(ng.name, func(t *testing.T) {
-			e := ecg.Build(ng.build().Clone())
-			if _, err := rewrite.NewDefaultEngine().Run(e); err != nil {
-				t.Fatal(err)
-			}
-			feeds := map[*graph.Value]*tensor.Tensor{}
-			for i, in := range e.G.Inputs {
-				feeds[in] = tensor.NewOf(in.Shape).Rand(uint64(77 + i))
-			}
-			want, err := graph.InterpretOutputs(e.G, feeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plans, err := autotune.Candidates(e, autotune.Config{ChainFusion: true, Device: dev})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pi, plan := range plans {
-				kernels, err := codegen.CompilePlan(e, plan, nil)
+			for _, c := range planConfigurations(t, ng.build) {
+				feeds := planFeeds(c.e.G)
+				want, err := graph.InterpretOutputs(c.e.G, feeds)
 				if err != nil {
-					t.Fatalf("plan %d: %v", pi, err)
+					t.Fatal(err)
 				}
-				autotune.AssignSchedules(kernels, dev, nil)
-				online := slices.ContainsFunc(plan.Blocks, func(b *fusion.Block) bool { return b.Chain != nil && b.Chain.Online })
+				online := c.online()
 				for _, threads := range []int{1, 4} {
-					x, err := engine.NewExecutorThreads(e, plan, kernels, threads)
+					x, err := engine.NewExecutorThreads(c.e, c.plan, c.kernels, threads)
 					if err != nil {
-						t.Fatalf("plan %d: %v", pi, err)
+						t.Fatalf("%s: %v", c.name, err)
 					}
 					sess := x.NewSession()
 					got, err := sess.Run(context.Background(), feeds)
 					if err != nil {
-						t.Fatalf("plan %d threads %d: %v", pi, threads, err)
+						t.Fatalf("%s threads %d: %v", c.name, threads, err)
 					}
 					if paths := sess.ScalarPaths(); len(paths) != 0 {
-						t.Errorf("plan %d threads %d: bound kernels reach the scalar oracle: %v", pi, threads, paths)
+						t.Errorf("%s threads %d: bound kernels reach the scalar oracle: %v", c.name, threads, paths)
 					}
 					for _, p := range x.Profile() {
 						if p.Scalar {
-							t.Errorf("plan %d threads %d: kernel %s profiles as scalar-fallback", pi, threads, p.Kernel)
+							t.Errorf("%s threads %d: kernel %s profiles as scalar-fallback", c.name, threads, p.Kernel)
 						}
 					}
 					for oi := range want {
-						assertMatchesInterpreter(t, fmt.Sprintf("plan %d threads %d output %d", pi, threads, oi),
+						assertMatchesInterpreter(t, fmt.Sprintf("%s threads %d output %d", c.name, threads, oi),
 							got[oi].Data(), want[oi].Data(), online)
 					}
+					sess.Release()
 				}
 			}
 		})
@@ -232,6 +215,124 @@ func TestNoScalarFallback(t *testing.T) {
 			t.Errorf("warmed encoder Runner.Run at %d threads allocates %.0f times per inference, want 0", threads, allocs)
 		}
 	}
+}
+
+// TestEveryPlanParity holds every plan configuration of the micro zoo to
+// the interpreter more tightly than the README's tolerance: bit for bit,
+// or, for a plan with an online-softmax chain, within 64 ULP of it
+// element by element.
+func TestEveryPlanParity(t *testing.T) {
+	const onlineULPMax = 64
+	for _, m := range models.MicroModels() {
+		t.Run(m.Name, func(t *testing.T) {
+			for _, c := range planConfigurations(t, m.Build) {
+				feeds := planFeeds(c.e.G)
+				want, err := graph.InterpretOutputs(c.e.G, feeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, err := engine.NewExecutorThreads(c.e, c.plan, c.kernels, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				sess := x.NewSession()
+				got, err := sess.Run(context.Background(), feeds)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s produced %d outputs, want %d", c.name, len(got), len(want))
+				}
+				online := c.online()
+				for oi := range want {
+					wd, gd := want[oi].Data(), got[oi].Data()
+					for i := range wd {
+						if online {
+							if u := ulpDiff(wd[i], gd[i]); u > onlineULPMax {
+								t.Fatalf("%s output %d[%d]: %g vs %g (%d ULP > %d)", c.name, oi, i, gd[i], wd[i], u, onlineULPMax)
+							}
+						} else if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
+							t.Fatalf("%s output %d[%d]: %g != %g (want bit-exact)", c.name, oi, i, gd[i], wd[i])
+						}
+					}
+				}
+				sess.Release()
+			}
+		})
+	}
+}
+
+// compiledPlan is one fusion plan of a rewritten graph with its scheduled
+// kernels, ready for an executor.
+type compiledPlan struct {
+	name    string
+	e       *ecg.ECG
+	plan    *fusion.Plan
+	kernels []*codegen.Kernel
+}
+
+// online reports whether the plan holds an online-softmax chain.
+func (c compiledPlan) online() bool {
+	return slices.ContainsFunc(c.plan.Blocks, func(b *fusion.Block) bool { return b.Chain != nil && b.Chain.Online })
+}
+
+// planConfigurations compiles build's graph under every plan configuration
+// the compiler offers — the default, WithoutChainFusion, WithoutFusion,
+// and yellow decisions priced for the Snapdragon CPU and GPU — plus a plan
+// whose yellow decisions all break, so materialized edges execute too.
+func planConfigurations(t *testing.T, build func() *graph.Graph) []compiledPlan {
+	t.Helper()
+	configs := []struct {
+		name string
+		opts []dnnfusion.Option
+	}{
+		{"default", nil},
+		{"nochain", []dnnfusion.Option{dnnfusion.WithoutChainFusion()}},
+		{"unfused", []dnnfusion.Option{dnnfusion.WithoutFusion()}},
+		{"snapdragon-cpu", []dnnfusion.Option{dnnfusion.WithDevice(dnnfusion.SnapdragonCPU())}},
+		{"snapdragon-gpu", []dnnfusion.Option{dnnfusion.WithDevice(dnnfusion.SnapdragonGPU())}},
+	}
+	var cs []compiledPlan
+	for _, cfg := range configs {
+		// One lane: executors over the plan set their own lane counts.
+		m, err := dnnfusion.Compile(build(), append(cfg.opts, dnnfusion.WithThreads(1))...)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		cs = append(cs, compiledPlan{cfg.name, m.Compiled.E, m.Compiled.Plan, m.Compiled.Kernels})
+	}
+	return append(cs, yellowBreakPlan(t, build()))
+}
+
+// planFeeds draws deterministic random inputs for g.
+func planFeeds(g *graph.Graph) map[*graph.Value]*tensor.Tensor {
+	feeds := map[*graph.Value]*tensor.Tensor{}
+	for i, in := range g.Inputs {
+		feeds[in] = tensor.NewOf(in.Shape).Rand(uint64(77 + i))
+	}
+	return feeds
+}
+
+// yellowBreakPlan compiles g the way Compile does, except that every
+// yellow (profitability) decision breaks: under a resolver pricing n
+// operators at n², a fused set always prices above its split. Chains are
+// still fused.
+func yellowBreakPlan(t *testing.T, g *graph.Graph) compiledPlan {
+	t.Helper()
+	e := ecg.Build(g)
+	if _, err := rewrite.NewDefaultEngine().Run(e); err != nil {
+		t.Fatal(err)
+	}
+	broken := fusion.Options{Latency: func(nodes []*graph.Node) float64 { return float64(len(nodes) * len(nodes)) }}
+	plan := fusion.GeneratePlan(e, broken)
+	fusion.FuseChains(e, plan, broken)
+	plan.MarkRemovable(e)
+	kernels, err := codegen.CompilePlan(e, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.AssignSchedules(kernels, device.Snapdragon865CPU(), nil)
+	return compiledPlan{"yellow-break", e, plan, kernels}
 }
 
 // assertMatchesInterpreter compares a compiled output with the

@@ -8,11 +8,8 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
 	"time"
 
-	"dnnfusion/internal/autotune"
 	"dnnfusion/internal/codegen"
 	"dnnfusion/internal/device"
 	"dnnfusion/internal/ecg"
@@ -66,18 +63,6 @@ type Options struct {
 	// pair shares one set of worker lanes; the caller must keep the pool's
 	// owning executor reachable (see engine.NewExecutorPool).
 	Pool *engine.Pool
-	// MeasureBudget, when positive, replaces analytical plan and schedule
-	// selection with the measured-feedback search (internal/autotune):
-	// candidate fusion plans × top-k schedules scored by short timed runs
-	// of the real kernels, at most MeasureBudget measurements. Winners
-	// persist in ProfileDB (keyed by graph fingerprint × device × batch
-	// size × planner configuration) so repeat compilations warm-start with
-	// zero measurement. Zero keeps the analytical path — the default, so CI
-	// and cold-start latency are unchanged. Requires Fusion.
-	MeasureBudget int
-	// BatchSize keys measured-tuning results per formed batch size;
-	// CompileBatch sets it to the variant's capacity. Zero means 1.
-	BatchSize int
 }
 
 // Defaults is the full DNNFusion pipeline.
@@ -114,17 +99,6 @@ type CompileStats struct {
 	// ChainFusions is the number of contraction chains merged into
 	// streaming chain kernels.
 	ChainFusions int
-	// Measured-tuning accounting (Options.MeasureBudget > 0): MeasuredRuns
-	// is how many timed candidate measurements this compilation spent
-	// (zero on a tuned-plan warm start), TunedPlanHits/TunedPlanMisses
-	// whether the profile database already held the winner, and
-	// TunedDiffers whether the measured winner differs from the
-	// analytical choice (a different plan variant or at least one
-	// different kernel schedule).
-	MeasuredRuns    int
-	TunedPlanHits   int
-	TunedPlanMisses int
-	TunedDiffers    bool
 }
 
 // Compiled is a ready-to-run model. After Compile returns it is immutable:
@@ -137,10 +111,6 @@ type Compiled struct {
 	Kernels []*codegen.Kernel
 	Opts    Options
 	Stats   CompileStats
-	// Fingerprint is the post-rewrite structural graph fingerprint
-	// (graph.Fingerprint); set when measured tuning runs, it is the graph
-	// axis of the tuned plan's profile-database key.
-	Fingerprint string
 
 	exec *engine.Executor
 }
@@ -175,47 +145,32 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 	if opts.Cache != nil {
 		cacheHitsBefore = opts.Cache.Hits
 	}
-	measured := opts.Fusion && opts.MeasureBudget > 0
 	start := time.Now()
-	switch {
-	case !opts.Fusion:
-		c.Plan = fusion.SingletonPlan(e)
-	case measured:
-		if err := c.compileMeasured(fopts); err != nil {
-			return nil, err
-		}
-	default:
+	if opts.Fusion {
 		c.Plan = fusion.GeneratePlan(e, fopts)
 		if opts.ChainFusion {
 			fusion.FuseChains(e, c.Plan, fopts)
 		}
+	} else {
+		c.Plan = fusion.SingletonPlan(e)
 	}
-	planMs := float64(time.Since(start).Microseconds()) / 1000
+	c.Stats.FusionMs = float64(time.Since(start).Microseconds()) / 1000
 	c.Stats.ChainFusions = c.Plan.ChainFusions
 	c.Plan.MarkRemovable(e)
-	if measured {
-		// The search (or the replay of a stored winner) produced the plan,
-		// its kernels and their schedules jointly, so the whole stage is
-		// attributed to TuneMs.
-		c.Stats.TuneMs = planMs
-	} else {
-		c.Stats.FusionMs = planMs
-		start = time.Now()
-		kernels, err := codegen.CompilePlan(e, c.Plan, opts.Cache)
-		if err != nil {
-			return nil, err
-		}
-		c.Stats.CodegenMs = float64(time.Since(start).Microseconds()) / 1000
-		c.Kernels = kernels
-		start = time.Now()
-		c.Stats.ScheduleLookups, c.Stats.ScheduleMisses = autotune.AssignSchedules(c.Kernels, opts.scheduleDevice(), opts.ProfileDB)
-		c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
+	start = time.Now()
+	kernels, err := codegen.CompilePlan(e, c.Plan, opts.Cache)
+	if err != nil {
+		return nil, err
 	}
+	c.Stats.CodegenMs = float64(time.Since(start).Microseconds()) / 1000
+	c.Kernels = kernels
+	start = time.Now()
+	c.Stats.ScheduleLookups, c.Stats.ScheduleMisses = AssignSchedules(c.Kernels, opts.scheduleDevice(), opts.ProfileDB)
+	c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
 	if opts.Cache != nil {
 		c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
 	}
 	start = time.Now()
-	var err error
 	if opts.Pool != nil {
 		c.exec, err = engine.NewExecutorPool(e, c.Plan, c.Kernels, opts.Pool)
 	} else {
@@ -226,64 +181,6 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 	}
 	c.Stats.PlanMs = float64(time.Since(start).Microseconds()) / 1000
 	return c, nil
-}
-
-// compileMeasured is the MeasureBudget > 0 plan/schedule stage: look the
-// tuned plan up in the profile database by (fingerprint, device, batch,
-// planner configuration) and replay it with zero measurement, or run the
-// measured search and persist the winner. An entry that does not replay
-// (a damaged file, a record for another graph) falls through to a fresh
-// search that overwrites it.
-func (c *Compiled) compileMeasured(fopts fusion.Options) error {
-	opts := c.Opts
-	dev := opts.scheduleDevice()
-	fp := graph.Fingerprint(c.G)
-	c.Fingerprint = fp
-	key := profile.PlanKey(dev.Name, fp, opts.BatchSize, fmt.Sprintf("chain=%t,%s", opts.ChainFusion, fopts.Key()))
-	seed, _ := strconv.ParseUint(fp, 16, 64)
-	acfg := autotune.Config{
-		Fusion:      fopts,
-		ChainFusion: opts.ChainFusion,
-		Device:      dev,
-		Budget:      opts.MeasureBudget,
-		Cache:       opts.Cache,
-		Threads:     opts.Threads,
-		Pool:        opts.Pool,
-		Seed:        seed,
-	}
-	var tp profile.TunedPlan
-	hit := false
-	if opts.ProfileDB != nil {
-		if tp, hit = opts.ProfileDB.LookupPlan(key); hit {
-			var err error
-			c.Plan, c.Kernels, err = autotune.Rebuild(c.E, acfg, tp)
-			hit = err == nil
-		}
-	}
-	if hit {
-		c.Stats.TunedPlanHits++
-	} else {
-		c.Stats.TunedPlanMisses++
-		res, err := autotune.Search(c.E, acfg)
-		if err != nil {
-			return err
-		}
-		c.Plan, c.Kernels, tp = res.Plan, res.Kernels, res.Tuned
-		c.Stats.MeasuredRuns = tp.MeasuredRuns
-		if opts.ProfileDB != nil {
-			opts.ProfileDB.InsertPlan(key, tp)
-		}
-	}
-	c.Stats.TunedDiffers = !tp.Analytical
-	for _, k := range c.Kernels {
-		if !k.Schedule.Zero() {
-			c.Stats.ScheduleLookups++
-		}
-	}
-	if !hit {
-		c.Stats.ScheduleMisses = c.Stats.ScheduleLookups
-	}
-	return nil
 }
 
 // SharedPool returns the executor's worker pool (nil when single-threaded)

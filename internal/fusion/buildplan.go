@@ -2,7 +2,6 @@ package fusion
 
 import (
 	"fmt"
-	"slices"
 
 	"dnnfusion/internal/ecg"
 	"dnnfusion/internal/graph"
@@ -12,8 +11,7 @@ import (
 // fixed-pattern fusers (internal/baseline) use it to express their pattern
 // matches, and SingletonPlan uses it for the no-fusion configuration, so
 // every execution mode flows through the same Block/Plan machinery.
-// Groups must partition the graph's nodes; a group that holds a whole
-// detected contraction chain becomes that chain's block.
+// Groups must partition the graph's nodes.
 func BuildPlan(e *ecg.ECG, groups [][]*graph.Node) (*Plan, error) {
 	plan := newPlan(e)
 	for i, nodes := range groups {
@@ -42,50 +40,6 @@ func BuildPlan(e *ecg.ECG, groups [][]*graph.Node) (*Plan, error) {
 		return nil, fmt.Errorf("fusion: groups cover %d of %d nodes", len(plan.blockOf), len(e.G.Nodes))
 	}
 	plan.sortBlocksTopo()
-	// A block holding every member of a detected chain is that chain's
-	// block: Table 3 never puts two contractions in one block, so nothing
-	// but chain fusion can have produced it.
-	for _, c := range DetectChains(e) {
-		b := plan.blockOf[c.Consumer]
-		if b.Chain == nil && !slices.ContainsFunc(c.Nodes(), func(n *graph.Node) bool { return !b.nodeSet[n] }) {
-			b.Chain = c
-			plan.ChainFusions++
-		}
-	}
-	return plan, nil
-}
-
-// FromPartition rebuilds the plan that part names (see Plan.Partition):
-// the inverse of Partition, and the one way a plan is cloned, persisted
-// and replayed. A partition may come from a file, so a wrong length, a
-// numbering that is not first-use order, or blocks that depend on each
-// other are errors.
-func FromPartition(e *ecg.ECG, part []int) (*Plan, error) {
-	order := e.G.TopoSort()
-	if len(part) != len(order) {
-		return nil, fmt.Errorf("fusion: partition names %d nodes, the graph has %d", len(part), len(order))
-	}
-	var groups [][]*graph.Node
-	for i, b := range part {
-		if b < 0 || b > len(groups) {
-			return nil, fmt.Errorf("fusion: partition entry %d is block %d, first-use order allows 0..%d", i, b, len(groups))
-		}
-		if b == len(groups) {
-			groups = append(groups, nil)
-		}
-		groups[b] = append(groups[b], order[i])
-	}
-	plan, err := BuildPlan(e, groups)
-	if err != nil {
-		return nil, err
-	}
-	// A cycle between blocks passes through a block of two or more nodes
-	// (the graph itself is acyclic), so checking those finds every one.
-	for _, b := range plan.Blocks {
-		if b.Size() > 1 && plan.cyclic(b.Contains, b.Nodes) {
-			return nil, fmt.Errorf("fusion: partition block %d and another block depend on each other", b.ID)
-		}
-	}
 	return plan, nil
 }
 

@@ -153,25 +153,25 @@ func chainMiddle(p *graph.Node, v *graph.Value) (*graph.Value, bool) {
 }
 
 // FuseChains is the chain-fusion post-pass over a generated plan: every
-// detected chain whose members span multiple blocks is fused (FuseChain),
+// detected chain whose members span multiple blocks is fused (fuseChain),
 // so codegen compiles it as a single streaming kernel and the planner
 // drops the intermediate from the arena. Returns the chains actually
 // fused, consumer-topo-ordered.
 func FuseChains(e *ecg.ECG, p *Plan, opts Options) []*Chain {
 	var fused []*Chain
 	for _, c := range DetectChains(e) {
-		if p.FuseChain(c, opts) {
+		if p.fuseChain(c, opts) {
 			fused = append(fused, c)
 		}
 	}
 	return fused
 }
 
-// FuseChain merges the blocks holding chain c's members into one chain
+// fuseChain merges the blocks holding chain c's members into one chain
 // block, if the merge respects the block-size, input-count and convexity
 // constraints; it reports whether it did. A block already carrying a chain
 // is never merged again (one streaming chain per kernel).
-func (p *Plan) FuseChain(c *Chain, opts Options) bool {
+func (p *Plan) fuseChain(c *Chain, opts Options) bool {
 	var blocks []*Block
 	for _, n := range c.Nodes() {
 		b := p.blockOf[n]

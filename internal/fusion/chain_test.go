@@ -183,36 +183,3 @@ func TestFuseChainsMergesBlocks(t *testing.T) {
 		}
 	}
 }
-
-// TestFromPartitionRestoresChainBlock: a partition carries no chain tag,
-// so rebuilding from it must find the chain block again — and must keep a
-// block that holds only part of a chain untagged.
-func TestFromPartitionRestoresChainBlock(t *testing.T) {
-	for _, build := range []func() *graph.Graph{attentionChainGraph, mlpChainGraph} {
-		g := build()
-		e := ecg.Build(g)
-		split := GeneratePlan(e, Options{})
-		fused, err := FromPartition(e, split.Partition())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fused.ChainFusions != 0 {
-			t.Errorf("%s: the greedy partition rebuilt with %d chain blocks", g.Name, fused.ChainFusions)
-		}
-		chains := FuseChains(e, fused, Options{})
-		if len(chains) != 1 {
-			t.Fatalf("%s: fused %d chains on the rebuilt plan, want 1", g.Name, len(chains))
-		}
-		back, err := FromPartition(e, fused.Partition())
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk := back.BlockOf(chains[0].Consumer)
-		if back.ChainFusions != 1 || blk.Chain == nil || blk.Chain.Producer != chains[0].Producer || blk.Chain.Online != chains[0].Online {
-			t.Errorf("%s: chain block not restored from the partition (ChainFusions = %d)", g.Name, back.ChainFusions)
-		}
-		if blk.Mapping != fused.BlockOf(chains[0].Consumer).Mapping || blk.Size() != fused.BlockOf(chains[0].Consumer).Size() {
-			t.Errorf("%s: restored chain block %v differs from the fused one %v", g.Name, blk, fused.BlockOf(chains[0].Consumer))
-		}
-	}
-}

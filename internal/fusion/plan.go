@@ -45,14 +45,6 @@ type Options struct {
 	Seeds SeedPolicy
 }
 
-// Key digests what decides which plans the planner can emit — the seed
-// policy, the block limits (defaults resolved) and whether yellow
-// decisions are priced — for cache keys over planning results.
-func (o Options) Key() string {
-	o = o.withDefaults()
-	return fmt.Sprintf("seeds=%d,ops=%d,in=%d,priced=%t", o.Seeds, o.MaxBlockOps, o.MaxBlockInputs, o.Latency != nil)
-}
-
 func (o Options) withDefaults() Options {
 	if o.MaxBlockOps == 0 {
 		o.MaxBlockOps = 40
@@ -144,17 +136,14 @@ func (b *Block) String() string {
 }
 
 // Plan is a complete fusion plan: a partition of the graph's nodes into
-// blocks, plus planning statistics. The partition is the plan's whole
-// identity — Partition names it, FromPartition rebuilds it — so two plans
-// over one graph are the same plan exactly when their partitions are
-// equal.
+// blocks, plus planning statistics.
 type Plan struct {
 	// Blocks is ordered by each block's earliest node in topological
 	// order, and Block.ID is the index here.
 	Blocks  []*Block
 	blockOf map[*graph.Node]*Block
 	// order is G.TopoSort() and pos each node's index in it, computed once
-	// per plan: block ordering, chain fusion and Partition all read them.
+	// per plan: block ordering and chain fusion read them.
 	order []*graph.Node
 	pos   map[*graph.Node]int
 
@@ -184,19 +173,6 @@ func newPlan(e *ecg.ECG) *Plan {
 
 // BlockOf returns the block containing n.
 func (p *Plan) BlockOf(n *graph.Node) *Block { return p.blockOf[n] }
-
-// Partition names the plan: the block index of every node in
-// G.TopoSort() order — the order graph.Fingerprint hashes, so a
-// (fingerprint, partition) pair means the same thing in every compilation
-// of a structurally identical graph. Indices appear in first-use order
-// (0, then 1, …) because blocks are ordered by their earliest node.
-func (p *Plan) Partition() []int {
-	part := make([]int, len(p.order))
-	for i, n := range p.order {
-		part[i] = p.blockOf[n].ID
-	}
-	return part
-}
 
 // FusedLayerCount is the number of kernels after fusion (Table 5's "layer
 // count after opt").

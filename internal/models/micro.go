@@ -9,7 +9,7 @@ import (
 // Micro models: small graphs with real (deterministic) weight data, unlike
 // the shape-only Table 5 zoo, so they execute numerically in milliseconds.
 // They are the shared substrate of the allocation regression tests, the
-// parity suites, dnnf-tune and dnnf-serve. They are intentionally not part
+// parity suites and dnnf-serve. They are intentionally not part
 // of the Build/Names zoo (which mirrors the paper's 15 models).
 
 // microWeight is a deterministic dense weight; seeds are offset per call

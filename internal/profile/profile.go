@@ -5,12 +5,9 @@
 // collapses the "Profiling" bar of Figure 9b. The database persists as JSON
 // so it accumulates across models and compilations (the paper reports ~22K
 // entries after compiling all 15 models). Alongside the latencies it caches
-// the compiler's other per-shape decisions: one table of selected kernel
-// schedules and one of measured-tuning winners. It is a local cache with no
-// external producer, so the file format is not migrated: Load reads the
-// current version only. A tuned plan is stored as a node partition and
-// replayed without re-planning, so replay does not notice a planner
-// change: one that should invalidate stored plans is a FormatVersion bump.
+// the compiler's other per-shape decision: a table of selected kernel
+// schedules. It is a local cache with no external producer, so the file
+// format is not migrated: Load reads the current version only.
 package profile
 
 import (
@@ -36,24 +33,15 @@ type DB struct {
 	// (ChainScheduleKey) — so repeat compilations skip the selection: the
 	// schedule half of Figure 9b's caching effect.
 	schedules map[string]KernelSchedule
-	// plans stores measured-tuning winners — a whole-graph fusion plan as
-	// its node partition plus per-block schedules — keyed by PlanKey
-	// (graph fingerprint × device × batch size × planner configuration),
-	// so repeat compilations with measured tuning enabled warm-start with
-	// zero measurement.
-	plans map[string]TunedPlan
 
 	// Hits/Misses count latency lookups; Measurements counts inserts that
 	// came from fresh measurements (not a bulk load). ScheduleHits/
-	// ScheduleMisses count schedule lookups the same way, and PlanHits/
-	// PlanMisses tuned-plan lookups.
+	// ScheduleMisses count schedule lookups the same way.
 	Hits           int
 	Misses         int
 	Measurements   int
 	ScheduleHits   int
 	ScheduleMisses int
-	PlanHits       int
-	PlanMisses     int
 }
 
 // New returns an empty database.
@@ -61,7 +49,6 @@ func New() *DB {
 	return &DB{
 		entries:   map[string]float64{},
 		schedules: map[string]KernelSchedule{},
-		plans:     map[string]TunedPlan{},
 	}
 }
 
@@ -101,7 +88,6 @@ func (db *DB) ResetStats() {
 	defer db.mu.Unlock()
 	db.Hits, db.Misses, db.Measurements = 0, 0, 0
 	db.ScheduleHits, db.ScheduleMisses = 0, 0
-	db.PlanHits, db.PlanMisses = 0, 0
 }
 
 // ScheduleKey canonicalizes one heavy-kernel tuning task: device identity
@@ -118,8 +104,7 @@ func ChainScheduleKey(deviceName string, pm, pn, pk, cm, cn, ck int) string {
 }
 
 // KernelSchedule is the tile schedule of one kernel — the record the
-// schedule cache stores per task key and a tuned plan stores per block.
-// Producer is set only for a chain-fused kernel: it tiles the chain's
+// schedule cache stores per task key. Producer is set only for a chain-fused kernel: it tiles the chain's
 // first contraction, and Schedule the second.
 type KernelSchedule struct {
 	Schedule ops.Schedule `json:"schedule"`
@@ -151,65 +136,6 @@ func (db *DB) ScheduleLen() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return len(db.schedules)
-}
-
-// TunedPlan is a measured-tuning winner: the fusion plan that won the
-// short measured runs, named by its node partition (the block index of
-// every node in topological order — fusion.Plan.Partition), and the tile
-// schedule each block won with: Schedules[i] belongs to block i, and is
-// zero for a block with nothing to schedule. The record holds the blocks
-// and their schedules together and names no planner input, so replaying it
-// (fusion.FromPartition) involves no planning and cannot drift from what
-// was measured.
-type TunedPlan struct {
-	Partition []int            `json:"partition"`
-	Schedules []KernelSchedule `json:"schedules"`
-	// MeasuredNs is the winner's measured ns/inference; MeasuredRuns how
-	// many candidate measurements the search spent; Analytical whether the
-	// winner coincides with the analytical choice (plan and schedules).
-	MeasuredNs   int64 `json:"measured_ns"`
-	MeasuredRuns int   `json:"measured_runs"`
-	Analytical   bool  `json:"analytical,omitempty"`
-}
-
-// PlanKey canonicalizes one measured-tuning task: graph fingerprint
-// (graph.Fingerprint of the post-rewrite graph), device identity, the
-// batch size the graph was compiled for, and a digest of the planner
-// configuration the search ran under (chain fusion, seed policy, block
-// limits). A stored plan is replayed without re-planning, so it is only
-// ever found under the configuration whose search produced it.
-func PlanKey(deviceName, fingerprint string, batch int, planner string) string {
-	if batch < 1 {
-		batch = 1
-	}
-	return fmt.Sprintf("plan|%s|fp=%s|b=%d|%s", deviceName, fingerprint, batch, planner)
-}
-
-// LookupPlan returns the stored tuned plan for key.
-func (db *DB) LookupPlan(key string) (TunedPlan, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	p, ok := db.plans[key]
-	if ok {
-		db.PlanHits++
-	} else {
-		db.PlanMisses++
-	}
-	return p, ok
-}
-
-// InsertPlan stores a measured-tuning winner.
-func (db *DB) InsertPlan(key string, p TunedPlan) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.plans[key] = p
-}
-
-// PlanLen returns the number of stored tuned plans.
-func (db *DB) PlanLen() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.plans)
 }
 
 // KeyFor canonicalizes a candidate fusion-block node list: operator types,
@@ -244,7 +170,7 @@ func KeyFor(nodes []*graph.Node) string {
 }
 
 // FormatVersion is the one on-disk format this build writes and reads.
-const FormatVersion = 6
+const FormatVersion = 7
 
 // ErrVersion reports a database file of any other format version, older
 // or newer. Callers match it with errors.Is; the concrete *VersionError
@@ -272,15 +198,14 @@ type fileFormat struct {
 	Version   int                       `json:"version"`
 	Entries   map[string]float64        `json:"entries"`
 	Schedules map[string]KernelSchedule `json:"schedules,omitempty"`
-	Plans     map[string]TunedPlan      `json:"plans,omitempty"`
 }
 
 // Save writes the database as JSON, atomically and durably: the bytes land
 // in a temporary file in the destination directory, are synced, and
-// replace the target with os.Rename, so a concurrent reader (a serving
-// process sharing the file with dnnf-tune) sees either the old complete
-// database or the new one, never torn JSON, and a crash after the rename
-// cannot leave a zero-length file behind. The marshalled form is canonical
+// replace the target with os.Rename, so a concurrent reader (another
+// process sharing the file) sees either the old complete database or the
+// new one, never torn JSON, and a crash after the rename cannot leave a
+// zero-length file behind. The marshalled form is canonical
 // — map keys sort — so saving an unchanged database is byte-stable.
 func (db *DB) Save(path string) error {
 	db.mu.Lock()
@@ -288,16 +213,12 @@ func (db *DB) Save(path string) error {
 		Version:   FormatVersion,
 		Entries:   make(map[string]float64, len(db.entries)),
 		Schedules: make(map[string]KernelSchedule, len(db.schedules)),
-		Plans:     make(map[string]TunedPlan, len(db.plans)),
 	}
 	for k, v := range db.entries {
 		ff.Entries[k] = v
 	}
 	for k, v := range db.schedules {
 		ff.Schedules[k] = v
-	}
-	for k, v := range db.plans {
-		ff.Plans[k] = v
 	}
 	db.mu.Unlock()
 	data, err := json.MarshalIndent(ff, "", " ")
@@ -355,9 +276,6 @@ func Load(path string) (*DB, error) {
 	}
 	for k, v := range ff.Schedules {
 		db.schedules[k] = v
-	}
-	for k, v := range ff.Plans {
-		db.plans[k] = v
 	}
 	return db, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"dnnfusion/internal/ops"
@@ -13,6 +12,16 @@ import (
 
 // On-disk format coverage: a file of any version but FormatVersion fails
 // with the typed error, and saving a loaded file back is byte-stable.
+
+// v6File is a database in the last format before FormatVersion 7: the same
+// latency and schedule tables plus a "plans" section of measured-tuning
+// winners, which version 7 no longer has.
+const v6File = `{
+ "version": 6,
+ "entries": {"combo": 1.25},
+ "schedules": {"sched|dev|m=16,n=96,k=64": {"schedule": {"RowTile": 8, "ColPanel": 96}}},
+ "plans": {"plan|dev|fp=00f1e2d3c4b5a697|b=1|chain=true": {"partition": [0, 1, 1], "schedules": [{}, {}], "measured_ns": 12345, "measured_runs": 7}}
+}`
 
 func writeFixture(t *testing.T, name, body string) string {
 	t.Helper()
@@ -50,12 +59,6 @@ func TestRoundTripByteStable(t *testing.T) {
 		Producer: ops.Schedule{RowTile: 8, ColPanel: 8},
 	}
 	db.InsertSchedule(ChainScheduleKey("dev", 8, 8, 32, 8, 32, 8), pair)
-	db.InsertPlan(PlanKey("dev", "00f1e2d3c4b5a697", 1, "chain=true,seeds=0,ops=40,in=24,priced=false"), TunedPlan{
-		Partition:    []int{0, 1, 1, 2, 1},
-		Schedules:    []KernelSchedule{{}, pair, {}},
-		MeasuredNs:   12345,
-		MeasuredRuns: 7,
-	})
 	dir := t.TempDir()
 	p1 := filepath.Join(dir, "a.json")
 	if err := db.Save(p1); err != nil {
@@ -80,47 +83,20 @@ func TestRoundTripByteStable(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Errorf("round trip is not byte-stable:\n--- first\n%s\n--- second\n%s", b1, b2)
 	}
-}
-
-func TestPlanRoundTrip(t *testing.T) {
-	db := New()
-	key := PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8, "chain=true")
-	tp := TunedPlan{Partition: []int{0, 0, 1}, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
-		Schedules: []KernelSchedule{{Schedule: ops.Schedule{RowTile: 1, ColPanel: 8}}, {}}}
-	db.InsertPlan(key, tp)
-	path := filepath.Join(t.TempDir(), "p.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := back.LookupPlan(key)
-	if !ok {
-		t.Fatal("plan lost in round trip")
-	}
-	if !reflect.DeepEqual(got, tp) {
-		t.Errorf("plan mangled: %+v, stored %+v", got, tp)
-	}
-	if back.PlanHits != 1 || back.PlanMisses != 0 {
-		t.Errorf("plan counters = %d/%d, want 1/0", back.PlanHits, back.PlanMisses)
-	}
-	if _, ok := back.LookupPlan(PlanKey("d", "0", 1, "")); ok {
-		t.Error("missing plan key should miss")
-	}
-	if _, ok := back.LookupPlan(PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8, "chain=false")); ok {
-		t.Error("a plan tuned under one planner configuration was found under another")
+	if !bytes.Contains(b1, []byte(`"version": 7`)) || bytes.Contains(b1, []byte(`"plans"`)) {
+		t.Errorf("saved database is not format 7 without a plans section:\n%s", b1)
 	}
 
-	// A v5 file named plans by planner inputs (a chain mask); it is refused
-	// whole, not reinterpreted.
-	old := filepath.Join(t.TempDir(), "old.json")
-	if err := os.WriteFile(old, []byte(`{"version":5,"entries":{},"plans":{"k":{"chain_mask":3,"measured_ns":7,"measured_runs":1}}}`), 0o644); err != nil {
-		t.Fatal(err)
+	// A version-6 file holds a plans section this format cannot carry. It
+	// is refused whole, so no Save of a half-loaded database can erase it.
+	old := writeFixture(t, "v6.json", v6File)
+	_, err = Load(old)
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Version != 6 || ve.Path != old {
+		t.Fatalf("loading a v6 file: error %v, want a *VersionError for version 6 at %s", err, old)
 	}
-	if _, err := Load(old); !errors.Is(err, ErrVersion) {
-		t.Errorf("loading a v5 file: error %v does not match ErrVersion", err)
+	if got, err := os.ReadFile(old); err != nil || string(got) != v6File {
+		t.Errorf("refused v6 file changed on disk: %v", err)
 	}
 }
 

@@ -119,28 +119,31 @@ func TestScheduleCacheRoundTrip(t *testing.T) {
 }
 
 // TestLoadStaleVersionRebuilds pins the stale-file policy: the database is
-// a local cache, so a file of an older format version is refused with the
-// typed error rather than migrated, and a fresh database saved over it
-// loads again.
+// a local cache, so a file of an older format version — here a version-6
+// file with its measured-tuning plans — is refused with the typed error
+// rather than migrated or loaded minus the section this format dropped, and
+// a fresh database saved over it loads again.
 func TestLoadStaleVersionRebuilds(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := os.WriteFile(path, []byte(`{"version":1,"entries":{"k":2.5}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("loading a version-1 file: error %v does not match ErrVersion", err)
-	}
-	db := New()
-	db.InsertSchedule(ScheduleKey("dev", 1, 2, 3), KernelSchedule{Schedule: ops.Schedule{RowTile: 2, ColPanel: 8}})
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ScheduleLen() != 1 {
-		t.Errorf("rebuilt file lost the schedule")
+	for _, old := range []string{`{"version":1,"entries":{"k":2.5}}`, v6File} {
+		path := filepath.Join(t.TempDir(), "stale.json")
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); !errors.Is(err, ErrVersion) {
+			t.Fatalf("loading a stale file: error %v does not match ErrVersion", err)
+		}
+		db := New()
+		db.InsertSchedule(ScheduleKey("dev", 1, 2, 3), KernelSchedule{Schedule: ops.Schedule{RowTile: 2, ColPanel: 8}})
+		if err := db.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.ScheduleLen() != 1 || back.Len() != 0 {
+			t.Errorf("rebuilt file holds %d schedules and %d latencies, want 1 and 0", back.ScheduleLen(), back.Len())
+		}
 	}
 }
 

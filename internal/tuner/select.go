@@ -89,17 +89,6 @@ func rankSchedules(t Task) []ScheduleResult {
 // against this signature.
 func Select(t Task, _ GAOptions) ScheduleResult { return rankSchedules(t)[0] }
 
-// SelectTopK returns the k best distinct schedules for the task, best
-// first — the measured search's shortlist.
-func SelectTopK(t Task, k int) []ops.Schedule {
-	all := rankSchedules(t)
-	out := make([]ops.Schedule, min(max(k, 0), len(all)))
-	for i := range out {
-		out[i] = all[i].Schedule
-	}
-	return out
-}
-
 // ChainScheduleResult is one ranked schedule pair of a fused contraction
 // chain.
 type ChainScheduleResult struct {
@@ -152,10 +141,3 @@ func rankChainSchedules(prod, cons Task) []ChainScheduleResult {
 // SelectChain jointly selects the two tile schedules of a fused
 // contraction chain.
 func SelectChain(prod, cons Task) ChainScheduleResult { return rankChainSchedules(prod, cons)[0] }
-
-// SelectChainTopK returns the k best distinct schedule pairs for a fused
-// contraction chain, best first.
-func SelectChainTopK(prod, cons Task, k int) []ChainScheduleResult {
-	all := rankChainSchedules(prod, cons)
-	return all[:min(max(k, 0), len(all))]
-}

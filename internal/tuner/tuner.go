@@ -6,8 +6,7 @@
 // surface derived from the device profile, and the GA needs far fewer
 // trials to reach the same quality — the compilation-time effect the figure
 // reports. The schedules the executable kernels actually run with are a far
-// smaller space, ranked exhaustively (select.go) and optionally refined by
-// timed runs (measure.go).
+// smaller space, ranked exhaustively (select.go).
 package tuner
 
 import (

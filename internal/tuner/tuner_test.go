@@ -177,7 +177,7 @@ func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
 
 // TestSelectOptimalOverZoo pins the selector against brute force on every
 // distinct kernel task of the 15 paper models and the 5 micro models, and
-// the head-of-ranking identities between Select*/Select*TopK.
+// the head-of-ranking identities between Select* and the rankers.
 func TestSelectOptimalOverZoo(t *testing.T) {
 	single, chains := zooTasks(t)
 	// The zoo's distinct tasks are its MatMul/Gemm shapes and its convs'
@@ -191,18 +191,19 @@ func TestSelectOptimalOverZoo(t *testing.T) {
 			t.Errorf("task %dx%dx%d: Select = %v (fitness %v), brute force = %v (fitness %v)",
 				task.M, task.N, task.K, got, ScheduleFitness(task, got), want, ScheduleFitness(task, want))
 		}
-		if top := SelectTopK(task, 1); len(top) != 1 || top[0] != got {
-			t.Errorf("task %dx%dx%d: SelectTopK(1) = %v, Select = %v", task.M, task.N, task.K, top, got)
+		if top := rankSchedules(task)[0].Schedule; top != got {
+			t.Errorf("task %dx%dx%d: rankSchedules head = %v, Select = %v", task.M, task.N, task.K, top, got)
 		}
 	}
 	for _, pc := range chains {
 		got := SelectChain(pc[0], pc[1])
-		if top := SelectChainTopK(pc[0], pc[1], 1); len(top) != 1 || top[0] != got {
-			t.Errorf("chain %v: SelectChainTopK(1) = %+v, SelectChain = %+v", pc, top, got)
+		ranked := rankChainSchedules(pc[0], pc[1])
+		if ranked[0] != got {
+			t.Errorf("chain %v: rankChainSchedules head = %+v, SelectChain = %+v", pc, ranked[0], got)
 		}
 		// The row tile is shared, so the pair maximum is not the pair of
 		// per-task maxima; check against the pair grid directly.
-		for _, alt := range SelectChainTopK(pc[0], pc[1], 4*7*7) {
+		for _, alt := range ranked {
 			if alt.Score > got.Score {
 				t.Errorf("chain %v: %+v outranks the selected %+v", pc, alt, got)
 			}

@@ -40,29 +40,6 @@ func WithoutBlockOpt() Option { return func(o *core.Options) { o.OtherOpt = fals
 // chain is only ULP-accurate.
 func WithoutChainFusion() Option { return func(o *core.Options) { o.ChainFusion = false } }
 
-// WithMeasuredTuning enables measured-feedback autotuning: instead of
-// trusting the analytical cache model and the ECG heuristics, Compile
-// enumerates candidate fusion plans (node partitions, each listed once:
-// the greedy plan with chain fusion decided per detected chain, plus the
-// plan whose yellow decisions all break), pairs them with the tuner's
-// top-k schedule shortlists, and scores the (plan, schedule) pairs with
-// short timed runs of the real compiled kernels — at most budget
-// measurements, with the analytical model as the pruning prior. Winners
-// persist in the configured ProfileDB (format v6) as a partition plus one
-// schedule per block, keyed by graph fingerprint × device × batch size ×
-// planner configuration, so repeat compilations under the same
-// configuration — including batch-capacity variants, which tune per
-// formed batch size — replay them with zero measurement and no planning.
-// Pair it with WithProfileDB to persist across processes (cmd/dnnf-tune
-// pre-tunes offline; dnnf-serve -profile loads the result).
-//
-// Budgets of 8–32 cover the micro models; budget ≤ 0 disables measured
-// tuning (the default analytical path, so CI and cold-start compile
-// latency are unchanged).
-func WithMeasuredTuning(budget int) Option {
-	return func(o *core.Options) { o.MeasureBudget = budget }
-}
-
 // WithThreads sets the CPU executor's worker-lane count: each kernel's
 // output range is split into grain-sized chunks across n lanes drawn from
 // one worker pool shared by all of the model's runners. n = 0 (the

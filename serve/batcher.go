@@ -446,15 +446,7 @@ type Info struct {
 	MaxDelayCeilingUs int64   `json:"max_delay_ceiling_us,omitempty"`
 	CurrentMaxDelayUs int64   `json:"current_max_delay_us"`
 	QueueDepthEwma    float64 `json:"queue_depth_ewma"`
-	// Measured tuning: Tuned reports the model compiled through the
-	// measured-feedback autotuner (WithMeasuredTuning); TunedWarm that its
-	// plan warm-started from the profile database with zero measurement,
-	// and TunedBatchWarm the same for the batch-capacity variant (whose
-	// plan is tuned per formed batch size).
-	Tuned          bool  `json:"tuned,omitempty"`
-	TunedWarm      bool  `json:"tuned_warm,omitempty"`
-	TunedBatchWarm bool  `json:"tuned_batch_warm,omitempty"`
-	Stats          Stats `json:"stats"`
+	Stats             Stats   `json:"stats"`
 }
 
 // controlState is the point-in-time overload-control view of a loaded
@@ -491,13 +483,6 @@ func (h *Host) Info() (Info, error) {
 		info.BatchPlannedPeakBytes = h.batch.PlannedPeakBytes()
 	} else {
 		info.BatchDisabledReason = h.batchOff
-	}
-	if c := h.model.Compiled; c.Opts.MeasureBudget > 0 {
-		info.Tuned = true
-		info.TunedWarm = c.Stats.TunedPlanHits > 0
-		if h.batch != nil {
-			info.TunedBatchWarm = h.batch.Model().Compiled.Stats.TunedPlanHits > 0
-		}
 	}
 	h.controlState(&info)
 	return info, nil
