@@ -11,7 +11,10 @@ import (
 
 	"dnnfusion"
 
+	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
+	"dnnfusion/internal/ops"
+	"dnnfusion/internal/tensor"
 )
 
 // The fused CNN under test is models.MicroCNN, the micro zoo's CNN.
@@ -86,37 +89,55 @@ func TestRunnerZeroAllocSteadyStateThreaded(t *testing.T) {
 }
 
 // TestRunnerZeroAllocSteadyStateConv extends the gate to Conv on the
-// contraction micro-kernel: the im2col panel and the tile accumulators are
-// sized at bind time, per lane, so a warmed depthwise-separable stage (a
-// packed K = 9 panel, a 1×1 reading its staged input in place, BN + ReLU6
-// tails staging whole row tiles) allocates nothing at 1 and 4 lanes.
+// contraction driver: the depthwise band, the packed panels and the tile
+// accumulators are sized at bind time, per lane, so a warmed
+// depthwise-separable stage (a 3×3 stride-2 depthwise stencil, a 1×1
+// reading its staged input in place, BN + ReLU6 tails staging whole row
+// tiles) and a 5×5 depthwise conv of depth multiplier 2 over a fused input
+// allocate nothing at 1 and 4 lanes.
 func TestRunnerZeroAllocSteadyStateConv(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		model, err := dnnfusion.Compile(dwSeparableStage(), dnnfusion.WithThreads(threads))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range model.Profile() {
-			if p.Schedule == "default" {
-				t.Errorf("conv kernel %s reports the default schedule, want its selected rtN/cpM", p.Kernel)
-			}
-		}
-		runner := model.NewRunner()
-		inputs := map[string]*dnnfusion.Tensor{"x": dnnfusion.Rand(2, 16, 16, 16)}
-		ctx := context.Background()
-		for i := 0; i < 2; i++ { // bind, then the pool's lazy worker start
-			if _, err := runner.Run(ctx, inputs); err != nil {
+	graphs := map[string]func() *graph.Graph{"dw-separable": dwSeparableStage, "dw 5x5 M/g=2": dwMultiplier}
+	for name, mk := range graphs {
+		for _, threads := range []int{1, 4} {
+			model, err := dnnfusion.Compile(mk(), dnnfusion.WithThreads(threads))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if allocs := testing.AllocsPerRun(20, func() {
-			if _, err := runner.Run(ctx, inputs); err != nil {
-				t.Fatal(err)
+			for _, p := range model.Profile() {
+				if p.Schedule == "default" {
+					t.Errorf("%s: conv kernel %s reports the default schedule, want its selected rtN/cpM", name, p.Kernel)
+				}
 			}
-		}); allocs != 0 {
-			t.Errorf("warmed conv Runner.Run at %d threads allocates %.0f times per inference, want 0", threads, allocs)
+			runner := model.NewRunner()
+			inputs := map[string]*dnnfusion.Tensor{"x": dnnfusion.Rand(2, 16, 16, 16)}
+			ctx := context.Background()
+			for i := 0; i < 2; i++ { // bind, then the pool's lazy worker start
+				if _, err := runner.Run(ctx, inputs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := runner.Run(ctx, inputs); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s: warmed conv Runner.Run at %d threads allocates %.0f times per inference, want 0", name, threads, allocs)
+			}
 		}
 	}
+}
+
+// dwMultiplier is a 5×5, pad-2 depthwise conv of depth multiplier 2 with a
+// bias over a fused input (a ReLU6 of "x", [2, 16, 16, 16]): the generic
+// stencil loop over a staged band source. Output "y".
+func dwMultiplier() *graph.Graph {
+	g := graph.New("dw-multiplier")
+	x := g.AddInput("x", tensor.Of(2, 16, 16, 16))
+	v := g.Apply1(ops.NewClip(0, 6), x)
+	v = g.Apply1(ops.NewConv(ops.ConvAttrs{Pads: []int{2}, Groups: 16}), v,
+		g.AddWeight("w", tensor.New(32, 1, 5, 5).Rand(2101)), g.AddWeight("b", tensor.New(32).Rand(2102)))
+	g.MarkOutputAs("y", g.Apply1(ops.NewRelu(), v))
+	return g
 }
 
 // TestRunnerZeroAllocSteadyStateProgram extends the gate to the loops of a

@@ -100,8 +100,9 @@ func encoderBlock() *graph.Graph {
 // benchmark's `cnn` workload (benchmark/workloads.go buildCNN) as the
 // importer leaves it: depthwise 3×3 stride 2 → BatchNorm (a per-channel Mul
 // and Add) → ReLU6 → 1×1 conv → BatchNorm → ReLU6, over a batch of 2. The
-// depthwise conv packs a K = 9 panel per channel; the 1×1 reads its input —
-// the fused, staged ReLU6 — in place. Input "x", output "y".
+// depthwise conv runs its 3×3 stencil over a float64 band per channel; the
+// 1×1 reads its input — the fused, staged ReLU6 — in place. Input "x",
+// output "y".
 func dwSeparableStage() *graph.Graph {
 	g := graph.New("dw-separable")
 	nw := 0

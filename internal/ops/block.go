@@ -33,8 +33,9 @@ import (
 // Bit-identical includes non-finite values, so where a path may substitute
 // an arithmetic identity for a skipped step the oracle states the rule:
 // Conv padding is a zero operand, never a skipped tap — a padded tap
-// contributes 0·w (NaN for a non-finite w) in convSource.Load and in the
-// zero-filled im2col panels of the blocked contraction alike.
+// contributes 0·w (NaN for a non-finite w) in convSource.Load, in the
+// zero-filled im2col panels of the blocked contraction and in the zeros the
+// depthwise band stores alike.
 //
 // Like Load, LoadBlock may use internal scratch, so a BlockSource belongs
 // to one goroutine at a time; parallel executors compose one Source tree

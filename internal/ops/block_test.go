@@ -29,11 +29,17 @@ func loadAll(src Source) []float32 {
 // parallel grain splitting produces).
 func assertBlockParity(t *testing.T, name string, src Source) {
 	t.Helper()
+	assertBlockParityWant(t, name, src, loadAll(src))
+}
+
+// assertBlockParityWant is assertBlockParity against the oracle's output
+// want, computed once for several copies of one tree.
+func assertBlockParityWant(t *testing.T, name string, src Source, want []float32) {
+	t.Helper()
 	blk, ok := AsBlock(src)
 	if !ok {
 		t.Fatalf("%s: source %T does not implement BlockSource", name, src)
 	}
-	want := loadAll(src)
 	n := len(want)
 	check := func(label string, got []float32) {
 		t.Helper()
@@ -439,17 +445,45 @@ func TestBlockParityConvPool(t *testing.T) {
 // path: a tap over the padding contributes 0·w, it is not skipped (ONNX
 // pads with zeros), so an Inf weight turns exactly the outputs whose window
 // puts it over a border pixel into NaN — in the oracle, the packed panel's
-// tiles and its single rows alike.
+// tiles and its single rows, and the depthwise stencil's stored zeros alike.
 func TestConvPaddingMultipliesByZero(t *testing.T) {
-	w := tensor.New(4, 1, 3, 3).Rand(57)
-	w.Set(float32(math.Inf(1)), 2, 0, 0, 1) // channel 2, top-centre tap
-	src := virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}}), randSource(58, 1, 1, 5, 5), AsSource(w))
-	assertBlockParity(t, "Conv Inf weight over padding", src)
-	idx := make([]int, 4)
-	for off, v := range loadAll(src) {
-		src.Shape().Unravel(off, idx)
-		if want := idx[1] == 2 && idx[2] == 0; math.IsNaN(float64(v)) != want {
-			t.Errorf("output %v = %v: NaN exactly on channel 2's top row, where the Inf tap reads padding", idx, v)
+	// Channel 2's top-centre tap on input channel 0 is Inf.
+	infTap := func(seed uint64, dims ...int) Source {
+		w := tensor.New(dims...).Rand(seed)
+		w.Set(float32(math.Inf(1)), 2, 0, 0, 1)
+		return AsSource(w)
+	}
+	for _, tc := range []struct {
+		name string
+		src  Source
+		path func(*contraction) bool
+	}{
+		// C/g = 2: the im2col panel.
+		{"Conv", virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}}), randSource(58, 1, 2, 5, 5), infTap(57, 4, 2, 3, 3)),
+			func(c *contraction) bool { return c.im2col != nil && c.dw == nil }},
+		// Groups = C: channel 2 reads only input channel 2, through the band.
+		{"depthwise Conv", virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 4}), randSource(59, 1, 4, 5, 5), infTap(57, 4, 1, 3, 3)),
+			func(c *contraction) bool { return c.dw != nil && c.im2col == nil }},
+	} {
+		found := false
+		walk(tc.src, func(n Source) {
+			if c, ok := n.(*contraction); ok {
+				found = true
+				if !tc.path(c) {
+					t.Errorf("%s: im2col %v, depthwise %v: not the path this case covers", tc.name, c.im2col != nil, c.dw != nil)
+				}
+			}
+		})
+		if !found {
+			t.Fatalf("%s: no contraction in the tree", tc.name)
+		}
+		assertBlockParity(t, tc.name+" Inf weight over padding", tc.src)
+		idx := make([]int, 4)
+		for off, v := range loadAll(tc.src) {
+			tc.src.Shape().Unravel(off, idx)
+			if want := idx[1] == 2 && idx[2] == 0; math.IsNaN(float64(v)) != want {
+				t.Errorf("%s output %v = %v: NaN exactly on channel 2's top row, where the Inf tap reads padding", tc.name, idx, v)
+			}
 		}
 	}
 }

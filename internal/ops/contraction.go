@@ -23,8 +23,11 @@ import (
 //     exists outside the window.
 //   - B: memory with dense rows read in place (a weight matrix, a 1×1
 //     Conv's input), else a k × jb panel packed once per column panel —
-//     Conv's implicit im2col, or a strided gather of a column-strided B. A
-//     lazy B is staged whole first, because every row tile re-reads it.
+//     Conv's implicit im2col, or a strided gather of a column-strided B —
+//     else, for a 2-D depthwise Conv, no panel at all: a float64 band of
+//     the input rows a column panel reads, widened once, that the depthwise
+//     stencil (conv.go) runs over in place of the tile loop. A lazy B is
+//     staged whole first, because every row tile re-reads it.
 //
 // Every accumulator sums in ascending-k float64 order and is rounded once,
 // after the epilogue, so LoadBlock is bit-for-bit equal to the oracle's
@@ -47,9 +50,13 @@ type contraction struct {
 	epi         bool
 
 	// im2col packs Conv's B panels; nil when B is an operand's own memory.
-	// packed is true whenever B reaches the tile loop through panel.
+	// packed is true whenever B reaches the tile loop through panel. dw
+	// replaces both for a 2-D depthwise Conv: band holds the input rows of
+	// one column panel, widened and zero-padded.
 	im2col *im2col
 	packed bool
+	dw     *depthwise
+	band   []float64
 
 	// online replaces the tile loop with the streaming-softmax recurrence
 	// (groupOnline); kp is its key-panel width, outBuf one output row for
@@ -159,20 +166,32 @@ func newContraction(c *contraction) *contraction {
 
 // maxPanelElems bounds the packed panel, which unlike a B read in place is
 // Source-owned scratch (per session, per lane): past 256 KiB it has left L2
-// and a long-K conv (C3D: K = 13824) would pin megabytes per kernel.
-const maxPanelElems = 1 << 16
+// and a long-K conv (C3D: K = 13824) would pin megabytes per kernel. The
+// depthwise band is held to the same 256 KiB.
+const (
+	maxPanelElems = 1 << 16
+	maxBandElems  = maxPanelElems / 2
+)
 
 // setSchedule installs a tile schedule, normalizing it against the GEMM
 // shape and sizing every scratch buffer: a packed panel narrows to
-// maxPanelElems (never under Normalize's 8 columns), the A window holds one
-// row group. prod is the schedule of the contraction beneath a fused chain;
-// its column panel is the online recurrence's key-panel width.
+// maxPanelElems and a depthwise band to maxBandElems (never under
+// Normalize's 8 columns), the A window and the accumulators hold one row
+// group (the accumulators one row under the depthwise stencil). prod is the
+// schedule of the contraction beneath a fused chain; its column panel is
+// the online recurrence's key-panel width.
 func (s *contraction) setSchedule(sched, prod Schedule) {
 	sched = sched.Normalize(s.m, s.n)
 	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
 	if s.packed {
 		s.jb = min(s.jb, max(8, maxPanelElems/s.k))
 		s.panel = grow(s.panel, s.k*s.jb)
+	}
+	accRows := s.rowTile
+	if s.dw != nil {
+		s.jb = min(s.jb, max(8, s.dw.maxCols(maxBandElems)))
+		s.band = grow(s.band, s.dw.bandElems(s.jb))
+		accRows = 1 // the stencil sums one output row at a time
 	}
 	accCols := s.jb
 	if s.online {
@@ -181,7 +200,7 @@ func (s *contraction) setSchedule(sched, prod Schedule) {
 		s.outBuf = grow(s.outBuf, s.n)
 		s.mRun, s.lRun = grow(s.mRun, s.rowTile), grow(s.lRun, s.rowTile)
 	}
-	s.acc = grow(s.acc, s.rowTile*accCols)
+	s.acc = grow(s.acc, accRows*accCols)
 	if w := s.a.pull; w != nil {
 		w.buf = grow(w.buf, s.rowTile*s.k)
 		w.Invalidate()
@@ -243,8 +262,22 @@ func (s *contraction) LoadBlock(dst []float32, off, n int) {
 // tiles fills dst (row stride cols) with columns [jLo, jLo+cols) of the rows
 // output rows whose A rows start at a[a0]: column panel by column panel, and
 // within one in rowTile-high tiles with the leftover rows on the next
-// smaller tiles (heights are powers of two) over the same panel.
+// smaller tiles (heights are powers of two) over the same panel — or, for a
+// depthwise Conv, output channel by output channel, each a stencil over the
+// panel's band.
 func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int, cData []float32, cBase, rows, jLo, cols int) {
+	if dw := s.dw; dw != nil {
+		for j0 := jLo; j0 < jLo+cols; {
+			w := dw.panel(j0, min(s.jb, jLo+cols-j0))
+			dw.fill(s.band, bData, bBase, j0, w)
+			for r := 0; r < rows; r++ {
+				dw.stencil(s.acc[:w], a[a0+r*s.a.rs:][:s.k], s.band, j0)
+				s.finish(dst[r*cols+j0-jLo:], s.acc[:w], cData, cBase+r*s.c.rs+j0*s.c.cs)
+			}
+			j0 += w
+		}
+		return
+	}
 	for j0 := jLo; j0 < jLo+cols; j0 += s.jb {
 		w := min(s.jb, jLo+cols-j0)
 		b, b0, bRS, bLo := bData, bBase, s.b.rs, j0

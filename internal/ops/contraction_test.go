@@ -220,3 +220,161 @@ func TestContractionPullsRowGroupOnce(t *testing.T) {
 		t.Errorf("a second execution brought the pulls to %d, want %d: the window must not outlive Invalidate", prod.calls, 2*groups)
 	}
 }
+
+// depthwiseOf returns the contraction beneath src, failing unless it runs
+// the depthwise stencil: a band, no packed panel, no im2col.
+func depthwiseOf(t *testing.T, name string, src Source) *contraction {
+	t.Helper()
+	var c *contraction
+	walk(src, func(n Source) {
+		if v, ok := n.(*contraction); ok {
+			c = v
+		}
+	})
+	switch {
+	case c == nil:
+		t.Fatalf("%s: no contraction in the tree", name)
+	case c.dw == nil || len(c.band) == 0:
+		t.Fatalf("%s: a C/g = 1 2-D conv does not run the depthwise stencil", name)
+	case c.im2col != nil || c.packed || len(c.panel) != 0:
+		t.Fatalf("%s: the depthwise contraction packs (im2col %v, packed %v, panel of %d floats)", name, c.im2col != nil, c.packed, len(c.panel))
+	}
+	return c
+}
+
+// TestDepthwiseStencilParity holds the depthwise stencil bit-exact to the
+// oracle over its geometry: 3×3 (the register stencil), 5×5, 1×3 and 3×1
+// kernels (the generic tap loop) × strides 1, 2 and (2, 1) × pads 0, 1, 2 ×
+// dilations 1, 2 × depth multipliers 1, 2, on outputs from 1×1 to 7×9, with
+// and without bias, over flat and staged (lazy) input, under column panels
+// of 8, 13 and the whole output — panels that end and start mid-row, and
+// requests cut at every chunking of assertBlockParity.
+func TestDepthwiseStencilParity(t *testing.T) {
+	const groups = 3
+	outs := [][2]int{{1, 1}, {7, 9}, {2, 3}, {4, 4}, {1, 9}, {5, 2}, {3, 7}, {6, 8}}
+	midRow := false
+	geom := 0
+	for _, kern := range [][2]int{{3, 3}, {5, 5}, {1, 3}, {3, 1}} {
+		for _, stride := range [][2]int{{1, 1}, {2, 2}, {2, 1}} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, dil := range []int{1, 2} {
+					for _, mult := range []int{1, 2} {
+						attrs := ConvAttrs{Strides: stride[:], Pads: []int{pad, pad}, Dilations: []int{dil, dil}, Groups: groups}
+						// The input that yields the next output size, grown
+						// until it has at least one row and column.
+						o := outs[geom%len(outs)]
+						geom++
+						in := [2]int{}
+						for d := range in {
+							for oh := o[d]; in[d] < 1; oh++ {
+								in[d] = (oh-1)*stride[d] + (kern[d]-1)*dil + 1 - 2*pad
+							}
+						}
+						seed := uint64(300 + 4*geom)
+						x := randSource(seed, 2, groups, in[0], in[1])
+						w := randSource(seed+1, groups*mult, 1, kern[0], kern[1])
+						bias := randSource(seed+2, groups*mult)
+						for _, withBias := range []bool{false, true} {
+							for _, lazy := range []bool{false, true} {
+								name := fmt.Sprintf("k%v s%v p%d d%d M/g=%d in %v bias=%v lazy=%v", kern, stride, pad, dil, mult, in, withBias, lazy)
+								mk := func() Source {
+									ins := []Source{x, w}
+									if lazy {
+										ins[0] = virtualize(t, NewRelu(), x)
+									}
+									if withBias {
+										ins = append(ins, bias)
+									}
+									return virtualize(t, NewConv(attrs), ins...)
+								}
+								ref := mk()
+								ow, n := ref.Shape()[3], ref.Shape()[2:].NumElements()
+								want := loadAll(ref)
+								for _, cp := range []int{8, 13, n} {
+									src := mk()
+									ApplySchedule(src, Schedule{RowTile: mult, ColPanel: cp})
+									c := depthwiseOf(t, name, src)
+									midRow = midRow || (c.jb < n && c.jb%ow != 0)
+									assertBlockParityWant(t, fmt.Sprintf("%s cp%d", name, cp), src, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !midRow {
+		t.Error("no column panel of the grid ends mid-row")
+	}
+	// Sums the order or the starting value would change: every product −0
+	// (the oracle sums from +0, so does the stencil), and a 2⁶⁰ that a 1
+	// added before its cancellation is lost to (ky-outer, kx-inner).
+	fill := func(v float32, dims ...int) Source {
+		t := tensor.New(dims...)
+		for i := range t.Data() {
+			t.Data()[i] = v
+		}
+		return AsSource(t)
+	}
+	order := tensor.New(2, 1, 3, 3)
+	for c := 0; c < 2; c++ {
+		order.Set(1<<60, c, 0, 0, 0)
+		order.Set(1, c, 0, 0, 1)
+		order.Set(-1<<60, c, 0, 1, 0)
+	}
+	for _, dil := range []int{1, 2} {
+		for name, src := range map[string]Source{
+			"negative zeros": virtualize(t, NewConv(ConvAttrs{Dilations: []int{dil}, Groups: 2}), fill(float32(math.Copysign(0, -1)), 1, 2, 5, 6), fill(0.5, 2, 1, 3, 3)),
+			"order":          virtualize(t, NewConv(ConvAttrs{Dilations: []int{dil}, Groups: 2}), fill(1, 1, 2, 5, 6), AsSource(order)),
+		} {
+			depthwiseOf(t, name, src)
+			assertBlockParity(t, fmt.Sprintf("%s d%d", name, dil), src)
+		}
+	}
+}
+
+// TestDepthwiseBandScratch: the depthwise band is the contraction's only
+// input scratch — no panel, one row of accumulators — counted by
+// ScratchBytes at 8 bytes an element
+// and held to maxBandElems by narrowing the column panel (never under 8
+// columns), while 1-D, 3-D and C/g > 1 convs keep the packed im2col path.
+func TestDepthwiseBandScratch(t *testing.T) {
+	src := virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 4}), randSource(391, 1, 4, 12, 10), randSource(392, 4, 1, 3, 3))
+	ApplySchedule(src, Schedule{RowTile: 1, ColPanel: 64})
+	c := depthwiseOf(t, "depthwise", src)
+	// A 64-output panel from a row start spans 7 of the 10-wide output rows:
+	// 9 band rows of 12 columns.
+	if got := c.dw.bandElems(c.jb); got != 9*12 || len(c.band) < got {
+		t.Errorf("band of %d floats (%d bound) at panel %d, want 108", got, len(c.band), c.jb)
+	}
+	if got, want := ScratchBytes(src), 8*int64(len(c.acc)+len(c.band)); got != want {
+		t.Errorf("ScratchBytes = %d, want %d: the float64 accumulators and band", got, want)
+	}
+	// Depth multiplier 2 normalizes the row tile to 2, but the stencil sums
+	// one output row at a time: one row of accumulators.
+	mult := virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 4}), randSource(401, 1, 4, 12, 10), randSource(402, 8, 1, 3, 3))
+	ApplySchedule(mult, Schedule{RowTile: 4, ColPanel: 1 << 10})
+	if c := depthwiseOf(t, "M/g = 2", mult); c.rowTile != 2 || len(c.acc) != c.jb {
+		t.Errorf("M/g = 2: %d accumulators at row tile %d, panel %d; want one row", len(c.acc), c.rowTile, c.jb)
+	}
+	// Rows whose band alone passes the cap: the panel narrows to part of a
+	// row, and the band to the columns that part reads.
+	wide := virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 2}), randSource(393, 1, 2, 4, 40000), randSource(394, 2, 1, 3, 3))
+	ApplySchedule(wide, Schedule{RowTile: 1, ColPanel: 1 << 20})
+	if c := depthwiseOf(t, "wide rows", wide); len(c.band) > maxBandElems || c.jb >= 40000 || c.jb < 8 {
+		t.Errorf("wide rows: band of %d floats at panel %d, want at most %d floats at part of a row", len(c.band), c.jb, maxBandElems)
+	}
+	assertBlockParity(t, "wide rows", wide)
+	for name, src := range map[string]Source{
+		"1-D":     virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 4}), randSource(395, 1, 4, 9), randSource(396, 4, 1, 3)),
+		"3-D":     virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 4}), randSource(397, 1, 4, 3, 4, 5), randSource(398, 4, 1, 3, 3, 3)),
+		"C/g = 2": virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 2}), randSource(399, 1, 4, 6, 6), randSource(400, 2, 2, 3, 3)),
+	} {
+		walk(src, func(n Source) {
+			if c, ok := n.(*contraction); ok && (c.dw != nil || c.im2col == nil) {
+				t.Errorf("%s conv: depthwise %v, im2col %v, want the packed im2col path", name, c.dw != nil, c.im2col != nil)
+			}
+		})
+	}
+}

@@ -159,10 +159,12 @@ func (c *conv) Virtualize(ins []Source, outNo int) (Source, error) {
 // W[M/g × K] · B[K × P] with K = C/g·Πkernel and P = ΠS_out, whose row-major
 // order is the flat output order. A is the weight, its rows dense; B is a
 // K × ColPanel panel packed from the input (implicit im2col: the matrix
-// never exists outside that panel) or — for a 1×1 / stride-1 / pad-0 conv —
-// the input itself, row stride P; the bias is an addend constant along each
-// row. ok is false when the input or bias is lazy and too large to stage
-// (a lazy weight arrives in row windows like any A).
+// never exists outside that panel), the input itself, row stride P, for a
+// 1×1 / stride-1 / pad-0 conv, or — for a 2-D depthwise conv (C/g = 1) — a
+// float64 band of input rows the depthwise stencil reads; the bias is an
+// addend constant along each row. ok is false when the input or bias is
+// lazy and too large to stage (a lazy weight arrives in row windows like
+// any A).
 func blockedConv(s *convSource) (Source, bool) {
 	d := s.spatial
 	k, p := s.cPerGroup*s.kernel, tensor.Shape(s.shape[2:]).NumElements()
@@ -183,6 +185,10 @@ func blockedConv(s *convSource) (Source, bool) {
 		}
 		c.epi, c.alpha, c.beta = true, 1, 1
 		c.c.rs, c.c.batch = 1, []int{0, s.mPerGroup}
+	}
+	if d == 2 && s.cPerGroup == 1 {
+		c.dw = newDepthwise(s)
+		return newContraction(c), true
 	}
 	for i := 0; i < d; i++ {
 		if s.wShape[2+i] != 1 || s.a.Strides[i] != 1 || s.a.Pads[i] != 0 {
@@ -344,6 +350,178 @@ func (s *im2col) pack(panel, xData []float32, xBase, j0, w int) {
 		for i := last; i > 0 && o[i] == outSp[i]; i-- {
 			o[i] = 0
 			o[i-1]++
+		}
+	}
+}
+
+// depthwise is the direct path of a 2-D Conv with one input channel per
+// group (C/g = 1, any depth multiplier M/g), in place of an im2col panel
+// and a one-row tile. Per column panel, fill widens the input rows the
+// panel's outputs read into a float64 band once — padding stored as zero
+// columns on both sides and zero rows outside the image, so no loop has a
+// border case — and stencil runs each output channel's kh×kw taps over it.
+// Taps sum ky-outer, kx-inner from +0, each product rounded on its own: the
+// oracle's order and arithmetic, so the path is bit-exact, and a padded tap
+// is a stored 0 times the weight (NaN for a non-finite one).
+//
+// A panel is whole output rows from a row start — the band holds every
+// column those rows read — or part of one row, whose band holds only the
+// columns that part reads: a panel that starts mid-row ends with its row.
+type depthwise struct {
+	h, w   int // input rows and columns
+	ow     int // output columns
+	kh, kw int
+	sy, sx int // strides
+	dy, dx int // dilations
+	py, px int // pads
+	// width is the band row length of whole output rows: every column they
+	// read, from input column −px.
+	width int
+	// The band fill last left: its first output row, the whole-row band
+	// column its first column is (it reads input column c0 − px), and its
+	// row length.
+	oy0, c0, bw int
+}
+
+func newDepthwise(s *convSource) *depthwise {
+	a := s.a
+	d := &depthwise{
+		h: s.xShape[2], w: s.xShape[3], ow: s.shape[3],
+		kh: s.wShape[2], kw: s.wShape[3],
+		sy: a.Strides[0], sx: a.Strides[1],
+		dy: a.Dilations[0], dx: a.Dilations[1],
+		py: a.Pads[0], px: a.Pads[1],
+	}
+	d.width = d.extent(d.ow)
+	return d
+}
+
+// bandRows is the number of input rows that n consecutive output rows read.
+func (d *depthwise) bandRows(n int) int { return (n-1)*d.sy + (d.kh-1)*d.dy + 1 }
+
+// extent is the number of band columns that n consecutive outputs of one
+// row read.
+func (d *depthwise) extent(n int) int { return (n-1)*d.sx + (d.kw-1)*d.dx + 1 }
+
+// panel is how many of the n outputs from j0 one band serves: all of them
+// from a row start, else the rest of the row at most.
+func (d *depthwise) panel(j0, n int) int {
+	if ox := j0 % d.ow; ox != 0 {
+		return min(n, d.ow-ox)
+	}
+	return n
+}
+
+// bandElems is the largest band a column panel of jb outputs fills.
+func (d *depthwise) bandElems(jb int) int {
+	if jb < d.ow {
+		return d.bandRows(1) * d.extent(jb)
+	}
+	return d.bandRows((jb+d.ow-1)/d.ow) * d.width
+}
+
+// maxCols is the widest column panel whose band holds at most elems floats:
+// whole output rows while one row's band fits, else part of a row (at
+// least one output).
+func (d *depthwise) maxCols(elems int) int {
+	if fit := elems / d.width; fit >= d.bandRows(1) {
+		return ((fit-d.bandRows(1))/d.sy + 1) * d.ow
+	}
+	return max(1, (elems/d.bandRows(1)-d.extent(1))/d.sx+1)
+}
+
+// fill widens into band the input that outputs [j0, j0+n) — one panel —
+// read, from the channel plane at x[xBase].
+func (d *depthwise) fill(band []float64, x []float32, xBase, j0, n int) {
+	oy0, ox := j0/d.ow, j0%d.ow
+	rows := (ox+n-1)/d.ow + 1
+	d.oy0, d.c0, d.bw = oy0, 0, d.width
+	if rows == 1 {
+		d.c0, d.bw = ox*d.sx, d.extent(n)
+	}
+	// Band columns [lo, hi) read input columns from c0+lo−px on.
+	lo := min(max(d.px-d.c0, 0), d.bw)
+	hi := min(max(d.px+d.w-d.c0, lo), d.bw)
+	iy := oy0*d.sy - d.py
+	for r := 0; r < d.bandRows(rows); r, iy = r+1, iy+1 {
+		row := band[r*d.bw:][:d.bw]
+		if iy < 0 || iy >= d.h {
+			clear(row)
+			continue
+		}
+		clear(row[:lo])
+		if in := row[lo:hi]; len(in) > 0 {
+			for t, v := range x[xBase+iy*d.w+d.c0+lo-d.px:][:len(in)] {
+				in[t] = float64(v)
+			}
+		}
+		clear(row[hi:])
+	}
+}
+
+// stencil writes into acc the sums of outputs [j0, j0+len(acc)) — inside
+// the panel fill last widened — of one output channel, whose kh×kw taps
+// (ky-outer) are tap.
+func (d *depthwise) stencil(acc []float64, tap []float32, band []float64, j0 int) {
+	oy, ox := j0/d.ow, j0%d.ow
+	for len(acc) > 0 {
+		seg := min(d.ow-ox, len(acc))
+		rows := band[(oy-d.oy0)*d.sy*d.bw+ox*d.sx-d.c0:]
+		if d.kh == 3 && d.kw == 3 && d.dy == 1 && d.dx == 1 {
+			stencil3x3(acc[:seg], tap[:9], rows, d.bw, d.sx)
+		} else {
+			d.stencilTaps(acc[:seg], tap, rows)
+		}
+		acc = acc[seg:]
+		oy, ox = oy+1, 0
+	}
+}
+
+// stencil3x3 is the 3×3, dilation-1 stencil over one output row segment
+// whose first window's top-left tap is band[0] (band row length width):
+// nine weights in registers, one accumulator per output.
+func stencil3x3(out []float64, tap []float32, band []float64, width, sx int) {
+	w0, w1, w2 := float64(tap[0]), float64(tap[1]), float64(tap[2])
+	w3, w4, w5 := float64(tap[3]), float64(tap[4]), float64(tap[5])
+	w6, w7, w8 := float64(tap[6]), float64(tap[7]), float64(tap[8])
+	r0, r1, r2 := band, band[width:], band[2*width:]
+	for t := range out {
+		c := t * sx
+		v := 0.0
+		v += float64(w0 * r0[c])
+		v += float64(w1 * r0[c+1])
+		v += float64(w2 * r0[c+2])
+		v += float64(w3 * r1[c])
+		v += float64(w4 * r1[c+1])
+		v += float64(w5 * r1[c+2])
+		v += float64(w6 * r2[c])
+		v += float64(w7 * r2[c+1])
+		v += float64(w8 * r2[c+2])
+		out[t] = v
+	}
+}
+
+// stencilTaps is the generic kh×kw stencil over one output row segment
+// whose first window's top-left tap is band[0], tap by tap across the
+// segment (a contiguous run at stride 1): every accumulator still sums its
+// taps ky-outer, kx-inner.
+func (d *depthwise) stencilTaps(out []float64, tap []float32, band []float64) {
+	clear(out)
+	sx, n := d.sx, len(out)
+	for ky := 0; ky < d.kh; ky++ {
+		row := band[ky*d.dy*d.bw:]
+		for kx := 0; kx < d.kw; kx++ {
+			wv, src := float64(tap[ky*d.kw+kx]), row[kx*d.dx:][:(n-1)*sx+1]
+			if sx == 1 {
+				out := out[:len(src)]
+				for t, x := range src {
+					out[t] += float64(wv * x)
+				}
+				continue
+			}
+			for t := range out {
+				out[t] += float64(wv * src[t*sx])
+			}
 		}
 	}
 }

@@ -220,8 +220,9 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 	}
 	switch rt {
 	case 1:
-		// Single rows are real traffic (a classifier over one sample, a
-		// depthwise conv's M/g = 1): one accumulator row, no row loop.
+		// Single rows are real traffic (an M = 1 MatMul: a classifier over
+		// one sample): one accumulator row, no row loop. Depthwise convs do
+		// not come here; they run the depthwise stencil (conv.go).
 		for k := 0; k < kk; k++ {
 			av := float64(aData[a0+k*ak])
 			base := bBase + k*bRS + jLo
