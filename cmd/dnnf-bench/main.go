@@ -11,16 +11,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"strings"
 
 	"dnnfusion/internal/bench"
-	"dnnfusion/internal/profile"
 )
 
 type list []string
@@ -46,31 +43,12 @@ var experiments = map[string]func(*bench.Context, io.Writer){
 	"ablations": (*bench.Context).PrintAblations,
 }
 
-// openDB loads the -db database to accumulate into. A file that does not
-// exist yet, or one of another format version (a stale cache), starts a
-// fresh database that the save on exit writes over it; an unreadable or
-// corrupt file is an error, so the save never clobbers it.
-func openDB(path string, stderr io.Writer) (*profile.DB, error) {
-	db, err := profile.Load(path)
-	switch {
-	case err == nil:
-		fmt.Fprintf(stderr, "loaded profiling database: %d entries\n", db.Len())
-		return db, nil
-	case errors.Is(err, profile.ErrVersion):
-		fmt.Fprintf(stderr, "dnnf-bench: %v: starting fresh\n", err)
-	case !errors.Is(err, fs.ErrNotExist):
-		return nil, err
-	}
-	return profile.New(), nil
-}
-
 // run is main without the process: it returns the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("dnnf-bench", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	var ids list
 	fl.Var(&ids, "e", "experiment id (table1..table6, fig6..fig10, ablations, all); repeatable")
-	dbPath := fl.String("db", "", "profiling database path: loaded if present, saved on exit (accumulates across runs, §4.3)")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -86,24 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	c := bench.NewContext()
-	if *dbPath != "" {
-		db, err := openDB(*dbPath, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "dnnf-bench: %v\n", err)
-			return 1
-		}
-		c.ProfileDB = db
-	}
 	for _, e := range ids {
 		experiments[e](c, stdout)
 		fmt.Fprintln(stdout)
-	}
-	if *dbPath != "" {
-		if err := c.ProfileDB.Save(*dbPath); err != nil {
-			fmt.Fprintf(stderr, "saving profiling database: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "saved profiling database: %d entries\n", c.ProfileDB.Len())
 	}
 	return 0
 }

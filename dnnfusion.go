@@ -97,13 +97,10 @@ func Rand(dims ...int) *Tensor {
 // FromSlice wraps data in a tensor of the given shape.
 func FromSlice(data []float32, dims ...int) *Tensor { return tensor.FromSlice(data, dims...) }
 
-// NewProfileDB creates an empty profiling database; compile with
-// WithProfileDB (and WithDevice) to enable profile-driven yellow decisions
-// that persist across compilations.
+// NewProfileDB creates an empty in-memory profiling database; compile with
+// WithProfileDB (and WithDevice) to share yellow-decision latencies, per
+// device, across the compilations that use it.
 func NewProfileDB() *ProfileDB { return profile.New() }
-
-// LoadProfileDB reads a database saved with (*ProfileDB).Save.
-func LoadProfileDB(path string) (*ProfileDB, error) { return profile.Load(path) }
 
 // Devices.
 func SnapdragonCPU() *Device { return device.Snapdragon865CPU() }

@@ -6,7 +6,6 @@ package dnnfusion_test
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"dnnfusion"
@@ -90,24 +89,30 @@ func TestPublicModelZoo(t *testing.T) {
 	}
 }
 
-func TestPublicProfileDBRoundTrip(t *testing.T) {
+// TestPublicProfileDBShared: two compiles share one database; the second
+// finds every latency the first stored and adds none.
+func TestPublicProfileDBShared(t *testing.T) {
 	db := dnnfusion.NewProfileDB()
-	g := buildPublicMLP(t)
-	if _, err := dnnfusion.Compile(g,
-		dnnfusion.WithDevice(dnnfusion.SnapdragonCPU()),
-		dnnfusion.WithProfileDB(db)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := dnnfusion.LoadProfileDB(path)
+	g, err := dnnfusion.BuildModel("TinyBERT") // has yellow decisions
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != db.Len() {
-		t.Errorf("round trip lost entries: %d vs %d", back.Len(), db.Len())
+	compile := func() {
+		t.Helper()
+		if _, err := dnnfusion.Compile(g,
+			dnnfusion.WithDevice(dnnfusion.SnapdragonCPU()),
+			dnnfusion.WithProfileDB(db)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile()
+	n := db.Len()
+	if n == 0 {
+		t.Fatal("first compile stored no latency")
+	}
+	compile()
+	if db.Len() != n {
+		t.Errorf("second compile grew the database: %d entries, want %d", db.Len(), n)
 	}
 }
 

@@ -332,7 +332,7 @@ func yellowBreakPlan(t *testing.T, g *graph.Graph) compiledPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.AssignSchedules(kernels, device.Snapdragon865CPU(), nil)
+	core.AssignSchedules(kernels, device.Snapdragon865CPU())
 	return compiledPlan{"yellow-break", e, plan, kernels}
 }
 

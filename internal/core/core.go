@@ -48,7 +48,8 @@ type Options struct {
 	// Device resolves yellow fusion decisions through the cost model;
 	// nil accepts them optimistically.
 	Device *device.Device
-	// ProfileDB caches yellow-decision measurements across compilations.
+	// ProfileDB caches yellow-decision measurements, per device, across
+	// the compilations that share it.
 	ProfileDB *profile.DB
 	// Cache shares generated kernels across models.
 	Cache *codegen.Cache
@@ -79,9 +80,9 @@ type CompileStats struct {
 	RewriteMs float64
 	FusionMs  float64
 	CodegenMs float64
-	// TuneMs covers schedule selection (ranking + profile-DB lookups);
-	// PlanMs covers executor construction: block scheduling and the arena
-	// memory plan.
+	// TuneMs covers schedule selection (the tuner's analytical ranking,
+	// run on every compile); PlanMs covers executor construction: block
+	// scheduling and the arena memory plan.
 	TuneMs float64
 	PlanMs float64
 	// ProfileLookups is the number of yellow decisions; ProfileMisses is
@@ -91,11 +92,6 @@ type CompileStats struct {
 	RewriteApplied  int
 	RewriteStats    rewrite.Stats
 	KernelCacheHits int
-	// ScheduleLookups is the number of heavy kernels whose tile schedule
-	// was selected; ScheduleMisses is how many required a fresh selection
-	// (the rest hit the profile database's schedule cache).
-	ScheduleLookups int
-	ScheduleMisses  int
 	// ChainFusions is the number of contraction chains merged into
 	// streaming chain kernels.
 	ChainFusions int
@@ -165,7 +161,7 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 	c.Stats.CodegenMs = float64(time.Since(start).Microseconds()) / 1000
 	c.Kernels = kernels
 	start = time.Now()
-	c.Stats.ScheduleLookups, c.Stats.ScheduleMisses = AssignSchedules(c.Kernels, opts.scheduleDevice(), opts.ProfileDB)
+	AssignSchedules(c.Kernels, opts.scheduleDevice())
 	c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
 	if opts.Cache != nil {
 		c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
@@ -241,16 +237,18 @@ func (o Options) scheduleDevice() *device.Device {
 func (c *Compiled) latencyFunc() fusion.LatencyFunc {
 	return func(nodes []*graph.Node) float64 {
 		c.Stats.ProfileLookups++
-		key := profile.KeyFor(nodes)
-		if c.Opts.ProfileDB != nil {
-			if ms, ok := c.Opts.ProfileDB.Lookup(key); ok {
+		db := c.Opts.ProfileDB
+		var key string
+		if db != nil {
+			key = profile.KeyFor(c.Opts.Device.Name, nodes)
+			if ms, ok := db.Lookup(key); ok {
 				return ms
 			}
 		}
 		c.Stats.ProfileMisses++
 		ms := EstimateBlockLatency(c.Opts.Device, nodes)
-		if c.Opts.ProfileDB != nil {
-			c.Opts.ProfileDB.Insert(key, ms)
+		if db != nil {
+			db.Insert(key, ms)
 		}
 		return ms
 	}

@@ -16,8 +16,10 @@ type Option func(*core.Options)
 // model (§4.3) instead of accepting them optimistically.
 func WithDevice(d *Device) Option { return func(o *core.Options) { o.Device = d } }
 
-// WithProfileDB caches yellow-decision measurements across compilations,
-// the paper's persistent profiling database. Pair it with WithDevice.
+// WithProfileDB caches yellow-decision measurements, keyed by device,
+// across the compilations that share db: the paper's profiling database,
+// held in memory. Pair it with WithDevice; without one no yellow decision
+// is measured.
 func WithProfileDB(db *ProfileDB) Option { return func(o *core.Options) { o.ProfileDB = db } }
 
 // WithoutRewrite disables the §4.2 mathematical-property-based graph
