@@ -211,12 +211,47 @@ func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 // so each B row segment is loaded — and widened to float64 — once per tile
 // rather than once per output row. Every accumulator still sums its
 // products in ascending-k order, so the tile is bit-for-bit equal to rt
-// independent scalar rows. The supported row-tile heights are specialized
-// so the per-k A values live in registers.
+// independent scalar rows.
+//
+// Where the CPU has AVX2 and FMA (simdTile), the whole 8-column strips of a
+// 4- or 8-row tile run tile4x8, the assembly tile; the column remainder and
+// row tiles of 1 and 2 run mulTileGo. The result is the same bit for bit:
+// every operand is a widened float32, so each product is exact in float64
+// (24 + 24 ≤ 53 significand bits) and the fused multiply-add rounds once,
+// where acc += a*b rounds. Only which NaN propagates can differ (the FMA
+// prefers the accumulator's, acc += a*b the product's), so a tile that
+// ends with a NaN accumulator is redone by the Go loops.
 func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int) {
 	acc = acc[: rt*w : rt*w]
-	for t := range acc {
-		acc[t] = 0
+	lo := 0
+	if simdTile && (rt == 4 || rt == 8) && kk > 0 && ai|ak|bRS >= 0 {
+		if lo = w &^ 7; lo > 0 {
+			// The assembly reads A at a0 + r·ai + k·ak and B at
+			// bBase + k·bRS + jLo + j (r < rt, k < kk, j < lo), and writes
+			// acc[r·w + j]. With nonnegative strides the first and last of
+			// each bound all the others: touching them (acc through the
+			// reslice above) makes a bad index a bounds panic here.
+			_ = aData[a0+(rt-1)*ai+(kk-1)*ak]
+			_ = bData[bBase+(kk-1)*bRS+jLo+lo-1]
+			if tile4x8(&aData[a0], ai, ak, kk, &bData[bBase+jLo], bRS, &acc[0], w, lo/8, rt/4) {
+				lo = 0
+			}
+		}
+	}
+	mulTileGo(rt, aData, a0, ai, ak, kk, bData, bBase, bRS, jLo, acc, w, lo)
+}
+
+// mulTileGo is mulTileAcc's Go loops, over columns [lo, w) of the tile:
+// each supported row-tile height is specialized so the per-k A values live
+// in registers. Only heights 4 and 8 follow the assembly tile, so only
+// their loops start at lo; heights 1 and 2 always get lo = 0 (a column
+// offset there spills the single-row loop's counter).
+func mulTileGo(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w, lo int) {
+	if lo == w {
+		return
+	}
+	for r := 0; r < rt; r++ {
+		clear(acc[r*w+lo : r*w+w])
 	}
 	switch rt {
 	case 1:
@@ -249,7 +284,7 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 		}
 	case 4:
 		a1, a2, a3 := a0+ai, a0+2*ai, a0+3*ai
-		c0, c1, c2, c3 := acc[:w:w], acc[w:2*w:2*w], acc[2*w:3*w:3*w], acc[3*w:4*w:4*w]
+		c0, c1, c2, c3 := acc[lo:w:w], acc[w+lo:2*w:2*w], acc[2*w+lo:3*w:3*w], acc[3*w+lo:4*w:4*w]
 		for k := 0; k < kk; k++ {
 			ko := k * ak
 			v0 := float64(aData[a0+ko])
@@ -257,7 +292,7 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 			v2 := float64(aData[a2+ko])
 			v3 := float64(aData[a3+ko])
 			base := bBase + k*bRS + jLo
-			bRow := bData[base : base+w]
+			bRow := bData[base+lo : base+w]
 			for t, bv := range bRow {
 				b64 := float64(bv)
 				c0[t] += v0 * b64
@@ -269,8 +304,8 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 	case 8:
 		a1, a2, a3 := a0+ai, a0+2*ai, a0+3*ai
 		a4, a5, a6, a7 := a0+4*ai, a0+5*ai, a0+6*ai, a0+7*ai
-		c0, c1, c2, c3 := acc[:w:w], acc[w:2*w:2*w], acc[2*w:3*w:3*w], acc[3*w:4*w:4*w]
-		c4, c5, c6, c7 := acc[4*w:5*w:5*w], acc[5*w:6*w:6*w], acc[6*w:7*w:7*w], acc[7*w:8*w:8*w]
+		c0, c1, c2, c3 := acc[lo:w:w], acc[w+lo:2*w:2*w], acc[2*w+lo:3*w:3*w], acc[3*w+lo:4*w:4*w]
+		c4, c5, c6, c7 := acc[4*w+lo:5*w:5*w], acc[5*w+lo:6*w:6*w], acc[6*w+lo:7*w:7*w], acc[7*w+lo:8*w:8*w]
 		for k := 0; k < kk; k++ {
 			ko := k * ak
 			v0 := float64(aData[a0+ko])
@@ -282,7 +317,7 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 			v6 := float64(aData[a6+ko])
 			v7 := float64(aData[a7+ko])
 			base := bBase + k*bRS + jLo
-			bRow := bData[base : base+w]
+			bRow := bData[base+lo : base+w]
 			for t, bv := range bRow {
 				b64 := float64(bv)
 				c0[t] += v0 * b64
@@ -296,19 +331,6 @@ func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bB
 			}
 		}
 	default:
-		// Unspecialized heights (callers normalize, so this is a safety
-		// net): per-row streaming, still ascending-k per accumulator.
-		for k := 0; k < kk; k++ {
-			ko := k * ak
-			base := bBase + k*bRS + jLo
-			bRow := bData[base : base+w]
-			for r := 0; r < rt; r++ {
-				av := float64(aData[a0+r*ai+ko])
-				c := acc[r*w : r*w+w]
-				for t, bv := range bRow {
-					c[t] += av * float64(bv)
-				}
-			}
-		}
+		panic(fmt.Sprintf("ops: mulTileAcc row tile %d (Normalize gives 1, 2, 4 or 8)", rt))
 	}
 }
