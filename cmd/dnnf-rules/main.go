@@ -1,7 +1,8 @@
 // Command dnnf-rules prints the compiler's static rule tables: the operator
 // classification (Table 2), the mapping-type combination matrix (Table 3),
 // the graph-rewriting rule catalogue (Table 4), and the 23 code-generation
-// rules per backend.
+// rules per backend. With -model it rewrites one model and prints, per
+// rewriting rule, the sites it matched against the applications applied.
 //
 // Usage:
 //
@@ -9,25 +10,42 @@
 //	dnnf-rules -table 3
 //	dnnf-rules -table 4
 //	dnnf-rules -codegen
+//	dnnf-rules -model MobileNetV1-SSD
+//	dnnf-rules -model model.onnx
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
+	"dnnfusion"
 	"dnnfusion/internal/bench"
 	"dnnfusion/internal/codegen"
+	"dnnfusion/internal/ecg"
 	"dnnfusion/internal/rewrite"
 )
 
-func main() {
-	table := flag.Int("table", 0, "paper table to print (2, 3, or 4); 0 prints all")
-	cg := flag.Bool("codegen", false, "print the 23 code-generation rules per backend")
-	flag.Parse()
+// run is main without the process: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("dnnf-rules", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	table := fl.Int("table", 0, "paper table to print (2, 3, or 4); 0 prints all")
+	cg := fl.Bool("codegen", false, "print the 23 code-generation rules per backend")
+	model := fl.String("model", "", "zoo model name or .onnx file: print rewriting rules matched vs applied")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
-	w := os.Stdout
+	w := stdout
 	switch {
+	case *model != "":
+		if err := printRuleCounts(w, *model); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 	case *cg:
 		for _, b := range []codegen.Backend{codegen.CPU, codegen.GPU} {
 			rules := codegen.RulesFor(b)
@@ -57,4 +75,34 @@ func main() {
 		fmt.Fprintln(w)
 		bench.PrintTable4(w)
 	}
+	return 0
 }
+
+// printRuleCounts rewrites the named zoo model or ONNX file with the
+// default rules and prints one line per rule: the distinct sites it
+// matched and how many rewrites it applied.
+func printRuleCounts(w io.Writer, model string) error {
+	var g *dnnfusion.Graph
+	var err error
+	if strings.HasSuffix(model, ".onnx") {
+		g, err = dnnfusion.ImportFile(model)
+	} else {
+		g, err = dnnfusion.BuildModel(model)
+	}
+	if err != nil {
+		return err
+	}
+	eng := rewrite.NewDefaultEngine()
+	st, err := eng.Run(ecg.Build(g))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s: %d -> %d ops, %d applications\n", model, st.NodesBefore, st.NodesAfter, st.Applied)
+	fmt.Fprintf(w, "%-14s %-34s %8s %8s\n", "category", "rule", "matched", "applied")
+	for _, r := range eng.Rules() {
+		fmt.Fprintf(w, "%-14s %-34s %8d %8d\n", r.Cat, r.Name, st.Matched[r.Name], st.ByRule[r.Name])
+	}
+	return nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -47,10 +47,10 @@ func ulpDiff(a, b float32) uint32 {
 // rather than bit-for-bit (float64 accumulation keeps the bound tight).
 const onlineChainMaxULP = 16
 
-// runMicroParity executes one micro model through the blocked executor at
-// the given thread count and checks every output element against the
-// reference interpreter within maxULP.
-func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, maxULP uint32) {
+// runMicroParity compiles one micro model with opts, executes it through the
+// blocked executor at the given thread count and checks every output element
+// against the reference interpreter within maxULP.
+func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, maxULP uint32, opts ...dnnfusion.Option) {
 	t.Helper()
 	g := build()
 	inputs := map[string]*dnnfusion.Tensor{}
@@ -61,7 +61,7 @@ func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, ma
 	if err != nil {
 		t.Fatalf("interpreter: %v", err)
 	}
-	model, err := dnnfusion.Compile(build(), dnnfusion.WithThreads(threads))
+	model, err := dnnfusion.Compile(build(), append(opts, dnnfusion.WithThreads(threads))...)
 	if err != nil {
 		t.Fatalf("compile (threads=%d): %v", threads, err)
 	}
@@ -151,15 +151,20 @@ func geluMatMul() *graph.Graph {
 // depthwise-separable conv stage delivered a tile span at a time, and a GELU
 // between two MatMuls — over two lanes, each with its own operand buffers and
 // registers, bit for bit against the interpreter. Under -race it is the gate
-// for that scratch being per lane.
+// for that scratch being per lane. The conv stage compiles without
+// rewriting: fold-conv-affine would fold its Mul and Add into the Convs,
+// leaving Clip the only tail.
 func TestParallelProgramTwoLanes(t *testing.T) {
-	for name, build := range map[string]func() *dnnfusion.Graph{
-		"typed chain":     models.MicroElementwise,
-		"generic program": genericProgram,
-		"conv tails":      dwSeparableStage,
-		"gelu matmul":     geluMatMul,
+	for name, c := range map[string]struct {
+		build func() *dnnfusion.Graph
+		opts  []dnnfusion.Option
+	}{
+		"typed chain":     {build: models.MicroElementwise},
+		"generic program": {build: genericProgram},
+		"conv tails":      {build: dwSeparableStage, opts: []dnnfusion.Option{dnnfusion.WithoutRewrite()}},
+		"gelu matmul":     {build: geluMatMul},
 	} {
-		t.Run(name, func(t *testing.T) { runMicroParity(t, build, 2, 0) })
+		t.Run(name, func(t *testing.T) { runMicroParity(t, c.build, 2, 0, c.opts...) })
 	}
 }
 

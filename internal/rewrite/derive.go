@@ -29,7 +29,7 @@ func DefaultRules() []*Rule {
 		ruleAddDup(),
 		// Folding.
 		ruleConstFold(),
-		ruleConvBatchNormFold(),
+		ruleConvAffineFold(),
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	Distributive
 	Commutative
 	Simplification // identity/strength reduction (Exp∘Log, Recip∘Recip, ...)
-	Folding        // constant folding, Conv+BatchNorm folding
+	Folding        // constant folding, Conv per-channel affine folding
 )
 
 var categoryNames = [...]string{"Associative", "Distributive", "Commutative", "Simplification", "Folding"}
@@ -53,6 +53,8 @@ type Application struct {
 	// DeltaBytes is the intermediate-bytes reduction.
 	DeltaBytes int64
 	apply      func(*Ctx) error
+	// independent is set by the engine from the rule's Independent.
+	independent bool
 }
 
 func (a *Application) String() string {
@@ -77,6 +79,11 @@ type Rule struct {
 	// equivalent enumeration explicit and printable in Table 4).
 	Forms []string
 	Match func(c *Ctx, n *graph.Node) []*Application
+	// Independent marks a rule whose applications found in one scan never
+	// share a node, so each stays valid, with its gain, whichever is
+	// applied first. The engine then applies a run of them from one scan
+	// instead of rescanning the graph after each.
+	Independent bool
 }
 
 // Stats summarizes one rewriting run.
@@ -91,6 +98,9 @@ type Stats struct {
 	NodesBefore    int
 	NodesAfter     int
 	PartitionCount int
+	// Matched counts, per rule, the distinct sites at which the rule
+	// offered an application, applied or not.
+	Matched map[string]int
 }
 
 // Engine drives rule application.
@@ -112,6 +122,7 @@ func (e *Engine) Run(ec *ecg.ECG) (Stats, error) {
 	st := Stats{
 		ByCategory:     map[Category]int{},
 		ByRule:         map[string]int{},
+		Matched:        map[string]int{},
 		FLOPsBefore:    g.FLOPs(),
 		BytesBefore:    g.IntermediateBytes(),
 		NodesBefore:    len(g.Nodes),
@@ -120,19 +131,25 @@ func (e *Engine) Run(ec *ecg.ECG) (Stats, error) {
 	// Safety cap: every application strictly reduces (FLOPs, bytes) or is
 	// once-safe, but defend against a buggy rule oscillating.
 	maxIters := 10*len(g.Nodes) + 100
+	sites := map[string]map[*graph.Node]bool{}
 	for iter := 0; iter < maxIters; iter++ {
-		best := e.bestApplication(c)
-		if best == nil {
+		apps := e.bestApplications(c, sites)
+		if len(apps) == 0 {
 			break
 		}
-		if err := best.apply(c); err != nil {
-			return st, fmt.Errorf("rewrite %s: %w", best.Rule, err)
+		for _, app := range apps {
+			if err := app.apply(c); err != nil {
+				return st, fmt.Errorf("rewrite %s: %w", app.Rule, err)
+			}
+			st.Applied++
+			st.ByCategory[app.Cat]++
+			st.ByRule[app.Rule]++
 		}
 		g.EliminateDeadNodes()
 		ec.Refresh()
-		st.Applied++
-		st.ByCategory[best.Cat]++
-		st.ByRule[best.Rule]++
+	}
+	for rule, roots := range sites {
+		st.Matched[rule] = len(roots)
 	}
 	st.FLOPsAfter = g.FLOPs()
 	st.BytesAfter = g.IntermediateBytes()
@@ -143,22 +160,44 @@ func (e *Engine) Run(ec *ecg.ECG) (Stats, error) {
 	return st, nil
 }
 
-func (e *Engine) bestApplication(c *Ctx) *Application {
-	var best *Application
+// bestApplications returns the beneficial applications of one scan that
+// the one-at-a-time greedy loop would apply next: the one with the largest
+// gain, then, when its rule is Independent, the next ones in gain order for
+// as long as they belong to the same rule. It records every offered
+// application's site in sites.
+func (e *Engine) bestApplications(c *Ctx, sites map[string]map[*graph.Node]bool) []*Application {
+	var beneficial []*Application
 	for _, n := range c.G.Nodes {
 		for _, r := range e.rules {
 			for _, app := range r.Match(c, n) {
-				if app == nil || !app.beneficial() {
+				if app == nil {
 					continue
 				}
-				if best == nil || app.DeltaFLOPs > best.DeltaFLOPs ||
-					(app.DeltaFLOPs == best.DeltaFLOPs && app.DeltaBytes > best.DeltaBytes) {
-					best = app
+				if sites[app.Rule] == nil {
+					sites[app.Rule] = map[*graph.Node]bool{}
+				}
+				sites[app.Rule][app.Root] = true
+				if app.beneficial() {
+					app.independent = r.Independent
+					beneficial = append(beneficial, app)
 				}
 			}
 		}
 	}
-	return best
+	if len(beneficial) == 0 {
+		return nil
+	}
+	// Larger FLOPs gain first, then larger bytes gain, then scan order.
+	sort.SliceStable(beneficial, func(i, j int) bool {
+		a, b := beneficial[i], beneficial[j]
+		return a.DeltaFLOPs > b.DeltaFLOPs || (a.DeltaFLOPs == b.DeltaFLOPs && a.DeltaBytes > b.DeltaBytes)
+	})
+	best := beneficial[0]
+	run := 1
+	for best.independent && run < len(beneficial) && beneficial[run].Rule == best.Rule {
+		run++
+	}
+	return beneficial[:run]
 }
 
 // Partitions computes the paper's sub-graphs: connected components over

@@ -418,7 +418,7 @@ func TestConvBatchNormFold(t *testing.T) {
 	bn := g.Apply1(ops.NewBatchNormalization(1e-5), conv, scale, beta, mean, vr)
 	g.MarkOutput(bn)
 	st := runAndCompare(t, g)
-	if st.ByRule["fold-conv-batchnorm"] == 0 {
+	if st.ByRule["fold-conv-affine"] == 0 {
 		t.Errorf("conv-bn folding not applied: %v", st.ByRule)
 	}
 	for _, n := range g.Nodes {
