@@ -213,7 +213,7 @@ func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 // products in ascending-k order, so the tile is bit-for-bit equal to rt
 // independent scalar rows.
 //
-// Where the CPU has AVX2 and FMA (simdTile), the whole 8-column strips of a
+// Where the CPU has AVX2 and FMA (avx2FMA), the whole 8-column strips of a
 // 4- or 8-row tile run tile4x8, the assembly tile; the column remainder and
 // row tiles of 1 and 2 run mulTileGo. The result is the same bit for bit:
 // every operand is a widened float32, so each product is exact in float64
@@ -224,7 +224,7 @@ func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int) {
 	acc = acc[: rt*w : rt*w]
 	lo := 0
-	if simdTile && (rt == 4 || rt == 8) && kk > 0 && ai|ak|bRS >= 0 {
+	if avx2FMA && (rt == 4 || rt == 8) && kk > 0 && ai|ak|bRS >= 0 {
 		if lo = w &^ 7; lo > 0 {
 			// The assembly reads A at a0 + r·ai + k·ak and B at
 			// bBase + k·bRS + jLo + j (r < rt, k < kk, j < lo), and writes

@@ -2,10 +2,11 @@
 
 package ops
 
-// simdTile reports that mulTileAcc runs its 4- and 8-row tiles through
-// tile4x8: the CPU has AVX2 and FMA and the OS saves YMM state. It is set
-// once, here, and never written again.
-var simdTile = hasAVX2FMA()
+// avx2FMA reports that the CPU has AVX2 and FMA and the OS saves YMM state:
+// mulTileAcc runs its 4- and 8-row tiles through tile4x8, and the typed
+// loops of a pointwise program run pointwise_amd64.s. It is set once, here,
+// and never written again.
+var avx2FMA = hasAVX2FMA()
 
 func hasAVX2FMA() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {

@@ -12,9 +12,10 @@ import (
 
 // TestMulTileAccUsesSIMD: the dispatch flag agrees with what the kernel
 // reports of the CPU (/proc/cpuinfo, a source independent of our CPUID
-// stub), and the assembly tile asks for the Go loops' redo only when an
-// accumulator is NaN. A broken stub or NaN check would otherwise send every
-// tile to the Go loops with every parity test still green.
+// stub), the assembly tile asks for the Go loops' redo only when an
+// accumulator is NaN, and every pointwise kind with a routine runs it. A
+// broken stub, NaN check or dispatch would otherwise send every tile or
+// typed loop to the Go loops with every parity test still green.
 func TestMulTileAccUsesSIMD(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -31,10 +32,10 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 		t.Skip("/proc/cpuinfo lists no flags")
 	}
 	want := slices.Contains(flags, "avx2") && slices.Contains(flags, "fma")
-	if simdTile != want {
-		t.Fatalf("simdTile = %v, but /proc/cpuinfo reports avx2 and fma: %v", simdTile, want)
+	if avx2FMA != want {
+		t.Fatalf("avx2FMA = %v, but /proc/cpuinfo reports avx2 and fma: %v", avx2FMA, want)
 	}
-	if !simdTile {
+	if !avx2FMA {
 		return
 	}
 	l := newTileLayout(8, 3, 16, false, true)
@@ -51,5 +52,14 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 	b[len(b)-1] = float32(math.NaN()) // the last strip's last column, k = 2
 	if !tile() {
 		t.Fatal("tile4x8 does not report a NaN accumulator")
+	}
+	d, x, y := make([]float32, 16), make([]float32, 16), make([]float32, 16)
+	for i := range x {
+		x[i] = 0.5 // on Exp's and Sigmoid's fast path
+	}
+	for _, c := range simdCases() {
+		if got := pointwiseSIMD(c.op, d, x, y); got != len(d) {
+			t.Errorf("%s: pointwiseSIMD wrote %d of %d elements: its typed loop runs in Go", c.name, got, len(d))
+		}
 	}
 }

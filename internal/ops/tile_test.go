@@ -88,7 +88,7 @@ func (l tileLayout) String() string {
 // with infinities (Inf·0, Inf − Inf) and NaN operands, the NaN tiles are
 // the Go loops' redo.
 func TestMulTileAccSIMDMatchesGo(t *testing.T) {
-	if !simdTile {
+	if !avx2FMA {
 		t.Skip("no AVX2+FMA tile: this build or CPU runs the Go loops only")
 	}
 	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 129}
@@ -171,7 +171,7 @@ func BenchmarkMulTileAcc(b *testing.B) {
 			b.ReportMetric(2*float64(rt*w*kk)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		}
 		b.Run(fmt.Sprintf("%dx%dx%d/simd", rt, w, kk), func(b *testing.B) {
-			if !simdTile {
+			if !avx2FMA {
 				b.Skip("no AVX2+FMA tile in this build or on this CPU")
 			}
 			run(b, func() { mulTileAcc(rt, a, l.a0, l.ai, l.ak, kk, bd, l.bBase, l.bRS, l.jLo, acc, w) })
