@@ -10,8 +10,6 @@ import (
 	"dnnfusion"
 
 	"dnnfusion/internal/codegen"
-	"dnnfusion/internal/core"
-	"dnnfusion/internal/device"
 	"dnnfusion/internal/ecg"
 	"dnnfusion/internal/engine"
 	"dnnfusion/internal/fusion"
@@ -332,7 +330,6 @@ func yellowBreakPlan(t *testing.T, g *graph.Graph) compiledPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.AssignSchedules(kernels, device.Snapdragon865CPU())
 	return compiledPlan{"yellow-break", e, plan, kernels}
 }
 

@@ -39,13 +39,11 @@ type Kernel struct {
 	// DominantOp is the operator that chose the layout.
 	DominantOp string
 
-	// Schedule is the tuner-selected tile schedule of a heavy kernel,
-	// attached by the compiler after code generation (core.Compile) and
-	// applied to the kernel's Source trees at bind time. A zero schedule
-	// leaves the operators' built-in default blocking in place. TaskM/
-	// TaskN/TaskK record the GEMM-shape tuning task the schedule was
-	// selected for (see ScheduleTask), so benchmarks can explain the
-	// choice.
+	// Schedule is the tile schedule of a heavy kernel, ops.ScheduleFor of
+	// its task, recorded by Compile and applied to the kernel's Source
+	// trees at bind time. Zero for a kernel with no contraction to tile.
+	// TaskM/TaskN/TaskK record the GEMM-shape task (see ScheduleTask; the
+	// consumer's for a chain), so benchmarks can explain the schedule.
 	Schedule            ops.Schedule
 	TaskM, TaskN, TaskK int
 	// ProducerSchedule is the second schedule of a chain-fused kernel
@@ -116,6 +114,7 @@ func Compile(e *ecg.ECG, b *fusion.Block, cache *Cache) (*Kernel, bool, error) {
 		}
 	}
 	k.chooseLayout(e)
+	k.schedule()
 	if cache != nil {
 		if name, ok := cache.names[key]; ok {
 			cache.Hits++
@@ -215,7 +214,20 @@ func (k *Kernel) Heavy() bool {
 	return false
 }
 
-// ScheduleTask derives the kernel's schedule-tuning task: the GEMM-shape
+// schedule records the kernel's task and its ops.ScheduleFor: one schedule
+// for each contraction of a chain, else one for the dominant heavy
+// operator.
+func (k *Kernel) schedule() {
+	if pm, pn, _, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
+		k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
+		k.Schedule, k.ProducerSchedule = ops.ScheduleFor(cm, cn), ops.ScheduleFor(pm, pn)
+	} else if m, n, kk, ok := k.ScheduleTask(); ok {
+		k.TaskM, k.TaskN, k.TaskK = m, n, kk
+		k.Schedule = ops.ScheduleFor(m, n)
+	}
+}
+
+// ScheduleTask derives the kernel's schedule task: the GEMM-shape
 // (M, N, K) of its FLOPs-dominant schedulable heavy operator. ok is false
 // for kernels with nothing to schedule (light kernels, or heavy kernels
 // with no tile loop: Pool walks an odometer, Einsum and ConvTranspose pull
@@ -239,7 +251,7 @@ func (k *Kernel) ScheduleTask() (m, n, kk int, ok bool) {
 	return m, n, kk, ok
 }
 
-// ChainScheduleTasks derives the two tuning tasks of a chain-fused kernel:
+// ChainScheduleTasks derives the two schedule tasks of a chain-fused kernel:
 // the producer contraction's GEMM shape and the consumer's. ok is false
 // for non-chain kernels.
 func (k *Kernel) ChainScheduleTasks() (pm, pn, pk, cm, cn, ck int, ok bool) {
@@ -411,12 +423,11 @@ func (k *Kernel) BindParallel(resolve func(v *graph.Value) (*tensor.Tensor, erro
 			s := srcs[i]
 			// Bind time is where the compile-time schedule artifact meets
 			// the Source tree: every lane's independently composed heavy
-			// sources adopt the kernel's tuned blocking (and size their
-			// panel and accumulator scratch) here, so the steady-state hot
-			// path still allocates nothing. A kernel no tuner scheduled
-			// goes through the same walk: its contractions keep their
-			// default tiles and the consumers above them still stage whole
-			// tiles.
+			// sources adopt the kernel's schedule (and size their panel and
+			// accumulator scratch) here, so the steady-state hot path still
+			// allocates nothing. A kernel with a zero schedule goes through
+			// the same walk: its contractions keep ScheduleFor of their own
+			// shape and the consumers above them still stage whole tiles.
 			k.applySchedule(s)
 			stages := ops.StagedSources(s)
 			bo := &bk.outs[i]

@@ -73,17 +73,15 @@ func Defaults() Options {
 
 // CompileStats reports what compilation did — the inputs to Figure 9b.
 // The *Ms fields are the per-stage wall-clock timings of the pipeline
-// (rewrite → fusion → codegen → schedule tuning → executor/memory
-// planning), so observability layers can attribute compile cost to a
-// stage.
+// (rewrite → fusion → codegen → executor/memory planning), so
+// observability layers can attribute compile cost to a stage.
 type CompileStats struct {
 	RewriteMs float64
 	FusionMs  float64
+	// CodegenMs includes recording each kernel's tile schedule.
 	CodegenMs float64
-	// TuneMs covers schedule selection (the tuner's analytical ranking,
-	// run on every compile); PlanMs covers executor construction: block
-	// scheduling and the arena memory plan.
-	TuneMs float64
+	// PlanMs covers executor construction: block scheduling and the arena
+	// memory plan.
 	PlanMs float64
 	// ProfileLookups is the number of yellow decisions; ProfileMisses is
 	// how many required a fresh measurement (empty or cold database).
@@ -160,9 +158,6 @@ func Compile(g *graph.Graph, opts Options) (*Compiled, error) {
 	}
 	c.Stats.CodegenMs = float64(time.Since(start).Microseconds()) / 1000
 	c.Kernels = kernels
-	start = time.Now()
-	AssignSchedules(c.Kernels, opts.scheduleDevice())
-	c.Stats.TuneMs = float64(time.Since(start).Microseconds()) / 1000
 	if opts.Cache != nil {
 		c.Stats.KernelCacheHits = opts.Cache.Hits - cacheHitsBefore
 	}
@@ -219,16 +214,6 @@ func (c *Compiled) HasOnlineChain() bool {
 		}
 	}
 	return false
-}
-
-// scheduleDevice is the device whose memory hierarchy kernel schedules
-// are tuned against: the compile target when one is set, else the primary
-// CPU profile standing in for the host.
-func (o Options) scheduleDevice() *device.Device {
-	if o.Device != nil {
-		return o.Device
-	}
-	return device.Snapdragon865CPU()
 }
 
 // latencyFunc resolves yellow fusion decisions: profile-database lookup

@@ -188,6 +188,46 @@ func TestProfileDBKeysDevice(t *testing.T) {
 	}
 }
 
+// TestScheduleIgnoresDevice: a kernel's tile schedule is a function of its
+// shape alone. The device profile may change the fusion plan, but a kernel
+// compiled with no device, for the phone CPU or for the phone GPU gets one
+// schedule pair.
+func TestScheduleIgnoresDevice(t *testing.T) {
+	g := buildTinyBERT(t)
+	devs := []*device.Device{nil, device.Snapdragon865CPU(), device.Adreno650()}
+	plans := make([]map[string]string, len(devs))
+	for i, dev := range devs {
+		opts := Defaults()
+		opts.Device = dev
+		c, err := Compile(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = map[string]string{}
+		for _, k := range c.Kernels {
+			plans[i][k.Key] = fmt.Sprintf("%v/%v", k.Schedule, k.ProducerSchedule)
+		}
+	}
+	for i := range plans {
+		for j := i + 1; j < len(plans); j++ {
+			shared := 0
+			for key, a := range plans[i] {
+				b, ok := plans[j][key]
+				if !ok {
+					continue
+				}
+				shared++
+				if a != b {
+					t.Errorf("kernel %.60s…: %s on %v, %s on %v", key, a, devs[i], b, devs[j])
+				}
+			}
+			if shared == 0 {
+				t.Errorf("compiles on %v and %v share no kernel; the comparison is vacuous", devs[i], devs[j])
+			}
+		}
+	}
+}
+
 func TestSimulatePipelineOrdering(t *testing.T) {
 	g := buildAttentionish(t)
 	dev := device.Snapdragon865CPU()

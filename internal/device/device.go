@@ -63,13 +63,11 @@ type Device struct {
 	TLBs   []CacheLevel
 }
 
-// CacheBytes returns the L1 and L2 data-cache capacities the tuners price
-// tile working sets against — hoisted here so the GA tuner and the
-// schedule selector score the same memory hierarchy. Sparse profiles
+// CacheBytes returns the L1 and L2 data-cache capacities the GA tuner's
+// fitness surface prices tile working sets against. Sparse profiles
 // degrade conventionally rather than fail: no L2 level falls back to 4×
 // L1, and a profile with no cache levels at all (a minimal hand-built
-// Device) falls back to a 32 KiB L1, so compiling against it never
-// panics.
+// Device) falls back to a 32 KiB L1, so tuning against it never panics.
 func (d *Device) CacheBytes() (l1, l2 float64) {
 	if len(d.Caches) == 0 {
 		return 32 << 10, 4 * (32 << 10)

@@ -211,7 +211,7 @@ func (x *Executor) ScheduledKernels() []*codegen.Kernel { return x.kernels }
 func (x *Executor) KernelStats() []*KernelStat { return x.kstats }
 
 // Profile snapshots the executor's per-kernel execution profile: one entry
-// per scheduled kernel with its name, tuner-selected schedule(s), lane
+// per scheduled kernel with its name, tile schedule(s), lane
 // count, and cumulative profiled run accounting across every session.
 func (x *Executor) Profile() []KernelProfile {
 	x.scalarOnce.Do(func() {

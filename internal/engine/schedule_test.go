@@ -13,11 +13,11 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// Schedule execution suite: every tile schedule the tuner can select must
+// Schedule execution suite: every tile schedule a kernel can run must
 // leave execution bit-exact with the scalar reference interpreter — across
 // worker-lane counts (the schedule also drives the pool's grain alignment)
-// and across batch capacities (batched compiles re-select schedules for
-// the taller shapes) — and must not cost the warmed hot path its
+// and across batch capacities (batched compiles derive taller schedules
+// from the taller shapes) — and must not cost the warmed hot path its
 // zero-allocation contract.
 
 // engineScheduleGrid spans the heights and panels the blocked kernels
@@ -31,8 +31,8 @@ var engineScheduleGrid = []ops.Schedule{
 }
 
 // compileWithSchedule compiles g's plan and forces sched onto every
-// schedulable kernel, bypassing the tuner: the grid must hold for any
-// schedule, not only the ones the current fitness surface picks.
+// schedulable kernel, replacing the one it recorded: the grid must hold for
+// any schedule, not only the ones ops.ScheduleFor picks.
 func compileWithSchedule(t *testing.T, g *graph.Graph, sched ops.Schedule, threads int) *Executor {
 	t.Helper()
 	e := ecg.Build(g)

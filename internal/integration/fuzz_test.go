@@ -341,7 +341,7 @@ func gemmChainGraph() *graph.Graph {
 
 // TestForcedScheduleGridParity sweeps kernel schedules across a grid —
 // including deliberately mismatched producer/consumer chain schedules —
-// and requires every point to match the tuner-scheduled compilation
+// and requires every point to match the compilation's own schedules
 // bit-for-bit: the whole-row-group discipline makes kernel bits
 // independent of tile choice. The one exception is the online-softmax
 // chain, whose rescale cadence follows the producer's key panel, so two

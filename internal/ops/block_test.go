@@ -361,12 +361,13 @@ func TestBlockParityMatMulViews(t *testing.T) {
 	assertBlockParity(t, "broadcast batch view",
 		virtualize(t, NewMatMul(), split(q), virtualize(t, NewTranspose(1, 0), randSource(113, 5, 8))))
 
-	// A chain: the [4, 16, 16] intermediate exists only as a 4-row window.
+	// A chain: the [4, 16, 16] intermediate exists only as an 8-row window
+	// (ScheduleFor(16, 8)).
 	// The one panel in the tree is Q·Kᵀ's gather of the column-strided Kᵀ.
 	_, _, scoresPanel := scratch(scores)
 	chain := virtualize(t, NewMatMul(), virtualize(t, NewRelu(), scores), split(v))
-	if stages, floats, panel := scratch(chain); stages != 1 || floats != 4*16 || panel != scoresPanel {
-		t.Errorf("MatMul over a contraction-rooted A: %d stages of %d floats, %d panel floats; want one 4 × 16 window and B in place", stages, floats, panel-scoresPanel)
+	if stages, floats, panel := scratch(chain); stages != 1 || floats != 8*16 || panel != scoresPanel {
+		t.Errorf("MatMul over a contraction-rooted A: %d stages of %d floats, %d panel floats; want one 8 × 16 window and B in place", stages, floats, panel-scoresPanel)
 	}
 	assertBlockParity(t, "chain with view operands", chain)
 	vT := virtualize(t, NewTranspose(0, 2, 1), randSource(114, 4, 8, 16)) // [4,16,8] with strided columns

@@ -155,12 +155,13 @@ func matOperand(s Source, trans bool, batch tensor.Shape, pull bool) (operand, b
 }
 
 // newContraction finishes a contraction whose dims, operands and epilogue
-// are set: scratch for the default schedule (tuned kernels override it at
-// bind time via ApplySchedule).
+// are set, with scratch for the schedule a compiled kernel records for the
+// same shape (ScheduleFor; a chain's producer tiles m × k). ApplySchedule
+// may replace it at bind time.
 func newContraction(c *contraction) *contraction {
 	c.batchBuf = make([]int, c.batch.Rank())
 	c.packed = c.im2col != nil || c.b.cs != 1
-	c.setSchedule(DefaultSchedule(c.k), DefaultSchedule(c.k))
+	c.setSchedule(ScheduleFor(c.m, c.n), ScheduleFor(c.m, c.k))
 	return c
 }
 

@@ -8,9 +8,9 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// selectorGrid is the whole space the schedule selector ranks: 4 row tiles
-// × 7 column panels.
-func selectorGrid() []Schedule {
+// tileGrid is every row tile mulTileAcc has a loop for × 7 column panels
+// from 8 to 512: any schedule ApplySchedule can inject, normalized.
+func tileGrid() []Schedule {
 	var grid []Schedule
 	for _, rt := range []int{1, 2, 4, 8} {
 		for _, cp := range []int{8, 16, 32, 64, 128, 256, 512} {
@@ -20,7 +20,7 @@ func selectorGrid() []Schedule {
 	return grid
 }
 
-// assertDelivery holds one contraction to the oracle over the whole selector
+// assertDelivery holds one contraction to the oracle over the whole tile
 // grid: under every schedule the tree is blocked end to end, and LoadBlock
 // over each request shape — the whole (tile-aligned) range, a mid-row start,
 // a range crossing a GEMM (batch matrix, conv group) boundary, a single
@@ -42,7 +42,7 @@ func assertDelivery(t *testing.T, name string, mk func() Source, rowsOf, gemm in
 		{cross, 2*rowsOf + 2},
 		{total/2 + 1, 1},
 	}
-	for _, sched := range selectorGrid() {
+	for _, sched := range tileGrid() {
 		src := mk()
 		ApplySchedule(src, sched)
 		if paths := ScalarPaths(src); len(paths) != 0 {
@@ -65,7 +65,7 @@ func assertDelivery(t *testing.T, name string, mk func() Source, rowsOf, gemm in
 // TestContractionDeliveryMatrix is the parity contract of the one
 // contraction driver over the ways an operand can reach it: every A delivery
 // × every B delivery × every epilogue, each over the request shapes and the
-// selector's 28 schedules of assertDelivery.
+// 28 schedules of assertDelivery.
 func TestContractionDeliveryMatrix(t *testing.T) {
 	const m, k, n = 10, 12, 9
 	relu := func(s Source) Source { return virtualize(t, NewRelu(), s) }
@@ -165,9 +165,9 @@ func TestContractionLazyAPastStageCap(t *testing.T) {
 		"Gemm":   func() Source { return virtualize(t, NewGemm(0.5, 2, false, false), a, b, randSource(232, n)) },
 	} {
 		src := mk()
-		ApplySchedule(src, Schedule{RowTile: 4, ColPanel: 8})
-		if stages, floats, _ := scratch(src); stages != 1 || floats != 4*k {
-			t.Errorf("%s over a %d-element lazy A binds %d stages of %d floats, want one 4 × K window (%d)", name, m*k, stages, floats, 4*k)
+		ApplySchedule(src, Schedule{RowTile: 8, ColPanel: 8})
+		if stages, floats, _ := scratch(src); stages != 1 || floats != 8*k {
+			t.Errorf("%s over a %d-element lazy A binds %d stages of %d floats, want one 8 × K window (%d)", name, m*k, stages, floats, 8*k)
 		}
 		assertDelivery(t, name+" lazy A past the cap", mk, n, m*n)
 	}

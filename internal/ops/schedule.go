@@ -6,30 +6,28 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// Schedule is the tile schedule of a heavy kernel — the compile-time
-// artifact the tuner selects per kernel shape and device (§4.3–4.4 pair
-// fusion with tuned per-kernel schedules). It parameterizes the blocked
-// fast paths that used to hard-code their blocking: the register row tile
-// and L1 column panel of the one contraction micro-kernel (mulTileAcc),
-// which MatMul, Gemm, the fused chain and Conv (as its per-group implicit
-// GEMM) all run. The contraction (K) axis is never tiled: every output
-// element accumulates over the full K range in ascending order, so any
-// schedule stays bit-for-bit equal to the scalar oracle.
+// Schedule is the tile schedule of a heavy kernel (§4.3–4.4 pair fusion
+// with per-kernel schedules): the register row tile and L1 column panel of
+// the one contraction micro-kernel (mulTileAcc), which MatMul, Gemm, the
+// fused chain and Conv (as its per-group implicit GEMM) all run. Compiled
+// kernels record ScheduleFor of their task; ApplySchedule injects any
+// other. The contraction (K) axis is never tiled: every output element
+// accumulates over the full K range in ascending order, so any schedule
+// stays bit-for-bit equal to the scalar oracle.
 type Schedule struct {
 	// RowTile is the register-tile height: how many output rows one tile
 	// accumulates together, streaming each B row once per tile.
-	RowTile int `json:"row_tile"`
+	RowTile int
 	// ColPanel is the column-panel width in output columns: the slice of
 	// B kept hot across all row tiles of a pass.
-	ColPanel int `json:"col_panel"`
+	ColPanel int
 }
 
-// Zero reports an unset schedule (no tuner ran for the kernel).
+// Zero reports an unset schedule (a kernel with no contraction to tile).
 func (s Schedule) Zero() bool { return s == Schedule{} }
 
 // String renders the schedule compactly for profiles and bench output:
-// "rt4/cp128", or "default" for the zero schedule (the operators'
-// built-in blocking).
+// "rt4/cp128", or "default" for the zero schedule.
 func (s Schedule) String() string {
 	if s.Zero() {
 		return "default"
@@ -37,19 +35,18 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("rt%d/cp%d", s.RowTile, s.ColPanel)
 }
 
-// DefaultSchedule is the schedule the blocked paths assume when no tuner
-// ran: the pre-schedule hard-coded blocking (4-row tiles, ~16KiB column
-// panels of a K-row B panel), kept as the fallback so
-// Virtualize-without-compile callers see unchanged behavior.
-func DefaultSchedule(k int) Schedule {
-	if k < 1 {
-		k = 1
-	}
-	return Schedule{RowTile: 4, ColPanel: 4096 / k}
+// ScheduleFor is the one schedule rule: the tallest row tile that fits M
+// (8 and 4 run the SIMD tile, tile4x8) and a column panel of min(N, 512).
+// It depends on the shape alone, never on a device profile. Taller tiles
+// and a full-width panel beat every narrower choice measured on the zoo's
+// large convs and M = 1 heads, and tie on transformer panels; a panel
+// budgeted by K (65536/K) lost 1.3–2.6x.
+func ScheduleFor(m, n int) Schedule {
+	return Schedule{RowTile: 8, ColPanel: 512}.Normalize(m, n)
 }
 
 // Normalize is the one meaning of a schedule against an M×N output, shared
-// by the kernels that execute it and the tuner that ranks it. The row tile
+// by the kernels that execute it and ScheduleFor. The row tile
 // rounds down to the tallest height mulTileAcc has a register-resident loop
 // for (8, 4, 2, or 1) that also fits M — a tile taller than the whole
 // output never engages. The column panel clamps to [8, N]: below 8 columns
@@ -75,12 +72,12 @@ func (s Schedule) Normalize(m, n int) Schedule {
 
 // ApplySchedule walks a composed Source tree (through children, so beneath
 // every source type) and configures every contraction (MatMul/Gemm, chain,
-// Conv: one source type) with the kernel's selected schedule, resizing
+// Conv: one source type) with the kernel's schedule, resizing
 // window, panel and accumulator scratch as needed, then aligns the staging
 // stripes of the consumers above them to whole row tiles. It is called at
 // bind time — once per session per lane — so the steady-state hot path still
-// allocates nothing. A zero schedule leaves the contractions' default
-// blocking in place; the consumers are aligned to it all the same.
+// allocates nothing. A zero schedule leaves each contraction on ScheduleFor
+// of its own shape; the consumers are aligned to it all the same.
 func ApplySchedule(s Source, sched Schedule) {
 	applySchedule(s, sched, sched)
 }
@@ -168,10 +165,11 @@ func TileSpan(s Source) int {
 	return 0
 }
 
-// ScheduleTaskDims lowers a heavy operator to the GEMM-shape tuning task
-// the schedule selector searches: M output rows × N output columns with a
-// K-long contraction. Batched matmuls report per-matrix dims (the row tile
-// works within one batch matrix); Conv reports its per-(image, group) GEMM:
+// ScheduleTaskDims lowers a heavy operator to the GEMM-shape task its
+// schedule is derived from (ScheduleFor(M, N)): M output rows × N output
+// columns with a K-long contraction. Batched matmuls report per-matrix
+// dims (the row tile works within one batch matrix); Conv reports its
+// per-(image, group) GEMM:
 // M/groups output channels × ΠS_out positions, contracting C/groups × the
 // kernel volume. ok is false for operators whose blocked path has no tile
 // loop to parameterize (Pool walks an odometer; Einsum and ConvTranspose

@@ -6,8 +6,8 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// Schedule parity suite: every schedule a tuner could select — and a few
-// it never would — must leave LoadBlock bit-identical to the scalar Load
+// Schedule parity suite: every schedule ApplySchedule can inject — and a
+// few that normalize — must leave LoadBlock bit-identical to the scalar Load
 // oracle on every heavy source, including heavy producers nested under
 // fused elementwise chains and row-wise softmax (whose staging stripes the
 // schedule realigns). The grid deliberately includes unsupported row-tile
@@ -93,8 +93,8 @@ func TestScheduleGridParityGemm(t *testing.T) {
 	assertScheduleGridParity(t, "Gemm chain", func() Source {
 		h := virtualize(t, NewRelu(), virtualize(t, NewGemm(0.75, -1.25, false, false), a, b, c))
 		chain := virtualize(t, NewGemm(1.5, 0.5, false, false), h, randSource(78, 11, 5), randSource(79, 18, 1))
-		if stages, floats, _ := scratch(chain); stages != 1 || floats != 4*11 {
-			t.Fatalf("Gemm over a Gemm-rooted A operand holds %d stages of %d floats, want one 4 × 11 window", stages, floats)
+		if stages, floats, _ := scratch(chain); stages != 1 || floats != 8*11 {
+			t.Fatalf("Gemm over a Gemm-rooted A operand holds %d stages of %d floats, want one 8 × 11 window", stages, floats)
 		}
 		return chain
 	})
@@ -129,8 +129,8 @@ func TestScheduleGridParityFusedConsumers(t *testing.T) {
 }
 
 // TestScheduleGridParityConv: Conv runs the same tile loop as MatMul, so it
-// is held to the whole space the selector ranks (4 row tiles × 7 panels)
-// on top of the normalizing grid, across every panel-packing shape.
+// is held to every row tile × 7 panels from 8 to 512 on top of the
+// normalizing grid, across every panel-packing shape.
 func TestScheduleGridParityConv(t *testing.T) {
 	grid := append([]Schedule(nil), scheduleGrid...)
 	for _, rt := range []int{1, 2, 4, 8} {
@@ -239,9 +239,9 @@ func TestTileSpanAlignment(t *testing.T) {
 	if got := TileSpan(cv); got != 4*25 {
 		t.Errorf("conv TileSpan = %d, want %d (row tile 8 normalizes to 4 of 6 rows)", got, 4*25)
 	}
-	// Alignment does not wait for a tuner: under the zero schedule the conv
-	// keeps its default tile and the tail above still stages whole tiles of
-	// it instead of 512-element slivers.
+	// Alignment does not wait for a schedule: under the zero schedule the
+	// conv keeps ScheduleFor of its shape and the tail above still stages
+	// whole tiles of it instead of 512-element slivers.
 	tail := virtualize(t, NewRelu(), mkConv()).(*pointwiseProgram)
 	ApplySchedule(tail, Schedule{})
 	if span := TileSpan(tail); span != 4*25 || tail.stripe%span != 0 {
@@ -249,7 +249,7 @@ func TestTileSpanAlignment(t *testing.T) {
 	}
 }
 
-// TestScheduleTaskDims pins the GEMM-shape lowering the tuner searches.
+// TestScheduleTaskDims pins the GEMM-shape lowering schedules derive from.
 func TestScheduleTaskDims(t *testing.T) {
 	m, n, k, ok := ScheduleTaskDims(NewMatMul(), []tensor.Shape{tensor.Of(3, 17, 12), tensor.Of(12, 9)})
 	if !ok || m != 17 || n != 9 || k != 12 {
@@ -292,7 +292,9 @@ func TestScheduleTaskDims(t *testing.T) {
 // reduction sources: a matmul under a Transpose or Reduce kept the default
 // tile and was chunked as if it staged nothing.)
 func TestScheduleReachesEveryMatMul(t *testing.T) {
-	sched := Schedule{RowTile: 8, ColPanel: 16}
+	// Both fields differ from ScheduleFor(16, 20), the contraction's own
+	// rt8/cp20, so an unreached matmul shows.
+	sched := Schedule{RowTile: 2, ColPanel: 16}
 	mk := func() Source {
 		return virtualize(t, NewAdd(),
 			virtualize(t, NewMatMul(), randSource(120, 16, 12), randSource(121, 12, 20)), randSource(122, 20))
@@ -318,8 +320,8 @@ func TestScheduleReachesEveryMatMul(t *testing.T) {
 		walk(src, func(n Source) {
 			if mm, ok := n.(*contraction); ok {
 				found++
-				if mm.rowTile != 8 || mm.jb != 16 {
-					t.Errorf("%s: matmul beneath runs rt%d/cp%d, want the applied rt8/cp16", name, mm.rowTile, mm.jb)
+				if mm.rowTile != 2 || mm.jb != 16 {
+					t.Errorf("%s: matmul beneath runs rt%d/cp%d, want the applied rt2/cp16", name, mm.rowTile, mm.jb)
 				}
 			}
 		})

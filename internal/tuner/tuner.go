@@ -5,8 +5,8 @@
 // (Params) for a heavy kernel against a deterministic analytic response
 // surface derived from the device profile, and the GA needs far fewer
 // trials to reach the same quality — the compilation-time effect the figure
-// reports. The schedules the executable kernels actually run with are a far
-// smaller space, ranked exhaustively (select.go).
+// reports. The executable kernels run no search: their schedule is a
+// closed-form rule of the kernel's shape (select.go, ops.ScheduleFor).
 package tuner
 
 import (
@@ -62,8 +62,6 @@ func Fitness(t Task, p Params) float64 {
 // cacheScore prices a tile working set against the L1/L2 capacities: a
 // set that fills (but fits) L1 is ideal, an undersized one wastes reuse,
 // L2-resident sets lose a step, and anything past L2 streams from DRAM.
-// Shared by the abstract surface (Fitness) and the schedule selector
-// (ScheduleFitness) so both price the same hierarchy the same way.
 func cacheScore(ws, l1, l2 float64) float64 {
 	switch {
 	case ws <= l1/2:

@@ -100,7 +100,7 @@ func TestGoodTilesBeatDegenerateTiles(t *testing.T) {
 	}
 }
 
-// --- Schedule selection (tuner.Select) ------------------------------------
+// --- Kernel schedules (tuner.Select) -------------------------------------
 
 func selTask(m, n, k int) Task {
 	return Task{M: m, N: n, K: k, Device: device.Snapdragon865CPU()}
@@ -109,35 +109,15 @@ func selTask(m, n, k int) Task {
 func TestSelectDeterministic(t *testing.T) {
 	a := Select(selTask(128, 96, 64), GAOptions{})
 	b := Select(selTask(128, 96, 64), GAOptions{})
-	if a.Schedule != b.Schedule || a.Score != b.Score {
+	if a.Schedule != b.Schedule {
 		t.Errorf("same task selected different schedules: %+v vs %+v", a, b)
 	}
 }
 
-// bruteForce is the selector's oracle: the maximum of ScheduleFitness over
-// the raw choice grid, ties toward the smaller row tile then the smaller
-// panel, with no ranking machinery.
-func bruteForce(t Task) ops.Schedule {
-	var best ops.Schedule
-	bestScore := -1.0
-	for _, rt := range rowTileChoices {
-		for _, cp := range colPanelChoices {
-			s := ops.Schedule{RowTile: rt, ColPanel: cp}.Normalize(t.M, t.N)
-			f := ScheduleFitness(t, s)
-			if f > bestScore || f == bestScore && (s.RowTile < best.RowTile ||
-				s.RowTile == best.RowTile && s.ColPanel < best.ColPanel) {
-				best, bestScore = s, f
-			}
-		}
-	}
-	return best
-}
-
-// zooTasks plans every paper and micro model the way core.Compile does and
-// collects the distinct tuning tasks of their kernels.
-func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
+// zooKernels plans every paper and micro model the way core.Compile does
+// and returns their kernels.
+func zooKernels(t *testing.T) []*codegen.Kernel {
 	t.Helper()
-	dev := device.Snapdragon865CPU()
 	var graphs []*graph.Graph
 	for _, spec := range models.All() {
 		graphs = append(graphs, spec.Build())
@@ -145,8 +125,7 @@ func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
 	for _, m := range models.MicroModels() {
 		graphs = append(graphs, m.Build())
 	}
-	seenSingle := map[[3]int]bool{}
-	seenChain := map[[6]int]bool{}
+	var all []*codegen.Kernel
 	for _, g := range graphs {
 		e := ecg.Build(g)
 		if _, err := rewrite.NewDefaultEngine().Run(e); err != nil {
@@ -158,74 +137,48 @@ func zooTasks(t *testing.T) (single []Task, chains [][2]Task) {
 		if err != nil {
 			t.Fatalf("%s: codegen: %v", g.Name, err)
 		}
-		for _, k := range kernels {
-			if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-				if key := [6]int{pm, pn, pk, cm, cn, ck}; !seenChain[key] {
-					seenChain[key] = true
-					chains = append(chains, [2]Task{{M: pm, N: pn, K: pk, Device: dev}, {M: cm, N: cn, K: ck, Device: dev}})
-				}
-				continue
-			}
-			if m, n, kk, ok := k.ScheduleTask(); ok && !seenSingle[[3]int{m, n, kk}] {
-				seenSingle[[3]int{m, n, kk}] = true
-				single = append(single, Task{M: m, N: n, K: kk, Device: dev})
-			}
-		}
+		all = append(all, kernels...)
 	}
-	return single, chains
+	return all
 }
 
-// TestSelectOptimalOverZoo pins the selector against brute force on every
-// distinct kernel task of the 15 paper models and the 5 micro models, and
-// the head-of-ranking identities between Select* and the rankers.
-func TestSelectOptimalOverZoo(t *testing.T) {
-	single, chains := zooTasks(t)
-	// The zoo's distinct tasks are its MatMul/Gemm shapes and its convs'
-	// per-group GEMM shapes (Pool kernels carry no task).
-	if len(single) < 20 || len(chains) == 0 {
-		t.Fatalf("zoo yielded %d tasks and %d chain tasks; the walk is broken", len(single), len(chains))
-	}
-	for _, task := range single {
-		got := Select(task, GAOptions{}).Schedule
-		if want := bruteForce(task); got != want {
-			t.Errorf("task %dx%dx%d: Select = %v (fitness %v), brute force = %v (fitness %v)",
-				task.M, task.N, task.K, got, ScheduleFitness(task, got), want, ScheduleFitness(task, want))
-		}
-		if top := rankSchedules(task)[0].Schedule; top != got {
-			t.Errorf("task %dx%dx%d: rankSchedules head = %v, Select = %v", task.M, task.N, task.K, top, got)
-		}
-	}
-	for _, pc := range chains {
-		got := SelectChain(pc[0], pc[1])
-		ranked := rankChainSchedules(pc[0], pc[1])
-		if ranked[0] != got {
-			t.Errorf("chain %v: rankChainSchedules head = %+v, SelectChain = %+v", pc, ranked[0], got)
-		}
-		// The row tile is shared, so the pair maximum is not the pair of
-		// per-task maxima; check against the pair grid directly.
-		for _, alt := range ranked {
-			if alt.Score > got.Score {
-				t.Errorf("chain %v: %+v outranks the selected %+v", pc, alt, got)
+// TestZooSchedulesClosedForm pins the one schedule rule on every kernel of
+// the 15 paper models and the 5 micro models: codegen records
+// ops.ScheduleFor of each task (both contractions of a chain), Select and
+// SelectChain return the same, and every task at least 4 rows tall runs a
+// 4- or 8-row tile, the heights the SIMD tile serves.
+func TestZooSchedulesClosedForm(t *testing.T) {
+	single, chains := 0, 0
+	for _, k := range zooKernels(t) {
+		var want, wantProd ops.Schedule
+		if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
+			chains++
+			want, wantProd = ops.ScheduleFor(cm, cn), ops.ScheduleFor(pm, pn)
+			if got := SelectChain(selTask(pm, pn, pk), selTask(cm, cn, ck)); got.Consumer != want || got.Producer != wantProd {
+				t.Errorf("%s: SelectChain = %+v, want %v/%v", k.Name, got, want, wantProd)
+			}
+			if pm >= 4 && wantProd.RowTile < 4 {
+				t.Errorf("%s: producer task %dx%dx%d runs %v", k.Name, pm, pn, pk, wantProd)
+			}
+		} else if m, n, kk, ok := k.ScheduleTask(); ok {
+			single++
+			want = ops.ScheduleFor(m, n)
+			if got := Select(selTask(m, n, kk), GAOptions{}).Schedule; got != want {
+				t.Errorf("%s: Select = %v, want %v", k.Name, got, want)
 			}
 		}
-	}
-	// The three zoo shapes where the former seeded genetic search stopped
-	// short of the optimum (none belongs to a model that executes): the
-	// exhaustive head must score strictly higher than what it returned.
-	for _, c := range []struct {
-		m, n, k int
-		former  ops.Schedule
-	}{
-		{676, 256, 2304, ops.Schedule{RowTile: 4, ColPanel: 32}},  // YOLO-V4
-		{1024, 256, 4608, ops.Schedule{RowTile: 8, ColPanel: 32}}, // U-Net
-		{100, 1024, 512, ops.Schedule{RowTile: 4, ColPanel: 128}}, // MobileNetV1-SSD
-	} {
-		task := selTask(c.m, c.n, c.k)
-		got := Select(task, GAOptions{})
-		if former := ScheduleFitness(task, c.former); got.Score <= former {
-			t.Errorf("task %dx%dx%d: selected %v scores %v, not above the former pick %v at %v",
-				c.m, c.n, c.k, got.Schedule, got.Score, c.former, former)
+		if k.Schedule != want || k.ProducerSchedule != wantProd {
+			t.Errorf("%s: task %dx%dx%d records %v/%v, want %v/%v",
+				k.Name, k.TaskM, k.TaskN, k.TaskK, k.Schedule, k.ProducerSchedule, want, wantProd)
 		}
+		if k.TaskM >= 4 && k.Schedule.RowTile < 4 {
+			t.Errorf("%s: task %dx%dx%d runs %v, not a SIMD row tile", k.Name, k.TaskM, k.TaskN, k.TaskK, k.Schedule)
+		}
+	}
+	// The zoo's tasks are its MatMul/Gemm shapes and its convs' per-group
+	// GEMM shapes (Pool kernels carry no task).
+	if single < 20 || chains == 0 {
+		t.Fatalf("zoo yielded %d scheduled kernels and %d chain kernels; the walk is broken", single, chains)
 	}
 }
 
@@ -233,8 +186,7 @@ func TestSelectNormalizedAgainstShape(t *testing.T) {
 	for _, tc := range []struct{ m, n, k int }{
 		{1, 16, 64}, {8, 10, 128}, {16, 96, 64}, {128, 96, 64}, {512, 8, 27}, {1000, 1000, 200},
 	} {
-		res := Select(selTask(tc.m, tc.n, tc.k), GAOptions{})
-		s := res.Schedule
+		s := Select(selTask(tc.m, tc.n, tc.k), GAOptions{}).Schedule
 		switch s.RowTile {
 		case 1, 2, 4, 8:
 		default:
@@ -245,9 +197,6 @@ func TestSelectNormalizedAgainstShape(t *testing.T) {
 		}
 		if s.ColPanel > tc.n || (tc.n >= 8 && s.ColPanel < 8) {
 			t.Errorf("task %v: panel %d outside [8, N]", tc, s.ColPanel)
-		}
-		if res.Score <= 0 || res.Score > 1 {
-			t.Errorf("task %v: score %v outside (0, 1]", tc, res.Score)
 		}
 	}
 }
@@ -264,20 +213,5 @@ func TestSelectTallerTilesForTallerInputs(t *testing.T) {
 	if batched.Schedule.RowTile <= single.Schedule.RowTile {
 		t.Errorf("batch-stacked task did not select a taller tile: %d vs %d",
 			batched.Schedule.RowTile, single.Schedule.RowTile)
-	}
-}
-
-func TestScheduleFitnessBounds(t *testing.T) {
-	task := selTask(256, 256, 512)
-	for _, rt := range rowTileChoices {
-		for _, cp := range colPanelChoices {
-			s := ScheduleFitness(task, ops.Schedule{RowTile: rt, ColPanel: cp}.Normalize(task.M, task.N))
-			if s <= 0 || s > 1 {
-				t.Fatalf("fitness %v outside (0, 1] for rt=%d cp=%d", s, rt, cp)
-			}
-		}
-	}
-	if ScheduleFitness(task, ops.Schedule{}) != 0 {
-		t.Error("zero schedule must score 0")
 	}
 }

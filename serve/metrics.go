@@ -35,7 +35,7 @@ const (
 	helpQueueCap      = "Host queue capacity (admission sheds beyond it), per model."
 	helpCurDelay      = "Coalescing wait currently in force (adaptive batching output), per model."
 	helpDepthEwma     = "Queue-depth EWMA driving the adaptive coalescing wait, per model."
-	helpCompileStage  = "Compile-pipeline stage wall time per model (stage: rewrite|fusion|codegen|tune|plan)."
+	helpCompileStage  = "Compile-pipeline stage wall time per model (stage: rewrite|fusion|codegen|plan)."
 	helpKernelSecs    = "Per-kernel execution latency (variant: base|batch); advances on profiled runs."
 	helpHTTPRequests  = "HTTP responses by route and status code."
 	helpDecodeSecs    = "Time from the first byte of a :predict handler to its input tensors being ready (body read and decode), per model."
@@ -78,7 +78,6 @@ func (h *Host) registerModelMetrics() {
 		{"rewrite", st.RewriteMs},
 		{"fusion", st.FusionMs},
 		{"codegen", st.CodegenMs},
-		{"tune", st.TuneMs},
 		{"plan", st.PlanMs},
 	} {
 		h.obs.Gauge("dnnf_compile_stage_seconds", helpCompileStage,

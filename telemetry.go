@@ -27,8 +27,8 @@ func ProfilingEnabled() bool { return obs.Armed() }
 // KernelProfile is one compiled kernel's cumulative execution profile,
 // accumulated across every Runner of the model while profiling was armed.
 type KernelProfile struct {
-	// Kernel is the fused kernel's name; Schedule its tuner-selected tile
-	// schedule rendered compactly ("rt4/cp128", with "+prod:..." for a
+	// Kernel is the fused kernel's name; Schedule its tile schedule
+	// rendered compactly ("rt4/cp128", with "+prod:..." for a
 	// chain-fused kernel's producer schedule, or "default").
 	Kernel   string `json:"kernel"`
 	Schedule string `json:"schedule"`
