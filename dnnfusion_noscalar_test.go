@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"dnnfusion"
@@ -139,9 +138,8 @@ func lazyAPastCap() *graph.Graph {
 // separable conv stage and a MatMul over a lazy A past the staging cap,
 // under every plan configuration planConfigurations lists, at 1 and 4
 // lanes, every bound kernel tree is blocked end to end (ops.ScalarPaths is
-// empty), the outputs match the interpreter — bit for bit, except plans
-// holding an online-softmax chain, which stay inside the documented
-// tolerance — and a warmed Runner.Run on the encoder allocates nothing. At
+// empty), the outputs match the interpreter bit for bit, and a warmed
+// Runner.Run on the encoder allocates nothing. At
 // the parent commit 8 of the encoder's 14 kernels took the per-element arm
 // of ops.MaterializeRange (425 ms an inference against 0.84 ms unfused).
 func TestNoScalarFallback(t *testing.T) {
@@ -164,7 +162,6 @@ func TestNoScalarFallback(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				online := c.online()
 				for _, threads := range []int{1, 4} {
 					x, err := engine.NewExecutorThreads(c.e, c.plan, c.kernels, threads)
 					if err != nil {
@@ -185,7 +182,7 @@ func TestNoScalarFallback(t *testing.T) {
 					}
 					for oi := range want {
 						assertMatchesInterpreter(t, fmt.Sprintf("%s threads %d output %d", c.name, threads, oi),
-							got[oi].Data(), want[oi].Data(), online)
+							got[oi].Data(), want[oi].Data())
 					}
 					sess.Release()
 				}
@@ -217,11 +214,8 @@ func TestNoScalarFallback(t *testing.T) {
 }
 
 // TestEveryPlanParity holds every plan configuration of the micro zoo to
-// the interpreter more tightly than the README's tolerance: bit for bit,
-// or, for a plan with an online-softmax chain, within 64 ULP of it
-// element by element.
+// the interpreter bit for bit, element by element.
 func TestEveryPlanParity(t *testing.T) {
-	const onlineULPMax = 64
 	for _, m := range models.MicroModels() {
 		t.Run(m.Name, func(t *testing.T) {
 			for _, c := range planConfigurations(t, m.Build) {
@@ -242,18 +236,8 @@ func TestEveryPlanParity(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("%s produced %d outputs, want %d", c.name, len(got), len(want))
 				}
-				online := c.online()
 				for oi := range want {
-					wd, gd := want[oi].Data(), got[oi].Data()
-					for i := range wd {
-						if online {
-							if u := ulpDiff(wd[i], gd[i]); u > onlineULPMax {
-								t.Fatalf("%s output %d[%d]: %g vs %g (%d ULP > %d)", c.name, oi, i, gd[i], wd[i], u, onlineULPMax)
-							}
-						} else if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
-							t.Fatalf("%s output %d[%d]: %g != %g (want bit-exact)", c.name, oi, i, gd[i], wd[i])
-						}
-					}
+					assertMatchesInterpreter(t, fmt.Sprintf("%s output %d", c.name, oi), got[oi].Data(), want[oi].Data())
 				}
 				sess.Release()
 			}
@@ -268,11 +252,6 @@ type compiledPlan struct {
 	e       *ecg.ECG
 	plan    *fusion.Plan
 	kernels []*codegen.Kernel
-}
-
-// online reports whether the plan holds an online-softmax chain.
-func (c compiledPlan) online() bool {
-	return slices.ContainsFunc(c.plan.Blocks, func(b *fusion.Block) bool { return b.Chain != nil && b.Chain.Online })
 }
 
 // planConfigurations compiles build's graph under every plan configuration
@@ -334,20 +313,13 @@ func yellowBreakPlan(t *testing.T, g *graph.Graph) compiledPlan {
 }
 
 // assertMatchesInterpreter compares a compiled output with the
-// interpreter's: bit-exact, or — for a plan with an online-softmax chain,
-// whose streaming rescale reassociates the row sum — within the README's
-// numeric-tolerance contract for one online chain (16 ULP at the chain,
-// 3e-5 relative once later layers have mixed it).
-func assertMatchesInterpreter(t *testing.T, what string, got, want []float32, online bool) {
+// interpreter's bit for bit.
+func assertMatchesInterpreter(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	for i := range want {
-		if math.Float32bits(got[i]) == math.Float32bits(want[i]) {
-			continue
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %g, interpreter says %g (%d ULP, want bit-exact)", what, i, got[i], want[i], ulpDiff(got[i], want[i]))
 		}
-		if diff := math.Abs(float64(got[i]) - float64(want[i])); online && diff <= 3e-5*math.Max(1, math.Abs(float64(want[i]))) {
-			continue
-		}
-		t.Fatalf("%s[%d] = %g, interpreter says %g (online chain: %t)", what, i, got[i], want[i], online)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // ulpDiff is the distance in float32 representations; 0 means
 // bit-identical. Blocked and scalar paths keep identical accumulation
-// orders, so everything but genuinely reassociated reductions must be 0.
+// orders, so every compiled value must be 0 from the interpreter's.
 func ulpDiff(a, b float32) uint32 {
 	ba, bb := math.Float32bits(a), math.Float32bits(b)
 	if ba == bb {
@@ -41,16 +41,10 @@ func ulpDiff(a, b float32) uint32 {
 	return uint32(d)
 }
 
-// onlineChainMaxULP is the tolerance for models compiled with an online
-// (streaming-rescale) softmax chain: the rescale reassociates the exp/sum
-// reduction, so outputs match the two-pass oracle within a few ULPs
-// rather than bit-for-bit (float64 accumulation keeps the bound tight).
-const onlineChainMaxULP = 16
-
 // runMicroParity compiles one micro model with opts, executes it through the
 // blocked executor at the given thread count and checks every output element
-// against the reference interpreter within maxULP.
-func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, maxULP uint32, opts ...dnnfusion.Option) {
+// against the reference interpreter bit for bit.
+func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, opts ...dnnfusion.Option) {
 	t.Helper()
 	g := build()
 	inputs := map[string]*dnnfusion.Tensor{}
@@ -64,14 +58,6 @@ func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, ma
 	model, err := dnnfusion.Compile(build(), append(opts, dnnfusion.WithThreads(threads))...)
 	if err != nil {
 		t.Fatalf("compile (threads=%d): %v", threads, err)
-	}
-	if model.HasOnlineChain() {
-		// The online-softmax chain kernel (flash-attention streaming
-		// rescale) is the documented ULP-bounded exception to bit
-		// exactness; everything else stays exact.
-		if maxULP < onlineChainMaxULP {
-			maxULP = onlineChainMaxULP
-		}
 	}
 	runner := model.NewRunner()
 	defer runner.Release()
@@ -88,9 +74,9 @@ func runMicroParity(t *testing.T, build func() *dnnfusion.Graph, threads int, ma
 				t.Fatalf("threads=%d: output %q missing", threads, name)
 			}
 			for i, wv := range w.Data() {
-				if d := ulpDiff(gt.Data()[i], wv); d > maxULP {
-					t.Fatalf("threads=%d run=%d: %s[%d] = %v, interpreter says %v (%d ULP, max %d)",
-						threads, run, name, i, gt.Data()[i], wv, d, maxULP)
+				if d := ulpDiff(gt.Data()[i], wv); d != 0 {
+					t.Fatalf("threads=%d run=%d: %s[%d] = %v, interpreter says %v (%d ULP, want bit-exact)",
+						threads, run, name, i, gt.Data()[i], wv, d)
 				}
 			}
 		}
@@ -106,7 +92,7 @@ func TestBlockedParallelParity(t *testing.T) {
 			spec := spec
 			threads := threads
 			t.Run(spec.Name+threadSuffix(threads), func(t *testing.T) {
-				runMicroParity(t, spec.Build, threads, 0)
+				runMicroParity(t, spec.Build, threads)
 			})
 		}
 	}
@@ -164,7 +150,7 @@ func TestParallelProgramTwoLanes(t *testing.T) {
 		"conv tails":      {build: dwSeparableStage, opts: []dnnfusion.Option{dnnfusion.WithoutRewrite()}},
 		"gelu matmul":     {build: geluMatMul},
 	} {
-		t.Run(name, func(t *testing.T) { runMicroParity(t, c.build, 2, 0, c.opts...) })
+		t.Run(name, func(t *testing.T) { runMicroParity(t, c.build, 2, c.opts...) })
 	}
 }
 

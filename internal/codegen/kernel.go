@@ -47,9 +47,8 @@ type Kernel struct {
 	Schedule            ops.Schedule
 	TaskM, TaskN, TaskK int
 	// ProducerSchedule is the second schedule of a chain-fused kernel
-	// (Block.Chain != nil): it tiles the chain's producer contraction, and
-	// its column panel is the online softmax's key-panel width. Zero for
-	// ordinary kernels; applied together with Schedule via
+	// (Block.Chain != nil): it tiles the chain's producer contraction. Zero
+	// for ordinary kernels; applied together with Schedule via
 	// ops.ApplyChainSchedule at bind time.
 	ProducerSchedule ops.Schedule
 
@@ -139,16 +138,12 @@ func (k *Kernel) planRules(e *ecg.ECG) error {
 		// under Table 3's pairwise rules, fused on purpose by the streaming
 		// chain kernel. Record the single chain-stream rule instead of
 		// replaying the pairwise table.
-		note := "contraction chain: producer row tiles stream into consumer"
-		if c.Online {
-			note = "contraction chain: online-softmax (streaming rescale) attention"
-		}
 		k.Rules = append(k.Rules, GenRule{
 			First:    ops.ManyToMany,
 			Second:   ops.ManyToMany,
 			Decision: fusion.FuseThrough,
 			Strategy: ChainStream,
-			Note:     note,
+			Note:     "contraction chain: producer row tiles stream into consumer",
 		})
 		return nil
 	}

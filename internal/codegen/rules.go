@@ -54,8 +54,9 @@ const (
 	ReplicatedStore Strategy = "replicated-store"
 	// ChainStream fuses two ManyToMany contractions (a Table 3 red pair)
 	// by streaming the producer's row tiles straight into the consumer —
-	// the contraction-chain exception executed by ops' chain kernel
-	// (online-softmax in between for attention chains).
+	// the contraction-chain exception executed by the consumer contraction
+	// pulling the producer's tree, an attention chain's softmax included,
+	// into its A window.
 	ChainStream Strategy = "chain-stream"
 )
 

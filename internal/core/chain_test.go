@@ -21,10 +21,10 @@ func buildMicro(name string) *graph.Graph {
 func TestChainFusionShrinksPlannedPeak(t *testing.T) {
 	for _, m := range []struct {
 		name   string
-		online bool
+		chains int
 	}{
-		{"micro-mlp", false},
-		{"micro-attention", true},
+		{"micro-mlp", 1},
+		{"micro-attention", 1},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			off := Defaults()
@@ -37,14 +37,11 @@ func TestChainFusionShrinksPlannedPeak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fused.Stats.ChainFusions == 0 {
-				t.Fatal("no chain fused under Defaults")
+			if fused.Stats.ChainFusions != m.chains {
+				t.Fatalf("ChainFusions = %d under Defaults, want %d", fused.Stats.ChainFusions, m.chains)
 			}
 			if base.Stats.ChainFusions != 0 {
 				t.Fatalf("ChainFusions = %d with the pass disabled", base.Stats.ChainFusions)
-			}
-			if fused.HasOnlineChain() != m.online {
-				t.Errorf("HasOnlineChain = %v, want %v", fused.HasOnlineChain(), m.online)
 			}
 			if fp, bp := fused.PlannedPeakBytes(), base.PlannedPeakBytes(); fp >= bp {
 				t.Errorf("fused peak %d bytes, unfused %d — intermediate not eliminated", fp, bp)

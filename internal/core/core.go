@@ -36,9 +36,9 @@ type Options struct {
 	// ChainFusion enables the contraction-chain post-pass over the fusion
 	// plan: MatMul/Gemm → (pointwise|row-softmax) → MatMul/Gemm chains
 	// merge into one streaming kernel that never materializes the
-	// intermediate (flash-attention-style online softmax for attention
-	// chains). Requires Fusion; off in the zero Options for the Figure 7
-	// partial-pipeline configurations.
+	// intermediate (an attention chain's softmax rows live only in the
+	// consumer's A window). Requires Fusion; off in the zero Options for
+	// the Figure 7 partial-pipeline configurations.
 	ChainFusion bool
 	// Seeds selects the planner's seed policy (ablation).
 	Seeds fusion.SeedPolicy
@@ -202,19 +202,6 @@ func (c *Compiled) NewSession() *engine.Session { return c.exec.NewSession() }
 // reuse. It excludes weights (see G.ParamBytes) and the double-buffered
 // output copies.
 func (c *Compiled) PlannedPeakBytes() int64 { return c.exec.PlannedPeakBytes() }
-
-// HasOnlineChain reports whether any compiled kernel executes an online
-// (streaming-rescale) softmax contraction chain — the one path that is
-// ULP-bounded against the scalar oracle instead of bit-exact. Parity
-// harnesses switch from exact to ULP comparison when this is true.
-func (c *Compiled) HasOnlineChain() bool {
-	for _, b := range c.Plan.Blocks {
-		if b.Chain != nil && b.Chain.Online {
-			return true
-		}
-	}
-	return false
-}
 
 // latencyFunc resolves yellow fusion decisions: profile-database lookup
 // first, then a "measurement" on the device cost model (standing in for the

@@ -24,12 +24,6 @@ type Chain struct {
 	Producer *graph.Node
 	Consumer *graph.Node
 	Middle   []*graph.Node
-	// Online is true when the stage directly feeding the consumer is a
-	// non-log innermost-axis softmax: the kernel folds it into the second
-	// contraction with the streaming-rescale (flash-attention) recurrence,
-	// trading bit-exactness for a few-ULP tolerance. Softmax-free chains
-	// stream exactly.
-	Online bool
 }
 
 // Nodes returns the chain's members ordered producer → consumer.
@@ -118,11 +112,6 @@ func chainEndingAt(consumer *graph.Node) *Chain {
 			return nil
 		}
 		c.Middle = append(c.Middle, p)
-		if len(c.Middle) == 1 {
-			if _, log, isSM := ops.SoftmaxInfo(p.Op); isSM && !log {
-				c.Online = true
-			}
-		}
 		v = next
 	}
 }

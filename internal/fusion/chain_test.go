@@ -9,7 +9,7 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// attentionChainGraph is the canonical online-chain shape: scores softmax
+// attentionChainGraph is the canonical attention-chain shape: scores softmax
 // context, with Q/K/V projections above it.
 func attentionChainGraph() *graph.Graph {
 	g := graph.New("attn-chain")
@@ -41,8 +41,8 @@ func TestDetectChainsAttention(t *testing.T) {
 		t.Fatalf("detected %d chains, want 1", len(chains))
 	}
 	c := chains[0]
-	if !c.Online {
-		t.Error("softmax chain not classified online")
+	if len(c.Middle) != 1 || c.Middle[0].Op.Type() != "Softmax" {
+		t.Errorf("middle stages %v, want the softmax", c.Middle)
 	}
 	// The producer is the transposed scores matmul: producer-side
 	// transposes are internal to how it computes and must not block
@@ -63,9 +63,6 @@ func TestDetectChainsMLPExact(t *testing.T) {
 		t.Fatalf("detected %d chains, want 1", len(chains))
 	}
 	c := chains[0]
-	if c.Online {
-		t.Error("softmax-free chain classified online")
-	}
 	if len(c.Middle) != 2 {
 		t.Errorf("middle stages %v, want bias add + relu", c.Middle)
 	}
@@ -81,8 +78,8 @@ func TestDetectChainsLogSoftmaxStreamsExactly(t *testing.T) {
 	if len(chains) != 1 {
 		t.Fatalf("detected %d chains, want 1", len(chains))
 	}
-	if chains[0].Online {
-		t.Error("log-softmax chain classified online; it must take the exact streaming path")
+	if m := chains[0].Middle; len(m) != 1 || m[0].Op.Type() != "LogSoftmax" {
+		t.Errorf("middle stages %v, want the log-softmax", m)
 	}
 }
 

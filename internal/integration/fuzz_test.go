@@ -5,9 +5,7 @@
 // must agree semantically (the fast-math rewriter may legitimately
 // reassociate by a few ULPs, e.g. x·m + x → x·(m+1)). Between
 // configurations the comparison is bit-level: chain fusion, thread count,
-// and schedule choice must not change a single bit — except a chain
-// compiled onto the online-softmax path, whose streaming rescale is
-// ULP-bounded per the documented tolerance. The seed corpus runs
+// and schedule choice must not change a single bit. The seed corpus runs
 // deterministically under plain `go test`; `go test
 // -fuzz=FuzzDifferential` explores beyond it.
 package integration_test
@@ -24,32 +22,6 @@ import (
 	"dnnfusion/internal/ops"
 	"dnnfusion/internal/tensor"
 )
-
-// fuzzULPMax mirrors the serving-level onlineChainMaxULP contract: each
-// online (streaming-rescale) softmax chain matches the two-pass oracle
-// within a few ULPs instead of bit-for-bit (the single-chain bound itself
-// is pinned by the micro-attention parity suite). Random graphs compose
-// chains: errors compound multiplicatively through cascaded chains
-// (observed ~19 ULP at depth 3, ~96 at depth 5 on attenuated tiny
-// outputs), and a downstream exp/softmax turns absolute logit error into
-// relative output error scaled by the logit magnitude — so no ULP envelope
-// in chain count alone is tight for arbitrary graphs. The harness
-// therefore accepts an online configuration when an element is within
-// 16·n² ULP (tight for tiny magnitudes) OR within a small relative
-// tolerance (covers exp-amplified magnitudes); softmax-free
-// configurations remain bit-exact with no tolerance at all.
-const fuzzULPMax = 16
-
-// fuzzRelTol is the relative-error escape hatch for online-chain
-// configurations; real chain defects (a dropped key panel, a wrong
-// rescale) show up orders of magnitude above it.
-const fuzzRelTol = 3e-5
-
-// onlineULPBound is the ULP leg of the online differential tolerance for a
-// configuration that compiled n online chain blocks (0 → bit-exact).
-func onlineULPBound(n int) uint32 {
-	return fuzzULPMax * uint32(n) * uint32(n)
-}
 
 // fuzzULP is the float32 representation distance (0 = bit-identical),
 // monotonic across the sign boundary.
@@ -97,11 +69,11 @@ func chainGraph(seed uint64, size int) *graph.Graph {
 	for i := 0; i < size; i++ {
 		var v *graph.Value
 		switch r.intn(10) {
-		case 0, 1: // MatMul → Softmax → MatMul: the online-chain shape
+		case 0, 1: // MatMul → Softmax → MatMul: the attention-chain shape
 			s := g.Apply1(ops.NewMatMul(), pick(), weight(cols, cols))
 			p := g.Apply1(ops.NewSoftmax(-1), s)
 			v = g.Apply1(ops.NewMatMul(), p, weight(cols, cols))
-		case 2, 3: // MatMul → activation → MatMul: the exact-chain shape
+		case 2, 3: // MatMul → activation → MatMul: the MLP-chain shape
 			acts := []func() ops.Operator{
 				ops.NewRelu, ops.NewSigmoid, ops.NewTanh,
 				func() ops.Operator { return ops.NewLeakyRelu(0.1) },
@@ -144,24 +116,11 @@ func describeGraph(g *graph.Graph) string {
 	return b.String()
 }
 
-// cfgRun is one compiled configuration's result: its outputs, how many
-// chain blocks it compiled onto the online-softmax path, and how many
-// chains it fused in all.
+// cfgRun is one compiled configuration's result: its outputs and how many
+// chains it fused.
 type cfgRun struct {
-	outs    []*tensor.Tensor
-	onlineN int
-	chainN  int
-}
-
-// onlineChains counts the plan's online chain blocks.
-func onlineChains(c *core.Compiled) int {
-	n := 0
-	for _, b := range c.Plan.Blocks {
-		if b.Chain != nil && b.Chain.Online {
-			n++
-		}
-	}
-	return n
+	outs   []*tensor.Tensor
+	chainN int
 }
 
 // runCfg compiles and runs one configuration of g; on failure the second
@@ -180,37 +139,21 @@ func runCfg(g *graph.Graph, feeds map[*graph.Value]*tensor.Tensor, chainOn bool,
 	if err != nil {
 		return cfgRun{}, fmt.Sprintf("run: %v", err)
 	}
-	return cfgRun{outs: got, onlineN: onlineChains(c), chainN: c.Stats.ChainFusions}, ""
+	return cfgRun{outs: got, chainN: c.Stats.ChainFusions}, ""
 }
 
-// diffULP compares two output sets element-wise and reports the first pair
-// outside the tolerance ("" = all within). An element passes when it is
-// within maxULP representations of the baseline or, for online-chain
-// tolerances (maxULP > 0), within the relative escape hatch; maxULP == 0
-// demands bit identity.
-func diffULP(got, base []*tensor.Tensor, maxULP uint32) string {
+// diffBits compares two output sets element-wise and reports the first pair
+// that differs in any bit ("" = bit-identical).
+func diffBits(got, base []*tensor.Tensor) string {
 	if len(got) != len(base) {
 		return fmt.Sprintf("%d outputs, want %d", len(got), len(base))
 	}
 	for i := range base {
 		for k, bv := range base[i].Data() {
-			gv := got[i].Data()[k]
-			d := fuzzULP(gv, bv)
-			if d <= maxULP {
-				continue
+			if gv := got[i].Data()[k]; math.Float32bits(gv) != math.Float32bits(bv) {
+				return fmt.Sprintf("output %d element %d: %v vs baseline %v (%d ULP, want bit-exact)",
+					i, k, gv, bv, fuzzULP(gv, bv))
 			}
-			if maxULP > 0 {
-				diff := float64(gv) - float64(bv)
-				if diff < 0 {
-					diff = -diff
-				}
-				scale := math.Max(math.Abs(float64(gv)), math.Abs(float64(bv)))
-				if diff <= fuzzRelTol*scale {
-					continue
-				}
-			}
-			return fmt.Sprintf("output %d element %d: %v vs baseline %v (%d ULP, max %d)",
-				i, k, gv, bv, d, maxULP)
 		}
 	}
 	return ""
@@ -219,7 +162,7 @@ func diffULP(got, base []*tensor.Tensor, maxULP uint32) string {
 // differential checks one (seed, size) input across the full configuration
 // grid and returns a description of the first failure ("" = all agree).
 // The baseline configuration is chain-off single-threaded; every other
-// configuration must match it bit-for-bit unless it fused an online chain.
+// configuration must match it bit-for-bit.
 func differential(seed uint64, size int) string {
 	base := chainGraph(seed, size)
 	if err := base.Validate(); err != nil {
@@ -254,11 +197,7 @@ func differential(seed uint64, size int) string {
 				if msg != "" {
 					return fmt.Sprintf("batch=%d chain=%v threads=%d: %s", batch, chainOn, threads, msg)
 				}
-				var maxULP uint32
-				if chainOn {
-					maxULP = onlineULPBound(r.onlineN)
-				}
-				if msg := diffULP(r.outs, ref.outs, maxULP); msg != "" {
+				if msg := diffBits(r.outs, ref.outs); msg != "" {
 					return fmt.Sprintf("batch=%d chain=%v threads=%d: %s", batch, chainOn, threads, msg)
 				}
 			}
@@ -277,8 +216,8 @@ func differential(seed uint64, size int) string {
 }
 
 // FuzzDifferential is the fuzz entry point. The seed corpus is biased
-// toward contraction chains (both online-softmax and exact-activation
-// shapes) and runs deterministically in CI under plain `go test`; under
+// toward contraction chains (both softmax and activation middles) and
+// runs deterministically in CI under plain `go test`; under
 // -fuzz the engine mutates (seed, size) freely. On failure the input is
 // shrunk to the smallest failing graph size before reporting, and the
 // minimal graph is dumped for offline repro.
@@ -316,8 +255,8 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // gemmChainGraph is the Gemm counterpart of chainGraph's two chain shapes:
-// output 0 is Gemm → Relu → Gemm (the exact chain), output 1 is Gemm →
-// Softmax → Gemm (the online chain). Every Gemm carries an epilogue —
+// output 0 is Gemm → Relu → Gemm (the MLP chain), output 1 is Gemm →
+// Softmax → Gemm (the attention chain). Every Gemm carries an epilogue —
 // alpha ≠ 1, beta ∉ {0, 1} and a C of each broadcast form ([N], [M,1],
 // single element) or alpha alone — and a transposed producer operand, so
 // the chain kernel and its streamed producer both finish their
@@ -343,13 +282,9 @@ func gemmChainGraph() *graph.Graph {
 // including deliberately mismatched producer/consumer chain schedules —
 // and requires every point to match the compilation's own schedules
 // bit-for-bit: the whole-row-group discipline makes kernel bits
-// independent of tile choice. The one exception is the online-softmax
-// chain, whose rescale cadence follows the producer's key panel, so two
-// schedules may each sit a few ULPs from the two-pass oracle and hence up
-// to twice the documented bound from each other. The Gemm chain graph rides
-// the same grid and is additionally held to the scalar interpreter: the
-// rewriter has nothing to reassociate in it, so its exact chain must match
-// bit-for-bit and its online chain within the single-chain bound.
+// independent of tile choice. The Gemm chain graph rides the same grid and
+// is additionally held to the scalar interpreter: the rewriter has nothing
+// to reassociate in it, so both its chains must match it bit-for-bit.
 func TestForcedScheduleGridParity(t *testing.T) {
 	grid := []ops.Schedule{
 		{RowTile: 1, ColPanel: 8},
@@ -368,18 +303,15 @@ func TestForcedScheduleGridParity(t *testing.T) {
 			t.Fatalf("seed %d baseline: %s", seed, msg)
 		}
 		if seed == 0 {
-			if ref.chainN != 2 || ref.onlineN != 1 {
-				t.Fatalf("Gemm chain graph fused %d chains (%d online), want 2 (1 online)", ref.chainN, ref.onlineN)
+			if ref.chainN != 2 {
+				t.Fatalf("Gemm chain graph fused %d chains, want 2", ref.chainN)
 			}
 			want, err := graph.InterpretOutputs(g, feeds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if msg := diffULP(ref.outs[:1], want[:1], 0); msg != "" {
-				t.Fatalf("Gemm exact chain vs interpreter: %s", msg)
-			}
-			if msg := diffULP(ref.outs[1:], want[1:], onlineULPBound(1)); msg != "" {
-				t.Fatalf("Gemm online chain vs interpreter: %s", msg)
+			if msg := diffBits(ref.outs, want); msg != "" {
+				t.Fatalf("Gemm chains vs interpreter: %s", msg)
 			}
 		}
 		for _, cons := range grid {
@@ -399,9 +331,6 @@ func TestForcedScheduleGridParity(t *testing.T) {
 						k.ProducerSchedule = prod
 					}
 				}
-				// Two schedule points may each sit at the envelope's edge on
-				// opposite sides of the oracle, hence the doubling.
-				maxULP := 2 * onlineULPBound(onlineChains(c))
 				sessFeeds := make(map[*graph.Value]*tensor.Tensor, len(g.Inputs))
 				for i, in := range c.G.Inputs {
 					sessFeeds[in] = feeds[g.Inputs[i]]
@@ -410,7 +339,7 @@ func TestForcedScheduleGridParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d cons=%v prod=%v: run: %v", seed, cons, prod, err)
 				}
-				if msg := diffULP(got, ref.outs, maxULP); msg != "" {
+				if msg := diffBits(got, ref.outs); msg != "" {
 					t.Fatalf("seed %d cons=%v prod=%v: %s", seed, cons, prod, msg)
 				}
 			}

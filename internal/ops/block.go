@@ -23,12 +23,9 @@ import (
 // Load, the scalar tree-walk, is the semantic oracle and the interpreter;
 // it is not a production fallback. LoadBlock must produce bit-identical
 // values to calling Load on every covered index: the block path is only a
-// faster evaluation order. The one documented exception is the contraction's
-// online-softmax recurrence (softmax(scores)·V fused flash-attention style,
-// chain.go): its streaming rescale reassociates the exp/sum, so it matches
-// the oracle within a few ULPs rather than bit-for-bit — still deterministic
-// for a fixed schedule, and independent of the requested block ranges.
-// Every softmax-free contraction, chained or not, remains bit-exact.
+// faster evaluation order. There is no exception: a fused attention chain,
+// softmax(Q·Kᵀ)·V, pulls whole softmax rows into the consumer's A window and
+// contracts them on the same tiles as any other A.
 //
 // Bit-identical includes non-finite values, so where a path may substitute
 // an arithmetic identity for a skipped step the oracle states the rule:

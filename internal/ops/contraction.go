@@ -19,8 +19,9 @@ import (
 //     an rt × k window (a.pull). The window has no element cap, is
 //     remembered by its anchor so consecutive requests inside one row group
 //     pull once, and is invalidated with the kernel's stages. A fused
-//     contraction chain is nothing more than this: the intermediate never
-//     exists outside the window.
+//     contraction chain is nothing more than this: the intermediate — an
+//     attention chain's softmax rows included — never exists outside the
+//     window.
 //   - B: memory with dense rows read in place (a weight matrix, a 1×1
 //     Conv's input), else a k × jb panel packed once per column panel —
 //     Conv's implicit im2col, or a strided gather of a column-strided B —
@@ -31,8 +32,7 @@ import (
 //
 // Every accumulator sums in ascending-k float64 order and is rounded once,
 // after the epilogue, so LoadBlock is bit-for-bit equal to the oracle's
-// Load — except under online (chain.go), the documented ULP-bounded
-// softmax recurrence that consumes the same row-group delivery.
+// Load.
 type contraction struct {
 	// Source is the scalar oracle (matmulSource, convSource): Shape and Load.
 	Source
@@ -58,16 +58,9 @@ type contraction struct {
 	dw     *depthwise
 	band   []float64
 
-	// online replaces the tile loop with the streaming-softmax recurrence
-	// (groupOnline); kp is its key-panel width, outBuf one output row for
-	// partially requested rows.
-	online     bool
-	kp         int
-	outBuf     []float32
-	mRun, lRun []float64
-
 	// rowTile and jb are the normalized tile schedule; acc holds rowTile
-	// accumulator rows of jb entries (n under online), panel is k × jb.
+	// accumulator rows of jb entries (one row under the depthwise stencil),
+	// panel is k × jb.
 	rowTile int
 	jb      int
 	acc     []float64
@@ -156,12 +149,11 @@ func matOperand(s Source, trans bool, batch tensor.Shape, pull bool) (operand, b
 
 // newContraction finishes a contraction whose dims, operands and epilogue
 // are set, with scratch for the schedule a compiled kernel records for the
-// same shape (ScheduleFor; a chain's producer tiles m × k). ApplySchedule
-// may replace it at bind time.
+// same shape (ScheduleFor). ApplySchedule may replace it at bind time.
 func newContraction(c *contraction) *contraction {
 	c.batchBuf = make([]int, c.batch.Rank())
 	c.packed = c.im2col != nil || c.b.cs != 1
-	c.setSchedule(ScheduleFor(c.m, c.n), ScheduleFor(c.m, c.k))
+	c.setSchedule(ScheduleFor(c.m, c.n))
 	return c
 }
 
@@ -175,42 +167,36 @@ const (
 )
 
 // setSchedule installs a tile schedule, normalizing it against the GEMM
-// shape and sizing every scratch buffer: a packed panel narrows to
-// maxPanelElems and a depthwise band to maxBandElems (never under
-// Normalize's 8 columns), the A window and the accumulators hold one row
-// group (the accumulators one row under the depthwise stencil). prod is the
-// schedule of the contraction beneath a fused chain; its column panel is
-// the online recurrence's key-panel width.
-func (s *contraction) setSchedule(sched, prod Schedule) {
+// shape and sizing every scratch buffer to it exactly: a packed panel
+// narrows to maxPanelElems and a depthwise band to maxBandElems (never
+// under Normalize's 8 columns), the A window and the accumulators hold one
+// row group (the accumulators one row under the depthwise stencil). A
+// schedule injected after construction may be shorter than the one built
+// with, so every buffer is resized, not only grown.
+func (s *contraction) setSchedule(sched Schedule) {
 	sched = sched.Normalize(s.m, s.n)
 	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
 	if s.packed {
 		s.jb = min(s.jb, max(8, maxPanelElems/s.k))
-		s.panel = grow(s.panel, s.k*s.jb)
+		s.panel = resize(s.panel, s.k*s.jb)
 	}
 	accRows := s.rowTile
 	if s.dw != nil {
 		s.jb = min(s.jb, max(8, s.dw.maxCols(maxBandElems)))
-		s.band = grow(s.band, s.dw.bandElems(s.jb))
+		s.band = resize(s.band, s.dw.bandElems(s.jb))
 		accRows = 1 // the stencil sums one output row at a time
 	}
-	accCols := s.jb
-	if s.online {
-		s.kp = prod.Normalize(s.m, s.k).ColPanel
-		accCols = s.n
-		s.outBuf = grow(s.outBuf, s.n)
-		s.mRun, s.lRun = grow(s.mRun, s.rowTile), grow(s.lRun, s.rowTile)
-	}
-	s.acc = grow(s.acc, accRows*accCols)
+	s.acc = resize(s.acc, accRows*s.jb)
 	if w := s.a.pull; w != nil {
-		w.buf = grow(w.buf, s.rowTile*s.k)
+		w.buf = resize(w.buf, s.rowTile*s.k)
 		w.Invalidate()
 	}
 }
 
-// grow returns buf, reallocated when it holds fewer than n elements.
-func grow[T any](buf []T, n int) []T {
-	if len(buf) < n {
+// resize returns buf when it holds exactly n elements, else a new buffer of
+// n.
+func resize[T any](buf []T, n int) []T {
+	if len(buf) != n {
 		return make([]T, n)
 	}
 	return buf
@@ -240,19 +226,7 @@ func (s *contraction) LoadBlock(dst []float32, off, n int) {
 			a = w.at(a0-(i-i0)*s.k, min(s.rowTile, s.m-i0)*s.k)
 			a0 = (i - i0) * s.k
 		}
-		bBase, cBase := s.b.offset(idx), s.c.offset(idx)+i*s.c.rs
-		if s.online {
-			out := dst[:rows*cols]
-			if cols < s.n {
-				out = s.outBuf[:s.n]
-			}
-			s.groupOnline(out, a[a0:], bData, bBase, cData, cBase, rows)
-			if cols < s.n {
-				copy(dst[:cols], out[jLo:])
-			}
-		} else {
-			s.tiles(dst, a, a0, bData, bBase, cData, cBase, rows, jLo, cols)
-		}
+		s.tiles(dst, a, a0, bData, s.b.offset(idx), cData, s.c.offset(idx)+i*s.c.rs, rows, jLo, cols)
 		adv := rows * cols
 		dst = dst[adv:]
 		off += adv

@@ -152,7 +152,8 @@ func TestContractionDeliveryMatrix(t *testing.T) {
 // TestContractionLazyAPastStageCap: a lazy A is never staged whole, so its
 // size is no cliff. 1.05M elements — past stageElemCap — feed a MatMul and a
 // Gemm that stay blocked and bit-exact while binding one row group of A
-// scratch, not M × K.
+// scratch, not M × K. A shorter row tile injected after the contraction was
+// built shrinks the window to its own row group.
 func TestContractionLazyAPastStageCap(t *testing.T) {
 	const m, k, n = 10, 104900, 3
 	if m*k <= stageElemCap {
@@ -165,11 +166,81 @@ func TestContractionLazyAPastStageCap(t *testing.T) {
 		"Gemm":   func() Source { return virtualize(t, NewGemm(0.5, 2, false, false), a, b, randSource(232, n)) },
 	} {
 		src := mk()
-		ApplySchedule(src, Schedule{RowTile: 8, ColPanel: 8})
-		if stages, floats, _ := scratch(src); stages != 1 || floats != 8*k {
-			t.Errorf("%s over a %d-element lazy A binds %d stages of %d floats, want one 8 × K window (%d)", name, m*k, stages, floats, 8*k)
+		for _, rt := range []int{8, 4} {
+			ApplySchedule(src, Schedule{RowTile: rt, ColPanel: 8})
+			if stages, floats, _ := scratch(src); stages != 1 || floats != rt*k {
+				t.Errorf("%s over a %d-element lazy A at rt%d binds %d stages of %d floats, want one %d × K window (%d)", name, m*k, rt, stages, floats, rt, rt*k)
+			}
 		}
 		assertDelivery(t, name+" lazy A past the cap", mk, n, m*n)
+	}
+}
+
+// TestAttentionChainBitExact holds a fused attention chain to the oracle bit
+// for bit: MatMul(Q, Kᵀ) → MulConst → Add(mask) → Softmax(−1) → MatMul(V),
+// composed operator by operator as a chain kernel is, so the consumer pulls
+// softmax rows into its A window. The grid is batch 1 and 4 over two heads;
+// sequence lengths 5 and 37, whose last rows fall outside a full row tile,
+// and 16; every consumer × producer schedule of scheduleGrid through
+// ApplyChainSchedule; and requests that start and end mid-row.
+func TestAttentionChainBitExact(t *testing.T) {
+	const heads, dk = 2, 8
+	for _, batch := range []int{1, 4} {
+		for _, seq := range []int{5, 16, 37} {
+			seed := uint64(300 + 10*batch + seq)
+			q := randSource(seed, batch, heads, seq, dk)
+			k := randSource(seed+1, batch, heads, seq, dk)
+			v := randSource(seed+2, batch, heads, seq, dk)
+			// An additive padding mask: the last key of every sequence is
+			// masked out, the rest carry small offsets.
+			mask := tensor.New(batch, 1, 1, seq).Rand(seed + 3)
+			for i := seq - 1; i < len(mask.Data()); i += seq {
+				mask.Data()[i] = -10000
+			}
+			mk := func() Source {
+				scores := virtualize(t, NewMatMulT(false, true), q, k)
+				scaled := virtualize(t, NewMulConst(float32(1/math.Sqrt(dk))), scores)
+				probs := virtualize(t, NewSoftmax(-1), virtualize(t, NewAdd(), scaled, AsSource(mask)))
+				return virtualize(t, NewMatMul(), probs, v)
+			}
+			name := fmt.Sprintf("batch %d seq %d", batch, seq)
+			want := loadAll(mk())
+			row, total := dk, len(want)
+			ranges := [][2]int{
+				{0, total},
+				{row + 3, 2*seq*row - row - 5}, // mid-row to mid-row, across a head
+				{total/2 + 1, 1},
+			}
+			for _, cons := range scheduleGrid {
+				for _, prod := range scheduleGrid {
+					src := mk()
+					ApplyChainSchedule(src, cons, prod)
+					if c, ok := src.(*contraction); !ok || c.a.pull == nil {
+						t.Fatalf("%s: the consumer does not pull its A in row windows (%T)", name, src)
+					}
+					if paths := ScalarPaths(src); len(paths) != 0 {
+						t.Fatalf("%s: ScalarPaths = %v, want none", name, paths)
+					}
+					blk, _ := AsBlock(src)
+					for _, r := range ranges {
+						off, n := r[0], min(r[1], total-r[0])
+						got := make([]float32, n)
+						for lo := 0; lo < n; lo += 7 {
+							blk.LoadBlock(got[lo:min(lo+7, n)], off+lo, min(7, n-lo))
+						}
+						whole := make([]float32, n)
+						blk.LoadBlock(whole, off, n)
+						for i := range got {
+							w := want[off+i]
+							if math.Float32bits(got[i]) != math.Float32bits(w) || math.Float32bits(whole[i]) != math.Float32bits(w) {
+								t.Fatalf("%s cons %v prod %v range [%d,+%d): element %d = %v (in 7s) / %v (whole), oracle says %v",
+									name, cons, prod, off, n, off+i, got[i], whole[i], w)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

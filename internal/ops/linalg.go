@@ -138,11 +138,7 @@ func blockedMatMul(s *matmulSource) Source {
 	if c.b, ok = matOperand(s.b, s.transB, batch, false); !ok {
 		return pulledMatMul(s)
 	}
-	a, transA := s.a, s.transA
-	if scores := onlineScores(s, c.b); scores != nil {
-		c.online, a, transA = true, scores, false
-	}
-	if c.a, ok = matOperand(a, transA, batch, true); !ok {
+	if c.a, ok = matOperand(s.a, s.transA, batch, true); !ok {
 		return pulledMatMul(s)
 	}
 	if e := s.epi; e != nil {

@@ -295,7 +295,7 @@ func (p *pointwiseProgram) align() {
 func (p *pointwiseProgram) prepare() {
 	for i := range p.operands {
 		o := &p.operands[i]
-		o.buf = grow(o.buf, o.bufLen(p.stripe))
+		o.buf = resize(o.buf, o.bufLen(p.stripe))
 	}
 	if p.vals == nil {
 		p.vals = make([][]float32, len(p.operands)+p.numRegs)

@@ -454,11 +454,15 @@ func (s *softmax) Virtualize(ins []Source, outNo int) (Source, error) {
 	// twice per element. Any other axis pulls from a staged input.
 	if ax == inShape.Rank()-1 {
 		if blk, ok := AsBlock(ins[0]); ok {
-			return &softmaxBlockSource{
+			sm := &softmaxBlockSource{
 				softmaxSource: *mk(ins).(*softmaxSource),
 				blk:           blk,
 				rowBuf:        make([]float32, inShape[ax]),
-			}, nil
+			}
+			if !s.log {
+				sm.exps = make([]float64, inShape[ax])
+			}
+			return sm, nil
 		}
 	}
 	return pulled(ins, mk), nil
@@ -480,12 +484,15 @@ func (s *softmaxSource) Shape() tensor.Shape { return s.shape }
 // contiguous input row is staged once into rowBuf, its max and exp-sum are
 // computed once, and every covered element of the row is normalized from
 // the staged values — versus the scalar path's two full row passes per
-// element. The max/sum accumulation order matches softmaxSource.Load, so
+// element. Softmax keeps each exp(x−max) of the sum pass in exps and
+// divides those, so every exponential is computed once. The max/sum
+// accumulation order and the exponentials are softmaxSource.Load's, so
 // results are bit-for-bit equal.
 type softmaxBlockSource struct {
 	softmaxSource
 	blk    BlockSource
 	rowBuf []float32
+	exps   []float64 // one row of exp(x−max); nil for LogSoftmax
 	// group is how many input rows one producer load stages (default 1).
 	// ApplySchedule aligns it with a heavy producer's row tile, so a
 	// matmul feeding this softmax is pulled in whole tiles instead of
@@ -524,17 +531,22 @@ func (s *softmaxBlockSource) LoadBlock(dst []float32, off, n int) {
 			maxV = math.Max(maxV, float64(v))
 		}
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v) - maxV)
-		}
 		if s.log {
+			for _, v := range row {
+				sum += math.Exp(float64(v) - maxV)
+			}
 			logSum := math.Log(sum)
 			for t := 0; t < run; t++ {
 				dst[t] = float32(float64(row[j+t]) - maxV - logSum)
 			}
 		} else {
-			for t := 0; t < run; t++ {
-				dst[t] = float32(math.Exp(float64(row[j+t])-maxV) / sum)
+			e := s.exps[:d]
+			for i, v := range row {
+				e[i] = math.Exp(float64(v) - maxV)
+				sum += e[i]
+			}
+			for t, v := range e[j : j+run] {
+				dst[t] = float32(v / sum)
 			}
 		}
 		dst = dst[run:]

@@ -85,9 +85,7 @@ func ApplySchedule(s Source, sched Schedule) {
 // ApplyChainSchedule configures a chain-fused kernel's source tree with two
 // schedules: cons tiles the chain's consumer contraction (and everything
 // outside the chain), prod tiles the tree its A operand is pulled from — the
-// chain's producer; its column panel doubles as the online softmax's
-// key-panel (rescale) width. Everything else sees cons, exactly as
-// ApplySchedule.
+// chain's producer. Everything else sees cons, exactly as ApplySchedule.
 func ApplyChainSchedule(s Source, cons, prod Schedule) {
 	if prod.Zero() {
 		prod = cons
@@ -114,7 +112,7 @@ func applySchedule(s Source, sched, chainProd Schedule) {
 		applySchedule(kid, sched, chainProd)
 	}
 	if isContraction && !sched.Zero() {
-		c.setSchedule(sched, chainProd)
+		c.setSchedule(sched)
 	}
 	switch v := s.(type) {
 	case *pointwiseProgram:

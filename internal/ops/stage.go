@@ -267,12 +267,12 @@ func walkAll(roots []Source, visit func(Source)) {
 
 // ScratchBytes is the Source-owned float scratch of the trees under roots
 // (one kernel's outputs, one lane), in bytes: pointwise programs' operand
-// buffers and registers, contractions' accumulators, packed panels,
-// depthwise bands (float64, 8 bytes an element) and online-softmax rows,
-// whole-operand stages and row windows, and the row buffers of blocked
-// softmax, reductions and broadcasting views. It is per session and per
-// worker lane, outside the planned arena; index tables and per-element
-// odometers are not counted.
+// buffers and registers, contractions' accumulators, packed panels and
+// depthwise bands, whole-operand stages and row windows, and the row
+// buffers of blocked softmax (its exp row included), reductions and
+// broadcasting views; float64 buffers count 8 bytes an element. It is per
+// session and per worker lane, outside the planned arena; index tables and
+// per-element odometers are not counted.
 func ScratchBytes(roots ...Source) int64 {
 	var total int64
 	walkAll(roots, func(n Source) {
@@ -280,11 +280,11 @@ func ScratchBytes(roots ...Source) int64 {
 		case *pointwiseProgram:
 			total += v.scratchBytes()
 		case *contraction:
-			total += 4*int64(len(v.panel)+len(v.outBuf)) + 8*int64(len(v.acc)+len(v.mRun)+len(v.lRun)+len(v.band))
+			total += 4*int64(len(v.panel)) + 8*int64(len(v.acc)+len(v.band))
 		case *Staged:
 			total += 4 * int64(len(v.buf))
 		case *softmaxBlockSource:
-			total += 4 * int64(len(v.rowBuf))
+			total += 4*int64(len(v.rowBuf)) + 8*int64(len(v.exps))
 		case *reduceBlockSource:
 			total += 4*int64(len(v.buf32)) + 8*int64(len(v.acc))
 		case *viewBlockSource:

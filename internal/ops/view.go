@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"slices"
+
 	"dnnfusion/internal/tensor"
 )
 
@@ -187,6 +189,25 @@ func newView(in Source, l layout) Source {
 		return &v
 	}
 	return blk
+}
+
+// contractionRooted reports whether a blocked source tree is rooted in a
+// MatMul/Gemm contraction, possibly through fused pointwise, softmax, or
+// order-preserving view stages: single-run requests would take such a
+// producer off its tiles.
+func contractionRooted(s Source) bool {
+	switch v := s.(type) {
+	case *contraction:
+		_, isMatMul := v.Source.(*matmulSource)
+		return isMatMul
+	case *softmaxBlockSource:
+		return contractionRooted(v.blk)
+	case *viewBlockSource:
+		return v.identity && contractionRooted(v.blk)
+	case *pointwiseProgram:
+		return slices.ContainsFunc(v.streams(), contractionRooted)
+	}
+	return false
 }
 
 // viewBlockSource is the blocked form of a view: one run-copy LoadBlock

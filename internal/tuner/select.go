@@ -22,8 +22,8 @@ func Select(t Task, _ GAOptions) ScheduleResult {
 
 // ChainScheduleResult is the schedule pair of a fused contraction chain.
 type ChainScheduleResult struct {
-	// Producer tiles the chain's first contraction (its ColPanel doubles
-	// as the online softmax's key-panel width); Consumer tiles the second.
+	// Producer tiles the chain's first contraction; Consumer tiles the
+	// second.
 	Producer ops.Schedule
 	Consumer ops.Schedule
 }

@@ -37,9 +37,9 @@ func WithoutBlockOpt() Option { return func(o *core.Options) { o.OtherOpt = fals
 // WithoutChainFusion disables the contraction-chain post-pass: MatMul/Gemm
 // → (pointwise|row-softmax) → MatMul/Gemm chains then compile as separate
 // kernels with a materialized intermediate, exactly as before the chain
-// kernel existed. Useful to compare peak memory and latency, and to force
-// the bit-exact two-pass softmax where the online (flash-attention-style)
-// chain is only ULP-accurate.
+// kernel existed. Useful to compare peak memory and latency; it selects no
+// different numeric contract, since a fused chain is bit-exact against the
+// interpreter like every other kernel.
 func WithoutChainFusion() Option { return func(o *core.Options) { o.ChainFusion = false } }
 
 // WithThreads sets the CPU executor's worker-lane count: each kernel's
