@@ -132,6 +132,29 @@ func geluMatMul() *graph.Graph {
 	return g
 }
 
+// depthwiseGroups is two depthwise convs over nine channels of two images:
+// 3×3 at stride 1, then depth multiplier 2 at stride 2, both with a bias.
+// Their 18 GEMMs are four whole channel groups (one spanning the two
+// images) and two remainder GEMMs, and each output is large enough to split
+// across lanes. Input "x", output "y".
+func depthwiseGroups() *graph.Graph {
+	g := graph.New("depthwise-groups")
+	x := g.AddInput("x", tensor.Of(2, 9, 24, 24))
+	v := g.Apply1(ops.NewConv(ops.ConvAttrs{Pads: []int{1}, Groups: 9}), x,
+		g.AddWeight("w1", tensor.New(9, 1, 3, 3).Rand(4201)), g.AddWeight("b1", tensor.New(9).Rand(4202)))
+	g.MarkOutputAs("y", g.Apply1(ops.NewConv(ops.ConvAttrs{Strides: []int{2}, Pads: []int{1}, Groups: 9}), v,
+		g.AddWeight("w2", tensor.New(18, 1, 3, 3).Rand(4203)), g.AddWeight("b2", tensor.New(18).Rand(4204))))
+	return g
+}
+
+// TestParallelDepthwiseGroups runs depthwiseGroups over two lanes, bit for
+// bit against the interpreter: each lane's chunk starts on a channel group
+// (the depthwise TileSpan), so both lanes run whole groups, each with its
+// own band.
+func TestParallelDepthwiseGroups(t *testing.T) {
+	runMicroParity(t, depthwiseGroups, 2)
+}
+
 // TestParallelProgramTwoLanes runs the kernels that evaluate a pointwise
 // program — the typed chain, the generic one, the Mul, Add, Clip tails of a
 // depthwise-separable conv stage delivered a tile span at a time, and a GELU

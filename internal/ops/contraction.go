@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"math"
+
 	"dnnfusion/internal/tensor"
 )
 
@@ -26,9 +28,11 @@ import (
 //     Conv's input), else a k × jb panel packed once per column panel —
 //     Conv's implicit im2col, or a strided gather of a column-strided B —
 //     else, for a 2-D depthwise Conv, no panel at all: a float64 band of
-//     the input rows a column panel reads, widened once, that the depthwise
-//     stencil (conv.go) runs over in place of the tile loop. A lazy B is
-//     staged whole first, because every row tile re-reads it.
+//     the input rows a column panel reads — of four consecutive GEMMs'
+//     planes at once, channel-interleaved, where a request covers such a
+//     channel group — widened once, that the depthwise stencil (conv.go)
+//     runs over in place of the tile loop. A lazy B is staged whole first,
+//     because every row tile re-reads it.
 //
 // Every accumulator sums in ascending-k float64 order and is rounded once,
 // after the epilogue, so LoadBlock is bit-for-bit equal to the oracle's
@@ -52,11 +56,13 @@ type contraction struct {
 	// im2col packs Conv's B panels; nil when B is an operand's own memory.
 	// packed is true whenever B reaches the tile loop through panel. dw
 	// replaces both for a 2-D depthwise Conv: band holds the input rows of
-	// one column panel, widened and zero-padded.
+	// one column panel, widened and zero-padded, of one GEMM or a channel
+	// group, and wts a channel group's taps, widened and interleaved.
 	im2col *im2col
 	packed bool
 	dw     *depthwise
 	band   []float64
+	wts    []float64
 
 	// rowTile and jb are the normalized tile schedule; acc holds rowTile
 	// accumulator rows of jb entries (one row under the depthwise stencil),
@@ -168,11 +174,12 @@ const (
 
 // setSchedule installs a tile schedule, normalizing it against the GEMM
 // shape and sizing every scratch buffer to it exactly: a packed panel
-// narrows to maxPanelElems and a depthwise band to maxBandElems (never
-// under Normalize's 8 columns), the A window and the accumulators hold one
-// row group (the accumulators one row under the depthwise stencil). A
-// schedule injected after construction may be shorter than the one built
-// with, so every buffer is resized, not only grown.
+// narrows to maxPanelElems and a depthwise band — a channel group's, four
+// channels per position, where the CPU runs depthwise4 — to maxBandElems
+// (never under Normalize's 8 columns), the A window and the accumulators
+// hold one row group (the accumulators one row under the depthwise
+// stencil). A schedule injected after construction may be shorter than the
+// one built with, so every buffer is resized, not only grown.
 func (s *contraction) setSchedule(sched Schedule) {
 	sched = sched.Normalize(s.m, s.n)
 	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
@@ -181,9 +188,12 @@ func (s *contraction) setSchedule(sched Schedule) {
 		s.panel = resize(s.panel, s.k*s.jb)
 	}
 	accRows := s.rowTile
-	if s.dw != nil {
-		s.jb = min(s.jb, max(8, s.dw.maxCols(maxBandElems)))
-		s.band = resize(s.band, s.dw.bandElems(s.jb))
+	if dw := s.dw; dw != nil {
+		s.jb = min(s.jb, max(8, dw.maxCols(maxBandElems/dw.group)))
+		s.band = resize(s.band, dw.group*dw.bandElems(s.jb))
+		if dw.group > 1 {
+			s.wts = resize(s.wts, dw.group*s.k)
+		}
 		accRows = 1 // the stencil sums one output row at a time
 	}
 	s.acc = resize(s.acc, accRows*s.jb)
@@ -205,16 +215,24 @@ func resize[T any](buf []T, n int) []T {
 func (s *contraction) LoadBlock(dst []float32, off, n int) {
 	aData, bData, cData := s.a.mem(), s.b.mem(), s.c.mem()
 	mn := s.m * s.n
+	group := 1
+	if s.dw != nil {
+		group = s.dw.group
+	}
 	for n > 0 {
 		rem := off % mn
 		i, jLo := rem/s.n, rem%s.n
 		idx := s.batch.Unravel(off/mn, s.batchBuf)
 		// One output row's remaining columns, or — at a row boundary — every
 		// whole row of this GEMM the range covers, so a column panel is
-		// prepared once for all of them.
-		rows, cols := 1, min(s.n-jLo, n)
+		// prepared once for all of them; or a whole depthwise channel group,
+		// when the range covers one from its first GEMM.
+		rows, cols, gemms := 1, min(s.n-jLo, n), 1
 		if jLo == 0 && n >= s.n {
 			rows = min(n/s.n, s.m-i)
+		}
+		if group > 1 && rem == 0 && (off/mn)%group == 0 && n >= group*mn {
+			gemms = group
 		}
 		a, a0 := aData, s.a.offset(idx)+i*s.a.rs
 		if w := s.a.pull; w != nil {
@@ -226,8 +244,8 @@ func (s *contraction) LoadBlock(dst []float32, off, n int) {
 			a = w.at(a0-(i-i0)*s.k, min(s.rowTile, s.m-i0)*s.k)
 			a0 = (i - i0) * s.k
 		}
-		s.tiles(dst, a, a0, bData, s.b.offset(idx), cData, s.c.offset(idx)+i*s.c.rs, rows, jLo, cols)
-		adv := rows * cols
+		s.tiles(dst, a, a0, bData, s.b.offset(idx), cData, s.c.offset(idx)+i*s.c.rs, rows, jLo, cols, gemms)
+		adv := gemms * rows * cols
 		dst = dst[adv:]
 		off += adv
 		n -= adv
@@ -238,16 +256,23 @@ func (s *contraction) LoadBlock(dst []float32, off, n int) {
 // output rows whose A rows start at a[a0]: column panel by column panel, and
 // within one in rowTile-high tiles with the leftover rows on the next
 // smaller tiles (heights are powers of two) over the same panel — or, for a
-// depthwise Conv, output channel by output channel, each a stencil over the
-// panel's band.
-func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int, cData []float32, cBase, rows, jLo, cols int) {
+// depthwise Conv, output row by output row, each a stencil over the panel's
+// band, of one GEMM or of gemms whole ones (a channel group, each GEMM's
+// rows·cols outputs after the last's, the next batch indices after
+// s.batchBuf).
+func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int, cData []float32, cBase, rows, jLo, cols, gemms int) {
 	if dw := s.dw; dw != nil {
+		// Each GEMM's A rows, B plane and addends.
+		taps, planes, adds := [dwLanes]int{a0}, [dwLanes]int{bBase}, [dwLanes]int{cBase}
+		for l := 1; l < gemms; l++ {
+			incIndex(s.batch, s.batchBuf)
+			taps[l], planes[l], adds[l] = s.a.offset(s.batchBuf), s.b.offset(s.batchBuf), s.c.offset(s.batchBuf)
+		}
 		for j0 := jLo; j0 < jLo+cols; {
 			w := dw.panel(j0, min(s.jb, jLo+cols-j0))
-			dw.fill(s.band, bData, bBase, j0, w)
+			dw.fill(s.band, bData, planes[:gemms], j0, w)
 			for r := 0; r < rows; r++ {
-				dw.stencil(s.acc[:w], a[a0+r*s.a.rs:][:s.k], s.band, j0)
-				s.finish(dst[r*cols+j0-jLo:], s.acc[:w], cData, cBase+r*s.c.rs+j0*s.c.cs)
+				s.stencil(dst[r*cols+j0-jLo:], rows*cols, a, taps[:gemms], cData, adds[:gemms], r, j0, w)
 			}
 			j0 += w
 		}
@@ -269,6 +294,36 @@ func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int
 				s.finish(dst[(r+t)*cols+j0-jLo:], s.acc[t*w:][:w], cData, cBase+(r+t)*s.c.rs+j0*s.c.cs)
 			}
 		}
+	}
+}
+
+// stencil writes outputs [j0, j0+w) of output row r of the GEMMs whose
+// planes the last fill widened — one, or a channel group — to dst, each
+// GEMM plane elements after the last: their A rows start at a[taps[l]], their
+// addends at cData[adds[l]]. A channel group runs depthwise4 (simd), the
+// bias added as finish adds it (alpha = beta = 1: acc·1 is acc, and −0 is
+// the addend of no bias); a GEMM alone, or a group with a NaN accumulator,
+// runs the Go loops and finish, GEMM by GEMM.
+func (s *contraction) stencil(dst []float32, plane int, a []float32, taps []int, cData []float32, adds []int, r, j0, w int) {
+	dw := s.dw
+	if len(taps) == dwLanes {
+		var bias [dwLanes]float64
+		for l, a0 := range taps {
+			for t, v := range a[a0+r*s.a.rs:][:s.k] {
+				s.wts[t*dwLanes+l] = float64(v)
+			}
+			bias[l] = negZero
+			if s.epi {
+				bias[l] = float64(s.beta * float64(cData[adds[l]+r*s.c.rs]))
+			}
+		}
+		if dw.simd(dst, plane, s.wts, &bias, s.band, j0, w) {
+			return
+		}
+	}
+	for l, a0 := range taps {
+		dw.loops(s.acc[:w], a[a0+r*s.a.rs:][:s.k], s.band[l:], j0)
+		s.finish(dst[l*plane:], s.acc[:w], cData, adds[l]+r*s.c.rs+j0*s.c.cs)
 	}
 }
 
@@ -298,8 +353,8 @@ func (s *contraction) finish(dst []float32, acc []float64, cData []float32, cOff
 	dst = dst[:len(acc)]
 	switch {
 	case !s.epi:
-		for t, v := range acc {
-			dst[t] = float32(v)
+		for t := finishSIMD(dst, acc, 1, negZero); t < len(acc); t++ {
+			dst[t] = float32(acc[t])
 		}
 	case s.c.src == nil:
 		for t, v := range acc {
@@ -307,12 +362,32 @@ func (s *contraction) finish(dst []float32, acc []float64, cData []float32, cOff
 		}
 	case s.c.cs == 0:
 		c := float64(s.beta * float64(cData[cOff]))
-		for t, v := range acc {
-			dst[t] = float32(float64(v*s.alpha) + c)
+		for t := finishSIMD(dst, acc, s.alpha, c); t < len(acc); t++ {
+			dst[t] = float32(float64(acc[t]*s.alpha) + c)
 		}
 	default:
 		for t, v := range acc {
 			dst[t] = float32(float64(v*s.alpha) + float64(s.beta*float64(cData[cOff+t*s.c.cs])))
 		}
 	}
+}
+
+// negZero is −0, the addend that leaves every float64 as it is.
+var negZero = math.Copysign(0, -1)
+
+// finishSIMD rounds the whole 4-element groups of acc into dst as
+// float32(float64(v·alpha) + c) through finishPD, where the CPU has AVX2,
+// and returns how many leading elements it wrote. With alpha = 1 and c = −0
+// that is float32(v) bit for bit: v·1 is v (a NaN only quieted, as the
+// conversion quiets it), and v + −0 is v for every v, ±0 included. The last
+// element of each slice is indexed first, so a short one is a Go bounds
+// panic.
+func finishSIMD(dst []float32, acc []float64, alpha, c float64) int {
+	n := len(acc) &^ 3
+	if !avx2FMA || n == 0 {
+		return 0
+	}
+	_, _ = dst[n-1], acc[n-1]
+	finishPD(&dst[0], &acc[0], n, alpha, c)
+	return n
 }

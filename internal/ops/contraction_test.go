@@ -314,14 +314,18 @@ func depthwiseOf(t *testing.T, name string, src Source) *contraction {
 }
 
 // TestDepthwiseStencilParity holds the depthwise stencil bit-exact to the
-// oracle over its geometry: 3×3 (the register stencil), 5×5, 1×3 and 3×1
+// oracle over its geometry: 3×3 (the Go register stencil), 5×5, 1×3 and 3×1
 // kernels (the generic tap loop) × strides 1, 2 and (2, 1) × pads 0, 1, 2 ×
 // dilations 1, 2 × depth multipliers 1, 2, on outputs from 1×1 to 7×9, with
 // and without bias, over flat and staged (lazy) input, under column panels
 // of 8, 13 and the whole output — panels that end and start mid-row, and
-// requests cut at every chunking of assertBlockParity.
+// requests cut at every chunking of assertBlockParity. Nine channels over
+// two images are 18 GEMMs: four whole channel groups (depthwise4 where the
+// CPU has it; one of them spans the two images) and two remainder GEMMs on
+// the Go loops, and requests start and end on a group, inside one, and
+// inside a GEMM's plane.
 func TestDepthwiseStencilParity(t *testing.T) {
-	const groups = 3
+	const groups = 9
 	outs := [][2]int{{1, 1}, {7, 9}, {2, 3}, {4, 4}, {1, 9}, {5, 2}, {3, 7}, {6, 8}}
 	midRow := false
 	geom := 0
@@ -366,7 +370,9 @@ func TestDepthwiseStencilParity(t *testing.T) {
 									ApplySchedule(src, Schedule{RowTile: mult, ColPanel: cp})
 									c := depthwiseOf(t, name, src)
 									midRow = midRow || (c.jb < n && c.jb%ow != 0)
-									assertBlockParityWant(t, fmt.Sprintf("%s cp%d", name, cp), src, want)
+									label := fmt.Sprintf("%s cp%d", name, cp)
+									assertBlockParityWant(t, label, src, want)
+									assertGroupRequests(t, label, src, want, mult*n)
 								}
 							}
 						}
@@ -380,7 +386,9 @@ func TestDepthwiseStencilParity(t *testing.T) {
 	}
 	// Sums the order or the starting value would change: every product −0
 	// (the oracle sums from +0, so does the stencil), and a 2⁶⁰ that a 1
-	// added before its cancellation is lost to (ky-outer, kx-inner).
+	// added before its cancellation is lost to (ky-outer, kx-inner). Five
+	// channels: one channel group and one remainder GEMM.
+	const ch = 5
 	fill := func(v float32, dims ...int) Source {
 		t := tensor.New(dims...)
 		for i := range t.Data() {
@@ -388,19 +396,57 @@ func TestDepthwiseStencilParity(t *testing.T) {
 		}
 		return AsSource(t)
 	}
-	order := tensor.New(2, 1, 3, 3)
-	for c := 0; c < 2; c++ {
+	order := tensor.New(ch, 1, 3, 3)
+	for c := 0; c < ch; c++ {
 		order.Set(1<<60, c, 0, 0, 0)
 		order.Set(1, c, 0, 0, 1)
 		order.Set(-1<<60, c, 0, 1, 0)
 	}
+	// A NaN weight, a different payload per channel, over a padded tap: its
+	// stored zero makes every output of its channel NaN, which the channel
+	// group hands back to the Go loops.
+	nanW := tensor.New(ch, 1, 3, 3).Rand(411)
+	for c := 0; c < ch; c++ {
+		nanW.Set(math.Float32frombits(0x7fc00001+uint32(c)), c, 0, 0, 0)
+	}
+	nanX := randSource(412, 1, ch, 5, 6)
 	for _, dil := range []int{1, 2} {
 		for name, src := range map[string]Source{
-			"negative zeros": virtualize(t, NewConv(ConvAttrs{Dilations: []int{dil}, Groups: 2}), fill(float32(math.Copysign(0, -1)), 1, 2, 5, 6), fill(0.5, 2, 1, 3, 3)),
-			"order":          virtualize(t, NewConv(ConvAttrs{Dilations: []int{dil}, Groups: 2}), fill(1, 1, 2, 5, 6), AsSource(order)),
+			"negative zeros": virtualize(t, NewConv(ConvAttrs{Dilations: []int{dil}, Groups: ch}), fill(float32(math.Copysign(0, -1)), 1, ch, 5, 6), fill(0.5, ch, 1, 3, 3)),
+			"order":          virtualize(t, NewConv(ConvAttrs{Dilations: []int{dil}, Groups: ch}), fill(1, 1, ch, 5, 6), AsSource(order)),
+			"NaN over a pad": virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Dilations: []int{dil}, Groups: ch}), nanX, AsSource(nanW), randSource(413, ch)),
 		} {
 			depthwiseOf(t, name, src)
-			assertBlockParity(t, fmt.Sprintf("%s d%d", name, dil), src)
+			want := loadAll(src)
+			assertBlockParityWant(t, fmt.Sprintf("%s d%d", name, dil), src, want)
+			assertGroupRequests(t, fmt.Sprintf("%s d%d", name, dil), src, want, src.Shape()[2:].NumElements())
+		}
+	}
+}
+
+// assertGroupRequests holds a depthwise conv of gemm outputs per GEMM to
+// want over requests placed against its channel groups: from a group's
+// first GEMM to inside the plane of its last, from inside a group to the
+// end, and one whole group then half a plane of the next.
+func assertGroupRequests(t *testing.T, name string, src Source, want []float32, gemm int) {
+	t.Helper()
+	blk, _ := AsBlock(src)
+	total := len(want)
+	for _, r := range [][2]int{
+		{0, min(dwLanes*gemm-1, total)},
+		{gemm, total - gemm},
+		{0, min(dwLanes*gemm+gemm/2, total)},
+	} {
+		off, n := r[0], r[1]
+		if n <= 0 {
+			continue
+		}
+		got := make([]float32, n)
+		blk.LoadBlock(got, off, n)
+		for i, v := range got {
+			if w := want[off+i]; math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("%s, request [%d,+%d): element %d = %v (%#08x), oracle says %v (%#08x)", name, off, n, off+i, v, math.Float32bits(v), w, math.Float32bits(w))
+			}
 		}
 	}
 }
@@ -419,8 +465,17 @@ func TestDepthwiseBandScratch(t *testing.T) {
 	if got := c.dw.bandElems(c.jb); got != 9*12 || len(c.band) < got {
 		t.Errorf("band of %d floats (%d bound) at panel %d, want 108", got, len(c.band), c.jb)
 	}
-	if got, want := ScratchBytes(src), 8*int64(len(c.acc)+len(c.band)); got != want {
-		t.Errorf("ScratchBytes = %d, want %d: the float64 accumulators and band", got, want)
+	if got, want := ScratchBytes(src), 8*int64(len(c.acc)+len(c.band)+len(c.wts)); got != want {
+		t.Errorf("ScratchBytes = %d, want %d: the float64 accumulators, band and channel-group taps", got, want)
+	}
+	// Where the CPU runs depthwise4, the band interleaves a channel group:
+	// four channels at every position, and the group's taps widened.
+	g, taps := c.dw.group, 0
+	if g > 1 {
+		taps = g * 9
+	}
+	if len(c.band) != g*c.dw.bandElems(c.jb) || len(c.wts) != taps {
+		t.Errorf("channel group of %d: band of %d floats and taps of %d at panel %d, want %d and %d", g, len(c.band), len(c.wts), c.jb, g*c.dw.bandElems(c.jb), taps)
 	}
 	// Depth multiplier 2 normalizes the row tile to 2, but the stencil sums
 	// one output row at a time: one row of accumulators.

@@ -187,7 +187,10 @@ func blockedConv(s *convSource) (Source, bool) {
 		c.c.rs, c.c.batch = 1, []int{0, s.mPerGroup}
 	}
 	if d == 2 && s.cPerGroup == 1 {
-		c.dw = newDepthwise(s)
+		// A channel group reads its four weight rows in place (a lazy
+		// weight arrives one GEMM's row window at a time) and adds the bias
+		// as finish does for alpha = beta = 1.
+		c.dw = newDepthwise(s, c.a.pull == nil)
 		return newContraction(c), true
 	}
 	for i := 0; i < d; i++ {
@@ -359,10 +362,18 @@ func (s *im2col) pack(panel, xData []float32, xBase, j0, w int) {
 // and a one-row tile. Per column panel, fill widens the input rows the
 // panel's outputs read into a float64 band once — padding stored as zero
 // columns on both sides and zero rows outside the image, so no loop has a
-// border case — and stencil runs each output channel's kh×kw taps over it.
-// Taps sum ky-outer, kx-inner from +0, each product rounded on its own: the
-// oracle's order and arithmetic, so the path is bit-exact, and a padded tap
-// is a stored 0 times the weight (NaN for a non-finite one).
+// border case — and the stencil runs each output channel's kh×kw taps over
+// it. Taps sum ky-outer, kx-inner from +0, each product rounded on its own:
+// the oracle's order and arithmetic, so the path is bit-exact, and a padded
+// tap is a stored 0 times the weight (NaN for a non-finite one).
+//
+// The band is channel-interleaved: a channel group of four consecutive
+// (image, group) GEMMs fills one band whose every position holds the four
+// channels' inputs, [band row][band column][channel], and depthwise4 runs
+// the four channels' stencils at once, one FMA per tap (simd). One GEMM
+// alone — a remainder channel, a request that starts inside a group, a CPU
+// or build without the assembly — fills a one-channel band of the same
+// layout, and the Go loops read any channel of either band.
 //
 // A panel is whole output rows from a row start — the band holds every
 // column those rows read — or part of one row, whose band holds only the
@@ -374,16 +385,23 @@ type depthwise struct {
 	sy, sx int // strides
 	dy, dx int // dilations
 	py, px int // pads
+	// group is how many GEMMs one band interleaves at most: dwLanes where
+	// depthwise4 runs, else 1.
+	group int
 	// width is the band row length of whole output rows: every column they
 	// read, from input column −px.
 	width int
 	// The band fill last left: its first output row, the whole-row band
-	// column its first column is (it reads input column c0 − px), and its
-	// row length.
-	oy0, c0, bw int
+	// column its first column is (it reads input column c0 − px), its row
+	// length in columns, and its channels per column.
+	oy0, c0, bw, lanes int
 }
 
-func newDepthwise(s *convSource) *depthwise {
+// dwLanes is the channels of a depthwise channel group: four float64 lanes
+// of a YMM register.
+const dwLanes = 4
+
+func newDepthwise(s *convSource, grouped bool) *depthwise {
 	a := s.a
 	d := &depthwise{
 		h: s.xShape[2], w: s.xShape[3], ow: s.shape[3],
@@ -391,6 +409,10 @@ func newDepthwise(s *convSource) *depthwise {
 		sy: a.Strides[0], sx: a.Strides[1],
 		dy: a.Dilations[0], dx: a.Dilations[1],
 		py: a.Pads[0], px: a.Pads[1],
+		group: 1,
+	}
+	if grouped && avx2FMA {
+		d.group = dwLanes
 	}
 	d.width = d.extent(d.ow)
 	return d
@@ -412,7 +434,8 @@ func (d *depthwise) panel(j0, n int) int {
 	return n
 }
 
-// bandElems is the largest band a column panel of jb outputs fills.
+// bandElems is the largest one-channel band a column panel of jb outputs
+// fills; a channel group's band holds group times as many.
 func (d *depthwise) bandElems(jb int) int {
 	if jb < d.ow {
 		return d.bandRows(1) * d.extent(jb)
@@ -420,9 +443,9 @@ func (d *depthwise) bandElems(jb int) int {
 	return d.bandRows((jb+d.ow-1)/d.ow) * d.width
 }
 
-// maxCols is the widest column panel whose band holds at most elems floats:
-// whole output rows while one row's band fits, else part of a row (at
-// least one output).
+// maxCols is the widest column panel whose one-channel band holds at most
+// elems floats: whole output rows while one row's band fits, else part of a
+// row (at least one output).
 func (d *depthwise) maxCols(elems int) int {
 	if fit := elems / d.width; fit >= d.bandRows(1) {
 		return ((fit-d.bandRows(1))/d.sy + 1) * d.ow
@@ -431,11 +454,13 @@ func (d *depthwise) maxCols(elems int) int {
 }
 
 // fill widens into band the input that outputs [j0, j0+n) — one panel —
-// read, from the channel plane at x[xBase].
-func (d *depthwise) fill(band []float64, x []float32, xBase, j0, n int) {
+// read, from the channel planes at x[planes[l]]: one plane, or a channel
+// group's four interleaved.
+func (d *depthwise) fill(band []float64, x []float32, planes []int, j0, n int) {
 	oy0, ox := j0/d.ow, j0%d.ow
 	rows := (ox+n-1)/d.ow + 1
-	d.oy0, d.c0, d.bw = oy0, 0, d.width
+	g := len(planes)
+	d.oy0, d.c0, d.bw, d.lanes = oy0, 0, d.width, g
 	if rows == 1 {
 		d.c0, d.bw = ox*d.sx, d.extent(n)
 	}
@@ -444,74 +469,125 @@ func (d *depthwise) fill(band []float64, x []float32, xBase, j0, n int) {
 	hi := min(max(d.px+d.w-d.c0, lo), d.bw)
 	iy := oy0*d.sy - d.py
 	for r := 0; r < d.bandRows(rows); r, iy = r+1, iy+1 {
-		row := band[r*d.bw:][:d.bw]
+		row := band[r*d.bw*g:][:d.bw*g]
 		if iy < 0 || iy >= d.h {
 			clear(row)
 			continue
 		}
-		clear(row[:lo])
-		if in := row[lo:hi]; len(in) > 0 {
-			for t, v := range x[xBase+iy*d.w+d.c0+lo-d.px:][:len(in)] {
+		clear(row[:lo*g])
+		clear(row[hi*g:])
+		in, at, m := row[lo*g:hi*g], iy*d.w+d.c0+lo-d.px, hi-lo
+		switch {
+		case m == 0:
+		case g == 1:
+			for t, v := range x[planes[0]+at:][:m] {
 				in[t] = float64(v)
 			}
+		default:
+			x0, x1 := x[planes[0]+at:][:m], x[planes[1]+at:][:m]
+			x2, x3 := x[planes[2]+at:][:m], x[planes[3]+at:][:m]
+			for t := interleaveSIMD(in, x0, x1, x2, x3); t < m; t++ {
+				q := in[t*dwLanes:][:dwLanes]
+				q[0], q[1], q[2], q[3] = float64(x0[t]), float64(x1[t]), float64(x2[t]), float64(x3[t])
+			}
 		}
-		clear(row[hi:])
 	}
 }
 
-// stencil writes into acc the sums of outputs [j0, j0+len(acc)) — inside
-// the panel fill last widened — of one output channel, whose kh×kw taps
-// (ky-outer) are tap.
-func (d *depthwise) stencil(acc []float64, tap []float32, band []float64, j0 int) {
+// interleaveSIMD widens the whole 4-column runs of the four planes x0…x3
+// (of equal length) into dst, channel-interleaved, through interleave4
+// where the CPU has AVX2, and returns how many columns it wrote. The last
+// element of each slice is indexed first, so a short one is a Go bounds
+// panic.
+func interleaveSIMD(dst []float64, x0, x1, x2, x3 []float32) int {
+	n := len(x0) &^ 3
+	if !avx2FMA || n == 0 {
+		return 0
+	}
+	_, _, _, _, _ = dst[dwLanes*n-1], x0[n-1], x1[n-1], x2[n-1], x3[n-1]
+	interleave4(&dst[0], &x0[0], &x1[0], &x2[0], &x3[0], n)
+	return n
+}
+
+// at is the offset in the band fill last widened of channel 0 of output
+// j0's top-left tap.
+func (d *depthwise) at(j0 int) int {
 	oy, ox := j0/d.ow, j0%d.ow
+	return ((oy-d.oy0)*d.sy*d.bw + ox*d.sx - d.c0) * d.lanes
+}
+
+// simd writes outputs [j0, j0+n) of a channel group — inside the panel fill
+// last widened, four channels — through depthwise4: channel l to
+// dst[l·plane:], its taps wts[t·4 + l] (ky-outer), its addend bias[l]. It
+// reports false, having written garbage, when an accumulator was NaN: the
+// Go loops then redo the group. The last band, weight and output element
+// the routine touches are indexed here first, so a short slice is a Go
+// bounds panic, not a stray access.
+func (d *depthwise) simd(dst []float32, plane int, wts []float64, bias *[dwLanes]float64, band []float64, j0, n int) bool {
+	const g = dwLanes
+	last := d.at(j0+n-1) + ((d.kh-1)*d.dy*d.bw+(d.kw-1)*d.dx)*g + g - 1
+	_, _, _ = band[last], wts[d.kh*d.kw*g-1], dst[(g-1)*plane+n-1]
+	seg := min(d.ow-j0%d.ow, n)
+	rowAdv := (d.sy*d.bw - d.ow*d.sx) * g
+	return !depthwise4(&band[d.at(j0)], &wts[0], &bias[0], &dst[0], plane, d.kh, d.kw, d.dx*g, d.dy*d.bw*g, d.sx*g, rowAdv, seg, d.ow, n)
+}
+
+// loops writes into acc the sums of outputs [j0, j0+len(acc)) — inside the
+// panel fill last widened — of one output channel, the band's channel
+// band[0] is in, whose kh×kw taps (ky-outer) are tap.
+func (d *depthwise) loops(acc []float64, tap []float32, band []float64, j0 int) {
+	g := d.lanes
 	for len(acc) > 0 {
-		seg := min(d.ow-ox, len(acc))
-		rows := band[(oy-d.oy0)*d.sy*d.bw+ox*d.sx-d.c0:]
+		seg := min(d.ow-j0%d.ow, len(acc))
+		rows := band[d.at(j0):]
 		if d.kh == 3 && d.kw == 3 && d.dy == 1 && d.dx == 1 {
-			stencil3x3(acc[:seg], tap[:9], rows, d.bw, d.sx)
+			stencil3x3(acc[:seg], tap[:9], rows, d.bw*g, d.sx*g, g)
 		} else {
 			d.stencilTaps(acc[:seg], tap, rows)
 		}
 		acc = acc[seg:]
-		oy, ox = oy+1, 0
+		j0 += seg
 	}
 }
 
 // stencil3x3 is the 3×3, dilation-1 stencil over one output row segment
-// whose first window's top-left tap is band[0] (band row length width):
-// nine weights in registers, one accumulator per output.
-func stencil3x3(out []float64, tap []float32, band []float64, width, sx int) {
+// whose first window's top-left tap is band[0] (band row length width,
+// columns step apart): nine weights in registers, one accumulator per
+// output.
+func stencil3x3(out []float64, tap []float32, band []float64, width, sx, step int) {
 	w0, w1, w2 := float64(tap[0]), float64(tap[1]), float64(tap[2])
 	w3, w4, w5 := float64(tap[3]), float64(tap[4]), float64(tap[5])
 	w6, w7, w8 := float64(tap[6]), float64(tap[7]), float64(tap[8])
 	r0, r1, r2 := band, band[width:], band[2*width:]
+	c1, c2 := step, 2*step
 	for t := range out {
 		c := t * sx
 		v := 0.0
 		v += float64(w0 * r0[c])
-		v += float64(w1 * r0[c+1])
-		v += float64(w2 * r0[c+2])
+		v += float64(w1 * r0[c+c1])
+		v += float64(w2 * r0[c+c2])
 		v += float64(w3 * r1[c])
-		v += float64(w4 * r1[c+1])
-		v += float64(w5 * r1[c+2])
+		v += float64(w4 * r1[c+c1])
+		v += float64(w5 * r1[c+c2])
 		v += float64(w6 * r2[c])
-		v += float64(w7 * r2[c+1])
-		v += float64(w8 * r2[c+2])
+		v += float64(w7 * r2[c+c1])
+		v += float64(w8 * r2[c+c2])
 		out[t] = v
 	}
 }
 
 // stencilTaps is the generic kh×kw stencil over one output row segment
 // whose first window's top-left tap is band[0], tap by tap across the
-// segment (a contiguous run at stride 1): every accumulator still sums its
-// taps ky-outer, kx-inner.
+// segment (a contiguous run at stride 1 in a one-channel band): every
+// accumulator still sums its taps ky-outer, kx-inner.
 func (d *depthwise) stencilTaps(out []float64, tap []float32, band []float64) {
 	clear(out)
-	sx, n := d.sx, len(out)
+	g, n := d.lanes, len(out)
+	sx := d.sx * g
 	for ky := 0; ky < d.kh; ky++ {
-		row := band[ky*d.dy*d.bw:]
+		row := band[ky*d.dy*d.bw*g:]
 		for kx := 0; kx < d.kw; kx++ {
-			wv, src := float64(tap[ky*d.kw+kx]), row[kx*d.dx:][:(n-1)*sx+1]
+			wv, src := float64(tap[ky*d.kw+kx]), row[kx*d.dx*g:][:(n-1)*sx+1]
 			if sx == 1 {
 				out := out[:len(src)]
 				for t, x := range src {

@@ -158,6 +158,9 @@ func (p *pool) Virtualize(ins []Source, outNo int) (Source, error) {
 		xStage:     xStage,
 		xStrides:   x.Strides(),
 		idxBuf:     make([]int, out.Rank()),
+		lo:         make([]int, x.Rank()-2),
+		hi:         make([]int, x.Rank()-2),
+		at:         make([]int, x.Rank()-2),
 	}, nil
 }
 
@@ -215,13 +218,20 @@ func (s *poolSource) Load(idx []int) float32 {
 }
 
 // poolBlockSource walks the requested output range with a row-major
-// odometer and evaluates every window over the flat input slice.
+// odometer and evaluates every window over the flat input slice: each
+// spatial dim's window is clipped to the input once per output, and the
+// clipped window walked with nested offsets, its innermost dim a contiguous
+// run. The taps are the oracle's in-bounds taps in its ascending order, so
+// the sum, the math.Max fold and the count are its own, bit for bit.
 type poolBlockSource struct {
 	poolSource
 	xData    []float32
 	xStage   *Staged
 	xStrides []int
 	idxBuf   []int
+	// lo, hi and at are per spatial dim: the clipped window [lo, hi) and
+	// the odometer over it.
+	lo, hi, at []int
 }
 
 func (s *poolBlockSource) LoadBlock(dst []float32, off, n int) {
@@ -236,34 +246,48 @@ func (s *poolBlockSource) LoadBlock(dst []float32, off, n int) {
 
 func (s *poolBlockSource) eval(idx []int, xData []float32) float32 {
 	base := idx[0]*s.xStrides[0] + idx[1]*s.xStrides[1]
-	acc := math.Inf(-1)
-	sum, count := 0.0, 0
-	for kp := 0; kp < s.total; kp++ {
-		rem := kp
-		ok := true
-		xOff := base
-		for i := s.spatial - 1; i >= 0; i-- {
-			k := rem % s.kernel[i]
-			rem /= s.kernel[i]
-			pos := idx[2+i]*s.strides[i] - s.pads[i] + k
-			if pos < 0 || pos >= s.xShape[2+i] {
-				ok = false
-				break
-			}
-			xOff += pos * s.xStrides[2+i]
-		}
-		if !ok {
-			continue
-		}
-		v := float64(xData[xOff])
-		sum += v
-		count++
-		acc = math.Max(acc, v)
+	count := 1
+	for i := 0; i < s.spatial; i++ {
+		start := idx[2+i]*s.strides[i] - s.pads[i]
+		s.lo[i], s.hi[i] = max(start, 0), min(start+s.kernel[i], s.xShape[2+i])
+		count *= max(s.hi[i]-s.lo[i], 0)
+		s.at[i] = s.lo[i]
+		base += s.lo[i] * s.xStrides[2+i]
 	}
-	if s.avg {
-		if count == 0 {
+	if count == 0 {
+		if s.avg {
 			return 0
 		}
+		return float32(math.Inf(-1))
+	}
+	last := s.spatial - 1
+	run := s.hi[last] - s.lo[last]
+	sum, acc := 0.0, math.Inf(-1)
+	for off := base; ; {
+		if s.avg {
+			for _, v := range xData[off:][:run] {
+				sum += float64(v)
+			}
+		} else {
+			for _, v := range xData[off:][:run] {
+				acc = math.Max(acc, float64(v))
+			}
+		}
+		// The next run: the odometer over the outer dims.
+		i := last - 1
+		for ; i >= 0; i-- {
+			off += s.xStrides[2+i]
+			if s.at[i]++; s.at[i] < s.hi[i] {
+				break
+			}
+			off -= (s.hi[i] - s.lo[i]) * s.xStrides[2+i]
+			s.at[i] = s.lo[i]
+		}
+		if i < 0 {
+			break
+		}
+	}
+	if s.avg {
 		return float32(sum / float64(count))
 	}
 	return float32(acc)

@@ -144,6 +144,11 @@ const maxStripeElems = 1 << 16
 func TileSpan(s Source) int {
 	switch v := s.(type) {
 	case *contraction:
+		if v.dw != nil && v.dw.group > 1 {
+			// One depthwise channel group: a chunk that starts on one runs
+			// its four GEMMs through depthwise4.
+			return v.dw.group * v.m * v.n
+		}
 		return v.rowTile * v.n
 	case *viewBlockSource:
 		// A reshape preserves flat order: the producer's alignment is the

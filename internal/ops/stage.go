@@ -280,7 +280,7 @@ func ScratchBytes(roots ...Source) int64 {
 		case *pointwiseProgram:
 			total += v.scratchBytes()
 		case *contraction:
-			total += 4*int64(len(v.panel)) + 8*int64(len(v.acc)+len(v.band))
+			total += 4*int64(len(v.panel)) + 8*int64(len(v.acc)+len(v.band)+len(v.wts))
 		case *Staged:
 			total += 4 * int64(len(v.buf))
 		case *softmaxBlockSource:

@@ -3,9 +3,10 @@
 package ops
 
 // avx2FMA reports that the CPU has AVX2 and FMA and the OS saves YMM state:
-// mulTileAcc runs its 4- and 8-row tiles through tile4x8, and the typed
-// loops of a pointwise program run pointwise_amd64.s. It is set once, here,
-// and never written again.
+// mulTileAcc runs its 4- and 8-row tiles through tile4x8, contraction.finish
+// rounds through finishPD, a depthwise Conv fills and runs its channel
+// groups through interleave4 and depthwise4, and the typed loops of a
+// pointwise program run pointwise_amd64.s. It is set once, here, and never written again.
 var avx2FMA = hasAVX2FMA()
 
 func hasAVX2FMA() bool {
@@ -34,6 +35,31 @@ func hasAVX2FMA() bool {
 //
 //go:noescape
 func tile4x8(a *float32, ai, ak, kk int, b *float32, bRS int, acc *float64, w, strips, passes int) (nan bool)
+
+// finishPD writes dst[t] = float32(float64(acc[t]·alpha) + c) for the n
+// elements of acc, n a positive multiple of 4 (tile_amd64.s): the product
+// and the sum each rounded to float64, acc the first operand of both, no
+// fused multiply-add. finishSIMD checks both ends before the call.
+//
+//go:noescape
+func finishPD(dst *float32, acc *float64, n int, alpha, c float64)
+
+// depthwise4 is the depthwise stencil of one channel group: four output
+// channels of n outputs over a channel-interleaved band, written to four
+// output planes (depthwise_amd64.s). nan reports that some accumulator was
+// NaN. depthwise.simd checks the last band, weight and output element it
+// touches before the call.
+//
+//go:noescape
+func depthwise4(band, wts, bias *float64, dst *float32, plane, kh, kw, dx, dy, sx, rowAdv, seg, ow, n int) (nan bool)
+
+// interleave4 widens four planes of n float32 each into one
+// channel-interleaved float64 run, dst[4t + l] = float64(xl[t]), n a
+// positive multiple of 4 (depthwise_amd64.s). interleaveSIMD checks the
+// last element of each slice before the call.
+//
+//go:noescape
+func interleave4(dst *float64, x0, x1, x2, x3 *float32, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -120,3 +120,30 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	XGETBV
 	MOVL AX, eax+0(FP)
 	RET
+
+// func finishPD(dst *float32, acc *float64, n int, alpha, c float64)
+//
+// Four accumulators at a time: VMULPD by alpha and VADDPD of c, the
+// accumulator the first source of both (it is the NaN an operation with two
+// NaN operands returns, as in the Go loop), then VCVTPD2PSY rounds to
+// float32 under the MXCSR's round-to-nearest-even, which is Go's float32().
+TEXT ·finishPD(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD alpha+24(FP), Y1
+	VBROADCASTSD c+32(FP), Y2
+
+	PCALIGN $32
+finish:
+	VMOVUPD    (SI), Y0
+	VMULPD     Y1, Y0, Y0
+	VADDPD     Y2, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $16, DI
+	SUBQ       $4, CX
+	JNZ        finish
+	VZEROUPPER
+	RET

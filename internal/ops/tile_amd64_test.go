@@ -63,3 +63,44 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 		}
 	}
 }
+
+// TestDepthwiseUsesSIMD: where the CPU has AVX2 and FMA, a depthwise Conv
+// bands its channels four at a time, a request over whole channel groups
+// fills that band (its last fill interleaved four channels) and depthwise4
+// runs over it, handing a group back to the Go loops only when an
+// accumulator is NaN; the finish and band-fill routines take their whole
+// groups too. A broken dispatch would otherwise run every channel on the
+// Go loops with every parity test still green.
+func TestDepthwiseUsesSIMD(t *testing.T) {
+	if !avx2FMA {
+		t.Skip("no AVX2+FMA on this CPU: the Go loops are the only path")
+	}
+	x := randSource(510, 1, 8, 6, 6)
+	src := virtualize(t, NewConv(ConvAttrs{Pads: []int{1}, Groups: 8}), x, randSource(511, 8, 1, 3, 3), randSource(512, 8))
+	c := depthwiseOf(t, "depthwise", src)
+	if c.dw.group != dwLanes || TileSpan(src) != dwLanes*c.n {
+		t.Fatalf("depthwise conv: channel group of %d, tile span %d; want %d and %d", c.dw.group, TileSpan(src), dwLanes, dwLanes*c.n)
+	}
+	got := make([]float32, 8*c.n)
+	c.LoadBlock(got, 0, len(got))
+	if c.dw.lanes != dwLanes {
+		t.Fatalf("a request over two channel groups filled a band of %d channels, want %d", c.dw.lanes, dwLanes)
+	}
+	var bias [dwLanes]float64
+	dst, wts := make([]float32, dwLanes*c.n), make([]float64, dwLanes*c.k)
+	if !c.dw.simd(dst, c.n, wts, &bias, c.band, 0, c.n) {
+		t.Fatal("depthwise4 reports a NaN accumulator over finite data")
+	}
+	wts[dwLanes*c.k-1] = math.NaN()
+	if c.dw.simd(dst, c.n, wts, &bias, c.band, 0, c.n) {
+		t.Fatal("depthwise4 does not report a NaN accumulator")
+	}
+	acc, out := make([]float64, 9), make([]float32, 9)
+	if n := finishSIMD(out, acc, 1, 0); n != 8 {
+		t.Errorf("finishSIMD rounded %d of 9 accumulators, want 8", n)
+	}
+	band, plane := make([]float64, dwLanes*9), make([]float32, 9)
+	if n := interleaveSIMD(band, plane, plane, plane, plane); n != 8 {
+		t.Errorf("interleaveSIMD widened %d of 9 columns, want 8", n)
+	}
+}
