@@ -45,7 +45,7 @@ func assertBlockParityWant(t *testing.T, name string, src Source, want []float32
 		t.Helper()
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("%s (%s): element %d = %v, scalar oracle says %v", name, label, i, got[i], want[i])
+				t.Fatalf("%s (%s): element %d = %v (%#08x), scalar oracle says %v (%#08x)", name, label, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
 	}

@@ -34,6 +34,11 @@ import (
 //     runs over in place of the tile loop. A lazy B is staged whole first,
 //     because every row tile re-reads it.
 //
+// Where the CPU runs the SIMD tile, mulTileAcc widens the A rows of each
+// tile — however they arrived — once more, into pa: a packed float64
+// micro-panel of one row group and at most tileK of its k, which the
+// assembly broadcasts from memory.
+//
 // Every accumulator sums in ascending-k float64 order and is rounded once,
 // after the epilogue, so LoadBlock is bit-for-bit equal to the oracle's
 // Load.
@@ -65,12 +70,14 @@ type contraction struct {
 	wts    []float64
 
 	// rowTile and jb are the normalized tile schedule; acc holds rowTile
-	// accumulator rows of jb entries (one row under the depthwise stencil),
-	// panel is k × jb.
+	// accumulator rows of jb entries (one row under the depthwise stencil,
+	// whole 4-row passes on the SIMD tile), panel is k × jb, and pa is the
+	// SIMD tile's packed A: one row group's K-block, widened.
 	rowTile int
 	jb      int
 	acc     []float64
 	panel   []float32
+	pa      []float64
 }
 
 // operand is a contraction operand: element (batch…, r, c) of the logical
@@ -178,8 +185,10 @@ const (
 // channels per position, where the CPU runs depthwise4 — to maxBandElems
 // (never under Normalize's 8 columns), the A window and the accumulators
 // hold one row group (the accumulators one row under the depthwise
-// stencil). A schedule injected after construction may be shorter than the
-// one built with, so every buffer is resized, not only grown.
+// stencil). Where the CPU runs tile4x8, the accumulators hold whole 4-row
+// passes and the packed A one row group's K-block (tileRows, tileK: at
+// most 32 KiB). A schedule injected after construction may be shorter than
+// the one built with, so every buffer is resized, not only grown.
 func (s *contraction) setSchedule(sched Schedule) {
 	sched = sched.Normalize(s.m, s.n)
 	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
@@ -195,6 +204,9 @@ func (s *contraction) setSchedule(sched Schedule) {
 			s.wts = resize(s.wts, dw.group*s.k)
 		}
 		accRows = 1 // the stencil sums one output row at a time
+	} else if avx2FMA {
+		accRows = tileRows(s.rowTile)
+		s.pa = resize(s.pa, accRows*min(s.k, tileK))
 	}
 	s.acc = resize(s.acc, accRows*s.jb)
 	if w := s.a.pull; w != nil {
@@ -289,7 +301,7 @@ func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int
 			for rt > rows-r {
 				rt >>= 1
 			}
-			mulTileAcc(rt, a, a0+r*s.a.rs, s.a.rs, s.a.cs, s.k, b, b0, bRS, bLo, s.acc, w)
+			mulTileAcc(rt, a, a0+r*s.a.rs, s.a.rs, s.a.cs, s.k, b, b0, bRS, bLo, s.acc, w, s.pa)
 			for t := 0; t < rt; t++ {
 				s.finish(dst[(r+t)*cols+j0-jLo:], s.acc[t*w:][:w], cData, cBase+(r+t)*s.c.rs+j0*s.c.cs)
 			}

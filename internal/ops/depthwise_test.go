@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"dnnfusion/internal/tensor"
 )
 
 // finishSpecials are float64 accumulators that stress finish's rounding:
@@ -170,5 +172,59 @@ func TestDepthwiseSIMDBounds(t *testing.T) {
 		planes := [dwLanes][]float32{x, x, x, x}
 		planes[l] = x[:7:7]
 		expectBoundsPanic(t, fmt.Sprintf("interleave plane %d", l), func() { interleaveSIMD(dst, planes[0], planes[1], planes[2], planes[3]) })
+	}
+}
+
+// TestConvNaNPayloads: where a NaN weight (a payload per output
+// channel) meets a NaN input in one product, and where the two NaNs meet
+// in one accumulator, every blocked Conv path writes NaN where the oracle
+// does, carrying one of the two payloads, and every other output bit for
+// bit: the 3×3 stencil, the generic-tap stencil (5×5, and a dilated 3×3) —
+// each through a channel group, whose NaN group the Go loops redo, and a
+// remainder GEMM — and the im2col tile, whose A operand is the weights.
+// Which of the two payloads survives is not pinned: Go's register
+// allocation, not the source's operand order, picks the first operand of
+// each MULSD and ADDSD, whose NaN x86 keeps (README, numeric contract).
+func TestConvNaNPayloads(t *testing.T) {
+	const ch, xNaN = 5, 0xffc00abc
+	for _, tc := range []struct {
+		name             string
+		kern, dil, group int
+	}{
+		{"3x3 stencil", 3, 1, ch}, {"5x5 taps", 5, 1, ch}, {"dilated taps", 3, 2, ch}, {"im2col", 3, 1, 1},
+	} {
+		x := tensor.New(1, ch, 7, 7).Rand(421)
+		w := tensor.New(ch, ch/tc.group, tc.kern, tc.kern).Rand(422)
+		mid := tc.kern / 2
+		for c := 0; c < ch; c++ {
+			w.Set(math.Float32frombits(0x7fc00001+uint32(c)), c, 0, mid, mid)
+			if tc.group > 1 || c == 0 {
+				x.Set(math.Float32frombits(xNaN), 0, c, 3, 3)
+			}
+		}
+		// Output (3, 3)'s centre tap reads input (3, 3): NaN times NaN. The
+		// im2col conv sums input channel 0 first, where both NaNs are.
+		attrs := ConvAttrs{Pads: []int{mid * tc.dil}, Dilations: []int{tc.dil}, Groups: tc.group}
+		src := virtualize(t, NewConv(attrs), AsSource(x), AsSource(w), randSource(423, ch))
+		if tc.group > 1 {
+			depthwiseOf(t, tc.name, src)
+		}
+		want := loadAll(src)
+		got := make([]float32, len(want))
+		blk, _ := AsBlock(src)
+		blk.LoadBlock(got, 0, len(got))
+		plane := src.Shape()[2:].NumElements()
+		for i, v := range got {
+			g, x := math.Float32bits(v), math.Float32bits(want[i])
+			wNaN := 0x7fc00001 + uint32(i/plane)
+			switch {
+			case x != wNaN && x != xNaN && g != x:
+				t.Fatalf("%s: element %d = %#08x, oracle %#08x", tc.name, i, g, x)
+			case g != x && g != wNaN && g != xNaN:
+				t.Fatalf("%s: element %d = %#08x, want NaN %#08x or %#08x (oracle %#08x)", tc.name, i, g, wNaN, uint32(xNaN), x)
+			case g != x:
+				t.Logf("%s: element %d keeps %#08x, oracle %#08x", tc.name, i, g, x)
+			}
+		}
 	}
 }

@@ -36,7 +36,8 @@ func (s Schedule) String() string {
 }
 
 // ScheduleFor is the one schedule rule: the tallest row tile that fits M
-// (8 and 4 run the SIMD tile, tile4x8) and a column panel of min(N, 512).
+// (every height runs the SIMD tile, tile4x8) and a column panel of
+// min(N, 512).
 // It depends on the shape alone, never on a device profile. Taller tiles
 // and a full-width panel beat every narrower choice measured on the zoo's
 // large convs and M = 1 heads, and tie on transformer panels; a panel
@@ -207,50 +208,99 @@ func ScheduleTaskDims(op Operator, in []tensor.Shape) (m, n, k int, ok bool) {
 	return 0, 0, 0, false
 }
 
+// tileK is the SIMD tile's K-block: a row group's packed A holds at most
+// tileRows(rt)·tileK float64 (32 KiB at 8 rows), and a longer contraction
+// runs the tile once per K-block, each block resuming from the sums the
+// last one stored.
+const tileK = 512
+
+// tileRows is the rows a tile of rt rows occupies on the SIMD tile, in its
+// packed A and its accumulators: whole 4-row passes.
+func tileRows(rt int) int { return max(rt, 4) }
+
+// SIMDRowTile reports that mulTileAcc runs row tiles rt high on the SIMD
+// tile, where the CPU has one: every height Normalize gives, 1 and 2 as one
+// 4-row pass.
+func SIMDRowTile(rt int) bool { return rt == 1 || rt == 2 || rt == 4 || rt == 8 }
+
 // mulTileAcc accumulates the rt×w output tile with corner (row a0/ai, col
-// jLo) into acc (rt rows of w float64 accumulators, cleared here): K-outer,
+// jLo) into acc (rows of w float64 accumulators, cleared here): K-outer,
 // so each B row segment is loaded — and widened to float64 — once per tile
 // rather than once per output row. Every accumulator still sums its
 // products in ascending-k order, so the tile is bit-for-bit equal to rt
 // independent scalar rows.
 //
-// Where the CPU has AVX2 and FMA (avx2FMA), the whole 8-column strips of a
-// 4- or 8-row tile run tile4x8, the assembly tile; the column remainder and
-// row tiles of 1 and 2 run mulTileGo. The result is the same bit for bit:
-// every operand is a widened float32, so each product is exact in float64
-// (24 + 24 ≤ 53 significand bits) and the fused multiply-add rounds once,
-// where acc += a*b rounds. Only which NaN propagates can differ (the FMA
-// prefers the accumulator's, acc += a*b the product's), so a tile that
-// ends with a NaN accumulator is redone by the Go loops.
-func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int) {
-	acc = acc[: rt*w : rt*w]
+// Where the CPU has AVX2 and FMA (avx2FMA), the whole 8-column strips of
+// every tile run tile4x8, the assembly tile, K-block by K-block: packA
+// first widens the block of A once into pa, a packed float64 micro-panel
+// the tile broadcasts from memory. A 1- or 2-row tile runs as one 4-row
+// pass whose missing rows repeat its last row, their accumulators left in
+// acc's rows rt…3 and never read, so there acc holds tileRows(rt) rows and
+// pa tileRows(rt)·min(kk, tileK) floats. The column remainder runs
+// mulTileGo. The result is the same bit for bit: every operand is a widened
+// float32, so each product is exact in float64 (24 + 24 ≤ 53 significand
+// bits) and the fused multiply-add rounds once, where acc += a*b rounds;
+// a K-block's sums are stored and reloaded as they are. Only which NaN
+// propagates can differ (the FMA prefers the accumulator's, acc += a*b the
+// product's), so a tile that ends a K-block with a NaN accumulator is
+// redone by the Go loops.
+func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int, pa []float64) {
 	lo := 0
-	if avx2FMA && (rt == 4 || rt == 8) && kk > 0 && ai|ak|bRS >= 0 {
+	if avx2FMA && SIMDRowTile(rt) && kk > 0 && bRS >= 0 {
 		if lo = w &^ 7; lo > 0 {
-			// The assembly reads A at a0 + r·ai + k·ak and B at
-			// bBase + k·bRS + jLo + j (r < rt, k < kk, j < lo), and writes
-			// acc[r·w + j]. With nonnegative strides the first and last of
-			// each bound all the others: touching them (acc through the
-			// reslice above) makes a bad index a bounds panic here.
-			_ = aData[a0+(rt-1)*ai+(kk-1)*ak]
-			_ = bData[bBase+(kk-1)*bRS+jLo+lo-1]
-			if tile4x8(&aData[a0], ai, ak, kk, &bData[bBase+jLo], bRS, &acc[0], w, lo/8, rt/4) {
-				lo = 0
+			rows := tileRows(rt)
+			// The assembly reads B at bBase + k·bRS + jLo + j (k < kk,
+			// j < lo) and the rows·kb floats of p, and writes acc[r·w + j]
+			// (r < rows). With a nonnegative stride the first and last of
+			// each bound all the others: touching them makes a bad index a
+			// bounds panic here.
+			_, _ = bData[bBase+(kk-1)*bRS+jLo+lo-1], acc[rows*w-1]
+			for k0 := 0; k0 < kk; k0 += tileK {
+				kb := min(tileK, kk-k0)
+				p := pa[:rows*kb]
+				packA(p, rt, aData, a0+k0*ak, ai, ak, kb)
+				if tile4x8(&p[0], kb, &bData[bBase+k0*bRS+jLo], bRS, &acc[0], w, lo/8, rows/4, k0 == 0) {
+					lo = 0
+					break
+				}
 			}
 		}
 	}
 	mulTileGo(rt, aData, a0, ai, ak, kk, bData, bBase, bRS, jLo, acc, w, lo)
 }
 
-// mulTileGo is mulTileAcc's Go loops, over columns [lo, w) of the tile:
-// each supported row-tile height is specialized so the per-k A values live
-// in registers. Only heights 4 and 8 follow the assembly tile, so only
-// their loops start at lo; heights 1 and 2 always get lo = 0 (a column
-// offset there spills the single-row loop's counter).
+// packA widens the kb-long rows [0, rt) of A, row r at aData[a0 + r·ai]
+// with k stride ak, into tile4x8's micro-panel pa: 4-row pass by pass,
+// k-major, element (r, k) of a pass at 4k + r, a row past rt repeating row
+// rt−1 (so a padded row is NaN only where a real one is). Rows contiguous
+// along k widen through interleaveSIMD; the k mod 4 tail and a
+// column-strided A run the Go loop.
+func packA(pa []float64, rt int, aData []float32, a0, ai, ak, kb int) {
+	for p := 0; 4*p < rt; p++ {
+		dst := pa[4*p*kb:][:4*kb]
+		var at [4]int
+		for r := range at {
+			at[r] = a0 + min(4*p+r, rt-1)*ai
+		}
+		t := 0
+		if ak == 1 {
+			t = interleaveSIMD(dst, aData[at[0]:][:kb], aData[at[1]:][:kb], aData[at[2]:][:kb], aData[at[3]:][:kb])
+		}
+		for ; t < kb; t++ {
+			q, k := dst[4*t:][:4], t*ak
+			q[0], q[1], q[2], q[3] = float64(aData[at[0]+k]), float64(aData[at[1]+k]), float64(aData[at[2]+k]), float64(aData[at[3]+k])
+		}
+	}
+}
+
+// mulTileGo is mulTileAcc's Go loops, over columns [lo, w) of the tile's rt
+// rows: each supported row-tile height is specialized so the per-k A values
+// live in registers.
 func mulTileGo(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w, lo int) {
 	if lo == w {
 		return
 	}
+	acc = acc[: rt*w : rt*w]
 	for r := 0; r < rt; r++ {
 		clear(acc[r*w+lo : r*w+w])
 	}
@@ -259,24 +309,25 @@ func mulTileGo(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBa
 		// Single rows are real traffic (an M = 1 MatMul: a classifier over
 		// one sample): one accumulator row, no row loop. Depthwise convs do
 		// not come here; they run the depthwise stencil (conv.go).
+		c0 := acc[lo:w:w]
 		for k := 0; k < kk; k++ {
 			av := float64(aData[a0+k*ak])
 			base := bBase + k*bRS + jLo
-			bRow := bData[base : base+w]
-			acc := acc[:len(bRow)]
+			bRow := bData[base+lo : base+w]
+			c0 := c0[:len(bRow)]
 			for t, bv := range bRow {
-				acc[t] += av * float64(bv)
+				c0[t] += av * float64(bv)
 			}
 		}
 	case 2:
 		a1 := a0 + ai
-		c0, c1 := acc[:w:w], acc[w:2*w:2*w]
+		c0, c1 := acc[lo:w:w], acc[w+lo:2*w:2*w]
 		for k := 0; k < kk; k++ {
 			ko := k * ak
 			v0 := float64(aData[a0+ko])
 			v1 := float64(aData[a1+ko])
 			base := bBase + k*bRS + jLo
-			bRow := bData[base : base+w]
+			bRow := bData[base+lo : base+w]
 			for t, bv := range bRow {
 				b64 := float64(bv)
 				c0[t] += v0 * b64

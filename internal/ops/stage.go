@@ -267,10 +267,10 @@ func walkAll(roots []Source, visit func(Source)) {
 
 // ScratchBytes is the Source-owned float scratch of the trees under roots
 // (one kernel's outputs, one lane), in bytes: pointwise programs' operand
-// buffers and registers, contractions' accumulators, packed panels and
-// depthwise bands, whole-operand stages and row windows, and the row
-// buffers of blocked softmax (its exp row included), reductions and
-// broadcasting views; float64 buffers count 8 bytes an element. It is per
+// buffers and registers, contractions' accumulators, packed B panels,
+// packed A micro-panels and depthwise bands, whole-operand stages and row
+// windows, and the row buffers of blocked softmax (its exp row included),
+// reductions and broadcasting views; float64 buffers count 8 bytes an element. It is per
 // session and per worker lane, outside the planned arena; index tables and
 // per-element odometers are not counted.
 func ScratchBytes(roots ...Source) int64 {
@@ -280,7 +280,7 @@ func ScratchBytes(roots ...Source) int64 {
 		case *pointwiseProgram:
 			total += v.scratchBytes()
 		case *contraction:
-			total += 4*int64(len(v.panel)) + 8*int64(len(v.acc)+len(v.band)+len(v.wts))
+			total += 4*int64(len(v.panel)) + 8*int64(len(v.acc)+len(v.pa)+len(v.band)+len(v.wts))
 		case *Staged:
 			total += 4 * int64(len(v.buf))
 		case *softmaxBlockSource:

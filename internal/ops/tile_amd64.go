@@ -3,10 +3,11 @@
 package ops
 
 // avx2FMA reports that the CPU has AVX2 and FMA and the OS saves YMM state:
-// mulTileAcc runs its 4- and 8-row tiles through tile4x8, contraction.finish
-// rounds through finishPD, a depthwise Conv fills and runs its channel
-// groups through interleave4 and depthwise4, and the typed loops of a
-// pointwise program run pointwise_amd64.s. It is set once, here, and never written again.
+// mulTileAcc widens A through interleave4 and runs the whole 8-column
+// strips of every tile through tile4x8, contraction.finish rounds through
+// finishPD, a depthwise Conv fills and runs its channel groups through
+// interleave4 and depthwise4, and the typed loops of a pointwise program
+// run pointwise_amd64.s. It is set once, here, and never written again.
 var avx2FMA = hasAVX2FMA()
 
 func hasAVX2FMA() bool {
@@ -27,14 +28,15 @@ func hasAVX2FMA() bool {
 }
 
 // tile4x8 writes strips 8-column strips of a passes·4-row output tile into
-// acc (row stride w): A at a + r·ai + k·ak, B at b + k·bRS + j, every
-// accumulator summed over k = 0…kk−1 in ascending order (tile_amd64.s).
-// nan reports that some accumulator it wrote is NaN. kk, strips and passes
-// must be positive; mulTileAcc checks every index it reads or writes before
-// the call.
+// acc (row stride w): A from the packed micro-panel a (pass p's element
+// (r, k) at 4·p·kk + 4k + r), B at b + k·bRS + j, every accumulator summed
+// over k = 0…kk−1 in ascending order, from +0 when first is set, else from
+// the value acc holds (tile_amd64.s). nan reports that some accumulator it
+// wrote is NaN. kk, strips and passes must be positive; mulTileAcc checks
+// every index it reads or writes before the call.
 //
 //go:noescape
-func tile4x8(a *float32, ai, ak, kk int, b *float32, bRS int, acc *float64, w, strips, passes int) (nan bool)
+func tile4x8(a *float64, kk int, b *float32, bRS int, acc *float64, w, strips, passes int, first bool) (nan bool)
 
 // finishPD writes dst[t] = float32(float64(acc[t]·alpha) + c) for the n
 // elements of acc, n a positive multiple of 4 (tile_amd64.s): the product

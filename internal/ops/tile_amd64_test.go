@@ -13,7 +13,8 @@ import (
 // TestMulTileAccUsesSIMD: the dispatch flag agrees with what the kernel
 // reports of the CPU (/proc/cpuinfo, a source independent of our CPUID
 // stub), the assembly tile asks for the Go loops' redo only when an
-// accumulator is NaN, and every pointwise kind with a routine runs it. A
+// accumulator is NaN, tiles of 1 and 2 rows run it, and every pointwise
+// kind with a routine runs it. A
 // broken stub, NaN check or dispatch would otherwise send every tile or
 // typed loop to the Go loops with every parity test still green.
 func TestMulTileAccUsesSIMD(t *testing.T) {
@@ -39,12 +40,13 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 		return
 	}
 	l := newTileLayout(8, 3, 16, false, true)
-	a, b, acc := make([]float32, l.aLen), make([]float32, l.bLen), make([]float64, 8*16)
+	a, b, acc, pa := make([]float32, l.aLen), make([]float32, l.bLen), make([]float64, 8*16), make([]float64, 8*3)
 	for i := range a {
 		a[i] = float32(i)
 	}
+	packA(pa, 8, a, l.a0, l.ai, l.ak, l.kk)
 	tile := func() bool {
-		return tile4x8(&a[l.a0], l.ai, l.ak, l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 16, 2, 2)
+		return tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 16, 2, 2, true)
 	}
 	if tile() {
 		t.Fatal("tile4x8 reports a NaN accumulator in a finite tile")
@@ -52,6 +54,37 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 	b[len(b)-1] = float32(math.NaN()) // the last strip's last column, k = 2
 	if !tile() {
 		t.Fatal("tile4x8 does not report a NaN accumulator")
+	}
+	// Heights 1 and 2 run the tile as one 4-row pass: its padded rows
+	// repeat the last real row, so the tile alone writes acc's rows rt…3
+	// (the Go loops never touch them), with that row's sums. An infinity in
+	// B meets no zero there: it costs no NaN, so no Go redo.
+	for _, rt := range []int{1, 2} {
+		l := newTileLayout(rt, 27, 16, false, false)
+		a, b := make([]float32, l.aLen), make([]float32, l.bLen)
+		for i := range a {
+			a[i] = float32(i%7) + 1
+		}
+		for i := range b {
+			b[i] = float32(i%5) - 2
+		}
+		b[len(b)-1] = float32(math.Inf(1))
+		acc, pa := tileScratch(rt, l.kk, 16)
+		packA(pa, rt, a, l.a0, l.ai, l.ak, l.kk)
+		if tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 16, 2, 1, true) {
+			t.Fatalf("%d-row tile: an infinity in B makes a NaN accumulator", rt)
+		}
+		clear(acc)
+		mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, 16, pa)
+		last := acc[(rt-1)*16 : rt*16]
+		for r := rt; r < 4; r++ {
+			if pad := acc[r*16 : (r+1)*16]; !slices.Equal(pad, last) {
+				t.Fatalf("%d-row tile: padded acc row %d = %v, want row %d's sums %v: the tile did not run", rt, r, pad, rt-1, last)
+			}
+		}
+		if !math.IsInf(last[15], 1) {
+			t.Fatalf("%d-row tile: acc row %d ends %v, want +Inf", rt, rt-1, last[15])
+		}
 	}
 	d, x, y := make([]float32, 16), make([]float32, 16), make([]float32, 16)
 	for i := range x {

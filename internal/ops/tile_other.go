@@ -7,7 +7,7 @@ package ops
 // pointwise programs their Go loops.
 const avx2FMA = false
 
-func tile4x8(a *float32, ai, ak, kk int, b *float32, bRS int, acc *float64, w, strips, passes int) (nan bool) {
+func tile4x8(a *float64, kk int, b *float32, bRS int, acc *float64, w, strips, passes int, first bool) (nan bool) {
 	panic("ops: tile4x8 called without an assembly tile")
 }
 

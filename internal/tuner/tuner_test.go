@@ -145,8 +145,8 @@ func zooKernels(t *testing.T) []*codegen.Kernel {
 // TestZooSchedulesClosedForm pins the one schedule rule on every kernel of
 // the 15 paper models and the 5 micro models: codegen records
 // ops.ScheduleFor of each task (both contractions of a chain), Select and
-// SelectChain return the same, and every task at least 4 rows tall runs a
-// 4- or 8-row tile, the heights the SIMD tile serves.
+// SelectChain return the same, and every task — M = 1 and 2 included —
+// runs a row tile the SIMD tile serves.
 func TestZooSchedulesClosedForm(t *testing.T) {
 	single, chains := 0, 0
 	for _, k := range zooKernels(t) {
@@ -157,8 +157,8 @@ func TestZooSchedulesClosedForm(t *testing.T) {
 			if got := SelectChain(selTask(pm, pn, pk), selTask(cm, cn, ck)); got.Consumer != want || got.Producer != wantProd {
 				t.Errorf("%s: SelectChain = %+v, want %v/%v", k.Name, got, want, wantProd)
 			}
-			if pm >= 4 && wantProd.RowTile < 4 {
-				t.Errorf("%s: producer task %dx%dx%d runs %v", k.Name, pm, pn, pk, wantProd)
+			if !ops.SIMDRowTile(wantProd.RowTile) {
+				t.Errorf("%s: producer task %dx%dx%d runs %v, not a SIMD row tile", k.Name, pm, pn, pk, wantProd)
 			}
 		} else if m, n, kk, ok := k.ScheduleTask(); ok {
 			single++
@@ -171,7 +171,7 @@ func TestZooSchedulesClosedForm(t *testing.T) {
 			t.Errorf("%s: task %dx%dx%d records %v/%v, want %v/%v",
 				k.Name, k.TaskM, k.TaskN, k.TaskK, k.Schedule, k.ProducerSchedule, want, wantProd)
 		}
-		if k.TaskM >= 4 && k.Schedule.RowTile < 4 {
+		if k.TaskM > 0 && !ops.SIMDRowTile(k.Schedule.RowTile) {
 			t.Errorf("%s: task %dx%dx%d runs %v, not a SIMD row tile", k.Name, k.TaskM, k.TaskN, k.TaskK, k.Schedule)
 		}
 	}
