@@ -318,13 +318,13 @@ func TestBlockParityMatMul(t *testing.T) {
 		virtualize(t, NewMatMul(), randSource(26, 2, 1, 4, 5), randSource(27, 3, 5, 6)))
 
 	// Lazy operands: a fused elementwise producer feeds A, so A has no flat
-	// backing and arrives in row windows of per-session scratch — one row
-	// group of the 7 × 5 operand, never the whole of it; a lazy B is staged
-	// whole.
+	// backing and arrives in row windows of per-session scratch, one row
+	// group (up to 8 rows: all 7 of this 7 × 5 operand) at a time; a lazy B
+	// is staged whole.
 	aChain := virtualize(t, NewRelu(), virtualize(t, NewAdd(), a, randSource(28, 7, 5)))
 	lazyA := virtualize(t, NewMatMul(), aChain, b)
-	if stages, floats, _ := scratch(lazyA); stages != 1 || floats != 4*5 {
-		t.Errorf("MatMul over a fused producer holds %d stages of %d floats, want one 4-row window of A (20)", stages, floats)
+	if stages, floats, _ := scratch(lazyA); stages != 1 || floats != 7*5 {
+		t.Errorf("MatMul over a fused producer holds %d stages of %d floats, want one 7-row window of A (35)", stages, floats)
 	}
 	assertBlockParity(t, "MatMul lazy A", lazyA)
 	bChain := virtualize(t, NewSigmoid(), b)

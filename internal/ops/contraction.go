@@ -71,8 +71,9 @@ type contraction struct {
 
 	// rowTile and jb are the normalized tile schedule; acc holds rowTile
 	// accumulator rows of jb entries (one row under the depthwise stencil,
-	// whole 4-row passes on the SIMD tile), panel is k × jb, and pa is the
-	// SIMD tile's packed A: one row group's K-block, widened.
+	// whole 4-row passes and their remainder strip on the SIMD tile), panel
+	// is k × jb, and pa is the SIMD tile's packed A: one row group's K-block,
+	// widened.
 	rowTile int
 	jb      int
 	acc     []float64
@@ -186,9 +187,10 @@ const (
 // (never under Normalize's 8 columns), the A window and the accumulators
 // hold one row group (the accumulators one row under the depthwise
 // stencil). Where the CPU runs tile4x8, the accumulators hold whole 4-row
-// passes and the packed A one row group's K-block (tileRows, tileK: at
-// most 32 KiB). A schedule injected after construction may be shorter than
-// the one built with, so every buffer is resized, not only grown.
+// passes, each row 8 entries longer for the remainder strip, and the packed
+// A one row group's K-block (tileRows, tileK: at most 32 KiB). A schedule
+// injected after construction may be shorter than the one built with, so
+// every buffer is resized, not only grown.
 func (s *contraction) setSchedule(sched Schedule) {
 	sched = sched.Normalize(s.m, s.n)
 	s.rowTile, s.jb = sched.RowTile, sched.ColPanel
@@ -196,7 +198,7 @@ func (s *contraction) setSchedule(sched Schedule) {
 		s.jb = min(s.jb, max(8, maxPanelElems/s.k))
 		s.panel = resize(s.panel, s.k*s.jb)
 	}
-	accRows := s.rowTile
+	accRows, side := s.rowTile, 0
 	if dw := s.dw; dw != nil {
 		s.jb = min(s.jb, max(8, dw.maxCols(maxBandElems/dw.group)))
 		s.band = resize(s.band, dw.group*dw.bandElems(s.jb))
@@ -205,10 +207,10 @@ func (s *contraction) setSchedule(sched Schedule) {
 		}
 		accRows = 1 // the stencil sums one output row at a time
 	} else if avx2FMA {
-		accRows = tileRows(s.rowTile)
+		accRows, side = tileRows(s.rowTile), 8
 		s.pa = resize(s.pa, accRows*min(s.k, tileK))
 	}
-	s.acc = resize(s.acc, accRows*s.jb)
+	s.acc = resize(s.acc, accRows*(s.jb+side))
 	if w := s.a.pull; w != nil {
 		w.buf = resize(w.buf, s.rowTile*s.k)
 		w.Invalidate()
@@ -266,12 +268,11 @@ func (s *contraction) LoadBlock(dst []float32, off, n int) {
 
 // tiles fills dst (row stride cols) with columns [jLo, jLo+cols) of the rows
 // output rows whose A rows start at a[a0]: column panel by column panel, and
-// within one in rowTile-high tiles with the leftover rows on the next
-// smaller tiles (heights are powers of two) over the same panel — or, for a
-// depthwise Conv, output row by output row, each a stencil over the panel's
-// band, of one GEMM or of gemms whole ones (a channel group, each GEMM's
-// rows·cols outputs after the last's, the next batch indices after
-// s.batchBuf).
+// within one in rowTile-high tiles, the leftover rows one shorter tile over
+// the same panel — or, for a depthwise Conv, output row by output row, each
+// a stencil over the panel's band, of one GEMM or of gemms whole ones (a
+// channel group, each GEMM's rows·cols outputs after the last's, the next
+// batch indices after s.batchBuf).
 func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int, cData []float32, cBase, rows, jLo, cols, gemms int) {
 	if dw := s.dw; dw != nil {
 		// Each GEMM's A rows, B plane and addends.
@@ -297,10 +298,8 @@ func (s *contraction) tiles(dst, a []float32, a0 int, bData []float32, bBase int
 			s.pack(bData, bBase, j0, w)
 			b, b0, bRS, bLo = s.panel, 0, w, 0
 		}
-		for r, rt := 0, s.rowTile; r < rows; r += rt {
-			for rt > rows-r {
-				rt >>= 1
-			}
+		for r := 0; r < rows; r += s.rowTile {
+			rt := min(s.rowTile, rows-r)
 			mulTileAcc(rt, a, a0+r*s.a.rs, s.a.rs, s.a.cs, s.k, b, b0, bRS, bLo, s.acc, w, s.pa)
 			for t := 0; t < rt; t++ {
 				s.finish(dst[(r+t)*cols+j0-jLo:], s.acc[t*w:][:w], cData, cBase+(r+t)*s.c.rs+j0*s.c.cs)

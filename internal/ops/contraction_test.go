@@ -8,11 +8,11 @@ import (
 	"dnnfusion/internal/tensor"
 )
 
-// tileGrid is every row tile mulTileAcc has a loop for × 7 column panels
-// from 8 to 512: any schedule ApplySchedule can inject, normalized.
+// tileGrid is every row tile from 1 to 8 × 7 column panels from 8 to 512:
+// any schedule ApplySchedule can inject, normalized.
 func tileGrid() []Schedule {
 	var grid []Schedule
-	for _, rt := range []int{1, 2, 4, 8} {
+	for rt := 1; rt <= 8; rt++ {
 		for _, cp := range []int{8, 16, 32, 64, 128, 256, 512} {
 			grid = append(grid, Schedule{RowTile: rt, ColPanel: cp})
 		}

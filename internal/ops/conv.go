@@ -536,47 +536,15 @@ func (d *depthwise) simd(dst []float32, plane int, wts []float64, bias *[dwLanes
 // panel fill last widened — of one output channel, the band's channel
 // band[0] is in, whose kh×kw taps (ky-outer) are tap.
 func (d *depthwise) loops(acc []float64, tap []float32, band []float64, j0 int) {
-	g := d.lanes
 	for len(acc) > 0 {
 		seg := min(d.ow-j0%d.ow, len(acc))
-		rows := band[d.at(j0):]
-		if d.kh == 3 && d.kw == 3 && d.dy == 1 && d.dx == 1 {
-			stencil3x3(acc[:seg], tap[:9], rows, d.bw*g, d.sx*g, g)
-		} else {
-			d.stencilTaps(acc[:seg], tap, rows)
-		}
+		d.stencilTaps(acc[:seg], tap, band[d.at(j0):])
 		acc = acc[seg:]
 		j0 += seg
 	}
 }
 
-// stencil3x3 is the 3×3, dilation-1 stencil over one output row segment
-// whose first window's top-left tap is band[0] (band row length width,
-// columns step apart): nine weights in registers, one accumulator per
-// output.
-func stencil3x3(out []float64, tap []float32, band []float64, width, sx, step int) {
-	w0, w1, w2 := float64(tap[0]), float64(tap[1]), float64(tap[2])
-	w3, w4, w5 := float64(tap[3]), float64(tap[4]), float64(tap[5])
-	w6, w7, w8 := float64(tap[6]), float64(tap[7]), float64(tap[8])
-	r0, r1, r2 := band, band[width:], band[2*width:]
-	c1, c2 := step, 2*step
-	for t := range out {
-		c := t * sx
-		v := 0.0
-		v += float64(w0 * r0[c])
-		v += float64(w1 * r0[c+c1])
-		v += float64(w2 * r0[c+c2])
-		v += float64(w3 * r1[c])
-		v += float64(w4 * r1[c+c1])
-		v += float64(w5 * r1[c+c2])
-		v += float64(w6 * r2[c])
-		v += float64(w7 * r2[c+c1])
-		v += float64(w8 * r2[c+c2])
-		out[t] = v
-	}
-}
-
-// stencilTaps is the generic kh×kw stencil over one output row segment
+// stencilTaps is the kh×kw stencil, any size, over one output row segment
 // whose first window's top-left tap is band[0], tap by tap across the
 // segment (a contiguous run at stride 1 in a one-channel band): every
 // accumulator still sums its taps ky-outer, kx-inner.

@@ -179,8 +179,8 @@ func TestDepthwiseSIMDBounds(t *testing.T) {
 // channel) meets a NaN input in one product, and where the two NaNs meet
 // in one accumulator, every blocked Conv path writes NaN where the oracle
 // does, carrying one of the two payloads, and every other output bit for
-// bit: the 3×3 stencil, the generic-tap stencil (5×5, and a dilated 3×3) —
-// each through a channel group, whose NaN group the Go loops redo, and a
+// bit: the depthwise stencil over 3×3, 5×5 and dilated 3×3 taps — each
+// through a channel group, whose NaN group the Go loops redo, and a
 // remainder GEMM — and the im2col tile, whose A operand is the weights.
 // Which of the two payloads survives is not pinned: Go's register
 // allocation, not the source's operand order, picks the first operand of

@@ -35,9 +35,8 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("rt%d/cp%d", s.RowTile, s.ColPanel)
 }
 
-// ScheduleFor is the one schedule rule: the tallest row tile that fits M
-// (every height runs the SIMD tile, tile4x8) and a column panel of
-// min(N, 512).
+// ScheduleFor is the one schedule rule: a row tile of min(8, M) (every
+// height runs the SIMD tile, tile4x8) and a column panel of min(N, 512).
 // It depends on the shape alone, never on a device profile. Taller tiles
 // and a full-width panel beat every narrower choice measured on the zoo's
 // large convs and M = 1 heads, and tie on transformer panels; a panel
@@ -47,28 +46,13 @@ func ScheduleFor(m, n int) Schedule {
 }
 
 // Normalize is the one meaning of a schedule against an M×N output, shared
-// by the kernels that execute it and ScheduleFor. The row tile
-// rounds down to the tallest height mulTileAcc has a register-resident loop
-// for (8, 4, 2, or 1) that also fits M — a tile taller than the whole
-// output never engages. The column panel clamps to [8, N]: below 8 columns
-// the panel loop's bookkeeping outweighs the locality, and a panel cannot
-// be wider than the output.
+// by the kernels that execute it and ScheduleFor. The row tile clamps to
+// [1, min(8, M)]: every height runs mulTileAcc's tile, and a tile taller
+// than the whole output never engages. The column panel clamps to [8, N]:
+// below 8 columns the panel loop's bookkeeping outweighs the locality, and
+// a panel cannot be wider than the output.
 func (s Schedule) Normalize(m, n int) Schedule {
-	rt := 1
-	for _, h := range [...]int{8, 4, 2} {
-		if s.RowTile >= h && m >= h {
-			rt = h
-			break
-		}
-	}
-	cp := s.ColPanel
-	if cp < 8 {
-		cp = 8
-	}
-	if cp > n {
-		cp = n
-	}
-	return Schedule{RowTile: rt, ColPanel: cp}
+	return Schedule{RowTile: max(1, min(s.RowTile, 8, m)), ColPanel: min(max(s.ColPanel, 8), n)}
 }
 
 // ApplySchedule walks a composed Source tree (through children, so beneath
@@ -216,54 +200,62 @@ const tileK = 512
 
 // tileRows is the rows a tile of rt rows occupies on the SIMD tile, in its
 // packed A and its accumulators: whole 4-row passes.
-func tileRows(rt int) int { return max(rt, 4) }
-
-// SIMDRowTile reports that mulTileAcc runs row tiles rt high on the SIMD
-// tile, where the CPU has one: every height Normalize gives, 1 and 2 as one
-// 4-row pass.
-func SIMDRowTile(rt int) bool { return rt == 1 || rt == 2 || rt == 4 || rt == 8 }
+func tileRows(rt int) int { return (rt + 3) &^ 3 }
 
 // mulTileAcc accumulates the rt×w output tile with corner (row a0/ai, col
-// jLo) into acc (rows of w float64 accumulators, cleared here): K-outer,
-// so each B row segment is loaded — and widened to float64 — once per tile
-// rather than once per output row. Every accumulator still sums its
-// products in ascending-k order, so the tile is bit-for-bit equal to rt
-// independent scalar rows.
+// jLo) into acc (rows of w float64 accumulators, cleared here). Every
+// accumulator sums its products in ascending-k order, so the tile is
+// bit-for-bit equal to rt independent scalar rows.
 //
-// Where the CPU has AVX2 and FMA (avx2FMA), the whole 8-column strips of
-// every tile run tile4x8, the assembly tile, K-block by K-block: packA
-// first widens the block of A once into pa, a packed float64 micro-panel
-// the tile broadcasts from memory. A 1- or 2-row tile runs as one 4-row
-// pass whose missing rows repeat its last row, their accumulators left in
-// acc's rows rt…3 and never read, so there acc holds tileRows(rt) rows and
-// pa tileRows(rt)·min(kk, tileK) floats. The column remainder runs
-// mulTileGo. The result is the same bit for bit: every operand is a widened
-// float32, so each product is exact in float64 (24 + 24 ≤ 53 significand
-// bits) and the fused multiply-add rounds once, where acc += a*b rounds;
-// a K-block's sums are stored and reloaded as they are. Only which NaN
-// propagates can differ (the FMA prefers the accumulator's, acc += a*b the
-// product's), so a tile that ends a K-block with a NaN accumulator is
-// redone by the Go loops.
+// Where the CPU has AVX2 and FMA (avx2FMA), every tile at least 8 columns
+// wide runs tile4x8, the assembly tile, K-outer and K-block by K-block, so
+// each B row segment is loaded and widened once per 4-row pass: packA first
+// widens the block of A once into pa, a packed float64 micro-panel the tile
+// broadcasts from memory. A tile of rt rows runs as ⌈rt/4⌉ 4-row passes;
+// the last pass's missing rows repeat row rt−1, their accumulators left in
+// acc's rows rt…tileRows(rt)−1 and never read. The whole 8-column strips
+// sum into acc; a column remainder runs as one more strip over the last 8
+// columns, summed into the 8·tileRows(rt) accumulators past acc's rows and
+// its new columns copied back. So there acc holds tileRows(rt)·(w+8)
+// floats and pa tileRows(rt)·min(kk, tileK). A tile under 8 columns runs
+// mulTileGo. The result is the same bit for bit: every operand is a
+// widened float32, so each product is exact in float64 (24 + 24 ≤ 53
+// significand bits) and the fused multiply-add rounds once, where
+// acc += a*b rounds; a K-block's sums are stored and reloaded as they are.
+// Only which NaN propagates can differ (the FMA prefers the accumulator's,
+// acc += a*b the product's), so a tile that ends a K-block with a NaN
+// accumulator is redone by the Go loop.
 func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int, pa []float64) {
 	lo := 0
-	if avx2FMA && SIMDRowTile(rt) && kk > 0 && bRS >= 0 {
-		if lo = w &^ 7; lo > 0 {
-			rows := tileRows(rt)
-			// The assembly reads B at bBase + k·bRS + jLo + j (k < kk,
-			// j < lo) and the rows·kb floats of p, and writes acc[r·w + j]
-			// (r < rows). With a nonnegative stride the first and last of
-			// each bound all the others: touching them makes a bad index a
-			// bounds panic here.
-			_, _ = bData[bBase+(kk-1)*bRS+jLo+lo-1], acc[rows*w-1]
-			for k0 := 0; k0 < kk; k0 += tileK {
-				kb := min(tileK, kk-k0)
-				p := pa[:rows*kb]
-				packA(p, rt, aData, a0+k0*ak, ai, ak, kb)
-				if tile4x8(&p[0], kb, &bData[bBase+k0*bRS+jLo], bRS, &acc[0], w, lo/8, rows/4, k0 == 0) {
+	if avx2FMA && kk > 0 && bRS >= 0 && w >= 8 {
+		rows, rem := tileRows(rt), w%8
+		// The remainder strip's accumulators, row stride 8: columns
+		// w−8…w−1, of which the whole strips also compute all but rem.
+		side := acc[rows*w:][:rows*8]
+		// The assembly reads B at bBase + k·bRS + jLo + j (k < kk, j < w)
+		// and the rows·kb floats of p, and writes acc[r·w + j] and side
+		// (r < rows). With a nonnegative stride the first and last of each
+		// bound all the others: touching them makes a bad index a bounds
+		// panic here.
+		_, _ = bData[bBase+(kk-1)*bRS+jLo+w-1], side[rows*8-1]
+		lo = w
+		for k0 := 0; k0 < kk && lo == w; k0 += tileK {
+			kb := min(tileK, kk-k0)
+			p := pa[:rows*kb]
+			packA(p, rt, aData, a0+k0*ak, ai, ak, kb)
+			// The whole strips into acc, then any remainder strip into side.
+			for g := 0; g <= min(rem, 1); g++ {
+				j, strips, c, stride := 0, w/8, acc, w
+				if g == 1 {
+					j, strips, c, stride = w-8, 1, side, 8
+				}
+				if tile4x8(&p[0], kb, &bData[bBase+k0*bRS+jLo+j], bRS, &c[0], stride, strips, rows/4, k0 == 0) {
 					lo = 0
-					break
 				}
 			}
+		}
+		for r := 0; r < rt && lo == w && rem > 0; r++ {
+			copy(acc[r*w+w-rem:][:rem], side[r*8+8-rem:])
 		}
 	}
 	mulTileGo(rt, aData, a0, ai, ak, kk, bData, bBase, bRS, jLo, acc, w, lo)
@@ -293,96 +285,23 @@ func packA(pa []float64, rt int, aData []float32, a0, ai, ak, kb int) {
 	}
 }
 
-// mulTileGo is mulTileAcc's Go loops, over columns [lo, w) of the tile's rt
-// rows: each supported row-tile height is specialized so the per-k A values
-// live in registers.
+// mulTileGo is mulTileAcc's Go loop, over columns [lo, w) of the tile's rt
+// rows: row by row, each row's accumulators summing over ascending k.
 func mulTileGo(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w, lo int) {
 	if lo == w {
+		// The SIMD tile wrote every column: no rt·kk empty iterations.
 		return
 	}
-	acc = acc[: rt*w : rt*w]
-	for r := 0; r < rt; r++ {
-		clear(acc[r*w+lo : r*w+w])
-	}
-	switch rt {
-	case 1:
-		// Single rows are real traffic (an M = 1 MatMul: a classifier over
-		// one sample): one accumulator row, no row loop. Depthwise convs do
-		// not come here; they run the depthwise stencil (conv.go).
-		c0 := acc[lo:w:w]
-		for k := 0; k < kk; k++ {
-			av := float64(aData[a0+k*ak])
-			base := bBase + k*bRS + jLo
-			bRow := bData[base+lo : base+w]
-			c0 := c0[:len(bRow)]
-			for t, bv := range bRow {
-				c0[t] += av * float64(bv)
+	n := w - lo
+	for r := range rt {
+		c := acc[r*w+lo:][:n]
+		clear(c)
+		ar, b0 := a0+r*ai, bBase+jLo+lo
+		for k := range kk {
+			av := float64(aData[ar+k*ak])
+			for t, bv := range bData[b0+k*bRS:][:n] {
+				c[t] += av * float64(bv)
 			}
 		}
-	case 2:
-		a1 := a0 + ai
-		c0, c1 := acc[lo:w:w], acc[w+lo:2*w:2*w]
-		for k := 0; k < kk; k++ {
-			ko := k * ak
-			v0 := float64(aData[a0+ko])
-			v1 := float64(aData[a1+ko])
-			base := bBase + k*bRS + jLo
-			bRow := bData[base+lo : base+w]
-			for t, bv := range bRow {
-				b64 := float64(bv)
-				c0[t] += v0 * b64
-				c1[t] += v1 * b64
-			}
-		}
-	case 4:
-		a1, a2, a3 := a0+ai, a0+2*ai, a0+3*ai
-		c0, c1, c2, c3 := acc[lo:w:w], acc[w+lo:2*w:2*w], acc[2*w+lo:3*w:3*w], acc[3*w+lo:4*w:4*w]
-		for k := 0; k < kk; k++ {
-			ko := k * ak
-			v0 := float64(aData[a0+ko])
-			v1 := float64(aData[a1+ko])
-			v2 := float64(aData[a2+ko])
-			v3 := float64(aData[a3+ko])
-			base := bBase + k*bRS + jLo
-			bRow := bData[base+lo : base+w]
-			for t, bv := range bRow {
-				b64 := float64(bv)
-				c0[t] += v0 * b64
-				c1[t] += v1 * b64
-				c2[t] += v2 * b64
-				c3[t] += v3 * b64
-			}
-		}
-	case 8:
-		a1, a2, a3 := a0+ai, a0+2*ai, a0+3*ai
-		a4, a5, a6, a7 := a0+4*ai, a0+5*ai, a0+6*ai, a0+7*ai
-		c0, c1, c2, c3 := acc[lo:w:w], acc[w+lo:2*w:2*w], acc[2*w+lo:3*w:3*w], acc[3*w+lo:4*w:4*w]
-		c4, c5, c6, c7 := acc[4*w+lo:5*w:5*w], acc[5*w+lo:6*w:6*w], acc[6*w+lo:7*w:7*w], acc[7*w+lo:8*w:8*w]
-		for k := 0; k < kk; k++ {
-			ko := k * ak
-			v0 := float64(aData[a0+ko])
-			v1 := float64(aData[a1+ko])
-			v2 := float64(aData[a2+ko])
-			v3 := float64(aData[a3+ko])
-			v4 := float64(aData[a4+ko])
-			v5 := float64(aData[a5+ko])
-			v6 := float64(aData[a6+ko])
-			v7 := float64(aData[a7+ko])
-			base := bBase + k*bRS + jLo
-			bRow := bData[base+lo : base+w]
-			for t, bv := range bRow {
-				b64 := float64(bv)
-				c0[t] += v0 * b64
-				c1[t] += v1 * b64
-				c2[t] += v2 * b64
-				c3[t] += v3 * b64
-				c4[t] += v4 * b64
-				c5[t] += v5 * b64
-				c6[t] += v6 * b64
-				c7[t] += v7 * b64
-			}
-		}
-	default:
-		panic(fmt.Sprintf("ops: mulTileAcc row tile %d (Normalize gives 1, 2, 4 or 8)", rt))
 	}
 }

@@ -17,10 +17,11 @@ import (
 var scheduleGrid = []Schedule{
 	{RowTile: 1, ColPanel: 8},
 	{RowTile: 2, ColPanel: 16},
-	{RowTile: 3, ColPanel: 33}, // normalizes to height 2
+	{RowTile: 3, ColPanel: 33}, // one padded 4-row pass
 	{RowTile: 4, ColPanel: 64},
+	{RowTile: 7, ColPanel: 24}, // two passes, the second padded
 	{RowTile: 8, ColPanel: 512},
-	{RowTile: 16, ColPanel: 4}, // height rounds to 8, panel to 8
+	{RowTile: 16, ColPanel: 4}, // height clamps to 8, panel to 8
 }
 
 // assertScheduleGridParity applies every schedule in the grid to a fresh
@@ -132,12 +133,7 @@ func TestScheduleGridParityFusedConsumers(t *testing.T) {
 // is held to every row tile × 7 panels from 8 to 512 on top of the
 // normalizing grid, across every panel-packing shape.
 func TestScheduleGridParityConv(t *testing.T) {
-	grid := append([]Schedule(nil), scheduleGrid...)
-	for _, rt := range []int{1, 2, 4, 8} {
-		for _, cp := range []int{8, 16, 32, 64, 128, 256, 512} {
-			grid = append(grid, Schedule{RowTile: rt, ColPanel: cp})
-		}
-	}
+	grid := append(append([]Schedule(nil), scheduleGrid...), tileGrid()...)
 	x := randSource(90, 2, 4, 9, 9)
 	for name, mk := range map[string]func() Source{
 		"strided padded bias": func() Source {
@@ -186,13 +182,13 @@ func TestScheduleGridIgnoredByPool(t *testing.T) {
 }
 
 func TestScheduleNormalization(t *testing.T) {
-	for rt, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 7: 4, 8: 8, 9: 8, 64: 8} {
+	for rt, want := range map[int]int{-1: 1, 0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 8, 64: 8} {
 		if got := (Schedule{RowTile: rt}).Normalize(100, 100).RowTile; got != want {
 			t.Errorf("Normalize row tile %d = %d, want %d", rt, got, want)
 		}
 	}
-	// A tile taller than the output falls to the tallest height that fits.
-	for m, want := range map[int]int{1: 1, 3: 2, 5: 4, 8: 8} {
+	// A tile taller than the output falls to M.
+	for m, want := range map[int]int{1: 1, 3: 3, 5: 5, 7: 7, 8: 8} {
 		if got := (Schedule{RowTile: 8}).Normalize(m, 100).RowTile; got != want {
 			t.Errorf("Normalize row tile 8 against M=%d = %d, want %d", m, got, want)
 		}
@@ -236,16 +232,16 @@ func TestTileSpanAlignment(t *testing.T) {
 	}
 	cv := mkConv()
 	ApplySchedule(cv, Schedule{RowTile: 8, ColPanel: 16})
-	if got := TileSpan(cv); got != 4*25 {
-		t.Errorf("conv TileSpan = %d, want %d (row tile 8 normalizes to 4 of 6 rows)", got, 4*25)
+	if got := TileSpan(cv); got != 6*25 {
+		t.Errorf("conv TileSpan = %d, want %d (row tile 8 normalizes to all 6 rows)", got, 6*25)
 	}
 	// Alignment does not wait for a schedule: under the zero schedule the
 	// conv keeps ScheduleFor of its shape and the tail above still stages
 	// whole tiles of it instead of 512-element slivers.
 	tail := virtualize(t, NewRelu(), mkConv()).(*pointwiseProgram)
 	ApplySchedule(tail, Schedule{})
-	if span := TileSpan(tail); span != 4*25 || tail.stripe%span != 0 {
-		t.Errorf("unscheduled conv tail: TileSpan = %d, stripe = %d, want span %d and a stripe of whole tiles", span, tail.stripe, 4*25)
+	if span := TileSpan(tail); span != 6*25 || tail.stripe%span != 0 {
+		t.Errorf("unscheduled conv tail: TileSpan = %d, stripe = %d, want span %d and a stripe of whole tiles", span, tail.stripe, 6*25)
 	}
 }
 

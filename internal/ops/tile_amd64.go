@@ -3,8 +3,8 @@
 package ops
 
 // avx2FMA reports that the CPU has AVX2 and FMA and the OS saves YMM state:
-// mulTileAcc widens A through interleave4 and runs the whole 8-column
-// strips of every tile through tile4x8, contraction.finish rounds through
+// mulTileAcc widens A through interleave4 and runs every tile at least 8
+// columns wide through tile4x8, contraction.finish rounds through
 // finishPD, a depthwise Conv fills and runs its channel groups through
 // interleave4 and depthwise4, and the typed loops of a pointwise program
 // run pointwise_amd64.s. It is set once, here, and never written again.

@@ -13,10 +13,10 @@ import (
 // TestMulTileAccUsesSIMD: the dispatch flag agrees with what the kernel
 // reports of the CPU (/proc/cpuinfo, a source independent of our CPUID
 // stub), the assembly tile asks for the Go loops' redo only when an
-// accumulator is NaN, tiles of 1 and 2 rows run it, and every pointwise
-// kind with a routine runs it. A
-// broken stub, NaN check or dispatch would otherwise send every tile or
-// typed loop to the Go loops with every parity test still green.
+// accumulator is NaN, tiles of every height and a column remainder run it,
+// and every pointwise kind with a routine runs it. A broken stub, NaN check
+// or dispatch would otherwise send every tile or typed loop to the Go loops
+// with every parity test still green.
 func TestMulTileAccUsesSIMD(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -55,12 +55,17 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 	if !tile() {
 		t.Fatal("tile4x8 does not report a NaN accumulator")
 	}
-	// Heights 1 and 2 run the tile as one 4-row pass: its padded rows
-	// repeat the last real row, so the tile alone writes acc's rows rt…3
-	// (the Go loops never touch them), with that row's sums. An infinity in
-	// B meets no zero there: it costs no NaN, so no Go redo.
-	for _, rt := range []int{1, 2} {
-		l := newTileLayout(rt, 27, 16, false, false)
+	// A height that is not a whole number of 4-row passes runs the tile
+	// with its last pass padded: the padded rows repeat the last real row,
+	// so the tile alone writes acc's rows rt…tileRows(rt)−1 (the Go loop
+	// never touches them), with that row's sums. Thirteen columns are one
+	// whole strip and a remainder strip over columns 5…12, whose padded rows
+	// land in the side accumulators past acc's rows. An infinity in B's last
+	// column meets no zero there: it costs no NaN, so no Go redo.
+	for _, rt := range []int{1, 2, 3, 5, 6, 7} {
+		const w = 13
+		rows := tileRows(rt)
+		l := newTileLayout(rt, 27, w, false, false)
 		a, b := make([]float32, l.aLen), make([]float32, l.bLen)
 		for i := range a {
 			a[i] = float32(i%7) + 1
@@ -69,21 +74,24 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 			b[i] = float32(i%5) - 2
 		}
 		b[len(b)-1] = float32(math.Inf(1))
-		acc, pa := tileScratch(rt, l.kk, 16)
+		acc, pa := tileScratch(rt, l.kk, w)
+		side := acc[rows*w:]
 		packA(pa, rt, a, l.a0, l.ai, l.ak, l.kk)
-		if tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 16, 2, 1, true) {
+		if tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo+w-8], l.bRS, &side[0], 8, 1, rows/4, true) {
 			t.Fatalf("%d-row tile: an infinity in B makes a NaN accumulator", rt)
 		}
 		clear(acc)
-		mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, 16, pa)
-		last := acc[(rt-1)*16 : rt*16]
-		for r := rt; r < 4; r++ {
-			if pad := acc[r*16 : (r+1)*16]; !slices.Equal(pad, last) {
-				t.Fatalf("%d-row tile: padded acc row %d = %v, want row %d's sums %v: the tile did not run", rt, r, pad, rt-1, last)
+		mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, w, pa)
+		for r := rt; r < rows; r++ {
+			for _, c := range [][]float64{acc[:rows*w], side} {
+				stride := len(c) / rows
+				if pad, last := c[r*stride:][:8], c[(rt-1)*stride:][:8]; !slices.Equal(pad, last) {
+					t.Fatalf("%d-row tile: padded row %d = %v, want row %d's sums %v: the tile did not run", rt, r, pad, rt-1, last)
+				}
 			}
 		}
-		if !math.IsInf(last[15], 1) {
-			t.Fatalf("%d-row tile: acc row %d ends %v, want +Inf", rt, rt-1, last[15])
+		if last := acc[(rt-1)*w : rt*w]; !math.IsInf(last[w-1], 1) || !slices.Equal(last[w-8:], side[(rt-1)*8:][:8]) {
+			t.Fatalf("%d-row tile: acc row %d = %v, want the remainder strip's sums %v ending +Inf", rt, rt-1, last, side[(rt-1)*8:][:8])
 		}
 	}
 	d, x, y := make([]float32, 16), make([]float32, 16), make([]float32, 16)

@@ -2,9 +2,10 @@
 
 package ops
 
-// avx2FMA is false where no assembly is built: mulTileAcc runs its Go loops
-// for every height, contraction.finish and the depthwise stencil theirs, and
-// pointwise programs their Go loops.
+// avx2FMA is false where no assembly is built: mulTileAcc runs its one Go
+// loop, row by row, for every height 1–8, contraction.finish its Go loop,
+// the depthwise stencil its tap loop for every kernel size, and pointwise
+// programs their Go loops.
 const avx2FMA = false
 
 func tile4x8(a *float64, kk int, b *float32, bRS int, acc *float64, w, strips, passes int, first bool) (nan bool) {

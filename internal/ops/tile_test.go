@@ -79,14 +79,16 @@ func (l tileLayout) String() string {
 	return fmt.Sprintf("rt%d/w%d/k%d/transposedA=%v/wideB=%v", l.rt, l.w, l.kk, l.transposedA, l.wideB)
 }
 
-// tileScratch is the accumulators (tileRows(rt) rows of w) and packed A
-// (one K-block) mulTileAcc may use for an rt×w tile over kk.
+// tileScratch is the accumulators (tileRows(rt) rows of w, then the
+// remainder strip's tileRows(rt) rows of 8) and packed A (one K-block)
+// mulTileAcc may use for an rt×w tile over kk.
 func tileScratch(rt, kk, w int) (acc, pa []float64) {
-	return tileGarbage(tileRows(rt) * w), make([]float64, tileRows(rt)*min(kk, tileK))
+	return tileGarbage(tileRows(rt) * (w + 8)), make([]float64, tileRows(rt)*min(kk, tileK))
 }
 
-// TestMulTileAccSIMDMatchesGo: the assembly tile (every row height — 1 and 2
-// padded to a 4-row pass — whole 8-column strips, the remainder in Go)
+// TestMulTileAccSIMDMatchesGo: the assembly tile (every row height 1–8, the
+// last 4-row pass padded; whole 8-column strips, a column remainder as one
+// more strip over the last 8 columns, tiles under 8 columns in Go)
 // writes the Go loops' accumulators bit for bit — NaN payloads included —
 // over widths that exercise every remainder, K from 1 to 517 (past one
 // K-block), a column-strided A and a B panel inside a wider matrix, with
@@ -115,7 +117,7 @@ func TestMulTileAccSIMDMatchesGo(t *testing.T) {
 		}
 	}
 	for _, specials := range [][]float32{tileSpecials[:tileFinite], tileSpecials[:tileNoNaN], tileSpecials} {
-		for _, rt := range []int{1, 2, 4, 8} {
+		for rt := 1; rt <= 8; rt++ {
 			for _, kk := range []int{1, 2, 3, 27, 512, 517} {
 				for _, w := range widths {
 					for _, transposedA := range []bool{false, true} {
@@ -145,7 +147,7 @@ func TestMulTileAccSIMDMatchesGo(t *testing.T) {
 // before any element is touched out of range — on the assembly path and on
 // the Go loops alike, within one K-block and across two.
 func TestMulTileAccBounds(t *testing.T) {
-	for _, rt := range []int{1, 2, 4, 8} {
+	for rt := 1; rt <= 8; rt++ {
 		for _, kk := range []int{5, 517} {
 			for _, w := range []int{13, 16} {
 				for _, transposedA := range []bool{false, true} {

@@ -4,9 +4,8 @@ import "dnnfusion/internal/ops"
 
 // The schedules the executable kernels run, as opposed to the abstract
 // (TileM, TileN, TileK) surface TuneGA searches for Figure 9b, are not
-// searched: every kernel runs ops.ScheduleFor of its shape, the tallest
-// row tile that fits M and a min(N, 512) column panel, whatever the
-// device. Select and SelectChain return that rule for a task.
+// searched: every kernel runs ops.ScheduleFor of its shape, a min(8, M)
+// row tile and a min(N, 512) column panel, whatever the device. Select and SelectChain return that rule for a task.
 
 // ScheduleResult is the schedule of one heavy kernel task.
 type ScheduleResult struct {
