@@ -97,25 +97,27 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 		bitsweep.Parallel(ranges, func(w int, from, to, step uint64) {
 			l := &lanes[w]
 			for u := from; u < to; {
-				first, m := u, 0
+				in, first, m := l.in, u, 0
 				for ; m < n && u < to; m, u = m+1, u+step {
-					l.in[m] = math.Float32frombits(uint32(u))
+					in[m] = math.Float32frombits(uint32(u))
 				}
 				last := u - step
 				for ; m%8 != 0; m++ {
-					l.in[m] = l.in[0]
+					in[m] = in[0]
 				}
-				in, simd, scalar := l.in[:m], l.simd[:m], l.scalar[:m]
+				in, simd, scalar := in[:m], l.simd[:m], l.scalar[:m]
 				for _, c := range cases {
 					if !c.swept || c.odd != odd {
 						continue
 					}
 					if c.routine != nil {
 						for j := 0; j < m; j += 8 {
-							done := c.routine(&simd[j], &in[j], m-j)
-							pointwiseGo(c.op, scalar[j:j+done], in[j:j+done], nil)
-							compare(c, in[j:j+done], simd[j:j+done], scalar[j:j+done])
-							if j += done; j < m && !slices.ContainsFunc(in[j:j+8], func(x float32) bool { return !magnitudeIn(x, 0x30800001, c.hi) }) {
+							if done := c.routine(&simd[j], &in[j], m-j); done > 0 {
+								pointwiseGo(c.op, scalar[j:j+done], in[j:j+done], nil)
+								compare(c, in[j:j+done], simd[j:j+done], scalar[j:j+done])
+								j += done
+							}
+							if j < m && !slices.ContainsFunc(in[j:j+8], func(x float32) bool { return !magnitudeIn(x, 0x30800001, c.hi) }) {
 								c.bad.CompareAndSwap(-1, int64(math.Float32bits(in[j]))) // a fast-path group handed back
 							}
 						}

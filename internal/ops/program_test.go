@@ -88,14 +88,15 @@ func TestBranchFreeClip(t *testing.T) {
 	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), edges...), func(w int, from, to, step uint64) {
 		l := &lanes[w]
 		for u := from; u < to; {
-			m := 0
+			in, m := l.in, 0
 			for ; m < n && u < to; m, u = m+1, u+step {
-				l.in[m] = math.Float32frombits(uint32(u))
+				in[m] = math.Float32frombits(uint32(u))
 			}
+			in, got := in[:m], l.got[:m]
 			for h, hi := range his {
-				l.blks[h].LoadBlock(l.got[:m], 0, m)
-				for i, x := range l.in[:m] {
-					if math.Float32bits(l.got[i]) != math.Float32bits(minf(maxf(x, 0), hi)) {
+				l.blks[h].LoadBlock(got, 0, m)
+				for i, x := range in {
+					if math.Float32bits(got[i]) != math.Float32bits(minf(maxf(x, 0), hi)) {
 						bad[h].CompareAndSwap(-1, int64(math.Float32bits(x)))
 						break
 					}

@@ -80,29 +80,74 @@ func (r *sweepResult) note(i int, u uint32, got, want float32) {
 	}
 }
 
+// noteAll notes function i at each input of x. Equal bits are passed over,
+// a block that matches throughout in one compare: they are no error, and
+// NaN on both sides is no mismatch.
+func (r *sweepResult) noteAll(i int, x, got, want []float32) {
+	j := firstBitDiff(got, want)
+	if j < 0 {
+		return
+	}
+	for ; j < len(got); j++ {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			r.note(i, math.Float32bits(x[j]), got[j], want[j])
+		}
+	}
+}
+
 // TestTranscendentalSweep measures each float32 transcendental against its
 // float64 definition on every float32 — all 2³², or under -short and the race
 // detector every 251st plus a dense window around each edge — and holds it to
 // the contract: NaN exactly where the definition is NaN, elsewhere at most the
-// table's ULPs, and the table at most 4. The loop calls the functions
-// directly (through func values it runs several times longer), and one
-// math.Exp serves as exp's definition at x and sigmoid's at −x. Tanh and erf
-// are measured on x ≥ +0: both sides of the comparison are odd
+// table's ULPs, and the table at most 4. Each goroutine takes its patterns
+// a block at a time and runs one function over the whole block before the
+// next, calling it directly (through func values it runs several times
+// longer), so the independent calls overlap in the pipeline. One math.Exp
+// serves as exp's definition at x and sigmoid's at −x. Tanh and erf are
+// measured on x ≥ +0: both sides of the comparison are odd
 // (TestTranscendentalOdd), so their error at −x is their error at x.
 func TestTranscendentalSweep(t *testing.T) {
+	const n = 1 << 10
+	type lane struct {
+		x, neg, got, want [n]float32
+		e                 [n]float64
+	}
 	res := make([]sweepResult, runtime.GOMAXPROCS(0))
+	lanes := make([]lane, len(res))
 	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), transcendentalEdges...), func(w int, from, to, step uint64) {
-		r := &res[w]
-		for u := from; u < to; u += step {
-			x := math.Float32frombits(uint32(u))
-			v := float64(x)
-			e := math.Exp(v)
-			r.note(0, uint32(u), expf(x), float32(e))
-			r.note(1, uint32(u)^1<<31, sigmoid32(-x), float32(1/(1+e)))
-			if u < 1<<31 {
-				r.note(2, uint32(u), tanh32(x), float32(math.Tanh(v)))
-				r.note(3, uint32(u), erf32(x), float32(math.Erf(v)))
+		r, l := &res[w], &lanes[w]
+		for u := from; u < to; {
+			x, m := l.x[:], 0
+			for ; m < n && u < to; m, u = m+1, u+step {
+				x[m] = math.Float32frombits(uint32(u))
 			}
+			x, neg, e, got, want := x[:m], l.neg[:m], l.e[:m], l.got[:m], l.want[:m]
+			for i, xi := range x {
+				e[i] = math.Exp(float64(xi))
+			}
+			for i, xi := range x {
+				got[i], want[i] = expf(xi), float32(e[i])
+			}
+			r.noteAll(0, x, got, want)
+			for i, xi := range x {
+				neg[i], got[i], want[i] = -xi, sigmoid32(-xi), float32(1/(1+e[i]))
+			}
+			r.noteAll(1, neg, got, want)
+			p := 0 // x ≥ +0 to the front
+			for _, xi := range x {
+				if math.Float32bits(xi) < 1<<31 {
+					x[p], p = xi, p+1
+				}
+			}
+			x, got, want = x[:p], got[:p], want[:p]
+			for i, xi := range x {
+				got[i], want[i] = tanh32(xi), float32(math.Tanh(float64(xi)))
+			}
+			r.noteAll(2, x, got, want)
+			for i, xi := range x {
+				got[i], want[i] = erf32(xi), float32(math.Erf(float64(xi)))
+			}
+			r.noteAll(3, x, got, want)
 		}
 	})
 	for i, fn := range transcendentals {

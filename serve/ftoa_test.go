@@ -39,8 +39,10 @@ func appendFloat32Strconv(dst []byte, f float32) []byte {
 // leaves room for its ',' in the encoder's maxFloatText bytes. That is all
 // 2³² patterns, or under -short and the race detector every 251st plus a
 // dense window at ±0, the subnormal/normal edge, the 'f'/'e' cutoffs 1e-6
-// and 1e21, 2²⁴ (where the integer path ends) and MaxFloat32. On the sampled
-// patterns the oracle is also held to the sign rule itself.
+// and 1e21, 2²⁴ (where the integer path ends) and MaxFloat32. The sweep
+// runs over the magnitudes and writes each with both signs, so the
+// negative text is checked against the positive one it has just written.
+// On the sampled patterns the oracle is also held to the sign rule itself.
 func TestAppendFloat32MatchesStrconv(t *testing.T) {
 	var edges []uint64
 	for _, f := range []float32{0, 0x1p-126, 1e-6, 1e21, 1 << 24, math.MaxFloat32} {
@@ -50,20 +52,23 @@ func TestAppendFloat32MatchesStrconv(t *testing.T) {
 	var bad, badSign atomic.Int64
 	bad.Store(-1)
 	badSign.Store(-1)
-	bitsweep.Parallel(bitsweep.Ranges(!testing.Short() && !raceEnabled, edges...), func(_ int, from, to, step uint64) {
-		got, want := make([]byte, 0, 64), make([]byte, 0, 64)
+	var magnitudes [][3]uint64
+	for _, r := range bitsweep.Ranges(!testing.Short() && !raceEnabled, edges...) {
+		if r[0] < 1<<31 {
+			magnitudes = append(magnitudes, [3]uint64{r[0], min(r[1], 1<<31), r[2]})
+		}
+	}
+	bitsweep.Parallel(magnitudes, func(_ int, from, to, step uint64) {
+		pos, want, neg := make([]byte, 0, 64), make([]byte, 0, 64), make([]byte, 0, 64)
 		for u := from; u < to; u += step {
 			f := math.Float32frombits(uint32(u))
 			if f-f != 0 { // NaN or ±Inf
 				continue
 			}
-			got = appendFloat32(got[:0], f)
-			if u < 1<<31 {
-				want = appendFloat32Strconv(want[:0], f)
-			} else {
-				want = appendFloat32(append(want[:0], '-'), -f)
-			}
-			if !bytes.Equal(got, want) || len(got) > maxFloatText-1 {
+			pos = appendFloat32(append(pos[:0], '-'), f) // '-' and the text of f
+			want = appendFloat32Strconv(want[:0], f)
+			neg = appendFloat32(neg[:0], -f)
+			if !bytes.Equal(pos[1:], want) || !bytes.Equal(neg, pos) || len(neg) > maxFloatText-1 {
 				bad.CompareAndSwap(-1, int64(u))
 				return
 			}
@@ -86,11 +91,9 @@ func TestAppendFloat32MatchesStrconv(t *testing.T) {
 	})
 	if u := bad.Load(); u >= 0 {
 		f := math.Float32frombits(uint32(u))
-		want := appendFloat32Strconv(nil, f)
-		if u >= 1<<31 {
-			want = appendFloat32(append(want[:0], '-'), -f)
-		}
-		t.Errorf("appendFloat32(%#08x) = %q, want %q in at most %d bytes", u, appendFloat32(nil, f), want, maxFloatText-1)
+		pos := appendFloat32(nil, f)
+		t.Errorf("appendFloat32(%#08x) = %q, want %q; appendFloat32(%#08x) = %q, want %q; each in at most %d bytes",
+			u, pos, appendFloat32Strconv(nil, f), u|1<<31, appendFloat32(nil, -f), append([]byte{'-'}, pos...), maxFloatText-1)
 	}
 	if u := badSign.Load(); u >= 0 {
 		f := math.Float32frombits(uint32(u))
