@@ -133,9 +133,23 @@ func lazyAPastCap() *graph.Graph {
 	return g
 }
 
+// concatPastCap concatenates a fused pointwise producer of 1 × 1025 × 1024
+// elements — past the 1M-element staging cap — with an input along axis 1:
+// the kernel shape of YOLO-V4's Concat over a lazy producer, which pulled
+// its output element by element while Concat staged its operands. Inputs
+// "x" and "y", output "z".
+func concatPastCap() *graph.Graph {
+	g := graph.New("concat-past-cap")
+	x := g.AddInput("x", tensor.Of(1, 1025, 1024))
+	a := g.Apply1(ops.NewRelu(), g.Apply1(ops.NewAddConst(-0.25), x))
+	g.MarkOutputAs("z", g.Apply1(ops.NewConcat(1), a, g.AddInput("y", tensor.Of(1, 3, 1024))))
+	return g
+}
+
 // TestNoScalarFallback pins the invariant that no compiled kernel runs the
 // scalar oracle: for the micro zoo, the encoder block, a depthwise-
-// separable conv stage and a MatMul over a lazy A past the staging cap,
+// separable conv stage, and a MatMul and a Concat over lazy operands past
+// the staging cap,
 // under every plan configuration planConfigurations lists, at 1 and 4
 // lanes, every bound kernel tree is blocked end to end (ops.ScalarPaths is
 // empty), the outputs match the interpreter bit for bit, and a warmed
@@ -150,7 +164,8 @@ func TestNoScalarFallback(t *testing.T) {
 	if n := len(encoderBlock().Nodes); n != 67 {
 		t.Fatalf("encoder block has %d operators, the benchmark's has 67", n)
 	}
-	graphs := []namedGraph{{"encoder", encoderBlock}, {"dw-separable", dwSeparableStage}, {"lazy-a-past-cap", lazyAPastCap}}
+	graphs := []namedGraph{{"encoder", encoderBlock}, {"dw-separable", dwSeparableStage}, {"lazy-a-past-cap", lazyAPastCap},
+		{"concat-past-cap", concatPastCap}}
 	for _, m := range models.MicroModels() {
 		graphs = append(graphs, namedGraph{m.Name, m.Build})
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dnnfusion/internal/fusion"
 	"dnnfusion/internal/graph"
+	"dnnfusion/internal/ops"
 	"dnnfusion/internal/tensor"
 )
 
@@ -98,12 +99,7 @@ func (d *DFT) CSESavings() int64 { return d.NaiveFLOPs - d.FLOPs }
 // whose outputs stay inside the block: its materialization is eliminated
 // and replaced by an index transform (Figure 5).
 func isFoldableMovement(b *fusion.Block, n *graph.Node) bool {
-	if _, ok := n.Op.(interface {
-		MapIndex(in []tensor.Shape, outNo int, outIdx []int, dst []int) (int, []int)
-	}); !ok {
-		return false
-	}
-	return !slices.ContainsFunc(n.Outputs, b.Escapes)
+	return ops.IsMovement(n.Op) && !slices.ContainsFunc(n.Outputs, b.Escapes)
 }
 
 func nodeFLOPs(n *graph.Node) int64 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"dnnfusion/internal/graph"
+	"dnnfusion/internal/ops"
 )
 
 // Source renders the kernel as C-like source for the mobile CPU backend or
@@ -208,6 +209,11 @@ func broadcastIdx(v *graph.Value, idx []string) []string {
 // reduction pseudo-loops; pointwise operators compose scalar expressions.
 func (p *printer) expr(ins []*graph.Value, n *graph.Node, idx []string, forTemp bool) string {
 	opT := n.Op.Type()
+	if ops.IsMovement(n.Op) {
+		// Index fold: the consumer reads through the transform.
+		return fmt.Sprintf("/*%s:index-fold*/ %s", strings.ToLower(opT),
+			p.value(ins[0], remap(opT, idx)))
+	}
 	switch opT {
 	case "Add", "Sub", "Mul", "Div", "Min", "Max", "PowT":
 		sym := map[string]string{"Add": "+", "Sub": "-", "Mul": "*", "Div": "/",
@@ -217,11 +223,6 @@ func (p *printer) expr(ins []*graph.Value, n *graph.Node, idx []string, forTemp 
 			return fmt.Sprintf("(%s %s %s)", a, sym, b)
 		}
 		return fmt.Sprintf("%s(%s, %s)", sym, a, b)
-	case "Reshape", "Flatten", "Squeeze", "Unsqueeze", "Transpose", "Slice",
-		"Split", "Concat", "Expand", "Resize", "Upsample", "DepthToSpace", "SpaceToDepth":
-		// Index fold: the consumer reads through the transform.
-		return fmt.Sprintf("/*%s:index-fold*/ %s", strings.ToLower(opT),
-			p.value(ins[0], remap(opT, idx)))
 	case "Conv", "ConvTranspose", "MatMul", "Gemm", "Einsum":
 		args := make([]string, len(ins))
 		for i, in := range ins {

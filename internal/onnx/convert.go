@@ -539,6 +539,9 @@ func (c *converter) resolveOp(i int, n *NodeProto) (ops.Operator, []*graph.Value
 		if a == nil {
 			return nil, nil, errNode(i, n, "blocksize required")
 		}
+		if a.I < 1 {
+			return nil, nil, errNode(i, n, "blocksize %d < 1", a.I)
+		}
 		ins, err := c.inVals(i, n, 0, 1)
 		if n.OpType == "DepthToSpace" {
 			return ops.NewDepthToSpace(int(a.I)), ins, err

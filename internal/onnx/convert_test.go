@@ -105,3 +105,30 @@ func TestConvertImportEntryPoint(t *testing.T) {
 		t.Fatalf("unexpected outputs: %v", g.Outputs)
 	}
 }
+
+// TestConvertHostileSizes: a block size below 1 or a Split size below 1 is a
+// corrupt model, rejected with ErrImport — not a division by zero, and not a
+// graph with negative dimensions.
+func TestConvertHostileSizes(t *testing.T) {
+	blocksize := func(op string, b int64) *NodeProto {
+		return &NodeProto{OpType: op, Inputs: []string{"x"}, Outputs: []string{"y"},
+			Attrs: []*Attribute{{Name: "blocksize", Type: attrInt, I: b}}}
+	}
+	cases := map[string]*NodeProto{
+		"DepthToSpace blocksize 0":  blocksize("DepthToSpace", 0),
+		"DepthToSpace blocksize -2": blocksize("DepthToSpace", -2),
+		"SpaceToDepth blocksize 0":  blocksize("SpaceToDepth", 0),
+		"SpaceToDepth blocksize -2": blocksize("SpaceToDepth", -2),
+		"Split [-2 10]": {OpType: "Split", Inputs: []string{"x"}, Outputs: []string{"y", "y2"},
+			Attrs: []*Attribute{{Name: "axis", Type: attrInt, I: 1}, {Name: "split", Type: attrInts, Ints: []int64{-2, 10}}}},
+	}
+	for name, node := range cases {
+		m := minimalModel(node)
+		m.Graph.Inputs[0].Dims = []int64{1, 8, 4, 4}
+		if g, err := ToGraph(m); err == nil {
+			t.Errorf("%s: imported, output %v", name, g.Outputs[0].Shape)
+		} else if !errors.Is(err, ErrImport) {
+			t.Errorf("%s: error %v does not match ErrImport", name, err)
+		}
+	}
+}

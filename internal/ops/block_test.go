@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -216,6 +217,159 @@ func TestBlockParityMovement(t *testing.T) {
 	// runs whole tiles once, never one sliver per view run.
 	mm := virtualize(t, NewMatMul(), randSource(15, 3, 8, 6), randSource(16, 6, 4))
 	assertBlockParity(t, "head merge over MatMul", virtualize(t, NewReshape(8, 12), virtualize(t, NewTranspose(1, 0, 2), mm)))
+
+	// DepthToSpace, SpaceToDepth, Resize and Upsample are views as well,
+	// over flat memory or a fused producer, under a Transpose or a Slice.
+	for _, c := range []struct {
+		op   Operator
+		dims []int
+	}{
+		{NewDepthToSpace(1), []int{1, 3, 2, 3}},
+		{NewDepthToSpace(2), []int{2, 8, 3, 4}},
+		{NewDepthToSpace(3), []int{1, 9, 2, 3}},
+		{NewSpaceToDepth(1), []int{1, 3, 2, 3}},
+		{NewSpaceToDepth(2), []int{2, 3, 6, 4}},
+		{NewSpaceToDepth(3), []int{1, 2, 6, 3}},
+		{NewUpsample(1), []int{2, 3, 4, 5}},
+		{NewUpsample(2), []int{2, 3, 4, 5}},
+		{NewUpsample(3), []int{1, 2, 3, 4}},
+		{NewResize(2, 1, 3, 2), []int{2, 3, 2, 3}},
+	} {
+		flat := randSource(17, c.dims...)
+		for form, in := range map[string]Source{"flat": flat, "lazy": virtualize(t, NewRelu(), virtualize(t, NewAddConst(-0.25), flat))} {
+			name := fmt.Sprintf("%s %s %s %v", c.op.Type(), c.op.AttrKey(), form, c.dims)
+			src := virtualize(t, c.op, in)
+			if _, ok := src.(*viewBlockSource); !ok {
+				t.Errorf("%s virtualizes to %T, want a view", name, src)
+			}
+			assertMovement(t, name, c.op, src, in)
+			assertBlockParity(t, name+" under Transpose", virtualize(t, NewTranspose(0, 3, 1, 2), src))
+			assertBlockParity(t, name+" under Slice", virtualize(t, NewSlice([]int{2}, []int{1}, []int{99}), src))
+		}
+	}
+	x4 := randSource(18, 2, 8, 4, 6)
+	assertMovement(t, "DepthToSpace over Transpose", NewDepthToSpace(2),
+		virtualize(t, NewDepthToSpace(2), virtualize(t, NewTranspose(0, 1, 3, 2), x4)), virtualize(t, NewTranspose(0, 1, 3, 2), x4))
+	assertBlockParityWant(t, "SpaceToDepth over DepthToSpace",
+		virtualize(t, NewSpaceToDepth(2), virtualize(t, NewDepthToSpace(2), x4)), loadAll(x4))
+}
+
+// assertMovement checks src, op virtualized over in, against op's defining
+// index arithmetic (movementOracle) through Load and LoadBlock alike.
+func assertMovement(t *testing.T, name string, op Operator, src Source, ins ...Source) {
+	t.Helper()
+	want := movementOracle(t, op, ins...)
+	for i, v := range loadAll(src) {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: Load element %d = %v, the index arithmetic says %v", name, i, v, want[i])
+		}
+	}
+	assertBlockParityWant(t, name, src, want)
+}
+
+// movementOracle is the index arithmetic DepthToSpace (DCR), SpaceToDepth,
+// nearest Resize and Concat are defined by, evaluated one output element at
+// a time over the inputs' scalar Load.
+func movementOracle(t *testing.T, op Operator, ins ...Source) []float32 {
+	t.Helper()
+	shapes := make([]tensor.Shape, len(ins))
+	for i, in := range ins {
+		shapes[i] = in.Shape()
+	}
+	outs, err := op.InferShapes(shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := outs[0]
+	want := make([]float32, out.NumElements())
+	o := make([]int, out.Rank())
+	for off := range want {
+		out.Unravel(off, o)
+		sel, in := 0, append([]int(nil), o...)
+		switch op.Type() {
+		case "DepthToSpace":
+			b, _ := BlockSize(op)
+			in[1], in[2], in[3] = (o[2]%b*b+o[3]%b)*out[1]+o[1], o[2]/b, o[3]/b
+		case "SpaceToDepth":
+			b, _ := BlockSize(op)
+			c := shapes[0][1]
+			blk := o[1] / c
+			in[1], in[2], in[3] = o[1]%c, o[2]*b+blk/b, o[3]*b+blk%b
+		case "Resize", "Upsample":
+			sc, _ := ResizeScales(op)
+			for d := range in {
+				in[d] /= sc[d]
+			}
+		case "Concat":
+			axis, _ := ConcatAxis(op)
+			axis, _ = tensor.NormalizeAxis(axis, out.Rank())
+			for ; in[axis] >= shapes[sel][axis]; sel++ {
+				in[axis] -= shapes[sel][axis]
+			}
+		default:
+			t.Fatalf("movementOracle: no index arithmetic for %s", op.Type())
+		}
+		want[off] = ins[sel].Load(in)
+	}
+	return want
+}
+
+// TestBlockParityConcat: Concat streams each operand's runs through the
+// operand's own LoadBlock on every axis, stages nothing but a contraction,
+// and falls back to pulling only over an operand with no blocked path.
+func TestBlockParityConcat(t *testing.T) {
+	lazy := func(s Source) Source { return virtualize(t, NewRelu(), virtualize(t, NewAddConst(-0.25), s)) }
+	for _, axis := range []int{0, 1, 2, 3, -1, -3} {
+		ax, _ := tensor.NormalizeAxis(axis, 4)
+		var flat []Source
+		for i, n := range []int{2, 1, 3} {
+			dims := []int{2, 3, 4, 5}
+			dims[ax] = n
+			flat = append(flat, randSource(uint64(30+i), dims...))
+		}
+		for form, ins := range map[string][]Source{
+			"flat":  flat,
+			"mixed": {lazy(flat[0]), flat[1], lazy(flat[2])},
+			"lazy":  {lazy(flat[0]), lazy(flat[1]), lazy(flat[2])},
+		} {
+			name := fmt.Sprintf("Concat axis %d %s", axis, form)
+			src := virtualize(t, NewConcat(axis), ins...)
+			if _, ok := src.(*concatSource); !ok {
+				t.Errorf("%s virtualizes to %T, want a concatSource", name, src)
+			}
+			if stages, _, _ := scratch(src); stages != 0 {
+				t.Errorf("%s stages %d operands, want none", name, stages)
+			}
+			assertMovement(t, name, NewConcat(axis), src, ins...)
+			assertBlockParity(t, name+" under Transpose", virtualize(t, NewTranspose(3, 1, 0, 2), src))
+			assertBlockParity(t, name+" under Slice", virtualize(t, NewSlice([]int{ax}, []int{1}, []int{5}), src))
+		}
+	}
+
+	// A contraction operand is staged whole, so it runs whole tiles.
+	mm := virtualize(t, NewMatMul(), randSource(35, 6, 5), randSource(36, 5, 4))
+	other := lazy(randSource(37, 6, 3))
+	withMM := virtualize(t, NewConcat(1), other, mm)
+	if stages, floats, _ := scratch(withMM); stages != 1 || floats != 6*4 {
+		t.Errorf("Concat over a MatMul holds %d stages of %d floats, want the MatMul's 24", stages, floats)
+	}
+	assertMovement(t, "Concat over MatMul", NewConcat(1), withMM, other, mm)
+
+	// Lazy operands past the staging cap stream: no stage, no scalar path
+	// (composed over placeholders, never evaluated).
+	big := lazy(Placeholder(tensor.Of(1, 17, 256, 256)))
+	if src := virtualize(t, NewConcat(1), big, big); ScalarPaths(src) != nil || len(StagedSources(src)) != 0 {
+		t.Errorf("Concat of lazy operands past the cap: scalar paths %v, %d stages; want none",
+			ScalarPaths(src), len(StagedSources(src)))
+	}
+	// An operand with no blocked path (a Transpose of an unstageable
+	// producer) leaves Concat pulling element by element.
+	scalarOnly := virtualize(t, NewTranspose(0, 1, 3, 2), big)
+	src := virtualize(t, NewConcat(1), scalarOnly, big)
+	if _, ok := src.(*pullSource); !ok || len(ScalarPaths(src)) == 0 {
+		t.Errorf("Concat over an operand with no blocked path is %T with scalar paths %v, want a reported pullSource",
+			src, ScalarPaths(src))
+	}
 }
 
 // TestBlockParityPullModel covers the operators without a strided or row
@@ -228,10 +382,6 @@ func TestBlockParityPullModel(t *testing.T) {
 	assertBlockParity(t, "Gather lazy data", virtualize(t, NewGather(1), lazy, idx))
 	assertBlockParity(t, "Gather lazy index", virtualize(t, NewGather(2), x, virtualize(t, NewRelu(), idx)))
 	assertBlockParity(t, "CumSum lazy", virtualize(t, NewCumSum(2), lazy))
-	assertBlockParity(t, "Concat lazy", virtualize(t, NewConcat(1), lazy, x, lazy))
-	assertBlockParity(t, "Resize lazy", virtualize(t, NewUpsample(2), lazy))
-	assertBlockParity(t, "DepthToSpace lazy", virtualize(t, NewDepthToSpace(2), lazy))
-	assertBlockParity(t, "SpaceToDepth lazy", virtualize(t, NewSpaceToDepth(2), lazy))
 	assertBlockParity(t, "Softmax axis 1 lazy", virtualize(t, NewSoftmax(1), lazy))
 	assertBlockParity(t, "InstanceNorm lazy",
 		virtualize(t, NewInstanceNormalization(1e-5), lazy, randSource(81, 4), randSource(82, 4)))

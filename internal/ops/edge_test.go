@@ -112,6 +112,13 @@ func TestDepthToSpaceErrors(t *testing.T) {
 	if _, err := NewSpaceToDepth(2).InferShapes([]tensor.Shape{tensor.Of(1, 3, 5, 4)}); err == nil {
 		t.Error("SpaceToDepth with odd H accepted")
 	}
+	for _, block := range []int{0, -2} {
+		for _, op := range []Operator{NewDepthToSpace(block), NewSpaceToDepth(block)} {
+			if out, err := op.InferShapes([]tensor.Shape{tensor.Of(1, 8, 4, 4)}); err == nil {
+				t.Errorf("%s with block %d accepted: %v", op.Type(), block, out)
+			}
+		}
+	}
 }
 
 func TestExpandInvalid(t *testing.T) {

@@ -14,30 +14,34 @@ import (
 // the cost of these operators is entirely memory traffic, which is why the
 // intra-block optimization (Figure 5) folds them into index changes.
 //
-// An operator states its index transform one of two ways. Those whose
-// transform is affine per dimension (Reshape, Flatten, Squeeze, Unsqueeze,
-// Transpose, Slice, Split, Expand) give view, a rewrite of the input's
-// strided layout, and virtualize to a view (view.go) that composes with any
-// view beneath it. The rest (DepthToSpace, SpaceToDepth, Concat, Resize)
-// give mapIndex and virtualize to a pull-model source over staged operands.
+// Every single-input operator states its transform as view, a rewrite of
+// the input's strided layout, and virtualizes to a view (view.go) that
+// composes with any view beneath it: Transpose, DepthToSpace and
+// SpaceToDepth permute re-split dimensions, Slice and Split move the base,
+// Expand, Resize and Upsample repeat by stride 0, and the Reorganize
+// operators re-split the layout alone. Concat reads its operands' runs in
+// turn (concatSource).
 type movement struct {
 	name       string
 	arity      int // -1 for variadic (Concat)
 	numOutputs int
 	mapping    MappingType
 	attrKey    string
-	props      Properties
 	infer      func(in []tensor.Shape) ([]tensor.Shape, error)
-	// view rewrites the layout of input 0 into the layout of output outNo
-	// (whose inferred shape is out). ok is false when the output order is not
-	// a strided view of the input's memory (a Reshape across a transposed
-	// dimension); the output then views the input source itself, densely.
-	view func(l layout, outNo int, out tensor.Shape) (vl layout, ok bool)
-	// mapIndex maps an index of output outNo to (input number, input index).
-	// dst is scratch of the selected input's rank.
-	mapIndex func(in []tensor.Shape, outNo int, outIdx []int, dst []int) (int, []int)
+	// view rewrites the layout of input 0 into a layout whose row-major
+	// order is that of output outNo (inferred shape out); nil for the
+	// Reorganize operators, whose flat order is the input's.
+	view func(l layout, outNo int, out tensor.Shape) layout
 	// attrs holds structured attributes for rewrite-rule inspection.
 	attrs map[string]any
+}
+
+// IsMovement reports whether op is a pure data-movement operator, which the
+// code generator folds into index arithmetic instead of materializing
+// (intra-block optimization, Figure 5).
+func IsMovement(op Operator) bool {
+	_, ok := op.(*movement)
+	return ok
 }
 
 // Attr returns a structured attribute of a data-movement or pointwise
@@ -54,7 +58,7 @@ func Attr(op Operator, key string) any {
 
 func (m *movement) Type() string           { return m.name }
 func (m *movement) NumOutputs() int        { return m.numOutputs }
-func (m *movement) Properties() Properties { return m.props }
+func (m *movement) Properties() Properties { return Properties{Linear: true} }
 func (m *movement) AttrKey() string        { return m.attrKey }
 func (m *movement) FLOPs(in []tensor.Shape) int64 {
 	return 0
@@ -79,32 +83,6 @@ func (m *movement) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return m.infer(in)
 }
 
-// IndexMapper is implemented by data-movement operators. The code generator
-// uses it to fold movement into index arithmetic instead of materializing
-// (intra-block optimization, Figure 5).
-type IndexMapper interface {
-	MapIndex(in []tensor.Shape, outNo int, outIdx []int, dst []int) (int, []int)
-}
-
-func (m *movement) MapIndex(in []tensor.Shape, outNo int, outIdx []int, dst []int) (int, []int) {
-	if m.mapIndex != nil {
-		return m.mapIndex(in, outNo, outIdx, dst)
-	}
-	outs, err := m.infer(in)
-	if err != nil {
-		panic(fmt.Sprintf("%s: MapIndex over invalid input shapes: %v", m.name, err))
-	}
-	l, ok := m.view(contiguousLayout(in[0]), outNo, outs[outNo])
-	if !ok {
-		l = contiguousLayout(outs[outNo])
-	}
-	off := l.base
-	for d, i := range outIdx {
-		off += i * l.strides[d]
-	}
-	return 0, in[0].Unravel(off, dst[:in[0].Rank()])
-}
-
 func (m *movement) Virtualize(ins []Source, outNo int) (Source, error) {
 	if err := m.checkArity(len(ins)); err != nil {
 		return nil, err
@@ -113,65 +91,40 @@ func (m *movement) Virtualize(ins []Source, outNo int) (Source, error) {
 		return nil, fmt.Errorf("%s: output %d out of range", m.name, outNo)
 	}
 	shapes := make([]tensor.Shape, len(ins))
-	maxRank := 0
 	for i, s := range ins {
 		shapes[i] = s.Shape()
-		if r := s.Shape().Rank(); r > maxRank {
-			maxRank = r
-		}
 	}
 	outs, err := m.infer(shapes)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.name, err)
 	}
+	out := outs[outNo]
+	if m.arity < 0 {
+		axis, _ := tensor.NormalizeAxis(m.attrs["axis"].(int), out.Rank())
+		return newConcat(ins, out, axis), nil
+	}
+	backing, l := layoutOf(ins[0])
 	if m.view != nil {
-		backing, l := layoutOf(ins[0])
-		if vl, ok := m.view(l, outNo, outs[outNo]); ok {
-			return newView(backing, vl), nil
-		}
-		return newView(ins[0], contiguousLayout(outs[outNo])), nil
+		l = m.view(l, outNo, out)
 	}
-	return pulled(ins, func(ins []Source) Source {
-		return &movementSource{
-			op:    m,
-			shape: outs[outNo],
-			outNo: outNo,
-			ins:   ins,
-			inSh:  shapes,
-			buf:   make([]int, maxRank),
-		}
-	}), nil
-}
-
-// movementSource is the scalar form of the movement operators without a
-// strided-view form: each Load maps the output index to one input element.
-type movementSource struct {
-	op    *movement
-	shape tensor.Shape
-	outNo int
-	ins   []Source
-	inSh  []tensor.Shape
-	buf   []int
-}
-
-func (s *movementSource) Shape() tensor.Shape { return s.shape }
-
-func (s *movementSource) Load(idx []int) float32 {
-	sel, inIdx := s.op.mapIndex(s.inSh, s.outNo, idx, s.buf)
-	return s.ins[sel].Load(inIdx)
-}
-
-// reorganize builds a Reorganize-class operator given its shape function:
-// the flat order is unchanged, so the output is the input's layout re-split.
-func reorganize(name, attrKey string, infer func(tensor.Shape) (tensor.Shape, error)) Operator {
-	m := &movement{
-		name:       name,
-		arity:      1,
-		numOutputs: 1,
-		mapping:    Reorganize,
-		attrKey:    attrKey,
-		props:      Properties{Linear: true},
+	if r, ok := l.reshape(out); ok {
+		return newView(backing, r), nil
 	}
+	// l enumerates out's order but its dimensions do not merge into out's:
+	// read it as one dense run (a Reorganize operator's l is its input's).
+	dense := ins[0]
+	if m.view != nil {
+		dense = newView(backing, l)
+	}
+	return newView(dense, contiguousLayout(out)), nil
+}
+
+// unary builds a one-input, one-output movement operator from the shape
+// function of its input. A Reorganize operator needs nothing more: the flat
+// order is unchanged, so the output is the input's layout re-split.
+func unary(name string, mapping MappingType, attrKey string, attrs map[string]any,
+	infer func(tensor.Shape) (tensor.Shape, error)) *movement {
+	m := &movement{name: name, arity: 1, numOutputs: 1, mapping: mapping, attrKey: attrKey, attrs: attrs}
 	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
 		out, err := infer(in[0])
 		if err != nil {
@@ -179,14 +132,13 @@ func reorganize(name, attrKey string, infer func(tensor.Shape) (tensor.Shape, er
 		}
 		return []tensor.Shape{out}, nil
 	}
-	m.view = func(l layout, _ int, out tensor.Shape) (layout, bool) { return l.reshape(out) }
 	return m
 }
 
 // NewReshape reshapes to the target shape; one dimension may be -1 to infer.
 func NewReshape(target ...int) Operator {
 	t := tensor.Shape(target).Clone()
-	op := reorganize("Reshape", fmt.Sprintf("shape=%v", t), func(in tensor.Shape) (tensor.Shape, error) {
+	return unary("Reshape", Reorganize, fmt.Sprintf("shape=%v", t), map[string]any{"shape": []int(t)}, func(in tensor.Shape) (tensor.Shape, error) {
 		out := t.Clone()
 		infer := -1
 		known := 1
@@ -211,14 +163,12 @@ func NewReshape(target ...int) Operator {
 			return nil, fmt.Errorf("Reshape: %v incompatible with input %v", t, in)
 		}
 		return out, nil
-	}).(*movement)
-	op.attrs = map[string]any{"shape": []int(t)}
-	return op
+	})
 }
 
 // NewFlatten flattens into a 2-D tensor splitting at axis.
 func NewFlatten(axis int) Operator {
-	op := reorganize("Flatten", fmt.Sprintf("axis=%d", axis), func(in tensor.Shape) (tensor.Shape, error) {
+	return unary("Flatten", Reorganize, fmt.Sprintf("axis=%d", axis), map[string]any{"axis": axis}, func(in tensor.Shape) (tensor.Shape, error) {
 		ax, ok := tensor.NormalizeAxis(axis, in.Rank()+1)
 		if !ok {
 			return nil, fmt.Errorf("Flatten: axis %d out of range for %v", axis, in)
@@ -232,15 +182,13 @@ func NewFlatten(axis int) Operator {
 			}
 		}
 		return tensor.Of(a, b), nil
-	}).(*movement)
-	op.attrs = map[string]any{"axis": axis}
-	return op
+	})
 }
 
 // NewSqueeze removes the given size-1 axes (all size-1 axes if none given).
 func NewSqueeze(axes ...int) Operator {
 	ax := append([]int{}, axes...)
-	op := reorganize("Squeeze", fmt.Sprintf("axes=%v", axes), func(in tensor.Shape) (tensor.Shape, error) {
+	return unary("Squeeze", Reorganize, fmt.Sprintf("axes=%v", axes), map[string]any{"axes": ax}, func(in tensor.Shape) (tensor.Shape, error) {
 		drop := make(map[int]bool)
 		if len(axes) == 0 {
 			for i, d := range in {
@@ -263,15 +211,13 @@ func NewSqueeze(axes ...int) Operator {
 			}
 		}
 		return out, nil
-	}).(*movement)
-	op.attrs = map[string]any{"axes": ax}
-	return op
+	})
 }
 
 // NewUnsqueeze inserts size-1 dimensions at the given output axes.
 func NewUnsqueeze(axes ...int) Operator {
 	ax := append([]int{}, axes...)
-	op := reorganize("Unsqueeze", fmt.Sprintf("axes=%v", axes), func(in tensor.Shape) (tensor.Shape, error) {
+	return unary("Unsqueeze", Reorganize, fmt.Sprintf("axes=%v", axes), map[string]any{"axes": ax}, func(in tensor.Shape) (tensor.Shape, error) {
 		outRank := in.Rank() + len(axes)
 		ins := make(map[int]bool)
 		for _, a := range axes {
@@ -292,25 +238,13 @@ func NewUnsqueeze(axes ...int) Operator {
 			}
 		}
 		return out, nil
-	}).(*movement)
-	op.attrs = map[string]any{"axes": ax}
-	return op
+	})
 }
 
 // NewTranspose permutes dimensions; output dim i is input dim perm[i].
 func NewTranspose(perm ...int) Operator {
 	p := append([]int(nil), perm...)
-	m := &movement{
-		name:       "Transpose",
-		arity:      1,
-		numOutputs: 1,
-		mapping:    Shuffle,
-		attrKey:    fmt.Sprintf("perm=%v", p),
-		props:      Properties{Linear: true},
-		attrs:      map[string]any{"perm": p},
-	}
-	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
-		s := in[0]
+	m := unary("Transpose", Shuffle, fmt.Sprintf("perm=%v", p), map[string]any{"perm": p}, func(s tensor.Shape) (tensor.Shape, error) {
 		if len(p) != s.Rank() {
 			return nil, fmt.Errorf("Transpose: perm %v does not match rank of %v", p, s)
 		}
@@ -323,9 +257,9 @@ func NewTranspose(perm ...int) Operator {
 			seen[ax] = true
 			out[i] = s[ax]
 		}
-		return []tensor.Shape{out}, nil
-	}
-	m.view = func(l layout, _ int, _ tensor.Shape) (layout, bool) { return l.transpose(p), true }
+		return out, nil
+	})
+	m.view = func(l layout, _ int, _ tensor.Shape) layout { return l.transpose(p) }
 	return m
 }
 
@@ -341,58 +275,37 @@ func TransposePerm(op Operator) []int {
 
 // NewDepthToSpace rearranges depth into spatial blocks (DCR mode, NCHW).
 func NewDepthToSpace(block int) Operator {
-	m := &movement{
-		name:       "DepthToSpace",
-		arity:      1,
-		numOutputs: 1,
-		mapping:    Shuffle,
-		attrKey:    fmt.Sprintf("block=%d", block),
-		props:      Properties{Linear: true},
-		attrs:      map[string]any{"block": block},
-	}
-	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
-		s := in[0]
-		if s.Rank() != 4 || s[1]%(block*block) != 0 {
+	m := unary("DepthToSpace", Shuffle, fmt.Sprintf("block=%d", block), map[string]any{"block": block}, func(s tensor.Shape) (tensor.Shape, error) {
+		if block < 1 || s.Rank() != 4 || s[1]%(block*block) != 0 {
 			return nil, fmt.Errorf("DepthToSpace: invalid input %v for block %d", s, block)
 		}
-		return []tensor.Shape{tensor.Of(s[0], s[1]/(block*block), s[2]*block, s[3]*block)}, nil
-	}
-	m.mapIndex = func(in []tensor.Shape, _ int, o []int, dst []int) (int, []int) {
-		cOut := in[0][1] / (block * block)
-		h, bh := o[2]/block, o[2]%block
-		w, bw := o[3]/block, o[3]%block
-		d := dst[:4]
-		d[0], d[1], d[2], d[3] = o[0], (bh*block+bw)*cOut+o[1], h, w
-		return 0, d
+		return tensor.Of(s[0], s[1]/(block*block), s[2]*block, s[3]*block), nil
+	})
+	// Channel (bh·block + bw)·C' + c of pixel (h, w) is output pixel
+	// (h·block + bh, w·block + bw) of channel c: C splits into (bh, bw, c),
+	// and [N, c, h, bh, w, bw] is the output's row-major order.
+	m.view = func(l layout, _ int, _ tensor.Shape) layout {
+		n, c, h, w := l.shape[0], l.shape[1], l.shape[2], l.shape[3]
+		split, _ := l.reshape(tensor.Of(n, block, block, c/(block*block), h, w)) // a split always succeeds
+		return split.transpose([]int{0, 3, 4, 1, 5, 2})
 	}
 	return m
 }
 
 // NewSpaceToDepth rearranges spatial blocks into depth (NCHW).
 func NewSpaceToDepth(block int) Operator {
-	m := &movement{
-		name:       "SpaceToDepth",
-		arity:      1,
-		numOutputs: 1,
-		mapping:    Shuffle,
-		attrKey:    fmt.Sprintf("block=%d", block),
-		props:      Properties{Linear: true},
-		attrs:      map[string]any{"block": block},
-	}
-	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
-		s := in[0]
-		if s.Rank() != 4 || s[2]%block != 0 || s[3]%block != 0 {
+	m := unary("SpaceToDepth", Shuffle, fmt.Sprintf("block=%d", block), map[string]any{"block": block}, func(s tensor.Shape) (tensor.Shape, error) {
+		if block < 1 || s.Rank() != 4 || s[2]%block != 0 || s[3]%block != 0 {
 			return nil, fmt.Errorf("SpaceToDepth: invalid input %v for block %d", s, block)
 		}
-		return []tensor.Shape{tensor.Of(s[0], s[1]*block*block, s[2]/block, s[3]/block)}, nil
-	}
-	m.mapIndex = func(in []tensor.Shape, _ int, o []int, dst []int) (int, []int) {
-		cIn := in[0][1]
-		blk := o[1] / cIn
-		bh, bw := blk/block, blk%block
-		d := dst[:4]
-		d[0], d[1], d[2], d[3] = o[0], o[1]%cIn, o[2]*block+bh, o[3]*block+bw
-		return 0, d
+		return tensor.Of(s[0], s[1]*block*block, s[2]/block, s[3]/block), nil
+	})
+	// The inverse of DepthToSpace: H and W split into (h, bh) and (w, bw),
+	// and [N, bh, bw, c, h, w] is the output's row-major order.
+	m.view = func(l layout, _ int, _ tensor.Shape) layout {
+		n, c, h, w := l.shape[0], l.shape[1], l.shape[2], l.shape[3]
+		split, _ := l.reshape(tensor.Of(n, c, h/block, block, w/block, block)) // a split always succeeds
+		return split.transpose([]int{0, 3, 5, 1, 2, 4})
 	}
 	return m
 }
@@ -429,25 +342,14 @@ func NewSlice(axes, starts, ends []int) Operator {
 		}
 		return starts, sizes, nil
 	}
-	m := &movement{
-		name:       "Slice",
-		arity:      1,
-		numOutputs: 1,
-		mapping:    OneToOne,
-		attrKey:    fmt.Sprintf("axes=%v,starts=%v,ends=%v", ax, st, en),
-		props:      Properties{Linear: true},
-		attrs:      map[string]any{"axes": ax, "starts": st, "ends": en},
-	}
-	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
-		_, sizes, err := resolve(in[0])
-		if err != nil {
-			return nil, err
-		}
-		return []tensor.Shape{sizes}, nil
-	}
-	m.view = func(l layout, _ int, out tensor.Shape) (layout, bool) {
+	m := unary("Slice", OneToOne, fmt.Sprintf("axes=%v,starts=%v,ends=%v", ax, st, en),
+		map[string]any{"axes": ax, "starts": st, "ends": en}, func(s tensor.Shape) (tensor.Shape, error) {
+			_, sizes, err := resolve(s)
+			return sizes, err
+		})
+	m.view = func(l layout, _ int, out tensor.Shape) layout {
 		starts, _, _ := resolve(l.shape) // infer already accepted this shape
-		return l.slice(starts, out), true
+		return l.slice(starts, out)
 	}
 	return m
 }
@@ -461,7 +363,6 @@ func NewSplit(axis int, sizes ...int) Operator {
 		numOutputs: len(sz),
 		mapping:    OneToOne,
 		attrKey:    fmt.Sprintf("axis=%d,sizes=%v", axis, sz),
-		props:      Properties{Linear: true},
 		attrs:      map[string]any{"axis": axis, "sizes": sz},
 	}
 	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
@@ -473,6 +374,9 @@ func NewSplit(axis int, sizes ...int) Operator {
 		total := 0
 		outs := make([]tensor.Shape, len(sz))
 		for i, n := range sz {
+			if n < 1 {
+				return nil, fmt.Errorf("Split: empty output %d (size %d) of %v", i, n, s)
+			}
 			total += n
 			o := s.Clone()
 			o[na] = n
@@ -483,13 +387,13 @@ func NewSplit(axis int, sizes ...int) Operator {
 		}
 		return outs, nil
 	}
-	m.view = func(l layout, outNo int, out tensor.Shape) (layout, bool) {
+	m.view = func(l layout, outNo int, out tensor.Shape) layout {
 		na, _ := tensor.NormalizeAxis(axis, len(l.shape))
 		starts := make([]int, len(l.shape))
 		for i := 0; i < outNo; i++ {
 			starts[na] += sz[i]
 		}
-		return l.slice(starts, out), true
+		return l.slice(starts, out)
 	}
 	return m
 }
@@ -502,7 +406,6 @@ func NewConcat(axis int) Operator {
 		numOutputs: 1,
 		mapping:    OneToOne,
 		attrKey:    fmt.Sprintf("axis=%d", axis),
-		props:      Properties{Linear: true},
 		attrs:      map[string]any{"axis": axis},
 	}
 	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
@@ -527,46 +430,92 @@ func NewConcat(axis int) Operator {
 		}
 		return []tensor.Shape{out}, nil
 	}
-	m.mapIndex = func(in []tensor.Shape, _ int, o []int, dst []int) (int, []int) {
-		na, _ := tensor.NormalizeAxis(axis, in[0].Rank())
-		pos := o[na]
-		for sel, s := range in {
-			if pos < s[na] {
-				d := dst[:len(o)]
-				copy(d, o)
-				d[na] = pos
-				return sel, d
-			}
-			pos -= s[na]
-		}
-		panic("Concat: index out of range")
-	}
 	return m
+}
+
+// concatSource is Concat over its operands. Each output row — one index of
+// the dimensions before the axis — is run o of every operand in turn, where
+// a run of operand i is its slice of the row, runs[i] elements long. Load is
+// the oracle; LoadBlock copies each run through its operand's LoadBlock.
+type concatSource struct {
+	shape tensor.Shape
+	axis  int
+	// ins are the operands Load reads; blks those LoadBlock reads: ins
+	// streamed, except a contraction's output, staged whole so the
+	// contraction runs whole tiles rather than one run per request.
+	ins  []Source
+	blks []BlockSource
+	runs []int
+	row  int
+	idx  []int
+}
+
+// newConcat streams every operand that is a BlockSource; when one is not,
+// the output is pulled element by element (pullSource).
+func newConcat(ins []Source, out tensor.Shape, axis int) Source {
+	mk := func(ins []Source) Source {
+		return &concatSource{shape: out, axis: axis, ins: ins, row: out[axis:].NumElements(), idx: make([]int, out.Rank())}
+	}
+	s := mk(ins).(*concatSource)
+	inner := out[axis+1:].NumElements()
+	for _, in := range ins {
+		blk, ok := AsBlock(in)
+		if !ok {
+			return pulled(ins, mk)
+		}
+		if contractionRooted(in) && in.Shape().NumElements() <= stageElemCap {
+			blk = newStaged(blk)
+		}
+		s.blks = append(s.blks, blk)
+		s.runs = append(s.runs, in.Shape()[axis]*inner)
+	}
+	return s
+}
+
+func (s *concatSource) Shape() tensor.Shape { return s.shape }
+
+func (s *concatSource) Load(idx []int) float32 {
+	copy(s.idx, idx)
+	for _, in := range s.ins {
+		d := in.Shape()[s.axis]
+		if s.idx[s.axis] < d {
+			return in.Load(s.idx)
+		}
+		s.idx[s.axis] -= d
+	}
+	panic("Concat: index out of range")
+}
+
+func (s *concatSource) LoadBlock(dst []float32, off, n int) {
+	o, w, i := off/s.row, off%s.row, 0
+	for w >= s.runs[i] {
+		w -= s.runs[i]
+		i++
+	}
+	for n > 0 {
+		c := min(s.runs[i]-w, n)
+		s.blks[i].LoadBlock(dst[:c], o*s.runs[i]+w, c)
+		dst, n, w = dst[c:], n-c, 0
+		if i++; i == len(s.runs) {
+			i, o = 0, o+1
+		}
+	}
 }
 
 // NewExpand broadcasts the input to the target shape (One-to-Many).
 func NewExpand(target ...int) Operator {
 	t := tensor.Shape(target).Clone()
-	m := &movement{
-		name:       "Expand",
-		arity:      1,
-		numOutputs: 1,
-		mapping:    OneToMany,
-		attrKey:    fmt.Sprintf("shape=%v", t),
-		props:      Properties{Linear: true},
-		attrs:      map[string]any{"shape": []int(t)},
-	}
-	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
-		out, err := tensor.BroadcastShapes(in[0], t)
+	m := unary("Expand", OneToMany, fmt.Sprintf("shape=%v", t), map[string]any{"shape": []int(t)}, func(s tensor.Shape) (tensor.Shape, error) {
+		out, err := tensor.BroadcastShapes(s, t)
 		if err != nil {
 			return nil, fmt.Errorf("Expand: %w", err)
 		}
 		if !out.Equal(t) {
-			return nil, fmt.Errorf("Expand: input %v does not broadcast to %v", in[0], t)
+			return nil, fmt.Errorf("Expand: input %v does not broadcast to %v", s, t)
 		}
-		return []tensor.Shape{out}, nil
-	}
-	m.view = func(l layout, _ int, out tensor.Shape) (layout, bool) { return l.expand(out), true }
+		return out, nil
+	})
+	m.view = func(l layout, _ int, out tensor.Shape) layout { return l.expand(out) }
 	return m
 }
 
@@ -575,17 +524,7 @@ func NewExpand(target ...int) Operator {
 // models). scales has one entry per input dimension.
 func NewResize(scales ...int) Operator {
 	sc := append([]int(nil), scales...)
-	m := &movement{
-		name:       "Resize",
-		arity:      1,
-		numOutputs: 1,
-		mapping:    OneToMany,
-		attrKey:    fmt.Sprintf("scales=%v", sc),
-		props:      Properties{Linear: true},
-		attrs:      map[string]any{"scales": sc},
-	}
-	m.infer = func(in []tensor.Shape) ([]tensor.Shape, error) {
-		s := in[0]
+	m := unary("Resize", OneToMany, fmt.Sprintf("scales=%v", sc), map[string]any{"scales": sc}, func(s tensor.Shape) (tensor.Shape, error) {
 		if s.Rank() != len(sc) {
 			return nil, fmt.Errorf("Resize: scales %v do not match rank of %v", sc, s)
 		}
@@ -596,14 +535,17 @@ func NewResize(scales ...int) Operator {
 			}
 			out[i] = d * sc[i]
 		}
-		return []tensor.Shape{out}, nil
-	}
-	m.mapIndex = func(in []tensor.Shape, _ int, o []int, dst []int) (int, []int) {
-		d := dst[:len(o)]
-		for i := range o {
-			d[i] = o[i] / sc[i]
+		return out, nil
+	})
+	// Nearest-neighbor by an integer factor repeats each element sc[d]
+	// times along d: a stride-0 dimension after each dimension.
+	m.view = func(l layout, _ int, _ tensor.Shape) layout {
+		r := layout{base: l.base}
+		for d, n := range l.shape {
+			r.shape = append(r.shape, n, sc[d])
+			r.strides = append(r.strides, l.strides[d], 0)
 		}
-		return 0, d
+		return r
 	}
 	return m
 }

@@ -309,6 +309,7 @@ func TestScheduleReachesEveryMatMul(t *testing.T) {
 		"Gather": func(s Source) Source {
 			return virtualize(t, NewGather(0), s, AsSource(tensor.FromSlice([]float32{3, 1}, 2)))
 		},
+		"Concat": func(s Source) Source { return virtualize(t, NewConcat(0), randSource(124, 3, 20), s) },
 	} {
 		src := wrap(mk())
 		ApplySchedule(src, sched)

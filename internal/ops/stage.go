@@ -10,8 +10,9 @@ import (
 // stageElemCap bounds one whole-operand staging buffer: the Source-owned
 // scratch a consumer that needs random access allocates to hold a lazily
 // produced operand — a contraction's B, Conv's and Pool's input, a
-// transposing view's backing, a gather-like operator's operands. (A
-// contraction's lazy A is not among them: it arrives in row windows.)
+// transposing view's backing, a Concat's contraction operand, a gather-like
+// operator's operands. (A contraction's lazy A is not among them: it arrives
+// in row windows.)
 // Scratch is per session and per worker lane, so it is capped rather than
 // planned; an operand past the cap cannot be staged, the consumer then pulls
 // it element by element through the scalar oracle, and the kernel is
@@ -148,13 +149,14 @@ func dense(data []float32, stage *Staged) []float32 {
 }
 
 // pullSource gives an operator that only has a scalar Load — the genuinely
-// gather-like ones (Gather, Resize, DepthToSpace, Concat, CumSum, Einsum,
-// ConvTranspose, scattered-axis Reduce, off-axis Softmax, the normalization
-// operators) — a place in a blocked kernel. Load is the operator over its
-// original operands: the pure scalar oracle. LoadBlock walks the requested
-// range calling Load on fast, the same operator composed over operands that
-// are flat memory or staged copies, so every pull underneath is a memory
-// read and the per-element path never re-evaluates a producer.
+// gather-like ones (Gather, CumSum, Einsum, ConvTranspose, scattered-axis
+// Reduce, off-axis Softmax, the normalization operators), and a Concat with
+// an operand that has no blocked path — a place in a blocked kernel. Load is
+// the operator over its original operands: the pure scalar oracle. LoadBlock
+// walks the requested range calling Load on fast, the same operator composed
+// over operands that are flat memory or staged copies, so every pull
+// underneath is a memory read and the per-element path never re-evaluates a
+// producer.
 type pullSource struct {
 	Source
 	fast Source
@@ -216,6 +218,12 @@ func children(s Source) []Source {
 		return []Source{v.blk}
 	case *reduceBlockSource:
 		return []Source{v.blk}
+	case *concatSource:
+		out := make([]Source, len(v.blks))
+		for i, b := range v.blks {
+			out[i] = b
+		}
+		return out
 	case *viewBlockSource:
 		switch {
 		case v.stage != nil:

@@ -76,6 +76,9 @@ func (l layout) expand(target tensor.Shape) layout {
 // dense — the classic no-copy reshape test). ok is false when the reshape
 // needs the elements in a different memory order.
 func (l layout) reshape(shape tensor.Shape) (layout, bool) {
+	if l.shape.Equal(shape) {
+		return l, true
+	}
 	// Size-1 dimensions constrain nothing: drop them from the old side.
 	var oldDims, oldStrides []int
 	for d, n := range l.shape {
