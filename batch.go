@@ -28,22 +28,6 @@ type BatchModel struct {
 	base  *Model
 	m     *Model
 	batch int
-
-	inputs  map[string]*batchInSpec
-	inNames []string
-	outputs []batchOutSpec
-}
-
-type batchInSpec struct {
-	v         *graph.Value // the batch graph's input value
-	baseShape Shape        // one request's segment shape
-	seg       int          // elements per request
-}
-
-type batchOutSpec struct {
-	name      string
-	baseShape Shape
-	seg       int
 }
 
 // CompileBatch compiles the model's batch-capacity variant for the given
@@ -90,30 +74,13 @@ func (m *Model) CompileBatch(batch int, opts ...Option) (*BatchModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	bm := &BatchModel{base: m, m: inner, batch: batch}
-	bm.inputs = make(map[string]*batchInSpec, len(m.inputNames))
-	for i, name := range m.inputNames {
-		baseShape := m.Compiled.G.Inputs[i].Shape.Clone()
-		bm.inputs[name] = &batchInSpec{
-			v:         inner.Compiled.G.Inputs[i],
-			baseShape: baseShape,
-			seg:       baseShape.NumElements(),
-		}
-		bm.inNames = append(bm.inNames, name)
-	}
+	// The batch graph keeps the base graph's inputs, in order and by name;
+	// give its outputs the base model's public names too, so both address
+	// outputs identically (positions are preserved end to end).
 	for i, nv := range m.outputs {
-		baseShape := nv.v.Shape.Clone()
-		bm.outputs = append(bm.outputs, batchOutSpec{
-			name:      nv.name,
-			baseShape: baseShape,
-			seg:       baseShape.NumElements(),
-		})
-		// The inner model's output names derive from the batch graph; give
-		// them the base model's public names so both address outputs
-		// identically (positions are preserved end to end).
 		inner.outputs[i].name = nv.name
 	}
-	return bm, nil
+	return &BatchModel{base: m, m: inner, batch: batch}, nil
 }
 
 // Batch returns the batch capacity the variant was compiled for.
@@ -136,127 +103,134 @@ func (bm *BatchModel) PlannedPeakBytes() int64 { return bm.m.PlannedPeakBytes() 
 // in parallel over one BatchModel. Creation is cheap; the first RunBatch
 // (or Warm) allocates the batch-capacity arena.
 func (bm *BatchModel) NewRunner() *BatchRunner {
-	br := &BatchRunner{
-		bm:   bm,
-		sess: bm.m.Compiled.NewSession(),
-	}
-	br.lanes = make([]map[*graph.Value]*tensor.Tensor, bm.batch)
-	for i := range br.lanes {
-		br.lanes[i] = make(map[*graph.Value]*tensor.Tensor, len(bm.inputs))
-	}
-	return br
+	return &BatchRunner{newRunner(bm.base, bm.m, bm.batch)}
 }
 
-// BatchRunner executes coalesced batches over a shared BatchModel. The
+// BatchRunner executes coalesced batches over a shared BatchModel. It is
+// the same core as Runner, over the batch-capacity model: the
 // steady-state hot path — validation, scattering request data into the
 // arena, kernel execution, and per-request output views — performs zero
 // heap allocations.
-type BatchRunner struct {
-	bm    *BatchModel
-	sess  *engine.Session
-	lanes []map[*graph.Value]*tensor.Tensor
-	// rings caches per-request output views into the session's two output
-	// ring sets, keyed by ring identity so the cache survives out-of-step
-	// parity after errors.
-	rings [2]batchRing
-}
-
-type batchRing struct {
-	key *tensor.Tensor // identity of the ring set (its first output tensor)
-	res []map[string]*Tensor
-}
-
-// Warm binds the runner's batch-capacity arena and kernels before traffic
-// arrives; see Runner.Warm.
-func (br *BatchRunner) Warm() error { return br.sess.Warm() }
-
-// Release drops the runner's arena, bound kernels, and cached output
-// views; the next RunBatch rebinds transparently.
-func (br *BatchRunner) Release() {
-	br.sess.Release()
-	br.rings = [2]batchRing{}
-}
+type BatchRunner struct{ runner }
 
 // RunBatch executes 1..Batch() requests as one batched inference. Each
-// request maps input names to base-shaped tensors (every model input
-// present, declared shape) exactly as in Runner.Run; request data is
-// copied into the batch arena, so callers may reuse fed tensors
-// immediately. Partial batches pad the tail lanes with request 0 and
+// request is validated and copied exactly as in Runner.Run (every model
+// input present, declared shape; callers may reuse fed tensors
+// immediately). Partial batches pad the tail lanes with request 0 and
 // discard the padded outputs.
 //
 // The result holds one output map per request, in request order. Output
 // tensors are views into the session's double-buffered batch outputs: the
 // maps and tensors returned by one RunBatch remain valid and unchanged
 // through the next RunBatch on this runner and are overwritten by the one
-// after that — Clone to retain longer. Errors wrap ErrUnknownInput,
-// ErrMissingInput, or ErrShapeMismatch (as a *ShapeError), naming the
-// offending request.
+// after that — Clone to retain longer. A request's error is Runner.Run's
+// for the same request wrapped as "request i: ..." (errors.Is and
+// errors.As see through it): ErrUnknownInput, ErrMissingInput, or
+// ErrShapeMismatch (as a *ShapeError).
 func (br *BatchRunner) RunBatch(ctx context.Context, reqs []map[string]*Tensor) ([]map[string]*Tensor, error) {
 	n := len(reqs)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrMissingInput)
 	}
-	if n > br.bm.batch {
-		return nil, fmt.Errorf("dnnfusion: %d requests exceed batch capacity %d", n, br.bm.batch)
+	if n > len(br.lanes) {
+		return nil, fmt.Errorf("dnnfusion: %d requests exceed batch capacity %d", n, len(br.lanes))
 	}
 	for i, req := range reqs {
-		lane := br.lanes[i]
-		clear(lane)
-		for name, t := range req {
-			spec, ok := br.bm.inputs[name]
-			if !ok {
-				return nil, fmt.Errorf("%w: request %d: %q (model inputs: %v)", ErrUnknownInput, i, name, br.bm.inNames)
-			}
-			if t == nil {
-				return nil, fmt.Errorf("%w: request %d: %q fed a nil tensor", ErrMissingInput, i, name)
-			}
-			if !t.Shape().Equal(spec.baseShape) {
-				return nil, &ShapeError{Input: name, Want: spec.baseShape.Clone(), Got: t.Shape()}
-			}
-			lane[spec.v] = t
-		}
-		for _, name := range br.bm.inNames {
-			if _, ok := req[name]; !ok {
-				return nil, fmt.Errorf("%w: request %d: %q", ErrMissingInput, i, name)
-			}
+		if err := br.feed(i, req); err != nil {
+			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
-	outs, err := br.sess.RunBatch(ctx, br.lanes[:n], br.bm.batch)
+	return br.run(ctx, n)
+}
+
+// runner is the one core behind Runner and BatchRunner: a session over
+// the executed model, one feed map per lane, and per-request output views.
+// Requests are named and shaped as the base model declares; the executed
+// model is the base itself (a Runner, one lane) or its batch-capacity
+// variant (one lane per request of a batch).
+type runner struct {
+	base, exec *Model
+	sess       *engine.Session
+	lanes      []map[*graph.Value]*tensor.Tensor
+	// rings caches per-request output views into the session's two output
+	// ring sets, keyed by ring identity so the cache survives out-of-step
+	// parity after errors.
+	rings [2]outputRing
+}
+
+type outputRing struct {
+	key *tensor.Tensor // identity of the ring set (its first output tensor)
+	res []map[string]*Tensor
+}
+
+func newRunner(base, exec *Model, batch int) runner {
+	r := runner{base: base, exec: exec, sess: exec.Compiled.NewSession()}
+	r.lanes = make([]map[*graph.Value]*tensor.Tensor, batch)
+	for i := range r.lanes {
+		r.lanes[i] = make(map[*graph.Value]*tensor.Tensor, len(base.inputs))
+	}
+	return r
+}
+
+// Warm binds the runner's arena and kernels without running an inference,
+// so a serving process can pay the one-time setup (the planned arena plus
+// kernel binding) before traffic arrives instead of on the first request.
+// Warming a warmed runner is a no-op.
+func (r *runner) Warm() error { return r.sess.Warm() }
+
+// Release drops the runner's arena, bound kernels and cached output views.
+// The runner stays usable — the next run rebinds transparently — but an
+// idle released runner pins no inference memory. Outputs from earlier runs
+// remain valid.
+func (r *runner) Release() {
+	r.sess.Release()
+	r.rings = [2]outputRing{}
+}
+
+// feed validates request i and stages its tensors in lane i.
+func (r *runner) feed(i int, req map[string]*Tensor) error {
+	return resolveNamedFeeds(req, r.base.inputs, r.base.Compiled.G.Inputs, r.exec.Compiled.G.Inputs, r.lanes[i])
+}
+
+// run executes the first n lanes as one batch and returns their output maps.
+func (r *runner) run(ctx context.Context, n int) ([]map[string]*Tensor, error) {
+	outs, err := r.sess.RunBatch(ctx, r.lanes[:n], len(r.lanes))
 	if err != nil {
 		return nil, err
 	}
-	ring := br.ringFor(outs)
-	return ring.res[:n], nil
+	return r.ringFor(outs).res[:n], nil
 }
 
 // ringFor returns the per-request view set over the given output ring,
 // building it on the first encounter of each of the session's two ring
 // sets (all allocation happens in these two builds; after that the lookup
 // is two pointer compares).
-func (br *BatchRunner) ringFor(outs []*tensor.Tensor) *batchRing {
-	key := outs[0]
-	if br.rings[0].key == key {
-		return &br.rings[0]
+func (r *runner) ringFor(outs []*tensor.Tensor) *outputRing {
+	var key *tensor.Tensor // a graph with no outputs has one (empty) ring
+	if len(outs) > 0 {
+		key = outs[0]
 	}
-	if br.rings[1].key == key {
-		return &br.rings[1]
+	for i := range r.rings {
+		if ring := &r.rings[i]; ring.res != nil && ring.key == key {
+			return ring
+		}
 	}
-	slot := &br.rings[0]
-	if slot.key != nil {
-		if br.rings[1].key != nil {
+	slot := &r.rings[0]
+	if slot.res != nil {
+		if r.rings[1].res != nil {
 			// Both stale (the session was released and rebound): start over.
-			br.rings = [2]batchRing{}
+			r.rings = [2]outputRing{}
 		} else {
-			slot = &br.rings[1]
+			slot = &r.rings[1]
 		}
 	}
 	slot.key = key
-	slot.res = make([]map[string]*Tensor, br.bm.batch)
+	slot.res = make([]map[string]*Tensor, len(r.lanes))
 	for i := range slot.res {
-		res := make(map[string]*Tensor, len(br.bm.outputs))
-		for j, spec := range br.bm.outputs {
-			data := outs[j].Data()
-			res[spec.name] = tensor.ViewOf(data[i*spec.seg:(i+1)*spec.seg], spec.baseShape)
+		res := make(map[string]*Tensor, len(r.base.outputs))
+		for j, nv := range r.base.outputs {
+			seg := nv.v.Shape.NumElements()
+			res[nv.name] = tensor.ViewOf(outs[j].Data()[i*seg:(i+1)*seg], nv.v.Shape)
 		}
 		slot.res[i] = res
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dnnfusion"
@@ -180,6 +181,56 @@ func TestBatchRunnerErrorTaxonomy(t *testing.T) {
 		t.Errorf("bad shape: %v, want *ShapeError", err)
 	} else if se.Input != "x" {
 		t.Errorf("ShapeError names input %q, want x", se.Input)
+	}
+}
+
+// TestBatchRunnerErrorsMatchRunner feeds each bad request alone to
+// Runner.Run and as request 1 of a RunBatch: both must return the same
+// sentinel, the batch error must name request 1, and a shape error must
+// still be a *ShapeError under the wrapping. Both runners keep working.
+func TestBatchRunnerErrorsMatchRunner(t *testing.T) {
+	model, err := dnnfusion.Compile(models.MicroMLP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := model.CompileBatch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, br := model.NewRunner(), bm.NewRunner()
+	ctx := context.Background()
+	ok := microInputs(t, model, 1)
+	for _, c := range []struct {
+		name string
+		req  map[string]*dnnfusion.Tensor
+		want error
+	}{
+		{"unknown input", map[string]*dnnfusion.Tensor{"x": ok["x"], "nope": dnnfusion.Rand(1)}, dnnfusion.ErrUnknownInput},
+		{"missing input", map[string]*dnnfusion.Tensor{}, dnnfusion.ErrMissingInput},
+		{"nil tensor", map[string]*dnnfusion.Tensor{"x": nil}, dnnfusion.ErrMissingInput},
+		{"wrong shape", map[string]*dnnfusion.Tensor{"x": dnnfusion.Rand(2, 2)}, dnnfusion.ErrShapeMismatch},
+	} {
+		_, runErr := runner.Run(ctx, c.req)
+		_, batchErr := br.RunBatch(ctx, []map[string]*dnnfusion.Tensor{ok, c.req})
+		if !errors.Is(runErr, c.want) || !errors.Is(batchErr, c.want) {
+			t.Errorf("%s: Run %v, RunBatch %v, want both %v", c.name, runErr, batchErr, c.want)
+			continue
+		}
+		if !strings.Contains(batchErr.Error(), "request 1") {
+			t.Errorf("%s: RunBatch error %q does not name request 1", c.name, batchErr)
+		}
+		var runSE, batchSE *dnnfusion.ShapeError
+		if errors.As(runErr, &runSE) != errors.As(batchErr, &batchSE) {
+			t.Errorf("%s: Run %v and RunBatch %v disagree on *ShapeError", c.name, runErr, batchErr)
+		} else if batchSE != nil && (batchSE.Input != "x" || batchSE.Error() != runSE.Error()) {
+			t.Errorf("%s: RunBatch's ShapeError %v, Run's %v", c.name, batchSE, runSE)
+		}
+	}
+	if _, err := runner.Run(ctx, ok); err != nil {
+		t.Fatalf("runner poisoned by earlier errors: %v", err)
+	}
+	if _, err := br.RunBatch(ctx, []map[string]*dnnfusion.Tensor{ok, ok}); err != nil {
+		t.Fatalf("batch runner poisoned by earlier errors: %v", err)
 	}
 }
 

@@ -131,12 +131,8 @@ func InterpretNamed(g *Graph, inputs map[string]*Tensor) (map[string]*Tensor, er
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(g.Inputs))
-	for i, in := range g.Inputs {
-		names[i] = in.Name
-	}
 	feeds := make(map[*graph.Value]*tensor.Tensor, len(inputs))
-	if err := resolveNamedFeeds(inputs, byName, names, feeds); err != nil {
+	if err := resolveNamedFeeds(inputs, byName, g.Inputs, g.Inputs, feeds); err != nil {
 		return nil, err
 	}
 	outs, err := graph.InterpretOutputs(g, feeds)

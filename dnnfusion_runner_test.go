@@ -183,6 +183,32 @@ func TestOutputNameCollisions(t *testing.T) {
 	}
 }
 
+// TestRunnerNoOutputs: a graph that marks no output compiles, and both
+// runners return one empty output map per request, run after run.
+func TestRunnerNoOutputs(t *testing.T) {
+	g := dnnfusion.NewGraph("no-outputs")
+	g.Apply1(dnnfusion.Relu(), g.AddInput("x", dnnfusion.ShapeOf(2, 2)))
+	model, err := dnnfusion.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := model.CompileBatch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := map[string]*dnnfusion.Tensor{"x": dnnfusion.Rand(2, 2)}
+	runner, br := model.NewRunner(), bm.NewRunner()
+	for i := 0; i < 3; i++ {
+		if got, err := runner.Run(context.Background(), req); err != nil || len(got) != 0 {
+			t.Fatalf("Run %d = %v, %v; want an empty map", i, got, err)
+		}
+		got, err := br.RunBatch(context.Background(), []map[string]*dnnfusion.Tensor{req, req})
+		if err != nil || len(got) != 2 || len(got[0])+len(got[1]) != 0 {
+			t.Fatalf("RunBatch %d = %v, %v; want two empty maps", i, got, err)
+		}
+	}
+}
+
 func TestRunnerContextCancellation(t *testing.T) {
 	g := buildPublicMLP(t)
 	model, err := dnnfusion.Compile(g)

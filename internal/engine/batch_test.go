@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 
@@ -161,6 +163,47 @@ func TestRunBatchRejectsBadBatches(t *testing.T) {
 	bad := map[*graph.Value]*tensor.Tensor{batchG.Inputs[0]: tensor.New(3)}
 	if _, err := s.RunBatch(ctx, []map[*graph.Value]*tensor.Tensor{bad}, n); err == nil {
 		t.Error("wrong-sized segment accepted")
+	}
+}
+
+// TestRunBatchRefusesLikeRun pins the one scatter loop behind Run and
+// RunBatch: a missing input, a wrongly shaped segment (the right element
+// count in the wrong shape included) and a non-input feed are refused by
+// Run and, as request 1 of a batch, by RunBatch, which names the request.
+func TestRunBatchRefusesLikeRun(t *testing.T) {
+	const n = 2
+	baseG, bx, batchG, nx := buildBatchPair(t, n)
+	reqs, refs := segFeeds(baseG, batchG, n, 7)
+	shape := baseG.Inputs[0].Shape
+	transposed := tensor.New(shape[1], shape[0])
+	var weight *graph.Value
+	for _, v := range batchG.Values {
+		if v.Kind == graph.Weight {
+			weight = v
+			break
+		}
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		edit func(req map[*graph.Value]*tensor.Tensor, in *graph.Value)
+	}{
+		{"missing input", func(req map[*graph.Value]*tensor.Tensor, in *graph.Value) { delete(req, in) }},
+		{"wrong shape", func(req map[*graph.Value]*tensor.Tensor, in *graph.Value) { req[in] = tensor.New(3) }},
+		{"transposed segment", func(req map[*graph.Value]*tensor.Tensor, in *graph.Value) { req[in] = transposed }},
+		{"non-input feed", func(req map[*graph.Value]*tensor.Tensor, in *graph.Value) { req[weight] = weight.Data }},
+	} {
+		ref := maps.Clone(refs[1])
+		c.edit(ref, baseG.Inputs[0])
+		if _, err := bx.NewSession().Run(ctx, ref); err == nil {
+			t.Errorf("%s: Run accepted it", c.name)
+		}
+		req := maps.Clone(reqs[1])
+		c.edit(req, batchG.Inputs[0])
+		_, err := nx.NewSession().RunBatch(ctx, []map[*graph.Value]*tensor.Tensor{reqs[0], req}, n)
+		if err == nil || !strings.Contains(err.Error(), "request 1") {
+			t.Errorf("%s: RunBatch returned %v, want an error naming request 1", c.name, err)
+		}
 	}
 }
 

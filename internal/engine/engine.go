@@ -69,9 +69,6 @@ type Report struct {
 
 	// UtilizationPct is useful-compute time over total device time.
 	UtilizationPct float64
-
-	// KernelCacheHits counts fused implementations reused from the cache.
-	KernelCacheHits int
 }
 
 // Simulate prices the plan's kernels on the device and plans memory.

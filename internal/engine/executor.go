@@ -395,41 +395,16 @@ func (s *Session) Spans() []Span {
 }
 
 // Run executes the plan for one set of feeds (keyed by the compiled graph's
-// input values) and returns outputs in graph output order. Input data is
-// copied into the arena, so the caller may reuse or mutate fed tensors as
-// soon as Run returns; outputs are copied out of the arena and follow the
-// double-buffer contract documented on Session. Cancellation is checked
-// between kernels, so a canceled context aborts mid-inference with
+// input values) and returns outputs in graph output order: RunBatch over a
+// batch of one, so every graph input must be fed with its declared shape
+// and feeding any other value (weights, intermediates) is an error. Input
+// data is copied into the arena, so the caller may reuse or mutate fed
+// tensors as soon as Run returns; outputs are copied out of the arena and
+// follow the double-buffer contract documented on Session. Cancellation is
+// checked between kernels, so a canceled context aborts mid-inference with
 // ctx.Err().
-//
-// Every graph input must be fed with its declared shape. Feeding any other
-// value (weights, intermediates) is an error: under planned-arena execution
-// non-input values have fixed backing that a feed cannot override.
 func (s *Session) Run(ctx context.Context, feeds map[*graph.Value]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if !s.bound {
-		if err := s.bind(); err != nil {
-			return nil, err
-		}
-	}
-	g := s.x.e.G
-	for _, in := range g.Inputs {
-		t, ok := feeds[in]
-		if !ok {
-			return nil, fmt.Errorf("engine: missing input %v", in)
-		}
-		if !t.Shape().Equal(in.Shape) {
-			return nil, fmt.Errorf("engine: input %v fed with shape %v, want %v", in, t.Shape(), in.Shape)
-		}
-		copy(s.slots[in].Data(), t.Data())
-	}
-	if len(feeds) > len(g.Inputs) {
-		for v := range feeds {
-			if v.Kind != graph.Input {
-				return nil, fmt.Errorf("engine: cannot feed non-input value %v under planned-arena execution", v)
-			}
-		}
-	}
-	return s.execute(ctx)
+	return s.RunBatch(ctx, []map[*graph.Value]*tensor.Tensor{feeds}, 1)
 }
 
 // Warm binds the session — allocates its arena, composes and binds the
@@ -444,21 +419,22 @@ func (s *Session) Warm() error {
 	return s.bind()
 }
 
-// RunBatch executes the plan once over a coalesced batch: the session's
-// graph must be the batch-capacity variant of a model (every input's
-// leading axis scaled by batch — see graph.WithLeadingBatch), and reqs
-// holds up to batch per-request feed maps whose tensors each cover one
-// leading-axis segment (1/batch of the corresponding input). Request i's
-// data is scattered directly into rows [i*seg, (i+1)*seg) of each input's
-// arena slot — no intermediate batch-shaped staging tensor exists anywhere.
-// When fewer than batch requests are supplied the tail lanes replicate
-// request 0, so partial batches reuse the capacity arena plan unchanged
-// (padded lanes recompute request 0's rows; numerically safe where zero
-// padding might not be).
+// RunBatch executes the plan once over up to batch requests: every input's
+// leading axis holds batch segments (the session's graph is a model's
+// batch-capacity variant, see graph.WithLeadingBatch, or batch is 1), and
+// each request feeds every graph input one segment — the input's declared
+// shape with the leading extent divided by batch. Request i's data is
+// copied straight into segment i of each input's arena slot; no
+// batch-shaped staging tensor exists anywhere. Feeding any non-input value
+// (weights, intermediates) is an error: under planned-arena execution they
+// have fixed backing that a feed cannot override. When fewer than batch
+// requests are supplied the tail segments replicate request 0, so partial
+// batches reuse the capacity arena plan unchanged (padded lanes recompute
+// request 0's rows; numerically safe where zero padding might not be).
 //
-// Outputs are the batch-shaped ring tensors under the same double-buffer
-// contract as Run; callers slice per-request segments out of them. The
-// steady-state hot path performs zero heap allocations.
+// Outputs are the batch-shaped ring tensors under the double-buffer
+// contract documented on Session; callers slice per-request segments out
+// of them. The steady-state hot path performs zero heap allocations.
 func (s *Session) RunBatch(ctx context.Context, reqs []map[*graph.Value]*tensor.Tensor, batch int) ([]*tensor.Tensor, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("engine: empty batch")
@@ -472,35 +448,55 @@ func (s *Session) RunBatch(ctx context.Context, reqs []map[*graph.Value]*tensor.
 		}
 	}
 	g := s.x.e.G
-	for _, in := range g.Inputs {
-		elems := in.Shape.NumElements()
-		if elems%batch != 0 {
-			return nil, fmt.Errorf("engine: input %v has %d elements, not divisible by batch %d", in, elems, batch)
-		}
-		seg := elems / batch
-		slot := s.slots[in].Data()
-		for lane := 0; lane < batch; lane++ {
-			req := reqs[0]
-			if lane < len(reqs) {
-				req = reqs[lane]
+	for i, req := range reqs {
+		if len(req) > len(g.Inputs) {
+			for v := range req {
+				if v.Kind != graph.Input {
+					return nil, fmt.Errorf("engine: request %d: cannot feed non-input value %v under planned-arena execution", i, v)
+				}
 			}
+		}
+	}
+	for _, in := range g.Inputs {
+		slot := s.slots[in].Data()
+		seg := in.Shape.NumElements() / batch
+		for i, req := range reqs {
 			t, ok := req[in]
 			if !ok {
-				return nil, fmt.Errorf("engine: request %d missing input %v", lane, in)
+				return nil, fmt.Errorf("engine: request %d: missing input %v", i, in)
 			}
-			if t.NumElements() != seg {
-				return nil, fmt.Errorf("engine: request %d feeds input %v with %d elements, want %d (one batch segment)",
-					lane, in, t.NumElements(), seg)
+			if !isSegment(t.Shape(), in.Shape, batch) {
+				return nil, fmt.Errorf("engine: request %d: input %v fed with shape %v, want %v / %d along axis 0",
+					i, in, t.Shape(), in.Shape, batch)
 			}
-			copy(slot[lane*seg:(lane+1)*seg], t.Data())
+			copy(slot[i*seg:(i+1)*seg], t.Data())
+		}
+		for i := len(reqs); i < batch; i++ {
+			copy(slot[i*seg:(i+1)*seg], slot[:seg])
 		}
 	}
 	return s.execute(ctx)
 }
 
+// isSegment reports whether got is one of batch equal segments of full cut
+// along its leading axis: full itself at batch 1.
+func isSegment(got, full tensor.Shape, batch int) bool {
+	if len(got) != len(full) || len(full) == 0 && batch != 1 {
+		return false
+	}
+	for i, d := range got {
+		if i == 0 {
+			d *= batch
+		}
+		if d != full[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // execute runs the bound kernels over the already-scattered arena inputs
-// and copies the graph outputs into the current ring set — the tail shared
-// by Run and RunBatch.
+// and copies the graph outputs into the current ring set.
 func (s *Session) execute(ctx context.Context) ([]*tensor.Tensor, error) {
 	g := s.x.e.G
 	// Profiling gates on one atomic load per run; when armed, each kernel

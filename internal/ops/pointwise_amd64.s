@@ -5,7 +5,8 @@
 // The typed loops of a pointwise program (program.go) over 8 float32 lanes
 // per AVX2 instruction. Each routine runs n elements, n a positive multiple
 // of 8, reading a (and b) and writing d at the same offsets one 8-lane group
-// at a time, so d may alias a or b.
+// at a time, so d may alias a or b. Each loop starts on a 64-byte boundary
+// (PCALIGN), so its speed does not move with the code linked ahead of it.
 //
 // Every routine is bit-exact by construction: it performs the float32
 // operations of the Go function it stands for in the same order with the
@@ -111,6 +112,7 @@ TEXT ·addPS(SB), NOSPLIT, $0-32
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
 
+	PCALIGN $64
 add:
 	VMOVUPS (SI)(AX*4), Y0
 	VADDPS  (DX)(AX*4), Y0, Y0 // a + b
@@ -129,6 +131,7 @@ TEXT ·subPS(SB), NOSPLIT, $0-32
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
 
+	PCALIGN $64
 sub:
 	VMOVUPS (SI)(AX*4), Y0
 	VSUBPS  (DX)(AX*4), Y0, Y0 // a - b
@@ -147,6 +150,7 @@ TEXT ·mulPS(SB), NOSPLIT, $0-32
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
 
+	PCALIGN $64
 mul:
 	VMOVUPS (SI)(AX*4), Y0
 	VMULPS  (DX)(AX*4), Y0, Y0 // a * b
@@ -165,6 +169,7 @@ TEXT ·addConstPS(SB), NOSPLIT, $0-32
 	MOVQ         n+24(FP), CX
 	XORQ         AX, AX
 
+	PCALIGN $64
 addConst:
 	VMOVUPS (SI)(AX*4), Y0
 	VADDPS  Y1, Y0, Y0     // x + c
@@ -183,6 +188,7 @@ TEXT ·mulConstPS(SB), NOSPLIT, $0-32
 	MOVQ         n+24(FP), CX
 	XORQ         AX, AX
 
+	PCALIGN $64
 mulConst:
 	VMOVUPS (SI)(AX*4), Y0
 	VMULPS  Y1, Y0, Y0     // x * c
@@ -205,6 +211,7 @@ TEXT ·reluPS(SB), NOSPLIT, $0-24
 	VMOVUPS C_RELU_LIMIT, Y2
 	XORQ    AX, AX
 
+	PCALIGN $64
 relu:
 	VMOVUPS  (SI)(AX*4), Y0
 	VPADDD   C_RELU_BIAS, Y0, Y1
@@ -229,6 +236,7 @@ TEXT ·clipPS(SB), NOSPLIT, $0-32
 	MOVQ         n+24(FP), CX
 	XORQ         AX, AX
 
+	PCALIGN $64
 clip:
 	VMOVUPS (SI)(AX*4), Y0
 	VMAXPS  Y1, Y0, Y0     // maxf(x, lo)
@@ -250,6 +258,7 @@ TEXT ·expPS(SB), NOSPLIT, $0-32
 	MOVQ n+16(FP), CX
 	XORQ AX, AX
 
+	PCALIGN $64
 exp:
 	VMOVUPS (SI)(AX*4), Y0
 	FAST_PATH(Y0, C_EXP_HI, expDone)
@@ -276,6 +285,7 @@ TEXT ·sigmoidPS(SB), NOSPLIT, $0-32
 	VMOVUPS C_ONE, Y13
 	XORQ    AX, AX
 
+	PCALIGN $64
 sigmoid:
 	VMOVUPS (SI)(AX*4), Y0
 	FAST_PATH(Y0, C_SIGMOID_HI, sigmoidDone)
@@ -308,6 +318,7 @@ TEXT ·tanhPS(SB), NOSPLIT, $0-24
 	VMOVUPS C_ONE, Y13
 	XORQ    AX, AX
 
+	PCALIGN $64
 tanh:
 	VMOVUPS  (SI)(AX*4), Y0 // x
 	VPAND    C_ABS, Y0, Y1  // a
@@ -356,6 +367,7 @@ TEXT ·erfPS(SB), NOSPLIT, $0-24
 	VMOVUPS C_ONE, Y13
 	XORQ    AX, AX
 
+	PCALIGN $64
 erf:
 	VMOVUPS  (SI)(AX*4), Y0 // x
 	VPAND    C_ABS, Y0, Y1  // a

@@ -23,18 +23,15 @@ import (
 //     ReLU6 is not swept again here: TestBranchFreeClip runs the same typed
 //     loop, whose groups are this routine, over every float32 for hi 6, 1
 //     and +Inf against the closure.
+//   - Tanh and Erf are not swept here either: TestTranscendentalSweep holds
+//     each routine to tanh32 or erf32 bit for bit, at x and at −x, in the
+//     pass that measures the scalar function, so each runs once per input.
 //   - Exp and Sigmoid: the routine over every group of 8 consecutive
 //     patterns. A group it computes must match the Go loop; a group it hands
 //     back (Go then computes it with the scalar function) must hold a lane
 //     off the fast path. Each pattern within 2¹⁶ of a fast-path bound, put in
 //     a group of 7 fast-path lanes, must be handed back exactly when it is
 //     off the path itself.
-//   - Tanh and Erf: against the Go loop on x ≥ +0, and on x ≤ −0 against the
-//     routine at |x| with the sign set. Both sides are odd by construction:
-//     f(x) is f(|x|) with x's sign OR-ed in (TestTranscendentalOdd samples
-//     the scalar side), as in TestTranscendentalSweep. Past its clamp
-//     (10, 4) up to +Inf the scalar function computes f(clamp), so a run of
-//     patterns there is compared with that one value.
 //
 // Then, on special values, the typed loop over lengths 1 to 17 (the tails
 // past the last 8-lane group) in place and out of place, and the hand-over
@@ -50,12 +47,9 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 		// magnitudeIn(x, 0x30800001, hi).
 		routine func(d, a *float32, n int) int
 		hi      uint32
-		odd     bool // Tanh, Erf
-		swept   bool // false for ReLU6, which TestBranchFreeClip sweeps
-		// clamp and past for Tanh and Erf: the bits of the clamp and the
-		// scalar function's value there.
-		clamp uint32
-		past  float32
+		// swept is false for ReLU6, which TestBranchFreeClip sweeps, and
+		// for Tanh and Erf, which TestTranscendentalSweep sweeps.
+		swept bool
 		bad   atomic.Int64
 	}
 	var cases []*sweepCase
@@ -63,29 +57,22 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 		if c.binary() || c.op.kind == kindAddConst || c.op.kind == kindMulConst {
 			continue
 		}
-		sc := &sweepCase{simdCase: c, swept: c.op.kind != kindClip || math.Float32bits(c.op.lo) != 0}
+		relu6 := c.op.kind == kindClip && math.Float32bits(c.op.lo) == 0
+		sc := &sweepCase{simdCase: c, swept: !relu6 && c.op.kind != kindTanh && c.op.kind != kindErf}
 		switch c.op.kind {
 		case kindExp:
 			sc.routine, sc.hi = expPS, 0x42ae0000
 		case kindSigmoid:
 			sc.routine, sc.hi = sigmoidPS, 0x42a00000
-		case kindTanh, kindErf:
-			sc.odd, sc.clamp = true, math.Float32bits(10)
-			if c.op.kind == kindErf {
-				sc.clamp = math.Float32bits(4)
-			}
-			past := []float32{math.Float32frombits(sc.clamp)}
-			pointwiseGo(c.op, past, past, nil)
-			sc.past = past[0]
 		}
 		sc.bad.Store(-1)
 		cases = append(cases, sc)
 	}
 	const n = 1 << 12
-	type lane struct{ in, neg, simd, scalar []float32 }
+	type lane struct{ in, simd, scalar []float32 }
 	lanes := make([]lane, runtime.GOMAXPROCS(0))
 	for w := range lanes {
-		lanes[w] = lane{make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)}
+		lanes[w] = lane{make([]float32, n), make([]float32, n), make([]float32, n)}
 	}
 	// compare notes the first input whose routine and Go-loop bits differ.
 	compare := func(c *sweepCase, in, simd, scalar []float32) {
@@ -93,73 +80,44 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 			c.bad.CompareAndSwap(-1, int64(math.Float32bits(in[j])))
 		}
 	}
-	sweep := func(ranges [][3]uint64, odd bool) {
-		bitsweep.Parallel(ranges, func(w int, from, to, step uint64) {
-			l := &lanes[w]
-			for u := from; u < to; {
-				in, first, m := l.in, u, 0
-				for ; m < n && u < to; m, u = m+1, u+step {
-					in[m] = math.Float32frombits(uint32(u))
-				}
-				last := u - step
-				for ; m%8 != 0; m++ {
-					in[m] = in[0]
-				}
-				in, simd, scalar := in[:m], l.simd[:m], l.scalar[:m]
-				for _, c := range cases {
-					if !c.swept || c.odd != odd {
-						continue
-					}
-					if c.routine != nil {
-						for j := 0; j < m; j += 8 {
-							if done := c.routine(&simd[j], &in[j], m-j); done > 0 {
-								pointwiseGo(c.op, scalar[j:j+done], in[j:j+done], nil)
-								compare(c, in[j:j+done], simd[j:j+done], scalar[j:j+done])
-								j += done
-							}
-							if j < m && !slices.ContainsFunc(in[j:j+8], func(x float32) bool { return !magnitudeIn(x, 0x30800001, c.hi) }) {
-								c.bad.CompareAndSwap(-1, int64(math.Float32bits(in[j]))) // a fast-path group handed back
-							}
-						}
-						continue
-					}
-					if pointwiseSIMD(c.op, simd, in, nil) != m {
-						c.bad.CompareAndSwap(-1, 1<<32)
-						continue
-					}
-					if c.odd && first > uint64(c.clamp) && last <= 0x7f800000 {
-						for i := range scalar {
-							scalar[i] = c.past
-						}
-					} else {
-						pointwiseGo(c.op, scalar, in, nil)
-					}
-					compare(c, in, simd, scalar)
-					if c.odd {
-						// At −x: the routine in place, against its own f(x) with
-						// the sign set.
-						neg, pos, want, got := l.neg[:m], bitsOf(in), bitsOf(scalar), bitsOf(simd)
-						for i, negBits := 0, bitsOf(neg); i < m; i++ {
-							negBits[i], want[i] = pos[i]|1<<31, got[i]|1<<31
-						}
-						pointwiseSIMD(c.op, neg, neg, nil)
-						if j := firstBitDiff(neg, scalar); j >= 0 {
-							c.bad.CompareAndSwap(-1, int64(pos[j]|1<<31))
-						}
-					}
-				}
-			}
-		})
-	}
 	ranges := bitsweep.Ranges(fullSweep(), append(slices.Clone(transcendentalEdges), 0x40c00000, 0xc0c00000)...) // and ±6
-	sweep(ranges, false)
-	var positive [][3]uint64
-	for _, r := range ranges {
-		if r[0] < 1<<31 {
-			positive = append(positive, [3]uint64{r[0], min(r[1], 1<<31), r[2]})
+	bitsweep.Parallel(ranges, func(w int, from, to, step uint64) {
+		l := &lanes[w]
+		for u := from; u < to; {
+			in, m := l.in, 0
+			for ; m < n && u < to; m, u = m+1, u+step {
+				in[m] = math.Float32frombits(uint32(u))
+			}
+			for ; m%8 != 0; m++ {
+				in[m] = in[0]
+			}
+			in, simd, scalar := in[:m], l.simd[:m], l.scalar[:m]
+			for _, c := range cases {
+				if !c.swept {
+					continue
+				}
+				if c.routine != nil {
+					for j := 0; j < m; j += 8 {
+						if done := c.routine(&simd[j], &in[j], m-j); done > 0 {
+							pointwiseGo(c.op, scalar[j:j+done], in[j:j+done], nil)
+							compare(c, in[j:j+done], simd[j:j+done], scalar[j:j+done])
+							j += done
+						}
+						if j < m && !slices.ContainsFunc(in[j:j+8], func(x float32) bool { return !magnitudeIn(x, 0x30800001, c.hi) }) {
+							c.bad.CompareAndSwap(-1, int64(math.Float32bits(in[j]))) // a fast-path group handed back
+						}
+					}
+					continue
+				}
+				if pointwiseSIMD(c.op, simd, in, nil) != m {
+					c.bad.CompareAndSwap(-1, 1<<32)
+					continue
+				}
+				pointwiseGo(c.op, scalar, in, nil)
+				compare(c, in, simd, scalar)
+			}
 		}
-	}
-	sweep(positive, true)
+	})
 	// Per lane, the fast-path test near its bounds: 2⁻³⁰, hi and +Inf.
 	group := make([]float32, 16) // x and 7 fast-path lanes, then the output
 	for _, c := range cases {

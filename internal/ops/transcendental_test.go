@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -60,11 +61,16 @@ func ulps(a, b float32) int64 {
 }
 
 // sweepResult is one goroutine's findings per function of the table: the
-// worst error and where, and an input where exactly one side is NaN.
+// worst error and where, an input where exactly one side is NaN, and for
+// tanh and erf an input where the AVX2 routine's bits differ from the
+// function's.
 type sweepResult struct {
 	ulps        [4]int64
 	at, nanAt   [4]uint32
 	nanMismatch [4]bool
+	simdAt      [4]uint32
+	simdDiffers [4]bool
+	simdMissing bool     // a CPU with AVX2+FMA did not run the routine
 	_           [64]byte // no cache line shared with the next goroutine's
 }
 
@@ -95,6 +101,37 @@ func (r *sweepResult) noteAll(i int, x, got, want []float32) {
 	}
 }
 
+// noteSIMD checks op's AVX2 routine, for function i, against got = f(x) bit
+// for bit where the CPU has the routine: at x, and in place at −x against
+// got with the sign set (f is odd). x and got are extended within their
+// capacity to whole 8-lane groups, repeating their first element; neg and
+// want are scratch of the same capacity.
+func (r *sweepResult) noteSIMD(i int, op *pointwise, x, got, neg, want []float32) {
+	if !avx2FMA || len(x) == 0 {
+		return
+	}
+	p, m := len(x), (len(x)+7)&^7
+	x, got, neg, want = x[:m], got[:m], neg[:m], want[:m]
+	for j := p; j < m; j++ {
+		x[j], got[j] = x[0], got[0]
+	}
+	if pointwiseSIMD(op, want, x, nil) != m {
+		r.simdMissing = true
+		return
+	}
+	if j := firstBitDiff(want, got); j >= 0 {
+		r.simdAt[i], r.simdDiffers[i] = math.Float32bits(x[j]), true
+	}
+	xb, nb, gb, wb := bitsOf(x), bitsOf(neg), bitsOf(got), bitsOf(want)
+	for j := range nb {
+		nb[j], wb[j] = xb[j]|1<<31, gb[j]|1<<31
+	}
+	pointwiseSIMD(op, neg, neg, nil)
+	if j := firstBitDiff(neg, want); j >= 0 {
+		r.simdAt[i], r.simdDiffers[i] = xb[j]|1<<31, true
+	}
+}
+
 // TestTranscendentalSweep measures each float32 transcendental against its
 // float64 definition on every float32 — all 2³², or under -short and the race
 // detector every 251st plus a dense window around each edge — and holds it to
@@ -106,6 +143,12 @@ func (r *sweepResult) noteAll(i int, x, got, want []float32) {
 // serves as exp's definition at x and sigmoid's at −x. Tanh and erf are
 // measured on x ≥ +0: both sides of the comparison are odd
 // (TestTranscendentalOdd), so their error at −x is their error at x.
+//
+// The same pass holds tanh's and erf's AVX2 routines (pointwise_amd64.s) to
+// the scalar function bit for bit, at x and at −x, NaNs and the values past
+// each clamp included, so each function runs once per input;
+// TestPointwiseSIMDSweep sweeps the other routines. The -short sample adds
+// the windows at ±6, which TestPointwiseSIMDSweep also samples.
 func TestTranscendentalSweep(t *testing.T) {
 	const n = 1 << 10
 	type lane struct {
@@ -114,7 +157,9 @@ func TestTranscendentalSweep(t *testing.T) {
 	}
 	res := make([]sweepResult, runtime.GOMAXPROCS(0))
 	lanes := make([]lane, len(res))
-	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), transcendentalEdges...), func(w int, from, to, step uint64) {
+	simdOps := [4]*pointwise{2: NewTanh().(*pointwise), 3: NewErf().(*pointwise)}
+	edges := append(slices.Clone(transcendentalEdges), 0x40c00000, 0xc0c00000)
+	bitsweep.Parallel(bitsweep.Ranges(fullSweep(), edges...), func(w int, from, to, step uint64) {
 		r, l := &res[w], &lanes[w]
 		for u := from; u < to; {
 			x, m := l.x[:], 0
@@ -144,12 +189,17 @@ func TestTranscendentalSweep(t *testing.T) {
 				got[i], want[i] = tanh32(xi), float32(math.Tanh(float64(xi)))
 			}
 			r.noteAll(2, x, got, want)
+			r.noteSIMD(2, simdOps[2], x, got, l.neg[:p], want)
 			for i, xi := range x {
 				got[i], want[i] = erf32(xi), float32(math.Erf(float64(xi)))
 			}
 			r.noteAll(3, x, got, want)
+			r.noteSIMD(3, simdOps[3], x, got, l.neg[:p], want)
 		}
 	})
+	if slices.ContainsFunc(res, func(r sweepResult) bool { return r.simdMissing }) {
+		t.Error("pointwiseSIMD did not run the Tanh and Erf routines on a CPU that has them")
+	}
 	for i, fn := range transcendentals {
 		var all sweepResult
 		for _, r := range res {
@@ -159,6 +209,16 @@ func TestTranscendentalSweep(t *testing.T) {
 			if r.nanMismatch[i] {
 				all.nanAt[i], all.nanMismatch[i] = r.nanAt[i], true
 			}
+			if r.simdDiffers[i] {
+				all.simdAt[i], all.simdDiffers[i] = r.simdAt[i], true
+			}
+		}
+		if all.simdDiffers[i] {
+			x := math.Float32frombits(all.simdAt[i])
+			got, want := make([]float32, 8), make([]float32, 1)
+			pointwiseSIMD(simdOps[i], got, []float32{x, 1, 1, 1, 1, 1, 1, 1}, nil)
+			pointwiseGo(simdOps[i], want, []float32{x}, nil)
+			t.Errorf("%s(%#08x): AVX2 routine %#08x, scalar function %#08x", fn.name, all.simdAt[i], math.Float32bits(got[0]), math.Float32bits(want[0]))
 		}
 		if fn.maxULP > 4 {
 			t.Errorf("%s: contract says %d ULP, the bound is 4", fn.name, fn.maxULP)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dnnfusion/internal/core"
-	"dnnfusion/internal/engine"
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/tensor"
 )
@@ -24,9 +23,8 @@ import (
 type Model struct {
 	*core.Compiled
 
-	inputs     map[string]*graph.Value
-	inputNames []string
-	outputs    []namedValue
+	inputs  map[string]int // input name -> position in G.Inputs
+	outputs []namedValue
 }
 
 type namedValue struct {
@@ -64,9 +62,6 @@ func Compile(g *Graph, opts ...Option) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{Compiled: c, inputs: byName}
-	for _, in := range c.G.Inputs {
-		m.inputNames = append(m.inputNames, in.Name)
-	}
 	// Output names come from the caller's original graph: rewriting may
 	// rebuild producer nodes (renaming their values), but it preserves
 	// output positions, so position i of the compiled graph is output i of
@@ -79,39 +74,55 @@ func Compile(g *Graph, opts ...Option) (*Model, error) {
 
 // inputsByName indexes a graph's inputs by their declared names, rejecting
 // collisions: the named-I/O API needs every input to be addressable.
-func inputsByName(g *Graph) (map[string]*graph.Value, error) {
-	byName := make(map[string]*graph.Value, len(g.Inputs))
-	for _, in := range g.Inputs {
+func inputsByName(g *Graph) (map[string]int, error) {
+	byName := make(map[string]int, len(g.Inputs))
+	for i, in := range g.Inputs {
 		if _, dup := byName[in.Name]; dup {
 			return nil, fmt.Errorf("%w: duplicate input name %q", ErrInvalidGraph, in.Name)
 		}
-		byName[in.Name] = in
+		byName[in.Name] = i
 	}
 	return byName, nil
 }
 
-// resolveNamedFeeds validates name-keyed inputs against the graph's input
-// index and writes the resolved pointer-keyed feeds into dst (cleared
-// first). Both the Runner hot path and the reference interpreter share this
-// exact validation, so their error behavior cannot drift apart.
-func resolveNamedFeeds(inputs map[string]*Tensor, byName map[string]*graph.Value, names []string, dst map[*graph.Value]*tensor.Tensor) error {
+// namesOf lists the values' names in order.
+func namesOf(vs []*graph.Value) []string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = v.Name
+	}
+	return names
+}
+
+// resolveNamedFeeds validates one request's name-keyed inputs against a
+// graph's declared inputs decl (byName indexes them) and writes the
+// tensors into dst (cleared first), each keyed by the executed graph's
+// input at the same position: exec is decl itself, or the inputs of a
+// batch-capacity variant, whose leading axes hold a batch of such requests.
+// Runner, BatchRunner and the reference interpreter all validate through
+// this one function, so their error behavior cannot drift apart.
+func resolveNamedFeeds(inputs map[string]*Tensor, byName map[string]int, decl, exec []*graph.Value, dst map[*graph.Value]*tensor.Tensor) error {
 	clear(dst)
 	for name, t := range inputs {
-		v, ok := byName[name]
+		i, ok := byName[name]
 		if !ok {
-			return fmt.Errorf("%w: %q (model inputs: %v)", ErrUnknownInput, name, names)
+			return fmt.Errorf("%w: %q (model inputs: %v)", ErrUnknownInput, name, namesOf(decl))
 		}
 		if t == nil {
 			return fmt.Errorf("%w: %q fed a nil tensor", ErrMissingInput, name)
 		}
-		if !t.Shape().Equal(v.Shape) {
-			return &ShapeError{Input: name, Want: v.Shape.Clone(), Got: t.Shape()}
+		if want := decl[i].Shape; !t.Shape().Equal(want) {
+			return &ShapeError{Input: name, Want: want.Clone(), Got: t.Shape()}
 		}
-		dst[v] = t
+		dst[exec[i]] = t
 	}
-	for _, name := range names {
-		if _, ok := inputs[name]; !ok {
-			return fmt.Errorf("%w: %q", ErrMissingInput, name)
+	// Every name fed is a distinct input, so one is missing exactly when
+	// fewer were fed than declared.
+	if len(dst) < len(decl) {
+		for _, in := range decl {
+			if _, ok := inputs[in.Name]; !ok {
+				return fmt.Errorf("%w: %q", ErrMissingInput, in.Name)
+			}
 		}
 	}
 	return nil
@@ -151,7 +162,7 @@ func outputNamesOf(g *Graph) []string {
 func (m *Model) Name() string { return m.Compiled.G.Name }
 
 // InputNames lists the model's input names in declaration order.
-func (m *Model) InputNames() []string { return append([]string(nil), m.inputNames...) }
+func (m *Model) InputNames() []string { return namesOf(m.Compiled.G.Inputs) }
 
 // OutputNames lists the model's output names in declaration order.
 func (m *Model) OutputNames() []string {
@@ -164,11 +175,11 @@ func (m *Model) OutputNames() []string {
 
 // InputShape returns the declared shape of the named input.
 func (m *Model) InputShape(name string) (Shape, error) {
-	v, ok := m.inputs[name]
+	i, ok := m.inputs[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q (model inputs: %v)", ErrUnknownInput, name, m.inputNames)
+		return nil, fmt.Errorf("%w: %q (model inputs: %v)", ErrUnknownInput, name, m.InputNames())
 	}
-	return v.Shape.Clone(), nil
+	return m.Compiled.G.Inputs[i].Shape.Clone(), nil
 }
 
 // OutputShape returns the shape of the named output, so serving layers can
@@ -197,43 +208,14 @@ func (m *Model) PlannedPeakBytes() int64 { return m.Compiled.PlannedPeakBytes() 
 // (Model.PlannedPeakBytes) and binds the kernels to it, and every Run after
 // that performs zero steady-state heap allocations. An idle warmed Runner
 // therefore pins its arena — call Release to drop it.
-func (m *Model) NewRunner() *Runner {
-	return &Runner{
-		m:     m,
-		sess:  m.Compiled.NewSession(),
-		feeds: make(map[*graph.Value]*tensor.Tensor, len(m.inputs)),
-	}
-}
+func (m *Model) NewRunner() *Runner { return &Runner{newRunner(m, m, 1)} }
 
-// Runner is a single-goroutine inference session over a shared Model.
-type Runner struct {
-	m     *Model
-	sess  *engine.Session
-	feeds map[*graph.Value]*tensor.Tensor
-	// rings double-buffers the result maps so the steady-state Run
-	// allocates nothing; parity alternates in lockstep with the session's
-	// output double buffer.
-	rings  [2]map[string]*Tensor
-	parity int
-}
+// Runner is a single-goroutine inference session over a shared Model: the
+// batched core behind BatchRunner, run as a batch of one.
+type Runner struct{ runner }
 
 // Model returns the compiled model this runner serves.
-func (r *Runner) Model() *Model { return r.m }
-
-// Warm binds the runner's arena and kernels without running an inference,
-// so a serving process can pay the one-time setup (Model.PlannedPeakBytes
-// of arena plus kernel binding) before traffic arrives instead of on the
-// first request. Warming a warmed runner is a no-op.
-func (r *Runner) Warm() error { return r.sess.Warm() }
-
-// Release drops the runner's arena and bound kernels. The runner stays
-// usable — the next Run rebinds transparently — but an idle released runner
-// pins no inference memory. Outputs from earlier Runs remain valid.
-func (r *Runner) Release() {
-	r.sess.Release()
-	r.rings = [2]map[string]*Tensor{}
-	r.parity = 0
-}
+func (r *Runner) Model() *Model { return r.base }
 
 // Run executes one inference. inputs maps input names to tensors; every
 // model input must be present with its declared shape. Input data is copied
@@ -248,21 +230,12 @@ func (r *Runner) Release() {
 // *ShapeError); a canceled ctx aborts between fused kernels with an error
 // matching ctx.Err().
 func (r *Runner) Run(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, error) {
-	if err := resolveNamedFeeds(inputs, r.m.inputs, r.m.inputNames, r.feeds); err != nil {
+	if err := r.feed(0, inputs); err != nil {
 		return nil, err
 	}
-	outs, err := r.sess.Run(ctx, r.feeds)
+	res, err := r.run(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	results := r.rings[r.parity]
-	if results == nil {
-		results = make(map[string]*Tensor, len(outs))
-		r.rings[r.parity] = results
-	}
-	for i, nv := range r.m.outputs {
-		results[nv.name] = outs[i]
-	}
-	r.parity = 1 - r.parity
-	return results, nil
+	return res[0], nil
 }
