@@ -186,9 +186,10 @@ const (
 // channels per position, where the CPU runs depthwise4 — to maxBandElems
 // (never under Normalize's 8 columns), the A window and the accumulators
 // hold one row group (the accumulators one row under the depthwise
-// stencil). Where the CPU runs tile4x8, the accumulators hold whole 4-row
-// passes, each row 8 entries longer for the remainder strip, and the packed
-// A one row group's K-block (tileRows, tileK: at most 32 KiB). A schedule
+// stencil). Where the CPU runs the assembly tile, the accumulators hold
+// whole 4-row passes (each row 8 entries longer for tile4x8's remainder
+// strip, none for tile8x16's) and the packed A one row group's K-block
+// (tileRows, tileK: at most 32 KiB). A schedule
 // injected after construction may be shorter than the one built with, so
 // every buffer is resized, not only grown.
 func (s *contraction) setSchedule(sched Schedule) {
@@ -207,7 +208,10 @@ func (s *contraction) setSchedule(sched Schedule) {
 		}
 		accRows = 1 // the stencil sums one output row at a time
 	} else if avx2FMA {
-		accRows, side = tileRows(s.rowTile), 8
+		accRows = tileRows(s.rowTile)
+		if !avx512 {
+			side = 8
+		}
 		s.pa = resize(s.pa, accRows*min(s.k, tileK))
 	}
 	s.acc = resize(s.acc, accRows*(s.jb+side))

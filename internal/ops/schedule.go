@@ -207,49 +207,68 @@ func tileRows(rt int) int { return (rt + 3) &^ 3 }
 // accumulator sums its products in ascending-k order, so the tile is
 // bit-for-bit equal to rt independent scalar rows.
 //
-// Where the CPU has AVX2 and FMA (avx2FMA), every tile at least 8 columns
-// wide runs tile4x8, the assembly tile, K-outer and K-block by K-block, so
-// each B row segment is loaded and widened once per 4-row pass: packA first
-// widens the block of A once into pa, a packed float64 micro-panel the tile
-// broadcasts from memory. A tile of rt rows runs as ⌈rt/4⌉ 4-row passes;
-// the last pass's missing rows repeat row rt−1, their accumulators left in
-// acc's rows rt…tileRows(rt)−1 and never read. The whole 8-column strips
-// sum into acc; a column remainder runs as one more strip over the last 8
-// columns, summed into the 8·tileRows(rt) accumulators past acc's rows and
-// its new columns copied back. So there acc holds tileRows(rt)·(w+8)
-// floats and pa tileRows(rt)·min(kk, tileK). A tile under 8 columns runs
-// mulTileGo. The result is the same bit for bit: every operand is a
-// widened float32, so each product is exact in float64 (24 + 24 ≤ 53
-// significand bits) and the fused multiply-add rounds once, where
-// acc += a*b rounds; a K-block's sums are stored and reloaded as they are.
-// Only which NaN propagates can differ (the FMA prefers the accumulator's,
-// acc += a*b the product's), so a tile that ends a K-block with a NaN
-// accumulator is redone by the Go loop.
+// Where the CPU has AVX2 and FMA (avx2FMA), the tile runs as assembly,
+// K-outer and K-block by K-block, so each B row segment is loaded and
+// widened once per pass: packA first widens the block of A once into pa, a
+// packed float64 micro-panel the tile broadcasts from memory. A tile of rt
+// rows occupies tileRows(rt) rows; the missing rows repeat row rt−1, their
+// accumulators left in acc's rows rt…tileRows(rt)−1 and never read.
+//
+//   - With AVX-512F (avx512), tile8x16 runs every width in one pass of
+//     4 or 8 rows per 16-column strip, the last w mod 16 columns under an
+//     opmask. acc holds tileRows(rt)·w floats.
+//   - Else tile4x8 runs every tile at least 8 columns wide, as ⌈rt/4⌉
+//     4-row passes per whole 8-column strip; a column remainder runs as one
+//     more strip over the last 8 columns, summed into the 8·tileRows(rt)
+//     accumulators past acc's rows and its new columns copied back, so acc
+//     holds tileRows(rt)·(w+8) floats. A tile under 8 columns runs
+//     mulTileGo.
+//
+// pa holds tileRows(rt)·min(kk, tileK) floats. The result is the same bit
+// for bit: every operand is a widened float32, so each product is exact in
+// float64 (24 + 24 ≤ 53 significand bits) and the fused multiply-add rounds
+// once, where acc += a*b rounds; a K-block's sums are stored and reloaded
+// as they are. Only which NaN propagates can differ (the FMA prefers the
+// accumulator's, acc += a*b the product's), so a tile that ends a K-block
+// with a NaN accumulator is redone by the Go loop.
 func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int, pa []float64) {
 	lo := 0
-	if avx2FMA && kk > 0 && bRS >= 0 && w >= 8 {
+	if kk > 0 && bRS >= 0 && (avx512 || avx2FMA && w >= 8) {
+		// rem is the columns tile4x8's remainder strip adds, side its
+		// accumulators, row stride 8: columns w−8…w−1, of which the whole
+		// strips also compute all but rem. tile8x16 needs neither.
 		rows, rem := tileRows(rt), w%8
-		// The remainder strip's accumulators, row stride 8: columns
-		// w−8…w−1, of which the whole strips also compute all but rem.
-		side := acc[rows*w:][:rows*8]
+		var side []float64
+		if avx512 {
+			rem = 0
+		} else {
+			side = acc[rows*w:][:rows*8]
+		}
 		// The assembly reads B at bBase + k·bRS + jLo + j (k < kk, j < w)
 		// and the rows·kb floats of p, and writes acc[r·w + j] and side
 		// (r < rows). With a nonnegative stride the first and last of each
 		// bound all the others: touching them makes a bad index a bounds
 		// panic here.
-		_, _ = bData[bBase+(kk-1)*bRS+jLo+w-1], side[rows*8-1]
+		_, _ = bData[bBase+(kk-1)*bRS+jLo+w-1], acc[rows*w-1]
 		lo = w
 		for k0 := 0; k0 < kk && lo == w; k0 += tileK {
 			kb := min(tileK, kk-k0)
 			p := pa[:rows*kb]
 			packA(p, rt, aData, a0+k0*ak, ai, ak, kb)
+			b := bBase + k0*bRS + jLo
+			if avx512 {
+				if tile8x16(&p[0], kb, &bData[b], bRS, &acc[0], w, rows, k0 == 0) {
+					lo = 0
+				}
+				continue
+			}
 			// The whole strips into acc, then any remainder strip into side.
 			for g := 0; g <= min(rem, 1); g++ {
 				j, strips, c, stride := 0, w/8, acc, w
 				if g == 1 {
 					j, strips, c, stride = w-8, 1, side, 8
 				}
-				if tile4x8(&p[0], kb, &bData[bBase+k0*bRS+jLo+j], bRS, &c[0], stride, strips, rows/4, k0 == 0) {
+				if tile4x8(&p[0], kb, &bData[b+j], bRS, &c[0], stride, strips, rows/4, k0 == 0) {
 					lo = 0
 				}
 			}

@@ -114,6 +114,182 @@ k:
 	VZEROUPPER
 	RET
 
+// func tile8x16(a *float64, kk int, b *float32, bRS int, acc *float64, w, rows int, first bool) (nan bool)
+//
+// The AVX-512F tile: for each 16-column strip of B, one pass over all rows
+// (4 or 8) of the tile, with two ZMM float64 accumulators per row (Z0–Z15:
+// row r's columns 0–7 in Z(2r), 8–15 in Z(2r+1)) held in registers for the
+// whole K loop (a 4-row pass widens B into Z8–Z9, so it leaves Z16–Z31
+// untouched). Per k the 16 B values are widened with two VCVTPS2PD and
+// every accumulator takes one VFMADD231PD whose A operand is broadcast from
+// the packed micro-panel by the instruction itself: rows 0–3 from the first
+// 4-row block (a + 4k + r, in float64 elements), rows 4–7 from the second
+// (32·kk bytes on). The opmasks K1 and K2 hold which of a strip's two halves'
+// columns exist, so the last w mod 16 columns run as one more strip: B and
+// the resumed accumulators load zero-masked, the stores and the NaN check
+// (K3, per lane and masked) see only columns below w. The accumulators start
+// at +0 when first is set, else at what acc holds (row stride w).
+TEXT ·tile8x16(SB), NOSPLIT, $0-65
+	MOVQ  a+0(FP), SI
+	MOVQ  kk+8(FP), R9
+	MOVQ  b+16(FP), DI
+	MOVQ  bRS+24(FP), R10
+	MOVQ  acc+32(FP), DX
+	MOVQ  w+40(FP), R11
+	MOVQ  R11, R12            // columns left
+	SHLQ  $5, R9              // one 4-row block of packed A, bytes
+	SHLQ  $2, R10             // B row stride, bytes
+	SHLQ  $3, R11             // acc row stride, bytes
+	KXORW K3, K3, K3          // NaN lanes seen
+
+strip:
+	MOVQ    $16, CX           // this strip's columns: min(16, columns left)
+	CMPQ    R12, CX
+	CMOVQLT R12, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX
+	KMOVW   AX, K1            // columns 0–7
+	SHRL    $8, AX
+	KMOVW   AX, K2            // columns 8–15
+	LEAQ    (DX)(R11*2), R15  // acc row 2
+	LEAQ    (DX)(R11*4), R14  // acc row 4
+	LEAQ    (R14)(R11*2), R8  // acc row 6
+	MOVQ    SI, AX
+	MOVQ    DI, BX
+	MOVQ    kk+8(FP), CX
+	CMPB    first+56(FP), $0
+	JEQ     resume
+	VPXORQ  Z0, Z0, Z0
+	VPXORQ  Z1, Z1, Z1
+	VPXORQ  Z2, Z2, Z2
+	VPXORQ  Z3, Z3, Z3
+	VPXORQ  Z4, Z4, Z4
+	VPXORQ  Z5, Z5, Z5
+	VPXORQ  Z6, Z6, Z6
+	VPXORQ  Z7, Z7, Z7
+	VPXORQ  Z8, Z8, Z8
+	VPXORQ  Z9, Z9, Z9
+	VPXORQ  Z10, Z10, Z10
+	VPXORQ  Z11, Z11, Z11
+	VPXORQ  Z12, Z12, Z12
+	VPXORQ  Z13, Z13, Z13
+	VPXORQ  Z14, Z14, Z14
+	VPXORQ  Z15, Z15, Z15
+	JMP     sums
+
+resume:
+	VMOVUPD.Z (DX), K1, Z0
+	VMOVUPD.Z 64(DX), K2, Z1
+	VMOVUPD.Z (DX)(R11*1), K1, Z2
+	VMOVUPD.Z 64(DX)(R11*1), K2, Z3
+	VMOVUPD.Z (R15), K1, Z4
+	VMOVUPD.Z 64(R15), K2, Z5
+	VMOVUPD.Z (R15)(R11*1), K1, Z6
+	VMOVUPD.Z 64(R15)(R11*1), K2, Z7
+	CMPQ      rows+48(FP), $4
+	JEQ       k4
+	VMOVUPD.Z (R14), K1, Z8
+	VMOVUPD.Z 64(R14), K2, Z9
+	VMOVUPD.Z (R14)(R11*1), K1, Z10
+	VMOVUPD.Z 64(R14)(R11*1), K2, Z11
+	VMOVUPD.Z (R8), K1, Z12
+	VMOVUPD.Z 64(R8), K2, Z13
+	VMOVUPD.Z (R8)(R11*1), K1, Z14
+	VMOVUPD.Z 64(R8)(R11*1), K2, Z15
+
+sums:
+	CMPQ rows+48(FP), $4
+	JEQ  k4
+
+	PCALIGN $64
+k8:
+	VCVTPS2PD.Z      (BX), K1, Z16
+	VCVTPS2PD.Z      32(BX), K2, Z17
+	VFMADD231PD.BCST (AX), Z16, Z0
+	VFMADD231PD.BCST (AX), Z17, Z1
+	VFMADD231PD.BCST 8(AX), Z16, Z2
+	VFMADD231PD.BCST 8(AX), Z17, Z3
+	VFMADD231PD.BCST 16(AX), Z16, Z4
+	VFMADD231PD.BCST 16(AX), Z17, Z5
+	VFMADD231PD.BCST 24(AX), Z16, Z6
+	VFMADD231PD.BCST 24(AX), Z17, Z7
+	VFMADD231PD.BCST (AX)(R9*1), Z16, Z8
+	VFMADD231PD.BCST (AX)(R9*1), Z17, Z9
+	VFMADD231PD.BCST 8(AX)(R9*1), Z16, Z10
+	VFMADD231PD.BCST 8(AX)(R9*1), Z17, Z11
+	VFMADD231PD.BCST 16(AX)(R9*1), Z16, Z12
+	VFMADD231PD.BCST 16(AX)(R9*1), Z17, Z13
+	VFMADD231PD.BCST 24(AX)(R9*1), Z16, Z14
+	VFMADD231PD.BCST 24(AX)(R9*1), Z17, Z15
+	ADDQ             $32, AX
+	ADDQ             R10, BX
+	DECQ             CX
+	JNZ              k8
+
+	VMOVUPD Z8, K1, (R14)
+	VMOVUPD Z9, K2, 64(R14)
+	VMOVUPD Z10, K1, (R14)(R11*1)
+	VMOVUPD Z11, K2, 64(R14)(R11*1)
+	VMOVUPD Z12, K1, (R8)
+	VMOVUPD Z13, K2, 64(R8)
+	VMOVUPD Z14, K1, (R8)(R11*1)
+	VMOVUPD Z15, K2, 64(R8)(R11*1)
+	VCMPPD  $3, Z10, Z8, K1, K4 // unordered: a NaN in either
+	KORW    K4, K3, K3
+	VCMPPD  $3, Z11, Z9, K2, K4
+	KORW    K4, K3, K3
+	VCMPPD  $3, Z14, Z12, K1, K4
+	KORW    K4, K3, K3
+	VCMPPD  $3, Z15, Z13, K2, K4
+	KORW    K4, K3, K3
+	JMP     rows03
+
+	PCALIGN $64
+k4:
+	VCVTPS2PD.Z      (BX), K1, Z8
+	VCVTPS2PD.Z      32(BX), K2, Z9
+	VFMADD231PD.BCST (AX), Z8, Z0
+	VFMADD231PD.BCST (AX), Z9, Z1
+	VFMADD231PD.BCST 8(AX), Z8, Z2
+	VFMADD231PD.BCST 8(AX), Z9, Z3
+	VFMADD231PD.BCST 16(AX), Z8, Z4
+	VFMADD231PD.BCST 16(AX), Z9, Z5
+	VFMADD231PD.BCST 24(AX), Z8, Z6
+	VFMADD231PD.BCST 24(AX), Z9, Z7
+	ADDQ             $32, AX
+	ADDQ             R10, BX
+	DECQ             CX
+	JNZ              k4
+
+rows03:
+	VMOVUPD Z0, K1, (DX)
+	VMOVUPD Z1, K2, 64(DX)
+	VMOVUPD Z2, K1, (DX)(R11*1)
+	VMOVUPD Z3, K2, 64(DX)(R11*1)
+	VMOVUPD Z4, K1, (R15)
+	VMOVUPD Z5, K2, 64(R15)
+	VMOVUPD Z6, K1, (R15)(R11*1)
+	VMOVUPD Z7, K2, 64(R15)(R11*1)
+	VCMPPD  $3, Z2, Z0, K1, K4
+	KORW    K4, K3, K3
+	VCMPPD  $3, Z3, Z1, K2, K4
+	KORW    K4, K3, K3
+	VCMPPD  $3, Z6, Z4, K1, K4
+	KORW    K4, K3, K3
+	VCMPPD  $3, Z7, Z5, K2, K4
+	KORW    K4, K3, K3
+
+	ADDQ $64, DI              // next strip: 16 float32 of B
+	ADDQ $128, DX             // and 16 float64 of acc
+	SUBQ $16, R12
+	JG   strip
+
+	KORTESTW  K3, K3
+	SETNE     nan+64(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -10,12 +10,39 @@ import (
 	"testing"
 )
 
-// TestMulTileAccUsesSIMD: the dispatch flag agrees with what the kernel
+// tilePath is one path mulTileAcc can take: tile8x16 (zmm, with AVX-512F),
+// tile4x8 (ymm, with AVX2 and FMA) or the Go loops alone (go).
+type tilePath struct {
+	name     string
+	zmm, ymm bool
+}
+
+// tilePaths are the paths this CPU can run, its own first.
+func tilePaths() []tilePath {
+	var ps []tilePath
+	for _, p := range []tilePath{{"zmm", true, true}, {"ymm", false, true}, {"go", false, false}} {
+		if (!p.zmm || avx512) && (!p.ymm || avx2FMA) {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// use switches mulTileAcc (and everything else the flags select) to the
+// path and returns the switch back to the CPU's own.
+func (p tilePath) use() (restore func()) {
+	zmm, ymm := avx512, avx2FMA
+	avx512, avx2FMA = p.zmm, p.ymm
+	return func() { avx512, avx2FMA = zmm, ymm }
+}
+
+// TestMulTileAccUsesSIMD: the dispatch flags agree with what the kernel
 // reports of the CPU (/proc/cpuinfo, a source independent of our CPUID
-// stub), the assembly tile asks for the Go loops' redo only when an
-// accumulator is NaN, tiles of every height and a column remainder run it,
-// and every pointwise kind with a routine runs it. A broken stub, NaN check
-// or dispatch would otherwise send every tile or typed loop to the Go loops
+// stub), each assembly tile asks for the Go loops' redo only when an
+// accumulator it writes is NaN, mulTileAcc runs the tile its flags select
+// for tiles of every padded height and of widths 5 and 13, and every
+// pointwise kind with a routine runs it. A broken stub, NaN check or
+// dispatch would otherwise send every tile or typed loop to another path
 // with every parity test still green.
 func TestMulTileAccUsesSIMD(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
@@ -36,64 +63,88 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 	if avx2FMA != want {
 		t.Fatalf("avx2FMA = %v, but /proc/cpuinfo reports avx2 and fma: %v", avx2FMA, want)
 	}
+	// Linux lists avx512f only where it saves the opmask and ZMM state.
+	if want = want && slices.Contains(flags, "avx512f"); avx512 != want {
+		t.Fatalf("avx512 = %v, but /proc/cpuinfo reports avx2, fma and avx512f: %v", avx512, want)
+	}
 	if !avx2FMA {
 		return
 	}
+
+	// Each tile's NaN report: 8 rows, 3 deep, 16 columns wide for tile4x8
+	// (two strips, two passes) and 13 for tile8x16 (one masked strip); the
+	// NaN goes in the last column either writes, at k = 2.
 	l := newTileLayout(8, 3, 16, false, true)
 	a, b, acc, pa := make([]float32, l.aLen), make([]float32, l.bLen), make([]float64, 8*16), make([]float64, 8*3)
 	for i := range a {
 		a[i] = float32(i)
 	}
 	packA(pa, 8, a, l.a0, l.ai, l.ak, l.kk)
-	tile := func() bool {
-		return tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 16, 2, 2, true)
+	tiles := map[string]func() bool{
+		"tile4x8": func() bool { return tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 16, 2, 2, true) },
 	}
-	if tile() {
-		t.Fatal("tile4x8 reports a NaN accumulator in a finite tile")
+	if avx512 {
+		tiles["tile8x16"] = func() bool { return tile8x16(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &acc[0], 13, 8, true) }
 	}
-	b[len(b)-1] = float32(math.NaN()) // the last strip's last column, k = 2
-	if !tile() {
-		t.Fatal("tile4x8 does not report a NaN accumulator")
+	for name, tile := range tiles {
+		clear(b)
+		if tile() {
+			t.Fatalf("%s reports a NaN accumulator in a finite tile", name)
+		}
+		b[len(b)-1] = float32(math.NaN())
+		if name == "tile8x16" {
+			// Column 15 is past w = 13: its NaN is no accumulator's.
+			if tile() {
+				t.Fatalf("%s reports a NaN in a column past w", name)
+			}
+			b[len(b)-4] = float32(math.NaN())
+		}
+		if !tile() {
+			t.Fatalf("%s does not report a NaN accumulator", name)
+		}
 	}
-	// A height that is not a whole number of 4-row passes runs the tile
-	// with its last pass padded: the padded rows repeat the last real row,
-	// so the tile alone writes acc's rows rt…tileRows(rt)−1 (the Go loop
-	// never touches them), with that row's sums. Thirteen columns are one
-	// whole strip and a remainder strip over columns 5…12, whose padded rows
-	// land in the side accumulators past acc's rows. An infinity in B's last
-	// column meets no zero there: it costs no NaN, so no Go redo.
-	for _, rt := range []int{1, 2, 3, 5, 6, 7} {
-		const w = 13
-		rows := tileRows(rt)
-		l := newTileLayout(rt, 27, w, false, false)
-		a, b := make([]float32, l.aLen), make([]float32, l.bLen)
-		for i := range a {
-			a[i] = float32(i%7) + 1
-		}
-		for i := range b {
-			b[i] = float32(i%5) - 2
-		}
-		b[len(b)-1] = float32(math.Inf(1))
-		acc, pa := tileScratch(rt, l.kk, w)
-		side := acc[rows*w:]
-		packA(pa, rt, a, l.a0, l.ai, l.ak, l.kk)
-		if tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo+w-8], l.bRS, &side[0], 8, 1, rows/4, true) {
-			t.Fatalf("%d-row tile: an infinity in B makes a NaN accumulator", rt)
-		}
-		clear(acc)
-		mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, w, pa)
-		for r := rt; r < rows; r++ {
-			for _, c := range [][]float64{acc[:rows*w], side} {
-				stride := len(c) / rows
-				if pad, last := c[r*stride:][:8], c[(rt-1)*stride:][:8]; !slices.Equal(pad, last) {
-					t.Fatalf("%d-row tile: padded row %d = %v, want row %d's sums %v: the tile did not run", rt, r, pad, rt-1, last)
+
+	// Which tile ran. A height that is not a whole number of 4-row passes
+	// runs an assembly tile with its last pass padded: the padded rows
+	// repeat the last real row, so the tile alone writes acc's rows
+	// rt…tileRows(rt)−1 (the Go loop never touches them), with that row's
+	// sums in column 0. tile4x8 writes its remainder strip past acc's rows;
+	// tile8x16 writes nothing past them. An infinity in B's last column
+	// meets no zero: it costs no NaN, so no Go redo.
+	for _, path := range tilePaths() {
+		func() {
+			defer path.use()()
+			for _, w := range []int{5, 13} {
+				ran := path.name
+				if path.name == "ymm" && w < 8 {
+					ran = "go"
+				}
+				for _, rt := range []int{1, 2, 3, 5, 6, 7} {
+					rows := tileRows(rt)
+					l := newTileLayout(rt, 27, w, false, false)
+					a, b := make([]float32, l.aLen), make([]float32, l.bLen)
+					for i := range a {
+						a[i] = float32(i%7) + 1
+					}
+					for i := range b {
+						b[i] = float32(i%5) - 2
+					}
+					b[len(b)-1] = float32(math.Inf(1))
+					acc, pa := tileGarbage(rows*(w+8)), make([]float64, rows*l.kk)
+					mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, w, pa)
+					if last := acc[(rt-1)*w : rt*w]; !math.IsInf(last[w-1], 1) {
+						t.Fatalf("%s, %d×%d tile: acc row %d = %v, want it to end +Inf", path.name, rt, w, rt-1, last)
+					}
+					padded := acc[rt*w] == acc[(rt-1)*w]
+					side := slices.ContainsFunc(acc[rows*w:], func(v float64) bool { return math.Float64bits(v) != tileGarbageBits })
+					if got := map[[2]bool]string{{true, false}: "zmm", {true, true}: "ymm", {false, false}: "go"}[[2]bool{padded, side}]; got != ran {
+						t.Fatalf("%s, %d×%d tile: padded rows written %v, past them %v: ran %q, want %q", path.name, rt, w, padded, side, got, ran)
+					}
 				}
 			}
-		}
-		if last := acc[(rt-1)*w : rt*w]; !math.IsInf(last[w-1], 1) || !slices.Equal(last[w-8:], side[(rt-1)*8:][:8]) {
-			t.Fatalf("%d-row tile: acc row %d = %v, want the remainder strip's sums %v ending +Inf", rt, rt-1, last, side[(rt-1)*8:][:8])
-		}
+		}()
 	}
+
 	d, x, y := make([]float32, 16), make([]float32, 16), make([]float32, 16)
 	for i := range x {
 		x[i] = 0.5 // on Exp's and Sigmoid's fast path

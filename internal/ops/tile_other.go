@@ -2,14 +2,18 @@
 
 package ops
 
-// avx2FMA is false where no assembly is built: mulTileAcc runs its one Go
-// loop, row by row, for every height 1–8, contraction.finish its Go loop,
-// the depthwise stencil its tap loop for every kernel size, and pointwise
-// programs their Go loops.
-const avx2FMA = false
+// avx2FMA and avx512 are false where no assembly is built: mulTileAcc runs
+// its one Go loop, row by row, for every height 1–8, contraction.finish its
+// Go loop, the depthwise stencil its tap loop for every kernel size, and
+// pointwise programs their Go loops.
+const avx2FMA, avx512 = false, false
 
 func tile4x8(a *float64, kk int, b *float32, bRS int, acc *float64, w, strips, passes int, first bool) (nan bool) {
 	panic("ops: tile4x8 called without an assembly tile")
+}
+
+func tile8x16(a *float64, kk int, b *float32, bRS int, acc *float64, w, rows int, first bool) (nan bool) {
+	panic("ops: tile8x16 called without an assembly tile")
 }
 
 func finishPD(dst *float32, acc *float64, n int, alpha, c float64) {

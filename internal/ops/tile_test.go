@@ -39,12 +39,15 @@ func tileData(rng *rand.Rand, n int, specials []float32, p float64) []float32 {
 	return d
 }
 
-// tileGarbage is an accumulator buffer filled with a NaN no kernel
-// produces, so an element a kernel fails to write shows.
+// tileGarbageBits is a NaN no kernel produces.
+const tileGarbageBits = 0x7ff0_dead_beef_0001
+
+// tileGarbage is an accumulator buffer filled with tileGarbageBits, so an
+// element a kernel fails to write shows.
 func tileGarbage(n int) []float64 {
 	acc := make([]float64, n)
 	for i := range acc {
-		acc[i] = math.Float64frombits(0x7ff0_dead_beef_0001)
+		acc[i] = math.Float64frombits(tileGarbageBits)
 	}
 	return acc
 }
@@ -79,143 +82,166 @@ func (l tileLayout) String() string {
 	return fmt.Sprintf("rt%d/w%d/k%d/transposedA=%v/wideB=%v", l.rt, l.w, l.kk, l.transposedA, l.wideB)
 }
 
-// tileScratch is the accumulators (tileRows(rt) rows of w, then the
-// remainder strip's tileRows(rt) rows of 8) and packed A (one K-block)
-// mulTileAcc may use for an rt×w tile over kk.
+// tileScratch is exactly the accumulators and packed A (one K-block)
+// mulTileAcc needs for an rt×w tile over kk on the path the flags select:
+// tile8x16's tileRows(rt) rows of w; tile4x8's, then its remainder strip's
+// tileRows(rt) rows of 8; or the Go loops' rt rows and no packed A.
 func tileScratch(rt, kk, w int) (acc, pa []float64) {
-	return tileGarbage(tileRows(rt) * (w + 8)), make([]float64, tileRows(rt)*min(kk, tileK))
+	rows := tileRows(rt)
+	switch {
+	case avx512:
+		acc = tileGarbage(rows * w)
+	case avx2FMA && w >= 8:
+		acc = tileGarbage(rows * (w + 8))
+	default:
+		return tileGarbage(rt * w), nil
+	}
+	return acc, make([]float64, rows*min(kk, tileK))
 }
 
-// TestMulTileAccSIMDMatchesGo: the assembly tile (every row height 1–8, the
-// last 4-row pass padded; whole 8-column strips, a column remainder as one
-// more strip over the last 8 columns, tiles under 8 columns in Go)
-// writes the Go loops' accumulators bit for bit — NaN payloads included —
-// over widths that exercise every remainder, K from 1 to 517 (past one
-// K-block), a column-strided A and a B panel inside a wider matrix, with
-// special values mixed into both operands. With finite specials only, no
-// accumulator can be NaN, so every tile is the FMA's own; with infinities
-// (Inf·0, Inf − Inf) and NaN operands, the NaN tiles are the Go loops'
-// redo. A 1-row tile over a B of infinities and finite A stays the tile's:
-// its padded rows must cost no wrong value.
+// TestMulTileAccSIMDMatchesGo: each assembly tile writes the Go loops'
+// accumulators bit for bit — NaN payloads included — through mulTileAcc,
+// over every row height 1–8 (the last 4-row pass padded), widths 1–33 (every
+// w mod 16 of tile8x16's opmask strip, every w mod 8 of tile4x8's remainder
+// strip, its tiles under 8 columns in Go) and two wide ones, K from 1 to 517
+// (past one K-block), a column-strided A and a B panel inside a wider
+// matrix, with special values mixed into both operands. With finite
+// specials only, no accumulator can be NaN, so every tile is the FMA's own;
+// with infinities (Inf·0, Inf − Inf) and NaN operands, the NaN tiles are the
+// Go loops' redo. A 1-row tile over a B of infinities and finite A stays the
+// tile's: its padded rows, and tile8x16's masked-off columns, must cost no
+// wrong value.
 func TestMulTileAccSIMDMatchesGo(t *testing.T) {
 	if !avx2FMA {
 		t.Skip("no AVX2+FMA tile: this build or CPU runs the Go loops only")
 	}
-	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 129}
-	rng := rand.New(rand.NewSource(33))
-	check := func(name string, l tileLayout, a, b []float32) {
-		t.Helper()
-		rt, kk, w := l.rt, l.kk, l.w
-		got, pa := tileScratch(rt, kk, w)
-		want := tileGarbage(rt * w)
-		mulTileAcc(rt, a, l.a0, l.ai, l.ak, kk, b, l.bBase, l.bRS, l.jLo, got, w, pa)
-		mulTileGo(rt, a, l.a0, l.ai, l.ak, kk, b, l.bBase, l.bRS, l.jLo, want, w, 0)
-		for i := range want {
-			if g, x := math.Float64bits(got[i]), math.Float64bits(want[i]); g != x {
-				t.Fatalf("%s, %v: acc[%d] (row %d, col %d) = %#016x, Go loops %#016x", name, l, i, i/w, i%w, g, x)
-			}
-		}
+	var widths []int
+	for w := 1; w <= 33; w++ {
+		widths = append(widths, w)
 	}
-	for _, specials := range [][]float32{tileSpecials[:tileFinite], tileSpecials[:tileNoNaN], tileSpecials} {
-		for rt := 1; rt <= 8; rt++ {
-			for _, kk := range []int{1, 2, 3, 27, 512, 517} {
-				for _, w := range widths {
-					for _, transposedA := range []bool{false, true} {
-						for _, wideB := range []bool{false, true} {
-							l := newTileLayout(rt, kk, w, transposedA, wideB)
-							// About two special operands per accumulator:
-							// outputs stay a mix of finite, infinite and NaN.
-							p := 1 / float64(kk+3)
-							a, b := tileData(rng, l.aLen, specials, p), tileData(rng, l.bLen, specials, p)
-							check(fmt.Sprintf("%d specials", len(specials)), l, a, b)
+	widths = append(widths, 64, 129)
+	for _, path := range tilePaths() {
+		if path.name == "go" {
+			continue // the oracle itself
+		}
+		t.Run(path.name, func(t *testing.T) {
+			defer path.use()()
+			rng := rand.New(rand.NewSource(33))
+			check := func(name string, l tileLayout, a, b []float32) {
+				t.Helper()
+				rt, kk, w := l.rt, l.kk, l.w
+				got, pa := tileScratch(rt, kk, w)
+				want := tileGarbage(rt * w)
+				mulTileAcc(rt, a, l.a0, l.ai, l.ak, kk, b, l.bBase, l.bRS, l.jLo, got, w, pa)
+				mulTileGo(rt, a, l.a0, l.ai, l.ak, kk, b, l.bBase, l.bRS, l.jLo, want, w, 0)
+				for i := range want {
+					if g, x := math.Float64bits(got[i]), math.Float64bits(want[i]); g != x {
+						t.Fatalf("%s, %v: acc[%d] (row %d, col %d) = %#016x, Go loops %#016x", name, l, i, i/w, i%w, g, x)
+					}
+				}
+			}
+			for _, specials := range [][]float32{tileSpecials[:tileFinite], tileSpecials[:tileNoNaN], tileSpecials} {
+				for rt := 1; rt <= 8; rt++ {
+					for _, kk := range []int{1, 2, 3, 27, 512, 517} {
+						for _, w := range widths {
+							for _, transposedA := range []bool{false, true} {
+								for _, wideB := range []bool{false, true} {
+									l := newTileLayout(rt, kk, w, transposedA, wideB)
+									// About two special operands per accumulator:
+									// outputs stay a mix of finite, infinite and NaN.
+									p := 1 / float64(kk+3)
+									a, b := tileData(rng, l.aLen, specials, p), tileData(rng, l.bLen, specials, p)
+									check(fmt.Sprintf("%d specials", len(specials)), l, a, b)
+								}
+							}
 						}
 					}
 				}
 			}
-		}
-	}
-	for _, kk := range []int{1, 27, 517} {
-		l := newTileLayout(1, kk, 16, false, true)
-		a := tileData(rng, l.aLen, tileSpecials[:tileFinite], 0.2)
-		b := tileData(rng, l.bLen, tileSpecials[tileFinite:tileNoNaN], 0.5)
-		check("±Inf in B, one row", l, a, b)
+			for _, kk := range []int{1, 27, 517} {
+				for _, w := range []int{5, 16, 21} {
+					l := newTileLayout(1, kk, w, false, true)
+					a := tileData(rng, l.aLen, tileSpecials[:tileFinite], 0.2)
+					b := tileData(rng, l.bLen, tileSpecials[tileFinite:tileNoNaN], 0.5)
+					check("±Inf in B, one row", l, a, b)
+				}
+			}
+		})
 	}
 }
 
-// TestMulTileAccBounds: an operand one element short of what the tile
-// reads (or, for acc and the packed A, writes) fails as a Go bounds panic
-// before any element is touched out of range — on the assembly path and on
-// the Go loops alike, within one K-block and across two.
+// TestMulTileAccBounds: on every path this CPU can take, an operand one
+// element short of what mulTileAcc reads (or, for acc and the packed A,
+// writes) fails as a Go bounds panic before any element is touched out of
+// range — within one K-block and across two, for a tile under 8 columns, one
+// with a column remainder and a whole one.
 func TestMulTileAccBounds(t *testing.T) {
-	for rt := 1; rt <= 8; rt++ {
-		for _, kk := range []int{5, 517} {
-			for _, w := range []int{13, 16} {
-				for _, transposedA := range []bool{false, true} {
-					l := newTileLayout(rt, kk, w, transposedA, true)
-					a, b := make([]float32, l.aLen), make([]float32, l.bLen)
-					acc, pa := tileScratch(rt, kk, w)
-					if !avx2FMA {
-						// The Go loops alone: rt rows of accumulators, no
-						// packed A.
-						acc, pa = acc[:rt*w], nil
-					}
-					call := func(a, b []float32, acc, pa []float64) {
-						mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, w, pa)
-					}
-					call(a, b, acc, pa)
-					// Capacity is what bounds memory safety: the short
-					// operands are cut with full slice expressions.
-					short := map[string]func(){
-						"A":   func() { call(a[:len(a)-1:len(a)-1], b, acc, pa) },
-						"B":   func() { call(a, b[:len(b)-1:len(b)-1], acc, pa) },
-						"acc": func() { call(a, b, acc[:len(acc)-1:len(acc)-1], pa) },
-					}
-					if pa != nil {
-						short["packed A"] = func() { call(a, b, acc, pa[:len(pa)-1:len(pa)-1]) }
-					}
-					for name, short := range short {
-						func() {
-							defer func() {
-								if _, ok := recover().(runtime.Error); !ok {
-									t.Errorf("%v: %s one element short: want a runtime.Error panic", l, name)
-								}
-							}()
-							short()
-						}()
+	for _, path := range tilePaths() {
+		t.Run(path.name, func(t *testing.T) {
+			defer path.use()()
+			for rt := 1; rt <= 8; rt++ {
+				for _, kk := range []int{5, 517} {
+					for _, w := range []int{5, 13, 16} {
+						for _, transposedA := range []bool{false, true} {
+							l := newTileLayout(rt, kk, w, transposedA, true)
+							a, b := make([]float32, l.aLen), make([]float32, l.bLen)
+							acc, pa := tileScratch(rt, kk, w)
+							call := func(a, b []float32, acc, pa []float64) {
+								mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, w, pa)
+							}
+							call(a, b, acc, pa)
+							// Capacity is what bounds memory safety: the short
+							// operands are cut with full slice expressions.
+							short := map[string]func(){
+								"A":   func() { call(a[:len(a)-1:len(a)-1], b, acc, pa) },
+								"B":   func() { call(a, b[:len(b)-1:len(b)-1], acc, pa) },
+								"acc": func() { call(a, b, acc[:len(acc)-1:len(acc)-1], pa) },
+							}
+							if pa != nil {
+								short["packed A"] = func() { call(a, b, acc, pa[:len(pa)-1:len(pa)-1]) }
+							}
+							for name, short := range short {
+								func() {
+									defer func() {
+										if _, ok := recover().(runtime.Error); !ok {
+											t.Errorf("%v: %s one element short: want a runtime.Error panic", l, name)
+										}
+									}()
+									short()
+								}()
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // BenchmarkMulTileAcc reports the contraction micro-kernel's rate in
-// GFLOP/s on tile shapes (rows × columns × K) through the assembly tile
-// (simd) and through the Go loops (go): two long-K and wide-panel shapes,
-// then the workloads' own — head's M = 1 classifier (1×16×64), cnn's 1×1
-// convs (8×512×16, 8×512×27) and encoder's projections and attention
-// products (8×64×256, 8×16×16).
+// GFLOP/s on tile shapes (rows × columns × K) on every path this CPU can
+// take: tile8x16 (zmm), tile4x8 (ymm) and the Go loops alone (go). Two
+// long-K and wide-panel shapes come first, then the workloads' own: head's
+// M = 1 classifier (1×16×64) and cnn's FC (1×10×128), cnn's 1×1 convs
+// (8×512×16, 8×512×27), encoder's projections and attention products
+// (8×64×256, 8×16×16), and EfficientNet-B0's squeeze-excite expand (a 1×1
+// Conv 1152→48 over a 1×1 map: 8×1×1152), whose single column tile4x8
+// leaves to the Go loops.
 func BenchmarkMulTileAcc(b *testing.B) {
-	for _, sh := range [][3]int{{8, 64, 512}, {8, 256, 64}, {1, 16, 64}, {8, 512, 16}, {8, 512, 27}, {8, 64, 256}, {8, 16, 16}} {
+	for _, sh := range [][3]int{{8, 64, 512}, {8, 256, 64}, {1, 16, 64}, {1, 10, 128}, {8, 512, 16}, {8, 512, 27}, {8, 64, 256}, {8, 16, 16}, {8, 1, 1152}} {
 		rt, w, kk := sh[0], sh[1], sh[2]
 		rng := rand.New(rand.NewSource(1))
 		l := newTileLayout(rt, kk, w, false, false)
 		a, bd := tileData(rng, l.aLen, nil, 0), tileData(rng, l.bLen, nil, 0)
-		acc, pa := tileScratch(rt, kk, w)
-		run := func(b *testing.B, tile func()) {
-			for b.Loop() {
-				tile()
-			}
-			b.ReportMetric(2*float64(rt*w*kk)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		for _, path := range tilePaths() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", rt, w, kk, path.name), func(b *testing.B) {
+				defer path.use()()
+				acc, pa := tileScratch(rt, kk, w)
+				for b.Loop() {
+					mulTileAcc(rt, a, l.a0, l.ai, l.ak, kk, bd, l.bBase, l.bRS, l.jLo, acc, w, pa)
+				}
+				b.ReportMetric(2*float64(rt*w*kk)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
 		}
-		b.Run(fmt.Sprintf("%dx%dx%d/simd", rt, w, kk), func(b *testing.B) {
-			if !avx2FMA {
-				b.Skip("no AVX2+FMA tile in this build or on this CPU")
-			}
-			run(b, func() { mulTileAcc(rt, a, l.a0, l.ai, l.ak, kk, bd, l.bBase, l.bRS, l.jLo, acc, w, pa) })
-		})
-		b.Run(fmt.Sprintf("%dx%dx%d/go", rt, w, kk), func(b *testing.B) {
-			run(b, func() { mulTileGo(rt, a, l.a0, l.ai, l.ak, kk, bd, l.bBase, l.bRS, l.jLo, acc, w, 0) })
-		})
 	}
 }
