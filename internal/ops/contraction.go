@@ -208,10 +208,7 @@ func (s *contraction) setSchedule(sched Schedule) {
 		}
 		accRows = 1 // the stencil sums one output row at a time
 	} else if avx2FMA {
-		accRows = tileRows(s.rowTile)
-		if !avx512 {
-			side = 8
-		}
+		accRows, side = tileRows(s.rowTile), tileSide()
 		s.pa = resize(s.pa, accRows*min(s.k, tileK))
 	}
 	s.acc = resize(s.acc, accRows*(s.jb+side))

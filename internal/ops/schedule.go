@@ -202,6 +202,16 @@ const tileK = 512
 // packed A and its accumulators: whole 4-row passes.
 func tileRows(rt int) int { return (rt + 3) &^ 3 }
 
+// tileSide is the columns of tile4x8's remainder strip, whose
+// accumulators follow acc's rows: 8 where tile4x8 is the tile, 0 where
+// tile8x16 runs every width under an opmask or the Go loops run alone.
+func tileSide() int {
+	if avx2FMA && !avx512 {
+		return 8
+	}
+	return 0
+}
+
 // mulTileAcc accumulates the rt×w output tile with corner (row a0/ai, col
 // jLo) into acc (rows of w float64 accumulators, cleared here). Every
 // accumulator sums its products in ascending-k order, so the tile is
@@ -219,10 +229,10 @@ func tileRows(rt int) int { return (rt + 3) &^ 3 }
 //     opmask. acc holds tileRows(rt)·w floats.
 //   - Else tile4x8 runs every tile at least 8 columns wide, as ⌈rt/4⌉
 //     4-row passes per whole 8-column strip; a column remainder runs as one
-//     more strip over the last 8 columns, summed into the 8·tileRows(rt)
-//     accumulators past acc's rows and its new columns copied back, so acc
-//     holds tileRows(rt)·(w+8) floats. A tile under 8 columns runs
-//     mulTileGo.
+//     more strip over the last 8 columns, summed into the
+//     tileSide()·tileRows(rt) accumulators past acc's rows and its new
+//     columns copied back, so acc holds tileRows(rt)·(w+tileSide())
+//     floats. A tile under 8 columns runs mulTileGo.
 //
 // pa holds tileRows(rt)·min(kk, tileK) floats. The result is the same bit
 // for bit: every operand is a widened float32, so each product is exact in
@@ -233,42 +243,41 @@ func tileRows(rt int) int { return (rt + 3) &^ 3 }
 // with a NaN accumulator is redone by the Go loop.
 func mulTileAcc(rt int, aData []float32, a0, ai, ak, kk int, bData []float32, bBase, bRS, jLo int, acc []float64, w int, pa []float64) {
 	lo := 0
-	if kk > 0 && bRS >= 0 && (avx512 || avx2FMA && w >= 8) {
-		// rem is the columns tile4x8's remainder strip adds, side its
-		// accumulators, row stride 8: columns w−8…w−1, of which the whole
-		// strips also compute all but rem. tile8x16 needs neither.
-		rows, rem := tileRows(rt), w%8
-		var side []float64
-		if avx512 {
-			rem = 0
-		} else {
-			side = acc[rows*w:][:rows*8]
-		}
+	if avx512 && kk > 0 && bRS >= 0 {
+		rows := tileRows(rt)
 		// The assembly reads B at bBase + k·bRS + jLo + j (k < kk, j < w)
-		// and the rows·kb floats of p, and writes acc[r·w + j] and side
-		// (r < rows). With a nonnegative stride the first and last of each
-		// bound all the others: touching them makes a bad index a bounds
-		// panic here.
+		// and the rows·kb floats of p, and writes acc[r·w + j] (r < rows).
+		// With a nonnegative stride the first and last of each bound all
+		// the others: touching them makes a bad index a bounds panic here.
 		_, _ = bData[bBase+(kk-1)*bRS+jLo+w-1], acc[rows*w-1]
 		lo = w
 		for k0 := 0; k0 < kk && lo == w; k0 += tileK {
 			kb := min(tileK, kk-k0)
 			p := pa[:rows*kb]
 			packA(p, rt, aData, a0+k0*ak, ai, ak, kb)
-			b := bBase + k0*bRS + jLo
-			if avx512 {
-				if tile8x16(&p[0], kb, &bData[b], bRS, &acc[0], w, rows, k0 == 0) {
-					lo = 0
-				}
-				continue
+			if tile8x16(&p[0], kb, &bData[bBase+k0*bRS+jLo], bRS, &acc[0], w, rows, k0 == 0) {
+				lo = 0
 			}
+		}
+	} else if avx2FMA && kk > 0 && bRS >= 0 && w >= 8 {
+		rows, rem := tileRows(rt), w%8
+		// The remainder strip's accumulators, row stride 8: columns
+		// w−8…w−1, of which the whole strips also compute all but rem.
+		side := acc[rows*w:][:rows*8]
+		// As above, and the assembly also writes side.
+		_, _ = bData[bBase+(kk-1)*bRS+jLo+w-1], side[rows*8-1]
+		lo = w
+		for k0 := 0; k0 < kk && lo == w; k0 += tileK {
+			kb := min(tileK, kk-k0)
+			p := pa[:rows*kb]
+			packA(p, rt, aData, a0+k0*ak, ai, ak, kb)
 			// The whole strips into acc, then any remainder strip into side.
 			for g := 0; g <= min(rem, 1); g++ {
 				j, strips, c, stride := 0, w/8, acc, w
 				if g == 1 {
 					j, strips, c, stride = w-8, 1, side, 8
 				}
-				if tile4x8(&p[0], kb, &bData[b+j], bRS, &c[0], stride, strips, rows/4, k0 == 0) {
+				if tile4x8(&p[0], kb, &bData[bBase+k0*bRS+jLo+j], bRS, &c[0], stride, strips, rows/4, k0 == 0) {
 					lo = 0
 				}
 			}

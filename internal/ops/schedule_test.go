@@ -131,39 +131,47 @@ func TestScheduleGridParityFusedConsumers(t *testing.T) {
 
 // TestScheduleGridParityConv: Conv runs the same tile loop as MatMul, so it
 // is held to every row tile × 7 panels from 8 to 512 on top of the
-// normalizing grid, across every panel-packing shape.
+// normalizing grid, across every panel-packing shape, on every path
+// mulTileAcc can take on this CPU. Each model is built after the path is
+// chosen, so its scratch is sized for that path's tile (tile4x8's side
+// strip included).
 func TestScheduleGridParityConv(t *testing.T) {
 	grid := append(append([]Schedule(nil), scheduleGrid...), tileGrid()...)
 	x := randSource(90, 2, 4, 9, 9)
-	for name, mk := range map[string]func() Source{
-		"strided padded bias": func() Source {
-			return virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}), x, randSource(91, 6, 4, 3, 3), randSource(92, 6))
-		},
-		"grouped 9 rows": func() Source {
-			return virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 2}), x, randSource(93, 18, 2, 3, 3))
-		},
-		"depthwise": func() Source {
-			return virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 4}), x, randSource(94, 4, 1, 3, 3))
-		},
-		"1x1 in place": func() Source {
-			return virtualize(t, NewConv(ConvAttrs{}), x, randSource(95, 10, 4, 1, 1), randSource(96, 10))
-		},
-		"staged x": func() Source {
-			return virtualize(t, NewConv(ConvAttrs{Dilations: []int{2, 2}}), virtualize(t, NewRelu(), x), randSource(97, 8, 4, 3, 3))
-		},
-		// K = 200 × 400 positions: the widest panels pass maxPanelElems.
-		"long K": func() Source {
-			return virtualize(t, NewConv(ConvAttrs{}), randSource(98, 1, 8, 24, 24), randSource(99, 4, 8, 5, 5))
-		},
-	} {
-		for _, sched := range grid {
-			src := mk()
-			ApplySchedule(src, sched)
-			if _, _, panel := scratch(src); panel > maxPanelElems {
-				t.Errorf("%s %v: panel of %d floats, want at most %d", name, sched, panel, maxPanelElems)
+	for _, path := range tilePaths() {
+		t.Run(path.name, func(t *testing.T) {
+			defer path.use()()
+			for name, mk := range map[string]func() Source{
+				"strided padded bias": func() Source {
+					return virtualize(t, NewConv(ConvAttrs{Strides: []int{2, 2}, Pads: []int{1, 1}}), x, randSource(91, 6, 4, 3, 3), randSource(92, 6))
+				},
+				"grouped 9 rows": func() Source {
+					return virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 2}), x, randSource(93, 18, 2, 3, 3))
+				},
+				"depthwise": func() Source {
+					return virtualize(t, NewConv(ConvAttrs{Pads: []int{1, 1}, Groups: 4}), x, randSource(94, 4, 1, 3, 3))
+				},
+				"1x1 in place": func() Source {
+					return virtualize(t, NewConv(ConvAttrs{}), x, randSource(95, 10, 4, 1, 1), randSource(96, 10))
+				},
+				"staged x": func() Source {
+					return virtualize(t, NewConv(ConvAttrs{Dilations: []int{2, 2}}), virtualize(t, NewRelu(), x), randSource(97, 8, 4, 3, 3))
+				},
+				// K = 200 × 400 positions: the widest panels pass maxPanelElems.
+				"long K": func() Source {
+					return virtualize(t, NewConv(ConvAttrs{}), randSource(98, 1, 8, 24, 24), randSource(99, 4, 8, 5, 5))
+				},
+			} {
+				for _, sched := range grid {
+					src := mk()
+					ApplySchedule(src, sched)
+					if _, _, panel := scratch(src); panel > maxPanelElems {
+						t.Errorf("%s %v: panel of %d floats, want at most %d", name, sched, panel, maxPanelElems)
+					}
+					assertBlockParity(t, name+" "+sched.String(), src)
+				}
 			}
-			assertBlockParity(t, name+" "+sched.String(), src)
-		}
+		})
 	}
 }
 

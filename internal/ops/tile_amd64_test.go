@@ -109,8 +109,10 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 	// repeat the last real row, so the tile alone writes acc's rows
 	// rt…tileRows(rt)−1 (the Go loop never touches them), with that row's
 	// sums in column 0. tile4x8 writes its remainder strip past acc's rows;
-	// tile8x16 writes nothing past them. An infinity in B's last column
-	// meets no zero: it costs no NaN, so no Go redo.
+	// tile8x16 writes nothing past them. A Go redo rewrites rows 0…rt−1 with
+	// the same sums, so it cannot show there: an infinity in B's last column
+	// meets no zero, and the tile that runs, called on the same data, must
+	// report no NaN (else mulTileAcc would redo it).
 	for _, path := range tilePaths() {
 		func() {
 			defer path.use()()
@@ -131,6 +133,20 @@ func TestMulTileAccUsesSIMD(t *testing.T) {
 					}
 					b[len(b)-1] = float32(math.Inf(1))
 					acc, pa := tileGarbage(rows*(w+8)), make([]float64, rows*l.kk)
+					packA(pa, rt, a, l.a0, l.ai, l.ak, l.kk)
+					direct := make([]float64, rows*(w+8))
+					var nan bool
+					switch ran {
+					case "zmm":
+						nan = tile8x16(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &direct[0], w, rows, true)
+					case "ymm":
+						side := direct[rows*w:]
+						nan = tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo], l.bRS, &direct[0], w, w/8, rows/4, true) ||
+							tile4x8(&pa[0], l.kk, &b[l.bBase+l.jLo+w-8], l.bRS, &side[0], 8, 1, rows/4, true)
+					}
+					if nan {
+						t.Fatalf("%s, %d×%d tile: an infinity in B makes the tile report a NaN accumulator", path.name, rt, w)
+					}
 					mulTileAcc(rt, a, l.a0, l.ai, l.ak, l.kk, b, l.bBase, l.bRS, l.jLo, acc, w, pa)
 					if last := acc[(rt-1)*w : rt*w]; !math.IsInf(last[w-1], 1) {
 						t.Fatalf("%s, %d×%d tile: acc row %d = %v, want it to end +Inf", path.name, rt, w, rt-1, last)

@@ -84,19 +84,15 @@ func (l tileLayout) String() string {
 
 // tileScratch is exactly the accumulators and packed A (one K-block)
 // mulTileAcc needs for an rt×w tile over kk on the path the flags select:
-// tile8x16's tileRows(rt) rows of w; tile4x8's, then its remainder strip's
-// tileRows(rt) rows of 8; or the Go loops' rt rows and no packed A.
+// tileRows(rt) rows of w, then tile4x8's remainder strip's tileRows(rt)
+// rows of tileSide(); or, where the Go loops run the tile, rt rows of w and
+// no packed A.
 func tileScratch(rt, kk, w int) (acc, pa []float64) {
-	rows := tileRows(rt)
-	switch {
-	case avx512:
-		acc = tileGarbage(rows * w)
-	case avx2FMA && w >= 8:
-		acc = tileGarbage(rows * (w + 8))
-	default:
+	if !avx512 && !(avx2FMA && w >= 8) {
 		return tileGarbage(rt * w), nil
 	}
-	return acc, make([]float64, rows*min(kk, tileK))
+	rows := tileRows(rt)
+	return tileGarbage(rows * (w + tileSide())), make([]float64, rows*min(kk, tileK))
 }
 
 // TestMulTileAccSIMDMatchesGo: each assembly tile writes the Go loops'
