@@ -9,7 +9,7 @@
 //	dnnf-serve -addr :9000 -max-batch 16 -max-delay 1ms
 //	dnnf-serve -micro micro-mlp,micro-cnn -prewarm
 //	dnnf-serve -zoo                     # also expose the Table 5 models
-//	dnnf-serve -queue 32 -max-inflight 256 -max-delay-ceiling 2ms
+//	dnnf-serve -queue 32 -max-inflight 256
 //	dnnf-serve -drain-timeout 10s       # graceful-shutdown budget on SIGTERM
 //
 // Endpoints (see serve.Server):
@@ -54,8 +54,7 @@ func main() {
 	modelList := flag.String("micro", "", "comma-separated micro-model names to serve (default: all micro models; 'none' disables)")
 	zoo := flag.Bool("zoo", false, "also register the Table 5 simulation zoo (metadata only; shape-only weights cannot execute)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "dynamic batching capacity per model (1 disables)")
-	maxDelay := flag.Duration("max-delay", serve.DefaultMaxDelay, "how long the first request of a batch waits for peers")
-	delayCeiling := flag.Duration("max-delay-ceiling", 0, "adaptive batching: scale the coalescing wait between 0 and this ceiling by queue depth (grow under load, cut when idle); 0 keeps -max-delay fixed")
+	maxDelay := flag.Duration("max-delay", serve.DefaultMaxDelay, "how long the first request of a batch waits for peers, counted from its enqueue and only while another request is inbound (negative: no wait)")
 	queue := flag.Int("queue", 0, "per-model pending-request queue capacity (0 = 4×max-batch); a full queue sheds with 429")
 	maxInflight := flag.Int("max-inflight", 0, "server-wide concurrent-request ceiling (0 = unlimited); beyond it requests get 503")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget: stop admitting (503), drain in-flight requests this long, then force-close")
@@ -65,11 +64,10 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		MaxBatch:        *maxBatch,
-		MaxDelay:        *maxDelay,
-		MaxDelayCeiling: *delayCeiling,
-		Queue:           *queue,
-		Prewarm:         *prewarm,
+		MaxBatch: *maxBatch,
+		MaxDelay: *maxDelay,
+		Queue:    *queue,
+		Prewarm:  *prewarm,
 	}
 	compileOpts := []dnnfusion.Option{dnnfusion.WithThreads(*threads)}
 	reg := serve.NewRegistry()

@@ -36,7 +36,8 @@ func (s Schedule) String() string {
 }
 
 // ScheduleFor is the one schedule rule: a row tile of min(8, M) (every
-// height runs the SIMD tile, tile4x8) and a column panel of min(N, 512).
+// height runs the SIMD tile, tile8x16 or tile4x8) and a column panel of
+// min(N, 512).
 // It depends on the shape alone, never on a device profile. Taller tiles
 // and a full-width panel beat every narrower choice measured on the zoo's
 // large convs and M = 1 heads, and tie on transformer panels; a panel

@@ -54,9 +54,6 @@ func (h *Host) dispatch() {
 		select {
 		case c := <-h.calls:
 			batch = h.fill(append(batch[:0], h.dequeued(c)), timer)
-			// The queue depth left over after forming this batch is the
-			// overload signal the adaptive delay controller feeds on.
-			h.adapt(len(h.calls))
 			if live := h.dropExpired(batch); len(live) > 0 {
 				h.execute(runner, br, live, reqs)
 			}
@@ -89,40 +86,6 @@ func (h *Host) dropExpired(batch []*call) []*call {
 		c.done <- struct{}{}
 	}
 	return live
-}
-
-// adapt is the adaptive batch-sizing controller (enabled by a positive
-// MaxDelayCeiling). It maintains an EWMA of the queue depth observed at
-// each batch formation and publishes a coalescing delay proportional to
-// how full a batch's worth of queue is: a persistently deep queue drives
-// the wait toward the ceiling (amortize dispatch over bigger batches), an
-// idle one decays it toward zero (don't tax p50 waiting for peers that
-// aren't coming). Runs only on the dispatcher goroutine; readers (fill,
-// Info, /healthz) see the atomically published state.
-func (h *Host) adapt(depth int) {
-	ceiling := h.cfg.MaxDelayCeiling
-	if ceiling <= 0 {
-		return
-	}
-	const alpha = 0.25 // EWMA smoothing: ~8 dispatches to forget a regime
-	ewma := float64(h.st.depthEwmaMilli.Load()) / 1000
-	ewma += alpha * (float64(depth) - ewma)
-	h.st.depthEwmaMilli.Store(int64(ewma * 1000))
-	frac := ewma / float64(h.cfg.MaxBatch)
-	if frac > 1 {
-		frac = 1
-	}
-	delay := time.Duration(frac * float64(ceiling))
-	if delay < time.Microsecond {
-		delay = 0 // fully idle: stop waiting entirely
-	}
-	h.st.curDelayNs.Store(int64(delay))
-}
-
-// curDelay is the coalescing wait currently in force: the configured
-// MaxDelay when adaptation is off, the controller's output when on.
-func (h *Host) curDelay() time.Duration {
-	return time.Duration(h.st.curDelayNs.Load())
 }
 
 // dequeued stamps a call the dispatcher just pulled off the queue and takes
@@ -159,7 +122,7 @@ func (h *Host) fill(batch []*call, timer *time.Timer) []*call {
 	if h.batch == nil || len(batch) >= max || h.inbound.Load() == 0 {
 		return batch
 	}
-	left := h.curDelay() - time.Since(batch[0].enq)
+	left := h.cfg.MaxDelay - time.Since(batch[0].enq)
 	if left <= 0 {
 		return batch
 	}
@@ -329,8 +292,8 @@ func (h *Host) drainClosed() {
 // stats are the host's serving counters. The counting instruments live on
 // the repository's obs.Registry (wired by stats.init at registration) so
 // /healthz, /v1/models, and /metrics read one source of truth; only the
-// control-loop state and the max-batch high-water mark stay as plain
-// atomics — they are not Prometheus-shaped.
+// max-batch high-water mark stays a plain atomic — it is not
+// Prometheus-shaped.
 type stats struct {
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -356,13 +319,6 @@ type stats struct {
 	// to input tensors ready, and building the response body.
 	decode *obs.Histogram
 	encode *obs.Histogram
-
-	// Adaptive-batching control state, written by the dispatcher (adapt),
-	// read lock-free by fill and the observability surfaces: the
-	// coalescing delay currently in force and the queue-depth EWMA (fixed
-	// point, thousandths) driving it.
-	curDelayNs     atomic.Int64
-	depthEwmaMilli atomic.Int64
 }
 
 func (s *stats) observeBatch(n int) {
@@ -438,15 +394,10 @@ type Info struct {
 	Batchable           bool   `json:"batchable"`
 	BatchDisabledReason string `json:"batch_disabled_reason,omitempty"`
 	// Overload-control state: the live queue depth and its capacity
-	// (admission sheds beyond it), the adaptive ceiling (0 = adaptation
-	// off), the coalescing delay currently in force, and the queue-depth
-	// EWMA driving it.
-	QueueDepth        int     `json:"queue_depth"`
-	QueueCapacity     int     `json:"queue_capacity"`
-	MaxDelayCeilingUs int64   `json:"max_delay_ceiling_us,omitempty"`
-	CurrentMaxDelayUs int64   `json:"current_max_delay_us"`
-	QueueDepthEwma    float64 `json:"queue_depth_ewma"`
-	Stats             Stats   `json:"stats"`
+	// (admission sheds beyond it).
+	QueueDepth    int   `json:"queue_depth"`
+	QueueCapacity int   `json:"queue_capacity"`
+	Stats         Stats `json:"stats"`
 }
 
 // controlState is the point-in-time overload-control view of a loaded
@@ -457,9 +408,6 @@ func (h *Host) controlState(info *Info) {
 	}
 	info.QueueDepth = len(h.calls)
 	info.QueueCapacity = h.cfg.Queue
-	info.MaxDelayCeilingUs = h.cfg.MaxDelayCeiling.Microseconds()
-	info.CurrentMaxDelayUs = h.curDelay().Microseconds()
-	info.QueueDepthEwma = float64(h.st.depthEwmaMilli.Load()) / 1000
 }
 
 // Info returns the host's serving metadata, building the model first if it

@@ -233,6 +233,30 @@ func TestFillDeadlineNotArmedForLoneRequest(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxDelayIsNoWait: a negative MaxDelay means "no wait" and is
+// held and reported as a wait of 0, not as a negative duration.
+func TestNegativeMaxDelayIsNoWait(t *testing.T) {
+	m := compileMicro(t, models.MicroMLP)
+	r := NewRegistry()
+	defer r.Close()
+	h, err := r.Register("mlp", m, Config{MaxBatch: 4, MaxDelay: -time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Run(context.Background(), microRequest(t, m, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	info, err := h.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.MaxDelayUs != 0 || h.cfg.MaxDelay != 0 {
+		t.Fatalf("MaxDelay -1ms held as %v, reported as %dus; want 0 and 0", h.cfg.MaxDelay, info.MaxDelayUs)
+	}
+}
+
 // TestHostFallsBackForUnbatchableModel: micro-attention fails the
 // structural batch check; the host must record why and serve per-request.
 func TestHostFallsBackForUnbatchableModel(t *testing.T) {

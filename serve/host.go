@@ -217,7 +217,6 @@ func (h *Host) init() error {
 		h.resPool.New = func() any { return h.newResult() }
 		h.inPool.New = func() any { return h.newPredictInputs() }
 		h.calls = make(chan *call, h.cfg.Queue)
-		h.st.curDelayNs.Store(int64(h.cfg.MaxDelay))
 		h.registerModelMetrics()
 		go h.dispatch()
 		h.started.Store(true)

@@ -33,8 +33,6 @@ const (
 	helpMaxInFlight   = "Registry-wide concurrent-request ceiling (0 = unlimited)."
 	helpQueueDepth    = "Pending requests in the host queue, per model."
 	helpQueueCap      = "Host queue capacity (admission sheds beyond it), per model."
-	helpCurDelay      = "Coalescing wait currently in force (adaptive batching output), per model."
-	helpDepthEwma     = "Queue-depth EWMA driving the adaptive coalescing wait, per model."
 	helpCompileStage  = "Compile-pipeline stage wall time per model (stage: rewrite|fusion|codegen|plan)."
 	helpKernelSecs    = "Per-kernel execution latency (variant: base|batch); advances on profiled runs."
 	helpHTTPRequests  = "HTTP responses by route and status code."
@@ -91,10 +89,6 @@ func (h *Host) registerModelMetrics() {
 		func() float64 { return float64(len(h.calls)) }, "model", h.name)
 	h.obs.GaugeFunc("dnnf_serve_queue_capacity", helpQueueCap,
 		func() float64 { return float64(h.cfg.Queue) }, "model", h.name)
-	h.obs.GaugeFunc("dnnf_serve_current_max_delay_seconds", helpCurDelay,
-		func() float64 { return h.curDelay().Seconds() }, "model", h.name)
-	h.obs.GaugeFunc("dnnf_serve_queue_depth_ewma", helpDepthEwma,
-		func() float64 { return float64(h.st.depthEwmaMilli.Load()) / 1000 }, "model", h.name)
 }
 
 // attachKernelHists attaches the model executor's per-kernel histograms to

@@ -15,10 +15,10 @@ import (
 	"dnnfusion/internal/models"
 )
 
-// Overload-safety suite: bounded admission, deadline propagation, adaptive
-// batch sizing, and the fault-injection hooks that make the shed/drain
-// paths deterministically testable. Tests here arm process-global
-// faultinject hooks, so none of them run in parallel.
+// Overload-safety suite: bounded admission, deadline propagation, and the
+// fault-injection hooks that make the shed/drain paths deterministically
+// testable. Tests here arm process-global faultinject hooks, so none of
+// them run in parallel.
 
 // blockExecute arms a ServeExecute hook that signals entry of the first
 // batch and holds it until release is closed; later batches pass straight
@@ -484,123 +484,6 @@ func TestExecuteFaultInjectionFailsBatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMaxDelayGrowsAndShrinks pins the control loop: under
-// sustained queue depth the coalescing delay climbs toward the ceiling;
-// once traffic goes idle it decays toward zero. Slow executions are
-// injected so queue depth is load, not luck.
-func TestAdaptiveMaxDelayGrowsAndShrinks(t *testing.T) {
-	m := compileMicro(t, models.MicroMLP)
-	r := NewRegistry()
-	defer r.Close()
-	cfg := Config{
-		MaxBatch:        4,
-		MaxDelay:        200 * time.Microsecond,
-		MaxDelayCeiling: 5 * time.Millisecond,
-		Queue:           16,
-		Prewarm:         true,
-	}
-	h, err := r.Register("mlp", m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := microRequest(t, m, 1)
-	res, err := h.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Release()
-	info, err := h.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.MaxDelayCeilingUs != 5000 {
-		t.Fatalf("ceiling = %dus, want 5000", info.MaxDelayCeilingUs)
-	}
-
-	// Load phase: every batch executes slowly, so clients pile up and the
-	// dispatcher keeps observing a deep queue.
-	faultinject.Set(faultinject.ServeExecute, func(ctx context.Context, args ...any) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	t.Cleanup(faultinject.Reset)
-	for wave := 0; wave < 3; wave++ {
-		const clients = 16
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				res, err := h.Run(context.Background(), microRequest(t, m, uint64(c)))
-				if err != nil {
-					t.Errorf("wave client: %v", err)
-					return
-				}
-				res.Release()
-			}(c)
-		}
-		wg.Wait()
-	}
-	info, err = h.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown := info.CurrentMaxDelayUs
-	if grown <= 500 {
-		t.Fatalf("delay after load = %dus (ewma %.2f) — did not grow toward the 5000us ceiling",
-			grown, info.QueueDepthEwma)
-	}
-
-	// Idle phase: sequential lone requests observe an empty queue and the
-	// controller decays the wait toward zero.
-	faultinject.Reset()
-	for i := 0; i < 40; i++ {
-		res, err := h.Run(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Release()
-	}
-	info, err = h.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.CurrentMaxDelayUs >= grown || info.CurrentMaxDelayUs > 100 {
-		t.Fatalf("delay after idle = %dus (was %dus) — did not decay toward zero",
-			info.CurrentMaxDelayUs, grown)
-	}
-}
-
-// TestFixedDelayWithoutCeiling: with MaxDelayCeiling unset the delay is not
-// a control signal — it stays exactly at the configured MaxDelay.
-func TestFixedDelayWithoutCeiling(t *testing.T) {
-	m := compileMicro(t, models.MicroMLP)
-	r := NewRegistry()
-	defer r.Close()
-	h, err := r.Register("mlp", m, Config{MaxBatch: 4, MaxDelay: 300 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := microRequest(t, m, 1)
-	for i := 0; i < 10; i++ {
-		res, err := h.Run(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Release()
-	}
-	info, err := h.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.CurrentMaxDelayUs != 300 {
-		t.Fatalf("fixed delay drifted to %dus", info.CurrentMaxDelayUs)
-	}
-	if info.MaxDelayCeilingUs != 0 {
-		t.Fatalf("ceiling = %d, want 0 (adaptation off)", info.MaxDelayCeilingUs)
-	}
-}
-
 // TestHostOverloadSoakRace floods a small-queue host from concurrent
 // clients with mixed short/long deadlines, past capacity, with slow
 // executions injected. It asserts the overload contract end to end: every
@@ -630,11 +513,10 @@ func TestHostOverloadSoakRace(t *testing.T) {
 
 	r := NewRegistry()
 	h, err := r.Register("mlp", m, Config{
-		MaxBatch:        4,
-		MaxDelay:        100 * time.Microsecond,
-		MaxDelayCeiling: time.Millisecond,
-		Queue:           8,
-		Prewarm:         true,
+		MaxBatch: 4,
+		MaxDelay: 100 * time.Microsecond,
+		Queue:    8,
+		Prewarm:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,22 +49,13 @@ type Config struct {
 	// MaxDelay bounds how long the first request of a forming batch waits
 	// for peers before the batch executes anyway, counted from when it was
 	// queued. 0 means DefaultMaxDelay; negative disables waiting (a batch
-	// is whatever is already queued). The wait is skipped when no request
-	// is inbound — no :predict handler between resolving the model and
-	// queueing, no Run call short of the queue — so a lone client never
-	// pays it. When it is paid, a sub-millisecond value is rounded up to
-	// ~1.1 ms by the runtime on an otherwise idle process (the netpoller's
-	// epoll_wait timeout is whole milliseconds).
+	// is whatever is already queued) and is held as 0. The wait is
+	// skipped when no request is inbound — no :predict handler between
+	// resolving the model and queueing, no Run call short of the queue —
+	// so a lone client never pays it. When it is paid, a sub-millisecond
+	// value is rounded up to ~1.1 ms by the runtime on an otherwise idle
+	// process (the netpoller's epoll_wait timeout is whole milliseconds).
 	MaxDelay time.Duration
-	// MaxDelayCeiling enables adaptive batching. When > 0, the coalescing
-	// wait becomes a control signal instead of a constant: the dispatcher
-	// tracks an EWMA of the queue depth it observes at each batch
-	// formation and scales the wait between 0 and this ceiling — growing
-	// it while the queue is deep (amortize dispatch over bigger batches)
-	// and cutting it toward zero when idle (minimize p50). MaxDelay seeds
-	// the initial wait. 0 keeps MaxDelay fixed (the pre-adaptive
-	// behavior); a ceiling below MaxDelay is raised to MaxDelay.
-	MaxDelayCeiling time.Duration
 	// Queue is the pending-request buffer size; 0 means 4×MaxBatch. A
 	// full queue sheds: Host.Run fails fast wrapping
 	// dnnfusion.ErrOverloaded instead of queueing unboundedly or
@@ -91,11 +82,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxDelay == 0 {
 		c.MaxDelay = DefaultMaxDelay
 	}
+	if c.MaxDelay < 0 {
+		c.MaxDelay = 0
+	}
 	if c.Queue <= 0 {
 		c.Queue = 4 * c.MaxBatch
-	}
-	if c.MaxDelayCeiling > 0 && c.MaxDelayCeiling < c.MaxDelay {
-		c.MaxDelayCeiling = c.MaxDelay
 	}
 	return c
 }

@@ -259,16 +259,14 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// healthHost is one loaded host's overload-control state on /healthz: the
-// control signals an operator watches under load, without forcing any lazy
-// build (unloaded hosts are omitted).
+// healthHost is one loaded host's overload-control state on /healthz: its
+// queue and the requests it shed or dropped as expired, read without
+// forcing any lazy build (unloaded hosts are omitted).
 type healthHost struct {
-	QueueDepth        int     `json:"queue_depth"`
-	QueueCapacity     int     `json:"queue_capacity"`
-	Shed              uint64  `json:"shed"`
-	Expired           uint64  `json:"expired"`
-	CurrentMaxDelayUs int64   `json:"current_max_delay_us"`
-	QueueDepthEwma    float64 `json:"queue_depth_ewma"`
+	QueueDepth    int    `json:"queue_depth"`
+	QueueCapacity int    `json:"queue_capacity"`
+	Shed          uint64 `json:"shed"`
+	Expired       uint64 `json:"expired"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -294,12 +292,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		shed += st.Shed
 		expired += st.Expired
 		hosts[name] = healthHost{
-			QueueDepth:        info.QueueDepth,
-			QueueCapacity:     info.QueueCapacity,
-			Shed:              st.Shed,
-			Expired:           st.Expired,
-			CurrentMaxDelayUs: info.CurrentMaxDelayUs,
-			QueueDepthEwma:    info.QueueDepthEwma,
+			QueueDepth:    info.QueueDepth,
+			QueueCapacity: info.QueueCapacity,
+			Shed:          st.Shed,
+			Expired:       st.Expired,
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -399,15 +399,22 @@ func TestServerHealthzControlState(t *testing.T) {
 		}
 	}
 	hh := health["hosts"].(map[string]any)["micro-mlp"].(map[string]any)
+	// The per-host entry is the queue and its shed/expired counts, nothing
+	// more: the coalescing wait is configuration, not control state.
+	want := []string{"queue_depth", "queue_capacity", "shed", "expired"}
+	if len(hh) != len(want) {
+		t.Fatalf("host entry keys = %v, want exactly %v", hh, want)
+	}
+	for _, key := range want {
+		if _, ok := hh[key]; !ok {
+			t.Fatalf("host entry missing %q: %v", key, hh)
+		}
+	}
 	if hh["queue_capacity"].(float64) <= 0 {
 		t.Fatalf("loaded host reports no queue capacity: %v", hh)
 	}
 	if hh["queue_depth"].(float64) != 0 || hh["shed"].(float64) != 0 {
 		t.Fatalf("idle host control state = %v", hh)
-	}
-	// current_max_delay_us reflects the configured fixed MaxDelay (100us).
-	if hh["current_max_delay_us"].(float64) != 100 {
-		t.Fatalf("current_max_delay_us = %v, want 100", hh["current_max_delay_us"])
 	}
 	// The never-loaded lazy model is absent: health must not force builds.
 	if _, ok := health["hosts"].(map[string]any)["micro-attention"]; ok {
