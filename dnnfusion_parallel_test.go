@@ -6,7 +6,9 @@ package dnnfusion_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -174,6 +176,101 @@ func TestParallelProgramTwoLanes(t *testing.T) {
 		"gelu matmul":     {build: geluMatMul},
 	} {
 		t.Run(name, func(t *testing.T) { runMicroParity(t, c.build, 2, c.opts...) })
+	}
+}
+
+// softmaxRowsInput is a rows × d input of softmax row cases, cycled until
+// the tensor holds 20 000 elements, enough for two lanes: a random row; a
+// max of +0 beside −0, of −0 then +0, of −0 alone; ±Inf; −Inf beside finite
+// values; a lane whose x − max is below −87.3; two NaNs of different
+// payloads; a NaN beside +Inf. The rest of a row is random, negative where
+// the max is a zero.
+func softmaxRowsInput(d int) *dnnfusion.Tensor {
+	inf, negZero := float32(math.Inf(1)), math.Float32frombits(1<<31)
+	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc0abcd)
+	cases := [][]float32{nil, {0, negZero, negZero}, {negZero, 0}, {negZero}, {inf, -inf},
+		{-inf, -inf}, {4, -100}, {nan1, nan2}, {nan2, inf}}
+	rows := max(len(cases), (20000+d-1)/d)
+	x := dnnfusion.Rand(rows, d)
+	for r := range rows {
+		c, row := cases[r%len(cases)], x.Data()[r*d:(r+1)*d]
+		for i := range row {
+			row[i] = 8*row[i] - 4
+			if r%len(cases) >= 1 && r%len(cases) <= 3 {
+				row[i] = -1 - float32(math.Abs(float64(row[i])))
+			}
+		}
+		for k, v := range c {
+			row[k*d/len(c)+(d-1)/(2*len(c))] = v
+		}
+	}
+	return x
+}
+
+// TestParallelSoftmaxRows runs Softmax and LogSoftmax over softmaxRowsInput
+// at row lengths around the 8-lane groups of Exp's routine (1, 8, 9, 16, 17,
+// 33), alone and as the middle of a chain-fused MatMul → Mul → Softmax →
+// MatMul (MatMul(ones, ones) · x delivers x's rows exactly), at 1 and 2
+// lanes, bit for bit against the interpreter, NaN payloads included.
+func TestParallelSoftmaxRows(t *testing.T) {
+	for _, d := range []int{1, 8, 9, 16, 17, 33} {
+		x := softmaxRowsInput(d)
+		rows := x.Shape()[0]
+		ones := dnnfusion.NewTensor(rows, 1)
+		for i := range ones.Data() {
+			ones.Data()[i] = 1
+		}
+		for _, op := range []func(int) dnnfusion.Operator{ops.NewSoftmax, ops.NewLogSoftmax} {
+			for _, chain := range []bool{false, true} {
+				build := func() *dnnfusion.Graph {
+					g := graph.New("softmax-rows")
+					v := g.AddInput("x", tensor.Of(rows, d))
+					if chain {
+						b := tensor.New(1, d)
+						for i := range b.Data() {
+							b.Data()[i] = 1
+						}
+						scores := g.Apply1(ops.NewMatMul(), g.AddInput("ones", tensor.Of(rows, 1)), g.AddWeight("b", b))
+						v = g.Apply1(ops.NewMul(), scores, v)
+					}
+					v = g.Apply1(op(-1), v)
+					if chain {
+						v = g.Apply1(ops.NewMatMul(), v, g.AddWeight("v", tensor.New(d, 5).Rand(4301)))
+					}
+					g.MarkOutputAs("y", v)
+					return g
+				}
+				inputs := map[string]*dnnfusion.Tensor{"x": x}
+				if chain {
+					inputs["ones"] = ones
+				}
+				want, err := dnnfusion.InterpretNamed(build(), inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, threads := range []int{1, 2} {
+					name := fmt.Sprintf("%s d=%d chain=%t threads=%d", op(-1).Type(), d, chain, threads)
+					model, err := dnnfusion.Compile(build(), dnnfusion.WithThreads(threads))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if chain && !slices.ContainsFunc(model.Profile(), func(p dnnfusion.KernelProfile) bool { return p.Chain }) {
+						t.Fatalf("%s: no chain-fused kernel", name)
+					}
+					runner := model.NewRunner()
+					got, err := runner.Run(context.Background(), inputs)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, w := range want["y"].Data() {
+						if g := got["y"].Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("%s: y[%d] = %v (%#08x), interpreter says %v (%#08x)", name, i, g, math.Float32bits(g), w, math.Float32bits(w))
+						}
+					}
+					runner.Release()
+				}
+			}
+		}
 	}
 }
 

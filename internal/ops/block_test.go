@@ -648,6 +648,123 @@ func TestBlockParitySoftmax(t *testing.T) {
 	assertBlockParity(t, "LogSoftmax axis 0 over fused chain", virtualize(t, NewLogSoftmax(0), virtualize(t, NewRelu(), x)))
 }
 
+// TestSoftmaxScratchBytes pins what ScratchBytes counts for a row-wise
+// softmax: its staged rows, 4 B an element, and one float32 row of
+// exponentials of d elements. Alone it stages one row; over a MatMul that
+// ApplySchedule gives a row tile, it stages that tile's rows at once.
+func TestSoftmaxScratchBytes(t *testing.T) {
+	const m, k, d, rt = 12, 5, 9, 4
+	smOf := func(src Source) *softmaxBlockSource {
+		sm, ok := src.(*softmaxBlockSource)
+		if !ok {
+			t.Fatalf("Softmax over %T is %T, not the row kernel", src, src)
+		}
+		return sm
+	}
+	for _, op := range []func(int) Operator{NewSoftmax, NewLogSoftmax} {
+		src := virtualize(t, op(-1), randSource(70, m, d))
+		sm := smOf(src)
+		if len(sm.rowBuf) != d {
+			t.Errorf("%s alone: rowBuf holds %d elements, want one row of %d", op(-1).Type(), len(sm.rowBuf), d)
+		}
+		if got, want := ScratchBytes(src), int64(4*len(sm.rowBuf)+4*d); got != want {
+			t.Errorf("%s alone: ScratchBytes = %d, want %d", op(-1).Type(), got, want)
+		}
+		mm := virtualize(t, NewMatMul(), randSource(71, m, k), randSource(72, k, d))
+		src = virtualize(t, op(-1), mm)
+		ApplySchedule(src, Schedule{RowTile: rt, ColPanel: 8})
+		sm = smOf(src)
+		if sm.group != rt || len(sm.rowBuf) != rt*d {
+			t.Errorf("%s over a MatMul at rt%d: group %d, rowBuf %d elements, want %d rows of %d", op(-1).Type(), rt, sm.group, len(sm.rowBuf), rt, d)
+		}
+		if got, want := ScratchBytes(src)-ScratchBytes(mm), int64(4*len(sm.rowBuf)+4*d); got != want {
+			t.Errorf("%s over a MatMul at rt%d: ScratchBytes beyond the MatMul's = %d, want %d", op(-1).Type(), rt, got, want)
+		}
+	}
+}
+
+// softmaxRowLens are row lengths around the 8-lane groups of Exp's routine:
+// a lone tail element, one group, a group and a tail, two groups, and more.
+var softmaxRowLens = []int{1, 8, 9, 16, 17, 33}
+
+// softmaxRows is a rows × d tensor of the row cases softmax must get bit for
+// bit: a random row; a max of +0 beside −0, of −0 first and +0 later, and
+// of −0 alone; ±Inf; −Inf beside finite values; a lane whose x − max is
+// below −87.3, which hands its 8-lane group back to Go; two NaNs of
+// different payloads; and a NaN beside +Inf, whose max is +Inf. The special
+// values of a case are spread over the row, the rest are random (negative
+// where the max is a zero).
+func softmaxRows(d int) *tensor.Tensor {
+	inf, negZero := float32(math.Inf(1)), math.Float32frombits(1<<31)
+	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc0abcd)
+	cases := []struct {
+		negative bool
+		special  []float32
+	}{
+		{false, nil},
+		{true, []float32{0, negZero, negZero}},
+		{true, []float32{negZero, 0}},
+		{true, []float32{negZero}},
+		{false, []float32{inf, -inf}},
+		{false, []float32{-inf, -inf}},
+		{false, []float32{4, -100}},
+		{false, []float32{nan1, nan2}},
+		{false, []float32{nan2, inf}},
+	}
+	x := tensor.New(len(cases), d).Rand(uint64(500 + d))
+	for r, c := range cases {
+		row := x.Data()[r*d : (r+1)*d]
+		for i := range row {
+			row[i] = 8*row[i] - 4
+			if c.negative {
+				row[i] = -1 - math.Float32frombits(math.Float32bits(row[i])&^(1<<31))
+			}
+		}
+		for k, v := range c.special {
+			row[k*d/len(c.special)+(d-1)/(2*len(c.special))] = v
+		}
+	}
+	return x
+}
+
+// TestBlockParitySoftmaxRows holds row-wise Softmax and LogSoftmax to the
+// oracle bit for bit, NaN payloads included, over softmaxRows at every
+// length of softmaxRowLens: read directly, and as the middle of a chain-fused
+// MatMul → Mul → Softmax → MatMul, where MatMul(ones, ones) · x delivers x's
+// rows exactly and the consumer pulls the softmax rows into its A window
+// under every schedule of scheduleGrid.
+func TestBlockParitySoftmaxRows(t *testing.T) {
+	for _, d := range softmaxRowLens {
+		x := AsSource(softmaxRows(d))
+		rows := x.Shape()[0]
+		ones := func(dims ...int) Source {
+			o := tensor.New(dims...)
+			for i := range o.Data() {
+				o.Data()[i] = 1
+			}
+			return AsSource(o)
+		}
+		v := randSource(uint64(600+d), d, 5)
+		for _, op := range []func(int) Operator{NewSoftmax, NewLogSoftmax} {
+			name := fmt.Sprintf("%s over %d-element rows", op(-1).Type(), d)
+			assertBlockParity(t, name, virtualize(t, op(-1), x))
+			mk := func() Source {
+				scores := virtualize(t, NewMul(), virtualize(t, NewMatMul(), ones(rows, 1), ones(1, d)), x)
+				return virtualize(t, NewMatMul(), virtualize(t, op(-1), scores), v)
+			}
+			want := loadAll(mk())
+			for _, sched := range scheduleGrid {
+				src := mk()
+				ApplyChainSchedule(src, sched, sched)
+				if c, ok := src.(*contraction); !ok || c.a.pull == nil {
+					t.Fatalf("%s: the consumer does not pull its A in row windows (%T)", name, src)
+				}
+				assertBlockParityWant(t, fmt.Sprintf("%s in a chain at %v", name, sched), src, want)
+			}
+		}
+	}
+}
+
 // TestMaterializeRangeScalarFallback pins MaterializeRange's per-element
 // arm — reached only by a Source with no LoadBlock, which nothing
 // Virtualize composes is any more, hence the wrapper that hides it — over

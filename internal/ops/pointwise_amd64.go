@@ -12,9 +12,10 @@ import "math"
 // the same offsets; each is touched at the last element the routine reads
 // before the call, so a short operand is a Go bounds panic, not a stray read.
 //
-// Exp and Sigmoid stop at a group with a lane off their fast path (a NaN,
-// |x| ≤ 2⁻³⁰, or past the overflow bound): Go computes that group with
-// expf or sigmoid32 and the routine resumes after it.
+// Exp and Sigmoid stop at a group with a lane off their fast path, a NaN or
+// past the overflow bound: Go computes that group with expf or sigmoid32 and
+// the routine resumes after it. A lane with |x| ≤ 2⁻³⁰ stays on the routine,
+// flushed to +0, which gives expf's and sigmoid32's values there exactly.
 func pointwiseSIMD(op *pointwise, d, a, b []float32) int {
 	n := len(d) &^ 7
 	if !avx2FMA || n == 0 {
@@ -126,7 +127,7 @@ var simdConstBits = [...]uint32{
 	0x80000000,                  // C_SIGN
 	math.Float32bits(1),         // C_ONE, also pow2's 127<<23
 	math.Float32bits(2),         // C_TWO
-	0x30800000,                  // C_TINY: 2⁻³⁰, flushTiny's and magnitudeIn's bound
+	0x30800000,                  // C_TINY: 2⁻³⁰, flushTiny's and FAST_PATH's bound
 	0x42ae0000,                  // C_EXP_HI: 87
 	0x42a00000,                  // C_SIGMOID_HI: 80
 	math.Float32bits(log2e),     // C_LOG2E

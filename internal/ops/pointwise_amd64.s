@@ -13,7 +13,8 @@
 // same first operand (which NaN a two-NaN operation returns), and no fused
 // multiply-add. maxf(a, b) and minf(a, b) are VMAXPS and VMINPS with a as the
 // first source, since a > b ? a : b is MAXPS's own rule. The bit tricks
-// (relu, pow2, flushTiny, below, magnitudeIn) are integer lane operations.
+// (relu, pow2, flushTiny, below, FAST_PATH's bound test) are integer lane
+// operations.
 //
 // Constants are rows of simdConsts (pointwise_amd64.go), 8 lanes each, taken
 // as memory operands; the row order there is the offset order here.
@@ -92,17 +93,19 @@
 	VPSLLD $23, k, k; \
 	VPADDD C_ONE, k, k
 
-// FAST_PATH jumps to stop unless every lane of x is on the fast path,
-// magnitudeIn(x, 0x30800001, hi): |x|'s bits above those of 2⁻³⁰ and not
-// above hi (a NaN is above every hi). Clobbers Y14, Y15 and BX.
+// FAST_PATH jumps to stop if a lane of x is off the fast path, |x|'s bits
+// above hi (a NaN is above every hi), and else flushes every lane with |x|
+// up to 2⁻³⁰ to +0 in place, as flushTiny does: expReduce(+0) is p = 1 with
+// pow2(k) = 1, the 1 that expTail returns there, and 1/(1+1) is sigmoid32's
+// 1/2. Clobbers Y14, Y15 and BX.
 #define FAST_PATH(x, hi, stop) \
 	VPAND     C_ABS, x, Y15; \
-	VPCMPGTD  C_TINY, Y15, Y14; \
-	VPCMPGTD  hi, Y15, Y15; \
-	VPANDN    Y14, Y15, Y14; \
+	VPCMPGTD  hi, Y15, Y14; \
 	VMOVMSKPS Y14, BX; \
-	CMPL      BX, $0xff; \
-	JNE       stop
+	TESTL     BX, BX; \
+	JNE       stop; \
+	VPCMPGTD  C_TINY, Y15, Y15; \
+	VPAND     Y15, x, x
 
 // func addPS(d, a, b *float32, n int)
 TEXT ·addPS(SB), NOSPLIT, $0-32
@@ -251,7 +254,8 @@ clip:
 // func expPS(d, a *float32, n int) (done int)
 //
 // expf's fast path, p·pow2(k), group by group until a group has a lane off
-// it: done is the number of elements written, the offset of that group.
+// it (NaN or above 87): done is the number of elements written, the offset
+// of that group.
 TEXT ·expPS(SB), NOSPLIT, $0-32
 	MOVQ d+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -289,7 +293,7 @@ TEXT ·sigmoidPS(SB), NOSPLIT, $0-32
 sigmoid:
 	VMOVUPS (SI)(AX*4), Y0
 	FAST_PATH(Y0, C_SIGMOID_HI, sigmoidDone)
-	VXORPS  C_SIGN, Y0, Y0 // −x
+	VXORPS  C_SIGN, Y0, Y0 // −x (a flushed lane is −0: expReduce(−0) is 1 too)
 	EXP_REDUCE(Y0, Y1, Y2, Y3, Y4)
 	POW2(Y2)
 	VMULPS  Y2, Y1, Y1

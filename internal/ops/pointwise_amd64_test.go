@@ -29,9 +29,10 @@ import (
 //   - Exp and Sigmoid: the routine over every group of 8 consecutive
 //     patterns. A group it computes must match the Go loop; a group it hands
 //     back (Go then computes it with the scalar function) must hold a lane
-//     off the fast path. Each pattern within 2¹⁶ of a fast-path bound, put in
-//     a group of 7 fast-path lanes, must be handed back exactly when it is
-//     off the path itself.
+//     off the fast path, a NaN or |x| above hi. Each pattern within 2¹⁶ of
+//     2⁻³⁰, hi and +Inf, put in a group of 7 fast-path lanes, must be handed
+//     back exactly when it is off the path itself: the routine flushes a
+//     lane up to 2⁻³⁰ to +0 and keeps it.
 //
 // Then, on special values, the typed loop over lengths 1 to 17 (the tails
 // past the last 8-lane group) in place and out of place, and the hand-over
@@ -43,8 +44,8 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 	}
 	type sweepCase struct {
 		simdCase
-		// For Exp and Sigmoid, the raw routine and the top of its fast path,
-		// magnitudeIn(x, 0x30800001, hi).
+		// For Exp and Sigmoid, the raw routine and the top of its fast path:
+		// a lane is off it when the bits of |x| are above hi (NaN included).
 		routine func(d, a *float32, n int) int
 		hi      uint32
 		// swept is false for ReLU6, which TestBranchFreeClip sweeps, and
@@ -74,6 +75,8 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 	for w := range lanes {
 		lanes[w] = lane{make([]float32, n), make([]float32, n), make([]float32, n)}
 	}
+	// offPath reports a lane the routine hands back to Go.
+	offPath := func(x float32, hi uint32) bool { return math.Float32bits(x)&^(1<<31) > hi }
 	// compare notes the first input whose routine and Go-loop bits differ.
 	compare := func(c *sweepCase, in, simd, scalar []float32) {
 		if j := firstBitDiff(simd, scalar); j >= 0 {
@@ -103,7 +106,7 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 							compare(c, in[j:j+done], simd[j:j+done], scalar[j:j+done])
 							j += done
 						}
-						if j < m && !slices.ContainsFunc(in[j:j+8], func(x float32) bool { return !magnitudeIn(x, 0x30800001, c.hi) }) {
+						if j < m && !slices.ContainsFunc(in[j:j+8], func(x float32) bool { return offPath(x, c.hi) }) {
 							c.bad.CompareAndSwap(-1, int64(math.Float32bits(in[j]))) // a fast-path group handed back
 						}
 					}
@@ -132,7 +135,7 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 				for _, sign := range []uint32{0, 1 << 31} {
 					x := math.Float32frombits(u | sign)
 					group[0] = x
-					if handed := c.routine(&group[8], &group[0], 8) == 0; handed == magnitudeIn(x, 0x30800001, c.hi) {
+					if handed := c.routine(&group[8], &group[0], 8) == 0; handed != offPath(x, c.hi) {
 						c.bad.CompareAndSwap(-1, int64(u|sign))
 					}
 				}
@@ -185,7 +188,7 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 		scalar  func(float32) float32
 		op      *pointwise
 	}{{"Exp", expPS, expf, NewExp().(*pointwise)}, {"Sigmoid", sigmoidPS, sigmoid32, NewSigmoid().(*pointwise)}} {
-		for _, off := range []float32{float32(math.NaN()), 100, -100, 0} {
+		for _, off := range []float32{float32(math.NaN()), 100, -100} {
 			const g = 5
 			a := slices.Clone(block)
 			a[g*8+3] = off
@@ -220,6 +223,45 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 			}
 			if i := firstBitDiff(got, want); i >= 0 {
 				t.Errorf("%s with %v in group %d: element %d is %#08x, want %#08x", f.name, off, g, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestPointwiseSIMDTinyLanes pins the tiny-lane flush of expPS and
+// sigmoidPS: ±0, ±2⁻³⁰ and the smallest and largest subnormals of either
+// sign stay on the routine, alone in a group or at every lane of a group of
+// ordinary values, and it writes expf's and sigmoid32's bits for them.
+func TestPointwiseSIMDTinyLanes(t *testing.T) {
+	if !avx2FMA {
+		t.Skip("no AVX2 routines: this CPU runs the Go loops only")
+	}
+	tiny := []float32{0, math.Float32frombits(1 << 31), 0x1p-30, -0x1p-30,
+		math.Float32frombits(1), math.Float32frombits(1<<31 | 1),
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff)}
+	groups := [][]float32{tiny}
+	for _, x := range tiny {
+		for lane := range 8 {
+			g := []float32{1.5, -2, 0.25, 3, -0.75, 7, -9, 0.5}
+			g[lane] = x
+			groups = append(groups, g)
+		}
+	}
+	for _, f := range []struct {
+		name    string
+		routine func(d, a *float32, n int) int
+		scalar  func(float32) float32
+	}{{"Exp", expPS, expf}, {"Sigmoid", sigmoidPS, sigmoid32}} {
+		for _, a := range groups {
+			d := make([]float32, 8)
+			if done := f.routine(&d[0], &a[0], 8); done != 8 {
+				t.Errorf("%s(%v): routine handed the group back", f.name, a)
+				continue
+			}
+			for i, x := range a {
+				if want := f.scalar(x); math.Float32bits(d[i]) != math.Float32bits(want) {
+					t.Errorf("%s(%#08x): routine %#08x, scalar %#08x", f.name, math.Float32bits(x), math.Float32bits(d[i]), math.Float32bits(want))
+				}
 			}
 		}
 	}

@@ -398,7 +398,12 @@ func (s *cumsumSource) Load(idx []int) float32 {
 }
 
 // NewSoftmax computes softmax along axis with the usual max-subtraction for
-// numerical stability (Many-to-Many).
+// numerical stability (Many-to-Many). Over a row x with max m, each
+// eᵢ = expDiff(xᵢ, m, expf(xᵢ − m)) is the float32 transcendental of Exp at
+// the float32 difference, corrected for that difference's rounding. The sum
+// of the eᵢ is float64 in ascending order, and yᵢ = float32(eᵢ/sum);
+// LogSoftmax writes float32(xᵢ − m − log sum) from the same sum. A row whose
+// sum is NaN writes the quiet NaN 0x7fc00000 throughout.
 func NewSoftmax(axis int) Operator { return &softmax{axis: axis, log: false} }
 
 // NewLogSoftmax computes log-softmax along axis.
@@ -454,15 +459,12 @@ func (s *softmax) Virtualize(ins []Source, outNo int) (Source, error) {
 	// twice per element. Any other axis pulls from a staged input.
 	if ax == inShape.Rank()-1 {
 		if blk, ok := AsBlock(ins[0]); ok {
-			sm := &softmaxBlockSource{
+			return &softmaxBlockSource{
 				softmaxSource: *mk(ins).(*softmaxSource),
 				blk:           blk,
 				rowBuf:        make([]float32, inShape[ax]),
-			}
-			if !s.log {
-				sm.exps = make([]float64, inShape[ax])
-			}
-			return sm, nil
+				exps:          make([]float32, inShape[ax]),
+			}, nil
 		}
 	}
 	return pulled(ins, mk), nil
@@ -484,21 +486,32 @@ func (s *softmaxSource) Shape() tensor.Shape { return s.shape }
 // contiguous input row is staged once into rowBuf, its max and exp-sum are
 // computed once, and every covered element of the row is normalized from
 // the staged values — versus the scalar path's two full row passes per
-// element. Softmax keeps each exp(x−max) of the sum pass in exps and
-// divides those, so every exponential is computed once. The max/sum
-// accumulation order and the exponentials are softmaxSource.Load's, so
-// results are bit-for-bit equal.
+// element. The row's differences x−max are written to exps and
+// exponentiated there in place by Exp's typed loop (the AVX2 routine over
+// whole 8-lane groups, expf for the rest), once per element, then corrected
+// by expDiff in the sum pass: Softmax divides those, LogSoftmax needs them
+// only for the sum. The max, the exponentials and the sum order are
+// softmaxSource.Load's, so results are bit-for-bit equal.
 type softmaxBlockSource struct {
 	softmaxSource
 	blk    BlockSource
 	rowBuf []float32
-	exps   []float64 // one row of exp(x−max); nil for LogSoftmax
+	exps   []float32 // one row of x−max, then of its exponentials
 	// group is how many input rows one producer load stages (default 1).
 	// ApplySchedule aligns it with a heavy producer's row tile, so a
 	// matmul feeding this softmax is pulled in whole tiles instead of
 	// tile-defeating single rows.
 	group int
 }
+
+// expOp is the Exp operator whose typed loop exponentiates softmax rows.
+var expOp = NewExp().(*pointwise)
+
+// rowNaN is every output of a softmax row whose sum is NaN: a NaN input, or
+// ±Inf − ±Inf in x − max. Every output of such a row is NaN anyway, and which
+// payload a float64 sum of NaNs keeps depends on the operand order the
+// compiler picks for each addition, so the row writes this one quiet NaN.
+var rowNaN = math.Float32frombits(0x7fc00000)
 
 func (s *softmaxBlockSource) LoadBlock(dst []float32, off, n int) {
 	d := s.axisDim
@@ -526,33 +539,52 @@ func (s *softmaxBlockSource) LoadBlock(dst []float32, off, n int) {
 		if run > n {
 			run = n
 		}
-		maxV := math.Inf(-1)
-		for _, v := range row {
-			maxV = math.Max(maxV, float64(v))
+		mf := rowMax(row)
+		e := s.exps[:d]
+		for i, v := range row {
+			e[i] = v - mf
 		}
+		pointwiseLoop(expOp, e, e, nil)
 		var sum float64
-		if s.log {
-			for _, v := range row {
-				sum += math.Exp(float64(v) - maxV)
+		for i, v := range row {
+			e[i] = expDiff(v, mf, e[i])
+			sum += float64(e[i])
+		}
+		switch {
+		case sum != sum:
+			for t := range dst[:run] {
+				dst[t] = rowNaN
 			}
+		case s.log:
 			logSum := math.Log(sum)
 			for t := 0; t < run; t++ {
-				dst[t] = float32(float64(row[j+t]) - maxV - logSum)
+				dst[t] = float32(float64(row[j+t]) - float64(mf) - logSum)
 			}
-		} else {
-			e := s.exps[:d]
-			for i, v := range row {
-				e[i] = math.Exp(float64(v) - maxV)
-				sum += e[i]
-			}
+		default:
 			for t, v := range e[j : j+run] {
-				dst[t] = float32(v / sum)
+				dst[t] = float32(float64(v) / sum)
 			}
 		}
 		dst = dst[run:]
 		off += run
 		n -= run
 	}
+}
+
+// rowMax is the row's max compared in float32: float32 of the math.Max fold
+// of softmaxSource.Load in every row the outputs can tell apart. A NaN makes
+// the sum NaN and the row rowNaN whatever the max. A zero max may come out
+// with the other sign when the row holds both, which both outputs hide:
+// x − (±0) is x but for x = ±0, expf(±0) = 1, and with two e of 1 the
+// log-sum is at least ln 2, so ±0 − ln sum is the same value.
+func rowMax(row []float32) float32 {
+	m := float32(math.Inf(-1))
+	for _, v := range row {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 func (s *softmaxSource) Load(idx []int) float32 {
@@ -563,14 +595,36 @@ func (s *softmaxSource) Load(idx []int) float32 {
 		s.buf[s.axis] = i
 		maxV = math.Max(maxV, float64(s.in.Load(s.buf)))
 	}
+	mf := float32(maxV)
 	var sum float64
 	for i := 0; i < n; i++ {
 		s.buf[s.axis] = i
-		sum += math.Exp(float64(s.in.Load(s.buf)) - maxV)
+		x := s.in.Load(s.buf)
+		sum += float64(expDiff(x, mf, expf(x-mf)))
 	}
-	x := float64(s.in.Load(idx)) - maxV
+	if sum != sum {
+		return rowNaN
+	}
+	x := s.in.Load(idx)
 	if s.log {
-		return float32(x - math.Log(sum))
+		return float32(float64(x) - maxV - math.Log(sum))
 	}
-	return float32(math.Exp(x) / sum)
+	return float32(float64(expDiff(x, mf, expf(x-mf))) / sum)
+}
+
+// expDiff is e^(x−m) in float32 from e = expf(x − m), the exponential of the
+// rounded float32 difference h: it scales e by 1 + lo, lo = (x − m) − h, the
+// rounding error of h, which TwoSum recovers exactly in float32. Without it
+// e is off by up to |x − m|·2⁻²⁴ relative: 65 ULP on TestSoftmaxAccuracy's
+// logits of up to ±80, against 3 with it. Where lo is NaN (x = −Inf, whose e is 0, or a NaN, whose row is
+// rowNaN anyway) e stands. The product is rounded by an explicit
+// conversion, so no compiler contracts it into an FMA.
+func expDiff(x, m, e float32) float32 {
+	h := x - m
+	bm := h - x
+	lo := (x - (h - bm)) - (m + bm)
+	if lo == lo {
+		return e + float32(e*lo)
+	}
+	return e
 }

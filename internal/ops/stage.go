@@ -292,7 +292,7 @@ func ScratchBytes(roots ...Source) int64 {
 		case *Staged:
 			total += 4 * int64(len(v.buf))
 		case *softmaxBlockSource:
-			total += 4*int64(len(v.rowBuf)) + 8*int64(len(v.exps))
+			total += 4 * int64(len(v.rowBuf)+len(v.exps))
 		case *reduceBlockSource:
 			total += 4*int64(len(v.buf32)) + 8*int64(len(v.acc))
 		case *viewBlockSource:
