@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dnnfusion"
+	"dnnfusion/internal/ops"
 )
 
 func buildPublicMLP(t testing.TB) *dnnfusion.Graph {
@@ -158,6 +159,40 @@ func TestRandShapeSeeding(t *testing.T) {
 	for i := range a.Data() {
 		if a.Data()[i] != again.Data()[i] {
 			t.Fatal("Rand is not reproducible for a fixed shape")
+		}
+	}
+}
+
+// TestAbsClearsSignBit: Abs is IEEE |x| on the interpreter and the compiled
+// path alike: −0 gives +0 and a negative NaN keeps its payload with the sign
+// bit clear, in a whole 8-lane group and in the tail after it.
+func TestAbsClearsSignBit(t *testing.T) {
+	specials := []uint32{0x80000000, 0xffc00001, 0x7fc00002, 0xbf800000, 0xff800000, 0x80000001, 0, 0x3f800000}
+	data := make([]float32, 19)
+	for i := range data {
+		data[i] = math.Float32frombits(specials[i%len(specials)])
+	}
+	g := dnnfusion.NewGraph("abs")
+	x := g.AddInput("x", dnnfusion.ShapeOf(1, len(data)))
+	g.MarkOutputAs("y", g.Apply1(ops.NewAbs(), x))
+	feeds := map[string]*dnnfusion.Tensor{"x": dnnfusion.FromSlice(data, 1, len(data))}
+	want, err := dnnfusion.InterpretNamed(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dnnfusion.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.NewRunner().Run(context.Background(), feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, out := range map[string]*dnnfusion.Tensor{"interpreter": want["y"], "compiled": got["y"]} {
+		for i, v := range out.Data() {
+			if bits, in := math.Float32bits(v), math.Float32bits(data[i]); bits != in&^(1<<31) {
+				t.Errorf("%s: Abs(%#08x) = %#08x, want %#08x", path, in, bits, in&^(1<<31))
+			}
 		}
 	}
 }

@@ -181,6 +181,33 @@ func TestBlockParityReduce(t *testing.T) {
 	assertBlockParity(t, "ReduceMean wide columns", virtualize(t, NewReduce(ReduceMean, true, 0), long))
 }
 
+// TestBlockParityReduceRowGroups: trailing-axis Sum and Mean fold their
+// staged rows four at a time, the rest one by one. Over 7 rows (one group of
+// four and three left) and 11, through a fused producer, every row matches
+// the oracle bit for bit, and a NaN or an Inf in one row stays in that row.
+func TestBlockParityReduceRowGroups(t *testing.T) {
+	for _, rows := range []int{7, 11} {
+		x := tensor.New(rows, 9).Rand(75)
+		x.Set(float32(math.NaN()), 2, 4)
+		x.Set(float32(math.Inf(-1)), rows-1, 0)
+		x.Set(float32(math.Copysign(0, -1)), 5, 8)
+		src := virtualize(t, NewMulConst(1.5), AsSource(x))
+		for _, kind := range []ReduceKind{ReduceSum, ReduceMean} {
+			red := virtualize(t, NewReduce(kind, false, 1), src)
+			name := fmt.Sprintf("%s over %d rows", kind, rows)
+			assertBlockParity(t, name, red)
+			got := make([]float32, rows)
+			red.(BlockSource).LoadBlock(got, 0, rows)
+			for r, v := range got {
+				nan, inf := math.IsNaN(float64(v)), math.IsInf(float64(v), -1)
+				if nan != (r == 2) || inf != (r == rows-1) {
+					t.Errorf("%s: row %d reduced to %v", name, r, v)
+				}
+			}
+		}
+	}
+}
+
 func TestBlockParityMovement(t *testing.T) {
 	x := randSource(10, 3, 4, 5)
 	assertBlockParity(t, "Reshape", virtualize(t, NewReshape(4, 15), x))

@@ -54,6 +54,7 @@ const (
 	kindAbs
 	kindSquare
 	kindReciprocal
+	kindSqrt
 	kindClip
 	kindLeakyRelu
 	kindAddConst
@@ -63,6 +64,8 @@ const (
 	kindSigmoid
 	kindTanh
 	kindErf
+	// kindCount is the number of kinds; it stays last.
+	kindCount
 )
 
 // attr returns the structured attribute Attr reports for key, read from the
@@ -216,13 +219,12 @@ func NewRelu() Operator {
 	return newUnary("Relu", kindRelu, func(x float32) float32 { return maxf(x, 0) }, Properties{})
 }
 func NewAbs() Operator {
-	return newUnary("Abs", kindAbs, func(x float32) float32 { return absf(x) }, Properties{})
+	return newUnary("Abs", kindAbs, absf, Properties{})
 }
 func NewNeg() Operator {
 	return newUnary("Neg", kindNeg, func(x float32) float32 { return -x }, linear)
 }
 func NewLog() Operator   { return newMath("Log", math.Log) }
-func NewSqrt() Operator  { return newMath("Sqrt", math.Sqrt) }
 func NewSin() Operator   { return newMath("Sin", math.Sin) }
 func NewCos() Operator   { return newMath("Cos", math.Cos) }
 func NewAsin() Operator  { return newMath("Asin", math.Asin) }
@@ -235,6 +237,12 @@ func NewSquare() Operator {
 func NewReciprocal() Operator {
 	return newUnary("Reciprocal", kindReciprocal, func(x float32) float32 { return 1 / x }, Properties{})
 }
+func NewSqrt() Operator { return newUnary("Sqrt", kindSqrt, sqrtf, Properties{}) }
+
+// sqrtf is the correctly rounded float32 square root (VSQRTPS's): rounding
+// the float64 root of a float32 to float32 loses nothing to the double
+// rounding, as 53 ≥ 2·24+2 bits.
+func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
 // The float32 transcendentals (transcendental.go): the closure and the typed
 // program loop call the same function.
@@ -446,9 +454,8 @@ func minf(a, b float32) float32 {
 	return b
 }
 
+// absf is IEEE |a|: a with its sign bit cleared, so −0 gives +0 and a NaN
+// keeps its payload with the sign bit clear.
 func absf(a float32) float32 {
-	if a < 0 {
-		return -a
-	}
-	return a
+	return math.Float32frombits(math.Float32bits(a) &^ (1 << 31))
 }

@@ -7,10 +7,12 @@ import "math"
 // pointwiseSIMD runs op's typed loop over the whole 8-element groups of d
 // through the AVX2 routines of pointwise_amd64.s, where the CPU has them,
 // and returns how many leading elements of d it wrote: len(d) rounded down
-// to a multiple of 8 for Add, Sub, Mul, AddConst, MulConst, Relu, Clip, Exp,
-// Sigmoid, Tanh and Erf, else 0. a, and b for the binary kinds, are read at
-// the same offsets; each is touched at the last element the routine reads
-// before the call, so a short operand is a Go bounds panic, not a stray read.
+// to a multiple of 8 for every typed kind but Identity (Add, Sub, Mul, Div,
+// Min, Max, Neg, Abs, Square, Reciprocal, Sqrt, Relu, Clip, LeakyRelu,
+// AddConst, MulConst, Exp, Sigmoid, Tanh and Erf), else 0. a, and b for the
+// binary kinds, are read at the same offsets; each is touched at the last
+// element the routine reads before the call, so a short operand is a Go
+// bounds panic, not a stray read.
 //
 // Exp and Sigmoid stop at a group with a lane off their fast path, a NaN or
 // past the overflow bound: Go computes that group with expf or sigmoid32 and
@@ -31,12 +33,39 @@ func pointwiseSIMD(op *pointwise, d, a, b []float32) int {
 	case kindMul:
 		_, _ = a[n-1], b[n-1]
 		mulPS(&d[0], &a[0], &b[0], n)
+	case kindDiv:
+		_, _ = a[n-1], b[n-1]
+		divPS(&d[0], &a[0], &b[0], n)
+	case kindMin:
+		_, _ = a[n-1], b[n-1]
+		minPS(&d[0], &a[0], &b[0], n)
+	case kindMax:
+		_, _ = a[n-1], b[n-1]
+		maxPS(&d[0], &a[0], &b[0], n)
 	case kindAddConst:
 		_ = a[n-1]
 		addConstPS(&d[0], &a[0], op.c, n)
 	case kindMulConst:
 		_ = a[n-1]
 		mulConstPS(&d[0], &a[0], op.c, n)
+	case kindLeakyRelu:
+		_ = a[n-1]
+		leakyReluPS(&d[0], &a[0], op.c, n)
+	case kindNeg:
+		_ = a[n-1]
+		negPS(&d[0], &a[0], n)
+	case kindAbs:
+		_ = a[n-1]
+		absPS(&d[0], &a[0], n)
+	case kindSquare:
+		_ = a[n-1]
+		squarePS(&d[0], &a[0], n)
+	case kindReciprocal:
+		_ = a[n-1]
+		reciprocalPS(&d[0], &a[0], n)
+	case kindSqrt:
+		_ = a[n-1]
+		sqrtPS(&d[0], &a[0], n)
 	case kindRelu:
 		_ = a[n-1]
 		reluPS(&d[0], &a[0], n)
@@ -87,10 +116,39 @@ func subPS(d, a, b *float32, n int)
 func mulPS(d, a, b *float32, n int)
 
 //go:noescape
+func divPS(d, a, b *float32, n int)
+
+//go:noescape
+func minPS(d, a, b *float32, n int)
+
+//go:noescape
+func maxPS(d, a, b *float32, n int)
+
+//go:noescape
 func addConstPS(d, a *float32, c float32, n int)
 
 //go:noescape
 func mulConstPS(d, a *float32, c float32, n int)
+
+// leakyReluPS's c is the slope alpha.
+//
+//go:noescape
+func leakyReluPS(d, a *float32, c float32, n int)
+
+//go:noescape
+func negPS(d, a *float32, n int)
+
+//go:noescape
+func absPS(d, a *float32, n int)
+
+//go:noescape
+func squarePS(d, a *float32, n int)
+
+//go:noescape
+func reciprocalPS(d, a *float32, n int)
+
+//go:noescape
+func sqrtPS(d, a *float32, n int)
 
 //go:noescape
 func reluPS(d, a *float32, n int)

@@ -12,9 +12,10 @@
 // operations of the Go function it stands for in the same order with the
 // same first operand (which NaN a two-NaN operation returns), and no fused
 // multiply-add. maxf(a, b) and minf(a, b) are VMAXPS and VMINPS with a as the
-// first source, since a > b ? a : b is MAXPS's own rule. The bit tricks
-// (relu, pow2, flushTiny, below, FAST_PATH's bound test) are integer lane
-// operations.
+// first source, since a > b ? a : b is MAXPS's own rule. VDIVPS, VMULPS and
+// VSQRTPS round correctly, as Go's float32 / and * and sqrtf do. The bit
+// tricks (relu, pow2, flushTiny, below, FAST_PATH's bound test, Neg, Abs)
+// are integer or bitwise lane operations.
 //
 // Constants are rows of simdConsts (pointwise_amd64.go), 8 lanes each, taken
 // as memory operands; the row order there is the offset order here.
@@ -107,100 +108,134 @@
 	VPCMPGTD  C_TINY, Y15, Y15; \
 	VPAND     Y15, x, x
 
+// The loop shapes: each is the whole body of a routine, reading its
+// arguments by the names of the Go declaration. A routine is its TEXT line
+// and one shape.
+
+// BINARY(op) is func(d, a, b *float32, n int): d = a op b, a the first
+// source.
+#define BINARY(op) \
+	MOVQ d+0(FP), DI; \
+	MOVQ a+8(FP), SI; \
+	MOVQ b+16(FP), DX; \
+	MOVQ n+24(FP), CX; \
+	XORQ AX, AX; \
+	PCALIGN $64; \
+loop: \
+	VMOVUPS (SI)(AX*4), Y0; \
+	op      (DX)(AX*4), Y0, Y0; \
+	VMOVUPS Y0, (DI)(AX*4); \
+	ADDQ    $8, AX; \
+	CMPQ    AX, CX; \
+	JB      loop; \
+	VZEROUPPER; \
+	RET
+
+// EACH(body) is the loop of the one-operand shapes: body maps x in Y0 to
+// Y0 for every group of the n elements at SI, the result stored at DI.
+#define EACH(body) \
+	XORQ    AX, AX; \
+	PCALIGN $64; \
+loop: \
+	VMOVUPS (SI)(AX*4), Y0; \
+	body; \
+	VMOVUPS Y0, (DI)(AX*4); \
+	ADDQ    $8, AX; \
+	CMPQ    AX, CX; \
+	JB      loop; \
+	VZEROUPPER; \
+	RET
+
+// CONST(body) is func(d, a *float32, c float32, n int): EACH(body) with c
+// in every lane of Y1.
+#define CONST(body) \
+	MOVQ         d+0(FP), DI; \
+	MOVQ         a+8(FP), SI; \
+	VBROADCASTSS c+16(FP), Y1; \
+	MOVQ         n+24(FP), CX; \
+	EACH(body)
+
+// UNARY(body) is func(d, a *float32, n int): EACH(body) with 1 in every
+// lane of Y1.
+#define UNARY(body) \
+	MOVQ    d+0(FP), DI; \
+	MOVQ    a+8(FP), SI; \
+	MOVQ    n+16(FP), CX; \
+	VMOVUPS C_ONE, Y1; \
+	EACH(body)
+
+// The bodies. Neg and Abs are sign-bit operations: Go's -x flips the sign
+// bit of every float32, a NaN's included, and absf clears it. LeakyRelu
+// selects by the compare x < 0, not by the sign bit, so −0 and a negative
+// NaN stay as they are, as in the Go loop.
+#define ADD_C VADDPS Y1, Y0, Y0
+#define MUL_C VMULPS Y1, Y0, Y0
+#define LEAKY_RELU \
+	VXORPS    Y2, Y2, Y2; \
+	VCMPPS    $1, Y2, Y0, Y2; \
+	VMULPS    Y0, Y1, Y3; \
+	VBLENDVPS Y2, Y3, Y0, Y0
+#define NEG VXORPS C_SIGN, Y0, Y0
+#define ABS VANDPS C_ABS, Y0, Y0
+#define SQUARE VMULPS Y0, Y0, Y0
+#define RECIPROCAL VDIVPS Y0, Y1, Y0
+#define SQRT VSQRTPS Y0, Y0
+
 // func addPS(d, a, b *float32, n int)
 TEXT ·addPS(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-
-	PCALIGN $64
-add:
-	VMOVUPS (SI)(AX*4), Y0
-	VADDPS  (DX)(AX*4), Y0, Y0 // a + b
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JB      add
-	VZEROUPPER
-	RET
+	BINARY(VADDPS)
 
 // func subPS(d, a, b *float32, n int)
 TEXT ·subPS(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-
-	PCALIGN $64
-sub:
-	VMOVUPS (SI)(AX*4), Y0
-	VSUBPS  (DX)(AX*4), Y0, Y0 // a - b
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JB      sub
-	VZEROUPPER
-	RET
+	BINARY(VSUBPS)
 
 // func mulPS(d, a, b *float32, n int)
 TEXT ·mulPS(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
+	BINARY(VMULPS)
 
-	PCALIGN $64
-mul:
-	VMOVUPS (SI)(AX*4), Y0
-	VMULPS  (DX)(AX*4), Y0, Y0 // a * b
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JB      mul
-	VZEROUPPER
-	RET
+// func divPS(d, a, b *float32, n int)
+TEXT ·divPS(SB), NOSPLIT, $0-32
+	BINARY(VDIVPS)
+
+// func minPS(d, a, b *float32, n int)
+TEXT ·minPS(SB), NOSPLIT, $0-32
+	BINARY(VMINPS)
+
+// func maxPS(d, a, b *float32, n int)
+TEXT ·maxPS(SB), NOSPLIT, $0-32
+	BINARY(VMAXPS)
 
 // func addConstPS(d, a *float32, c float32, n int)
 TEXT ·addConstPS(SB), NOSPLIT, $0-32
-	MOVQ         d+0(FP), DI
-	MOVQ         a+8(FP), SI
-	VBROADCASTSS c+16(FP), Y1
-	MOVQ         n+24(FP), CX
-	XORQ         AX, AX
-
-	PCALIGN $64
-addConst:
-	VMOVUPS (SI)(AX*4), Y0
-	VADDPS  Y1, Y0, Y0     // x + c
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JB      addConst
-	VZEROUPPER
-	RET
+	CONST(ADD_C)
 
 // func mulConstPS(d, a *float32, c float32, n int)
 TEXT ·mulConstPS(SB), NOSPLIT, $0-32
-	MOVQ         d+0(FP), DI
-	MOVQ         a+8(FP), SI
-	VBROADCASTSS c+16(FP), Y1
-	MOVQ         n+24(FP), CX
-	XORQ         AX, AX
+	CONST(MUL_C)
 
-	PCALIGN $64
-mulConst:
-	VMOVUPS (SI)(AX*4), Y0
-	VMULPS  Y1, Y0, Y0     // x * c
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JB      mulConst
-	VZEROUPPER
-	RET
+// func leakyReluPS(d, a *float32, c float32, n int)
+TEXT ·leakyReluPS(SB), NOSPLIT, $0-32
+	CONST(LEAKY_RELU)
+
+// func negPS(d, a *float32, n int)
+TEXT ·negPS(SB), NOSPLIT, $0-24
+	UNARY(NEG)
+
+// func absPS(d, a *float32, n int)
+TEXT ·absPS(SB), NOSPLIT, $0-24
+	UNARY(ABS)
+
+// func squarePS(d, a *float32, n int)
+TEXT ·squarePS(SB), NOSPLIT, $0-24
+	UNARY(SQUARE)
+
+// func reciprocalPS(d, a *float32, n int)
+TEXT ·reciprocalPS(SB), NOSPLIT, $0-24
+	UNARY(RECIPROCAL)
+
+// func sqrtPS(d, a *float32, n int)
+TEXT ·sqrtPS(SB), NOSPLIT, $0-24
+	UNARY(SQRT)
 
 // func reluPS(d, a *float32, n int)
 //

@@ -14,12 +14,14 @@ import (
 )
 
 // TestPointwiseSIMDSweep proves every unary AVX2 routine equal to its
-// scalar function — expf, sigmoid32, tanh32, erf32, relu, ReLU6 with hi 6, 1
-// and +Inf, and generic Clip — bit for bit on every float32: all 2³²
-// patterns, or under -short and the race detector a strided sweep plus a
-// dense window around every edge of the functions' case analysis.
+// scalar function — Neg, absf, Square, Reciprocal, sqrtf, LeakyRelu, expf,
+// sigmoid32, tanh32, erf32, relu, ReLU6 with hi 6, 1 and +Inf, and generic
+// Clip — bit for bit on every float32: all 2³² patterns, or under -short and
+// the race detector a strided sweep plus a dense window around every edge of
+// the functions' case analysis.
 //
-//   - Relu and generic Clip: the routine against the Go loop on every input.
+//   - Neg, Abs, Square, Reciprocal, Sqrt, LeakyRelu, Relu and generic Clip:
+//     the routine against the Go loop on every input.
 //     ReLU6 is not swept again here: TestBranchFreeClip runs the same typed
 //     loop, whose groups are this routine, over every float32 for hi 6, 1
 //     and +Inf against the closure.
@@ -231,7 +233,8 @@ func TestPointwiseSIMDSweep(t *testing.T) {
 // TestPointwiseSIMDTinyLanes pins the tiny-lane flush of expPS and
 // sigmoidPS: ±0, ±2⁻³⁰ and the smallest and largest subnormals of either
 // sign stay on the routine, alone in a group or at every lane of a group of
-// ordinary values, and it writes expf's and sigmoid32's bits for them.
+// ordinary values, and it writes expf's and sigmoid32's bits for them. Every
+// other unary routine writes its Go loop's bits on the same groups.
 func TestPointwiseSIMDTinyLanes(t *testing.T) {
 	if !avx2FMA {
 		t.Skip("no AVX2 routines: this CPU runs the Go loops only")
@@ -262,6 +265,21 @@ func TestPointwiseSIMDTinyLanes(t *testing.T) {
 				if want := f.scalar(x); math.Float32bits(d[i]) != math.Float32bits(want) {
 					t.Errorf("%s(%#08x): routine %#08x, scalar %#08x", f.name, math.Float32bits(x), math.Float32bits(d[i]), math.Float32bits(want))
 				}
+			}
+		}
+	}
+	for _, c := range simdCases() {
+		if c.binary() {
+			continue
+		}
+		for _, a := range groups {
+			got, want := make([]float32, 8), make([]float32, 8)
+			if pointwiseSIMD(c.op, got, a, nil) != 8 {
+				t.Fatalf("%s: pointwiseSIMD did not run its routine", c.name)
+			}
+			pointwiseGo(c.op, want, a, nil)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Errorf("%s(%#08x): routine %#08x, Go loop %#08x", c.name, math.Float32bits(a[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
 			}
 		}
 	}

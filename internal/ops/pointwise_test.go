@@ -16,14 +16,19 @@ type simdCase struct {
 	op   *pointwise
 }
 
-// simdCases are the operators with an AVX2 routine: Clip as ReLU6 (lower
-// bound +0, hi 6, 1 and +Inf) and as the generic minf(maxf(x, lo), hi), once
-// with the lower bound −0, which takes the generic loop.
+// simdCases are the operators with an AVX2 routine, one case at least for
+// every typed kind but Identity (TestSIMDCasesCoverEveryKind): Clip as ReLU6
+// (lower bound +0, hi 6, 1 and +Inf) and as the generic minf(maxf(x, lo),
+// hi), once with the lower bound −0, which takes the generic loop.
 func simdCases() []simdCase {
 	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	cases := []simdCase{
 		{"Add", NewAdd().(*pointwise)}, {"Sub", NewSub().(*pointwise)}, {"Mul", NewMul().(*pointwise)},
+		{"Div", NewDiv().(*pointwise)}, {"Min", NewMin().(*pointwise)}, {"Max", NewMax().(*pointwise)},
 		{"AddConst", NewAddConst(0.75).(*pointwise)}, {"MulConst", NewMulConst(-1.25).(*pointwise)},
+		{"Neg", NewNeg().(*pointwise)}, {"Abs", NewAbs().(*pointwise)},
+		{"Square", NewSquare().(*pointwise)}, {"Reciprocal", NewReciprocal().(*pointwise)}, {"Sqrt", NewSqrt().(*pointwise)},
+		{"LeakyRelu", NewLeakyRelu(0.1).(*pointwise)},
 		{"Relu", NewRelu().(*pointwise)},
 		{"Relu6", NewClip(0, 6).(*pointwise)}, {"Clip0to1", NewClip(0, 1).(*pointwise)}, {"Clip0toInf", NewClip(0, inf).(*pointwise)},
 		{"Clip", NewClip(-1, 1).(*pointwise)}, {"ClipNegZero", NewClip(negZero, 6).(*pointwise)},
@@ -31,6 +36,24 @@ func simdCases() []simdCase {
 		{"Tanh", NewTanh().(*pointwise)}, {"Erf", NewErf().(*pointwise)},
 	}
 	return cases
+}
+
+// TestSIMDCasesCoverEveryKind: every typed kind but Identity (a copy) has a
+// simdCases entry, so the sweep, the bounds, tiny-lane and NaN-payload
+// checks reach each routine; a new kind without one fails here.
+func TestSIMDCasesCoverEveryKind(t *testing.T) {
+	covered := make(map[pwKind]bool)
+	for _, c := range simdCases() {
+		covered[c.op.kind] = true
+	}
+	for k := kindGeneric + 1; k < kindCount; k++ {
+		if k != kindIdentity && !covered[k] {
+			t.Errorf("pwKind %d has no simdCases entry", k)
+		}
+	}
+	if covered[kindGeneric] || covered[kindIdentity] {
+		t.Error("simdCases lists a generic or Identity operator, which has no routine")
+	}
 }
 
 // binary reports whether the operator reads a second operand.
@@ -76,11 +99,13 @@ func firstBitDiff(got, want []float32) int {
 	return -1
 }
 
-// TestPointwiseSIMDBinaryNaN: Add, Sub and Mul on every pair of the
-// specials, and AddConst and MulConst with each special as the constant over
-// every special, give the operator closure's bits (fn2, fn1) — which NaN
-// survives a two-NaN operation included — through the typed loop (the AVX2
-// routine where the CPU has it) and through the Go loops alone.
+// TestPointwiseSIMDBinaryNaN: every binary simdCase (Add, Sub, Mul, Div,
+// Min, Max) on every pair of the specials, and AddConst, MulConst and
+// LeakyRelu with each special as the constant over every special, give the
+// operator closure's bits (fn2, fn1) — which NaN survives a two-NaN
+// operation included, the specials holding two payloads — through the typed
+// loop (the AVX2 routine where the CPU has it) and through the Go loops
+// alone. Then each binary op on seeded samples, whole groups and a tail.
 func TestPointwiseSIMDBinaryNaN(t *testing.T) {
 	n := len(simdSpecials)
 	a, b := make([]float32, n*n), make([]float32, n*n)
@@ -101,14 +126,21 @@ func TestPointwiseSIMDBinaryNaN(t *testing.T) {
 			}
 		}
 	}
-	for _, mk := range []func() Operator{NewAdd, NewSub, NewMul} {
-		op := mk().(*pointwise)
-		check(op.name, op, a, b, func(i int) float32 { return op.fn2(a[i], b[i]) })
+	rng := rand.New(rand.NewSource(46))
+	sa, sb := make([]float32, 4*blockLen+5), make([]float32, 4*blockLen+5)
+	for i := range sa {
+		sa[i], sb[i] = float32(rng.NormFloat64()*4), float32(rng.NormFloat64()*4)
+	}
+	for _, c := range simdCases() {
+		if op := c.op; c.binary() {
+			check(c.name, op, a, b, func(i int) float32 { return op.fn2(a[i], b[i]) })
+			check(c.name+" sampled", op, sa, sb, func(i int) float32 { return op.fn2(sa[i], sb[i]) })
+		}
 	}
 	// Each special twice over: every one lands in a whole 8-lane group.
 	xs := append(append([]float32(nil), simdSpecials...), simdSpecials...)
 	for _, c := range simdSpecials {
-		for _, mk := range []func(float32) Operator{NewAddConst, NewMulConst} {
+		for _, mk := range []func(float32) Operator{NewAddConst, NewMulConst, NewLeakyRelu} {
 			op := mk(c).(*pointwise)
 			cs := make([]float32, len(xs))
 			for i := range cs {

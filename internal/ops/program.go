@@ -33,10 +33,11 @@ import (
 // Every instruction performs the float32 operation of its operator's scalar
 // function, one operation per loop (nothing for a compiler to contract into
 // an FMA), so LoadBlock stays bit-identical to the embedded oracle's Load.
-// On amd64 with AVX2 the typed loops of Add, Sub, Mul, AddConst, MulConst,
-// Relu, Clip, Exp, Sigmoid, Tanh and Erf run their whole 8-element groups as
-// assembly that performs the same float32 operations in the same order
-// (pointwiseSIMD, pointwise_amd64.s); tails and every other op run in Go.
+// On amd64 with AVX2 every typed loop but Identity's (Add, Sub, Mul, Div,
+// Min, Max, Neg, Abs, Square, Reciprocal, Sqrt, Relu, Clip, LeakyRelu,
+// AddConst, MulConst, Exp, Sigmoid, Tanh and Erf) runs its whole 8-element
+// groups as assembly that performs the same float32 operations in the same
+// order (pointwiseSIMD, pointwise_amd64.s); tails and generic ops run in Go.
 type pointwiseProgram struct {
 	pointwiseSource
 	operands []pwOperand
@@ -484,6 +485,10 @@ func pointwiseGo(op *pointwise, d, a, b []float32) {
 	case kindReciprocal:
 		for j := range d {
 			d[j] = 1 / a[j]
+		}
+	case kindSqrt:
+		for j := range d {
+			d[j] = sqrtf(a[j])
 		}
 	case kindClip:
 		lo, hi := op.lo, op.hi

@@ -313,7 +313,26 @@ func (s *reduceBlockSource) LoadBlock(dst []float32, off, n int) {
 			} else {
 				rows := s.buf32[:g*count]
 				s.blk.LoadBlock(rows, off*count, len(rows))
-				for t := 0; t < g; t++ {
+				t := 0
+				if kind == ReduceSum || kind == ReduceMean {
+					// Four rows per pass, each in its own accumulator and
+					// ascending order: four independent add chains, the
+					// same sums as fold's.
+					for ; t+4 <= g; t += 4 {
+						r := rows[t*count : (t+4)*count]
+						var a0, a1, a2, a3 float64
+						for i, v := range r[:count] {
+							a0 += float64(v)
+							a1 += float64(r[count+i])
+							a2 += float64(r[2*count+i])
+							a3 += float64(r[3*count+i])
+						}
+						for q, a := range [4]float64{a0, a1, a2, a3} {
+							dst[t+q] = kind.finish(a, count)
+						}
+					}
+				}
+				for ; t < g; t++ {
 					dst[t] = kind.finish(kind.fold(kind.identity(), rows[t*count:(t+1)*count]), count)
 				}
 			}
